@@ -11,7 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ArchConfig
-from .model import block_forward
+from .model import KVCache, ModelState, base_forward, block_forward
 
 
 @dataclass
@@ -51,7 +51,7 @@ def sample_gumbel(rng, shape) -> np.ndarray:
     return -np.log(-np.log(u + 1e-12) + 1e-12)
 
 
-def _one_hot(index: np.ndarray, n: int) -> np.ndarray:
+def one_hot(index: np.ndarray, n: int) -> np.ndarray:
     o = np.zeros(index.shape + (n,), dtype=ad.active_dtype())
     np.put_along_axis(o, index[..., None], 1.0, axis=-1)
     return o
@@ -84,7 +84,7 @@ def assign_direct(inverse: dict[str, Tensor], codebook: dict[str, Tensor],
         index = logits.data.argmax(axis=-1)
     else:
         raise ValueError(f"unknown assignment mode: {mode!r}")
-    hard = _one_hot(index, n)
+    hard = one_hot(index, n)
     straight = ad.add(ad.stop_grad(ad.sub(Tensor(hard), soft)), soft)
     action = ad.matmul(straight, codebook["codes"])
     return ActionAssignment(logits, soft, hard, straight, index, action)
@@ -132,16 +132,21 @@ def world_logits(merge: dict[str, Tensor], cfg: ArchConfig,
 
 
 def _head_stack_forward(params: dict[str, Tensor], cfg: ArchConfig,
-                        depth: int, e_l: Tensor) -> Tensor:
+                        depth: int, e_l: Tensor,
+                        cache: list[KVCache] | None = None) -> Tensor:
     h = e_l
     for i in range(depth):
-        h = block_forward(params, f"blk{i}", h, cfg)
+        h = block_forward(params, f"blk{i}", h, cfg,
+                          None if cache is None else cache[i])
     return ad.matmul(h, params["head"])
 
 
-def policy_forward(policy: dict[str, Tensor], cfg: ArchConfig, e_l: Tensor) -> Tensor:
-    """Per-position action distribution (B, T, N), causal in T."""
-    return ad.softmax(_head_stack_forward(policy, cfg, cfg.n_layers_policy, e_l))
+def policy_forward(policy: dict[str, Tensor], cfg: ArchConfig, e_l: Tensor,
+                   cache: list[KVCache] | None = None) -> Tensor:
+    """Per-position action distribution (B, T, N), causal in T. With one
+    KVCache per block, e_l continues the cached positions."""
+    return ad.softmax(_head_stack_forward(policy, cfg, cfg.n_layers_policy,
+                                          e_l, cache))
 
 
 def policy_log_probs(policy: dict[str, Tensor], cfg: ArchConfig, e_l: Tensor) -> Tensor:
@@ -151,3 +156,61 @@ def policy_log_probs(policy: dict[str, Tensor], cfg: ArchConfig, e_l: Tensor) ->
 def q_forward(q: dict[str, Tensor], cfg: ArchConfig, e_l: Tensor) -> Tensor:
     """Per-position unconstrained action values (B, T, N)."""
     return _head_stack_forward(q, cfg, cfg.n_layers_policy, e_l)
+
+
+class Decoder:
+    """Incremental decoding of a batch of sequences under fixed weights.
+
+    Holds the keys and values of the base and policy blocks for the tokens
+    it was last synced to, plus the base embedding and policy probabilities
+    at every held position. `sync` keeps the longest prefix the new tokens
+    share with the held ones and encodes the rest in one forward, so
+    appending a token or going back to a prefix re-encodes nothing else.
+    The caches are valid only while the state's weights stay unchanged."""
+
+    def __init__(self, state: ModelState, batch: int = 1):
+        cfg = state.cfg
+        self.state = state
+        self.tokens = np.zeros((batch, 0), dtype=np.int64)
+        self.base_cache = [KVCache(cfg.max_seq_len) for _ in range(cfg.n_layers_base)]
+        self.policy_cache = [KVCache(cfg.max_seq_len)
+                             for _ in range(cfg.n_layers_policy)]
+        dtype = ad.active_dtype()
+        self.e_l = np.zeros((batch, cfg.max_seq_len, cfg.d_model), dtype)
+        self.probs = np.zeros((batch, cfg.max_seq_len, cfg.codebook_size), dtype)
+
+    def sync(self, tokens) -> None:
+        """Make the held sequences equal to tokens (B, T)."""
+        tokens = np.asarray(tokens)
+        if tokens.ndim != 2 or tokens.shape[0] != self.tokens.shape[0] \
+                or tokens.shape[1] < 1:
+            raise ValueError(f"expected ({self.tokens.shape[0]}, T>=1) tokens, "
+                             f"got shape {tokens.shape}")
+        n = min(self.tokens.shape[1], tokens.shape[1])
+        differ = np.flatnonzero((self.tokens[:, :n] != tokens[:, :n]).any(axis=0))
+        if differ.size:
+            n = int(differ[0])
+        for c in self.base_cache + self.policy_cache:
+            c.length = n
+        t = tokens.shape[1]
+        if t > n:
+            groups, cfg = self.state.groups, self.state.cfg
+            e_l, _ = base_forward(groups["base"], cfg, tokens[:, n:], self.base_cache)
+            probs = policy_forward(groups["policy"], cfg, e_l, self.policy_cache)
+            self.e_l[:, n:t] = e_l.data
+            self.probs[:, n:t] = probs.data
+        self.tokens = tokens.copy()
+
+    def policy_probs(self) -> np.ndarray:
+        """(B, N) action distribution after the held tokens."""
+        return self.probs[:, self.tokens.shape[1] - 1].copy()
+
+    def next_tokens(self, actions) -> np.ndarray:
+        """(B,) world-model argmax token after the held tokens, one action
+        per row."""
+        t = self.tokens.shape[1]
+        codes = self.state.groups["codebook"]["codes"].data
+        logits = world_logits(self.state.groups["merge"], self.state.cfg,
+                              Tensor(self.e_l[:, t - 1:t]),
+                              Tensor(codes[np.asarray(actions)][:, None, :]))
+        return logits.data[:, -1, :].argmax(axis=-1)

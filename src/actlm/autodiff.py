@@ -292,12 +292,14 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
 
 
 def causal_attention_scores(q: Tensor, k: Tensor) -> Tensor:
-    """Scaled dot-product scores (..., T, T) with positions j > i masked to a
-    large negative constant."""
+    """Scaled dot-product scores (..., Tq, Tk) of the last Tq positions
+    against all Tk keys: query i sits at position Tk - Tq + i, and keys after
+    it are masked to a large negative constant. Tq == Tk is the full causal
+    mask."""
     dh = q.data.shape[-1]
     s = np.matmul(q.data, np.swapaxes(k.data, -1, -2)) / math.sqrt(dh)
-    t = s.shape[-1]
-    mask = np.triu(np.ones((t, t), dtype=bool), k=1)
+    tq, tk = s.shape[-2:]
+    mask = np.triu(np.ones((tq, tk), dtype=bool), k=tk - tq + 1)
     s = np.where(mask, np.asarray(NEG_MASK, dtype=_DTYPE), s)
     out = Tensor(s, (q, k))
 

@@ -25,7 +25,7 @@ from .diagnostics import (action_token_table, alive_actions, marginal_kl,
 from .metrics import MetricsWriter
 from .model import init_model
 from .runconfig import ConfigError, RunConfig, load_run_config
-from .search import LatentActionLM, mcts_q_search, mcts_search, rollout
+from .search import LatentActionLM, mcts_search, rollout
 from .training import Transition, q_values_fn, train_bc, train_fta, train_q, \
     train_rl, train_stage1, pretrain_base_ar
 
@@ -198,12 +198,9 @@ def _run_search(cfg: RunConfig, out: str, metrics: MetricsWriter,
     marker = _marker(cfg, model, prompt)
     reward_fn = _marker_reward_fn(marker)
     trace = os.path.join(out, "search_trace.jsonl")
-    if use_q:
-        result = mcts_q_search(model, prompt, cfg.search(), reward_fn,
-                               q_values_fn(state, "q_online"), cfg.gamma, trace)
-    else:
-        result = mcts_search(model, prompt, cfg.search(), reward_fn,
-                             trace_path=trace)
+    q_fn = q_values_fn(state, "q_online") if use_q else None
+    result = mcts_search(model, prompt, cfg.search(), reward_fn, q_fn=q_fn,
+                         gamma=cfg.gamma, trace_path=trace)
     metrics.append({"stage": "search-q" if use_q else "search",
                     "tokens": result.tokens.tolist(),
                     "iterations": result.iterations, "n_nodes": result.n_nodes,

@@ -36,8 +36,38 @@ def init_block_params(rng, cfg: ArchConfig, prefix: str) -> dict[str, Tensor]:
     return p
 
 
-def block_forward(p: dict[str, Tensor], prefix: str, x: Tensor, cfg: ArchConfig) -> Tensor:
-    """Pre-norm causal attention block + gated MLP, residual throughout."""
+class KVCache:
+    """Keys and values of one attention block over the first `length`
+    positions of a batch of sequences, for incremental decoding.
+
+    Valid only for the weights that produced it. Forward-only: cached keys
+    and values are constants, so no gradient reaches the positions they
+    came from. Setting `length` lower truncates."""
+
+    def __init__(self, max_len: int):
+        self.max_len = max_len
+        self.length = 0
+        self.k = self.v = None
+
+    def extend(self, k: np.ndarray, v: np.ndarray) -> tuple[Tensor, Tensor]:
+        """Append (B, H, t, dh) keys and values at position `length`; return
+        the keys and values of all positions so far."""
+        if self.k is None:
+            shape = k.shape[:2] + (self.max_len,) + k.shape[3:]
+            self.k, self.v = np.empty(shape, k.dtype), np.empty(shape, v.dtype)
+        end = self.length + k.shape[2]
+        self.k[:, :, self.length:end] = k
+        self.v[:, :, self.length:end] = v
+        self.length = end
+        return Tensor(self.k[:, :, :end]), Tensor(self.v[:, :, :end])
+
+
+def block_forward(p: dict[str, Tensor], prefix: str, x: Tensor, cfg: ArchConfig,
+                  cache: KVCache | None = None) -> Tensor:
+    """Pre-norm causal attention block + gated MLP, residual throughout.
+
+    With a cache, x holds only the positions after the cached ones; they
+    attend to the cached keys and values too, and are appended to them."""
     b, t, d = x.shape
     h, dh = cfg.n_heads, d // cfg.n_heads
 
@@ -49,6 +79,8 @@ def block_forward(p: dict[str, Tensor], prefix: str, x: Tensor, cfg: ArchConfig)
         return ad.swapaxes(y, 1, 2)  # (b, h, t, dh)
 
     q, k, v = heads("wq"), heads("wk"), heads("wv")
+    if cache is not None:
+        k, v = cache.extend(k.data, v.data)
     att = ad.softmax(ad.causal_attention_scores(q, k))
     ctx = ad.matmul(att, v)
     ctx = ad.reshape(ad.swapaxes(ctx, 1, 2), (b, t, d))
@@ -72,20 +104,26 @@ def init_base_params(rng, cfg: ArchConfig) -> dict[str, Tensor]:
     return p
 
 
-def base_forward(p: dict[str, Tensor], cfg: ArchConfig, tokens) -> tuple[Tensor, Tensor]:
-    """tokens (B, T) int -> (embeddings (B, T, d), next-token logits (B, T, V))."""
+def base_forward(p: dict[str, Tensor], cfg: ArchConfig, tokens,
+                 cache: list[KVCache] | None = None) -> tuple[Tensor, Tensor]:
+    """tokens (B, T) int -> (embeddings (B, T, d), next-token logits (B, T, V)).
+
+    With one KVCache per block, tokens continue the cached positions and
+    the outputs cover only them."""
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
         raise ValueError("tokens must be (batch, time)")
     b, t = tokens.shape
-    if t > cfg.max_seq_len:
-        raise ValueError(f"sequence length {t} exceeds max_seq_len {cfg.max_seq_len}")
+    start = 0 if cache is None else cache[0].length
+    if start + t > cfg.max_seq_len:
+        raise ValueError(f"sequence length {start + t} exceeds max_seq_len {cfg.max_seq_len}")
     if tokens.size and (tokens.min() < 0 or tokens.max() >= cfg.vocab_size):
         raise ValueError("token id out of range")
     x = ad.add(ad.embedding(p["tok_emb"], tokens),
-               ad.slice_time(ad.reshape(p["pos_emb"], (1, cfg.max_seq_len, cfg.d_model)), 0, t))
+               ad.slice_time(ad.reshape(p["pos_emb"], (1, cfg.max_seq_len, cfg.d_model)),
+                             start, start + t))
     for i in range(cfg.n_layers_base):
-        x = block_forward(p, f"blk{i}", x, cfg)
+        x = block_forward(p, f"blk{i}", x, cfg, None if cache is None else cache[i])
     e_l = ad.rms_norm(x, p["ln_out"])
     logits = ad.matmul(e_l, p["lm_head"])
     return e_l, logits

@@ -14,37 +14,36 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import policy_forward, world_logits
-from .autodiff import Tensor
+from .actions import Decoder
 from .config import SearchConfig
-from .model import ModelState, base_forward
+from .model import ModelState
 from .training import Transition, dqn_target
 
 
 class LatentActionLM:
-    """Generation adapter over a trained model state."""
+    """Generation adapter over a trained model state.
+
+    Both methods go through one incremental Decoder, so consecutive calls on
+    growing or branching prefixes re-encode only the tokens that changed.
+    The cache assumes the state's weights do not change while the adapter
+    is in use."""
 
     def __init__(self, state: ModelState):
         self.state = state
         self.n_actions = state.cfg.codebook_size
         self.eos_token_id = state.cfg.eos_token_id
+        self._decoder = Decoder(state)
+
+    def _sync(self, tokens) -> None:
+        self._decoder.sync(np.asarray(tokens).reshape(1, -1))
 
     def policy_probs(self, tokens) -> np.ndarray:
-        tokens = np.asarray(tokens).reshape(1, -1)
-        e_l, _ = base_forward(self.state.groups["base"], self.state.cfg, tokens)
-        return policy_forward(self.state.groups["policy"], self.state.cfg,
-                              e_l).data[0, -1, :]
+        self._sync(tokens)
+        return self._decoder.policy_probs()[0]
 
     def next_token(self, tokens, action: int) -> int:
-        tokens = np.asarray(tokens).reshape(1, -1)
-        e_l, _ = base_forward(self.state.groups["base"], self.state.cfg, tokens)
-        code = self.state.groups["codebook"]["codes"].data[action][None, None, :]
-        t = tokens.shape[1]
-        from . import autodiff as ad
-        e_last = ad.slice_time(e_l, t - 1, None)
-        logits = world_logits(self.state.groups["merge"], self.state.cfg,
-                              e_last, Tensor(code))
-        return int(logits.data[0, -1, :].argmax())
+        self._sync(tokens)
+        return int(self._decoder.next_tokens([action])[0])
 
 
 def _is_terminal(model, tokens, max_len: int) -> bool:
@@ -58,25 +57,37 @@ def _sample_action(model, tokens, rng) -> int:
     return int(np.searchsorted(cum, rng.random(), side="right"))
 
 
-def rollout(model, prompt, mode: str, max_len: int, rng=None):
-    """Generate until eos or max_len; returns (tokens, actions) aligned so
-    actions[s] produced tokens[len(prompt)+s]."""
-    tokens = list(np.asarray(prompt).tolist())
-    if not tokens:
-        raise ValueError("prompt must be non-empty")
+def _roll(model, tokens, max_len: int, rng=None, steps=None):
+    """Generate from tokens until terminal or after `steps` actions (no
+    limit if None): sampled actions with an rng, greedy ones without.
+    Returns (tokens, actions) with actions[s] producing the s-th new token."""
+    tokens = list(tokens)
     actions = []
-    while not _is_terminal(model, tokens, max_len):
-        if mode == "greedy":
+    while not _is_terminal(model, tokens, max_len) and \
+            (steps is None or len(actions) < steps):
+        if rng is None:
             action = int(model.policy_probs(tokens).argmax())
-        elif mode == "sample":
-            if rng is None:
-                raise ValueError("sample mode needs an rng")
-            action = _sample_action(model, tokens, rng)
         else:
-            raise ValueError(f"unknown rollout mode: {mode!r}")
+            action = _sample_action(model, tokens, rng)
         tokens.append(model.next_token(tokens, action))
         actions.append(action)
-    return np.asarray(tokens), np.asarray(actions, dtype=np.int64)
+    return np.asarray(tokens), actions
+
+
+def rollout(model, prompt, mode: str, max_len: int, rng=None):
+    """Generate until eos or max_len; returns (tokens, actions) aligned so
+    actions[s] produced tokens[len(prompt)+s]. A prompt that already ends
+    in eos is returned unchanged."""
+    tokens = np.asarray(prompt).tolist()
+    if not tokens:
+        raise ValueError("prompt must be non-empty")
+    if mode == "sample" and rng is None:
+        raise ValueError("sample mode needs an rng")
+    if mode not in ("greedy", "sample"):
+        raise ValueError(f"unknown rollout mode: {mode!r}")
+    tokens, actions = _roll(model, tokens, max_len,
+                            rng if mode == "sample" else None)
+    return tokens, np.asarray(actions, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -150,30 +161,14 @@ def _simulate(model, node: MctsNode, reward_fn, max_len: int, rng) -> float:
     return node.sim_value
 
 
-def _roll_segment(model, tokens, k: int, max_len: int, rng=None):
-    """k generation steps (sampled actions if rng, else greedy); stops early
-    at terminal. Returns (tokens, action tuple)."""
-    tokens = list(tokens)
-    actions = []
-    for _ in range(k):
-        if _is_terminal(model, tokens, max_len):
-            break
-        if rng is None:
-            action = int(model.policy_probs(tokens).argmax())
-        else:
-            action = _sample_action(model, tokens, rng)
-        tokens.append(model.next_token(tokens, action))
-        actions.append(action)
-    return np.asarray(tokens), tuple(actions)
-
-
 def _expand(model, node: MctsNode, cfg: SearchConfig, rng) -> MctsNode | None:
     """Create up to expand_width children by sampled k-step segments; returns
     the first newly created child (None only if the node is terminal)."""
     first = None
     for _ in range(cfg.expand_width):
-        child_state, key = _roll_segment(model, node.state, cfg.action_steps,
-                                         cfg.max_len, rng)
+        child_state, actions = _roll(model, node.state, cfg.max_len, rng,
+                                     cfg.action_steps)
+        key = tuple(actions)
         if not key or key in node.children:
             continue
         child = MctsNode(state=child_state,
@@ -187,26 +182,21 @@ def _expand(model, node: MctsNode, cfg: SearchConfig, rng) -> MctsNode | None:
 
 
 def _extend_low_uncertainty(model, node: MctsNode, cfg: SearchConfig,
-                            reward_fn, q_fn, gamma: float) -> None:
+                            q_fn, gamma: float) -> None:
     """Q-pruned extension: while the node's incoming transition has Bellman
     error below the threshold, append k more greedy steps to the node (one
     merged node per search, growing in passes) instead of simulating."""
     while not _is_terminal(model, node.state, cfg.max_len):
-        terminal = _is_terminal(model, node.state, cfg.max_len)
         tr = Transition(context=node.prev_context, action=int(node.last_action),
-                        next_context=node.state,
-                        reward=_score(reward_fn, node.state) if terminal else 0.0,
-                        terminal=terminal)
+                        next_context=node.state, reward=0.0, terminal=False)
         if not bellman_error(tr, q_fn, gamma) < cfg.bellman_threshold:
             break
-        new_state, key = _roll_segment(model, node.state, cfg.action_steps,
-                                       cfg.max_len, rng=None)
-        if not key:
-            break
+        new_state, actions = _roll(model, node.state, cfg.max_len,
+                                   steps=cfg.action_steps)
         node.state = new_state
         node.prev_context = new_state[:-1].copy()
-        node.last_action = key[-1]
-        node.expansion_tokens += len(key)
+        node.last_action = actions[-1]
+        node.expansion_tokens += len(actions)
         node.extension_passes += 1
 
 
@@ -249,8 +239,7 @@ def mcts_search(model, prompt, cfg: SearchConfig, reward_fn,
                 key = next(k for k, v in node.children.items() if v is child)
                 path_keys.append(list(key))
                 if q_fn is not None:
-                    _extend_low_uncertainty(model, child, cfg, reward_fn,
-                                            q_fn, gamma)
+                    _extend_low_uncertainty(model, child, cfg, q_fn, gamma)
                 value = _simulate(model, child, reward_fn, cfg.max_len, rng)
                 expanded_terminal = _is_terminal(model, child.state, cfg.max_len)
         for n in path:
@@ -278,12 +267,6 @@ def mcts_search(model, prompt, cfg: SearchConfig, reward_fn,
         else np.asarray(prompt)
     return SearchResult(tokens=tokens, root=root, iterations=iterations,
                         n_nodes=n_nodes)
-
-
-def mcts_q_search(model, prompt, cfg: SearchConfig, reward_fn, q_fn,
-                  gamma: float = 0.99, trace_path=None) -> SearchResult:
-    return mcts_search(model, prompt, cfg, reward_fn, q_fn=q_fn, gamma=gamma,
-                       trace_path=trace_path)
 
 
 def audit_tree(root: MctsNode, max_reward: float = 1.0) -> None:

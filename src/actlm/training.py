@@ -16,8 +16,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .actions import (assign_direct, assign_vq, inverse_encode,
-                      policy_forward, policy_log_probs, q_forward, world_logits)
+from .actions import (Decoder, assign_direct, assign_vq, inverse_encode,
+                      one_hot, policy_forward, policy_log_probs, q_forward,
+                      world_logits)
 from .config import TrainConfig
 from .model import ModelState, base_forward
 
@@ -206,39 +207,49 @@ def rollout_batch(state: ModelState, prompts: np.ndarray, mode: str,
     """Generate continuations for a batch of equal-length prompts.
 
     Actions come from the policy (argmax in greedy mode, sampled otherwise);
-    tokens are always the argmax of the world-model logits. Stops at eos or
-    max_len. Returns (tokens (B, <=max_len), actions (B, steps))."""
+    tokens are always the argmax of the world-model logits. A row stops at
+    eos, including an eos that ends its prompt, and is padded with eos and
+    action 0 while others run on; all stop at max_len. Returns (tokens
+    (B, <=max_len), actions (B, steps))."""
     cfg = state.cfg
     tokens = np.asarray(prompts).copy()
     if tokens.ndim != 2 or tokens.shape[1] < 1:
         raise ValueError("prompts must be a non-empty (B, p) array")
+    if mode == "sample" and rng is None:
+        raise ValueError("sample mode needs an rng")
+    if mode not in ("greedy", "sample"):
+        raise ValueError(f"unknown rollout mode: {mode!r}")
     b = tokens.shape[0]
     actions = np.zeros((b, 0), dtype=np.int64)
-    done = np.zeros(b, dtype=bool)
-    codes = state.groups["codebook"]["codes"].data
+    done = tokens[:, -1] == cfg.eos_token_id
+    decoder = Decoder(state, b)
     while tokens.shape[1] < max_len and not done.all():
-        e_l, _ = base_forward(state.groups["base"], cfg, tokens)
-        probs = policy_forward(state.groups["policy"], cfg, e_l).data[:, -1, :]
+        decoder.sync(tokens)
+        probs = decoder.policy_probs()
         if mode == "greedy":
             act = probs.argmax(axis=-1)
-        elif mode == "sample":
-            if rng is None:
-                raise ValueError("sample mode needs an rng")
+        else:
             cum = probs.cumsum(axis=-1)
             cum /= cum[:, -1:]
             act = (rng.random((b, 1)) < cum).argmax(axis=-1)
-        else:
-            raise ValueError(f"unknown rollout mode: {mode!r}")
-        a_emb = Tensor(codes[act][:, None, :])
-        e_last = ad.slice_time(e_l, tokens.shape[1] - 1, None)
-        logits = world_logits(state.groups["merge"], cfg, e_last, a_emb)
-        nxt = logits.data[:, -1, :].argmax(axis=-1)
+        nxt = decoder.next_tokens(act)
         nxt = np.where(done, cfg.eos_token_id, nxt)
         act = np.where(done, 0, act)
         tokens = np.concatenate([tokens, nxt[:, None]], axis=1)
         actions = np.concatenate([actions, act[:, None]], axis=1)
         done |= nxt == cfg.eos_token_id
     return tokens, actions
+
+
+def decision_mask(tokens: np.ndarray, prompt_len: int, n_steps: int,
+                  eos: int) -> np.ndarray:
+    """(B, n_steps) bool: True where generation step s was a real decision.
+
+    Step s decides from the context ending at position prompt_len-1+s; once
+    that context ends in eos, or passed one after the prompt, the step is
+    padding. So a row whose prompt ends in eos has no decisions at all."""
+    contexts = tokens[:, prompt_len - 1:prompt_len - 1 + n_steps]
+    return ~(np.cumsum(contexts == eos, axis=1) > 0)
 
 
 def rl_update(state: ModelState, prompts: np.ndarray, reward_fn,
@@ -267,19 +278,15 @@ def rl_update(state: ModelState, prompts: np.ndarray, reward_fn,
     adv = (groups - (groups.sum(axis=1, keepdims=True) - groups) / (g - 1)).reshape(-1)
 
     n_steps = actions.shape[1]
-    # steps after a generated eos are padding, not decisions
-    response = tokens[:, p_len:p_len + n_steps]
-    ended = np.cumsum(response == state.cfg.eos_token_id, axis=1) > 0
-    valid = np.ones_like(ended)
-    valid[:, 1:] = ~ended[:, :-1]
-    valid = valid.astype(ad.active_dtype())
+    valid = decision_mask(tokens, p_len, n_steps,
+                          state.cfg.eos_token_id).astype(ad.active_dtype())
 
     with Tape() as tape:
         e_l = _frozen_base_embeddings(state, tokens)
         logp = policy_log_probs(state.groups["policy"], state.cfg, e_l)
         # action at generation step s was chosen from context position p_len-1+s
         logp_steps = ad.slice_time(logp, p_len - 1, p_len - 1 + n_steps)
-        onehot = _one_hot_actions(actions, state.cfg.codebook_size) * valid[..., None]
+        onehot = one_hot(actions, state.cfg.codebook_size) * valid[..., None]
         picked = ad.mul(logp_steps, Tensor(onehot))
         logp_taken = ad.sum_(ad.sum_(picked, axis=2), axis=1)  # (B,)
         pg = ad.scale(ad.sum_(ad.mul(logp_taken, Tensor(adv))), -1.0 / len(tokens))
@@ -299,12 +306,6 @@ def rl_update(state: ModelState, prompts: np.ndarray, reward_fn,
                  "pg_loss": pg.item(), "total": total.item()},
         grad_norms=norms)
     return report
-
-
-def _one_hot_actions(actions: np.ndarray, n: int) -> np.ndarray:
-    o = np.zeros(actions.shape + (n,), dtype=ad.active_dtype())
-    np.put_along_axis(o, actions[..., None], 1.0, axis=-1)
-    return o
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +354,7 @@ def dqn_step(state: ModelState, batch: list[Transition], cfg: TrainConfig,
             e_l = _frozen_base_embeddings(state, tokens)
             vals = q_forward(state.groups["q_online"], state.cfg, e_l)
             last = ad.slice_time(vals, length - 1, None)  # (b, 1, N)
-            onehot = _one_hot_actions(
+            onehot = one_hot(
                 np.asarray([[batch[i].action] for i in idxs]), state.cfg.codebook_size)
             picked = ad.sum_(ad.sum_(ad.mul(last, Tensor(onehot)), axis=2), axis=1)
             resid = ad.sub(picked, np.asarray([targets[i] for i in idxs],

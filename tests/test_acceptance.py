@@ -27,8 +27,7 @@ from actlm.data import CountdownTask, HmmCorpusConfig, countdown_reward, \
     gen_hmm_corpus, hmm_matrices
 from actlm.diagnostics import alive_actions, marginal_kl, val_loss
 from actlm.model import base_forward, init_model
-from actlm.search import LatentActionLM, audit_tree, mcts_q_search, \
-    mcts_search, uct_score
+from actlm.search import LatentActionLM, audit_tree, mcts_search, uct_score
 from actlm.training import Transition, fta_actions, inverse_action_labels, \
     loss_fta, loss_pre1, loss_pre2, pretrain_base_ar, q_values_fn, \
     sync_target, train_bc, train_q, train_rl, train_stage1
@@ -375,7 +374,9 @@ def _pick_marker(state, prompt):
 
 def test_rl_reaches_marker_reward_with_frozen_world(bc_run):
     state = clone_state(bc_run["state"])
-    prompts = bc_run["val"][:4, :4]
+    val = bc_run["val"]
+    # a prefix ending in eos is a finished sequence that rollouts leave as is
+    prompts = val[val[:, 3] != HMM_ARCH.eos_token_id][:4, :4]
     marker = _pick_marker(state, prompts[0])
     reward_fn = lambda response: 1.0 if marker in response else 0.0
     frozen_before = state.hashes(("base", "merge", "inverse", "codebook"))
@@ -500,8 +501,8 @@ def test_q_pruning_boundary_behavior():
     cfg0 = SearchConfig(action_steps=2, iterations=10, expand_width=2,
                         max_len=12, seed=7, bellman_threshold=0.0)
     plain = mcts_search(toy, [1], cfg0, branch_reward)
-    pruned = mcts_q_search(toy, [1], cfg0, branch_reward,
-                           q_fn=lambda ctx: np.zeros(2), gamma=0.9)
+    pruned = mcts_search(toy, [1], cfg0, branch_reward,
+                         q_fn=lambda ctx: np.zeros(2), gamma=0.9)
     assert _tree_snapshot(plain.root) == _tree_snapshot(pruned.root)
     np.testing.assert_array_equal(plain.tokens, pruned.tokens)
 
@@ -509,8 +510,8 @@ def test_q_pruning_boundary_behavior():
     cfg_inf = SearchConfig(action_steps=2, iterations=10, expand_width=2,
                            max_len=12, seed=1,
                            bellman_threshold=math.inf)
-    result = mcts_q_search(toy, [1], cfg_inf, branch_reward,
-                           q_fn=lambda ctx: np.zeros(2), gamma=0.9)
+    result = mcts_search(toy, [1], cfg_inf, branch_reward,
+                         q_fn=lambda ctx: np.zeros(2), gamma=0.9)
     assert result.iterations == 1
     child = next(iter(result.root.children.values()))
     assert child.state[-1] == toy.eos_token_id
@@ -530,8 +531,8 @@ def test_q_pruning_extends_only_the_consistent_branch():
 
     cfg = SearchConfig(action_steps=2, iterations=10, expand_width=2,
                        max_len=episode_len, seed=0, bellman_threshold=1e-4)
-    result = mcts_q_search(TwoBranchLM(episode_len=episode_len), [1], cfg,
-                           branch_reward, q_fn=q_fn, gamma=gamma)
+    result = mcts_search(TwoBranchLM(episode_len=episode_len), [1], cfg,
+                         branch_reward, q_fn=q_fn, gamma=gamma)
     audit_tree(result.root)
     good_tokens, bad_tokens, good_passes, bad_passes = [], [], [], []
     stack = list(result.root.children.values())

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from actlm import autodiff as ad
 from actlm.autodiff import (StopGradCapture, Tape, Tensor, finite_diff_check,
                             set_precision)
+from conftest import matmul_error_bound
 
 
 def rand(rng, *shape):
@@ -95,6 +96,24 @@ def test_causal_attention_scores_gradients(verify_mode):
         return ad.sum_(ad.mul(s, Tensor(w[None])))
 
     assert finite_diff_check(build, [q, k]) < 1e-6
+
+
+def test_causal_attention_scores_query_offset(verify_mode):
+    """Tq < Tk queries are the last Tq positions: query i sees keys up to
+    Tk - Tq + i, exactly the rows of the full square mask."""
+    rng = np.random.default_rng(0)
+    q, k = rand(rng, 2, 5, 4), rand(rng, 2, 5, 4)
+    full = ad.causal_attention_scores(q, k).data
+    np.testing.assert_array_equal(full == ad.NEG_MASK,
+                                  np.triu(np.ones((2, 5, 5), bool), 1))
+    bound = 2 * matmul_error_bound(q.data, np.swapaxes(k.data, -1, -2),
+                                   np.float64) / 2.0  # / sqrt(dh)
+    for tq in range(1, 5):
+        part = ad.causal_attention_scores(Tensor(q.data[:, 5 - tq:]), k).data
+        assert part.shape == (2, tq, 5)
+        np.testing.assert_array_equal(part == ad.NEG_MASK,
+                                      full[:, 5 - tq:] == ad.NEG_MASK)
+        assert (np.abs(part - full[:, 5 - tq:]) <= bound[:, 5 - tq:]).all()
 
 
 def test_embedding_gradients_accumulate_repeated_ids(verify_mode):
@@ -207,7 +226,9 @@ def test_matmul_forward_matches_numpy(seed):
     rng = np.random.default_rng(seed)
     a, b = rng.normal(size=(2, 3)), rng.normal(size=(3, 4))
     out = ad.matmul(Tensor(a), Tensor(b))
-    np.testing.assert_allclose(out.data, (a @ b).astype(out.data.dtype), rtol=1e-5)
+    ref = (a @ b).astype(out.data.dtype)
+    err = np.abs(out.data.astype(np.float64) - ref)
+    assert (err <= matmul_error_bound(a, b, out.data.dtype)).all()
 
 
 def test_finite_diff_report_rejects_nonscalar(verify_mode):

@@ -1,11 +1,13 @@
-"""Model structure tests: shapes, causality, deterministic init, and group
-hashing."""
+"""Model structure tests: shapes, causality, deterministic init, group
+hashing, and key/value-cached forwards against the full-prefix forward."""
 
 import numpy as np
 import pytest
 
+from actlm import autodiff as ad
 from actlm.config import ArchConfig
-from actlm.model import GROUP_NAMES, base_forward, init_model
+from actlm.model import GROUP_NAMES, KVCache, base_forward, init_model
+from conftest import accumulation_length, matmul_error_bound
 
 
 CFG = ArchConfig(vocab_size=11, d_model=8, n_heads=2, max_seq_len=12,
@@ -31,6 +33,45 @@ def test_base_forward_is_causal():
         _, logits2 = base_forward(state.groups["base"], CFG, mutated)
         np.testing.assert_array_equal(logits.data[:, :t], logits2.data[:, :t])
         assert not np.array_equal(logits.data[:, t], logits2.data[:, t])
+
+
+@pytest.mark.parametrize("mode", ["verify", "train"])
+@pytest.mark.parametrize("seed", range(6))
+def test_cached_base_forward_matches_full_prefix(mode, seed):
+    """One token at a time, then a truncation and a re-extension with other
+    tokens in chunks: every logit stays within the rounding-error bound of
+    the full-prefix forward (a few ulp of the operands in verify mode)."""
+    ad.set_precision(mode)
+    cfg = ArchConfig(max_seq_len=24)
+    p = init_model(cfg, seed).groups["base"]
+    rng = np.random.default_rng(seed)
+    t = cfg.max_seq_len
+    n = accumulation_length(cfg, t, cfg.n_layers_base)
+
+    def check(tokens, logits, start):
+        e_full, full = base_forward(p, cfg, tokens)
+        bound = 2 * matmul_error_bound(e_full.data, p["lm_head"].data,
+                                       full.data.dtype, n=n)
+        err = np.abs(logits - full.data[:, start:])
+        assert (err <= bound[:, start:]).all(), (err / bound[:, start:]).max()
+
+    tokens = rng.integers(0, cfg.vocab_size, size=(2, t))
+    cache = [KVCache(t) for _ in range(cfg.n_layers_base)]
+    steps = [base_forward(p, cfg, tokens[:, i:i + 1], cache)[1].data
+             for i in range(t)]
+    check(tokens, np.concatenate(steps, axis=1), 0)
+
+    keep = int(rng.integers(1, t - 2))
+    branch = tokens.copy()
+    branch[:, keep:] = rng.integers(0, cfg.vocab_size, size=(2, t - keep))
+    for c in cache:
+        c.length = keep
+    cuts = [keep, *sorted(rng.choice(np.arange(keep + 1, t), 2, replace=False)), t]
+    chunks = [base_forward(p, cfg, branch[:, a:b], cache)[1].data
+              for a, b in zip(cuts, cuts[1:])]
+    check(branch, np.concatenate(chunks, axis=1), keep)
+    with pytest.raises(ValueError):
+        base_forward(p, cfg, branch[:, :1], cache)  # past max_seq_len
 
 
 def test_init_is_deterministic():

@@ -1,6 +1,6 @@
 """Search: rollout semantics, UCT arithmetic, tree invariants, and the
-Q-pruned variant's boundary behavior — all against hand-built deterministic
-generator stubs."""
+Q-pruned variant's boundary behavior against hand-built deterministic
+generator stubs; the cached decoder against full-prefix forwards."""
 
 import json
 import math
@@ -8,11 +8,15 @@ import math
 import numpy as np
 import pytest
 
+from actlm import autodiff as ad
+from actlm.actions import Decoder, policy_forward, world_logits
+from actlm.autodiff import Tensor
 from actlm.config import ArchConfig, SearchConfig
-from actlm.model import init_model
+from actlm.model import base_forward, block_forward, init_model
 from actlm.search import (LatentActionLM, MctsNode, audit_tree, bellman_error,
-                          mcts_q_search, mcts_search, rollout, uct_score)
-from actlm.training import Transition
+                          mcts_search, rollout, uct_score)
+from actlm.training import Transition, rollout_batch
+from conftest import accumulation_length, gamma, matmul_error_bound
 
 
 class ChainLM:
@@ -118,8 +122,8 @@ def test_mcts_q_zero_threshold_reproduces_plain_search():
     cfg = SearchConfig(action_steps=2, iterations=10, expand_width=2,
                        max_len=12, seed=7, bellman_threshold=0.0)
     plain = mcts_search(ChainLM(episode_len=12), [1], cfg, chain_reward)
-    pruned = mcts_q_search(ChainLM(episode_len=12), [1], cfg, chain_reward,
-                           q_fn=lambda ctx: np.zeros(2), gamma=0.9)
+    pruned = mcts_search(ChainLM(episode_len=12), [1], cfg, chain_reward,
+                         q_fn=lambda ctx: np.zeros(2), gamma=0.9)
     assert snapshot(plain.root) == snapshot(pruned.root)
     np.testing.assert_array_equal(plain.tokens, pruned.tokens)
 
@@ -127,8 +131,8 @@ def test_mcts_q_zero_threshold_reproduces_plain_search():
 def test_mcts_q_infinite_threshold_extends_to_terminal_in_one_pass():
     cfg = SearchConfig(action_steps=2, iterations=10, expand_width=2,
                        max_len=12, seed=1, bellman_threshold=math.inf)
-    result = mcts_q_search(ChainLM(episode_len=12), [1], cfg, chain_reward,
-                           q_fn=lambda ctx: np.zeros(2), gamma=0.9)
+    result = mcts_search(ChainLM(episode_len=12), [1], cfg, chain_reward,
+                         q_fn=lambda ctx: np.zeros(2), gamma=0.9)
     assert result.iterations == 1
     child = next(iter(result.root.children.values()))
     assert child.state[-1] == 0  # extended all the way to eos
@@ -155,3 +159,160 @@ def test_latent_action_lm_adapter_contract():
     nxt = model.next_token([1, 2, 3], 2)
     assert 0 <= nxt < 9
     assert model.next_token([1, 2, 3], 2) == nxt  # deterministic
+
+
+# ---------------------------------------------------------------------------
+# Cached decoder against full-prefix forwards
+# ---------------------------------------------------------------------------
+
+DCFG = ArchConfig(max_seq_len=24)
+
+
+def full_prefix_policy(state, tokens):
+    """Uncached reference: the policy head's input and the probabilities at
+    every position from one full-prefix forward."""
+    cfg, policy = state.cfg, state.groups["policy"]
+    h, _ = base_forward(state.groups["base"], cfg, tokens)
+    for i in range(cfg.n_layers_policy):
+        h = block_forward(policy, f"blk{i}", h, cfg)
+    logits = ad.matmul(h, policy["head"])
+    return h.data, ad.softmax(logits).data
+
+
+def probs_bound(state, tokens):
+    """Bound on the gap between two float evaluations of the policy
+    probabilities: each head logit errs by at most the accumulated
+    dot-product bound, softmax's Jacobian has infinity-norm <= 1/2, and
+    evaluating the softmax itself (exp, an N-term sum, a division) adds
+    gamma_{N+3} relative error. Each side errs, hence the factors of 2."""
+    cfg = state.cfg
+    h, probs = full_prefix_policy(state, tokens)
+    n = accumulation_length(cfg, tokens.shape[1],
+                            cfg.n_layers_base + cfg.n_layers_policy)
+    logit_err = matmul_error_bound(h, state.groups["policy"]["head"].data,
+                                   probs.dtype, n=n)
+    return probs, (2 * 0.5 * logit_err.max(axis=-1, keepdims=True)
+                   + 2 * gamma(cfg.codebook_size + 3, probs.dtype) * probs)
+
+
+@pytest.mark.parametrize("mode", ["verify", "train"])
+@pytest.mark.parametrize("seed", range(6))
+def test_decoder_matches_full_prefix(mode, seed):
+    """Policy probabilities from token-by-token syncs, and after a branch
+    switch (truncate to a prefix, then re-extend with other tokens in
+    chunks), stay within the rounding-error bound of full-prefix forwards;
+    the switched decoder agrees with a fresh one on every greedy token."""
+    ad.set_precision(mode)
+    state = init_model(DCFG, seed)
+    rng = np.random.default_rng(seed)
+    t = DCFG.max_seq_len
+    tokens = rng.integers(0, DCFG.vocab_size, size=(2, t))
+    dec = Decoder(state, batch=2)
+    steps = []
+    for i in range(1, t + 1):
+        dec.sync(tokens[:, :i])
+        steps.append(dec.policy_probs())
+    probs, bound = probs_bound(state, tokens)
+    assert (np.abs(np.stack(steps, axis=1) - probs) <= bound).all()
+
+    keep = int(rng.integers(1, t - 2))
+    branch = tokens.copy()
+    branch[:, keep:] = rng.integers(0, DCFG.vocab_size, size=(2, t - keep))
+    dec.sync(branch[:, :keep])
+    for end in sorted(rng.choice(np.arange(keep + 1, t), 2, replace=False)):
+        dec.sync(branch[:, :end])
+    dec.sync(branch)
+    fresh = Decoder(state, batch=2)
+    fresh.sync(branch)
+    probs, bound = probs_bound(state, branch)
+    for d in (dec, fresh):
+        assert (np.abs(d.probs[:, :t] - probs) <= bound).all()
+    for action in range(DCFG.codebook_size):
+        np.testing.assert_array_equal(dec.next_tokens([action] * 2),
+                                      fresh.next_tokens([action] * 2))
+
+
+def test_latent_action_lm_encodes_each_token_once(monkeypatch):
+    """next_token after policy_probs on the same tokens, or on a prefix of
+    them, runs no forward; a new token costs one forward over it alone."""
+    from actlm import actions
+    real, widths = actions.base_forward, []
+
+    def counting(p, cfg, tokens, cache=None):
+        widths.append(np.asarray(tokens).shape[1])
+        return real(p, cfg, tokens, cache)
+
+    monkeypatch.setattr(actions, "base_forward", counting)
+    lm = LatentActionLM(init_model(DCFG, 0))
+    lm.policy_probs([1, 2, 3])
+    lm.next_token([1, 2, 3], 0)
+    assert widths == [3]
+    lm.policy_probs([1, 2, 3, 4])
+    lm.next_token([1, 2], 1)
+    assert widths == [3, 1]
+    lm.policy_probs([1, 2, 5, 6])
+    assert widths == [3, 1, 2]
+
+
+def test_decoder_rejects_bad_shapes():
+    dec = Decoder(init_model(DCFG, 0), batch=2)
+    for bad in (np.zeros((1, 3), int), np.zeros((2, 0), int), np.zeros(3, int)):
+        with pytest.raises(ValueError):
+            dec.sync(bad)
+
+
+def reference_greedy(state, prompts, max_len):
+    """The uncached greedy loop: a full-prefix forward at every step."""
+    cfg, groups = state.cfg, state.groups
+    codes = groups["codebook"]["codes"].data
+    tokens = np.asarray(prompts).copy()
+    done = tokens[:, -1] == cfg.eos_token_id
+    while tokens.shape[1] < max_len and not done.all():
+        e_l, _ = base_forward(groups["base"], cfg, tokens)
+        act = policy_forward(groups["policy"], cfg, e_l).data[:, -1].argmax(-1)
+        logits = world_logits(groups["merge"], cfg, Tensor(e_l.data[:, -1:]),
+                              Tensor(codes[act][:, None, :]))
+        nxt = np.where(done, cfg.eos_token_id, logits.data[:, -1].argmax(-1))
+        tokens = np.concatenate([tokens, nxt[:, None]], axis=1)
+        done |= nxt == cfg.eos_token_id
+    return tokens
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_greedy_decoding_matches_uncached_reference(seed):
+    """Greedy tokens of search.rollout (one adapter switching between
+    prompts) and rollout_batch equal the full-prefix loop's."""
+    state = init_model(DCFG, seed)
+    rng = np.random.default_rng(seed)
+    prompts = rng.integers(1, DCFG.vocab_size, size=(3, int(rng.integers(1, 8))))
+    prompts[1, :-1] = prompts[0, :-1]  # shares all but the last token
+    expected = reference_greedy(state, prompts, DCFG.max_seq_len)
+    batch, _ = rollout_batch(state, prompts, "greedy", DCFG.max_seq_len)
+    np.testing.assert_array_equal(batch, expected)
+    lm = LatentActionLM(state)
+    for prompt, row in zip(prompts, expected):
+        tokens, _ = rollout(lm, prompt, "greedy", DCFG.max_seq_len)
+        ends = np.flatnonzero(row[len(prompt):] == DCFG.eos_token_id)
+        length = len(row) if not ends.size else len(prompt) + ends[0] + 1
+        np.testing.assert_array_equal(tokens, row[:length])
+
+
+def test_rollout_returns_eos_terminated_prompt_unchanged():
+    """A prompt ending in eos is finished: greedy rollout returns it as is,
+    and rollout_batch starts its row done, padding it with eos and action
+    0 while the other rows generate."""
+    tokens, actions = rollout(ChainLM(), [1, 0], "greedy", 20)
+    assert tokens.tolist() == [1, 0] and actions.size == 0
+    state = init_model(DCFG, 0)
+    lm = LatentActionLM(state)
+    prompts = np.array([[3, 5, 0], [3, 5, 7]])
+    tokens, actions = rollout(lm, prompts[0], "greedy", 10)
+    assert tokens.tolist() == prompts[0].tolist() and actions.size == 0
+    batch, batch_actions = rollout_batch(state, prompts, "greedy", 10)
+    assert (batch[0, 3:] == DCFG.eos_token_id).all()
+    assert (batch_actions[0] == 0).all()
+    expected, _ = rollout(lm, prompts[1], "greedy", 10)
+    np.testing.assert_array_equal(batch[1, :len(expected)], expected)
+    both_done, none = rollout_batch(state, prompts[:1].repeat(2, 0), "greedy", 10)
+    np.testing.assert_array_equal(both_done, prompts[:1].repeat(2, 0))
+    assert none.shape == (2, 0)

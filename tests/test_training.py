@@ -10,8 +10,8 @@ from actlm import autodiff as ad
 from actlm.autodiff import Tape, Tensor
 from actlm.config import ArchConfig, TrainConfig
 from actlm.model import base_forward, init_model
-from actlm.training import (AdamW, Transition, collect_grads, dqn_step,
-                            dqn_target, eval_base_ce, fta_actions,
+from actlm.training import (AdamW, Transition, collect_grads, decision_mask,
+                            dqn_step, dqn_target, eval_base_ce, fta_actions,
                             inverse_action_labels, loss_base_ar, loss_fta,
                             loss_pre1, loss_pre2, q_values_fn, rl_update,
                             rollout_batch, sync_target, train_bc, train_rl,
@@ -218,6 +218,18 @@ def test_rollout_batch_sample_requires_rng():
     state = small_state()
     with pytest.raises(ValueError):
         rollout_batch(state, small_tokens(b=2, t=3), "sample", 8)
+
+
+def test_decision_mask_excludes_steps_after_eos():
+    """Steps decided from a context that ends in eos, or passed one after
+    the prompt, are padding; a prompt ending in eos has no decisions."""
+    tokens = np.array([[5, 0, 0, 0, 0],    # prompt ends in eos
+                       [5, 6, 7, 0, 0],    # eos generated at step 1
+                       [5, 6, 7, 8, 1]])   # no eos
+    mask = decision_mask(tokens, prompt_len=2, n_steps=3, eos=0)
+    np.testing.assert_array_equal(mask, [[False, False, False],
+                                         [True, True, False],
+                                         [True, True, True]])
 
 
 def test_rl_update_constant_reward_has_vanishing_gradient():
