@@ -13,7 +13,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .config import ArchConfig
-from .model import ModelState
+from .model import ModelState, param_shapes
 
 MAGIC = b"ALMC"
 FORMAT_VERSION = 1
@@ -63,7 +63,11 @@ def save_checkpoint(state: ModelState, path, stage: str = "", step: int = 0,
 
 
 def load_checkpoint(path):
-    """Returns (ModelState, meta dict with stage/step/rng_state)."""
+    """Returns (ModelState, meta dict with stage/step/rng_state). Raises
+    CheckpointError on a failed checksum, magic or version check, on any
+    parse failure, on trailing bytes, and on groups, tensor names or shapes
+    other than init_model builds for the header's architecture (compared
+    without building it)."""
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < 32 + 12:
@@ -71,45 +75,54 @@ def load_checkpoint(path):
     body, digest = blob[:-32], blob[-32:]
     if hashlib.sha256(body).digest() != digest:
         raise CheckpointError("checksum mismatch: corrupt or truncated checkpoint")
-    off = 0
     if body[:4] != MAGIC:
         raise CheckpointError("not a checkpoint file")
-    off = 4
-    (version,) = struct.unpack_from("<I", body, off)
-    off += 4
+    (version,) = struct.unpack_from("<I", body, 4)
     if version != FORMAT_VERSION:
         raise CheckpointError(
             f"checkpoint format version {version} != supported {FORMAT_VERSION}")
-    (hlen,) = struct.unpack_from("<I", body, off)
-    off += 4
-    header = json.loads(body[off:off + hlen])
-    off += hlen
+    try:
+        header, groups, end = _parse_body(body)
+        cfg = ArchConfig(**header["arch"])
+        if any(type(v) is not int for v in asdict(cfg).values()):
+            raise ValueError(f"non-integer architecture field in {header['arch']}")
+        expected = param_shapes(cfg)
+        meta = {"stage": header["stage"], "step": header["step"],
+                "rng_state": header["rng_state"]}
+    except (struct.error, ValueError, TypeError, KeyError, RecursionError) as e:
+        raise CheckpointError(f"malformed checkpoint: {e!r}") from None
+    if end != len(body):
+        raise CheckpointError(f"{len(body) - end} trailing bytes after the last record")
+    shapes = {g: {k: t.data.shape for k, t in ts.items()} for g, ts in groups.items()}
+    if shapes != expected:
+        raise CheckpointError("checkpoint groups, tensor names or shapes do not "
+                              "match its architecture")
+    return ModelState(cfg, groups), meta
+
+
+def _parse_body(body: bytes):
+    """(header, groups, end offset); struct, JSON and numpy errors propagate."""
+    (hlen,) = struct.unpack_from("<I", body, 8)
+    off = 12 + hlen
+    header = json.loads(body[12:off])
     (n_records,) = struct.unpack_from("<I", body, off)
     off += 4
-    cfg = ArchConfig(**header["arch"])
     groups: dict[str, dict[str, Tensor]] = {g: {} for g in header["groups"]}
     for _ in range(n_records):
         (nlen,) = struct.unpack_from("<H", body, off)
-        off += 2
-        name = body[off:off + nlen].decode()
-        off += nlen
+        name = body[off + 2:off + 2 + nlen].decode()
+        off += 2 + nlen
         code, ndim = struct.unpack_from("<BB", body, off)
-        off += 2
-        shape = struct.unpack_from(f"<{ndim}I", body, off)
-        off += 4 * ndim
-        dtype = _CODE_DTYPES.get(code)
-        if dtype is None:
-            raise CheckpointError(f"unknown dtype code {code}")
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if ndim else dtype.itemsize
-        arr = np.frombuffer(body[off:off + nbytes], dtype=dtype).reshape(shape).copy()
-        off += nbytes
+        shape = struct.unpack_from(f"<{ndim}I", body, off + 2)
+        off += 2 + 4 * ndim
+        dtype = _CODE_DTYPES[code]
+        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
         group, _, tname = name.partition("/")
-        if group not in groups:
-            raise CheckpointError(f"tensor {name!r} outside declared groups")
+        if tname in groups[group]:
+            raise ValueError(f"repeated tensor {name!r}")
         t = Tensor.__new__(Tensor)
-        t.data, t.parents, t._backward = arr, (), None
+        t.data = np.frombuffer(body[off:off + nbytes], dtype=dtype).reshape(shape).copy()
+        t.parents, t._backward = (), None
         groups[group][tname] = t
-    state = ModelState(cfg, groups)
-    meta = {"stage": header["stage"], "step": header["step"],
-            "rng_state": header["rng_state"]}
-    return state, meta
+        off += nbytes
+    return header, groups, off

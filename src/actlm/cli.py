@@ -18,7 +18,8 @@ import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import TrainConfig
-from .data import HmmCorpusConfig, gen_hmm_corpus, make_sft_split, marker_reward
+from .data import HmmCorpusConfig, gen_hmm_corpus, make_sft_split, \
+    marker_reward, open_prefixes
 from .diagnostics import (action_token_table, alive_actions, marginal_kl,
                           normalized_mutual_information, semantic_diversity,
                           val_loss, write_action_token_tsv)
@@ -26,8 +27,8 @@ from .metrics import MetricsWriter
 from .model import init_model
 from .runconfig import ConfigError, RunConfig, load_run_config
 from .search import LatentActionLM, mcts_search, rollout
-from .training import Transition, q_values_fn, train_bc, train_fta, train_q, \
-    train_rl, train_stage1, pretrain_base_ar
+from .training import Transition, inverse_action_labels, q_values_fn, \
+    train_bc, train_fta, train_q, train_rl, train_stage1, pretrain_base_ar
 
 SUBCOMMANDS = ("pretrain-base", "pretrain-actions", "bc-policy", "fta", "rl",
                "train-q", "rollout", "search", "search-q", "eval")
@@ -62,13 +63,13 @@ def _load_input(cfg: RunConfig):
 
 
 def _prompts(cfg: RunConfig, val: np.ndarray) -> np.ndarray:
-    return val[:cfg.rl_prompt_count, :cfg.prompt_len]
+    return open_prefixes(val, cfg.rl_prompt_count, cfg.prompt_len, cfg.eos_token_id)
 
 
 def _prompt_tokens(cfg: RunConfig, val: np.ndarray) -> np.ndarray:
     if cfg.prompt:
         return np.asarray([int(x) for x in cfg.prompt.split(",")], dtype=np.int64)
-    return val[0, :cfg.prompt_len].copy()
+    return open_prefixes(val, 1, cfg.prompt_len, cfg.eos_token_id)[0]
 
 
 def _marker(cfg: RunConfig, model: LatentActionLM, prompt) -> int:
@@ -218,7 +219,6 @@ def cmd_eval(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
     table = action_token_table(state, val, gumbel_temp=cfg.gumbel_temp)
     write_action_token_tsv(os.path.join(out, "action_tokens.tsv"), table)
     # joint (action, oracle-state) counts for the same positions
-    from .training import inverse_action_labels
     joint = np.zeros((cfg.codebook_size, cfg.hmm_states), dtype=np.int64)
     labels = inverse_action_labels(state, val, cfg.gumbel_temp)
     np.add.at(joint, (labels.reshape(-1), states[:, 1:].reshape(-1)), 1)
@@ -228,7 +228,8 @@ def cmd_eval(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
         "val_ce_base_ar": val_loss(state, val, "base_ar"),
         "marginal_kl": marginal_kl(state, contexts),
         "semantic_diversity": semantic_diversity(
-            state, val[:4, :cfg.prefix_len], cfg.diversity(), rng,
+            state, open_prefixes(val, 4, cfg.prefix_len, cfg.eos_token_id),
+            cfg.diversity(), rng,
             max_len=cfg.search_max_len),
         "alive_actions": alive_actions(table.sum(axis=1)),
         "action_state_nmi": normalized_mutual_information(joint),

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -23,20 +23,17 @@ class ArchConfig:
     n_layers_policy: int = 1
     codebook_size: int = 8
     max_seq_len: int = 64
-    future_context: int = 1
     intermediate_dim: int = 64
     eos_token_id: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.name != "eos_token_id" and getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if self.codebook_size < 2:
             raise ValueError("codebook_size must be >= 2")
-        if self.future_context != 1:
-            raise ValueError("future_context is fixed to 1")
-        for name in ("n_layers_base", "n_layers_inverse", "n_merge_mlps", "n_layers_policy"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
         if not 0 <= self.eos_token_id < self.vocab_size:
             raise ValueError("eos_token_id out of range")
 

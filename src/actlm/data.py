@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .runconfig import ConfigError
+
 
 @dataclass
 class HmmCorpusConfig:
@@ -103,6 +105,19 @@ def make_sft_split(corpus: np.ndarray, prompt_len: int) -> list[SftExample]:
         raise ValueError("prompt_len out of range")
     return [SftExample(row[:prompt_len].copy(), row[prompt_len:].copy())
             for row in corpus]
+
+
+def open_prefixes(corpus: np.ndarray, n: int, length: int, eos: int) -> np.ndarray:
+    """The first n length-`length` prefixes of corpus rows that do not end
+    in eos. A prefix ending in eos is a finished sequence that generation
+    leaves unchanged, so it makes no prompt."""
+    if not 0 < length <= corpus.shape[1]:
+        raise ConfigError(f"prefix length {length} outside 1..{corpus.shape[1]}")
+    rows = corpus[corpus[:, length - 1] != eos][:n, :length]
+    if len(rows) < n:
+        raise ConfigError(f"{n} prompts needed, but only {len(rows)} length-{length} "
+                          f"val prefixes do not end in eos")
+    return rows
 
 
 def marker_reward(response, marker_token: int) -> float:

@@ -13,7 +13,7 @@ from .actions import policy_forward, world_logits
 from .autodiff import Tensor
 from .config import DiversityConfig
 from .model import ModelState, base_forward
-from .training import inverse_action_labels, rollout_batch
+from .training import eval_base_ce, inverse_action_labels, rollout_batch
 
 log = logging.getLogger(__name__)
 
@@ -88,20 +88,19 @@ def val_loss(state: ModelState, corpus, mode: str, batch_size: int = 64,
     """Mean next-token CE: world model under eval-mode inverse actions
     ('with_actions') or the plain base lm-head ('base_ar')."""
     corpus = np.asarray(corpus)
+    if mode == "base_ar":
+        return eval_base_ce(state, corpus, batch_size)
+    if mode != "with_actions":
+        raise ValueError(f"unknown val_loss mode: {mode!r}")
     total, count = 0.0, 0
     for i in range(0, len(corpus), batch_size):
         chunk = corpus[i:i + batch_size]
-        e_l, base_logits = base_forward(state.groups["base"], state.cfg, chunk)
-        if mode == "base_ar":
-            ce = ad.cross_entropy(ad.slice_time(base_logits, 0, -1), chunk[:, 1:])
-        elif mode == "with_actions":
-            labels = inverse_action_labels(state, chunk, gumbel_temp)
-            action = ad.embedding(state.groups["codebook"]["codes"], labels)
-            logits = world_logits(state.groups["merge"], state.cfg,
-                                  ad.slice_time(e_l, 0, -1), action)
-            ce = ad.cross_entropy(logits, chunk[:, 1:])
-        else:
-            raise ValueError(f"unknown val_loss mode: {mode!r}")
+        e_l, _ = base_forward(state.groups["base"], state.cfg, chunk)
+        labels = inverse_action_labels(state, chunk, gumbel_temp)
+        action = ad.embedding(state.groups["codebook"]["codes"], labels)
+        logits = world_logits(state.groups["merge"], state.cfg,
+                              ad.slice_time(e_l, 0, -1), action)
+        ce = ad.cross_entropy(logits, chunk[:, 1:])
         total += float(ce.data.sum())
         count += ce.data.size
     return total / count

@@ -19,23 +19,6 @@ from .config import ArchConfig
 INIT_STD = 0.02
 
 
-def _normal(rng, shape):
-    return Tensor(rng.normal(0.0, INIT_STD, size=shape))
-
-
-def init_block_params(rng, cfg: ArchConfig, prefix: str) -> dict[str, Tensor]:
-    d, inter = cfg.d_model, cfg.intermediate_dim
-    p = {}
-    p[f"{prefix}.ln1"] = Tensor(np.ones(d))
-    for name in ("wq", "wk", "wv", "wo"):
-        p[f"{prefix}.{name}"] = _normal(rng, (d, d))
-    p[f"{prefix}.ln2"] = Tensor(np.ones(d))
-    p[f"{prefix}.w1"] = _normal(rng, (d, inter))
-    p[f"{prefix}.w2"] = _normal(rng, (d, inter))
-    p[f"{prefix}.w3"] = _normal(rng, (inter, d))
-    return p
-
-
 class KVCache:
     """Keys and values of one attention block over the first `length`
     positions of a batch of sequences, for incremental decoding.
@@ -92,16 +75,52 @@ def block_forward(p: dict[str, Tensor], prefix: str, x: Tensor, cfg: ArchConfig,
     return ad.add(x, ad.matmul(gate, p[f"{prefix}.w3"]))
 
 
-def init_base_params(rng, cfg: ArchConfig) -> dict[str, Tensor]:
-    p = {
-        "tok_emb": _normal(rng, (cfg.vocab_size, cfg.d_model)),
-        "pos_emb": _normal(rng, (cfg.max_seq_len, cfg.d_model)),
-    }
+def _block_specs(group: str, prefix: str, cfg: ArchConfig) -> list[tuple]:
+    d, inter = cfg.d_model, cfg.intermediate_dim
+    return [(group, f"{prefix}.ln1", (d,), None),
+            *[(group, f"{prefix}.{w}", (d, d), INIT_STD) for w in ("wq", "wk", "wv", "wo")],
+            (group, f"{prefix}.ln2", (d,), None),
+            (group, f"{prefix}.w1", (d, inter), INIT_STD),
+            (group, f"{prefix}.w2", (d, inter), INIT_STD),
+            (group, f"{prefix}.w3", (inter, d), INIT_STD)]
+
+
+def param_specs(cfg: ArchConfig) -> list[tuple[str, str, tuple, float | None]]:
+    """(group, name, shape, init std) of every parameter init_model draws,
+    in its draw order; std None means ones. q_target starts as a copy of
+    q_online and has no entries of its own."""
+    d, n, v, inter = cfg.d_model, cfg.codebook_size, cfg.vocab_size, cfg.intermediate_dim
+    specs = [("base", "tok_emb", (v, d), INIT_STD),
+             ("base", "pos_emb", (cfg.max_seq_len, d), INIT_STD)]
     for i in range(cfg.n_layers_base):
-        p.update(init_block_params(rng, cfg, f"blk{i}"))
-    p["ln_out"] = Tensor(np.ones(cfg.d_model))
-    p["lm_head"] = _normal(rng, (cfg.d_model, cfg.vocab_size))
-    return p
+        specs += _block_specs("base", f"blk{i}", cfg)
+    specs += [("base", "ln_out", (d,), None), ("base", "lm_head", (d, v), INIT_STD)]
+    for i in range(cfg.n_layers_inverse):
+        specs += _block_specs("inverse", f"blk{i}", cfg)
+    # Codes live in the residual stream next to post-block embeddings whose
+    # scale is ~1; initializing them at the weight scale (0.02) starves the
+    # action channel and the assignment collapses to a single code.
+    specs += [("inverse", "action_head", (d, n), INIT_STD),
+              ("codebook", "codes", (n, d), 1.0)]
+    for i in range(cfg.n_merge_mlps):
+        specs += [("merge", f"mlp{i}.w1", (2 * d, inter), INIT_STD),
+                  ("merge", f"mlp{i}.w2", (2 * d, inter), INIT_STD),
+                  ("merge", f"mlp{i}.w3", (inter, d), INIT_STD)]
+    specs.append(("merge", "lm_head", (d, v), INIT_STD))
+    for group in ("policy", "q_online"):
+        for i in range(cfg.n_layers_policy):
+            specs += _block_specs(group, f"blk{i}", cfg)
+        specs.append((group, "head", (d, n), INIT_STD))
+    return specs
+
+
+def param_shapes(cfg: ArchConfig) -> dict[str, dict[str, tuple]]:
+    """{group: {name: shape}} of init_model(cfg), without building it."""
+    shapes: dict[str, dict[str, tuple]] = {}
+    for group, name, shape, _ in param_specs(cfg):
+        shapes.setdefault(group, {})[name] = shape
+    shapes["q_target"] = dict(shapes["q_online"])
+    return shapes
 
 
 def base_forward(p: dict[str, Tensor], cfg: ArchConfig, tokens,
@@ -161,37 +180,9 @@ class ModelState:
 def init_model(cfg: ArchConfig, seed: int = 0) -> ModelState:
     """Deterministically initialize every parameter group from one seed."""
     rng = np.random.default_rng(seed)
-    d, n, v = cfg.d_model, cfg.codebook_size, cfg.vocab_size
     groups: dict[str, dict[str, Tensor]] = {}
-    groups["base"] = init_base_params(rng, cfg)
-
-    inverse = {}
-    for i in range(cfg.n_layers_inverse):
-        inverse.update(init_block_params(rng, cfg, f"blk{i}"))
-    inverse["action_head"] = _normal(rng, (d, n))
-    groups["inverse"] = inverse
-
-    # Codes live in the residual stream next to post-block embeddings whose
-    # scale is ~1; initializing them at the weight scale (0.02) starves the
-    # action channel and the assignment collapses to a single code.
-    groups["codebook"] = {"codes": Tensor(rng.normal(0.0, 1.0, size=(n, d)))}
-
-    merge = {}
-    for i in range(cfg.n_merge_mlps):
-        merge[f"mlp{i}.w1"] = _normal(rng, (2 * d, cfg.intermediate_dim))
-        merge[f"mlp{i}.w2"] = _normal(rng, (2 * d, cfg.intermediate_dim))
-        merge[f"mlp{i}.w3"] = _normal(rng, (cfg.intermediate_dim, d))
-    merge["lm_head"] = _normal(rng, (d, v))
-    groups["merge"] = merge
-
-    def head_stack(depth):
-        p = {}
-        for i in range(depth):
-            p.update(init_block_params(rng, cfg, f"blk{i}"))
-        p["head"] = _normal(rng, (d, n))
-        return p
-
-    groups["policy"] = head_stack(cfg.n_layers_policy)
-    groups["q_online"] = head_stack(cfg.n_layers_policy)
+    for group, name, shape, std in param_specs(cfg):
+        data = np.ones(shape) if std is None else rng.normal(0.0, std, size=shape)
+        groups.setdefault(group, {})[name] = Tensor(data)
     groups["q_target"] = {k: Tensor(t.data.copy()) for k, t in groups["q_online"].items()}
     return ModelState(cfg, groups)

@@ -78,37 +78,23 @@ class RunConfig:
     out_dir: str = "runs/out"
     init_checkpoint: str = ""
 
+    def _component(self, cls, **renamed):
+        """cls from the fields it shares with RunConfig by name, plus renamed."""
+        shared = {f.name: getattr(self, f.name) for f in fields(cls)
+                  if f.name in _FIELDS}
+        return cls(**shared, **renamed)
+
     def arch(self) -> ArchConfig:
-        return ArchConfig(
-            vocab_size=self.vocab_size, d_model=self.d_model,
-            n_heads=self.n_heads, n_layers_base=self.n_layers_base,
-            n_layers_inverse=self.n_layers_inverse,
-            n_merge_mlps=self.n_merge_mlps,
-            n_layers_policy=self.n_layers_policy,
-            codebook_size=self.codebook_size, max_seq_len=self.max_seq_len,
-            intermediate_dim=self.intermediate_dim,
-            eos_token_id=self.eos_token_id)
+        return self._component(ArchConfig)
 
     def train(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.learning_rate, batch_size=self.batch_size,
-            steps=self.steps, seed=self.seed, beta=self.beta,
-            kl_coef=self.kl_coef, rl_group_size=self.rl_group_size,
-            gamma=self.gamma, tau=self.tau, sync_interval=self.sync_interval,
-            grad_clip_norm=self.grad_clip_norm,
-            weight_decay=self.weight_decay, gumbel_temp=self.gumbel_temp)
+        return self._component(TrainConfig)
 
     def search(self) -> SearchConfig:
-        return SearchConfig(
-            action_steps=self.action_steps, iterations=self.iterations,
-            c_uct=self.c_uct, bellman_threshold=self.bellman_threshold,
-            expand_width=self.expand_width, max_len=self.search_max_len,
-            seed=self.seed)
+        return self._component(SearchConfig, max_len=self.search_max_len)
 
     def diversity(self) -> DiversityConfig:
-        return DiversityConfig(
-            n_samples=self.n_samples, prefix_len=self.prefix_len,
-            sim_floor=self.sim_floor, include_prefix=self.include_prefix)
+        return self._component(DiversityConfig)
 
 
 _FIELDS = {f.name: f.type for f in fields(RunConfig)}

@@ -2,15 +2,15 @@
 behavior cloning, action-guided fine-tuning, policy-gradient RL, and
 Double-DQN for the search value function.
 
-Loss builders construct graphs inside the caller's tape so the same code
-serves training steps and finite-difference verification. Stage freezing is
-enforced twice: frozen groups are excluded from the optimizer, and drivers
-hash them before/after.
+Every stage runs the one loop in `run_stage`. Loss builders construct
+graphs inside its tape, so the same code serves training steps and
+finite-difference verification. Stage freezing is enforced twice: frozen
+groups are excluded from the optimizer, and hashed before/after.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,12 +35,6 @@ class Transition:
     def __post_init__(self):
         if not self.terminal and self.reward != 0.0:
             raise ValueError("reward must be zero on non-terminal transitions")
-
-
-@dataclass
-class LossReport:
-    scalars: dict[str, float] = field(default_factory=dict)
-    grad_norms: dict[str, float] = field(default_factory=dict)
 
 
 class AdamW:
@@ -84,10 +78,6 @@ class AdamW:
         return {"grad_norm": norm, "skipped_nonfinite": 0.0}
 
 
-def collect_grads(tape: Tape, grads_by_id: dict, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    return {k: tape.grad(grads_by_id, p) for k, p in params.items()}
-
-
 def _frozen_base_embeddings(state: ModelState, tokens):
     """Base embeddings with the gradient path into the base severed."""
     e_l, _ = base_forward(state.groups["base"], state.cfg, tokens)
@@ -98,11 +88,11 @@ def _frozen_base_embeddings(state: ModelState, tokens):
 # Loss builders (graph constructors; no tape management here)
 # ---------------------------------------------------------------------------
 
-def loss_base_ar(state: ModelState, tokens) -> Tensor:
-    """Mean next-token cross-entropy of the base lm-head."""
+def loss_base_ar(state: ModelState, tokens):
+    """Mean next-token cross-entropy of the base lm-head; (loss, parts)."""
     _, logits = base_forward(state.groups["base"], state.cfg, tokens)
-    ce = ad.cross_entropy(ad.slice_time(logits, 0, -1), tokens[:, 1:])
-    return ad.mean_(ce)
+    loss = ad.mean_(ad.cross_entropy(ad.slice_time(logits, 0, -1), tokens[:, 1:]))
+    return loss, {"loss": loss.item()}
 
 
 def loss_pre1(state: ModelState, tokens, cfg: TrainConfig, rng=None,
@@ -153,7 +143,7 @@ def loss_pre2(state: ModelState, tokens, labels=None, start: int = 0,
     """Behavior cloning: CE of the policy against inverse action labels over
     positions t in [1+start, T-1]. Inverse and base are frozen.
 
-    Returns (loss, parts, labels)."""
+    Returns (loss, parts)."""
     tokens = np.asarray(tokens)
     if labels is None:
         labels = inverse_action_labels(state, tokens, gumbel_temp)
@@ -165,7 +155,7 @@ def loss_pre2(state: ModelState, tokens, labels=None, start: int = 0,
     # logp is already log-probabilities; cross_entropy re-normalizes, which is
     # a no-op on a normalized row.
     loss = ad.mean_(ce)
-    return loss, {"bc": loss.item()}, labels
+    return loss, {"bc": loss.item()}
 
 
 def fta_actions(state: ModelState, tokens, mode: str, gumbel_temp: float) -> np.ndarray:
@@ -252,60 +242,63 @@ def decision_mask(tokens: np.ndarray, prompt_len: int, n_steps: int,
     return ~(np.cumsum(contexts == eos, axis=1) > 0)
 
 
-def rl_update(state: ModelState, prompts: np.ndarray, reward_fn,
-              ref_policy: dict[str, Tensor], cfg: TrainConfig,
-              opt: AdamW, rng, max_len: int) -> LossReport:
-    """One leave-one-out policy-gradient update on sampled rollouts.
+def rl_batch(state: ModelState, prompts: np.ndarray, reward_fn,
+             cfg: TrainConfig, rng, max_len: int) -> dict:
+    """Rollouts and advantages for one leave-one-out update; forward-only.
 
     For each prompt, rl_group_size rollouts are drawn (sampled actions,
     greedy tokens); each rollout's advantage is its reward minus the mean of
-    its group siblings. KL regularization is computed on the latent-action
-    distributions against the frozen reference policy."""
+    its group siblings. A reward_fn that raises scores its rollout 0 and is
+    counted in scorer_failures."""
     if cfg.rl_group_size < 2:
         raise ValueError("rl_group_size must be >= 2")
-    prompts = np.asarray(prompts)
-    n_prompts, p_len = prompts.shape
+    n_prompts, p_len = np.shape(prompts)
     g = cfg.rl_group_size
-    batch = np.repeat(prompts, g, axis=0)
-    tokens, actions = rollout_batch(state, batch, "sample", max_len, rng)
+    tokens, actions = rollout_batch(state, np.repeat(prompts, g, axis=0),
+                                    "sample", max_len, rng)
     rewards = np.zeros(len(tokens))
+    failures = 0
     for i, row in enumerate(tokens):
         try:
             rewards[i] = float(reward_fn(row[p_len:]))
         except Exception:
-            rewards[i] = 0.0  # failed scorer: rollout counts as zero
+            failures += 1
     groups = rewards.reshape(n_prompts, g)
     adv = (groups - (groups.sum(axis=1, keepdims=True) - groups) / (g - 1)).reshape(-1)
+    valid = decision_mask(tokens, p_len, actions.shape[1], state.cfg.eos_token_id)
+    return {"tokens": tokens, "actions": actions, "advantages": adv,
+            "valid": valid.astype(ad.active_dtype()), "rewards": rewards,
+            "scorer_failures": failures}
 
+
+def loss_rl(state: ModelState, batch: dict, ref_policy: dict[str, Tensor],
+            cfg: TrainConfig):
+    """Policy-gradient loss on an rl_batch, plus kl_coef times the KL of the
+    latent-action distributions from the frozen reference policy. Steps
+    after eos count in neither term. Returns (total, parts)."""
+    tokens, actions, valid = batch["tokens"], batch["actions"], batch["valid"]
     n_steps = actions.shape[1]
-    valid = decision_mask(tokens, p_len, n_steps,
-                          state.cfg.eos_token_id).astype(ad.active_dtype())
+    p_len = tokens.shape[1] - n_steps
+    e_l = _frozen_base_embeddings(state, tokens)
+    logp = policy_log_probs(state.groups["policy"], state.cfg, e_l)
+    # action at generation step s was chosen from context position p_len-1+s
+    logp_steps = ad.slice_time(logp, p_len - 1, p_len - 1 + n_steps)
+    onehot = one_hot(actions, state.cfg.codebook_size) * valid[..., None]
+    picked = ad.mul(logp_steps, Tensor(onehot))
+    logp_taken = ad.sum_(ad.sum_(picked, axis=2), axis=1)  # (B,)
+    pg = ad.scale(ad.sum_(ad.mul(logp_taken, Tensor(batch["advantages"]))),
+                  -1.0 / len(tokens))
 
-    with Tape() as tape:
-        e_l = _frozen_base_embeddings(state, tokens)
-        logp = policy_log_probs(state.groups["policy"], state.cfg, e_l)
-        # action at generation step s was chosen from context position p_len-1+s
-        logp_steps = ad.slice_time(logp, p_len - 1, p_len - 1 + n_steps)
-        onehot = one_hot(actions, state.cfg.codebook_size) * valid[..., None]
-        picked = ad.mul(logp_steps, Tensor(onehot))
-        logp_taken = ad.sum_(ad.sum_(picked, axis=2), axis=1)  # (B,)
-        pg = ad.scale(ad.sum_(ad.mul(logp_taken, Tensor(adv))), -1.0 / len(tokens))
+    probs = ad.exp(logp_steps)
+    ref_logp = policy_log_probs(ref_policy, state.cfg, e_l)
+    ref_logp = ad.stop_grad(ad.slice_time(ref_logp, p_len - 1, p_len - 1 + n_steps))
+    kl_pos = ad.sum_(ad.mul(probs, ad.sub(logp_steps, ref_logp)), axis=2)
+    kl = ad.scale(ad.sum_(ad.mul(kl_pos, Tensor(valid))), 1.0 / len(tokens))
 
-        probs = ad.exp(logp_steps)
-        ref_logp = policy_log_probs(ref_policy, state.cfg, e_l)
-        ref_logp = ad.stop_grad(ad.slice_time(ref_logp, p_len - 1, p_len - 1 + n_steps))
-        kl_pos = ad.sum_(ad.mul(probs, ad.sub(logp_steps, ref_logp)), axis=2)
-        kl = ad.scale(ad.sum_(ad.mul(kl_pos, Tensor(valid))), 1.0 / len(tokens))
-
-        total = ad.add(pg, ad.scale(kl, cfg.kl_coef)) if cfg.kl_coef else pg
-        grads_by_id = tape.gradients(total)
-    grads = collect_grads(tape, grads_by_id, opt.params)
-    norms = opt.step(grads)
-    report = LossReport(
-        scalars={"rl_reward_mean": float(rewards.mean()), "rl_kl": kl.item(),
-                 "pg_loss": pg.item(), "total": total.item()},
-        grad_norms=norms)
-    return report
+    total = ad.add(pg, ad.scale(kl, cfg.kl_coef)) if cfg.kl_coef else pg
+    return total, {"rl_reward_mean": float(batch["rewards"].mean()),
+                   "scorer_failures": batch["scorer_failures"],
+                   "rl_kl": kl.item(), "pg_loss": pg.item(), "total": total.item()}
 
 
 # ---------------------------------------------------------------------------
@@ -333,43 +326,42 @@ def dqn_target(transition: Transition, q_online, q_target, gamma: float) -> floa
     return float(gamma * q_target(transition.next_context)[best])
 
 
-def dqn_step(state: ModelState, batch: list[Transition], cfg: TrainConfig,
-             opt: AdamW, step_index: int) -> LossReport:
-    """One squared-Bellman-residual step on the online Q; syncs the target
-    network every sync_interval steps via theta- <- tau*theta + (1-tau)*theta-."""
-    if not batch:
+def dqn_batch(state: ModelState, transitions: list[Transition],
+              cfg: TrainConfig) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Double-DQN targets from the current online and target networks;
+    forward-only. One (contexts (b, L), actions (b, 1), targets (b,)) per
+    context length L, shortest first, so each length is one forward."""
+    if not transitions:
         raise ValueError("empty transition batch")
     q_online = q_values_fn(state, "q_online")
     q_target = q_values_fn(state, "q_target")
-    targets = [dqn_target(tr, q_online, q_target, cfg.gamma) for tr in batch]
-
-    # group same-length contexts so each length is one batched forward
+    targets = [dqn_target(tr, q_online, q_target, cfg.gamma) for tr in transitions]
     by_len: dict[int, list[int]] = {}
-    for i, tr in enumerate(batch):
+    for i, tr in enumerate(transitions):
         by_len.setdefault(len(tr.context), []).append(i)
-    with Tape() as tape:
-        sq_terms = []
-        for length, idxs in sorted(by_len.items()):
-            tokens = np.stack([np.asarray(batch[i].context) for i in idxs])
-            e_l = _frozen_base_embeddings(state, tokens)
-            vals = q_forward(state.groups["q_online"], state.cfg, e_l)
-            last = ad.slice_time(vals, length - 1, None)  # (b, 1, N)
-            onehot = one_hot(
-                np.asarray([[batch[i].action] for i in idxs]), state.cfg.codebook_size)
-            picked = ad.sum_(ad.sum_(ad.mul(last, Tensor(onehot)), axis=2), axis=1)
-            resid = ad.sub(picked, np.asarray([targets[i] for i in idxs],
-                                              dtype=ad.active_dtype()))
-            sq_terms.append(ad.sum_(ad.mul(resid, resid)))
-        total_sq = sq_terms[0]
-        for term in sq_terms[1:]:
-            total_sq = ad.add(total_sq, term)
-        loss = ad.scale(total_sq, 1.0 / len(batch))
-        grads_by_id = tape.gradients(loss)
-    grads = collect_grads(tape, grads_by_id, opt.params)
-    norms = opt.step(grads)
-    if step_index % cfg.sync_interval == 0:
-        sync_target(state, cfg.tau)
-    return LossReport(scalars={"q_loss": loss.item()}, grad_norms=norms)
+    return [(np.stack([np.asarray(transitions[i].context) for i in idxs]),
+             np.asarray([[transitions[i].action] for i in idxs]),
+             np.asarray([targets[i] for i in idxs], dtype=ad.active_dtype()))
+            for _, idxs in sorted(by_len.items())]
+
+
+def loss_dqn(state: ModelState, batch):
+    """Mean squared Bellman residual of the online Q at the last position
+    of each context in a dqn_batch. Returns (loss, parts)."""
+    sq_terms = []
+    for contexts, actions, targets in batch:
+        e_l = _frozen_base_embeddings(state, contexts)
+        vals = q_forward(state.groups["q_online"], state.cfg, e_l)
+        last = ad.slice_time(vals, contexts.shape[1] - 1, None)  # (b, 1, N)
+        onehot = one_hot(actions, state.cfg.codebook_size)
+        picked = ad.sum_(ad.sum_(ad.mul(last, Tensor(onehot)), axis=2), axis=1)
+        resid = ad.sub(picked, targets)
+        sq_terms.append(ad.sum_(ad.mul(resid, resid)))
+    total_sq = sq_terms[0]
+    for term in sq_terms[1:]:
+        total_sq = ad.add(total_sq, term)
+    loss = ad.scale(total_sq, 1.0 / sum(len(targets) for _, _, targets in batch))
+    return loss, {"q_loss": loss.item()}
 
 
 def sync_target(state: ModelState, tau: float) -> None:
@@ -379,31 +371,58 @@ def sync_target(state: ModelState, tau: float) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Stage drivers
+# The stage loop and the stage drivers
 # ---------------------------------------------------------------------------
 
-def _sample_batch(rng, corpus: np.ndarray, batch_size: int) -> np.ndarray:
-    idx = rng.integers(0, corpus.shape[0], size=batch_size)
-    return corpus[idx]
+def run_stage(state: ModelState, stage: str, trainable: tuple[str, ...],
+              frozen: tuple[str, ...], steps: int, cfg: TrainConfig,
+              batch_fn, loss_fn, metrics_cb=None, after_step=None) -> list[dict]:
+    """The training loop of every stage; returns the per-step records.
+
+    Each step draws batch = batch_fn(rng) outside the tape (forward-only
+    work: sampling, labels, rollouts, targets), builds (loss, parts) =
+    loss_fn(batch) inside it, aborts on a non-finite loss, steps AdamW on
+    the trainable groups, runs after_step(step) and hands the record
+    {stage, step, **parts, grad_norm, skipped_nonfinite} to metrics_cb.
+    Frozen groups are hashed before and after; drift raises RuntimeError."""
+    rng = np.random.default_rng(cfg.seed)
+    before = state.hashes(frozen)
+    opt = AdamW(state.params(*trainable), cfg)
+    records = []
+    for step in range(steps):
+        batch = batch_fn(rng)
+        with Tape() as tape:
+            loss, parts = loss_fn(batch)
+            if not np.isfinite(loss.data):
+                raise FloatingPointError(f"non-finite {stage} loss at step {step}")
+            grads_by_id = tape.gradients(loss)
+        norms = opt.step({k: tape.grad(grads_by_id, p) for k, p in opt.params.items()})
+        # free this step's graph before the next batch_fn runs
+        del batch, loss, tape, grads_by_id
+        if after_step:
+            after_step(step)
+        records.append({"stage": stage, "step": step, **parts, **norms})
+        if metrics_cb:
+            metrics_cb(records[-1])
+    _check_frozen(state, before, stage)
+    return records
+
+
+def _check_frozen(state: ModelState, before: dict[str, str], stage: str) -> None:
+    after = state.hashes(tuple(before))
+    drifted = [g for g in before if before[g] != after[g]]
+    if drifted:
+        raise RuntimeError(f"frozen groups drifted during {stage}: {drifted}")
 
 
 def pretrain_base_ar(state: ModelState, corpus, val_corpus, cfg: TrainConfig,
                      metrics_cb=None) -> float:
-    """AR-pretrain the base; returns final held-out CE. Aborts on a
-    non-finite loss."""
-    rng = np.random.default_rng(cfg.seed)
-    opt = AdamW(state.params("base"), cfg)
-    for step in range(cfg.steps):
-        tokens = _sample_batch(rng, corpus, cfg.batch_size)
-        with Tape() as tape:
-            loss = loss_base_ar(state, tokens)
-            if not np.isfinite(loss.data):
-                raise FloatingPointError(f"non-finite pretraining loss at step {step}")
-            grads_by_id = tape.gradients(loss)
-        norms = opt.step(collect_grads(tape, grads_by_id, opt.params))
-        if metrics_cb:
-            metrics_cb({"stage": "pretrain-base", "step": step,
-                        "loss": loss.item(), **norms})
+    """AR-pretrain the base; returns final held-out CE."""
+    run_stage(state, "pretrain-base", ("base",),
+              ("merge", "inverse", "policy", "codebook", "q_online", "q_target"),
+              cfg.steps, cfg,
+              lambda rng: corpus[rng.integers(0, len(corpus), size=cfg.batch_size)],
+              lambda tokens: loss_base_ar(state, tokens), metrics_cb)
     return eval_base_ce(state, val_corpus)
 
 
@@ -424,46 +443,32 @@ def train_stage1(state: ModelState, corpus, cfg: TrainConfig,
 
     Only inverse, codebook, and merge parameters move; the base stays frozen.
     """
-    rng = np.random.default_rng(cfg.seed)
     noise_rng = np.random.default_rng(cfg.seed + 1)
-    before = state.hashes(("base", "policy"))
-    opt = AdamW(state.params("inverse", "codebook", "merge"), cfg)
     usage = np.zeros(state.cfg.codebook_size, dtype=np.int64)
-    for step in range(cfg.steps):
-        tokens = _sample_batch(rng, corpus, cfg.batch_size)
-        with Tape() as tape:
-            total, parts, index = loss_pre1(state, tokens, cfg, rng=noise_rng,
-                                            mode="train", assignment=assignment)
-            if not np.isfinite(total.data):
-                raise FloatingPointError(f"non-finite stage-1 loss at step {step}")
-            grads_by_id = tape.gradients(total)
-        norms = opt.step(collect_grads(tape, grads_by_id, opt.params))
-        usage += np.bincount(index.reshape(-1), minlength=state.cfg.codebook_size)
-        if metrics_cb:
-            metrics_cb({"stage": "stage1", "step": step, **parts, **norms,
-                        "alive_actions": int((usage > 0).sum())})
-    _check_frozen(state, before, "stage1")
+
+    def loss_fn(tokens):
+        total, parts, index = loss_pre1(state, tokens, cfg, rng=noise_rng,
+                                        mode="train", assignment=assignment)
+        usage[:] += np.bincount(index.reshape(-1), minlength=len(usage))
+        return total, {**parts, "alive_actions": int((usage > 0).sum())}
+
+    run_stage(state, "stage1", ("inverse", "codebook", "merge"), ("base", "policy"),
+              cfg.steps, cfg,
+              lambda rng: corpus[rng.integers(0, len(corpus), size=cfg.batch_size)],
+              loss_fn, metrics_cb)
     return usage
 
 
 def train_bc(state: ModelState, corpus, cfg: TrainConfig, start: int = 0,
              stage: str = "bc-policy", metrics_cb=None) -> None:
     """Behavior-clone the policy onto eval-mode inverse labels."""
-    rng = np.random.default_rng(cfg.seed)
-    before = state.hashes(("base", "merge", "inverse", "codebook"))
-    opt = AdamW(state.params("policy"), cfg)
-    for step in range(cfg.steps):
-        tokens = _sample_batch(rng, corpus, cfg.batch_size)
-        labels = inverse_action_labels(state, tokens, cfg.gumbel_temp)
-        with Tape() as tape:
-            loss, parts, _ = loss_pre2(state, tokens, labels=labels, start=start)
-            if not np.isfinite(loss.data):
-                raise FloatingPointError(f"non-finite BC loss at step {step}")
-            grads_by_id = tape.gradients(loss)
-        norms = opt.step(collect_grads(tape, grads_by_id, opt.params))
-        if metrics_cb:
-            metrics_cb({"stage": stage, "step": step, **parts, **norms})
-    _check_frozen(state, before, stage)
+    def batch_fn(rng):
+        tokens = corpus[rng.integers(0, len(corpus), size=cfg.batch_size)]
+        return tokens, inverse_action_labels(state, tokens, cfg.gumbel_temp)
+
+    run_stage(state, stage, ("policy",), ("base", "merge", "inverse", "codebook"),
+              cfg.steps, cfg, batch_fn,
+              lambda batch: loss_pre2(state, *batch, start=start), metrics_cb)
 
 
 def train_fta(state: ModelState, examples, cfg: TrainConfig, mode: str,
@@ -471,23 +476,17 @@ def train_fta(state: ModelState, examples, cfg: TrainConfig, mode: str,
     """Fine-tune the base under fixed actions (FTA-I or FTA-P); the merge
     module stays frozen. FTA-I is followed by a policy refresh restricted to
     response positions."""
-    rng = np.random.default_rng(cfg.seed)
     prompt_len = len(examples[0].prompt)
     corpus = np.stack([np.concatenate([ex.prompt, ex.response]) for ex in examples])
-    before = state.hashes(("merge", "inverse", "codebook"))
-    opt = AdamW(state.params("base"), cfg)
-    for step in range(cfg.steps):
-        tokens = _sample_batch(rng, corpus, cfg.batch_size)
-        action_idx = fta_actions(state, tokens, mode, cfg.gumbel_temp)
-        with Tape() as tape:
-            loss, parts = loss_fta(state, tokens, prompt_len, action_idx)
-            if not np.isfinite(loss.data):
-                raise FloatingPointError(f"non-finite FTA loss at step {step}")
-            grads_by_id = tape.gradients(loss)
-        norms = opt.step(collect_grads(tape, grads_by_id, opt.params))
-        if metrics_cb:
-            metrics_cb({"stage": f"fta-{mode}", "step": step, **parts, **norms})
-    _check_frozen(state, before, f"fta-{mode}")
+
+    def batch_fn(rng):
+        tokens = corpus[rng.integers(0, len(corpus), size=cfg.batch_size)]
+        return tokens, fta_actions(state, tokens, mode, cfg.gumbel_temp)
+
+    run_stage(state, f"fta-{mode}", ("base",), ("merge", "inverse", "codebook"),
+              cfg.steps, cfg, batch_fn,
+              lambda batch: loss_fta(state, batch[0], prompt_len, batch[1]),
+              metrics_cb)
     if mode == "FTA-I":
         train_bc(state, corpus, cfg, start=prompt_len - 1,
                  stage="fta-policy-refresh", metrics_cb=metrics_cb)
@@ -497,39 +496,30 @@ def train_rl(state: ModelState, prompts, reward_fn, cfg: TrainConfig,
              max_len: int, updates: int, metrics_cb=None) -> list[float]:
     """Latent-action RL loop; everything but the policy stays frozen.
     Returns the mean-reward trace."""
-    rng = np.random.default_rng(cfg.seed)
-    before = state.hashes(("base", "merge", "inverse", "codebook"))
     ref_policy = {k: Tensor(t.data.copy()) for k, t in state.groups["policy"].items()}
-    opt = AdamW(state.params("policy"), cfg)
-    trace = []
-    for step in range(updates):
-        report = rl_update(state, prompts, reward_fn, ref_policy, cfg, opt,
-                           rng, max_len)
-        trace.append(report.scalars["rl_reward_mean"])
-        if metrics_cb:
-            metrics_cb({"stage": "rl", "step": step, **report.scalars,
-                        **report.grad_norms})
-    _check_frozen(state, before, "rl")
-    return trace
+    records = run_stage(
+        state, "rl", ("policy",), ("base", "merge", "inverse", "codebook"),
+        updates, cfg,
+        lambda rng: rl_batch(state, prompts, reward_fn, cfg, rng, max_len),
+        lambda batch: loss_rl(state, batch, ref_policy, cfg), metrics_cb)
+    return [r["rl_reward_mean"] for r in records]
 
 
 def train_q(state: ModelState, transitions: list[Transition], cfg: TrainConfig,
             metrics_cb=None) -> None:
-    """Double-DQN over an in-memory replay set with uniform sampling."""
-    rng = np.random.default_rng(cfg.seed)
-    before = state.hashes(("base", "merge", "inverse", "codebook", "policy"))
-    opt = AdamW(state.params("q_online"), cfg)
-    for step in range(1, cfg.steps + 1):
-        idx = rng.integers(0, len(transitions), size=min(cfg.batch_size, len(transitions)))
-        report = dqn_step(state, [transitions[i] for i in idx], cfg, opt, step)
-        if metrics_cb:
-            metrics_cb({"stage": "train-q", "step": step, **report.scalars,
-                        **report.grad_norms})
-    _check_frozen(state, before, "train-q")
+    """Double-DQN over an in-memory replay set with uniform sampling. After
+    every sync_interval-th step the target network is synced via
+    theta- <- tau*theta + (1-tau)*theta-."""
+    def batch_fn(rng):
+        idx = rng.integers(0, len(transitions),
+                           size=min(cfg.batch_size, len(transitions)))
+        return dqn_batch(state, [transitions[i] for i in idx], cfg)
 
+    def sync(step):
+        if (step + 1) % cfg.sync_interval == 0:
+            sync_target(state, cfg.tau)
 
-def _check_frozen(state: ModelState, before: dict[str, str], stage: str) -> None:
-    after = state.hashes(tuple(before))
-    drifted = [g for g in before if before[g] != after[g]]
-    if drifted:
-        raise RuntimeError(f"frozen groups drifted during {stage}: {drifted}")
+    run_stage(state, "train-q", ("q_online",),
+              ("base", "merge", "inverse", "codebook", "policy"), cfg.steps, cfg,
+              batch_fn, lambda batch: loss_dqn(state, batch), metrics_cb,
+              after_step=sync)

@@ -24,7 +24,7 @@ from actlm.autodiff import Tape, Tensor, finite_diff_check, set_precision
 from actlm.cli import main as cli_main
 from actlm.config import ArchConfig, SearchConfig, TrainConfig
 from actlm.data import CountdownTask, HmmCorpusConfig, countdown_reward, \
-    gen_hmm_corpus, hmm_matrices
+    gen_hmm_corpus, hmm_matrices, open_prefixes
 from actlm.diagnostics import alive_actions, marginal_kl, val_loss
 from actlm.model import base_forward, init_model
 from actlm.search import LatentActionLM, audit_tree, mcts_search, uct_score
@@ -375,8 +375,7 @@ def _pick_marker(state, prompt):
 def test_rl_reaches_marker_reward_with_frozen_world(bc_run):
     state = clone_state(bc_run["state"])
     val = bc_run["val"]
-    # a prefix ending in eos is a finished sequence that rollouts leave as is
-    prompts = val[val[:, 3] != HMM_ARCH.eos_token_id][:4, :4]
+    prompts = open_prefixes(val, 4, 4, HMM_ARCH.eos_token_id)
     marker = _pick_marker(state, prompts[0])
     reward_fn = lambda response: 1.0 if marker in response else 0.0
     frozen_before = state.hashes(("base", "merge", "inverse", "codebook"))

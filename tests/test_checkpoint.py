@@ -1,13 +1,17 @@
-"""Checkpoint container: bitwise round trips, corruption detection, and
-version gating."""
-
-import os
-import struct
+"""Checkpoint container: bitwise round trips, corruption detection,
+version gating, and refusal of forged bodies that carry a valid digest."""
 
 import hashlib
+import json
+import os
+import struct
+import tempfile
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actlm.checkpoint import (CheckpointError, FORMAT_VERSION, MAGIC,
                               load_checkpoint, save_checkpoint)
@@ -87,3 +91,106 @@ def test_no_temp_file_left_behind(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(state, path)
     assert os.listdir(tmp_path) == ["model.ckpt"]
+
+
+def _sealed(body: bytes) -> bytes:
+    return body + hashlib.sha256(body).digest()
+
+
+def _forge(header, records=b"", n_records=0) -> bytes:
+    """A body with the given JSON header and raw record bytes."""
+    h = json.dumps(header).encode()
+    return (MAGIC + struct.pack("<II", FORMAT_VERSION, len(h)) + h
+            + struct.pack("<I", n_records) + records)
+
+
+def _valid_body() -> bytes:
+    state = init_model(CFG, 3)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.ckpt")
+        save_checkpoint(state, path, stage="s", step=1)
+        with open(path, "rb") as f:
+            return f.read()[:-32]
+
+
+VALID = _valid_body()
+HEADER = {"arch": asdict(CFG), "stage": "", "step": 0, "rng_state": None,
+          "groups": sorted(init_model(CFG).groups)}
+
+
+FORGED = {
+    "empty-header": (_forge({}), "KeyError"),
+    "unknown-arch-field": (
+        _forge({**HEADER, "arch": {**asdict(CFG), "future_context": 1}}),
+        "future_context"),
+    "truncated-record": (VALID[:-5], "malformed"),
+    "no-groups": (_forge({**HEADER, "groups": []}), "do not match"),
+    "no-records": (_forge(HEADER), "do not match"),
+    "trailing-bytes": (VALID + b"\x00", "trailing"),
+    "zero-heads": (_forge({**HEADER, "arch": {**asdict(CFG), "n_heads": 0}}),
+                   "n_heads"),
+    "list-header": (_forge([1, 2]), "malformed"),
+    "float-width": (_forge({**HEADER, "arch": {**asdict(CFG), "d_model": 8.0}}),
+                    "non-integer"),
+    "huge-vocab": (_forge({**HEADER, "arch": {**asdict(CFG), "vocab_size": 10**6}}),
+                   "do not match"),
+    "undecodable-header": (
+        MAGIC + struct.pack("<II", FORMAT_VERSION, 2) + b"\xff\xfe", "malformed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FORGED))
+def test_forged_bodies_with_valid_digest_rejected(tmp_path, case):
+    body, match = FORGED[case]
+    path = tmp_path / "forged.ckpt"
+    path.write_bytes(_sealed(body))
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
+def test_wrong_tensor_shape_rejected(tmp_path):
+    """A checkpoint of one architecture under the header of another."""
+    other = init_model(ArchConfig(vocab_size=9, d_model=8, n_heads=2,
+                                  max_seq_len=12, intermediate_dim=8,
+                                  codebook_size=4), 0)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(other, path)
+    body = path.read_bytes()[:-32]
+    (hlen,) = struct.unpack_from("<I", body, 8)
+    header = json.loads(body[12:12 + hlen])
+    header["arch"] = asdict(CFG)
+    path.write_bytes(_sealed(_forge(header, body[16 + hlen:],
+                                    struct.unpack_from("<I", body, 12 + hlen)[0])))
+    with pytest.raises(CheckpointError, match="do not match"):
+        load_checkpoint(path)
+
+
+def _load_or_refuse(tmp_path_factory, body: bytes) -> None:
+    path = tmp_path_factory.mktemp("fuzz") / "x.ckpt"
+    path.write_bytes(_sealed(body))
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.binary(max_size=200))
+def test_any_sealed_bytes_load_or_raise_checkpoint_error(tmp_path_factory, data):
+    _load_or_refuse(tmp_path_factory, data)
+    _load_or_refuse(tmp_path_factory, MAGIC + struct.pack("<I", FORMAT_VERSION) + data)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, len(VALID) - 1), st.integers(0, 255)),
+                min_size=1, max_size=4),
+       st.integers(0, len(VALID)))
+def test_edited_checkpoints_load_or_raise_checkpoint_error(tmp_path_factory,
+                                                           edits, cut):
+    """Byte edits and truncations of a real checkpoint, resealed with a valid
+    digest, anywhere in the header, record framing or tensor data."""
+    body = bytearray(VALID)
+    for pos, value in edits:
+        body[pos] = value
+    _load_or_refuse(tmp_path_factory, bytes(body[:max(cut, 8)]))
+    _load_or_refuse(tmp_path_factory, bytes(body))

@@ -1,11 +1,15 @@
 """Run configuration parsing and command-line driver behavior."""
 
+import hashlib
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
+from actlm import cli
+from actlm.checkpoint import FORMAT_VERSION, MAGIC
 from actlm.cli import main
 from actlm.metrics import MetricsWriter, read_metrics
 from actlm.runconfig import ConfigError, RunConfig, load_run_config
@@ -107,3 +111,31 @@ def test_cli_stage_chain_and_input_immutability(tmp_path):
     report = json.loads((out / "eval.json").read_text())
     assert {"val_ce_with_actions", "val_ce_base_ar", "marginal_kl",
             "semantic_diversity", "alive_actions", "action_state_nmi"} <= set(report)
+
+
+def test_default_prompts_skip_prefixes_ending_in_eos():
+    """The default prompt settings take the first val prefixes that do not
+    end in eos; at this corpus seed the plain slice holds one that does."""
+    cfg = RunConfig(hmm_train_count=0, hmm_val_count=16, hmm_seq_len=16,
+                    hmm_seed=1)
+    _, val, _ = cli._corpora(cfg)
+    eos = cfg.eos_token_id
+    assert (val[:cfg.rl_prompt_count, cfg.prompt_len - 1] == eos).any()
+    prompts = cli._prompts(cfg, val)
+    assert prompts.shape == (cfg.rl_prompt_count, cfg.prompt_len)
+    assert not (prompts[:, -1] == eos).any()
+    assert cli._prompt_tokens(cfg, val)[-1] != eos
+    with pytest.raises(ConfigError, match="prompts needed"):
+        cli._prompts(RunConfig(rl_prompt_count=16), val)
+
+
+def test_cli_forged_checkpoint_fails_by_name(tmp_path, capsys):
+    """A body with a valid digest but an empty header is refused with exit
+    code 1 and an error line, not a traceback."""
+    body = MAGIC + struct.pack("<II", FORMAT_VERSION, 2) + b"{}" + struct.pack("<I", 0)
+    forged = tmp_path / "forged.ckpt"
+    forged.write_bytes(body + hashlib.sha256(body).digest())
+    rc = main(["bc-policy", "--out_dir", str(tmp_path / "run"),
+               "--init_checkpoint", str(forged)] + TINY)
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: malformed checkpoint")

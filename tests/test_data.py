@@ -13,7 +13,8 @@ from actlm.data import (CountdownTask, HmmCorpusConfig, SftExample,
                         countdown_reward, decode_tokens, encode_text,
                         evaluate_expression, gen_hmm_corpus, hmm_matrices,
                         load_corpus, make_sft_split, marker_reward,
-                        save_corpus)
+                        open_prefixes, save_corpus)
+from actlm.runconfig import ConfigError
 
 
 def test_hmm_corpus_is_deterministic():
@@ -75,6 +76,16 @@ def test_make_sft_split():
     np.testing.assert_array_equal(examples[0].response, np.arange(3, 10))
     with pytest.raises(ValueError):
         make_sft_split(corpus, 10)
+
+
+def test_open_prefixes_skip_rows_ending_in_eos():
+    corpus = np.array([[3, 0, 5], [4, 5, 0], [0, 6, 7], [1, 0, 0]])
+    np.testing.assert_array_equal(open_prefixes(corpus, 2, 2, eos=0),
+                                  [[4, 5], [0, 6]])
+    with pytest.raises(ConfigError, match="only 2 length-2"):
+        open_prefixes(corpus, 3, 2, eos=0)
+    with pytest.raises(ConfigError, match="prefix length 4"):
+        open_prefixes(corpus, 1, 4, eos=0)
 
 
 def test_marker_reward():

@@ -13,7 +13,6 @@ from actlm.diagnostics import (action_token_table, alive_actions, marginal_kl,
                                semantic_diversity, token_bags, val_loss,
                                write_action_token_tsv)
 from actlm.model import base_forward, init_model
-from actlm.training import eval_base_ce
 
 
 CFG = ArchConfig(vocab_size=9, d_model=8, n_heads=2, max_seq_len=16,
@@ -90,12 +89,10 @@ def test_marginal_kl_delta_policy_identity_is_zero():
     assert marginal_kl(state, contexts) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_val_loss_base_ar_matches_eval_base_ce():
+def test_val_loss_rejects_unknown_mode():
     state = init_model(CFG, 0)
     corpus = np.random.default_rng(0).integers(0, 9, size=(6, 7))
-    assert val_loss(state, corpus, "base_ar") == pytest.approx(
-        eval_base_ce(state, corpus), rel=1e-6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonsense"):
         val_loss(state, corpus, "nonsense")
 
 

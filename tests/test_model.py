@@ -6,7 +6,8 @@ import pytest
 
 from actlm import autodiff as ad
 from actlm.config import ArchConfig
-from actlm.model import GROUP_NAMES, KVCache, base_forward, init_model
+from actlm.model import (GROUP_NAMES, KVCache, base_forward, init_model,
+                         param_shapes)
 from conftest import accumulation_length, matmul_error_bound
 
 
@@ -90,6 +91,20 @@ def test_all_groups_present():
                                       state.groups["q_target"][k].data)
 
 
+@pytest.mark.parametrize("cfg", [CFG, ArchConfig(
+    vocab_size=5, d_model=6, n_heads=3, n_layers_base=3, n_layers_inverse=2,
+    n_merge_mlps=1, n_layers_policy=2, codebook_size=3, max_seq_len=7,
+    intermediate_dim=4)])
+def test_param_shapes_match_init_model(cfg):
+    """The checkpoint loader checks shapes against param_shapes, so it must
+    describe exactly what init_model builds, in the same order."""
+    built = {g: {k: t.data.shape for k, t in ts.items()}
+             for g, ts in init_model(cfg, 0).groups.items()}
+    shapes = param_shapes(cfg)
+    assert shapes == built
+    assert [list(g) for g in shapes.values()] == [list(g) for g in built.values()]
+
+
 def test_group_hash_tracks_content():
     state = init_model(CFG, 0)
     before = state.group_hash("policy")
@@ -123,3 +138,7 @@ def test_arch_config_validation():
         ArchConfig(codebook_size=1)
     with pytest.raises(ValueError):
         ArchConfig(eos_token_id=99)
+    with pytest.raises(ValueError, match="n_heads"):
+        ArchConfig(n_heads=0)
+    with pytest.raises(ValueError, match="max_seq_len"):
+        ArchConfig(max_seq_len=0)

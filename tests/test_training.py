@@ -1,5 +1,6 @@
-"""Training mechanics: optimizer arithmetic, stage freezing, loss wiring,
-leave-one-out policy gradients, and the Double-DQN update."""
+"""Training mechanics: optimizer arithmetic, the stage loop (freezing,
+non-finite guard, per-step records), loss wiring, leave-one-out policy
+gradients, and the Double-DQN update."""
 
 import numpy as np
 import pytest
@@ -9,13 +10,15 @@ from hypothesis import strategies as st
 from actlm import autodiff as ad
 from actlm.autodiff import Tape, Tensor
 from actlm.config import ArchConfig, TrainConfig
+from actlm.data import make_sft_split
 from actlm.model import base_forward, init_model
-from actlm.training import (AdamW, Transition, collect_grads, decision_mask,
-                            dqn_step, dqn_target, eval_base_ce, fta_actions,
-                            inverse_action_labels, loss_base_ar, loss_fta,
-                            loss_pre1, loss_pre2, q_values_fn, rl_update,
-                            rollout_batch, sync_target, train_bc, train_rl,
-                            train_stage1)
+from actlm.training import (AdamW, Transition, decision_mask, dqn_batch,
+                            dqn_target, eval_base_ce, fta_actions,
+                            inverse_action_labels, loss_base_ar, loss_dqn,
+                            loss_fta, loss_pre1, loss_pre2, loss_rl,
+                            pretrain_base_ar, q_values_fn, rl_batch,
+                            rollout_batch, run_stage, sync_target, train_bc,
+                            train_fta, train_q, train_rl, train_stage1)
 
 
 CFG = ArchConfig(vocab_size=9, d_model=8, n_heads=2, max_seq_len=16,
@@ -92,8 +95,8 @@ def test_loss_pre1_freezes_base():
         grads = tape.gradients(total)
     for name, p in state.params("base").items():
         np.testing.assert_array_equal(tape.grad(grads, p), np.zeros_like(p.data))
-    moving = collect_grads(tape, grads, state.params("inverse", "merge", "codebook"))
-    assert any(np.abs(g).sum() > 0 for g in moving.values())
+    moving = state.params("inverse", "merge", "codebook").values()
+    assert any(np.abs(tape.grad(grads, p)).sum() > 0 for p in moving)
 
 
 def test_loss_pre1_regularizer_bounds():
@@ -129,12 +132,12 @@ def test_inverse_action_labels_shape_and_range():
 def test_loss_pre2_only_moves_policy():
     state = small_state()
     with Tape() as tape:
-        loss, _, _ = loss_pre2(state, small_tokens())
+        loss, _ = loss_pre2(state, small_tokens())
         grads = tape.gradients(loss)
     for p in state.params("base", "inverse", "merge", "codebook").values():
         np.testing.assert_array_equal(tape.grad(grads, p), np.zeros_like(p.data))
-    assert any(np.abs(g).sum() > 0
-               for g in collect_grads(tape, grads, state.params("policy")).values())
+    assert any(np.abs(tape.grad(grads, p)).sum() > 0
+               for p in state.params("policy").values())
 
 
 def test_loss_fta_only_moves_base():
@@ -148,8 +151,8 @@ def test_loss_fta_only_moves_base():
     # (the merge still receives gradients; its freeze is optimizer exclusion)
     for p in state.params("inverse", "codebook", "policy").values():
         np.testing.assert_array_equal(tape.grad(grads, p), np.zeros_like(p.data))
-    assert any(np.abs(g).sum() > 0
-               for g in collect_grads(tape, grads, state.params("base")).values())
+    assert any(np.abs(tape.grad(grads, p)).sum() > 0
+               for p in state.params("base").values())
 
 
 def test_loss_fta_rejects_empty_response():
@@ -170,19 +173,79 @@ def test_fta_actions_modes_differ():
         fta_actions(state, tokens, "FTA-X", 1.0)
 
 
-def test_stage_drivers_enforce_freezing():
-    state = small_state()
+# Every stage driver on a tiny corpus: (run(state, metrics_cb, steps), a
+# group the stage freezes, a trainable (group, tensor) whose NaN reaches the
+# loss). FTA-I is not poisoned: its labels come from the same base
+# embeddings, and the inverse rejects non-finite action logits first.
+def _drivers():
     corpus = small_tokens(b=8)
+    examples = make_sft_split(corpus, 3)
+    transitions = [
+        Transition(np.array([1, 2]), 2, np.array([1, 2, 3]), 0.0, False),
+        Transition(np.array([1, 2, 3]), 1, np.array([1, 2, 3, 4]), 1.0, True)]
+
+    def cfg(steps):
+        return TrainConfig(steps=steps, batch_size=4, rl_group_size=2)
+
+    return {
+        "pretrain-base": (lambda s, cb, n: pretrain_base_ar(s, corpus, corpus, cfg(n), cb),
+                          "policy", ("base", "lm_head")),
+        "stage1": (lambda s, cb, n: train_stage1(s, corpus, cfg(n), metrics_cb=cb),
+                   "base", ("merge", "lm_head")),
+        "bc-policy": (lambda s, cb, n: train_bc(s, corpus, cfg(n), metrics_cb=cb),
+                      "base", ("policy", "head")),
+        "fta-FTA-I": (lambda s, cb, n: train_fta(s, examples, cfg(n), "FTA-I", cb),
+                      "merge", None),
+        "fta-FTA-P": (lambda s, cb, n: train_fta(s, examples, cfg(n), "FTA-P", cb),
+                      "codebook", ("base", "tok_emb")),
+        "rl": (lambda s, cb, n: train_rl(s, corpus[:2, :3], lambda r: float(len(r) % 2),
+                                         cfg(n), max_len=8, updates=n, metrics_cb=cb),
+               "base", ("policy", "head")),
+        "train-q": (lambda s, cb, n: train_q(s, transitions, cfg(n), cb),
+                    "policy", ("q_online", "head")),
+    }
+
+
+DRIVERS = sorted(_drivers())
+
+
+@pytest.mark.parametrize("stage", DRIVERS)
+def test_stage_drivers_enforce_freezing(stage):
+    run, frozen, _ = _drivers()[stage]
+    state = small_state()
     calls = {"n": 0}
 
     def sabotage(record):
         if calls["n"] == 0:
-            state.groups["base"]["tok_emb"].data[0, 0] += 1.0
+            next(iter(state.groups[frozen].values())).data.flat[0] += 1.0
         calls["n"] += 1
 
-    with pytest.raises(RuntimeError, match="frozen groups drifted"):
-        train_bc(state, corpus, TrainConfig(steps=2, batch_size=4),
-                 metrics_cb=sabotage)
+    with pytest.raises(RuntimeError, match=f"frozen groups drifted during {stage}"):
+        run(state, sabotage, 2)
+
+
+@pytest.mark.parametrize("stage", [s for s in DRIVERS if _drivers()[s][2]])
+def test_stage_drivers_reject_nonfinite_loss(stage):
+    run, _, (group, name) = _drivers()[stage]
+    state = small_state()
+    state.groups[group][name].data[...] = np.nan
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(FloatingPointError, match=f"non-finite {stage} loss at step 0"):
+        run(state, None, 2)
+
+
+@pytest.mark.parametrize("stage", DRIVERS)
+def test_stage_drivers_record_every_step(stage):
+    records = []
+    _drivers()[stage][0](small_state(), records.append, 3)
+    by_stage = {}
+    for r in records:
+        assert {"stage", "step", "grad_norm", "skipped_nonfinite"} <= set(r), r
+        by_stage.setdefault(r["stage"], []).append(r["step"])
+    # FTA-I runs its policy refresh as a second stage of its own
+    expected = {stage, "fta-policy-refresh"} if stage == "fta-FTA-I" else {stage}
+    assert set(by_stage) == expected
+    assert all(steps == [0, 1, 2] for steps in by_stage.values())
 
 
 def test_train_stage1_returns_usage_counts():
@@ -235,25 +298,45 @@ def test_decision_mask_excludes_steps_after_eos():
 def test_rl_update_constant_reward_has_vanishing_gradient():
     """With identical rewards the leave-one-out advantages vanish, and the KL
     against an identical reference sits at its minimum: both loss terms and
-    the gradient norm are (numerically) zero."""
+    the gradient norm of one update are (numerically) zero."""
     state = small_state()
     cfg = TrainConfig(rl_group_size=4, kl_coef=0.01, learning_rate=0.1)
-    opt = AdamW(state.params("policy"), cfg)
     ref = {k: Tensor(t.data.copy()) for k, t in state.groups["policy"].items()}
-    report = rl_update(state, small_tokens(b=2, t=3), lambda r: 0.7, ref, cfg,
-                       opt, np.random.default_rng(0), max_len=8)
-    assert report.scalars["rl_reward_mean"] == pytest.approx(0.7)
-    assert abs(report.scalars["pg_loss"]) < 1e-6
-    assert abs(report.scalars["rl_kl"]) < 1e-6
-    assert report.grad_norms["grad_norm"] < 1e-4
+    [record] = run_stage(
+        state, "rl", ("policy",), (), 1, cfg,
+        lambda rng: rl_batch(state, small_tokens(b=2, t=3), lambda r: 0.7, cfg,
+                             rng, max_len=8),
+        lambda batch: loss_rl(state, batch, ref, cfg))
+    assert record["rl_reward_mean"] == pytest.approx(0.7)
+    assert abs(record["pg_loss"]) < 1e-6
+    assert abs(record["rl_kl"]) < 1e-6
+    assert record["grad_norm"] < 1e-4
 
 
 def test_rl_update_rejects_tiny_groups():
     state = small_state()
     cfg = TrainConfig(rl_group_size=1)
     with pytest.raises(ValueError):
-        rl_update(state, small_tokens(b=2, t=3), lambda r: 0.0, {}, cfg,
-                  AdamW(state.params("policy"), cfg), np.random.default_rng(0), 8)
+        rl_batch(state, small_tokens(b=2, t=3), lambda r: 0.0, cfg,
+                 np.random.default_rng(0), 8)
+
+
+def test_rl_counts_scorer_failures():
+    """A throwing scorer scores its rollout 0 and is counted per update."""
+    calls = {"n": 0}
+
+    def flaky(response):
+        calls["n"] += 1
+        if calls["n"] % 2 == 0:
+            raise RuntimeError("scorer down")
+        return 1.0
+
+    records = []
+    trace = train_rl(small_state(), small_tokens(b=2, t=3), flaky,
+                     TrainConfig(rl_group_size=4), max_len=8, updates=2,
+                     metrics_cb=records.append)
+    assert [r["scorer_failures"] for r in records] == [4, 4]
+    assert trace == [0.5, 0.5]
 
 
 def test_train_rl_freezes_everything_but_policy():
@@ -295,20 +378,51 @@ def test_sync_target_mixes_with_tau():
 
 def test_dqn_step_reduces_error_on_single_transition():
     state = small_state()
-    cfg = TrainConfig(learning_rate=3e-3, sync_interval=10**9, gamma=0.9)
-    opt = AdamW(state.params("q_online"), cfg)
+    cfg = TrainConfig(learning_rate=3e-3, sync_interval=10**9, gamma=0.9,
+                      steps=79)
     tr = Transition(np.array([1, 2]), 2, np.array([1, 2, 3]), 1.0, True)
-    first = dqn_step(state, [tr], cfg, opt, 1).scalars["q_loss"]
-    for step in range(2, 80):
-        last = dqn_step(state, [tr], cfg, opt, step).scalars["q_loss"]
-    assert last < first * 0.1
+    records = []
+    train_q(state, [tr], cfg, metrics_cb=records.append)
+    assert records[-1]["q_loss"] < records[0]["q_loss"] * 0.1
+
+
+def test_train_q_syncs_target_after_every_interval_step():
+    """Order within a step is optimizer step, target sync, record: the
+    record of every sync_interval-th step (1-based) sees a target equal to
+    the online network, the others see it differ."""
+    state = small_state()
+    tr = Transition(np.array([1, 2]), 2, np.array([1, 2, 3]), 0.0, False)
+    synced = []
+
+    def record(r):
+        synced.append(state.group_hash("q_target") == state.group_hash("q_online"))
+
+    train_q(state, [tr], TrainConfig(steps=5, sync_interval=2, tau=1.0,
+                                     learning_rate=1e-2), record)
+    assert synced == [False, True, False, True, False]
 
 
 def test_dqn_step_rejects_empty_batch():
-    state = small_state()
-    cfg = TrainConfig()
     with pytest.raises(ValueError):
-        dqn_step(state, [], cfg, AdamW(state.params("q_online"), cfg), 1)
+        dqn_batch(small_state(), [], TrainConfig())
+
+
+def test_loss_dqn_matches_squared_residual(verify_mode):
+    """The loss is the mean squared gap between Q(context)[action] and the
+    Double-DQN target, over transitions of mixed context lengths. In float64
+    the batched and per-context forwards differ only in reduction order,
+    well below 1e-10 relative at these sizes."""
+    state = small_state()
+    batch = [Transition(np.array([1, 2]), 2, np.array([1, 2, 3]), 0.0, False),
+             Transition(np.array([4]), 1, np.array([4, 5]), 0.5, True),
+             Transition(np.array([3, 1]), 0, np.array([3, 1, 6]), 1.0, True)]
+    q = q_values_fn(state, "q_online")
+    q_t = q_values_fn(state, "q_target")
+    manual = np.mean([(q(tr.context)[tr.action] - dqn_target(tr, q, q_t, 0.9)) ** 2
+                      for tr in batch])
+    with Tape():
+        loss, parts = loss_dqn(state, dqn_batch(state, batch, TrainConfig(gamma=0.9)))
+    assert parts["q_loss"] == pytest.approx(manual, rel=1e-10)
 
 
 def test_q_values_fn_shape():
@@ -338,5 +452,5 @@ def test_loss_base_ar_positive(seed):
     state = small_state(0)
     tokens = np.random.default_rng(seed).integers(0, 9, size=(2, 5))
     with Tape():
-        loss = loss_base_ar(state, tokens)
-    assert loss.item() > 0
+        loss, parts = loss_base_ar(state, tokens)
+    assert loss.item() > 0 and parts["loss"] == loss.item()
