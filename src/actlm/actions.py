@@ -180,7 +180,9 @@ class Decoder:
         self.probs = np.zeros((batch, cfg.max_seq_len, cfg.codebook_size), dtype)
 
     def sync(self, tokens) -> None:
-        """Make the held sequences equal to tokens (B, T)."""
+        """Make the held sequences equal to tokens (B, T). Raises
+        FloatingPointError, naming the first position, if the policy
+        probabilities of a newly encoded position are not finite."""
         tokens = np.asarray(tokens)
         if tokens.ndim != 2 or tokens.shape[0] != self.tokens.shape[0] \
                 or tokens.shape[1] < 1:
@@ -197,6 +199,11 @@ class Decoder:
             groups, cfg = self.state.groups, self.state.cfg
             e_l, _ = base_forward(groups["base"], cfg, tokens[:, n:], self.base_cache)
             probs = policy_forward(groups["policy"], cfg, e_l, self.policy_cache)
+            if not np.isfinite(probs.data).all():
+                bad = np.flatnonzero(~np.isfinite(probs.data).all(axis=(0, 2)))
+                self.tokens = tokens[:, :n].copy()  # positions n.. are overwritten
+                raise FloatingPointError("non-finite policy probabilities at "
+                                         f"position {n + int(bad[0])}")
             self.e_l[:, n:t] = e_l.data
             self.probs[:, n:t] = probs.data
         self.tokens = tokens.copy()

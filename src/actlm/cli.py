@@ -205,6 +205,7 @@ def _run_search(cfg: RunConfig, out: str, metrics: MetricsWriter,
     metrics.append({"stage": "search-q" if use_q else "search",
                     "tokens": result.tokens.tolist(),
                     "iterations": result.iterations, "n_nodes": result.n_nodes,
+                    "scorer_failures": result.scorer_failures,
                     "marker_token": marker})
     print("answer:", " ".join(map(str, result.tokens)))
     print(f"iterations {result.iterations}, nodes {result.n_nodes}")

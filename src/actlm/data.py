@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,63 +28,54 @@ class HmmCorpusConfig:
             raise ValueError("concentrations must be > 0")
 
 
-def gen_hmm_corpus(cfg: HmmCorpusConfig):
-    """Sample a hidden-Markov corpus; returns (tokens (n, L), states (n, L)).
-
-    The state trace is an evaluation oracle only and must never feed
-    training. Pure function of the seed.
-    """
-    rng = np.random.default_rng(cfg.seed)
+def _hmm_params(cfg: HmmCorpusConfig, rng):
+    """Draw (trans, emit, init) from rng, in that order."""
     m, v = cfg.n_states, cfg.vocab_size
     trans = rng.dirichlet(np.full(m, cfg.transition_concentration), size=m)
     emit = rng.dirichlet(np.full(v, cfg.emission_concentration), size=m)
     init = rng.dirichlet(np.full(m, 1.0))
-    tokens = np.empty((cfg.n_sequences, cfg.seq_len), dtype=np.int64)
-    states = np.empty((cfg.n_sequences, cfg.seq_len), dtype=np.int64)
-    for i in range(cfg.n_sequences):
-        s = rng.choice(m, p=init)
-        for t in range(cfg.seq_len):
-            states[i, t] = s
-            tokens[i, t] = rng.choice(v, p=emit[s])
-            s = rng.choice(m, p=trans[s])
+    return trans, emit, init
+
+
+def cdf(probs) -> np.ndarray:
+    """Cumulative rows of probs (..., k), each divided by its last entry, so
+    every row ends at exactly 1.0."""
+    cum = np.cumsum(probs, axis=-1)
+    cum /= cum[..., -1:]
+    return cum
+
+
+def inverse_cdf(cum: np.ndarray, u) -> np.ndarray:
+    """The category each uniform u (...) in [0, 1) draws from the matching
+    cdf row (..., k): the first whose cumulative value exceeds u. A category
+    of zero probability, a leading or trailing one included, is never
+    drawn."""
+    return (cum <= np.asarray(u)[..., None]).sum(axis=-1)
+
+
+def gen_hmm_corpus(cfg: HmmCorpusConfig):
+    """Sample a hidden-Markov corpus; returns (tokens (n, L), states (n, L)).
+
+    All sequences advance together, one time step at a time, each draw an
+    inverse-CDF lookup. The state trace is an evaluation oracle only and
+    must never feed training. Pure function of the seed.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    trans, emit, init = (cdf(p) for p in _hmm_params(cfg, rng))
+    n = cfg.n_sequences
+    tokens = np.empty((n, cfg.seq_len), dtype=np.int64)
+    states = np.empty((n, cfg.seq_len), dtype=np.int64)
+    s = inverse_cdf(init, rng.random(n))
+    for t in range(cfg.seq_len):
+        states[:, t] = s
+        tokens[:, t] = inverse_cdf(emit[s], rng.random(n))
+        s = inverse_cdf(trans[s], rng.random(n))
     return tokens, states
 
 
 def hmm_matrices(cfg: HmmCorpusConfig):
     """The transition/emission/initial distributions behind gen_hmm_corpus."""
-    rng = np.random.default_rng(cfg.seed)
-    trans = rng.dirichlet(np.full(cfg.n_states, cfg.transition_concentration),
-                          size=cfg.n_states)
-    emit = rng.dirichlet(np.full(cfg.vocab_size, cfg.emission_concentration),
-                         size=cfg.n_states)
-    init = rng.dirichlet(np.full(cfg.n_states, 1.0))
-    return trans, emit, init
-
-
-def save_corpus(path, tokens: np.ndarray, seed: int, states=None):
-    """Header line (JSON: V, count, length, seed), then one id sequence per
-    line; optional parallel states file with the same layout."""
-    header = {"V": int(tokens.max()) + 1, "count": int(tokens.shape[0]),
-              "length": int(tokens.shape[1]), "seed": int(seed)}
-    with open(path, "w") as f:
-        f.write(json.dumps(header) + "\n")
-        for row in tokens:
-            f.write(" ".join(str(int(x)) for x in row) + "\n")
-    if states is not None:
-        with open(str(path) + ".states", "w") as f:
-            f.write(json.dumps(header) + "\n")
-            for row in states:
-                f.write(" ".join(str(int(x)) for x in row) + "\n")
-
-
-def load_corpus(path):
-    with open(path) as f:
-        header = json.loads(f.readline())
-        rows = [list(map(int, line.split())) for line in f if line.strip()]
-    tokens = np.asarray(rows, dtype=np.int64)
-    if tokens.shape != (header["count"], header["length"]):
-        raise ValueError("corpus body does not match its header")
-    return tokens, header
+    return _hmm_params(cfg, np.random.default_rng(cfg.seed))
 
 
 @dataclass

@@ -141,23 +141,33 @@ class SearchResult:
     root: MctsNode
     iterations: int
     n_nodes: int
+    scorer_failures: int
 
 
-def _score(reward_fn, tokens) -> float:
-    try:
-        return float(reward_fn(np.asarray(tokens)))
-    except Exception:
-        return 0.0  # failed scorer: simulation counts as zero
+class _Scorer:
+    """reward_fn as a simulation value: a scorer that raises scores 0, and
+    each such failure is counted."""
+
+    def __init__(self, reward_fn):
+        self.reward_fn = reward_fn
+        self.failures = 0
+
+    def __call__(self, tokens) -> float:
+        try:
+            return float(self.reward_fn(np.asarray(tokens)))
+        except Exception:
+            self.failures += 1
+            return 0.0
 
 
-def _simulate(model, node: MctsNode, reward_fn, max_len: int, rng) -> float:
+def _simulate(model, node: MctsNode, score: _Scorer, max_len: int, rng) -> float:
     if _is_terminal(model, node.state, max_len):
         node.sim_tokens = np.asarray([], dtype=np.int64)
-        node.sim_value = _score(reward_fn, node.state)
+        node.sim_value = score(node.state)
         return node.sim_value
     full, _ = rollout(model, node.state, "sample", max_len, rng)
     node.sim_tokens = full[len(node.state):]
-    node.sim_value = _score(reward_fn, full)
+    node.sim_value = score(full)
     return node.sim_value
 
 
@@ -206,13 +216,16 @@ def mcts_search(model, prompt, cfg: SearchConfig, reward_fn,
     pruning (the Q-pruned variant).
 
     Returns the state of the best-simulation node concatenated with its
-    stored simulation."""
+    stored simulation. A reward_fn that raises scores the simulation 0; the
+    result and each trace record count such failures."""
     rng = np.random.default_rng(cfg.seed)
     root = MctsNode(state=np.asarray(prompt))
+    score = _Scorer(reward_fn)
     trace = []
     iterations = 0
     for it in range(cfg.iterations):
         iterations = it + 1
+        failures_before = score.failures
         node, path_keys = root, []
         path = [root]
         while node.children:
@@ -224,15 +237,15 @@ def mcts_search(model, prompt, cfg: SearchConfig, reward_fn,
         expanded_terminal = False
         if node.visits == 0 and node is not root and node.sim_value is None:
             # freshly created child reached by selection: simulate it
-            value = _simulate(model, node, reward_fn, cfg.max_len, rng)
+            value = _simulate(model, node, score, cfg.max_len, rng)
             expanded_terminal = _is_terminal(model, node.state, cfg.max_len)
         elif _is_terminal(model, node.state, cfg.max_len):
-            value = _simulate(model, node, reward_fn, cfg.max_len, rng)
+            value = _simulate(model, node, score, cfg.max_len, rng)
             expanded_terminal = True
         else:
             child = _expand(model, node, cfg, rng)
             if child is None:
-                value = _simulate(model, node, reward_fn, cfg.max_len, rng)
+                value = _simulate(model, node, score, cfg.max_len, rng)
                 expanded_terminal = True
             else:
                 path.append(child)
@@ -240,13 +253,14 @@ def mcts_search(model, prompt, cfg: SearchConfig, reward_fn,
                 path_keys.append(list(key))
                 if q_fn is not None:
                     _extend_low_uncertainty(model, child, cfg, q_fn, gamma)
-                value = _simulate(model, child, reward_fn, cfg.max_len, rng)
+                value = _simulate(model, child, score, cfg.max_len, rng)
                 expanded_terminal = _is_terminal(model, child.state, cfg.max_len)
         for n in path:
             n.visits += 1
             n.q_sum += value
         trace.append({"iteration": it, "selected_path": path_keys,
-                      "sim_value": value})
+                      "sim_value": value,
+                      "scorer_failures": score.failures - failures_before})
         if expanded_terminal:
             break
     if trace_path is not None:
@@ -266,7 +280,7 @@ def mcts_search(model, prompt, cfg: SearchConfig, reward_fn,
     tokens = np.concatenate([best.state, best.sim_tokens]) if best is not None \
         else np.asarray(prompt)
     return SearchResult(tokens=tokens, root=root, iterations=iterations,
-                        n_nodes=n_nodes)
+                        n_nodes=n_nodes, scorer_failures=score.failures)
 
 
 def audit_tree(root: MctsNode, max_reward: float = 1.0) -> None:

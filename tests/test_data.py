@@ -1,7 +1,8 @@
-"""Data layer: hidden-Markov corpus generation, corpus file round trips,
+"""Data layer: hidden-Markov corpus generation, inverse-CDF sampling,
 reward functions, and the exact-rational expression evaluator."""
 
 import ast
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from actlm.data import (CountdownTask, HmmCorpusConfig, SftExample,
+from actlm.data import (CountdownTask, HmmCorpusConfig, SftExample, cdf,
                         countdown_reward, decode_tokens, encode_text,
                         evaluate_expression, gen_hmm_corpus, hmm_matrices,
-                        load_corpus, make_sft_split, marker_reward,
-                        open_prefixes, save_corpus)
+                        inverse_cdf, make_sft_split, marker_reward,
+                        open_prefixes)
 from actlm.runconfig import ConfigError
 
 
@@ -56,16 +57,87 @@ def test_hmm_statistics_match_matrices():
         np.testing.assert_allclose(freq, emit[s], atol=0.03)
 
 
-def test_corpus_round_trip(tmp_path):
-    cfg = HmmCorpusConfig(n_sequences=5, seq_len=8, seed=0)
-    tokens, states = gen_hmm_corpus(cfg)
-    path = tmp_path / "corpus.txt"
-    save_corpus(path, tokens, seed=0, states=states)
-    loaded, header = load_corpus(path)
-    np.testing.assert_array_equal(loaded, tokens)
-    assert header["count"] == 5 and header["length"] == 8 and header["seed"] == 0
-    loaded_states, _ = load_corpus(str(path) + ".states")
-    np.testing.assert_array_equal(loaded_states, states)
+def reference_hmm_corpus(cfg: HmmCorpusConfig):
+    """The per-token sampler gen_hmm_corpus replaced: one sequence at a time,
+    three rng.choice calls per token, parameters from the same seeded
+    stream. Kept as the reference its distribution is checked against."""
+    rng = np.random.default_rng(cfg.seed)
+    m, v = cfg.n_states, cfg.vocab_size
+    trans = rng.dirichlet(np.full(m, cfg.transition_concentration), size=m)
+    emit = rng.dirichlet(np.full(v, cfg.emission_concentration), size=m)
+    init = rng.dirichlet(np.full(m, 1.0))
+    tokens = np.empty((cfg.n_sequences, cfg.seq_len), dtype=np.int64)
+    states = np.empty((cfg.n_sequences, cfg.seq_len), dtype=np.int64)
+    for i in range(cfg.n_sequences):
+        s = rng.choice(m, p=init)
+        for t in range(cfg.seq_len):
+            states[i, t] = s
+            tokens[i, t] = rng.choice(v, p=emit[s])
+            s = rng.choice(m, p=trans[s])
+    return tokens, states
+
+
+def _empirical_cells(cfg, tokens, states):
+    """(p, frequency, N) of every initial-state, transition and emission
+    cell: the model probability, its empirical frequency and the number of
+    draws it is a frequency of. Rows whose conditioning state never occurs
+    are left out."""
+    trans, emit, init = hmm_matrices(cfg)
+    cells = [(init, np.bincount(states[:, 0], minlength=cfg.n_states))]
+    src, dst = states[:, :-1].ravel(), states[:, 1:].ravel()
+    for s in range(cfg.n_states):
+        cells.append((trans[s], np.bincount(dst[src == s], minlength=cfg.n_states)))
+        cells.append((emit[s], np.bincount(tokens[states == s],
+                                           minlength=cfg.vocab_size)))
+    return [(p, counts / counts.sum(), counts.sum())
+            for p, counts in cells if counts.sum() > 0]
+
+
+def test_hmm_sampler_matches_reference_in_distribution():
+    """Both samplers' initial-state, transition and emission frequencies
+    match hmm_matrices, over 10 seeds and shapes at the default
+    concentration (0.3, so some cells are near zero).
+
+    Per cell the bound is Bernstein's inequality for a mean of N Bernoulli
+    draws, P(|f - p| >= z*sqrt(p(1-p)/N) + z^2/(3N)) <= 2*exp(-z^2/2), which
+    holds at every p, unlike the normal approximation near p = 0. z comes
+    from a false-failure probability of 1e-3 for the whole test, split
+    evenly (Bonferroni) over every cell of both samplers at every seed.
+    Given the state path, emissions are independent draws, and by the
+    Markov property so are the departures from each state."""
+    configs = [HmmCorpusConfig(n_states=2 + seed % 3, vocab_size=4 + seed % 4,
+                               n_sequences=300, seq_len=40, seed=seed)
+               for seed in range(10)]
+    runs = [(cfg, sampler(cfg)) for cfg in configs
+            for sampler in (gen_hmm_corpus, reference_hmm_corpus)]
+    cells = [cell for cfg, (tokens, states) in runs
+             for p, freq, n in _empirical_cells(cfg, tokens, states)
+             for cell in zip(p, freq, np.broadcast_to(n, p.shape))]
+    z = math.sqrt(2 * math.log(2 * len(cells) / 1e-3))
+    for p, freq, n in cells:
+        assert abs(freq - p) <= z * math.sqrt(p * (1 - p) / n) + z * z / (3 * n), \
+            (p, freq, n)
+
+
+def test_inverse_cdf_never_draws_a_zero_probability_category():
+    last_below_one = 1 - 2.0 ** -53
+    # ten 0.1s sum to 1 - 2**-53: unnormalised, u = 1 - 2**-53 would pass
+    # every category, and a clamp to the last index would draw the zero
+    rows = [[0.0, 0.5, 0.0, 0.5, 0.0], [0.1] * 10 + [0.0], [0.0, 0.0, 1.0, 0.0]]
+    for row in rows:
+        for dtype in (np.float64, np.float32):
+            probs = np.asarray(row, dtype)
+            positive = np.flatnonzero(probs > 0)
+            cum = cdf(probs)
+            assert cum[-1] == 1.0
+            assert inverse_cdf(cum, 0.0) == positive[0]
+            assert inverse_cdf(cum, last_below_one) == positive[-1]
+            u = np.random.default_rng(0).random(10_000)
+            assert set(inverse_cdf(cum, u)) == set(positive)
+    # batched: one row per uniform
+    probs = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.2, 0.8, 0.0]])
+    np.testing.assert_array_equal(inverse_cdf(cdf(probs), [0.0, 0.7, 0.9]),
+                                  [1, 2, 1])
 
 
 def test_make_sft_split():

@@ -102,7 +102,8 @@ def test_mcts_writes_trace(tmp_path):
     result = mcts_search(ChainLM(), [1], cfg, chain_reward, trace_path=trace)
     records = [json.loads(l) for l in trace.read_text().splitlines()]
     assert len(records) == result.iterations
-    assert all({"iteration", "selected_path", "sim_value"} <= set(r) for r in records)
+    assert all({"iteration", "selected_path", "sim_value", "scorer_failures"}
+               <= set(r) for r in records)
 
 
 def test_mcts_failing_reward_fn_scores_zero():
@@ -111,6 +112,39 @@ def test_mcts_failing_reward_fn_scores_zero():
     cfg = SearchConfig(action_steps=2, iterations=4, max_len=10, seed=0)
     result = mcts_search(ChainLM(), [1], cfg, bad_reward)
     audit_tree(result.root)
+    assert result.scorer_failures == result.iterations
+
+
+def test_mcts_counts_scorer_failures(tmp_path):
+    """A scorer that raises on every other call: those simulations score 0
+    as if it had returned 0, so tree and tokens are unchanged, and each
+    failure is counted in the result and in its iteration's trace record."""
+    def scorer(fail):
+        calls = {"n": 0}
+
+        def score(tokens):
+            calls["n"] += 1
+            if calls["n"] % 2 == 0:
+                if fail:
+                    raise RuntimeError("scorer down")
+                return 0.0
+            return chain_reward(tokens)
+        return score, calls
+
+    cfg = SearchConfig(action_steps=1, iterations=9, expand_width=2,
+                       max_len=10, seed=1)
+    flaky, calls = scorer(fail=True)
+    trace = tmp_path / "trace.jsonl"
+    result = mcts_search(ChainLM(), [1], cfg, flaky, trace_path=trace)
+    zeroed, _ = scorer(fail=False)
+    reference = mcts_search(ChainLM(), [1], cfg, zeroed)
+    assert result.scorer_failures == calls["n"] // 2 >= 4
+    assert reference.scorer_failures == 0
+    assert snapshot(result.root) == snapshot(reference.root)
+    assert result.tokens.tobytes() == reference.tokens.tobytes()
+    records = [json.loads(l) for l in trace.read_text().splitlines()]
+    assert [r["scorer_failures"] for r in records] == \
+        [int(i % 2 == 1) for i in range(result.iterations)]
 
 
 def snapshot(node):
@@ -259,6 +293,40 @@ def test_decoder_rejects_bad_shapes():
     for bad in (np.zeros((1, 3), int), np.zeros((2, 0), int), np.zeros(3, int)):
         with pytest.raises(ValueError):
             dec.sync(bad)
+
+
+@pytest.mark.parametrize("mode", ["greedy", "sample"])
+def test_nan_policy_fails_by_name_in_both_rollout_paths(mode):
+    """A NaN policy head raises where the decoder stores the policy's
+    output, in rollout_batch and in search.rollout alike, instead of
+    decoding as action 0."""
+    state = init_model(DCFG, 0)
+    state.groups["policy"]["head"].data[...] = np.nan
+    prompts = np.array([[3, 5, 7], [4, 6, 8]])
+    rng = np.random.default_rng(0)
+    match = "non-finite policy probabilities at position 0"
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(FloatingPointError, match=match):
+            rollout_batch(state, prompts, mode, 10, rng)
+        with pytest.raises(FloatingPointError, match=match):
+            rollout(LatentActionLM(state), prompts[0], mode, 10, rng)
+
+
+def test_decoder_names_first_nonfinite_position_and_recovers():
+    """NaN from one token's embedding names its position; the decoder then
+    holds only the prefix before it, so syncing to other tokens matches a
+    fresh decoder."""
+    state = init_model(DCFG, 0)
+    state.groups["base"]["tok_emb"].data[9] = np.nan
+    dec = Decoder(state)
+    dec.sync([[3, 5, 7]])
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(FloatingPointError, match="at position 2"):
+        dec.sync([[3, 5, 9, 7]])
+    dec.sync([[3, 5, 7, 4]])
+    fresh = Decoder(state)
+    fresh.sync([[3, 5, 7, 4]])
+    np.testing.assert_array_equal(dec.policy_probs(), fresh.policy_probs())
 
 
 def reference_greedy(state, prompts, max_len):
