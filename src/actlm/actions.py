@@ -197,7 +197,7 @@ class Decoder:
         t = tokens.shape[1]
         if t > n:
             groups, cfg = self.state.groups, self.state.cfg
-            e_l, _ = base_forward(groups["base"], cfg, tokens[:, n:], self.base_cache)
+            e_l = base_forward(groups["base"], cfg, tokens[:, n:], self.base_cache)
             probs = policy_forward(groups["policy"], cfg, e_l, self.policy_cache)
             if not np.isfinite(probs.data).all():
                 bad = np.flatnonzero(~np.isfinite(probs.data).all(axis=(0, 2)))

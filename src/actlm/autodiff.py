@@ -9,12 +9,13 @@ switched while a tape is open.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
 
-_DTYPE = np.float32
-_TAPE_STACK: list["Tape"] = []
+_DTYPE = np.dtype(np.float32)
+_TAPE_STACK: list["Tape | None"] = []
 _SG_CAPTURE: list["StopGradCapture"] = []
 
 # Large negative additive mask; -inf would poison backward passes with NaN.
@@ -27,9 +28,9 @@ def set_precision(mode: str) -> None:
     if _TAPE_STACK:
         raise RuntimeError("cannot switch precision while a tape is active")
     if mode == "train":
-        _DTYPE = np.float32
+        _DTYPE = np.dtype(np.float32)
     elif mode == "verify":
-        _DTYPE = np.float64
+        _DTYPE = np.dtype(np.float64)
     else:
         raise ValueError(f"unknown precision mode: {mode!r}")
 
@@ -44,7 +45,10 @@ class Tensor:
     __slots__ = ("data", "parents", "_backward")
 
     def __init__(self, data, parents=(), backward=None):
-        self.data = np.asarray(data, dtype=_DTYPE)
+        # an ndarray of the active dtype is stored as is, as np.asarray would
+        if type(data) is not np.ndarray or data.dtype is not _DTYPE:
+            data = np.asarray(data, dtype=_DTYPE)
+        self.data = data
         self.parents = parents
         self._backward = backward
 
@@ -57,10 +61,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
-
-
-def tensor(data) -> Tensor:
-    return Tensor(np.asarray(data, dtype=_DTYPE))
 
 
 class Tape:
@@ -109,8 +109,20 @@ class Tape:
         return grads.get(id(t), np.zeros_like(t.data))
 
 
+@contextlib.contextmanager
+def untaped():
+    """Ops inside the block are not recorded on the active tape, so no
+    gradient flows through them. For frozen work: its graph is freed as soon
+    as its output is, instead of living until the tape is."""
+    _TAPE_STACK.append(None)
+    try:
+        yield
+    finally:
+        _TAPE_STACK.pop()
+
+
 def _emit(out: Tensor) -> Tensor:
-    if _TAPE_STACK:
+    if _TAPE_STACK and _TAPE_STACK[-1] is not None:
         _TAPE_STACK[-1].nodes.append(out)
     return out
 
@@ -188,14 +200,13 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy batching semantics on leading dims."""
-    if a.data.shape[-1] != b.data.shape[-2]:
-        raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
+    """Matrix product with numpy batching semantics on leading dims; numpy
+    raises ValueError on mismatched inner dimensions."""
     out = Tensor(np.matmul(a.data, b.data), (a, b))
 
     def backward(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        ga = np.matmul(g, b.data.swapaxes(-1, -2))
+        gb = np.matmul(a.data.swapaxes(-1, -2), g)
         return [
             (a, _unbroadcast(ga, a.data.shape)),
             (b, _unbroadcast(gb, b.data.shape)),
@@ -234,9 +245,10 @@ def concat_last(a: Tensor, b: Tensor) -> Tensor:
 
 def softmax(x: Tensor) -> Tensor:
     """Row softmax over the last axis."""
-    z = x.data - x.data.max(axis=-1, keepdims=True)
+    # the reductions ndarray.max and .sum do, without their Python wrappers
+    z = x.data - np.maximum.reduce(x.data, axis=-1, keepdims=True)
     e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = e / np.add.reduce(e, axis=-1, keepdims=True)
     out = Tensor(y, (x,))
 
     def backward(g):
@@ -274,11 +286,12 @@ def silu(x: Tensor) -> Tensor:
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     """RMS normalization over the last axis with a learned gain (no mean
     subtraction)."""
-    ms = (x.data * x.data).mean(axis=-1, keepdims=True)
+    d = x.data.shape[-1]
+    # the sum and division ndarray.mean does, without its Python wrapper
+    ms = np.add.reduce(x.data * x.data, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(ms + eps)
     xn = x.data * inv
     out = Tensor(xn * gain.data, (x, gain))
-    d = x.data.shape[-1]
 
     def backward(g):
         gg = _unbroadcast(g * xn, gain.data.shape)
@@ -297,16 +310,20 @@ def causal_attention_scores(q: Tensor, k: Tensor) -> Tensor:
     it are masked to a large negative constant. Tq == Tk is the full causal
     mask."""
     dh = q.data.shape[-1]
-    s = np.matmul(q.data, np.swapaxes(k.data, -1, -2)) / math.sqrt(dh)
+    s = np.matmul(q.data, k.data.swapaxes(-1, -2)) / math.sqrt(dh)
     tq, tk = s.shape[-2:]
-    mask = np.triu(np.ones((tq, tk), dtype=bool), k=tk - tq + 1)
-    s = np.where(mask, np.asarray(NEG_MASK, dtype=_DTYPE), s)
+    # a single query is the last position and sees every key
+    mask = None if tq == 1 else np.arange(tk) > np.arange(tk - tq, tk)[:, None]
+    if mask is not None:
+        s = np.where(mask, np.asarray(NEG_MASK, dtype=_DTYPE), s)
     out = Tensor(s, (q, k))
 
     def backward(g):
-        g = np.where(mask, 0.0, g) / math.sqrt(dh)
+        if mask is not None:
+            g = np.where(mask, 0.0, g)
+        g = g / math.sqrt(dh)
         gq = np.matmul(g, k.data)
-        gk = np.matmul(np.swapaxes(g, -1, -2), q.data)
+        gk = np.matmul(g.swapaxes(-1, -2), q.data)
         return [(q, gq), (k, gk)]
 
     out._backward = backward
@@ -341,8 +358,10 @@ def log(x: Tensor) -> Tensor:
 
 
 def exp(x: Tensor) -> Tensor:
-    out = Tensor(np.exp(x.data), (x,))
-    out._backward = lambda g: [(x, g * out.data)]
+    y = np.exp(x.data)
+    out = Tensor(y, (x,))
+    # capture the array, not `out`: a closure over its own Tensor is a cycle
+    out._backward = lambda g: [(x, g * y)]
     return _emit(out)
 
 
@@ -378,8 +397,8 @@ def reshape(x: Tensor, shape) -> Tensor:
 
 
 def swapaxes(x: Tensor, a: int, b: int) -> Tensor:
-    out = Tensor(np.swapaxes(x.data, a, b), (x,))
-    out._backward = lambda g: [(x, np.swapaxes(g, a, b))]
+    out = Tensor(x.data.swapaxes(a, b), (x,))
+    out._backward = lambda g: [(x, g.swapaxes(a, b))]
     return _emit(out)
 
 

@@ -12,8 +12,9 @@ from . import autodiff as ad
 from .actions import policy_forward, world_logits
 from .autodiff import Tensor
 from .config import DiversityConfig
-from .model import ModelState, base_forward
-from .training import eval_base_ce, inverse_action_labels, rollout_batch
+from .model import ModelState, base_forward, base_logits
+from .training import (eval_base_ce, inverse_action_labels, inverse_labels,
+                       rollout_batch)
 
 log = logging.getLogger(__name__)
 
@@ -63,11 +64,11 @@ def marginal_kl(state: ModelState, contexts) -> float:
     """Mean KL(base || action-mixture) over contexts, mixture computed by
     explicit summation over all actions."""
     contexts = np.asarray(contexts)
-    cfg = state.cfg
-    e_l, base_logits = base_forward(state.groups["base"], cfg, contexts)
+    cfg, base = state.cfg, state.groups["base"]
+    e_l = base_forward(base, cfg, contexts)
     t = contexts.shape[1]
     e_last = ad.slice_time(e_l, t - 1, None)
-    p_base = ad.softmax(base_logits).data[:, -1, :]  # (B, V)
+    p_base = ad.softmax(base_logits(base, e_l)).data[:, -1, :]  # (B, V)
     pi = policy_forward(state.groups["policy"], cfg, e_l).data[:, -1, :]  # (B, N)
     codes = state.groups["codebook"]["codes"].data
     mixture = np.zeros_like(p_base)
@@ -95,8 +96,9 @@ def val_loss(state: ModelState, corpus, mode: str, batch_size: int = 64,
     total, count = 0.0, 0
     for i in range(0, len(corpus), batch_size):
         chunk = corpus[i:i + batch_size]
-        e_l, _ = base_forward(state.groups["base"], state.cfg, chunk)
-        labels = inverse_action_labels(state, chunk, gumbel_temp)
+        # a leaf, as in inverse_action_labels: nothing here takes a gradient
+        e_l = Tensor(base_forward(state.groups["base"], state.cfg, chunk).data)
+        labels = inverse_labels(state, e_l, gumbel_temp)
         action = ad.embedding(state.groups["codebook"]["codes"], labels)
         logits = world_logits(state.groups["merge"], state.cfg,
                               ad.slice_time(e_l, 0, -1), action)

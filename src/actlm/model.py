@@ -124,11 +124,12 @@ def param_shapes(cfg: ArchConfig) -> dict[str, dict[str, tuple]]:
 
 
 def base_forward(p: dict[str, Tensor], cfg: ArchConfig, tokens,
-                 cache: list[KVCache] | None = None) -> tuple[Tensor, Tensor]:
-    """tokens (B, T) int -> (embeddings (B, T, d), next-token logits (B, T, V)).
+                 cache: list[KVCache] | None = None) -> Tensor:
+    """tokens (B, T) int -> embeddings (B, T, d); `base_logits` turns them
+    into next-token logits.
 
     With one KVCache per block, tokens continue the cached positions and
-    the outputs cover only them."""
+    the output covers only them."""
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
         raise ValueError("tokens must be (batch, time)")
@@ -136,16 +137,19 @@ def base_forward(p: dict[str, Tensor], cfg: ArchConfig, tokens,
     start = 0 if cache is None else cache[0].length
     if start + t > cfg.max_seq_len:
         raise ValueError(f"sequence length {start + t} exceeds max_seq_len {cfg.max_seq_len}")
-    if tokens.size and (tokens.min() < 0 or tokens.max() >= cfg.vocab_size):
-        raise ValueError("token id out of range")
+    # ad.embedding rejects token ids outside the table's vocab_size rows
     x = ad.add(ad.embedding(p["tok_emb"], tokens),
                ad.slice_time(ad.reshape(p["pos_emb"], (1, cfg.max_seq_len, cfg.d_model)),
                              start, start + t))
     for i in range(cfg.n_layers_base):
         x = block_forward(p, f"blk{i}", x, cfg, None if cache is None else cache[i])
-    e_l = ad.rms_norm(x, p["ln_out"])
-    logits = ad.matmul(e_l, p["lm_head"])
-    return e_l, logits
+    return ad.rms_norm(x, p["ln_out"])
+
+
+def base_logits(p: dict[str, Tensor], e_l: Tensor) -> Tensor:
+    """Next-token logits (B, T, V) of the base lm-head from base_forward's
+    embeddings."""
+    return ad.matmul(e_l, p["lm_head"])
 
 
 GROUP_NAMES = ("base", "merge", "inverse", "policy", "codebook", "q_online", "q_target")

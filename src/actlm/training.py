@@ -20,7 +20,7 @@ from .actions import (Decoder, assign_direct, assign_vq, inverse_encode,
                       one_hot, policy_forward, policy_log_probs, q_forward,
                       world_logits)
 from .config import TrainConfig
-from .model import ModelState, base_forward
+from .model import ModelState, base_forward, base_logits
 
 
 @dataclass
@@ -79,8 +79,11 @@ class AdamW:
 
 
 def _frozen_base_embeddings(state: ModelState, tokens):
-    """Base embeddings with the gradient path into the base severed."""
-    e_l, _ = base_forward(state.groups["base"], state.cfg, tokens)
+    """Base embeddings with the gradient path into the base severed. The
+    base forward stays off the tape: no gradient reaches it, and its graph
+    would otherwise live through the step's backward pass."""
+    with ad.untaped():
+        e_l = base_forward(state.groups["base"], state.cfg, tokens)
     return ad.stop_grad(e_l)
 
 
@@ -90,7 +93,8 @@ def _frozen_base_embeddings(state: ModelState, tokens):
 
 def loss_base_ar(state: ModelState, tokens):
     """Mean next-token cross-entropy of the base lm-head; (loss, parts)."""
-    _, logits = base_forward(state.groups["base"], state.cfg, tokens)
+    base = state.groups["base"]
+    logits = base_logits(base, base_forward(base, state.cfg, tokens))
     loss = ad.mean_(ad.cross_entropy(ad.slice_time(logits, 0, -1), tokens[:, 1:]))
     return loss, {"loss": loss.item()}
 
@@ -131,7 +135,14 @@ def loss_pre1(state: ModelState, tokens, cfg: TrainConfig, rng=None,
 
 def inverse_action_labels(state: ModelState, tokens, gumbel_temp: float) -> np.ndarray:
     """Eval-mode inverse assignment indices (B, T-1); no gradients."""
-    e_l, _ = base_forward(state.groups["base"], state.cfg, np.asarray(tokens))
+    # indices carry no gradient, so the embeddings enter as a leaf and the
+    # base forward's intermediates are freed before the encoder runs
+    e_l = Tensor(base_forward(state.groups["base"], state.cfg, np.asarray(tokens)).data)
+    return inverse_labels(state, e_l, gumbel_temp)
+
+
+def inverse_labels(state: ModelState, e_l: Tensor, gumbel_temp: float) -> np.ndarray:
+    """inverse_action_labels from the base embeddings of the tokens."""
     e_i = inverse_encode(state.groups["inverse"], state.cfg, e_l)
     assign = assign_direct(state.groups["inverse"], state.groups["codebook"],
                            e_i, gumbel_temp, mode="eval")
@@ -165,7 +176,7 @@ def fta_actions(state: ModelState, tokens, mode: str, gumbel_temp: float) -> np.
     if mode == "FTA-I":
         return inverse_action_labels(state, tokens, gumbel_temp)
     if mode == "FTA-P":
-        e_l, _ = base_forward(state.groups["base"], state.cfg, tokens)
+        e_l = base_forward(state.groups["base"], state.cfg, tokens)
         probs = policy_forward(state.groups["policy"], state.cfg, e_l)
         return probs.data[:, :-1, :].argmax(axis=-1)
     raise ValueError(f"unknown FTA mode: {mode!r}")
@@ -178,7 +189,7 @@ def loss_fta(state: ModelState, tokens, prompt_len: int, action_indices):
     t_total = tokens.shape[1]
     if prompt_len >= t_total:
         raise ValueError("empty response: prompt_len >= sequence length")
-    e_l, _ = base_forward(state.groups["base"], state.cfg, tokens)
+    e_l = base_forward(state.groups["base"], state.cfg, tokens)
     action = ad.stop_grad(ad.embedding(state.groups["codebook"]["codes"],
                                        action_indices[:, prompt_len - 1:]))
     e_ctx = ad.slice_time(e_l, prompt_len - 1, -1)
@@ -309,7 +320,7 @@ def q_values_fn(state: ModelState, group: str):
     """Q(x_{1:t}, .) as a callable on a 1-d token context."""
     def q(context) -> np.ndarray:
         tokens = np.asarray(context).reshape(1, -1)
-        e_l, _ = base_forward(state.groups["base"], state.cfg, tokens)
+        e_l = base_forward(state.groups["base"], state.cfg, tokens)
         vals = q_forward(state.groups[group], state.cfg, ad.stop_grad(e_l))
         return vals.data[0, -1, :]
     return q
@@ -427,10 +438,11 @@ def pretrain_base_ar(state: ModelState, corpus, val_corpus, cfg: TrainConfig,
 
 
 def eval_base_ce(state: ModelState, corpus, batch_size: int = 64) -> float:
+    base = state.groups["base"]
     total, count = 0.0, 0
     for i in range(0, len(corpus), batch_size):
         chunk = corpus[i:i + batch_size]
-        _, logits = base_forward(state.groups["base"], state.cfg, chunk)
+        logits = base_logits(base, base_forward(base, state.cfg, chunk))
         ce = ad.cross_entropy(ad.slice_time(logits, 0, -1), chunk[:, 1:])
         total += float(ce.data.sum())
         count += ce.data.size

@@ -26,7 +26,7 @@ from actlm.config import ArchConfig, SearchConfig, TrainConfig
 from actlm.data import CountdownTask, HmmCorpusConfig, countdown_reward, \
     gen_hmm_corpus, hmm_matrices, open_prefixes
 from actlm.diagnostics import alive_actions, marginal_kl, val_loss
-from actlm.model import base_forward, init_model
+from actlm.model import base_forward, base_logits, init_model
 from actlm.search import LatentActionLM, audit_tree, mcts_search, uct_score
 from actlm.training import Transition, fta_actions, inverse_action_labels, \
     loss_fta, loss_pre1, loss_pre2, pretrain_base_ar, q_values_fn, \
@@ -222,7 +222,7 @@ def test_straight_through_forward_is_exact_one_hot():
         state = init_model(arch, seed)
         rng = np.random.default_rng(seed)
         tokens = rng.integers(0, 7, size=(2, 5))
-        e_l, _ = base_forward(state.groups["base"], arch, tokens)
+        e_l = base_forward(state.groups["base"], arch, tokens)
         e_i = inverse_encode(state.groups["inverse"], arch, e_l)
         assign = assign_direct(state.groups["inverse"],
                                state.groups["codebook"], e_i, 1.0,
@@ -303,7 +303,7 @@ def test_codebook_stays_alive(hmm_run, capsys):
 def test_policy_clones_inverse_labels(bc_run):
     state, val = bc_run["state"], bc_run["val"]
     labels = inverse_action_labels(state, val, 1.0)
-    e_l, _ = base_forward(state.groups["base"], state.cfg, val)
+    e_l = base_forward(state.groups["base"], state.cfg, val)
     probs = policy_forward(state.groups["policy"], state.cfg, e_l)
     predicted = probs.data[:, :-1, :].argmax(axis=-1)
     agreement = float((predicted == labels).mean())
@@ -329,7 +329,8 @@ def test_marginal_kl_matches_brute_force_oracle():
 
     total = 0.0
     for ctx in contexts:
-        e_l, logits = base_forward(state.groups["base"], arch, ctx[None])
+        e_l = base_forward(state.groups["base"], arch, ctx[None])
+        logits = base_logits(state.groups["base"], e_l)
         p = soft(logits.data[0, -1])
         pi = policy_forward(state.groups["policy"], arch, e_l).data[0, -1]
         mix = np.zeros_like(p)

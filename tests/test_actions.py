@@ -20,7 +20,7 @@ def make_inputs(seed=0, b=2, t=5):
     state = init_model(CFG, seed)
     tokens = np.random.default_rng(seed).integers(0, 9, size=(b, t))
     from actlm.model import base_forward
-    e_l, _ = base_forward(state.groups["base"], CFG, tokens)
+    e_l = base_forward(state.groups["base"], CFG, tokens)
     return state, e_l
 
 
@@ -165,7 +165,7 @@ def test_inverse_encode_sees_one_step_of_future():
     tokens = rng.integers(0, 9, size=(1, 6))
 
     def labels(tok):
-        e_l, _ = base_forward(state.groups["base"], CFG, tok)
+        e_l = base_forward(state.groups["base"], CFG, tok)
         e_i = inverse_encode(state.groups["inverse"], CFG, e_l)
         return assign_direct(state.groups["inverse"], state.groups["codebook"],
                              e_i, 1.0, mode="eval").logits.data

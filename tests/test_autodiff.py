@@ -1,6 +1,8 @@
 """Unit tests for the reverse-mode engine: per-primitive gradient checks
 against central finite differences and structural tape behavior."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,107 @@ def test_causal_attention_scores_query_offset(verify_mode):
         assert (np.abs(part - full[:, 5 - tq:]) <= bound[:, 5 - tq:]).all()
 
 
+# Reference formulas in plain numpy spelling. The primitives skip numpy's
+# Python-level wrappers and masks that mask nothing; they must give the same
+# bits, forward and backward.
+
+def rms_norm_reference(x, gain, g, eps=1e-5):
+    """(output, grad x, grad gain) with the mean square from ndarray.mean."""
+    ms = (x * x).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(ms + eps)
+    xn = x * inv
+    gx_n = g * gain
+    gx = inv * (gx_n - x * (inv * inv / x.shape[-1])
+                * (gx_n * x).sum(axis=-1, keepdims=True))
+    return xn * gain, gx, (g * xn).sum(axis=tuple(range(x.ndim - 1)))
+
+
+def scores_reference(q, k, g):
+    """(scores, grad q, grad k) with a fresh np.triu mask applied by an
+    unconditional np.where."""
+    dh = q.shape[-1]
+    s = np.matmul(q, np.swapaxes(k, -1, -2)) / math.sqrt(dh)
+    tq, tk = s.shape[-2:]
+    mask = np.triu(np.ones((tq, tk), dtype=bool), k=tk - tq + 1)
+    s = np.where(mask, np.asarray(ad.NEG_MASK, dtype=s.dtype), s)
+    g = np.where(mask, 0.0, g) / math.sqrt(dh)
+    return s, np.matmul(g, k), np.matmul(np.swapaxes(g, -1, -2), q)
+
+
+def softmax_reference(x, g):
+    """(output, grad x) with the ndarray.max and .sum methods."""
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    y = e / e.sum(axis=-1, keepdims=True)
+    return y, (g - (g * y).sum(axis=-1, keepdims=True)) * y
+
+
+def forward_and_grads(op, inputs, rng):
+    """op's output and the gradients of sum(g * output) for a random g."""
+    with Tape() as tape:
+        out = op(*inputs)
+    g = rng.normal(size=out.shape).astype(out.data.dtype)
+    grads = tape.gradients(out, seed=g)
+    return out.data, [tape.grad(grads, t) for t in inputs], g
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("mode", ["train", "verify"])
+@pytest.mark.parametrize("shape", [(1, 1, 32), (2, 5, 32), (3, 7, 8), (4, 9)])
+def test_rms_norm_matches_mean_formula(mode, shape):
+    ad.set_precision(mode)
+    dtype = ad.active_dtype()
+    for seed in range(25):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), size=shape))
+        gain = Tensor(rng.normal(size=shape[-1:]))
+        out, (gx, gg), g = forward_and_grads(ad.rms_norm, [x, gain], rng)
+        ref, ref_gx, ref_gg = rms_norm_reference(x.data, gain.data, g)
+        assert out.dtype == dtype
+        for got, want in ((out, ref), (gx, ref_gx), (gg, ref_gg)):
+            assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("mode", ["train", "verify"])
+@pytest.mark.parametrize("tq", [1, 2, 5, 6])  # Tq == 1, 1 < Tq < Tk, Tq == Tk
+def test_causal_attention_scores_match_triu_mask(mode, tq):
+    ad.set_precision(mode)
+    for seed in range(25):
+        rng = np.random.default_rng(seed)
+        q = Tensor(rng.normal(size=(2, 3, tq, 4)))
+        k = Tensor(rng.normal(size=(2, 3, 6, 4)))
+        out, (gq, gk), g = forward_and_grads(ad.causal_attention_scores,
+                                             [q, k], rng)
+        for got, want in zip((out, gq, gk), scores_reference(q.data, k.data, g)):
+            assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("mode", ["train", "verify"])
+def test_softmax_matches_method_reductions(mode):
+    ad.set_precision(mode)
+    for seed in range(25):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(0.0, 5.0, size=(2, 3, 1 + seed % 9)))
+        out, (gx,), g = forward_and_grads(ad.softmax, [x], rng)
+        for got, want in zip((out, gx), softmax_reference(x.data, g)):
+            assert_same_bits(got, want)
+
+
+def test_tensor_keeps_arrays_of_the_active_dtype():
+    """An ndarray of the active dtype is stored as is (np.asarray aliases it
+    too); anything else is converted to that dtype."""
+    a = np.ones(3, dtype=ad.active_dtype())
+    assert Tensor(a).data is a
+    for other in (np.ones(3), np.ones(3, dtype=int), [1.0, 2.0], 2.0,
+                  np.float32(2.0), np.ones(3, dtype=">f4")):
+        t = Tensor(other)
+        assert type(t.data) is np.ndarray and t.data.dtype == ad.active_dtype()
+        np.testing.assert_array_equal(t.data, np.asarray(other, dtype=np.float64))
+
+
 def test_embedding_gradients_accumulate_repeated_ids(verify_mode):
     table = Tensor(np.random.default_rng(0).normal(size=(4, 3)))
     ids = np.array([1, 1, 2])
@@ -180,6 +283,19 @@ def test_stop_grad_blocks_gradient():
         loss = ad.sum_(ad.mul(ad.stop_grad(x), x))
         grads = tape.gradients(loss)
     np.testing.assert_allclose(tape.grad(grads, x), x.data, rtol=1e-6)
+
+
+def test_untaped_ops_stay_off_the_tape():
+    """Ops inside `untaped` are not recorded, so their output is a constant
+    to the tape: d/dx sum(3x * x) is read as 3x, not 6x."""
+    x = Tensor(np.array([1.0, 2.0]))
+    with Tape() as tape:
+        with ad.untaped():
+            y = ad.scale(x, 3.0)
+        loss = ad.sum_(ad.mul(y, x))
+        grads = tape.gradients(loss)
+    assert len(tape.nodes) == 2
+    np.testing.assert_allclose(tape.grad(grads, x), y.data, rtol=1e-6)
 
 
 def test_stop_grad_capture_replays_recorded_values():

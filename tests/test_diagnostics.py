@@ -12,7 +12,8 @@ from actlm.diagnostics import (action_token_table, alive_actions, marginal_kl,
                                normalized_mutual_information,
                                semantic_diversity, token_bags, val_loss,
                                write_action_token_tsv)
-from actlm.model import base_forward, init_model
+from actlm.model import base_forward, base_logits, init_model
+from actlm.training import inverse_action_labels
 
 
 CFG = ArchConfig(vocab_size=9, d_model=8, n_heads=2, max_seq_len=16,
@@ -63,7 +64,8 @@ def test_marginal_kl_matches_brute_force_oracle():
 
     total = 0.0
     for ctx in contexts:
-        e_l, logits = base_forward(state.groups["base"], CFG, ctx[None])
+        e_l = base_forward(state.groups["base"], CFG, ctx[None])
+        logits = base_logits(state.groups["base"], e_l)
         p = soft(logits.data[0, -1])
         pi = policy_forward(state.groups["policy"], CFG, e_l).data[0, -1]
         mix = np.zeros_like(p)
@@ -94,6 +96,26 @@ def test_val_loss_rejects_unknown_mode():
     corpus = np.random.default_rng(0).integers(0, 9, size=(6, 7))
     with pytest.raises(ValueError, match="nonsense"):
         val_loss(state, corpus, "nonsense")
+
+
+def test_val_loss_with_actions_matches_separate_label_forward():
+    """The labels come from the embeddings val_loss already has; the figure
+    equals that of labels from a second base forward, bit for bit."""
+    state = init_model(CFG, 3)
+    corpus = np.random.default_rng(3).integers(0, 9, size=(5, 7))
+    total = count = 0
+    for i in range(0, len(corpus), 2):
+        chunk = corpus[i:i + 2]
+        e_l = base_forward(state.groups["base"], CFG, chunk)
+        action = ad.embedding(state.groups["codebook"]["codes"],
+                              inverse_action_labels(state, chunk, 0.5))
+        logits = world_logits(state.groups["merge"], CFG,
+                              ad.slice_time(e_l, 0, -1), action)
+        ce = ad.cross_entropy(logits, chunk[:, 1:])
+        total += float(ce.data.sum())
+        count += ce.data.size
+    assert val_loss(state, corpus, "with_actions", batch_size=2,
+                    gumbel_temp=0.5) == total / count
 
 
 def test_action_token_table_counts(tmp_path):

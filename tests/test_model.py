@@ -6,8 +6,8 @@ import pytest
 
 from actlm import autodiff as ad
 from actlm.config import ArchConfig
-from actlm.model import (GROUP_NAMES, KVCache, base_forward, init_model,
-                         param_shapes)
+from actlm.model import (GROUP_NAMES, KVCache, base_forward, base_logits,
+                         init_model, param_shapes)
 from conftest import accumulation_length, matmul_error_bound
 
 
@@ -18,7 +18,8 @@ CFG = ArchConfig(vocab_size=11, d_model=8, n_heads=2, max_seq_len=12,
 def test_base_forward_shapes():
     state = init_model(CFG, 0)
     tokens = np.random.default_rng(0).integers(0, 11, size=(3, 7))
-    e_l, logits = base_forward(state.groups["base"], CFG, tokens)
+    e_l = base_forward(state.groups["base"], CFG, tokens)
+    logits = base_logits(state.groups["base"], e_l)
     assert e_l.shape == (3, 7, 8)
     assert logits.shape == (3, 7, 11)
 
@@ -27,11 +28,12 @@ def test_base_forward_is_causal():
     state = init_model(CFG, 0)
     rng = np.random.default_rng(1)
     tokens = rng.integers(0, 11, size=(1, 8))
-    _, logits = base_forward(state.groups["base"], CFG, tokens)
+    p = state.groups["base"]
+    logits = base_logits(p, base_forward(p, CFG, tokens))
     for t in range(1, 8):
         mutated = tokens.copy()
         mutated[0, t] = (mutated[0, t] + 1 + rng.integers(0, 9)) % 11
-        _, logits2 = base_forward(state.groups["base"], CFG, mutated)
+        logits2 = base_logits(p, base_forward(p, CFG, mutated))
         np.testing.assert_array_equal(logits.data[:, :t], logits2.data[:, :t])
         assert not np.array_equal(logits.data[:, t], logits2.data[:, t])
 
@@ -50,7 +52,8 @@ def test_cached_base_forward_matches_full_prefix(mode, seed):
     n = accumulation_length(cfg, t, cfg.n_layers_base)
 
     def check(tokens, logits, start):
-        e_full, full = base_forward(p, cfg, tokens)
+        e_full = base_forward(p, cfg, tokens)
+        full = base_logits(p, e_full)
         bound = 2 * matmul_error_bound(e_full.data, p["lm_head"].data,
                                        full.data.dtype, n=n)
         err = np.abs(logits - full.data[:, start:])
@@ -58,7 +61,7 @@ def test_cached_base_forward_matches_full_prefix(mode, seed):
 
     tokens = rng.integers(0, cfg.vocab_size, size=(2, t))
     cache = [KVCache(t) for _ in range(cfg.n_layers_base)]
-    steps = [base_forward(p, cfg, tokens[:, i:i + 1], cache)[1].data
+    steps = [base_logits(p, base_forward(p, cfg, tokens[:, i:i + 1], cache)).data
              for i in range(t)]
     check(tokens, np.concatenate(steps, axis=1), 0)
 
@@ -68,7 +71,7 @@ def test_cached_base_forward_matches_full_prefix(mode, seed):
     for c in cache:
         c.length = keep
     cuts = [keep, *sorted(rng.choice(np.arange(keep + 1, t), 2, replace=False)), t]
-    chunks = [base_forward(p, cfg, branch[:, a:b], cache)[1].data
+    chunks = [base_logits(p, base_forward(p, cfg, branch[:, a:b], cache)).data
               for a, b in zip(cuts, cuts[1:])]
     check(branch, np.concatenate(chunks, axis=1), keep)
     with pytest.raises(ValueError):

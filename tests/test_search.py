@@ -206,7 +206,7 @@ def full_prefix_policy(state, tokens):
     """Uncached reference: the policy head's input and the probabilities at
     every position from one full-prefix forward."""
     cfg, policy = state.cfg, state.groups["policy"]
-    h, _ = base_forward(state.groups["base"], cfg, tokens)
+    h = base_forward(state.groups["base"], cfg, tokens)
     for i in range(cfg.n_layers_policy):
         h = block_forward(policy, f"blk{i}", h, cfg)
     logits = ad.matmul(h, policy["head"])
@@ -336,7 +336,7 @@ def reference_greedy(state, prompts, max_len):
     tokens = np.asarray(prompts).copy()
     done = tokens[:, -1] == cfg.eos_token_id
     while tokens.shape[1] < max_len and not done.all():
-        e_l, _ = base_forward(groups["base"], cfg, tokens)
+        e_l = base_forward(groups["base"], cfg, tokens)
         act = policy_forward(groups["policy"], cfg, e_l).data[:, -1].argmax(-1)
         logits = world_logits(groups["merge"], cfg, Tensor(e_l.data[:, -1:]),
                               Tensor(codes[act][:, None, :]))

@@ -2,6 +2,8 @@
 non-finite guard, per-step records), loss wiring, leave-one-out policy
 gradients, and the Double-DQN update."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from actlm import autodiff as ad
 from actlm.autodiff import Tape, Tensor
 from actlm.config import ArchConfig, TrainConfig
 from actlm.data import make_sft_split
-from actlm.model import base_forward, init_model
+from actlm.model import base_forward, base_logits, init_model
 from actlm.training import (AdamW, Transition, decision_mask, dqn_batch,
                             dqn_target, eval_base_ce, fta_actions,
                             inverse_action_labels, loss_base_ar, loss_dqn,
@@ -127,6 +129,30 @@ def test_inverse_action_labels_shape_and_range():
     labels = inverse_action_labels(state, small_tokens(), 1.0)
     assert labels.shape == (3, 6)
     assert labels.min() >= 0 and labels.max() < CFG.codebook_size
+
+
+def test_frozen_base_forward_stays_off_the_tape():
+    from actlm.training import _frozen_base_embeddings
+    with Tape() as tape:
+        e_l = _frozen_base_embeddings(small_state(), small_tokens())
+    assert tape.nodes == [] and e_l.parents == ()
+
+
+def test_inverse_encoder_gets_the_embeddings_as_a_leaf(monkeypatch):
+    """Inverse labels are indices and carry no gradient, so the base
+    forward's graph is not kept alive while the inverse encoder runs."""
+    from actlm import diagnostics, training
+    real, parents = training.inverse_encode, []
+
+    def recording(inverse, cfg, e_l):
+        parents.append(e_l.parents)
+        return real(inverse, cfg, e_l)
+
+    monkeypatch.setattr(training, "inverse_encode", recording)
+    state = small_state()
+    inverse_action_labels(state, small_tokens(), 1.0)
+    diagnostics.val_loss(state, small_tokens(), "with_actions")
+    assert parents == [(), ()]
 
 
 def test_loss_pre2_only_moves_policy():
@@ -351,6 +377,20 @@ def test_train_rl_freezes_everything_but_policy():
     assert state.hashes(("base", "merge", "inverse", "codebook")) == hashes
 
 
+def test_rl_updates_leave_no_reference_cycles():
+    """Each RL update's graph is freed by reference counting alone: with the
+    cyclic collector off, two updates leave nothing for it to collect."""
+    state = small_state()
+    gc.collect()
+    gc.disable()
+    try:
+        train_rl(state, small_tokens(b=2, t=3), lambda r: float(len(r) % 2),
+                 TrainConfig(rl_group_size=4), max_len=8, updates=2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 # ---------------------------------------------------------------------------
 # Double-DQN
 # ---------------------------------------------------------------------------
@@ -442,7 +482,8 @@ def test_eval_base_ce_matches_manual():
     state = small_state()
     corpus = small_tokens(b=4)
     ce = eval_base_ce(state, corpus)
-    _, logits = base_forward(state.groups["base"], CFG, corpus)
+    logits = base_logits(state.groups["base"],
+                         base_forward(state.groups["base"], CFG, corpus))
     z = logits.data[:, :-1] - logits.data[:, :-1].max(axis=-1, keepdims=True)
     lsm = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
     manual = -np.take_along_axis(lsm, corpus[:, 1:, None], axis=-1).mean()
