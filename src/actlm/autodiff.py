@@ -1,10 +1,13 @@
 """Dense-array reverse-mode autodiff on numpy storage.
 
-A Tensor wraps a float ndarray. Ops compute forward with numpy and, when a
-Tape is active, record the output so the tape can later be replayed in
-reverse to accumulate gradients. Two numeric modes exist: float32 for
-training and float64 for verification; the mode is global and must not be
-switched while a tape is open.
+A Tensor wraps a float ndarray. Ops compute forward with numpy. Only while a
+Tape records does an op keep a backward closure over its inputs and append
+its output to the tape, which is later replayed in reverse to accumulate
+gradients; outside a tape (or under `untaped()`) the closure is dropped at
+once, so forward-only work frees each intermediate as soon as nothing reads
+it. Two numeric modes exist: float32 for training and float64 for
+verification; the mode is global and must not be switched while a tape is
+open.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import numpy as np
 _DTYPE = np.dtype(np.float32)
 _TAPE_STACK: list["Tape | None"] = []
 _SG_CAPTURE: list["StopGradCapture"] = []
+_SCALARS: dict[tuple, np.ndarray] = {}
 
 # Large negative additive mask; -inf would poison backward passes with NaN.
 NEG_MASK = -1e9
@@ -40,17 +44,17 @@ def active_dtype():
 
 
 class Tensor:
-    """A dense float array plus the bookkeeping needed for backward."""
+    """A dense float array plus, for an op output a tape recorded, the
+    closure that maps its gradient to its inputs' gradients."""
 
-    __slots__ = ("data", "parents", "_backward")
+    __slots__ = ("data", "_backward")
 
-    def __init__(self, data, parents=(), backward=None):
+    def __init__(self, data):
         # an ndarray of the active dtype is stored as is, as np.asarray would
         if type(data) is not np.ndarray or data.dtype is not _DTYPE:
             data = np.asarray(data, dtype=_DTYPE)
         self.data = data
-        self.parents = parents
-        self._backward = backward
+        self._backward = None
 
     @property
     def shape(self):
@@ -94,7 +98,7 @@ class Tape:
         grads: dict[int, np.ndarray] = {id(output): seed}
         for node in reversed(self.nodes):
             g = grads.get(id(node))
-            if g is None or node._backward is None:
+            if g is None:
                 continue
             for parent, pg in node._backward(g):
                 key = id(parent)
@@ -112,8 +116,9 @@ class Tape:
 @contextlib.contextmanager
 def untaped():
     """Ops inside the block are not recorded on the active tape, so no
-    gradient flows through them. For frozen work: its graph is freed as soon
-    as its output is, instead of living until the tape is."""
+    gradient flows through them and, as outside any tape, each op's inputs
+    and intermediates are freed as soon as nothing else reads them. For
+    frozen and forward-only work inside a training step."""
     _TAPE_STACK.append(None)
     try:
         yield
@@ -121,10 +126,25 @@ def untaped():
         _TAPE_STACK.pop()
 
 
-def _emit(out: Tensor) -> Tensor:
+def _emit(data, backward) -> Tensor:
+    """The output Tensor of an op; it keeps `backward` (and through it the
+    op's inputs) only if the innermost tape records."""
+    out = Tensor(data)
     if _TAPE_STACK and _TAPE_STACK[-1] is not None:
+        out._backward = backward
         _TAPE_STACK[-1].nodes.append(out)
     return out
+
+
+def _scalar(v) -> np.ndarray:
+    """`v` as a 0-d array of the active dtype, made once per dtype: a ufunc
+    takes it with less overhead than a Python scalar, and with the same
+    result."""
+    key = (_DTYPE, v)
+    s = _SCALARS.get(key)
+    if s is None:
+        s = _SCALARS[key] = np.asarray(v, dtype=_DTYPE)
+    return s
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -152,7 +172,6 @@ def _as_array(x):
 
 def add(a: Tensor, b) -> Tensor:
     bd = _as_array(b)
-    out = Tensor(a.data + bd, (a, b))
 
     def backward(g):
         pairs = [(a, _unbroadcast(g, a.data.shape))]
@@ -160,13 +179,11 @@ def add(a: Tensor, b) -> Tensor:
             pairs.append((b, _unbroadcast(g, b.data.shape)))
         return pairs
 
-    out._backward = backward
-    return _emit(out)
+    return _emit(a.data + bd, backward)
 
 
 def sub(a: Tensor, b) -> Tensor:
     bd = _as_array(b)
-    out = Tensor(a.data - bd, (a, b))
 
     def backward(g):
         pairs = [(a, _unbroadcast(g, a.data.shape))]
@@ -174,13 +191,11 @@ def sub(a: Tensor, b) -> Tensor:
             pairs.append((b, _unbroadcast(-g, b.data.shape)))
         return pairs
 
-    out._backward = backward
-    return _emit(out)
+    return _emit(a.data - bd, backward)
 
 
 def mul(a: Tensor, b) -> Tensor:
     bd = _as_array(b)
-    out = Tensor(a.data * bd, (a, b))
 
     def backward(g):
         pairs = [(a, _unbroadcast(g * bd, a.data.shape))]
@@ -188,22 +203,17 @@ def mul(a: Tensor, b) -> Tensor:
             pairs.append((b, _unbroadcast(g * a.data, b.data.shape)))
         return pairs
 
-    out._backward = backward
-    return _emit(out)
+    return _emit(a.data * bd, backward)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
-    out = Tensor(a.data * s, (a,))
-    out._backward = lambda g: [(a, g * s)]
-    return _emit(out)
+    return _emit(a.data * s, lambda g: [(a, g * s)])
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with numpy batching semantics on leading dims; numpy
     raises ValueError on mismatched inner dimensions."""
-    out = Tensor(np.matmul(a.data, b.data), (a, b))
-
     def backward(g):
         ga = np.matmul(g, b.data.swapaxes(-1, -2))
         gb = np.matmul(a.data.swapaxes(-1, -2), g)
@@ -212,8 +222,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             (b, _unbroadcast(gb, b.data.shape)),
         ]
 
-    out._backward = backward
-    return _emit(out)
+    return _emit(np.matmul(a.data, b.data), backward)
 
 
 def embedding(table: Tensor, ids) -> Tensor:
@@ -221,26 +230,22 @@ def embedding(table: Tensor, ids) -> Tensor:
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise ValueError("embedding id out of range")
-    out = Tensor(table.data[ids], (table,))
 
     def backward(g):
         gt = np.zeros_like(table.data)
         np.add.at(gt, ids, g)
         return [(table, gt)]
 
-    out._backward = backward
-    return _emit(out)
+    return _emit(table.data[ids], backward)
 
 
 def concat_last(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(np.concatenate([a.data, b.data], axis=-1), (a, b))
     na = a.data.shape[-1]
 
     def backward(g):
         return [(a, g[..., :na]), (b, g[..., na:])]
 
-    out._backward = backward
-    return _emit(out)
+    return _emit(np.concatenate([a.data, b.data], axis=-1), backward)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -249,38 +254,32 @@ def softmax(x: Tensor) -> Tensor:
     z = x.data - np.maximum.reduce(x.data, axis=-1, keepdims=True)
     e = np.exp(z)
     y = e / np.add.reduce(e, axis=-1, keepdims=True)
-    out = Tensor(y, (x,))
 
     def backward(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
         return [(x, (g - dot) * y)]
 
-    out._backward = backward
-    return _emit(out)
+    return _emit(y, backward)
 
 
 def log_softmax(x: Tensor) -> Tensor:
     z = x.data - x.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    out = Tensor(z - lse, (x,))
-    sm = np.exp(out.data)
+    y = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
     def backward(g):
-        return [(x, g - sm * g.sum(axis=-1, keepdims=True))]
+        return [(x, g - np.exp(y) * g.sum(axis=-1, keepdims=True))]
 
-    out._backward = backward
-    return _emit(out)
+    return _emit(y, backward)
 
 
 def silu(x: Tensor) -> Tensor:
-    sig = 1.0 / (1.0 + np.exp(-x.data))
-    out = Tensor(x.data * sig, (x,))
+    one = _scalar(1.0)
+    sig = one / (one + np.exp(-x.data))
 
     def backward(g):
         return [(x, g * sig * (1.0 + x.data * (1.0 - sig)))]
 
-    out._backward = backward
-    return _emit(out)
+    return _emit(x.data * sig, backward)
 
 
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
@@ -288,10 +287,9 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     subtraction)."""
     d = x.data.shape[-1]
     # the sum and division ndarray.mean does, without its Python wrapper
-    ms = np.add.reduce(x.data * x.data, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(ms + eps)
+    ms = np.add.reduce(x.data * x.data, axis=-1, keepdims=True) / _scalar(d)
+    inv = _scalar(1.0) / np.sqrt(ms + _scalar(eps))
     xn = x.data * inv
-    out = Tensor(xn * gain.data, (x, gain))
 
     def backward(g):
         gg = _unbroadcast(g * xn, gain.data.shape)
@@ -300,8 +298,7 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
         gx = inv * (gx_n - x.data * (inv * inv / d) * (gx_n * x.data).sum(axis=-1, keepdims=True))
         return [(x, gx), (gain, gg)]
 
-    out._backward = backward
-    return _emit(out)
+    return _emit(xn * gain.data, backward)
 
 
 def causal_attention_scores(q: Tensor, k: Tensor) -> Tensor:
@@ -316,7 +313,6 @@ def causal_attention_scores(q: Tensor, k: Tensor) -> Tensor:
     mask = None if tq == 1 else np.arange(tk) > np.arange(tk - tq, tk)[:, None]
     if mask is not None:
         s = np.where(mask, np.asarray(NEG_MASK, dtype=_DTYPE), s)
-    out = Tensor(s, (q, k))
 
     def backward(g):
         if mask is not None:
@@ -326,8 +322,7 @@ def causal_attention_scores(q: Tensor, k: Tensor) -> Tensor:
         gk = np.matmul(g.swapaxes(-1, -2), q.data)
         return [(q, gq), (k, gk)]
 
-    out._backward = backward
-    return _emit(out)
+    return _emit(s, backward)
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
@@ -337,83 +332,65 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     lsm = logits.data - logits.data.max(axis=-1, keepdims=True)
     lsm = lsm - np.log(np.exp(lsm).sum(axis=-1, keepdims=True))
     picked = np.take_along_axis(lsm, targets[..., None], axis=-1)[..., 0]
-    out = Tensor(-picked, (logits,))
-    sm = np.exp(lsm)
 
     def backward(g):
-        gl = sm * g[..., None]
+        gl = np.exp(lsm) * g[..., None]
         np.subtract.at(gl.reshape(-1, gl.shape[-1]),
                        (np.arange(targets.size), targets.reshape(-1)),
                        g.reshape(-1))
         return [(logits, gl)]
 
-    out._backward = backward
-    return _emit(out)
+    return _emit(-picked, backward)
 
 
 def log(x: Tensor) -> Tensor:
-    out = Tensor(np.log(x.data), (x,))
-    out._backward = lambda g: [(x, g / x.data)]
-    return _emit(out)
+    return _emit(np.log(x.data), lambda g: [(x, g / x.data)])
 
 
 def exp(x: Tensor) -> Tensor:
+    # the closure holds the output array, not a Tensor: no cycle through it
     y = np.exp(x.data)
-    out = Tensor(y, (x,))
-    # capture the array, not `out`: a closure over its own Tensor is a cycle
-    out._backward = lambda g: [(x, g * y)]
-    return _emit(out)
+    return _emit(y, lambda g: [(x, g * y)])
 
 
 def sum_(x: Tensor, axis=None) -> Tensor:
-    out = Tensor(x.data.sum(axis=axis), (x,))
-
     def backward(g):
         if axis is None:
             return [(x, np.broadcast_to(g, x.data.shape).copy())]
         return [(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy())]
 
-    out._backward = backward
-    return _emit(out)
+    return _emit(x.data.sum(axis=axis), backward)
 
 
 def mean_(x: Tensor, axis=None) -> Tensor:
     n = x.data.size if axis is None else x.data.shape[axis]
-    out = Tensor(x.data.mean(axis=axis), (x,))
 
     def backward(g):
         if axis is None:
             return [(x, np.broadcast_to(g / n, x.data.shape).copy())]
         return [(x, np.broadcast_to(np.expand_dims(g, axis) / n, x.data.shape).copy())]
 
-    out._backward = backward
-    return _emit(out)
+    return _emit(x.data.mean(axis=axis), backward)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    out = Tensor(x.data.reshape(shape), (x,))
-    out._backward = lambda g: [(x, g.reshape(x.data.shape))]
-    return _emit(out)
+    return _emit(x.data.reshape(shape), lambda g: [(x, g.reshape(x.data.shape))])
 
 
 def swapaxes(x: Tensor, a: int, b: int) -> Tensor:
-    out = Tensor(x.data.swapaxes(a, b), (x,))
-    out._backward = lambda g: [(x, g.swapaxes(a, b))]
-    return _emit(out)
+    return _emit(x.data.swapaxes(a, b), lambda g: [(x, g.swapaxes(a, b))])
 
 
 def slice_time(x: Tensor, start, stop) -> Tensor:
     """Slice along axis 1 (the time axis of a (B, T, ...) tensor)."""
     idx = (slice(None), slice(start, stop))
-    out = Tensor(x.data[idx], (x,))
 
     def backward(g):
         gx = np.zeros_like(x.data)
         gx[idx] = g
         return [(x, gx)]
 
-    out._backward = backward
-    return _emit(out)
+    return _emit(x.data[idx], backward)
 
 
 class StopGradCapture:

@@ -122,7 +122,7 @@ def _parse_body(body: bytes):
             raise ValueError(f"repeated tensor {name!r}")
         t = Tensor.__new__(Tensor)
         t.data = np.frombuffer(body[off:off + nbytes], dtype=dtype).reshape(shape).copy()
-        t.parents, t._backward = (), None
+        t._backward = None
         groups[group][tname] = t
         off += nbytes
     return header, groups, off

@@ -96,8 +96,7 @@ def val_loss(state: ModelState, corpus, mode: str, batch_size: int = 64,
     total, count = 0.0, 0
     for i in range(0, len(corpus), batch_size):
         chunk = corpus[i:i + batch_size]
-        # a leaf, as in inverse_action_labels: nothing here takes a gradient
-        e_l = Tensor(base_forward(state.groups["base"], state.cfg, chunk).data)
+        e_l = base_forward(state.groups["base"], state.cfg, chunk)
         labels = inverse_labels(state, e_l, gumbel_temp)
         action = ad.embedding(state.groups["codebook"]["codes"], labels)
         logits = world_logits(state.groups["merge"], state.cfg,

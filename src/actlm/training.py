@@ -134,11 +134,11 @@ def loss_pre1(state: ModelState, tokens, cfg: TrainConfig, rng=None,
 
 
 def inverse_action_labels(state: ModelState, tokens, gumbel_temp: float) -> np.ndarray:
-    """Eval-mode inverse assignment indices (B, T-1); no gradients."""
-    # indices carry no gradient, so the embeddings enter as a leaf and the
-    # base forward's intermediates are freed before the encoder runs
-    e_l = Tensor(base_forward(state.groups["base"], state.cfg, np.asarray(tokens)).data)
-    return inverse_labels(state, e_l, gumbel_temp)
+    """Eval-mode inverse assignment indices (B, T-1); no gradients, so
+    nothing is recorded even inside a tape."""
+    with ad.untaped():
+        e_l = base_forward(state.groups["base"], state.cfg, np.asarray(tokens))
+        return inverse_labels(state, e_l, gumbel_temp)
 
 
 def inverse_labels(state: ModelState, e_l: Tensor, gumbel_temp: float) -> np.ndarray:
@@ -321,7 +321,7 @@ def q_values_fn(state: ModelState, group: str):
     def q(context) -> np.ndarray:
         tokens = np.asarray(context).reshape(1, -1)
         e_l = base_forward(state.groups["base"], state.cfg, tokens)
-        vals = q_forward(state.groups[group], state.cfg, ad.stop_grad(e_l))
+        vals = q_forward(state.groups[group], state.cfg, e_l)
         return vals.data[0, -1, :]
     return q
 

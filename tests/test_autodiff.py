@@ -1,7 +1,10 @@
 """Unit tests for the reverse-mode engine: per-primitive gradient checks
 against central finite differences and structural tape behavior."""
 
+import contextlib
+import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ from hypothesis import strategies as st
 from actlm import autodiff as ad
 from actlm.autodiff import (StopGradCapture, Tape, Tensor, finite_diff_check,
                             set_precision)
+from actlm.config import ArchConfig
+from actlm.model import base_forward, init_model
 from conftest import matmul_error_bound
 
 
@@ -145,6 +150,12 @@ def scores_reference(q, k, g):
     return s, np.matmul(g, k), np.matmul(np.swapaxes(g, -1, -2), q)
 
 
+def silu_reference(x, g):
+    """(output, grad x) with Python-scalar ufunc operands."""
+    sig = 1.0 / (1.0 + np.exp(-x))
+    return x * sig, g * sig * (1.0 + x * (1.0 - sig))
+
+
 def softmax_reference(x, g):
     """(output, grad x) with the ndarray.max and .sum methods."""
     z = x - x.max(axis=-1, keepdims=True)
@@ -205,6 +216,111 @@ def test_softmax_matches_method_reductions(mode):
         out, (gx,), g = forward_and_grads(ad.softmax, [x], rng)
         for got, want in zip((out, gx), softmax_reference(x.data, g)):
             assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("mode", ["train", "verify"])
+def test_silu_matches_scalar_formula(mode):
+    ad.set_precision(mode)
+    for seed in range(25):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(0.0, 10.0 ** rng.uniform(-2, 1.5), size=(2, 3, 8)))
+        out, (gx,), g = forward_and_grads(ad.silu, [x], rng)
+        assert out.dtype == ad.active_dtype()
+        for got, want in zip((out, gx), silu_reference(x.data, g)):
+            assert_same_bits(got, want)
+
+
+def _primitive_inputs():
+    rng = np.random.default_rng(0)
+
+    def t(*shape):
+        return Tensor(rng.normal(size=shape))
+
+    return {"x": t(2, 3, 4), "y": t(2, 3, 4), "w": t(4, 5), "gain": t(4),
+            "table": t(9, 4), "ids": rng.integers(0, 9, size=(2, 3)),
+            "targets": rng.integers(0, 4, size=(2, 3))}
+
+
+# One call of every primitive on the inputs above.
+EVERY_PRIMITIVE = {
+    "add": lambda i: ad.add(i["x"], i["y"]),
+    "sub": lambda i: ad.sub(i["x"], i["y"]),
+    "mul": lambda i: ad.mul(i["x"], i["y"]),
+    "scale": lambda i: ad.scale(i["x"], 1.7),
+    "matmul": lambda i: ad.matmul(i["x"], i["w"]),
+    "embedding": lambda i: ad.embedding(i["table"], i["ids"]),
+    "concat_last": lambda i: ad.concat_last(i["x"], i["y"]),
+    "softmax": lambda i: ad.softmax(i["x"]),
+    "log_softmax": lambda i: ad.log_softmax(i["x"]),
+    "silu": lambda i: ad.silu(i["x"]),
+    "rms_norm": lambda i: ad.rms_norm(i["x"], i["gain"]),
+    "causal_attention_scores": lambda i: ad.causal_attention_scores(i["x"], i["y"]),
+    "cross_entropy": lambda i: ad.cross_entropy(i["x"], i["targets"]),
+    "log": lambda i: ad.log(ad.exp(i["x"])),
+    "exp": lambda i: ad.exp(i["x"]),
+    "sum_": lambda i: ad.sum_(i["x"], axis=1),
+    "mean_": lambda i: ad.mean_(i["x"]),
+    "reshape": lambda i: ad.reshape(i["x"], (6, 4)),
+    "swapaxes": lambda i: ad.swapaxes(i["x"], 0, 2),
+    "slice_time": lambda i: ad.slice_time(i["x"], 1, 3),
+}
+
+
+def test_every_primitive_is_covered():
+    emitting = {name for name, fn in vars(ad).items()
+                if inspect.isfunction(fn) and "_emit" in fn.__code__.co_names}
+    assert emitting == set(EVERY_PRIMITIVE)
+
+
+@pytest.mark.parametrize("mode", ["train", "verify"])
+@pytest.mark.parametrize("name", sorted(EVERY_PRIMITIVE))
+def test_untaped_primitive_keeps_no_closure(name, mode):
+    """Outside a tape and under `untaped()` an op gives the same bits as on a
+    tape but holds no backward closure, so nothing keeps its inputs or
+    intermediates alive."""
+    ad.set_precision(mode)
+    op, inputs = EVERY_PRIMITIVE[name], _primitive_inputs()
+    with Tape() as tape:
+        taped = op(inputs)
+    assert tape.nodes[-1] is taped and taped._backward is not None
+    free = op(inputs)
+    with Tape() as tape:
+        with ad.untaped():
+            inner = op(inputs)
+    assert tape.nodes == []
+    for out in (free, inner):
+        assert out._backward is None
+        assert_same_bits(out.data, taped.data)
+
+
+def test_untaped_base_forward_frees_its_intermediates():
+    """tracemalloc peak of a B=64 x T=64 base forward without a tape stays
+    within the live set of one block: softmax holds four arrays the size of
+    the attention scores (input, shifted, exp, output), and the residual,
+    norm, q, k and v fit in four B x T x d_ff activations. On a tape every
+    block's graph stays alive, well past that bound."""
+    cfg = ArchConfig()
+    base = init_model(cfg, 0).groups["base"]
+    b = t = 64
+    tokens = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(b, t))
+    itemsize = ad.active_dtype().itemsize
+    scores = b * cfg.n_heads * t * t * itemsize
+    bound = 4 * scores + 4 * b * t * cfg.intermediate_dim * itemsize
+
+    def peak(record):
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        base_mem = tracemalloc.get_traced_memory()[0]
+        with Tape() if record else contextlib.nullcontext():
+            base_forward(base, cfg, tokens)
+        grown = tracemalloc.get_traced_memory()[1] - base_mem
+        if not tracing:
+            tracemalloc.stop()
+        return grown
+
+    assert peak(record=False) < bound < peak(record=True)
 
 
 def test_tensor_keeps_arrays_of_the_active_dtype():

@@ -135,24 +135,32 @@ def test_frozen_base_forward_stays_off_the_tape():
     from actlm.training import _frozen_base_embeddings
     with Tape() as tape:
         e_l = _frozen_base_embeddings(small_state(), small_tokens())
-    assert tape.nodes == [] and e_l.parents == ()
+    assert tape.nodes == [] and e_l._backward is None
 
 
 def test_inverse_encoder_gets_the_embeddings_as_a_leaf(monkeypatch):
     """Inverse labels are indices and carry no gradient, so the base
-    forward's graph is not kept alive while the inverse encoder runs."""
+    forward's graph is not kept alive while the inverse encoder runs, and
+    nothing is recorded even inside an open tape."""
     from actlm import diagnostics, training
-    real, parents = training.inverse_encode, []
+    real, backwards = training.inverse_encode, []
 
     def recording(inverse, cfg, e_l):
-        parents.append(e_l.parents)
+        backwards.append(e_l._backward)
         return real(inverse, cfg, e_l)
 
     monkeypatch.setattr(training, "inverse_encode", recording)
-    state = small_state()
-    inverse_action_labels(state, small_tokens(), 1.0)
-    diagnostics.val_loss(state, small_tokens(), "with_actions")
-    assert parents == [(), ()]
+    state, tokens = small_state(), small_tokens()
+    with Tape() as tape:
+        labels = inverse_action_labels(state, tokens, 1.0)
+    assert tape.nodes == []
+    with Tape() as given:
+        loss_pre2(state, tokens, labels=labels)
+    with Tape() as derived:
+        loss_pre2(state, tokens)
+    assert len(derived.nodes) == len(given.nodes)
+    diagnostics.val_loss(state, tokens, "with_actions")
+    assert backwards == [None] * 3
 
 
 def test_loss_pre2_only_moves_policy():
@@ -275,6 +283,41 @@ def test_stage_drivers_record_every_step(stage):
     expected = {stage, "fta-policy-refresh"} if stage == "fta-FTA-I" else {stage}
     assert set(by_stage) == expected
     assert all(steps == [0, 1, 2] for steps in by_stage.values())
+
+
+# Tape nodes of one step of each stage at the _drivers() shapes: the graph
+# each loss records, which dropping closures outside a tape must not change.
+STAGE_TAPE_NODES = {
+    "bc-policy": {"bc-policy": 29},
+    "fta-FTA-I": {"fta-FTA-I": 70, "fta-policy-refresh": 29},
+    "fta-FTA-P": {"fta-FTA-P": 70},
+    "pretrain-base": {"pretrain-base": 57},
+    "rl": {"rl": 69},
+    "stage1": {"stage1": 55},
+    "train-q": {"train-q": 33},
+}
+
+
+@pytest.mark.parametrize("stage", DRIVERS)
+def test_stage_losses_record_only_under_a_tape(stage, monkeypatch):
+    """Each stage's loss records its pinned graph on a tape, every node with
+    its closure; built without a tape it keeps no graph."""
+    from actlm import training
+    nodes = {}
+
+    def one_step(state, name, trainable, frozen, steps, cfg, batch_fn, loss_fn,
+                 metrics_cb=None, after_step=None):
+        batch = batch_fn(np.random.default_rng(cfg.seed))
+        with Tape() as tape:
+            loss_fn(batch)
+        assert all(node._backward is not None for node in tape.nodes)
+        assert loss_fn(batch)[0]._backward is None
+        nodes[name] = len(tape.nodes)
+        return []
+
+    monkeypatch.setattr(training, "run_stage", one_step)
+    _drivers()[stage][0](small_state(), None, 1)
+    assert nodes == STAGE_TAPE_NODES[stage]
 
 
 def test_train_stage1_returns_usage_counts():
