@@ -17,9 +17,7 @@ import sys
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .config import TrainConfig
-from .data import HmmCorpusConfig, gen_hmm_corpus, make_sft_split, \
-    marker_reward, open_prefixes
+from .data import gen_hmm_corpus, make_sft_split, marker_reward, open_prefixes
 from .diagnostics import (action_token_table, alive_actions, marginal_kl,
                           normalized_mutual_information, semantic_diversity,
                           val_loss, write_action_token_tsv)
@@ -44,32 +42,31 @@ def _out_dir(cfg: RunConfig) -> str:
 
 def _corpora(cfg: RunConfig):
     """Deterministic train/val hidden-Markov corpora (and oracle states)."""
-    hc = HmmCorpusConfig(
-        n_states=cfg.hmm_states, vocab_size=cfg.vocab_size,
-        transition_concentration=cfg.hmm_transition_conc,
-        emission_concentration=cfg.hmm_emission_conc,
-        seq_len=cfg.hmm_seq_len,
-        n_sequences=cfg.hmm_train_count + cfg.hmm_val_count,
-        seed=cfg.hmm_seed)
-    tokens, states = gen_hmm_corpus(hc)
+    tokens, states = gen_hmm_corpus(cfg.corpus())
     n = cfg.hmm_train_count
     return tokens[:n], tokens[n:], states[n:]
 
 
 def _load_input(cfg: RunConfig):
+    """The input checkpoint. Commands read codebook_size and eos_token_id
+    from its architecture (state.cfg), not from the run config."""
     if not cfg.init_checkpoint:
         raise ConfigError("this subcommand needs --init_checkpoint")
-    return load_checkpoint(cfg.init_checkpoint)
+    state, meta = load_checkpoint(cfg.init_checkpoint)
+    if cfg.vocab_size > state.cfg.vocab_size:
+        raise ConfigError(f"corpus vocab_size {cfg.vocab_size} exceeds the "
+                          f"checkpoint's vocab_size {state.cfg.vocab_size}")
+    return state, meta
 
 
-def _prompts(cfg: RunConfig, val: np.ndarray) -> np.ndarray:
-    return open_prefixes(val, cfg.rl_prompt_count, cfg.prompt_len, cfg.eos_token_id)
+def _prompts(cfg: RunConfig, val: np.ndarray, eos: int) -> np.ndarray:
+    return open_prefixes(val, cfg.rl_prompt_count, cfg.prompt_len, eos)
 
 
-def _prompt_tokens(cfg: RunConfig, val: np.ndarray) -> np.ndarray:
+def _prompt_tokens(cfg: RunConfig, val: np.ndarray, eos: int) -> np.ndarray:
     if cfg.prompt:
         return np.asarray([int(x) for x in cfg.prompt.split(",")], dtype=np.int64)
-    return open_prefixes(val, 1, cfg.prompt_len, cfg.eos_token_id)[0]
+    return open_prefixes(val, 1, cfg.prompt_len, eos)[0]
 
 
 def _marker(cfg: RunConfig, model: LatentActionLM, prompt) -> int:
@@ -112,7 +109,7 @@ def cmd_pretrain_actions(cfg: RunConfig, out: str, metrics: MetricsWriter) -> in
                     "usage": usage.tolist()})
     save_checkpoint(state, os.path.join(out, "stage1.ckpt"), "stage1", cfg.steps)
     print(f"with_actions CE {ce_act:.4f} vs base {ce_base:.4f}; "
-          f"alive {alive_actions(usage)}/{cfg.codebook_size}")
+          f"alive {alive_actions(usage)}/{state.cfg.codebook_size}")
     return 0
 
 
@@ -139,7 +136,7 @@ def cmd_fta(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
 def cmd_rl(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
     state, _ = _load_input(cfg)
     _, val, _ = _corpora(cfg)
-    prompts = _prompts(cfg, val)
+    prompts = _prompts(cfg, val, state.cfg.eos_token_id)
     marker = _marker(cfg, LatentActionLM(state), prompts[0])
     trace = train_rl(state, prompts, _marker_reward_fn(marker), cfg.train(),
                      cfg.rl_max_len, cfg.rl_updates, metrics.append)
@@ -153,7 +150,7 @@ def cmd_rl(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
 def cmd_train_q(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
     state, _ = _load_input(cfg)
     _, val, _ = _corpora(cfg)
-    prompts = _prompts(cfg, val)
+    prompts = _prompts(cfg, val, state.cfg.eos_token_id)
     model = LatentActionLM(state)
     marker = _marker(cfg, model, prompts[0])
     rng = np.random.default_rng(cfg.seed)
@@ -179,7 +176,7 @@ def cmd_train_q(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
 def cmd_rollout(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
     state, _ = _load_input(cfg)
     _, val, _ = _corpora(cfg)
-    prompt = _prompt_tokens(cfg, val)
+    prompt = _prompt_tokens(cfg, val, state.cfg.eos_token_id)
     rng = np.random.default_rng(cfg.seed)
     tokens, actions = rollout(LatentActionLM(state), prompt, cfg.rollout_mode,
                               cfg.search_max_len, rng)
@@ -194,7 +191,7 @@ def _run_search(cfg: RunConfig, out: str, metrics: MetricsWriter,
                 use_q: bool) -> int:
     state, _ = _load_input(cfg)
     _, val, _ = _corpora(cfg)
-    prompt = _prompt_tokens(cfg, val)
+    prompt = _prompt_tokens(cfg, val, state.cfg.eos_token_id)
     model = LatentActionLM(state)
     marker = _marker(cfg, model, prompt)
     reward_fn = _marker_reward_fn(marker)
@@ -220,7 +217,7 @@ def cmd_eval(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
     table = action_token_table(state, val, gumbel_temp=cfg.gumbel_temp)
     write_action_token_tsv(os.path.join(out, "action_tokens.tsv"), table)
     # joint (action, oracle-state) counts for the same positions
-    joint = np.zeros((cfg.codebook_size, cfg.hmm_states), dtype=np.int64)
+    joint = np.zeros((state.cfg.codebook_size, cfg.hmm_states), dtype=np.int64)
     labels = inverse_action_labels(state, val, cfg.gumbel_temp)
     np.add.at(joint, (labels.reshape(-1), states[:, 1:].reshape(-1)), 1)
     report = {
@@ -229,7 +226,7 @@ def cmd_eval(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
         "val_ce_base_ar": val_loss(state, val, "base_ar"),
         "marginal_kl": marginal_kl(state, contexts),
         "semantic_diversity": semantic_diversity(
-            state, open_prefixes(val, 4, cfg.prefix_len, cfg.eos_token_id),
+            state, open_prefixes(val, 4, cfg.prefix_len, state.cfg.eos_token_id),
             cfg.diversity(), rng,
             max_len=cfg.search_max_len),
         "alive_actions": alive_actions(table.sum(axis=1)),

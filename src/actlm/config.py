@@ -1,4 +1,7 @@
-"""Configuration dataclasses shared across the package."""
+"""Configuration dataclasses shared across the package.
+
+Each default is declared here once; `runconfig.RunConfig` is generated
+from these classes."""
 
 from __future__ import annotations
 
@@ -9,12 +12,13 @@ from dataclasses import dataclass, fields
 class ArchConfig:
     """Shapes of the base model and every attached head.
 
-    Desk-scale defaults: character-level vocab, a 2-block base transformer,
-    8 latent action codes. Large-scale reference values (64 codes, deeper
-    stacks) are reachable through the same fields.
+    Desk-scale defaults: the 16-token vocabulary of the default
+    hidden-Markov corpus, a 2-block base transformer, 8 latent action
+    codes. Large-scale reference values (64 codes, deeper stacks) are
+    reachable through the same fields.
     """
 
-    vocab_size: int = 32
+    vocab_size: int = 16
     d_model: int = 32
     n_heads: int = 2
     n_layers_base: int = 2
@@ -51,9 +55,6 @@ class TrainConfig:
     tau: float = 1.0             # target-network mix on sync
     sync_interval: int = 100     # gradient steps between target syncs
     grad_clip_norm: float = 1.0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     weight_decay: float = 0.0
     gumbel_temp: float = 1.0
 
@@ -97,3 +98,20 @@ class DiversityConfig:
             raise ValueError("n_samples must be >= 2")
         if self.sim_floor <= 0:
             raise ValueError("sim_floor must be > 0")
+
+
+@dataclass
+class HmmCorpusConfig:
+    n_states: int = 4
+    vocab_size: int = 16
+    transition_concentration: float = 0.3
+    emission_concentration: float = 0.3
+    seq_len: int = 64
+    n_sequences: int = 4096
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.n_states < 1:
+            raise ValueError("n_states must be >= 1")
+        if self.transition_concentration <= 0 or self.emission_concentration <= 0:
+            raise ValueError("concentrations must be > 0")

@@ -8,24 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .config import HmmCorpusConfig
 from .runconfig import ConfigError
-
-
-@dataclass
-class HmmCorpusConfig:
-    n_states: int = 4
-    vocab_size: int = 16
-    transition_concentration: float = 0.3
-    emission_concentration: float = 0.3
-    seq_len: int = 64
-    n_sequences: int = 4096
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_states < 1:
-            raise ValueError("n_states must be >= 1")
-        if self.transition_concentration <= 0 or self.emission_concentration <= 0:
-            raise ValueError("concentrations must be > 0")
 
 
 def _hmm_params(cfg: HmmCorpusConfig, rng):
@@ -226,23 +210,3 @@ def countdown_reward(task: CountdownTask, response_text: str) -> tuple[float, fl
             correctness = 1.0
     return format_reward, correctness
 
-
-# Character-level vocabulary for text tasks: digits, operators, tags, eos.
-TEXT_CHARSET = "\x00<>/thinkaswer0123456789+-*()=,. "
-TEXT_EOS_ID = 0
-
-
-def encode_text(text: str) -> np.ndarray:
-    try:
-        return np.asarray([TEXT_CHARSET.index(c) for c in text], dtype=np.int64)
-    except ValueError as e:
-        raise ValueError(f"character not in charset: {e}") from None
-
-
-def decode_tokens(tokens) -> str:
-    out = []
-    for t in np.asarray(tokens):
-        if t == TEXT_EOS_ID:
-            break
-        out.append(TEXT_CHARSET[int(t)])
-    return "".join(out)

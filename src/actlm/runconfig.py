@@ -1,68 +1,65 @@
 """Flat key=value run configuration with command-line overrides.
 
-Every field has a default; unknown keys are rejected by name. The flat
-format keeps run configs diffable."""
+RunConfig is generated from the component dataclasses in `config.py`, so
+each default is declared once: every component field is one flat key,
+named as in `_RENAMED` or else by the field itself, and a name that two
+components share (`vocab_size`, `seed`) is one key. Only the keys that
+exist at run level alone are declared here. Every field has a default;
+unknown keys are rejected by name, and a value that a component rejects
+fails as a ConfigError when the RunConfig is built. The flat format keeps
+run configs diffable."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, make_dataclass
 
-from .config import ArchConfig, DiversityConfig, SearchConfig, TrainConfig
+from .config import (ArchConfig, DiversityConfig, HmmCorpusConfig,
+                     SearchConfig, TrainConfig)
 
 
 class ConfigError(Exception):
     pass
 
 
+# The flat key of each component field that is not keyed by its own name;
+# None marks a field that run-level keys determine.
+_RENAMED = {
+    SearchConfig: {"max_len": "search_max_len"},
+    HmmCorpusConfig: {"n_states": "hmm_states",
+                      "transition_concentration": "hmm_transition_conc",
+                      "emission_concentration": "hmm_emission_conc",
+                      "seq_len": "hmm_seq_len", "seed": "hmm_seed",
+                      "n_sequences": None},
+}
+_COMPONENTS = (ArchConfig, TrainConfig, SearchConfig, DiversityConfig,
+               HmmCorpusConfig)
+
+
+def _keyed(cls) -> list[tuple]:
+    """(field, flat key) over the keyed fields of a component."""
+    renamed = _RENAMED.get(cls, {})
+    return [(f, key) for f in fields(cls)
+            if (key := renamed.get(f.name, f.name)) is not None]
+
+
+def _component_fields() -> list[tuple]:
+    """make_dataclass specs, one per flat key, each with the default of the
+    first component that declares the key."""
+    specs = {}
+    for cls in _COMPONENTS:
+        for f, key in _keyed(cls):
+            specs.setdefault(key, (key, f.type, field(default=f.default)))
+    return list(specs.values())
+
+
 @dataclass
-class RunConfig:
-    # architecture
-    vocab_size: int = 16
-    d_model: int = 32
-    n_heads: int = 2
-    n_layers_base: int = 2
-    n_layers_inverse: int = 1
-    n_merge_mlps: int = 2
-    n_layers_policy: int = 1
-    codebook_size: int = 8
-    max_seq_len: int = 64
-    intermediate_dim: int = 64
-    eos_token_id: int = 0
-    # training
-    learning_rate: float = 1e-3
-    batch_size: int = 16
-    steps: int = 500
-    seed: int = 0
-    beta: float = 0.001
-    kl_coef: float = 0.01
-    rl_group_size: int = 8
-    gamma: float = 0.99
-    tau: float = 1.0
-    sync_interval: int = 100
-    grad_clip_norm: float = 1.0
-    weight_decay: float = 0.0
-    gumbel_temp: float = 1.0
+class RunConfig(make_dataclass("ComponentKeys", _component_fields())):
+    """Every component key, plus the keys below that exist at run level
+    only."""
     assignment: str = "direct"
-    # search
-    action_steps: int = 4
-    iterations: int = 16
-    c_uct: float = 0.7
-    bellman_threshold: float = 0.01
-    expand_width: int = 4
-    search_max_len: int = 64
-    # diversity
-    n_samples: int = 8
-    prefix_len: int = 8
-    sim_floor: float = 1e-6
-    include_prefix: bool = True
-    # data (hidden-Markov corpus)
-    hmm_states: int = 4
-    hmm_transition_conc: float = 0.3
-    hmm_emission_conc: float = 0.3
-    hmm_seq_len: int = 64
+    # corpus split: the corpus holds hmm_train_count + hmm_val_count rows
     hmm_train_count: int = 4096
     hmm_val_count: int = 256
-    hmm_seed: int = 0
     # task wiring
     prompt_len: int = 8
     rl_updates: int = 200
@@ -78,11 +75,19 @@ class RunConfig:
     out_dir: str = "runs/out"
     init_checkpoint: str = ""
 
-    def _component(self, cls, **renamed):
-        """cls from the fields it shares with RunConfig by name, plus renamed."""
-        shared = {f.name: getattr(self, f.name) for f in fields(cls)
-                  if f.name in _FIELDS}
-        return cls(**shared, **renamed)
+    def __post_init__(self):
+        """Build every component once, so a value that one of them rejects
+        fails here, whichever subcommand reads it."""
+        for build in (self.arch, self.train, self.search, self.diversity,
+                      self.corpus):
+            try:
+                build()
+            except ValueError as e:
+                raise ConfigError(str(e)) from None
+
+    def _component(self, cls, **derived):
+        return cls(**{f.name: getattr(self, key) for f, key in _keyed(cls)},
+                   **derived)
 
     def arch(self) -> ArchConfig:
         return self._component(ArchConfig)
@@ -91,17 +96,21 @@ class RunConfig:
         return self._component(TrainConfig)
 
     def search(self) -> SearchConfig:
-        return self._component(SearchConfig, max_len=self.search_max_len)
+        return self._component(SearchConfig)
 
     def diversity(self) -> DiversityConfig:
         return self._component(DiversityConfig)
 
+    def corpus(self) -> HmmCorpusConfig:
+        return self._component(
+            HmmCorpusConfig, n_sequences=self.hmm_train_count + self.hmm_val_count)
 
-_FIELDS = {f.name: f.type for f in fields(RunConfig)}
+
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 
 
 def _convert(key: str, raw: str):
-    default = getattr(RunConfig(), key)
+    default = _DEFAULTS[key]
     if isinstance(default, bool):
         if raw.lower() in ("1", "true", "yes"):
             return True
@@ -130,7 +139,7 @@ def load_run_config(path=None, overrides=()) -> RunConfig:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
                 key, _, raw = stripped.partition("=")
                 key, raw = key.strip(), raw.strip()
-                if key not in _FIELDS:
+                if key not in _DEFAULTS:
                     raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
                 values[key] = _convert(key, raw)
     overrides = list(overrides)
@@ -140,7 +149,7 @@ def load_run_config(path=None, overrides=()) -> RunConfig:
         if not token.startswith("--"):
             raise ConfigError(f"expected --key, got {token!r}")
         key = token[2:]
-        if key not in _FIELDS:
+        if key not in _DEFAULTS:
             raise ConfigError(f"unknown config key {key!r}")
         if i + 1 >= len(overrides):
             raise ConfigError(f"missing value for {token!r}")

@@ -37,6 +37,11 @@ class Transition:
             raise ValueError("reward must be zero on non-terminal transitions")
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class AdamW:
     """Decoupled-weight-decay adaptive-moment optimizer with global-norm
     clipping. Only the params handed to the constructor are ever updated."""
@@ -62,16 +67,16 @@ class AdamW:
         norm = float(np.sqrt(total_sq))
         scale = min(1.0, c.grad_clip_norm / (norm + 1e-12))
         self.t += 1
-        bc1 = 1.0 - c.adam_beta1 ** self.t
-        bc2 = 1.0 - c.adam_beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for k, p in self.params.items():
             g = grads.get(k)
             if g is None:
                 continue
             g = g * scale
-            self.m[k] = c.adam_beta1 * self.m[k] + (1 - c.adam_beta1) * g
-            self.v[k] = c.adam_beta2 * self.v[k] + (1 - c.adam_beta2) * g * g
-            update = (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + c.adam_eps)
+            self.m[k] = ADAM_BETA1 * self.m[k] + (1 - ADAM_BETA1) * g
+            self.v[k] = ADAM_BETA2 * self.v[k] + (1 - ADAM_BETA2) * g * g
+            update = (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + ADAM_EPS)
             if c.weight_decay:
                 p.data -= c.learning_rate * c.weight_decay * p.data
             p.data -= (c.learning_rate * update).astype(p.data.dtype)

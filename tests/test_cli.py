@@ -4,13 +4,16 @@ import hashlib
 import json
 import os
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from actlm import cli
+from actlm import cli, runconfig
 from actlm.checkpoint import FORMAT_VERSION, MAGIC
 from actlm.cli import main
+from actlm.config import (ArchConfig, DiversityConfig, HmmCorpusConfig,
+                          SearchConfig, TrainConfig)
 from actlm.metrics import MetricsWriter, read_metrics
 from actlm.runconfig import ConfigError, RunConfig, load_run_config
 
@@ -121,12 +124,12 @@ def test_default_prompts_skip_prefixes_ending_in_eos():
     _, val, _ = cli._corpora(cfg)
     eos = cfg.eos_token_id
     assert (val[:cfg.rl_prompt_count, cfg.prompt_len - 1] == eos).any()
-    prompts = cli._prompts(cfg, val)
+    prompts = cli._prompts(cfg, val, eos)
     assert prompts.shape == (cfg.rl_prompt_count, cfg.prompt_len)
     assert not (prompts[:, -1] == eos).any()
-    assert cli._prompt_tokens(cfg, val)[-1] != eos
+    assert cli._prompt_tokens(cfg, val, eos)[-1] != eos
     with pytest.raises(ConfigError, match="prompts needed"):
-        cli._prompts(RunConfig(rl_prompt_count=16), val)
+        cli._prompts(RunConfig(rl_prompt_count=16), val, eos)
 
 
 def test_cli_forged_checkpoint_fails_by_name(tmp_path, capsys):
@@ -139,3 +142,70 @@ def test_cli_forged_checkpoint_fails_by_name(tmp_path, capsys):
                "--init_checkpoint", str(forged)] + TINY)
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: malformed checkpoint")
+
+
+def test_every_default_has_one_source():
+    """RunConfig takes every component default from the component itself,
+    and a flat key that two components declare has one default."""
+    cfg = RunConfig()
+    assert cfg.arch() == ArchConfig()
+    assert cfg.train() == TrainConfig()
+    assert cfg.search() == SearchConfig()
+    assert cfg.diversity() == DiversityConfig()
+    assert cfg.corpus() == HmmCorpusConfig(
+        n_sequences=cfg.hmm_train_count + cfg.hmm_val_count)
+    defaults = {}
+    for cls in runconfig._COMPONENTS:
+        for f, key in runconfig._keyed(cls):
+            defaults.setdefault(key, []).append(f.default)
+    shared = {key: values for key, values in defaults.items() if len(values) > 1}
+    assert set(shared) == {"vocab_size", "seed"}
+    for key, values in shared.items():
+        assert len(set(values)) == 1, key
+        assert getattr(cfg, key) == values[0]
+    assert set(defaults) <= {f.name for f in fields(RunConfig)}
+
+
+@pytest.mark.parametrize("key,value", [
+    ("gamma", "2"), ("n_heads", "3"), ("c_uct", "-1"), ("n_samples", "1")])
+def test_component_rejections_fail_at_load(key, value):
+    """Every component is built when the config is, so a value one rejects
+    fails whichever subcommand would read it."""
+    with pytest.raises(ConfigError, match=key):
+        load_run_config(None, [f"--{key}", value])
+    with pytest.raises(ConfigError, match=key):
+        RunConfig(**{key: type(getattr(RunConfig(), key))(value)})
+
+
+def test_cli_out_of_range_value_fails_by_name(tmp_path, capsys):
+    assert main(["search-q", "--gamma", "2", "--out_dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: gamma")
+
+
+def test_cli_checkpoint_architecture_wins(tmp_path, capsys):
+    """A checkpoint trained with 16 codes is read with 16 codes by commands
+    that do not repeat --codebook_size."""
+    out = tmp_path / "run"
+    assert main(["pretrain-base", "--codebook_size", "16",
+                 "--out_dir", str(out)] + TINY) == 0
+    common = ["--init_checkpoint", str(out / "base.ckpt"),
+              "--out_dir", str(out)] + TINY
+    assert main(["pretrain-actions"] + common) == 0
+    assert capsys.readouterr().out.rstrip().endswith("/16")
+    assert main(["eval", "--prompt_len", "4", "--eval_contexts", "2",
+                 "--n_samples", "2", "--search_max_len", "12"] + common) == 0
+    rows = (out / "action_tokens.tsv").read_text().splitlines()[1:]
+    codes = {int(row.split("\t")[0]) for row in rows}
+    assert max(codes) >= 8 and max(codes) < 16
+    report = json.loads((out / "eval.json").read_text())
+    assert report["alive_actions"] == len(codes)
+
+
+def test_cli_corpus_vocab_beyond_checkpoint_fails_by_name(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["pretrain-base", "--vocab_size", "8",
+                 "--out_dir", str(out)] + TINY) == 0
+    rc = main(["eval", "--init_checkpoint", str(out / "base.ckpt"),
+               "--out_dir", str(out)] + TINY)
+    assert rc == 1
+    assert "vocab_size" in capsys.readouterr().err

@@ -11,10 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actlm.data import (CountdownTask, HmmCorpusConfig, SftExample, cdf,
-                        countdown_reward, decode_tokens, encode_text,
-                        evaluate_expression, gen_hmm_corpus, hmm_matrices,
-                        inverse_cdf, make_sft_split, marker_reward,
-                        open_prefixes)
+                        countdown_reward, evaluate_expression, gen_hmm_corpus,
+                        hmm_matrices, inverse_cdf, make_sft_split,
+                        marker_reward, open_prefixes)
 from actlm.runconfig import ConfigError
 
 
@@ -267,11 +266,3 @@ def test_countdown_rejects_nonpositive_numbers():
     with pytest.raises(ValueError):
         CountdownTask([0, 3], 3)
 
-
-def test_text_round_trip():
-    text = "<think>1+2</think><answer>3</answer>"
-    ids = encode_text(text)
-    assert decode_tokens(ids) == text
-    assert decode_tokens(np.concatenate([ids, [0, 5, 6]])) == text  # eos stops
-    with pytest.raises(ValueError):
-        encode_text("bad character: Z")

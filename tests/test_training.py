@@ -14,8 +14,8 @@ from actlm.autodiff import Tape, Tensor
 from actlm.config import ArchConfig, TrainConfig
 from actlm.data import make_sft_split
 from actlm.model import base_forward, base_logits, init_model
-from actlm.training import (AdamW, Transition, decision_mask, dqn_batch,
-                            dqn_target, eval_base_ce, fta_actions,
+from actlm.training import (ADAM_EPS, AdamW, Transition, decision_mask,
+                            dqn_batch, dqn_target, eval_base_ce, fta_actions,
                             inverse_action_labels, loss_base_ar, loss_dqn,
                             loss_fta, loss_pre1, loss_pre2, loss_rl,
                             pretrain_base_ar, q_values_fn, rl_batch,
@@ -46,7 +46,7 @@ def test_adamw_first_step_matches_manual_update():
     g = np.array([0.5, -0.25])
     opt.step({"p": g.copy()})
     # bias-corrected first Adam step: update = g / (|g| + eps)
-    expected = np.array([1.0, -2.0]) - 0.1 * g / (np.abs(g) + cfg.adam_eps)
+    expected = np.array([1.0, -2.0]) - 0.1 * g / (np.abs(g) + ADAM_EPS)
     np.testing.assert_allclose(p.data, expected, rtol=1e-5)
 
 
