@@ -11,6 +11,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ArchConfig
+from .data import cdf, inverse_cdf
 from .model import KVCache, ModelState, base_forward, block_forward
 
 
@@ -166,11 +167,17 @@ class Decoder:
     at every held position. `sync` keeps the longest prefix the new tokens
     share with the held ones and encodes the rest in one forward, so
     appending a token or going back to a prefix re-encodes nothing else.
-    The caches are valid only while the state's weights stay unchanged."""
+    The caches are valid only while the state's weights stay unchanged.
+
+    `sync`, `policy_probs`, `next_tokens`, `eos_token_id` and `n_actions`
+    are the generator contract that `generate` and search decode through,
+    so hand-built test generators plug in alike."""
 
     def __init__(self, state: ModelState, batch: int = 1):
         cfg = state.cfg
         self.state = state
+        self.eos_token_id = cfg.eos_token_id
+        self.n_actions = cfg.codebook_size
         self.tokens = np.zeros((batch, 0), dtype=np.int64)
         self.base_cache = [KVCache(cfg.max_seq_len) for _ in range(cfg.n_layers_base)]
         self.policy_cache = [KVCache(cfg.max_seq_len)
@@ -221,3 +228,47 @@ class Decoder:
                               Tensor(self.e_l[:, t - 1:t]),
                               Tensor(codes[np.asarray(actions)][:, None, :]))
         return logits.data[:, -1, :].argmax(axis=-1)
+
+
+def check_prompts(prompts, mode: str, rng) -> np.ndarray:
+    """A copy of prompts as a (B, p) array, p >= 1, after checking that
+    `generate` can decode from them in this mode."""
+    prompts = np.array(prompts)
+    if prompts.ndim != 2 or prompts.shape[1] < 1:
+        raise ValueError("prompts must be a non-empty (B, p) array")
+    if mode == "sample" and rng is None:
+        raise ValueError("sample mode needs an rng")
+    if mode not in ("greedy", "sample"):
+        raise ValueError(f"unknown rollout mode: {mode!r}")
+    return prompts
+
+
+def generate(dec, tokens, mode: str, max_len: int, rng=None, steps=None):
+    """The one decode loop: continue every row of tokens (B, p) through a
+    generator speaking the Decoder contract.
+
+    Each step syncs the generator once, picks one action per row from the
+    policy (argmax in greedy mode, an inverse-CDF draw otherwise) and
+    appends the world-model argmax token. A row is done at eos, including
+    an eos that ends its prompt, and is padded with eos and action 0 while
+    others run on; all stop at max_len or after `steps` actions (no limit
+    if None). Returns (tokens (B, <=max_len), actions (B, n)), actions[:, s]
+    producing tokens[:, p + s]."""
+    eos = dec.eos_token_id
+    b = tokens.shape[0]
+    actions = np.zeros((b, 0), dtype=np.int64)
+    done = tokens[:, -1] == eos
+    while tokens.shape[1] < max_len and not done.all() and \
+            (steps is None or actions.shape[1] < steps):
+        dec.sync(tokens)
+        probs = dec.policy_probs()
+        if mode == "greedy":
+            act = probs.argmax(axis=-1)
+        else:
+            act = inverse_cdf(cdf(probs), rng.random(b))
+        nxt = np.where(done, eos, dec.next_tokens(act))
+        act = np.where(done, 0, act)
+        tokens = np.concatenate([tokens, nxt[:, None]], axis=1)
+        actions = np.concatenate([actions, act[:, None]], axis=1)
+        done |= nxt == eos
+    return tokens, actions

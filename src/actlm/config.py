@@ -8,6 +8,22 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 
+class FieldError(ValueError):
+    """A value a config class rejects, naming the field it was given for."""
+
+    def __init__(self, field: str, rule: str):
+        super().__init__(f"{field} {rule}")
+        self.field = field
+        self.rule = rule
+
+
+def _require(cfg, rule: str, ok, *names: str) -> None:
+    """Reject the first named field of cfg whose value fails ok."""
+    for name in names:
+        if not ok(getattr(cfg, name)):
+            raise FieldError(name, rule)
+
+
 @dataclass
 class ArchConfig:
     """Shapes of the base model and every attached head.
@@ -31,15 +47,13 @@ class ArchConfig:
     eos_token_id: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.name != "eos_token_id" and getattr(self, f.name) < 1:
-                raise ValueError(f"{f.name} must be >= 1")
+        _require(self, "must be >= 1", lambda v: v >= 1,
+                 *(f.name for f in fields(self) if f.name != "eos_token_id"))
         if self.d_model % self.n_heads != 0:
-            raise ValueError("d_model must be divisible by n_heads")
-        if self.codebook_size < 2:
-            raise ValueError("codebook_size must be >= 2")
-        if not 0 <= self.eos_token_id < self.vocab_size:
-            raise ValueError("eos_token_id out of range")
+            raise FieldError("d_model", "must be divisible by n_heads")
+        _require(self, "must be >= 2", lambda v: v >= 2, "codebook_size")
+        _require(self, "must be in [0, vocab_size)",
+                 lambda v: 0 <= v < self.vocab_size, "eos_token_id")
 
 
 @dataclass
@@ -59,14 +73,11 @@ class TrainConfig:
     gumbel_temp: float = 1.0
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
-        if not 0 < self.gamma <= 1:
-            raise ValueError("gamma must be in (0, 1]")
-        if not 0 < self.tau <= 1:
-            raise ValueError("tau must be in (0, 1]")
-        if self.grad_clip_norm <= 0:
-            raise ValueError("grad_clip_norm must be > 0")
+        _require(self, "must be > 0", lambda v: v > 0,
+                 "learning_rate", "grad_clip_norm")
+        _require(self, "must be >= 1", lambda v: v >= 1, "batch_size")
+        _require(self, "must be >= 0", lambda v: v >= 0, "beta")
+        _require(self, "must be in (0, 1]", lambda v: 0 < v <= 1, "gamma", "tau")
 
 
 @dataclass
@@ -80,10 +91,10 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.action_steps < 1 or self.iterations < 1:
-            raise ValueError("action_steps and iterations must be >= 1")
-        if self.c_uct < 0 or self.bellman_threshold < 0:
-            raise ValueError("c_uct and bellman_threshold must be >= 0")
+        _require(self, "must be >= 1", lambda v: v >= 1,
+                 "action_steps", "iterations", "expand_width")
+        _require(self, "must be >= 0", lambda v: v >= 0,
+                 "c_uct", "bellman_threshold")
 
 
 @dataclass
@@ -94,10 +105,8 @@ class DiversityConfig:
     include_prefix: bool = True  # similarity over the full sequences
 
     def __post_init__(self):
-        if self.n_samples < 2:
-            raise ValueError("n_samples must be >= 2")
-        if self.sim_floor <= 0:
-            raise ValueError("sim_floor must be > 0")
+        _require(self, "must be >= 2", lambda v: v >= 2, "n_samples")
+        _require(self, "must be > 0", lambda v: v > 0, "sim_floor")
 
 
 @dataclass
@@ -111,7 +120,6 @@ class HmmCorpusConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_states < 1:
-            raise ValueError("n_states must be >= 1")
-        if self.transition_concentration <= 0 or self.emission_concentration <= 0:
-            raise ValueError("concentrations must be > 0")
+        _require(self, "must be >= 1", lambda v: v >= 1, "n_states", "seq_len")
+        _require(self, "must be > 0", lambda v: v > 0,
+                 "transition_concentration", "emission_concentration")

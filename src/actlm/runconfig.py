@@ -6,15 +6,15 @@ named as in `_RENAMED` or else by the field itself, and a name that two
 components share (`vocab_size`, `seed`) is one key. Only the keys that
 exist at run level alone are declared here. Every field has a default;
 unknown keys are rejected by name, and a value that a component rejects
-fails as a ConfigError when the RunConfig is built. The flat format keeps
+fails as a ConfigError naming its flat key when the RunConfig is built. The flat format keeps
 run configs diffable."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, make_dataclass
 
-from .config import (ArchConfig, DiversityConfig, HmmCorpusConfig,
-                     SearchConfig, TrainConfig)
+from .config import (ArchConfig, DiversityConfig, FieldError,
+                     HmmCorpusConfig, SearchConfig, TrainConfig)
 
 
 class ConfigError(Exception):
@@ -76,16 +76,22 @@ class RunConfig(make_dataclass("ComponentKeys", _component_fields())):
     init_checkpoint: str = ""
 
     def __post_init__(self):
-        """Build every component once, so a value that one of them rejects
-        fails here, whichever subcommand reads it."""
-        for build in (self.arch, self.train, self.search, self.diversity,
-                      self.corpus):
+        """Check the corpus split, then build every component once, so a
+        value that one of them rejects fails here, whichever subcommand
+        reads it, naming the flat key."""
+        for key in ("hmm_train_count", "hmm_val_count"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
+        for cls in _COMPONENTS:
             try:
-                build()
-            except ValueError as e:
-                raise ConfigError(str(e)) from None
+                self._component(cls)
+            except FieldError as e:
+                flat = {f.name: key for f, key in _keyed(cls)}.get(e.field)
+                raise ConfigError(f"{flat or e.field} {e.rule}") from None
 
-    def _component(self, cls, **derived):
+    def _component(self, cls):
+        derived = {"n_sequences": self.hmm_train_count + self.hmm_val_count} \
+            if cls is HmmCorpusConfig else {}
         return cls(**{f.name: getattr(self, key) for f, key in _keyed(cls)},
                    **derived)
 
@@ -102,8 +108,7 @@ class RunConfig(make_dataclass("ComponentKeys", _component_fields())):
         return self._component(DiversityConfig)
 
     def corpus(self) -> HmmCorpusConfig:
-        return self._component(
-            HmmCorpusConfig, n_sequences=self.hmm_train_count + self.hmm_val_count)
+        return self._component(HmmCorpusConfig)
 
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}

@@ -1,9 +1,11 @@
 """Inference-time generation: greedy/stochastic rollout, latent-action MCTS
 with multi-step action nodes, and Q-pruned MCTS.
 
-Search code talks to the generator through three duck-typed methods --
-policy_probs(tokens), next_token(tokens, action), and the eos/max-len
-terminal rule -- so trained models and hand-built test stubs plug in alike.
+Every path decodes through `actions.generate`, the one decode loop, and so
+talks to the generator only through the Decoder contract: `sync(tokens)`,
+`policy_probs()`, `next_tokens(actions)`, `eos_token_id` and `n_actions`.
+A trained model (`LatentActionLM`) and hand-built test generators plug in
+alike. Search decodes one row at a time.
 """
 
 from __future__ import annotations
@@ -14,80 +16,33 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import Decoder
+from .actions import Decoder, check_prompts, generate
 from .config import SearchConfig
-from .model import ModelState
 from .training import Transition, dqn_target
 
 
-class LatentActionLM:
-    """Generation adapter over a trained model state.
-
-    Both methods go through one incremental Decoder, so consecutive calls on
-    growing or branching prefixes re-encode only the tokens that changed.
-    The cache assumes the state's weights do not change while the adapter
-    is in use."""
-
-    def __init__(self, state: ModelState):
-        self.state = state
-        self.n_actions = state.cfg.codebook_size
-        self.eos_token_id = state.cfg.eos_token_id
-        self._decoder = Decoder(state)
-
-    def _sync(self, tokens) -> None:
-        self._decoder.sync(np.asarray(tokens).reshape(1, -1))
-
-    def policy_probs(self, tokens) -> np.ndarray:
-        self._sync(tokens)
-        return self._decoder.policy_probs()[0]
+class LatentActionLM(Decoder):
+    """One-row Decoder over a trained model state. Its cache persists
+    across calls, so consecutive searches and rollouts on growing or
+    branching prefixes re-encode only the tokens that changed."""
 
     def next_token(self, tokens, action: int) -> int:
-        self._sync(tokens)
-        return int(self._decoder.next_tokens([action])[0])
+        """World-model argmax token after tokens (p,) under one action."""
+        self.sync(np.asarray(tokens)[None])
+        return int(self.next_tokens([action])[0])
 
 
 def _is_terminal(model, tokens, max_len: int) -> bool:
     return len(tokens) >= max_len or (len(tokens) > 0 and tokens[-1] == model.eos_token_id)
 
 
-def _sample_action(model, tokens, rng) -> int:
-    probs = model.policy_probs(tokens)
-    cum = np.cumsum(probs)
-    cum /= cum[-1]
-    return int(np.searchsorted(cum, rng.random(), side="right"))
-
-
-def _roll(model, tokens, max_len: int, rng=None, steps=None):
-    """Generate from tokens until terminal or after `steps` actions (no
-    limit if None): sampled actions with an rng, greedy ones without.
-    Returns (tokens, actions) with actions[s] producing the s-th new token."""
-    tokens = list(tokens)
-    actions = []
-    while not _is_terminal(model, tokens, max_len) and \
-            (steps is None or len(actions) < steps):
-        if rng is None:
-            action = int(model.policy_probs(tokens).argmax())
-        else:
-            action = _sample_action(model, tokens, rng)
-        tokens.append(model.next_token(tokens, action))
-        actions.append(action)
-    return np.asarray(tokens), actions
-
-
 def rollout(model, prompt, mode: str, max_len: int, rng=None):
     """Generate until eos or max_len; returns (tokens, actions) aligned so
     actions[s] produced tokens[len(prompt)+s]. A prompt that already ends
     in eos is returned unchanged."""
-    tokens = np.asarray(prompt).tolist()
-    if not tokens:
-        raise ValueError("prompt must be non-empty")
-    if mode == "sample" and rng is None:
-        raise ValueError("sample mode needs an rng")
-    if mode not in ("greedy", "sample"):
-        raise ValueError(f"unknown rollout mode: {mode!r}")
-    tokens, actions = _roll(model, tokens, max_len,
-                            rng if mode == "sample" else None)
-    return tokens, np.asarray(actions, dtype=np.int64)
+    prompts = check_prompts(np.asarray(prompt)[None], mode, rng)
+    tokens, actions = generate(model, prompts, mode, max_len, rng)
+    return tokens[0], actions[0]
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +120,9 @@ def _simulate(model, node: MctsNode, score: _Scorer, max_len: int, rng) -> float
         node.sim_tokens = np.asarray([], dtype=np.int64)
         node.sim_value = score(node.state)
         return node.sim_value
-    full, _ = rollout(model, node.state, "sample", max_len, rng)
-    node.sim_tokens = full[len(node.state):]
-    node.sim_value = score(full)
+    full, _ = generate(model, node.state[None], "sample", max_len, rng)
+    node.sim_tokens = full[0, len(node.state):]
+    node.sim_value = score(full[0])
     return node.sim_value
 
 
@@ -176,13 +131,13 @@ def _expand(model, node: MctsNode, cfg: SearchConfig, rng) -> MctsNode | None:
     the first newly created child (None only if the node is terminal)."""
     first = None
     for _ in range(cfg.expand_width):
-        child_state, actions = _roll(model, node.state, cfg.max_len, rng,
-                                     cfg.action_steps)
-        key = tuple(actions)
+        states, actions = generate(model, node.state[None], "sample",
+                                   cfg.max_len, rng, cfg.action_steps)
+        key = tuple(actions[0].tolist())  # Python ints: keys go into the trace
         if not key or key in node.children:
             continue
-        child = MctsNode(state=child_state,
-                         prev_context=child_state[:-1].copy(),
+        child = MctsNode(state=states[0],
+                         prev_context=states[0, :-1].copy(),
                          last_action=key[-1],
                          expansion_tokens=len(key))
         node.children[key] = child
@@ -201,12 +156,12 @@ def _extend_low_uncertainty(model, node: MctsNode, cfg: SearchConfig,
                         next_context=node.state, reward=0.0, terminal=False)
         if not bellman_error(tr, q_fn, gamma) < cfg.bellman_threshold:
             break
-        new_state, actions = _roll(model, node.state, cfg.max_len,
-                                   steps=cfg.action_steps)
-        node.state = new_state
-        node.prev_context = new_state[:-1].copy()
-        node.last_action = actions[-1]
-        node.expansion_tokens += len(actions)
+        states, actions = generate(model, node.state[None], "greedy",
+                                   cfg.max_len, steps=cfg.action_steps)
+        node.state = states[0]
+        node.prev_context = states[0, :-1].copy()
+        node.last_action = int(actions[0, -1])
+        node.expansion_tokens += actions.shape[1]
         node.extension_passes += 1
 
 

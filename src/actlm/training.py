@@ -16,9 +16,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .actions import (Decoder, assign_direct, assign_vq, inverse_encode,
-                      one_hot, policy_forward, policy_log_probs, q_forward,
-                      world_logits)
+from .actions import (Decoder, assign_direct, assign_vq, check_prompts,
+                      generate, inverse_encode, one_hot, policy_forward,
+                      policy_log_probs, q_forward, world_logits)
 from .config import TrainConfig
 from .model import ModelState, base_forward, base_logits
 
@@ -210,41 +210,12 @@ def loss_fta(state: ModelState, tokens, prompt_len: int, action_indices):
 
 def rollout_batch(state: ModelState, prompts: np.ndarray, mode: str,
                   max_len: int, rng=None):
-    """Generate continuations for a batch of equal-length prompts.
-
-    Actions come from the policy (argmax in greedy mode, sampled otherwise);
-    tokens are always the argmax of the world-model logits. A row stops at
-    eos, including an eos that ends its prompt, and is padded with eos and
-    action 0 while others run on; all stop at max_len. Returns (tokens
-    (B, <=max_len), actions (B, steps))."""
-    cfg = state.cfg
-    tokens = np.asarray(prompts).copy()
-    if tokens.ndim != 2 or tokens.shape[1] < 1:
-        raise ValueError("prompts must be a non-empty (B, p) array")
-    if mode == "sample" and rng is None:
-        raise ValueError("sample mode needs an rng")
-    if mode not in ("greedy", "sample"):
-        raise ValueError(f"unknown rollout mode: {mode!r}")
-    b = tokens.shape[0]
-    actions = np.zeros((b, 0), dtype=np.int64)
-    done = tokens[:, -1] == cfg.eos_token_id
-    decoder = Decoder(state, b)
-    while tokens.shape[1] < max_len and not done.all():
-        decoder.sync(tokens)
-        probs = decoder.policy_probs()
-        if mode == "greedy":
-            act = probs.argmax(axis=-1)
-        else:
-            cum = probs.cumsum(axis=-1)
-            cum /= cum[:, -1:]
-            act = (rng.random((b, 1)) < cum).argmax(axis=-1)
-        nxt = decoder.next_tokens(act)
-        nxt = np.where(done, cfg.eos_token_id, nxt)
-        act = np.where(done, 0, act)
-        tokens = np.concatenate([tokens, nxt[:, None]], axis=1)
-        actions = np.concatenate([actions, act[:, None]], axis=1)
-        done |= nxt == cfg.eos_token_id
-    return tokens, actions
+    """Generate continuations for a batch of equal-length prompts through
+    `actions.generate`: policy actions (argmax in greedy mode, sampled
+    otherwise), world-model argmax tokens, rows padded with eos and action
+    0 once done. Returns (tokens (B, <=max_len), actions (B, steps))."""
+    prompts = check_prompts(prompts, mode, rng)
+    return generate(Decoder(state, len(prompts)), prompts, mode, max_len, rng)
 
 
 def decision_mask(tokens: np.ndarray, prompt_len: int, n_steps: int,

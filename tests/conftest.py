@@ -50,3 +50,40 @@ def accumulation_length(cfg, t: int, blocks: int) -> int:
     then the final norm and the head."""
     d, dh = cfg.d_model, cfg.d_model // cfg.n_heads
     return blocks * (5 * d + dh + 2 * t + cfg.intermediate_dim) + 2 * d
+
+
+class ChainLM:
+    """Deterministic two-branch generator speaking the Decoder contract:
+    the first action's parity picks token 2 (the rewarded branch) or 3;
+    filler token 4 follows until eos closes the episode at a fixed length.
+    Every row of a batch follows the same rule."""
+
+    def __init__(self, episode_len=8, n_actions=2, eos=0):
+        self.episode_len = episode_len
+        self.n_actions = n_actions
+        self.eos_token_id = eos
+        self.tokens = None
+
+    def sync(self, tokens):
+        self.tokens = np.asarray(tokens)
+
+    def policy_probs(self):
+        return np.full((len(self.tokens), self.n_actions), 1.0 / self.n_actions)
+
+    def next_tokens(self, actions):
+        actions, t = np.asarray(actions), self.tokens.shape[1]
+        if t == 1:
+            return np.where(actions % 2 == 0, 2, 3)
+        return np.full(len(actions), self.eos_token_id
+                       if t >= self.episode_len - 1 else 4)
+
+
+def chain_reward(tokens):
+    return 1.0 if 2 in np.asarray(tokens) else 0.0
+
+
+def tree_snapshot(node):
+    """A search tree as nested tuples: state, visits, rounded value sum and
+    the snapshots of the children in key order."""
+    return (tuple(node.state.tolist()), node.visits, round(node.q_sum, 12),
+            sorted((k, tree_snapshot(v)) for k, v in node.children.items()))

@@ -32,6 +32,7 @@ from actlm.training import Transition, fta_actions, inverse_action_labels, \
     loss_fta, loss_pre1, loss_pre2, pretrain_base_ar, q_values_fn, \
     sync_target, train_bc, train_q, train_rl, train_stage1
 from actlm.actions import policy_forward
+from conftest import ChainLM, chain_reward, tree_snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -433,30 +434,6 @@ def test_double_dqn_recovers_chain_values():
 # Tree search
 # ---------------------------------------------------------------------------
 
-class TwoBranchLM:
-    """The first action's parity picks token 2 (rewarded branch) or 3; filler
-    token 4 follows until eos closes the episode at a fixed length."""
-
-    def __init__(self, episode_len=10, n_actions=2, eos=0):
-        self.episode_len = episode_len
-        self.n_actions = n_actions
-        self.eos_token_id = eos
-
-    def policy_probs(self, tokens):
-        return np.full(self.n_actions, 1.0 / self.n_actions)
-
-    def next_token(self, tokens, action):
-        if len(tokens) == 1:
-            return 2 if action % 2 == 0 else 3
-        if len(tokens) >= self.episode_len - 1:
-            return self.eos_token_id
-        return 4
-
-
-def branch_reward(tokens):
-    return 1.0 if 2 in np.asarray(tokens) else 0.0
-
-
 def test_uct_matches_high_precision_reference():
     rng = np.random.default_rng(0)
     for _ in range(1000):
@@ -483,34 +460,29 @@ def test_mcts_finds_optimal_branch_across_seeds():
     for seed in range(20):
         cfg = SearchConfig(action_steps=2, iterations=12, expand_width=8,
                            max_len=10, seed=seed)
-        result = mcts_search(TwoBranchLM(), [1], cfg, branch_reward)
+        result = mcts_search(ChainLM(episode_len=10), [1], cfg, chain_reward)
         audit_tree(result.root)
-        wins += branch_reward(result.tokens) == 1.0
+        wins += chain_reward(result.tokens) == 1.0
     assert wins >= 19, wins
 
 
-def _tree_snapshot(node):
-    return (tuple(node.state.tolist()), node.visits, round(node.q_sum, 12),
-            sorted((k, _tree_snapshot(v)) for k, v in node.children.items()))
-
-
 def test_q_pruning_boundary_behavior():
-    toy = TwoBranchLM(episode_len=12)
+    toy = ChainLM(episode_len=12)
 
     # zero threshold: node-for-node identical to the plain search
     cfg0 = SearchConfig(action_steps=2, iterations=10, expand_width=2,
                         max_len=12, seed=7, bellman_threshold=0.0)
-    plain = mcts_search(toy, [1], cfg0, branch_reward)
-    pruned = mcts_search(toy, [1], cfg0, branch_reward,
+    plain = mcts_search(toy, [1], cfg0, chain_reward)
+    pruned = mcts_search(toy, [1], cfg0, chain_reward,
                          q_fn=lambda ctx: np.zeros(2), gamma=0.9)
-    assert _tree_snapshot(plain.root) == _tree_snapshot(pruned.root)
+    assert tree_snapshot(plain.root) == tree_snapshot(pruned.root)
     np.testing.assert_array_equal(plain.tokens, pruned.tokens)
 
     # infinite threshold: the first expansion extends straight to terminal
     cfg_inf = SearchConfig(action_steps=2, iterations=10, expand_width=2,
                            max_len=12, seed=1,
                            bellman_threshold=math.inf)
-    result = mcts_search(toy, [1], cfg_inf, branch_reward,
+    result = mcts_search(toy, [1], cfg_inf, chain_reward,
                          q_fn=lambda ctx: np.zeros(2), gamma=0.9)
     assert result.iterations == 1
     child = next(iter(result.root.children.values()))
@@ -531,8 +503,8 @@ def test_q_pruning_extends_only_the_consistent_branch():
 
     cfg = SearchConfig(action_steps=2, iterations=10, expand_width=2,
                        max_len=episode_len, seed=0, bellman_threshold=1e-4)
-    result = mcts_search(TwoBranchLM(episode_len=episode_len), [1], cfg,
-                         branch_reward, q_fn=q_fn, gamma=gamma)
+    result = mcts_search(ChainLM(episode_len=episode_len), [1], cfg,
+                         chain_reward, q_fn=q_fn, gamma=gamma)
     audit_tree(result.root)
     good_tokens, bad_tokens, good_passes, bad_passes = [], [], [], []
     stack = list(result.root.children.values())

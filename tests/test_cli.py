@@ -119,7 +119,7 @@ def test_cli_stage_chain_and_input_immutability(tmp_path):
 def test_default_prompts_skip_prefixes_ending_in_eos():
     """The default prompt settings take the first val prefixes that do not
     end in eos; at this corpus seed the plain slice holds one that does."""
-    cfg = RunConfig(hmm_train_count=0, hmm_val_count=16, hmm_seq_len=16,
+    cfg = RunConfig(hmm_train_count=1, hmm_val_count=15, hmm_seq_len=16,
                     hmm_seed=1)
     _, val, _ = cli._corpora(cfg)
     eos = cfg.eos_token_id
@@ -167,7 +167,9 @@ def test_every_default_has_one_source():
 
 
 @pytest.mark.parametrize("key,value", [
-    ("gamma", "2"), ("n_heads", "3"), ("c_uct", "-1"), ("n_samples", "1")])
+    ("gamma", "2"), ("n_heads", "3"), ("c_uct", "-1"), ("n_samples", "1"),
+    ("batch_size", "0"), ("learning_rate", "0"), ("expand_width", "0"),
+    ("hmm_train_count", "0"), ("hmm_val_count", "0")])
 def test_component_rejections_fail_at_load(key, value):
     """Every component is built when the config is, so a value one rejects
     fails whichever subcommand would read it."""
@@ -175,6 +177,32 @@ def test_component_rejections_fail_at_load(key, value):
         load_run_config(None, [f"--{key}", value])
     with pytest.raises(ConfigError, match=key):
         RunConfig(**{key: type(getattr(RunConfig(), key))(value)})
+
+
+# an out-of-range value for each renamed key that has a bound
+RENAMED_BAD = {"hmm_states": "0", "hmm_transition_conc": "0",
+               "hmm_emission_conc": "-1", "hmm_seq_len": "0"}
+UNBOUNDED = {"search_max_len", "hmm_seed"}
+
+
+def test_renamed_field_errors_name_the_flat_key():
+    """A value a component rejects under a renamed field is reported by
+    the flat key the user typed, not by the component's field name."""
+    renamed = {key: name for table in runconfig._RENAMED.values()
+               for name, key in table.items() if key is not None}
+    assert set(renamed) == set(RENAMED_BAD) | UNBOUNDED
+    for key, value in RENAMED_BAD.items():
+        with pytest.raises(ConfigError) as e:
+            load_run_config(None, [f"--{key}", value])
+        assert str(e.value).startswith(f"{key} must be")
+
+
+def test_cli_empty_corpus_split_fails_by_name(tmp_path, capsys):
+    for key in ("hmm_train_count", "hmm_val_count", "hmm_seq_len"):
+        rc = main(["pretrain-base", "--out_dir", str(tmp_path)] + TINY
+                  + [f"--{key}", "0"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {key} must be >= 1")
 
 
 def test_cli_out_of_range_value_fails_by_name(tmp_path, capsys):

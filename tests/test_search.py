@@ -2,12 +2,15 @@
 Q-pruned variant's boundary behavior against hand-built deterministic
 generator stubs; the cached decoder against full-prefix forwards."""
 
+import ast
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import actlm
 from actlm import autodiff as ad
 from actlm.actions import Decoder, policy_forward, world_logits
 from actlm.autodiff import Tensor
@@ -16,32 +19,8 @@ from actlm.model import base_forward, block_forward, init_model
 from actlm.search import (LatentActionLM, MctsNode, audit_tree, bellman_error,
                           mcts_search, rollout, uct_score)
 from actlm.training import Transition, rollout_batch
-from conftest import accumulation_length, gamma, matmul_error_bound
-
-
-class ChainLM:
-    """Two-branch deterministic toy: the first action's parity picks token 2
-    (good branch) or 3 (bad); filler token 4 follows until eos at a fixed
-    episode length."""
-
-    def __init__(self, episode_len=8, n_actions=2, eos=0):
-        self.episode_len = episode_len
-        self.n_actions = n_actions
-        self.eos_token_id = eos
-
-    def policy_probs(self, tokens):
-        return np.full(self.n_actions, 1.0 / self.n_actions)
-
-    def next_token(self, tokens, action):
-        if len(tokens) == 1:
-            return 2 if action % 2 == 0 else 3
-        if len(tokens) >= self.episode_len - 1:
-            return self.eos_token_id
-        return 4
-
-
-def chain_reward(tokens):
-    return 1.0 if 2 in np.asarray(tokens) else 0.0
+from conftest import (ChainLM, accumulation_length, chain_reward, gamma,
+                      matmul_error_bound, tree_snapshot)
 
 
 def test_rollout_greedy_runs_to_eos():
@@ -140,16 +119,11 @@ def test_mcts_counts_scorer_failures(tmp_path):
     reference = mcts_search(ChainLM(), [1], cfg, zeroed)
     assert result.scorer_failures == calls["n"] // 2 >= 4
     assert reference.scorer_failures == 0
-    assert snapshot(result.root) == snapshot(reference.root)
+    assert tree_snapshot(result.root) == tree_snapshot(reference.root)
     assert result.tokens.tobytes() == reference.tokens.tobytes()
     records = [json.loads(l) for l in trace.read_text().splitlines()]
     assert [r["scorer_failures"] for r in records] == \
         [int(i % 2 == 1) for i in range(result.iterations)]
-
-
-def snapshot(node):
-    return (tuple(node.state.tolist()), node.visits, round(node.q_sum, 12),
-            sorted((k, snapshot(v)) for k, v in node.children.items()))
 
 
 def test_mcts_q_zero_threshold_reproduces_plain_search():
@@ -158,7 +132,7 @@ def test_mcts_q_zero_threshold_reproduces_plain_search():
     plain = mcts_search(ChainLM(episode_len=12), [1], cfg, chain_reward)
     pruned = mcts_search(ChainLM(episode_len=12), [1], cfg, chain_reward,
                          q_fn=lambda ctx: np.zeros(2), gamma=0.9)
-    assert snapshot(plain.root) == snapshot(pruned.root)
+    assert tree_snapshot(plain.root) == tree_snapshot(pruned.root)
     np.testing.assert_array_equal(plain.tokens, pruned.tokens)
 
 
@@ -187,11 +161,14 @@ def test_latent_action_lm_adapter_contract():
     arch = ArchConfig(vocab_size=9, d_model=8, n_heads=2, max_seq_len=12,
                       intermediate_dim=16, codebook_size=4)
     model = LatentActionLM(init_model(arch, 0))
-    probs = model.policy_probs([1, 2, 3])
-    assert probs.shape == (4,)
+    assert (model.n_actions, model.eos_token_id) == (4, 0)
+    model.sync([[1, 2, 3]])
+    probs = model.policy_probs()
+    assert probs.shape == (1, 4)
     assert probs.sum() == pytest.approx(1.0, abs=1e-5)
     nxt = model.next_token([1, 2, 3], 2)
     assert 0 <= nxt < 9
+    assert model.next_tokens([2]).tolist() == [nxt]
     assert model.next_token([1, 2, 3], 2) == nxt  # deterministic
 
 
@@ -267,8 +244,8 @@ def test_decoder_matches_full_prefix(mode, seed):
 
 
 def test_latent_action_lm_encodes_each_token_once(monkeypatch):
-    """next_token after policy_probs on the same tokens, or on a prefix of
-    them, runs no forward; a new token costs one forward over it alone."""
+    """next_token after a sync to the same tokens, or to a prefix of them,
+    runs no forward; a new token costs one forward over it alone."""
     from actlm import actions
     real, widths = actions.base_forward, []
 
@@ -278,14 +255,58 @@ def test_latent_action_lm_encodes_each_token_once(monkeypatch):
 
     monkeypatch.setattr(actions, "base_forward", counting)
     lm = LatentActionLM(init_model(DCFG, 0))
-    lm.policy_probs([1, 2, 3])
+    lm.sync([[1, 2, 3]])
     lm.next_token([1, 2, 3], 0)
     assert widths == [3]
-    lm.policy_probs([1, 2, 3, 4])
+    lm.sync([[1, 2, 3, 4]])
     lm.next_token([1, 2], 1)
     assert widths == [3, 1]
-    lm.policy_probs([1, 2, 5, 6])
+    lm.sync([[1, 2, 5, 6]])
     assert widths == [3, 1, 2]
+
+
+def test_generation_syncs_once_per_token(monkeypatch):
+    """search.rollout and rollout_batch sync the decoder once per decode
+    step, and a decode step generates one token per row."""
+    from actlm import actions
+    real, syncs = actions.Decoder.sync, []
+
+    def counting(self, tokens):
+        syncs.append(np.shape(tokens))
+        return real(self, tokens)
+
+    monkeypatch.setattr(actions.Decoder, "sync", counting)
+    state = init_model(DCFG, 0)
+    state.groups["merge"]["lm_head"].data[:, DCFG.eos_token_id] = 0.0  # no eos
+    rng = np.random.default_rng(0)
+    for mode in ("greedy", "sample"):
+        syncs.clear()
+        tokens, actions_ = rollout(LatentActionLM(state), [3, 5], mode, 12, rng)
+        assert len(tokens) == 12 and len(syncs) == len(actions_) == 10
+        syncs.clear()
+        batch, actions_ = rollout_batch(state, np.array([[3, 5], [4, 6]]),
+                                        mode, 12, rng)
+        assert batch.shape == (2, 12)
+        assert syncs == [(2, t) for t in range(2, 12)]
+        assert actions_.shape == (2, 10)
+
+
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+         ast.DictComp, ast.GeneratorExp)
+
+
+def test_one_decode_loop():
+    """Exactly one loop in the package steps a generator through
+    `.next_tokens(`, so a second generation path cannot come back
+    unnoticed."""
+    loops = []
+    for path in sorted(pathlib.Path(actlm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, LOOPS) and any(
+                    isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and n.func.attr == "next_tokens" for n in ast.walk(node)):
+                loops.append(path.name)
+    assert loops == ["actions.py"], loops
 
 
 def test_decoder_rejects_bad_shapes():
