@@ -167,7 +167,10 @@ class Decoder:
     at every held position. `sync` keeps the longest prefix the new tokens
     share with the held ones and encodes the rest in one forward, so
     appending a token or going back to a prefix re-encodes nothing else.
-    The caches are valid only while the state's weights stay unchanged.
+    A sync may change the number of rows: the decoder then forks one held
+    row into all new rows (or keeps one of many), so n rows that leave one
+    sequence encode only what follows it. The caches are valid only while
+    the state's weights stay unchanged.
 
     `sync`, `policy_probs`, `next_tokens`, `eos_token_id` and `n_actions`
     are the generator contract that `generate` and search decode through,
@@ -187,18 +190,23 @@ class Decoder:
         self.probs = np.zeros((batch, cfg.max_seq_len, cfg.codebook_size), dtype)
 
     def sync(self, tokens) -> None:
-        """Make the held sequences equal to tokens (B, T). Raises
-        FloatingPointError, naming the first position, if the policy
-        probabilities of a newly encoded position are not finite."""
+        """Make the held sequences equal to tokens (B, T), B any batch size.
+
+        With B unchanged, row i keeps what it shares with held row i. With
+        B changed, every row continues the one held row with which all of
+        them share the longest prefix. Raises FloatingPointError, naming
+        the first position, if the policy probabilities of a newly encoded
+        position are not finite."""
         tokens = np.asarray(tokens)
-        if tokens.ndim != 2 or tokens.shape[0] != self.tokens.shape[0] \
-                or tokens.shape[1] < 1:
-            raise ValueError(f"expected ({self.tokens.shape[0]}, T>=1) tokens, "
-                             f"got shape {tokens.shape}")
+        if tokens.ndim != 2 or tokens.shape[1] < 1:
+            raise ValueError(f"expected (B, T>=1) tokens, got shape {tokens.shape}")
         n = min(self.tokens.shape[1], tokens.shape[1])
-        differ = np.flatnonzero((self.tokens[:, :n] != tokens[:, :n]).any(axis=0))
-        if differ.size:
-            n = int(differ[0])
+        if len(tokens) == len(self.tokens):
+            differ = np.flatnonzero((self.tokens[:, :n] != tokens[:, :n]).any(axis=0))
+            if differ.size:
+                n = int(differ[0])
+        else:
+            n = self._fork(tokens[:, :n])
         for c in self.base_cache + self.policy_cache:
             c.length = n
         t = tokens.shape[1]
@@ -214,6 +222,20 @@ class Decoder:
             self.e_l[:, n:t] = e_l.data
             self.probs[:, n:t] = probs.data
         self.tokens = tokens.copy()
+
+    def _fork(self, prefixes: np.ndarray) -> int:
+        """Hold len(prefixes) copies of the held row whose prefix all rows
+        of prefixes (B, n) share longest; returns that shared length."""
+        same = prefixes[:, None, :] == self.tokens[None, :, :prefixes.shape[1]]
+        shared = np.logical_and.accumulate(same, axis=2).sum(axis=2).min(axis=0)
+        row, b = int(shared.argmax()), len(prefixes)
+        for c in self.base_cache + self.policy_cache:
+            if c.k is not None:
+                c.k = np.repeat(c.k[row:row + 1], b, axis=0)
+                c.v = np.repeat(c.v[row:row + 1], b, axis=0)
+        self.e_l = np.repeat(self.e_l[row:row + 1], b, axis=0)
+        self.probs = np.repeat(self.probs[row:row + 1], b, axis=0)
+        return int(shared[row])
 
     def policy_probs(self) -> np.ndarray:
         """(B, N) action distribution after the held tokens."""

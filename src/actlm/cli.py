@@ -125,8 +125,8 @@ def cmd_bc_policy(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
 def cmd_fta(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
     state, _ = _load_input(cfg)
     train, _, _ = _corpora(cfg)
-    examples = make_sft_split(train, cfg.prompt_len)
-    train_fta(state, examples, cfg.train(), cfg.sft_type, metrics.append)
+    split = make_sft_split(train, cfg.prompt_len)
+    train_fta(state, split, cfg.train(), cfg.sft_type, metrics.append)
     save_checkpoint(state, os.path.join(out, "fta.ckpt"),
                     f"fta-{cfg.sft_type}", cfg.steps)
     print(f"wrote {out}/fta.ckpt")

@@ -62,23 +62,25 @@ def hmm_matrices(cfg: HmmCorpusConfig):
     return _hmm_params(cfg, np.random.default_rng(cfg.seed))
 
 
-@dataclass
-class SftExample:
-    prompt: np.ndarray
-    response: np.ndarray
+@dataclass(frozen=True)
+class SftSplit:
+    """Prompt/response pairs as one array: every row of tokens (n, L) is a
+    prompt of prompt_len tokens followed by its response."""
+
+    tokens: np.ndarray
+    prompt_len: int
 
     def __post_init__(self):
-        if len(self.prompt) < 1 or len(self.response) < 1:
-            raise ValueError("prompt and response must be non-empty")
+        if self.tokens.ndim != 2 or len(self.tokens) < 1:
+            raise ValueError("SFT tokens must be a non-empty (n, L) array")
+        if not 0 < self.prompt_len < self.tokens.shape[1]:
+            raise ValueError("prompt_len out of range")
 
 
-def make_sft_split(corpus: np.ndarray, prompt_len: int) -> list[SftExample]:
+def make_sft_split(corpus: np.ndarray, prompt_len: int) -> SftSplit:
     """Deterministically split each sequence into prompt/response at
     prompt_len."""
-    if not 0 < prompt_len < corpus.shape[1]:
-        raise ValueError("prompt_len out of range")
-    return [SftExample(row[:prompt_len].copy(), row[prompt_len:].copy())
-            for row in corpus]
+    return SftSplit(np.array(corpus), prompt_len)
 
 
 def open_prefixes(corpus: np.ndarray, n: int, length: int, eos: int) -> np.ndarray:

@@ -78,7 +78,7 @@ class RunConfig(make_dataclass("ComponentKeys", _component_fields())):
     def __post_init__(self):
         """Check the corpus split, then build every component once, so a
         value that one of them rejects fails here, whichever subcommand
-        reads it, naming the flat key."""
+        reads it, naming the flat key; then the bounds between keys."""
         for key in ("hmm_train_count", "hmm_val_count"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
@@ -88,6 +88,12 @@ class RunConfig(make_dataclass("ComponentKeys", _component_fields())):
             except FieldError as e:
                 flat = {f.name: key for f, key in _keyed(cls)}.get(e.field)
                 raise ConfigError(f"{flat or e.field} {e.rule}") from None
+        if self.hmm_seq_len < 2:
+            raise ConfigError("hmm_seq_len must be >= 2: a one-token row has "
+                              "no next-token target")
+        if self.rl_max_len <= self.prompt_len:
+            raise ConfigError("rl_max_len must be > prompt_len: rollouts "
+                              "would make no decisions")
 
     def _component(self, cls):
         derived = {"n_sequences": self.hmm_train_count + self.hmm_val_count} \

@@ -5,7 +5,11 @@ Every path decodes through `actions.generate`, the one decode loop, and so
 talks to the generator only through the Decoder contract: `sync(tokens)`,
 `policy_probs()`, `next_tokens(actions)`, `eos_token_id` and `n_actions`.
 A trained model (`LatentActionLM`) and hand-built test generators plug in
-alike. Search decodes one row at a time.
+alike. MCTS decodes in batches: an expansion draws its expand_width
+segments as the rows of one `generate` call, and the new children's
+playouts are drawn right after it, one call per distinct state length. A
+decoder's `sync` re-batches, so these rows fork from the one node they
+leave.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from .training import Transition, dqn_target
 
 
 class LatentActionLM(Decoder):
-    """One-row Decoder over a trained model state. Its cache persists
-    across calls, so consecutive searches and rollouts on growing or
-    branching prefixes re-encode only the tokens that changed."""
+    """Decoder over a trained model state whose cache persists across
+    calls, so consecutive searches and rollouts on growing, branching or
+    forking prefixes re-encode only the tokens that changed."""
 
     def next_token(self, tokens, action: int) -> int:
         """World-model argmax token after tokens (p,) under one action."""
@@ -115,35 +119,55 @@ class _Scorer:
             return 0.0
 
 
-def _simulate(model, node: MctsNode, score: _Scorer, max_len: int, rng) -> float:
-    if _is_terminal(model, node.state, max_len):
-        node.sim_tokens = np.asarray([], dtype=np.int64)
-        node.sim_value = score(node.state)
-        return node.sim_value
-    full, _ = generate(model, node.state[None], "sample", max_len, rng)
-    node.sim_tokens = full[0, len(node.state):]
-    node.sim_value = score(full[0])
+def _ends(tokens: np.ndarray, start: int, eos: int) -> np.ndarray:
+    """Where each row of a generate output that continued tokens[:, :start]
+    ends: after the first eos it generated, else at the last column."""
+    hit = tokens[:, start:] == eos
+    return np.where(hit.any(axis=1), start + hit.argmax(axis=1) + 1,
+                    tokens.shape[1])
+
+
+def _simulate(model, nodes: list[MctsNode], max_len: int, rng) -> None:
+    """Draw one playout per node into its sim_tokens, one generate call per
+    distinct state length; a terminal node's playout is empty."""
+    by_len: dict[int, list[MctsNode]] = {}
+    for node in nodes:
+        if _is_terminal(model, node.state, max_len):
+            node.sim_tokens = np.asarray([], dtype=np.int64)
+        else:
+            by_len.setdefault(len(node.state), []).append(node)
+    for length, group in by_len.items():
+        full, _ = generate(model, np.stack([n.state for n in group]), "sample",
+                           max_len, rng)
+        for node, row, end in zip(group, full,
+                                  _ends(full, length, model.eos_token_id)):
+            node.sim_tokens = row[length:end]
+
+
+def _score(node: MctsNode, score: _Scorer) -> float:
+    """Score the node's stored playout, as sequential MCTS would simulate
+    it, when selection first reaches the node."""
+    node.sim_value = score(np.concatenate([node.state, node.sim_tokens]))
     return node.sim_value
 
 
-def _expand(model, node: MctsNode, cfg: SearchConfig, rng) -> MctsNode | None:
-    """Create up to expand_width children by sampled k-step segments; returns
-    the first newly created child (None only if the node is terminal)."""
-    first = None
-    for _ in range(cfg.expand_width):
-        states, actions = generate(model, node.state[None], "sample",
-                                   cfg.max_len, rng, cfg.action_steps)
-        key = tuple(actions[0].tolist())  # Python ints: keys go into the trace
-        if not key or key in node.children:
+def _expand(model, node: MctsNode, cfg: SearchConfig, rng) -> None:
+    """Create up to expand_width children from as many sampled k-step
+    segments, drawn as the rows of one batch, each cut at its first eos;
+    keys are deduplicated in row order. A non-terminal node gets at least
+    one child."""
+    p = len(node.state)
+    rows = np.repeat(node.state[None], cfg.expand_width, axis=0)
+    states, actions = generate(model, rows, "sample", cfg.max_len, rng,
+                               cfg.action_steps)
+    for row, acts, end in zip(states, actions,
+                              _ends(states, p, model.eos_token_id)):
+        key = tuple(acts[:end - p].tolist())  # Python ints: keys go into the trace
+        if key in node.children:
             continue
-        child = MctsNode(state=states[0],
-                         prev_context=states[0, :-1].copy(),
-                         last_action=key[-1],
-                         expansion_tokens=len(key))
+        child = MctsNode(state=row[:end], prev_context=row[:end - 1].copy(),
+                         last_action=key[-1], expansion_tokens=len(key))
         node.children[key] = child
-        if first is None:
-            first = child
-    return first
 
 
 def _extend_low_uncertainty(model, node: MctsNode, cfg: SearchConfig,
@@ -172,7 +196,10 @@ def mcts_search(model, prompt, cfg: SearchConfig, reward_fn,
 
     Returns the state of the best-simulation node concatenated with its
     stored simulation. A reward_fn that raises scores the simulation 0; the
-    result and each trace record count such failures."""
+    result and each trace record count such failures. Playouts are drawn
+    at expansion but scored when selection first reaches their child, so
+    scoring, the trace and the tree's sim_values follow sequential MCTS; a
+    child never reached keeps sim_tokens and sim_value None."""
     rng = np.random.default_rng(cfg.seed)
     root = MctsNode(state=np.asarray(prompt))
     score = _Scorer(reward_fn)
@@ -189,27 +216,25 @@ def mcts_search(model, prompt, cfg: SearchConfig, reward_fn,
             path_keys.append(list(key))
             node = nxt
             path.append(node)
-        expanded_terminal = False
-        if node.visits == 0 and node is not root and node.sim_value is None:
-            # freshly created child reached by selection: simulate it
-            value = _simulate(model, node, score, cfg.max_len, rng)
+        if node.visits == 0 and node is not root:
+            # a child first reached by selection: its playout was drawn at
+            # expansion, and is scored now
+            value = _score(node, score)
             expanded_terminal = _is_terminal(model, node.state, cfg.max_len)
         elif _is_terminal(model, node.state, cfg.max_len):
-            value = _simulate(model, node, score, cfg.max_len, rng)
+            _simulate(model, [node], cfg.max_len, rng)
+            value = _score(node, score)
             expanded_terminal = True
         else:
-            child = _expand(model, node, cfg, rng)
-            if child is None:
-                value = _simulate(model, node, score, cfg.max_len, rng)
-                expanded_terminal = True
-            else:
-                path.append(child)
-                key = next(k for k, v in node.children.items() if v is child)
-                path_keys.append(list(key))
-                if q_fn is not None:
-                    _extend_low_uncertainty(model, child, cfg, q_fn, gamma)
-                value = _simulate(model, child, score, cfg.max_len, rng)
-                expanded_terminal = _is_terminal(model, child.state, cfg.max_len)
+            _expand(model, node, cfg, rng)  # node had no children
+            key, child = next(iter(node.children.items()))
+            path.append(child)
+            path_keys.append(list(key))
+            if q_fn is not None:
+                _extend_low_uncertainty(model, child, cfg, q_fn, gamma)
+            _simulate(model, list(node.children.values()), cfg.max_len, rng)
+            value = _score(child, score)
+            expanded_terminal = _is_terminal(model, child.state, cfg.max_len)
         for n in path:
             n.visits += 1
             n.q_sum += value
@@ -229,7 +254,9 @@ def mcts_search(model, prompt, cfg: SearchConfig, reward_fn,
     while stack:
         n = stack.pop()
         n_nodes += 1
-        if n.sim_value is not None and n.sim_value > best_value:
+        if n.sim_value is None:
+            n.sim_tokens = None  # a playout no sequential search would draw
+        elif n.sim_value > best_value:
             best, best_value = n, n.sim_value
         stack.extend(n.children[k] for k in sorted(n.children, reverse=True))
     tokens = np.concatenate([best.state, best.sim_tokens]) if best is not None \

@@ -20,6 +20,7 @@ from .actions import (Decoder, assign_direct, assign_vq, check_prompts,
                       generate, inverse_encode, one_hot, policy_forward,
                       policy_log_probs, q_forward, world_logits)
 from .config import TrainConfig
+from .data import SftSplit
 from .model import ModelState, base_forward, base_logits
 
 
@@ -304,13 +305,15 @@ def q_values_fn(state: ModelState, group: str):
 
 def dqn_target(transition: Transition, q_online, q_target, gamma: float) -> float:
     """Double-DQN target: r at terminal, else gamma * Q_target(s', argmax_a
-    Q_online(s', a))."""
+    Q_online(s', a)). A target net that is the online net is evaluated
+    once."""
     if transition.terminal:
         return float(transition.reward)
     if gamma == 0.0:
         return 0.0
-    best = int(np.argmax(q_online(transition.next_context)))
-    return float(gamma * q_target(transition.next_context)[best])
+    online = q_online(transition.next_context)
+    target = online if q_target is q_online else q_target(transition.next_context)
+    return float(gamma * target[int(np.argmax(online))])
 
 
 def dqn_batch(state: ModelState, transitions: list[Transition],
@@ -459,13 +462,12 @@ def train_bc(state: ModelState, corpus, cfg: TrainConfig, start: int = 0,
               lambda batch: loss_pre2(state, *batch, start=start), metrics_cb)
 
 
-def train_fta(state: ModelState, examples, cfg: TrainConfig, mode: str,
+def train_fta(state: ModelState, split: SftSplit, cfg: TrainConfig, mode: str,
               metrics_cb=None) -> None:
-    """Fine-tune the base under fixed actions (FTA-I or FTA-P); the merge
-    module stays frozen. FTA-I is followed by a policy refresh restricted to
-    response positions."""
-    prompt_len = len(examples[0].prompt)
-    corpus = np.stack([np.concatenate([ex.prompt, ex.response]) for ex in examples])
+    """Fine-tune the base under fixed actions (FTA-I or FTA-P) on an SFT
+    split; the merge module stays frozen. FTA-I is followed by a policy
+    refresh restricted to response positions."""
+    corpus, prompt_len = split.tokens, split.prompt_len
 
     def batch_fn(rng):
         tokens = corpus[rng.integers(0, len(corpus), size=cfg.batch_size)]

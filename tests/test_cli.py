@@ -169,10 +169,12 @@ def test_every_default_has_one_source():
 @pytest.mark.parametrize("key,value", [
     ("gamma", "2"), ("n_heads", "3"), ("c_uct", "-1"), ("n_samples", "1"),
     ("batch_size", "0"), ("learning_rate", "0"), ("expand_width", "0"),
-    ("hmm_train_count", "0"), ("hmm_val_count", "0")])
+    ("hmm_train_count", "0"), ("hmm_val_count", "0"), ("hmm_seq_len", "1"),
+    ("rl_max_len", "8")])
 def test_component_rejections_fail_at_load(key, value):
     """Every component is built when the config is, so a value one rejects
-    fails whichever subcommand would read it."""
+    fails whichever subcommand would read it; so do a one-token corpus row
+    and an rl_max_len that leaves the default prompt_len no decision."""
     with pytest.raises(ConfigError, match=key):
         load_run_config(None, [f"--{key}", value])
     with pytest.raises(ConfigError, match=key):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from actlm.data import (CountdownTask, HmmCorpusConfig, SftExample, cdf,
+from actlm.data import (CountdownTask, HmmCorpusConfig, SftSplit, cdf,
                         countdown_reward, evaluate_expression, gen_hmm_corpus,
                         hmm_matrices, inverse_cdf, make_sft_split,
                         marker_reward, open_prefixes)
@@ -140,13 +140,19 @@ def test_inverse_cdf_never_draws_a_zero_probability_category():
 
 
 def test_make_sft_split():
+    """One array of whole rows, split at prompt_len, that does not alias
+    the corpus; a split without a prompt or a response is refused."""
     corpus = np.arange(20).reshape(2, 10)
-    examples = make_sft_split(corpus, 3)
-    assert len(examples) == 2
-    np.testing.assert_array_equal(examples[0].prompt, [0, 1, 2])
-    np.testing.assert_array_equal(examples[0].response, np.arange(3, 10))
+    split = make_sft_split(corpus, 3)
+    assert isinstance(split, SftSplit) and split.prompt_len == 3
+    np.testing.assert_array_equal(split.tokens, corpus)
+    corpus[0, 0] = 99
+    assert split.tokens[0, 0] == 0
+    for bad_len in (0, 10):
+        with pytest.raises(ValueError):
+            make_sft_split(corpus, bad_len)
     with pytest.raises(ValueError):
-        make_sft_split(corpus, 10)
+        make_sft_split(corpus[:0], 3)
 
 
 def test_open_prefixes_skip_rows_ending_in_eos():

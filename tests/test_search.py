@@ -12,13 +12,14 @@ import pytest
 
 import actlm
 from actlm import autodiff as ad
-from actlm.actions import Decoder, policy_forward, world_logits
+from actlm.actions import Decoder, generate, policy_forward, world_logits
 from actlm.autodiff import Tensor
 from actlm.config import ArchConfig, SearchConfig
 from actlm.model import base_forward, block_forward, init_model
-from actlm.search import (LatentActionLM, MctsNode, audit_tree, bellman_error,
-                          mcts_search, rollout, uct_score)
-from actlm.training import Transition, rollout_batch
+from actlm.search import (LatentActionLM, MctsNode, _select_child, audit_tree,
+                          bellman_error, mcts_search, rollout, uct_score)
+from actlm.training import (Transition, dqn_target, q_values_fn,
+                            rollout_batch)
 from conftest import (ChainLM, accumulation_length, chain_reward, gamma,
                       matmul_error_bound, tree_snapshot)
 
@@ -64,6 +65,24 @@ def test_bellman_error_oracle():
     step = Transition(np.array([1]), 1, np.array([1, 2]), 0.0, False)
     # target = 0.9 * 0.8 (argmax is action 1); residual = 0.72 - 0.8
     assert bellman_error(step, q, 0.9) == pytest.approx(0.08 ** 2)
+
+
+def test_bellman_check_runs_one_next_context_forward():
+    """With the target net equal to the online net, a Bellman check asks
+    q_fn once per context, not once more for the target net, and its value
+    is bitwise that of a target net given as a second function."""
+    state = init_model(DCFG, 0)
+    q, calls = q_values_fn(state, "q_online"), []
+
+    def counting(context):
+        calls.append(len(context))
+        return q(context)
+
+    tr = Transition(np.array([3, 5, 7]), 2, np.array([3, 5, 7, 4]), 0.0, False)
+    error = bellman_error(tr, counting, 0.9)
+    assert sorted(calls) == [3, 4]
+    y = dqn_target(tr, q, lambda context: q(context), 0.9)
+    assert error == float((y - q(tr.context)[tr.action]) ** 2)
 
 
 def test_mcts_finds_good_branch_and_audits():
@@ -145,6 +164,140 @@ def test_mcts_q_infinite_threshold_extends_to_terminal_in_one_pass():
     child = next(iter(result.root.children.values()))
     assert child.state[-1] == 0  # extended all the way to eos
     assert child.extension_passes >= 1
+
+
+class StickyLM:
+    """Stochastic generator speaking the Decoder contract: actions 0-2 emit
+    tokens 1-3 and action 3 emits eos. After the prompt token 4 the policy
+    is POLICY[4]; after token t it repeats action t-1 with probability 0.75
+    and picks eos with probability 0.05. A finished row, padded with eos,
+    reads POLICY[0], which the decode loop ignores."""
+
+    eos_token_id, n_actions = 0, 4
+    POLICY = {0: [0.25] * 4, 4: [0.3, 0.3, 0.3, 0.1], 1: [0.75, 0.1, 0.1, 0.05],
+              2: [0.1, 0.75, 0.1, 0.05], 3: [0.1, 0.1, 0.75, 0.05]}
+
+    def sync(self, tokens):
+        self.tokens = np.asarray(tokens)
+
+    def policy_probs(self):
+        return np.array([self.POLICY[t] for t in self.tokens[:, -1]])
+
+    def next_tokens(self, actions):
+        return np.where(np.asarray(actions) == 3, 0, np.asarray(actions) + 1)
+
+
+def segment_probability(key) -> float:
+    """Probability that one k-step segment drawn from StickyLM's prompt [4]
+    has this key."""
+    prob, last = 1.0, 4
+    for action in key:
+        prob *= StickyLM.POLICY[last][action]
+        last = action + 1
+    return prob
+
+
+def reference_mcts_search(model, prompt, cfg: SearchConfig, reward_fn):
+    """The sequential MCTS loop batched search replaced: each expansion
+    draws its segments one row at a time, and a child's playout is drawn
+    and scored when selection first reaches it. Kept as the reference the
+    batched search's distribution is checked against. Returns the root and
+    the best reward."""
+    rng = np.random.default_rng(cfg.seed)
+    eos = model.eos_token_id
+    root = MctsNode(state=np.asarray(prompt))
+
+    def terminal(state):
+        return len(state) >= cfg.max_len or state[-1] == eos
+
+    def simulate(node):
+        full, _ = generate(model, node.state[None], "sample", cfg.max_len, rng)
+        node.sim_value = reward_fn(full[0])
+        return node.sim_value
+
+    for _ in range(cfg.iterations):
+        node, path = root, [root]
+        while node.children:
+            node = _select_child(node, cfg.c_uct)
+            path.append(node)
+        if node.visits == 0 and node is not root or terminal(node.state):
+            done = terminal(node.state)
+        else:
+            for _ in range(cfg.expand_width):
+                states, actions = generate(model, node.state[None], "sample",
+                                           cfg.max_len, rng, cfg.action_steps)
+                key = tuple(actions[0].tolist())
+                if key not in node.children:
+                    node.children[key] = MctsNode(state=states[0])
+            node = next(iter(node.children.values()))
+            path.append(node)
+            done = terminal(node.state)
+        value = simulate(node)
+        for n in path:
+            n.visits += 1
+            n.q_sum += value
+        if done:
+            break
+    best, stack = -math.inf, [root]
+    while stack:
+        n = stack.pop()
+        if n.sim_value is not None:
+            best = max(best, n.sim_value)
+        stack.extend(n.children.values())
+    return root, best
+
+
+def junction_switch(tokens) -> float:
+    """1 iff the token after a root child's state (prompt [4] plus a full
+    2-step segment) differs from the state's last token."""
+    return float(len(tokens) > 3 and tokens[3] != tokens[2])
+
+
+def test_batched_search_matches_sequential_reference_in_distribution():
+    """Over 600 seeds at each of two search shapes, batched MCTS and the
+    sequential reference agree in distribution on StickyLM: the frequency
+    of every possible root-child key matches its exact probability
+    1 - (1 - q)^W under both, q the segment's probability and W the expand
+    width, and the frequencies of each best reward agree between the two.
+    The short search leaves most root children unvisited; the long one
+    expands below them.
+
+    Per cell the bound is Bernstein's inequality, as in the HMM sampler
+    test: for a key, a mean of N Bernoulli draws of known p; for a best
+    reward, the difference of two such means, a mean of N independent
+    differences in [-1, 1] with variance at most 1/2. z comes from a
+    false-failure probability of 1e-3 for the whole test, split evenly
+    (Bonferroni) over all cells."""
+    n_seeds, shapes = 600, ((2, 8), (6, 4))  # (iterations, expand_width)
+    keys = [(3,)] + [(a, b) for a in range(3) for b in range(4)]
+    runs = {}
+    for iterations, width in shapes:
+        for seed in range(n_seeds):
+            cfg = SearchConfig(action_steps=2, iterations=iterations,
+                               expand_width=width, max_len=8, seed=seed)
+            result = mcts_search(StickyLM(), [4], cfg, junction_switch)
+            runs.setdefault((width, "batched"), []).append(
+                (set(result.root.children), junction_switch(result.tokens)))
+            root, best = reference_mcts_search(StickyLM(), [4], cfg,
+                                               junction_switch)
+            runs.setdefault((width, "sequential"), []).append(
+                (set(root.children), best))
+    rewards = sorted({best for run in runs.values() for _, best in run})
+    n_cells = len(runs) * len(keys) + len(shapes) * len(rewards)
+    z = math.sqrt(2 * math.log(2 * n_cells / 1e-3))
+    for (width, name), run in runs.items():
+        assert all(children <= set(keys) for children, _ in run), name
+        for key in keys:
+            p = 1 - (1 - segment_probability(key)) ** width
+            freq = np.mean([key in children for children, _ in run])
+            assert abs(freq - p) <= z * math.sqrt(p * (1 - p) / n_seeds) \
+                + z * z / (3 * n_seeds), (name, width, key, freq, p)
+    for _, width in shapes:
+        for value in rewards:
+            freqs = [np.mean([best == value for _, best in runs[width, name]])
+                     for name in ("batched", "sequential")]
+            assert abs(freqs[0] - freqs[1]) <= z * math.sqrt(0.5 / n_seeds) \
+                + z * z / (3 * n_seeds), (width, value, freqs)
 
 
 def test_audit_tree_catches_violations():
@@ -311,7 +464,7 @@ def test_one_decode_loop():
 
 def test_decoder_rejects_bad_shapes():
     dec = Decoder(init_model(DCFG, 0), batch=2)
-    for bad in (np.zeros((1, 3), int), np.zeros((2, 0), int), np.zeros(3, int)):
+    for bad in (np.zeros((2, 0), int), np.zeros(3, int)):
         with pytest.raises(ValueError):
             dec.sync(bad)
 
@@ -379,6 +532,68 @@ def test_greedy_decoding_matches_uncached_reference(seed):
     batch, _ = rollout_batch(state, prompts, "greedy", DCFG.max_seq_len)
     np.testing.assert_array_equal(batch, expected)
     lm = LatentActionLM(state)
+    for prompt, row in zip(prompts, expected):
+        tokens, _ = rollout(lm, prompt, "greedy", DCFG.max_seq_len)
+        ends = np.flatnonzero(row[len(prompt):] == DCFG.eos_token_id)
+        length = len(row) if not ends.size else len(prompt) + ends[0] + 1
+        np.testing.assert_array_equal(tokens, row[:length])
+
+
+def count_base_tokens(monkeypatch) -> list[int]:
+    """Record the batch size times width of every cached base forward."""
+    from actlm import actions
+    real, counts = actions.base_forward, []
+
+    def counting(p, cfg, tokens, cache=None):
+        counts.append(np.asarray(tokens).size)
+        return real(p, cfg, tokens, cache)
+
+    monkeypatch.setattr(actions, "base_forward", counting)
+    return counts
+
+
+def test_decoder_fork_encodes_only_the_unshared_suffix(monkeypatch):
+    """Going from 1 row to n and back, a sync encodes only the positions
+    after the longest prefix all new rows share with one held row, and the
+    forked caches give what a fresh decoder gives within the rounding-error
+    bound."""
+    counts = count_base_tokens(monkeypatch)
+    state = init_model(DCFG, 0)
+    dec = Decoder(state)
+    dec.sync([[1, 2, 3, 4, 5]])
+    assert counts == [5]
+    fork = np.array([[1, 2, 3, 4, 5, 6, 7], [1, 2, 3, 4, 5, 8, 9],
+                     [1, 2, 3, 4, 5, 6, 2]])
+    dec.sync(fork)  # one held row, 5 shared tokens: 3 rows x 2 new ones
+    assert counts == [5, 6]
+    dec.sync(fork[2:])  # back to one row: held row 2 is it, nothing to encode
+    assert counts == [5, 6]
+    dec.sync([[1, 2, 3, 4, 5, 6, 2, 7]])
+    assert counts == [5, 6, 1]
+    pair = np.array([[1, 2, 3, 4, 5, 8, 1], [1, 2, 3, 9, 9, 9, 9]])
+    dec.sync(pair)  # the rows share [1, 2, 3] with the held row
+    assert counts == [5, 6, 1, 8]
+    for rows in (fork, pair):
+        dec.sync(rows)
+        probs, bound = probs_bound(state, rows)
+        assert (np.abs(dec.probs[:, :rows.shape[1]] - probs) <= bound).all()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_forked_greedy_decoding_matches_uncached_reference(seed):
+    """One LatentActionLM that holds a prefix, forks into rows continuing it
+    and then goes back to each row alone decodes the full-prefix loop's
+    greedy tokens throughout."""
+    state = init_model(DCFG, seed)
+    rng = np.random.default_rng(seed)
+    prefix = rng.integers(1, DCFG.vocab_size, size=int(rng.integers(1, 8)))
+    prompts = np.concatenate([np.repeat(prefix[None], 3, 0),
+                              rng.integers(1, DCFG.vocab_size, size=(3, 2))], 1)
+    expected = reference_greedy(state, prompts, DCFG.max_seq_len)
+    lm = LatentActionLM(state)
+    rollout(lm, prefix, "greedy", len(prefix) + 2)
+    batch, _ = generate(lm, prompts, "greedy", DCFG.max_seq_len)
+    np.testing.assert_array_equal(batch, expected)
     for prompt, row in zip(prompts, expected):
         tokens, _ = rollout(lm, prompt, "greedy", DCFG.max_seq_len)
         ends = np.flatnonzero(row[len(prompt):] == DCFG.eos_token_id)

@@ -213,7 +213,7 @@ def test_fta_actions_modes_differ():
 # embeddings, and the inverse rejects non-finite action logits first.
 def _drivers():
     corpus = small_tokens(b=8)
-    examples = make_sft_split(corpus, 3)
+    split = make_sft_split(corpus, 3)
     transitions = [
         Transition(np.array([1, 2]), 2, np.array([1, 2, 3]), 0.0, False),
         Transition(np.array([1, 2, 3]), 1, np.array([1, 2, 3, 4]), 1.0, True)]
@@ -228,9 +228,9 @@ def _drivers():
                    "base", ("merge", "lm_head")),
         "bc-policy": (lambda s, cb, n: train_bc(s, corpus, cfg(n), metrics_cb=cb),
                       "base", ("policy", "head")),
-        "fta-FTA-I": (lambda s, cb, n: train_fta(s, examples, cfg(n), "FTA-I", cb),
+        "fta-FTA-I": (lambda s, cb, n: train_fta(s, split, cfg(n), "FTA-I", cb),
                       "merge", None),
-        "fta-FTA-P": (lambda s, cb, n: train_fta(s, examples, cfg(n), "FTA-P", cb),
+        "fta-FTA-P": (lambda s, cb, n: train_fta(s, split, cfg(n), "FTA-P", cb),
                       "codebook", ("base", "tok_emb")),
         "rl": (lambda s, cb, n: train_rl(s, corpus[:2, :3], lambda r: float(len(r) % 2),
                                          cfg(n), max_len=8, updates=n, metrics_cb=cb),
