@@ -110,7 +110,8 @@ class Tape:
 
     def grad(self, grads: dict[int, np.ndarray], t: Tensor) -> np.ndarray:
         """Gradient of a leaf from a `gradients()` result; zeros if unused."""
-        return grads.get(id(t), np.zeros_like(t.data))
+        g = grads.get(id(t))
+        return np.zeros_like(t.data) if g is None else g
 
 
 @contextlib.contextmanager
@@ -126,11 +127,17 @@ def untaped():
         _TAPE_STACK.pop()
 
 
+def recording() -> bool:
+    """Whether an op run now would be recorded: a tape is open and no
+    `untaped()` block sits inside it."""
+    return bool(_TAPE_STACK) and _TAPE_STACK[-1] is not None
+
+
 def _emit(data, backward) -> Tensor:
     """The output Tensor of an op; it keeps `backward` (and through it the
     op's inputs) only if the innermost tape records."""
     out = Tensor(data)
-    if _TAPE_STACK and _TAPE_STACK[-1] is not None:
+    if recording():
         out._backward = backward
         _TAPE_STACK[-1].nodes.append(out)
     return out
@@ -164,6 +171,85 @@ def _as_array(x):
     if isinstance(x, Tensor):
         return x.data
     return np.asarray(x, dtype=_DTYPE)
+
+
+# ---------------------------------------------------------------------------
+# Array kernels: the numpy work of the primitives below, shared with
+# model.block_forward so that a fused block gives the same bits
+# ---------------------------------------------------------------------------
+
+def softmax_rows(x: np.ndarray, out=None) -> np.ndarray:
+    """Row softmax over the last axis, computed in `out` (a fresh array if
+    None; `out=x` overwrites x)."""
+    # the reductions ndarray.max and .sum do, without their Python wrappers
+    y = np.subtract(x, np.maximum.reduce(x, axis=-1, keepdims=True), out=out)
+    np.exp(y, out=y)
+    y /= np.add.reduce(y, axis=-1, keepdims=True)
+    return y
+
+
+def softmax_rows_backward(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient of softmax_rows' input from the gradient g of its output y."""
+    gy = g * y
+    dot = np.add.reduce(gy, axis=-1, keepdims=True)
+    np.subtract(g, dot, out=gy)
+    gy *= y
+    return gy
+
+
+def silu_arrays(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x * sigmoid(x), sigmoid(x))."""
+    one = _scalar(1.0)
+    sig = np.negative(x)
+    np.exp(sig, out=sig)
+    np.add(one, sig, out=sig)
+    np.divide(one, sig, out=sig)
+    return x * sig, sig
+
+
+def silu_backward(g: np.ndarray, x: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    return g * sig * (1.0 + x * (1.0 - sig))
+
+
+def rms_norm_arrays(x: np.ndarray, gain: np.ndarray, eps: float = 1e-5):
+    """(x / rms(x) * gain, x / rms(x), 1 / rms(x)) over the last axis."""
+    # the sum and division ndarray.mean does, without its Python wrapper
+    ms = np.add.reduce(x * x, axis=-1, keepdims=True) / _scalar(x.shape[-1])
+    inv = _scalar(1.0) / np.sqrt(ms + _scalar(eps))
+    xn = x * inv
+    return xn * gain, xn, inv
+
+
+def rms_norm_backward(g, x, gain, xn, inv) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of rms_norm_arrays' x and gain from the gradient g of its
+    output."""
+    d = x.shape[-1]
+    gg = _unbroadcast(g * xn, gain.shape)
+    gx_n = g * gain
+    # d(xn)/dx: inv * (I - x x^T * inv^2 / d)
+    gx = inv * (gx_n - x * (inv * inv / d) * (gx_n * x).sum(axis=-1, keepdims=True))
+    return gx, gg
+
+
+def causal_scores(q: np.ndarray, k: np.ndarray):
+    """(scores, mask) of causal_attention_scores; mask is None for a single
+    query, which is the last position and sees every key."""
+    s = np.matmul(q, k.swapaxes(-1, -2))
+    s /= math.sqrt(q.shape[-1])
+    tq, tk = s.shape[-2:]
+    mask = None if tq == 1 else np.arange(tk) > np.arange(tk - tq, tk)[:, None]
+    if mask is not None:
+        np.copyto(s, _scalar(NEG_MASK), where=mask)
+    return s, mask
+
+
+def causal_scores_backward(g, q, k, mask) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of causal_scores' q and k from the gradient g of the
+    scores."""
+    if mask is not None:
+        g = np.where(mask, 0.0, g)
+    g = g / math.sqrt(q.shape[-1])
+    return np.matmul(g, k), np.matmul(g.swapaxes(-1, -2), q)
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +336,10 @@ def concat_last(a: Tensor, b: Tensor) -> Tensor:
 
 def softmax(x: Tensor) -> Tensor:
     """Row softmax over the last axis."""
-    # the reductions ndarray.max and .sum do, without their Python wrappers
-    z = x.data - np.maximum.reduce(x.data, axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / np.add.reduce(e, axis=-1, keepdims=True)
+    y = softmax_rows(x.data)
 
     def backward(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return [(x, (g - dot) * y)]
+        return [(x, softmax_rows_backward(g, y))]
 
     return _emit(y, backward)
 
@@ -273,32 +355,20 @@ def log_softmax(x: Tensor) -> Tensor:
 
 
 def silu(x: Tensor) -> Tensor:
-    one = _scalar(1.0)
-    sig = one / (one + np.exp(-x.data))
-
-    def backward(g):
-        return [(x, g * sig * (1.0 + x.data * (1.0 - sig)))]
-
-    return _emit(x.data * sig, backward)
+    y, sig = silu_arrays(x.data)
+    return _emit(y, lambda g: [(x, silu_backward(g, x.data, sig))])
 
 
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     """RMS normalization over the last axis with a learned gain (no mean
     subtraction)."""
-    d = x.data.shape[-1]
-    # the sum and division ndarray.mean does, without its Python wrapper
-    ms = np.add.reduce(x.data * x.data, axis=-1, keepdims=True) / _scalar(d)
-    inv = _scalar(1.0) / np.sqrt(ms + _scalar(eps))
-    xn = x.data * inv
+    y, xn, inv = rms_norm_arrays(x.data, gain.data, eps)
 
     def backward(g):
-        gg = _unbroadcast(g * xn, gain.data.shape)
-        gx_n = g * gain.data
-        # d(xn)/dx: inv * (I - x x^T * inv^2 / d)
-        gx = inv * (gx_n - x.data * (inv * inv / d) * (gx_n * x.data).sum(axis=-1, keepdims=True))
+        gx, gg = rms_norm_backward(g, x.data, gain.data, xn, inv)
         return [(x, gx), (gain, gg)]
 
-    return _emit(xn * gain.data, backward)
+    return _emit(y, backward)
 
 
 def causal_attention_scores(q: Tensor, k: Tensor) -> Tensor:
@@ -306,20 +376,10 @@ def causal_attention_scores(q: Tensor, k: Tensor) -> Tensor:
     against all Tk keys: query i sits at position Tk - Tq + i, and keys after
     it are masked to a large negative constant. Tq == Tk is the full causal
     mask."""
-    dh = q.data.shape[-1]
-    s = np.matmul(q.data, k.data.swapaxes(-1, -2)) / math.sqrt(dh)
-    tq, tk = s.shape[-2:]
-    # a single query is the last position and sees every key
-    mask = None if tq == 1 else np.arange(tk) > np.arange(tk - tq, tk)[:, None]
-    if mask is not None:
-        s = np.where(mask, np.asarray(NEG_MASK, dtype=_DTYPE), s)
+    s, mask = causal_scores(q.data, k.data)
 
     def backward(g):
-        if mask is not None:
-            g = np.where(mask, 0.0, g)
-        g = g / math.sqrt(dh)
-        gq = np.matmul(g, k.data)
-        gk = np.matmul(g.swapaxes(-1, -2), q.data)
+        gq, gk = causal_scores_backward(g, q.data, k.data, mask)
         return [(q, gq), (k, gk)]
 
     return _emit(s, backward)

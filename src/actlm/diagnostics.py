@@ -35,20 +35,28 @@ def semantic_diversity(state: ModelState, prefixes, cfg: DiversityConfig,
     """Reciprocal of mean pairwise cosine similarity among sampled
     continuations.
 
-    Each prefix yields n_samples rollouts (sampled actions, greedy tokens);
-    similarity is cosine over bag-of-token vectors of the full sequences
-    (or of the continuations alone when include_prefix is off)."""
+    Each prefix yields n_samples rollouts (sampled actions, greedy tokens),
+    all prefixes' in one batch; similarity is cosine over bag-of-token
+    vectors of the full sequences (or of the continuations alone when
+    include_prefix is off). A prefix's rollouts are scored up to the last
+    position any of them generated, as if decoded in a batch of their
+    own."""
     prefixes = np.asarray(prefixes)
     if max_len is None:
         max_len = state.cfg.max_seq_len
+    n, p = cfg.n_samples, prefixes.shape[1]
+    tokens, _ = rollout_batch(state, np.repeat(prefixes, n, axis=0), "sample",
+                              max_len, rng)
+    # a row ends after its first eos from the prompt's last token on, and
+    # a prefix's rows stop with the last of them
+    hit = tokens[:, p - 1:] == state.cfg.eos_token_id
+    ends = np.where(hit.any(axis=1), p + hit.argmax(axis=1), tokens.shape[1])
     sims = []
-    for prefix in prefixes:
-        batch = np.tile(prefix, (cfg.n_samples, 1))
-        tokens, _ = rollout_batch(state, batch, "sample", max_len, rng)
-        seqs = tokens if cfg.include_prefix else tokens[:, len(prefix):]
+    for i, stop in enumerate(ends.reshape(-1, n).max(axis=1)):
+        rows = tokens[i * n:(i + 1) * n, :stop]
+        seqs = rows if cfg.include_prefix else rows[:, p:]
         bags = token_bags(list(seqs), state.cfg.vocab_size)
         gram = bags @ bags.T
-        n = cfg.n_samples
         off_diag = gram.sum() - np.trace(gram)
         sims.append(off_diag / (n * (n - 1)))
     s = float(np.mean(sims))

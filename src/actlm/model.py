@@ -32,7 +32,7 @@ class KVCache:
         self.length = 0
         self.k = self.v = None
 
-    def extend(self, k: np.ndarray, v: np.ndarray) -> tuple[Tensor, Tensor]:
+    def extend(self, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Append (B, H, t, dh) keys and values at position `length`; return
         the keys and values of all positions so far."""
         if self.k is None:
@@ -42,37 +42,107 @@ class KVCache:
         self.k[:, :, self.length:end] = k
         self.v[:, :, self.length:end] = v
         self.length = end
-        return Tensor(self.k[:, :, :end]), Tensor(self.v[:, :, :end])
+        return self.k[:, :, :end], self.v[:, :, :end]
+
+
+BLOCK_WEIGHTS = ("ln1", "wq", "wk", "wv", "wo", "ln2", "w1", "w2", "w3")
+
+
+def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of w in (B, T, .) a @ w from the gradient g of the product,
+    as ad.matmul's backward computes it."""
+    return np.matmul(a.swapaxes(-1, -2), g).sum(axis=0)
 
 
 def block_forward(p: dict[str, Tensor], prefix: str, x: Tensor, cfg: ArchConfig,
                   cache: KVCache | None = None) -> Tensor:
-    """Pre-norm causal attention block + gated MLP, residual throughout.
+    """Pre-norm causal attention block + gated MLP, residual throughout, as
+    one tape op.
 
     With a cache, x holds only the positions after the cached ones; they
-    attend to the cached keys and values too, and are appended to them."""
+    attend to the cached keys and values too, and are appended to them.
+
+    The forward makes the same numpy calls, in the same order, as the block
+    composed of rms_norm, matmul, reshape, swapaxes, causal_attention_scores,
+    softmax, add, silu and mul, and the backward replays that composition's
+    backward steps in its tape's reverse order, so outputs and gradients
+    are bitwise equal to it. The scores are scaled, masked and softmaxed in
+    place. Off a recording tape, each intermediate is dropped as soon as
+    the next step has read it."""
     b, t, d = x.shape
     h, dh = cfg.n_heads, d // cfg.n_heads
+    weights = [p[f"{prefix}.{name}"] for name in BLOCK_WEIGHTS]
+    ln1, wq, wk, wv, wo, ln2, w1, w2, w3 = (w.data for w in weights)
+    keep = ad.recording()
+    xd = x.data
 
-    hn = ad.rms_norm(x, p[f"{prefix}.ln1"])
-
-    def heads(w):
-        y = ad.matmul(hn, p[f"{prefix}.{w}"])
-        y = ad.reshape(y, (b, t, h, dh))
-        return ad.swapaxes(y, 1, 2)  # (b, h, t, dh)
-
-    q, k, v = heads("wq"), heads("wk"), heads("wv")
+    hn, xn1, inv1 = ad.rms_norm_arrays(xd, ln1)
+    q, k, v = (np.matmul(hn, w).reshape(b, t, h, dh).swapaxes(1, 2)
+               for w in (wq, wk, wv))
     if cache is not None:
-        k, v = cache.extend(k.data, v.data)
-    att = ad.softmax(ad.causal_attention_scores(q, k))
-    ctx = ad.matmul(att, v)
-    ctx = ad.reshape(ad.swapaxes(ctx, 1, 2), (b, t, d))
-    x = ad.add(x, ad.matmul(ctx, p[f"{prefix}.wo"]))
+        k, v = cache.extend(k, v)
+    att, mask = ad.causal_scores(q, k)
+    ad.softmax_rows(att, out=att)
+    ctx = np.matmul(att, v).swapaxes(1, 2).reshape(b, t, d)
+    if not keep:
+        del hn, xn1, inv1, q, k, v, att
+    x1 = np.matmul(ctx, wo)
+    np.add(xd, x1, out=x1)
 
-    hn = ad.rms_norm(x, p[f"{prefix}.ln2"])
-    gate = ad.mul(ad.silu(ad.matmul(hn, p[f"{prefix}.w1"])),
-                  ad.matmul(hn, p[f"{prefix}.w2"]))
-    return ad.add(x, ad.matmul(gate, p[f"{prefix}.w3"]))
+    hn2, xn2, inv2 = ad.rms_norm_arrays(x1, ln2)
+    a1 = np.matmul(hn2, w1)
+    s1, sig = ad.silu_arrays(a1)
+    if not keep:
+        del ctx, xn2, inv2, a1, sig
+    a2 = np.matmul(hn2, w2)
+    gate = s1 * a2
+    if not keep:
+        del hn2, s1, a2
+    out = np.matmul(gate, w3)
+    np.add(x1, out, out=out)
+    if not keep:
+        return Tensor(out)
+
+    def backward(g):
+        # residual: g reaches x1 directly and through the MLP
+        g_gate = np.matmul(g, w3.swapaxes(-1, -2))
+        grads = {"w3": _weight_grad(gate, g)}
+        g_a2 = g_gate * s1
+        g_a1 = ad.silu_backward(g_gate * a2, a1, sig)
+        del g_gate
+        g_hn2 = np.matmul(g_a2, w2.swapaxes(-1, -2))
+        grads["w2"] = _weight_grad(hn2, g_a2)
+        g_hn2 = g_hn2 + np.matmul(g_a1, w1.swapaxes(-1, -2))
+        grads["w1"] = _weight_grad(hn2, g_a1)
+        del g_a1, g_a2
+        g_x1, grads["ln2"] = ad.rms_norm_backward(g_hn2, x1, ln2, xn2, inv2)
+        g_x1 = g + g_x1
+
+        g_ctx = np.matmul(g_x1, wo.swapaxes(-1, -2))
+        grads["wo"] = _weight_grad(ctx, g_x1)
+        g_ctx = g_ctx.reshape(b, t, h, dh).swapaxes(1, 2)
+        g_att = np.matmul(g_ctx, v.swapaxes(-1, -2))
+        g_v = np.matmul(att.swapaxes(-1, -2), g_ctx)
+        g_s = ad.softmax_rows_backward(g_att, att)
+        del g_att
+        g_q, g_k = ad.causal_scores_backward(g_s, q, k, mask)
+        del g_s
+        # hn fans out to v, k and q; the tape sums them in that order.
+        # Cached keys and values are constants: only q carries a gradient.
+        g_hn = None
+        for name, w, gy in (("wv", wv, g_v), ("wk", wk, g_k), ("wq", wq, g_q)):
+            if cache is not None and name != "wq":
+                continue
+            gy = gy.swapaxes(1, 2).reshape(b, t, d)
+            gh = np.matmul(gy, w.swapaxes(-1, -2))
+            g_hn = gh if g_hn is None else g_hn + gh
+            grads[name] = _weight_grad(hn, gy)
+        g_x, grads["ln1"] = ad.rms_norm_backward(g_hn, xd, ln1, xn1, inv1)
+        return [(x, g_x1), (x, g_x)] + [(w, grads[name]) for name, w
+                                        in zip(BLOCK_WEIGHTS, weights)
+                                        if name in grads]
+
+    return ad._emit(out, backward)
 
 
 def _block_specs(group: str, prefix: str, cfg: ArchConfig) -> list[tuple]:

@@ -45,42 +45,47 @@ ADAM_EPS = 1e-8
 
 class AdamW:
     """Decoupled-weight-decay adaptive-moment optimizer with global-norm
-    clipping. Only the params handed to the constructor are ever updated."""
+    clipping. Only the params handed to the constructor are ever updated.
+
+    The moments of all params live in one flat buffer each, in the params'
+    order; each param's update is applied through its slice."""
 
     def __init__(self, params: dict[str, Tensor], cfg: TrainConfig):
         self.params = params
         self.cfg = cfg
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        ends = np.cumsum([p.data.size for p in params.values()])
+        self._slices = [slice(end - p.data.size, end)
+                        for end, p in zip(ends, params.values())]
+        dtype = np.result_type(*(p.data.dtype for p in params.values()))
+        self.m = np.zeros(int(ends[-1]), dtype)
+        self.v = np.zeros_like(self.m)
 
     def step(self, grads: dict[str, np.ndarray]) -> dict[str, float]:
-        """Apply one update; skips (and reports) non-finite gradients."""
+        """Apply one update from a gradient for every param; skips (and
+        reports) non-finite gradients."""
         c = self.cfg
+        g = np.concatenate([grads[k].reshape(-1) for k in self.params])
+        if not np.isfinite(g).all():
+            return {"skipped_nonfinite": 1.0}
+        sq = g.astype(np.float64) ** 2
         total_sq = 0.0
-        for k in self.params:
-            g = grads.get(k)
-            if g is None:
-                continue
-            if not np.all(np.isfinite(g)):
-                return {"skipped_nonfinite": 1.0}
-            total_sq += float((g.astype(np.float64) ** 2).sum())
+        for sl in self._slices:
+            # each param's own contiguous pairwise sum, as its .sum() was
+            total_sq += float(np.add.reduce(sq[sl]))
         norm = float(np.sqrt(total_sq))
         scale = min(1.0, c.grad_clip_norm / (norm + 1e-12))
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        for k, p in self.params.items():
-            g = grads.get(k)
-            if g is None:
-                continue
-            g = g * scale
-            self.m[k] = ADAM_BETA1 * self.m[k] + (1 - ADAM_BETA1) * g
-            self.v[k] = ADAM_BETA2 * self.v[k] + (1 - ADAM_BETA2) * g * g
-            update = (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + ADAM_EPS)
+        g = g * scale
+        self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * g
+        self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * g * g
+        update = c.learning_rate * ((self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS))
+        for sl, p in zip(self._slices, self.params.values()):
             if c.weight_decay:
                 p.data -= c.learning_rate * c.weight_decay * p.data
-            p.data -= (c.learning_rate * update).astype(p.data.dtype)
+            p.data -= update[sl].reshape(p.data.shape).astype(p.data.dtype, copy=False)
         return {"grad_norm": norm, "skipped_nonfinite": 0.0}
 
 
@@ -156,15 +161,17 @@ def inverse_labels(state: ModelState, e_l: Tensor, gumbel_temp: float) -> np.nda
 
 
 def loss_pre2(state: ModelState, tokens, labels=None, start: int = 0,
-              gumbel_temp: float = 1.0):
+              gumbel_temp: float = 1.0, e_l: Tensor | None = None):
     """Behavior cloning: CE of the policy against inverse action labels over
-    positions t in [1+start, T-1]. Inverse and base are frozen.
+    positions t in [1+start, T-1]. Inverse and base are frozen; `e_l`, the
+    base embeddings of the tokens if already computed, is used as a
+    constant.
 
     Returns (loss, parts)."""
     tokens = np.asarray(tokens)
     if labels is None:
         labels = inverse_action_labels(state, tokens, gumbel_temp)
-    e_l = _frozen_base_embeddings(state, tokens)
+    e_l = _frozen_base_embeddings(state, tokens) if e_l is None else ad.stop_grad(e_l)
     logp = policy_log_probs(state.groups["policy"], state.cfg, e_l)
     # label row j is a_{j+1}, chosen from context e_l[:, j]
     logp_ctx = ad.slice_time(logp, start, -1)
@@ -188,14 +195,20 @@ def fta_actions(state: ModelState, tokens, mode: str, gumbel_temp: float) -> np.
     raise ValueError(f"unknown FTA mode: {mode!r}")
 
 
-def loss_fta(state: ModelState, tokens, prompt_len: int, action_indices):
+def loss_fta(state: ModelState, tokens, prompt_len: int, action_indices=None,
+             gumbel_temp: float = 1.0):
     """World-model CE restricted to response positions t in [p, T-1], with
-    actions held fixed; only the base receives the update."""
+    actions held fixed; only the base receives the update. Without
+    action_indices the actions are the FTA-I labels, the frozen inverse's
+    eval-mode assignment from this loss's own base forward."""
     tokens = np.asarray(tokens)
     t_total = tokens.shape[1]
     if prompt_len >= t_total:
         raise ValueError("empty response: prompt_len >= sequence length")
     e_l = base_forward(state.groups["base"], state.cfg, tokens)
+    if action_indices is None:
+        with ad.untaped():
+            action_indices = inverse_labels(state, e_l, gumbel_temp)
     action = ad.stop_grad(ad.embedding(state.groups["codebook"]["codes"],
                                        action_indices[:, prompt_len - 1:]))
     e_ctx = ad.slice_time(e_l, prompt_len - 1, -1)
@@ -278,8 +291,10 @@ def loss_rl(state: ModelState, batch: dict, ref_policy: dict[str, Tensor],
                   -1.0 / len(tokens))
 
     probs = ad.exp(logp_steps)
-    ref_logp = policy_log_probs(ref_policy, state.cfg, e_l)
-    ref_logp = ad.stop_grad(ad.slice_time(ref_logp, p_len - 1, p_len - 1 + n_steps))
+    with ad.untaped():
+        ref_logp = policy_log_probs(ref_policy, state.cfg, e_l)
+        ref_logp = ad.slice_time(ref_logp, p_len - 1, p_len - 1 + n_steps)
+    ref_logp = ad.stop_grad(ref_logp)
     kl_pos = ad.sum_(ad.mul(probs, ad.sub(logp_steps, ref_logp)), axis=2)
     kl = ad.scale(ad.sum_(ad.mul(kl_pos, Tensor(valid))), 1.0 / len(tokens))
 
@@ -455,11 +470,14 @@ def train_bc(state: ModelState, corpus, cfg: TrainConfig, start: int = 0,
     """Behavior-clone the policy onto eval-mode inverse labels."""
     def batch_fn(rng):
         tokens = corpus[rng.integers(0, len(corpus), size=cfg.batch_size)]
-        return tokens, inverse_action_labels(state, tokens, cfg.gumbel_temp)
+        # one base forward serves the labels and the loss
+        e_l = base_forward(state.groups["base"], state.cfg, tokens)
+        return tokens, inverse_labels(state, e_l, cfg.gumbel_temp), e_l
 
     run_stage(state, stage, ("policy",), ("base", "merge", "inverse", "codebook"),
               cfg.steps, cfg, batch_fn,
-              lambda batch: loss_pre2(state, *batch, start=start), metrics_cb)
+              lambda batch: loss_pre2(state, batch[0], batch[1], start=start,
+                                      e_l=batch[2]), metrics_cb)
 
 
 def train_fta(state: ModelState, split: SftSplit, cfg: TrainConfig, mode: str,
@@ -471,11 +489,14 @@ def train_fta(state: ModelState, split: SftSplit, cfg: TrainConfig, mode: str,
 
     def batch_fn(rng):
         tokens = corpus[rng.integers(0, len(corpus), size=cfg.batch_size)]
-        return tokens, fta_actions(state, tokens, mode, cfg.gumbel_temp)
+        # FTA-I labels come from loss_fta's own base forward
+        return tokens, (None if mode == "FTA-I"
+                        else fta_actions(state, tokens, mode, cfg.gumbel_temp))
 
     run_stage(state, f"fta-{mode}", ("base",), ("merge", "inverse", "codebook"),
               cfg.steps, cfg, batch_fn,
-              lambda batch: loss_fta(state, batch[0], prompt_len, batch[1]),
+              lambda batch: loss_fta(state, batch[0], prompt_len, batch[1],
+                                     cfg.gumbel_temp),
               metrics_cb)
     if mode == "FTA-I":
         train_bc(state, corpus, cfg, start=prompt_len - 1,

@@ -78,6 +78,27 @@ class ChainLM:
                        if t >= self.episode_len - 1 else 4)
 
 
+class StickyLM:
+    """Stochastic generator speaking the Decoder contract: actions 0-2 emit
+    tokens 1-3 and action 3 emits eos. After the prompt token 4 the policy
+    is POLICY[4]; after token t it repeats action t-1 with probability 0.75
+    and picks eos with probability 0.05. A finished row, padded with eos,
+    reads POLICY[0], which the decode loop ignores."""
+
+    eos_token_id, n_actions = 0, 4
+    POLICY = {0: [0.25] * 4, 4: [0.3, 0.3, 0.3, 0.1], 1: [0.75, 0.1, 0.1, 0.05],
+              2: [0.1, 0.75, 0.1, 0.05], 3: [0.1, 0.1, 0.75, 0.05]}
+
+    def sync(self, tokens):
+        self.tokens = np.asarray(tokens)
+
+    def policy_probs(self):
+        return np.array([self.POLICY[t] for t in self.tokens[:, -1]])
+
+    def next_tokens(self, actions):
+        return np.where(np.asarray(actions) == 3, 0, np.asarray(actions) + 1)
+
+
 def chain_reward(tokens):
     return 1.0 if 2 in np.asarray(tokens) else 0.0
 

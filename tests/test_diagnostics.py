@@ -1,10 +1,15 @@
 """Diagnostics: bag-of-token similarity, action liveness, the marginal
 decomposition KL against a hand-rolled oracle, and mutual information."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from actlm import autodiff as ad
+from actlm import diagnostics
+from actlm.actions import generate
 from actlm.actions import policy_forward, world_logits
 from actlm.autodiff import Tensor
 from actlm.config import ArchConfig, DiversityConfig
@@ -14,6 +19,7 @@ from actlm.diagnostics import (action_token_table, alive_actions, marginal_kl,
                                write_action_token_tsv)
 from actlm.model import base_forward, base_logits, init_model
 from actlm.training import inverse_action_labels
+from conftest import StickyLM
 
 
 CFG = ArchConfig(vocab_size=9, d_model=8, n_heads=2, max_seq_len=16,
@@ -43,6 +49,80 @@ def test_semantic_diversity_identical_continuations_floor_at_one():
     d = semantic_diversity(state, np.array([[1, 2, 3]]), cfg,
                            np.random.default_rng(0), max_len=8)
     assert d == pytest.approx(1.0, abs=1e-5)
+
+
+def reference_semantic_diversity(state, prefixes, cfg: DiversityConfig, rng,
+                                 max_len=None) -> float:
+    """The per-prefix loop semantic_diversity replaced: one rollout batch of
+    n_samples rows per prefix. Kept as the reference the one-batch version
+    is checked against in distribution."""
+    prefixes = np.asarray(prefixes)
+    if max_len is None:
+        max_len = state.cfg.max_seq_len
+    sims = []
+    for prefix in prefixes:
+        batch = np.tile(prefix, (cfg.n_samples, 1))
+        tokens, _ = diagnostics.rollout_batch(state, batch, "sample", max_len, rng)
+        seqs = tokens if cfg.include_prefix else tokens[:, len(prefix):]
+        bags = diagnostics.token_bags(list(seqs), state.cfg.vocab_size)
+        gram = bags @ bags.T
+        n = cfg.n_samples
+        off_diag = gram.sum() - np.trace(gram)
+        sims.append(off_diag / (n * (n - 1)))
+    s = float(np.mean(sims))
+    return 1.0 / max(s, cfg.sim_floor)
+
+
+def test_one_batch_diversity_matches_per_prefix_loop_in_distribution(monkeypatch):
+    """Over 400 seeds, rolling all prefixes out in one batch scores the same
+    sequences in distribution as one batch per prefix, on StickyLM: for
+    every prefix and every sequence a row of it was scored as, eos padding
+    included, the share of that prefix's rows scored as that sequence
+    agrees between the two. The prefixes stop at different lengths and one
+    ends in eos, so a prefix whose rows are padded past where they would
+    stop on their own shows up. Both give the same diversity on one
+    prefix and one seed.
+
+    Per cell the bound is Bernstein's inequality, as in the batched-search
+    test: a difference of two means of N independent per-seed shares in
+    [0, 1], so of differences in [-1, 1] with variance at most 1/2. z comes
+    from a false-failure probability of 1e-3 for the whole test, split
+    evenly (Bonferroni) over all cells."""
+    monkeypatch.setattr(diagnostics, "rollout_batch",
+                        lambda state, prompts, mode, max_len, rng:
+                        generate(StickyLM(), np.array(prompts), mode, max_len, rng))
+    scored = []
+    bags = diagnostics.token_bags
+
+    def recording_bags(seqs, vocab_size):
+        scored.append([tuple(row.tolist()) for row in seqs])
+        return bags(seqs, vocab_size)
+
+    monkeypatch.setattr(diagnostics, "token_bags", recording_bags)
+    state = SimpleNamespace(cfg=ArchConfig(vocab_size=5, max_seq_len=6))
+    prefixes = np.array([[4, 4], [2, 1], [3, 0], [1, 3]])
+    cfg = DiversityConfig(n_samples=3)
+    n_seeds = 400
+    shares = {}
+    for name, fn in (("batched", semantic_diversity),
+                     ("per-prefix", reference_semantic_diversity)):
+        for seed in range(n_seeds):
+            scored.clear()
+            fn(state, prefixes, cfg, np.random.default_rng(seed), max_len=5)
+            for i, rows in enumerate(scored):
+                for row in set(rows):
+                    key = (name, i, row)
+                    shares[key] = shares.get(key, 0.0) + rows.count(row) / len(rows)
+    cells = {key[1:] for key in shares}
+    z = math.sqrt(2 * math.log(2 * len(cells) / 1e-3))
+    bound = z * math.sqrt(0.5 / n_seeds) + z * z / (3 * n_seeds)
+    for cell in cells:
+        freqs = [shares.get((name, *cell), 0.0) / n_seeds
+                 for name in ("batched", "per-prefix")]
+        assert abs(freqs[0] - freqs[1]) <= bound, (cell, freqs)
+    one = [fn(state, prefixes[:1], cfg, np.random.default_rng(7), max_len=5)
+           for fn in (semantic_diversity, reference_semantic_diversity)]
+    assert one[0] == one[1]
 
 
 def test_semantic_diversity_hand_oracle_on_bags():

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from actlm import autodiff as ad
+from actlm.autodiff import Tape, Tensor
 from actlm.config import ArchConfig
 from actlm.model import (GROUP_NAMES, KVCache, base_forward, base_logits,
-                         init_model, param_shapes)
+                         block_forward, init_model, param_shapes)
 from conftest import accumulation_length, matmul_error_bound
 
 
@@ -76,6 +77,80 @@ def test_cached_base_forward_matches_full_prefix(mode, seed):
     check(branch, np.concatenate(chunks, axis=1), keep)
     with pytest.raises(ValueError):
         base_forward(p, cfg, branch[:, :1], cache)  # past max_seq_len
+
+
+def reference_block_forward(p, prefix, x, cfg, cache=None):
+    """The block composed of tape primitives that the fused block_forward
+    replaced, one node per primitive. Kept as the reference the fused op is
+    checked against bit for bit."""
+    b, t, d = x.shape
+    h, dh = cfg.n_heads, d // cfg.n_heads
+    hn = ad.rms_norm(x, p[f"{prefix}.ln1"])
+
+    def heads(w):
+        y = ad.matmul(hn, p[f"{prefix}.{w}"])
+        y = ad.reshape(y, (b, t, h, dh))
+        return ad.swapaxes(y, 1, 2)  # (b, h, t, dh)
+
+    q, k, v = heads("wq"), heads("wk"), heads("wv")
+    if cache is not None:
+        k, v = (Tensor(a) for a in cache.extend(k.data, v.data))
+    att = ad.softmax(ad.causal_attention_scores(q, k))
+    ctx = ad.matmul(att, v)
+    ctx = ad.reshape(ad.swapaxes(ctx, 1, 2), (b, t, d))
+    x = ad.add(x, ad.matmul(ctx, p[f"{prefix}.wo"]))
+
+    hn = ad.rms_norm(x, p[f"{prefix}.ln2"])
+    gate = ad.mul(ad.silu(ad.matmul(hn, p[f"{prefix}.w1"])),
+                  ad.matmul(hn, p[f"{prefix}.w2"]))
+    return ad.add(x, ad.matmul(gate, p[f"{prefix}.w3"]))
+
+
+def _block_run(block, b, t, past, n_blocks, seed):
+    """Output and gradients (input's first, then every weight's) of
+    n_blocks stacked blocks plus a skip from their input, so that the
+    input's gradient also sums with one reaching it from outside the
+    blocks. With past > 0 each block first caches `past` positions off the
+    tape."""
+    cfg = ArchConfig(n_layers_base=n_blocks)
+    p = init_model(cfg, seed).groups["base"]
+    rng = np.random.default_rng(seed)
+    for w in p.values():  # well away from the tiny init scale
+        w.data = w.data + rng.normal(0.0, 0.3, size=w.shape).astype(w.data.dtype)
+    x = Tensor(rng.normal(size=(b, t, cfg.d_model)))
+    caches = None
+    if past:
+        caches = [KVCache(cfg.max_seq_len) for _ in range(n_blocks)]
+        h = Tensor(rng.normal(size=(b, past, cfg.d_model)))
+        for i, cache in enumerate(caches):
+            h = block(p, f"blk{i}", h, cfg, cache)
+    with Tape() as tape:
+        h = x
+        for i in range(n_blocks):
+            h = block(p, f"blk{i}", h, cfg, None if caches is None else caches[i])
+        out = ad.add(h, x)
+    g = rng.normal(size=out.shape).astype(out.data.dtype)
+    grads = tape.gradients(out, seed=g)
+    return [out.data] + [tape.grad(grads, t) for t in (x, *p.values())]
+
+
+@pytest.mark.parametrize("mode", ["train", "verify"])
+@pytest.mark.parametrize("b,t,past,n_blocks", [
+    (16, 16, 0, 1), (3, 64, 0, 1), (2, 33, 0, 1), (1, 5, 0, 1),
+    (4, 1, 9, 1),   # one decode step against a KV cache
+    (2, 3, 5, 1),   # a chunk of queries against a KV cache
+    (3, 9, 0, 2),   # two stacked blocks under one tape
+])
+def test_fused_block_matches_composed_reference_bitwise(mode, b, t, past, n_blocks):
+    """The fused block gives the composed block's output and every gradient,
+    the input's included, to the bit. Against a cache, keys and values
+    are constants in both, so wk and wv get no gradient."""
+    ad.set_precision(mode)
+    for seed in range(3):
+        got = _block_run(block_forward, b, t, past, n_blocks, seed)
+        want = _block_run(reference_block_forward, b, t, past, n_blocks, seed)
+        for i, (a, r) in enumerate(zip(got, want)):
+            assert a.dtype == r.dtype and np.array_equal(a, r), (seed, i)
 
 
 def test_init_is_deterministic():

@@ -20,8 +20,8 @@ from actlm.search import (LatentActionLM, MctsNode, _select_child, audit_tree,
                           bellman_error, mcts_search, rollout, uct_score)
 from actlm.training import (Transition, dqn_target, q_values_fn,
                             rollout_batch)
-from conftest import (ChainLM, accumulation_length, chain_reward, gamma,
-                      matmul_error_bound, tree_snapshot)
+from conftest import (ChainLM, StickyLM, accumulation_length, chain_reward,
+                      gamma, matmul_error_bound, tree_snapshot)
 
 
 def test_rollout_greedy_runs_to_eos():
@@ -164,27 +164,6 @@ def test_mcts_q_infinite_threshold_extends_to_terminal_in_one_pass():
     child = next(iter(result.root.children.values()))
     assert child.state[-1] == 0  # extended all the way to eos
     assert child.extension_passes >= 1
-
-
-class StickyLM:
-    """Stochastic generator speaking the Decoder contract: actions 0-2 emit
-    tokens 1-3 and action 3 emits eos. After the prompt token 4 the policy
-    is POLICY[4]; after token t it repeats action t-1 with probability 0.75
-    and picks eos with probability 0.05. A finished row, padded with eos,
-    reads POLICY[0], which the decode loop ignores."""
-
-    eos_token_id, n_actions = 0, 4
-    POLICY = {0: [0.25] * 4, 4: [0.3, 0.3, 0.3, 0.1], 1: [0.75, 0.1, 0.1, 0.05],
-              2: [0.1, 0.75, 0.1, 0.05], 3: [0.1, 0.1, 0.75, 0.05]}
-
-    def sync(self, tokens):
-        self.tokens = np.asarray(tokens)
-
-    def policy_probs(self):
-        return np.array([self.POLICY[t] for t in self.tokens[:, -1]])
-
-    def next_tokens(self, actions):
-        return np.where(np.asarray(actions) == 3, 0, np.asarray(actions) + 1)
 
 
 def segment_probability(key) -> float:

@@ -14,7 +14,8 @@ from actlm.autodiff import Tape, Tensor
 from actlm.config import ArchConfig, TrainConfig
 from actlm.data import make_sft_split
 from actlm.model import base_forward, base_logits, init_model
-from actlm.training import (ADAM_EPS, AdamW, Transition, decision_mask,
+from actlm.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamW,
+                            Transition, decision_mask,
                             dqn_batch, dqn_target, eval_base_ce, fta_actions,
                             inverse_action_labels, loss_base_ar, loss_dqn,
                             loss_fta, loss_pre1, loss_pre2, loss_rl,
@@ -77,6 +78,66 @@ def test_adamw_decoupled_weight_decay():
     opt.step({"p": np.zeros(1)})
     # zero gradient: only the decay term moves the weight
     np.testing.assert_allclose(p.data, [2.0 * (1 - 0.1 * 0.5)], rtol=1e-6)
+
+
+class ReferenceAdamW:
+    """The per-parameter AdamW that the flat-moment AdamW replaced: one
+    moment array per param. Kept as the reference it is checked against
+    bit for bit."""
+
+    def __init__(self, params, cfg):
+        self.params, self.cfg, self.t = params, cfg, 0
+        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+
+    def step(self, grads):
+        c = self.cfg
+        total_sq = 0.0
+        for k in self.params:
+            if not np.all(np.isfinite(grads[k])):
+                return {"skipped_nonfinite": 1.0}
+            total_sq += float((grads[k].astype(np.float64) ** 2).sum())
+        norm = float(np.sqrt(total_sq))
+        scale = min(1.0, c.grad_clip_norm / (norm + 1e-12))
+        self.t += 1
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
+        for k, p in self.params.items():
+            g = grads[k] * scale
+            self.m[k] = ADAM_BETA1 * self.m[k] + (1 - ADAM_BETA1) * g
+            self.v[k] = ADAM_BETA2 * self.v[k] + (1 - ADAM_BETA2) * g * g
+            update = (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + ADAM_EPS)
+            if c.weight_decay:
+                p.data -= c.learning_rate * c.weight_decay * p.data
+            p.data -= (c.learning_rate * update).astype(p.data.dtype)
+        return {"grad_norm": norm, "skipped_nonfinite": 0.0}
+
+
+@pytest.mark.parametrize("mode", ["train", "verify"])
+def test_adamw_flat_moments_match_per_parameter_reference(mode):
+    """Params, moments and grad norms equal the per-parameter optimizer's
+    bit for bit over steps with and without clipping, a zero gradient, a
+    skipped non-finite step and weight decay."""
+    ad.set_precision(mode)
+    shapes = [(9, 8), (8,), (8, 16), (16, 8), (3, 5, 7)]
+    rng = np.random.default_rng(0)
+    init = [rng.normal(size=s) for s in shapes]
+    cfg = TrainConfig(learning_rate=3e-3, weight_decay=0.01, grad_clip_norm=5.0)
+    opts = [cls({f"p{i}": Tensor(a) for i, a in enumerate(init)}, cfg)
+            for cls in (AdamW, ReferenceAdamW)]
+    dtype = ad.active_dtype()
+    for step in range(6):
+        grads = {f"p{i}": (rng.normal(size=s) * 10.0 ** (step - 2)).astype(dtype)
+                 for i, s in enumerate(shapes)}
+        grads["p1"][...] = 0.0
+        if step == 4:
+            grads["p3"][0, 0] = np.inf
+        reports = [opt.step({k: g.copy() for k, g in grads.items()}) for opt in opts]
+        assert reports[0] == reports[1]
+    assert reports[0]["skipped_nonfinite"] == 0.0 and opts[0].t == 5
+    for k in opts[0].params:
+        a, r = opts[0].params[k].data, opts[1].params[k].data
+        assert a.dtype == r.dtype and np.array_equal(a, r), k
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +222,32 @@ def test_inverse_encoder_gets_the_embeddings_as_a_leaf(monkeypatch):
     assert len(derived.nodes) == len(given.nodes)
     diagnostics.val_loss(state, tokens, "with_actions")
     assert backwards == [None] * 3
+
+
+def test_shared_base_forward_gives_the_same_losses_and_gradients():
+    """BC given the base embeddings its labels came from, and FTA-I taking
+    its labels from its own base forward, give the losses and gradients of
+    recomputing the forward, bit for bit."""
+    state, tokens = small_state(), small_tokens()
+    base = state.groups["base"]
+    e_l = base_forward(base, CFG, tokens)
+    labels = inverse_action_labels(state, tokens, 0.7)
+
+    def run(loss_fn, params):
+        with Tape() as tape:
+            loss, _ = loss_fn()
+            grads = tape.gradients(loss)
+        return [loss.data] + [tape.grad(grads, p) for p in params]
+
+    policy = state.params("policy").values()
+    pairs = [(run(lambda: loss_pre2(state, tokens, labels, start=2, e_l=e_l), policy),
+              run(lambda: loss_pre2(state, tokens, labels, start=2), policy))]
+    base_params = state.params("base").values()
+    pairs.append((run(lambda: loss_fta(state, tokens, 3, gumbel_temp=0.7), base_params),
+                  run(lambda: loss_fta(state, tokens, 3, labels), base_params)))
+    for got, want in pairs:
+        for a, r in zip(got, want):
+            assert np.array_equal(a, r)
 
 
 def test_loss_pre2_only_moves_policy():
@@ -287,14 +374,15 @@ def test_stage_drivers_record_every_step(stage):
 
 # Tape nodes of one step of each stage at the _drivers() shapes: the graph
 # each loss records, which dropping closures outside a tape must not change.
+# A transformer block is one node; rl runs its reference policy untaped.
 STAGE_TAPE_NODES = {
-    "bc-policy": {"bc-policy": 29},
-    "fta-FTA-I": {"fta-FTA-I": 70, "fta-policy-refresh": 29},
-    "fta-FTA-P": {"fta-FTA-P": 70},
-    "pretrain-base": {"pretrain-base": 57},
-    "rl": {"rl": 69},
-    "stage1": {"stage1": 55},
-    "train-q": {"train-q": 33},
+    "bc-policy": {"bc-policy": 6},
+    "fta-FTA-I": {"fta-FTA-I": 24, "fta-policy-refresh": 6},
+    "fta-FTA-P": {"fta-FTA-P": 24},
+    "pretrain-base": {"pretrain-base": 11},
+    "rl": {"rl": 19},
+    "stage1": {"stage1": 32},
+    "train-q": {"train-q": 10},
 }
 
 
