@@ -265,7 +265,7 @@ def check_prompts(prompts, mode: str, rng) -> np.ndarray:
     return prompts
 
 
-def generate(dec, tokens, mode: str, max_len: int, rng=None, steps=None):
+def generate(dec, tokens, mode: str, max_len: int, rng=None):
     """The one decode loop: continue every row of tokens (B, p) through a
     generator speaking the Decoder contract.
 
@@ -273,15 +273,14 @@ def generate(dec, tokens, mode: str, max_len: int, rng=None, steps=None):
     policy (argmax in greedy mode, an inverse-CDF draw otherwise) and
     appends the world-model argmax token. A row is done at eos, including
     an eos that ends its prompt, and is padded with eos and action 0 while
-    others run on; all stop at max_len or after `steps` actions (no limit
-    if None). Returns (tokens (B, <=max_len), actions (B, n)), actions[:, s]
-    producing tokens[:, p + s]."""
+    others run on; all stop at max_len. Returns (tokens (B, <=max_len),
+    actions (B, n)), actions[:, s] producing tokens[:, p + s]; `row_ends`
+    says where each row ends."""
     eos = dec.eos_token_id
     b = tokens.shape[0]
     actions = np.zeros((b, 0), dtype=np.int64)
     done = tokens[:, -1] == eos
-    while tokens.shape[1] < max_len and not done.all() and \
-            (steps is None or actions.shape[1] < steps):
+    while tokens.shape[1] < max_len and not done.all():
         dec.sync(tokens)
         probs = dec.policy_probs()
         if mode == "greedy":
@@ -294,3 +293,11 @@ def generate(dec, tokens, mode: str, max_len: int, rng=None, steps=None):
         actions = np.concatenate([actions, act[:, None]], axis=1)
         done |= nxt == eos
     return tokens, actions
+
+
+def row_ends(tokens: np.ndarray, p: int, eos: int) -> np.ndarray:
+    """(B,) end of each row of a `generate` output that continued
+    tokens[:, :p]: after its first eos at or after column p-1 (so a prompt
+    ending in eos ends at p), else at the last column."""
+    hit = tokens[:, p - 1:] == eos
+    return np.where(hit.any(axis=1), p + hit.argmax(axis=1), tokens.shape[1])

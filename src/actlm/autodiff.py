@@ -82,10 +82,12 @@ class Tape:
         return False
 
     def gradients(self, output: Tensor, seed=None) -> dict[int, np.ndarray]:
-        """Backward pass from `output`; returns grads keyed by id(tensor).
+        """Backward pass from `output`; returns the gradients of the leaves
+        (tensors no op on this tape produced) keyed by id(tensor).
 
-        Gradients accumulate additively across fan-out. Tensors not on any
-        path to `output` simply have no entry.
+        Gradients accumulate additively across fan-out. A node's gradient
+        is dropped once its backward has consumed it, so it is freed while
+        the pass runs. Tensors not on any path to `output` have no entry.
         """
         if seed is None:
             seed = np.ones_like(output.data)
@@ -97,7 +99,7 @@ class Tape:
                 )
         grads: dict[int, np.ndarray] = {id(output): seed}
         for node in reversed(self.nodes):
-            g = grads.get(id(node))
+            g = grads.pop(id(node), None)
             if g is None:
                 continue
             for parent, pg in node._backward(g):

@@ -59,6 +59,15 @@ def _load_input(cfg: RunConfig):
     return state, meta
 
 
+def _check_max_len(cfg: RunConfig, state, key: str) -> None:
+    """Refuse, by name, a generation length `key` beyond the positions the
+    checkpoint's model holds."""
+    value = getattr(cfg, key)
+    if value > state.cfg.max_seq_len:
+        raise ConfigError(f"{key} {value} exceeds the checkpoint's "
+                          f"max_seq_len {state.cfg.max_seq_len}")
+
+
 def _prompts(cfg: RunConfig, val: np.ndarray, eos: int) -> np.ndarray:
     return open_prefixes(val, cfg.rl_prompt_count, cfg.prompt_len, eos)
 
@@ -135,6 +144,7 @@ def cmd_fta(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
 
 def cmd_rl(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
     state, _ = _load_input(cfg)
+    _check_max_len(cfg, state, "rl_max_len")
     _, val, _ = _corpora(cfg)
     prompts = _prompts(cfg, val, state.cfg.eos_token_id)
     marker = _marker(cfg, LatentActionLM(state), prompts[0])
@@ -149,6 +159,7 @@ def cmd_rl(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
 
 def cmd_train_q(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
     state, _ = _load_input(cfg)
+    _check_max_len(cfg, state, "rl_max_len")
     _, val, _ = _corpora(cfg)
     prompts = _prompts(cfg, val, state.cfg.eos_token_id)
     model = LatentActionLM(state)
@@ -175,6 +186,7 @@ def cmd_train_q(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
 
 def cmd_rollout(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
     state, _ = _load_input(cfg)
+    _check_max_len(cfg, state, "search_max_len")
     _, val, _ = _corpora(cfg)
     prompt = _prompt_tokens(cfg, val, state.cfg.eos_token_id)
     rng = np.random.default_rng(cfg.seed)
@@ -190,6 +202,7 @@ def cmd_rollout(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
 def _run_search(cfg: RunConfig, out: str, metrics: MetricsWriter,
                 use_q: bool) -> int:
     state, _ = _load_input(cfg)
+    _check_max_len(cfg, state, "search_max_len")
     _, val, _ = _corpora(cfg)
     prompt = _prompt_tokens(cfg, val, state.cfg.eos_token_id)
     model = LatentActionLM(state)
@@ -211,6 +224,7 @@ def _run_search(cfg: RunConfig, out: str, metrics: MetricsWriter,
 
 def cmd_eval(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
     state, _ = _load_input(cfg)
+    _check_max_len(cfg, state, "search_max_len")
     _, val, states = _corpora(cfg)
     rng = np.random.default_rng(cfg.seed)
     contexts = val[:cfg.eval_contexts, :cfg.prompt_len]

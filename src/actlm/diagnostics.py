@@ -9,7 +9,7 @@ import logging
 import numpy as np
 
 from . import autodiff as ad
-from .actions import policy_forward, world_logits
+from .actions import policy_forward, row_ends, world_logits
 from .autodiff import Tensor
 from .config import DiversityConfig
 from .model import ModelState, base_forward, base_logits
@@ -47,10 +47,7 @@ def semantic_diversity(state: ModelState, prefixes, cfg: DiversityConfig,
     n, p = cfg.n_samples, prefixes.shape[1]
     tokens, _ = rollout_batch(state, np.repeat(prefixes, n, axis=0), "sample",
                               max_len, rng)
-    # a row ends after its first eos from the prompt's last token on, and
-    # a prefix's rows stop with the last of them
-    hit = tokens[:, p - 1:] == state.cfg.eos_token_id
-    ends = np.where(hit.any(axis=1), p + hit.argmax(axis=1), tokens.shape[1])
+    ends = row_ends(tokens, p, state.cfg.eos_token_id)
     sims = []
     for i, stop in enumerate(ends.reshape(-1, n).max(axis=1)):
         rows = tokens[i * n:(i + 1) * n, :stop]

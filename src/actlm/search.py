@@ -5,11 +5,10 @@ Every path decodes through `actions.generate`, the one decode loop, and so
 talks to the generator only through the Decoder contract: `sync(tokens)`,
 `policy_probs()`, `next_tokens(actions)`, `eos_token_id` and `n_actions`.
 A trained model (`LatentActionLM`) and hand-built test generators plug in
-alike. MCTS decodes in batches: an expansion draws its expand_width
-segments as the rows of one `generate` call, and the new children's
-playouts are drawn right after it, one call per distinct state length. A
-decoder's `sync` re-batches, so these rows fork from the one node they
-leave.
+alike. MCTS decodes once per expansion: the expand_width rows of one
+`generate` call each run to the end, and each row carries both a new
+child's k-step segment and that child's playout. A decoder's `sync`
+re-batches, so these rows fork from the one node they leave.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import Decoder, check_prompts, generate
+from .actions import Decoder, check_prompts, generate, row_ends
 from .config import SearchConfig
 from .training import Transition, dqn_target
 
@@ -61,8 +60,7 @@ class MctsNode:
     visits: int = 0
     sim_tokens: np.ndarray | None = None
     sim_value: float | None = None
-    # incoming transition (for Q pruning) and instrumentation
-    prev_context: np.ndarray | None = None
+    # incoming action (for Q pruning) and instrumentation
     last_action: int | None = None
     expansion_tokens: int = 0
     extension_passes: int = 0
@@ -78,13 +76,14 @@ def uct_score(child: MctsNode, parent: MctsNode, c_uct: float) -> float:
         math.log(parent.visits) / child.visits)
 
 
-def _select_child(node: MctsNode, c_uct: float) -> MctsNode:
+def _select_child(node: MctsNode, c_uct: float) -> tuple:
+    """The key of the child with the highest UCT score."""
     best_key, best_score = None, -math.inf
     for key in sorted(node.children):  # sorted keys: ties go to lowest actions
         score = uct_score(node.children[key], node, c_uct)
         if score > best_score:
             best_key, best_score = key, score
-    return node.children[best_key]
+    return best_key
 
 
 def bellman_error(transition: Transition, q_fn, gamma: float) -> float:
@@ -119,31 +118,6 @@ class _Scorer:
             return 0.0
 
 
-def _ends(tokens: np.ndarray, start: int, eos: int) -> np.ndarray:
-    """Where each row of a generate output that continued tokens[:, :start]
-    ends: after the first eos it generated, else at the last column."""
-    hit = tokens[:, start:] == eos
-    return np.where(hit.any(axis=1), start + hit.argmax(axis=1) + 1,
-                    tokens.shape[1])
-
-
-def _simulate(model, nodes: list[MctsNode], max_len: int, rng) -> None:
-    """Draw one playout per node into its sim_tokens, one generate call per
-    distinct state length; a terminal node's playout is empty."""
-    by_len: dict[int, list[MctsNode]] = {}
-    for node in nodes:
-        if _is_terminal(model, node.state, max_len):
-            node.sim_tokens = np.asarray([], dtype=np.int64)
-        else:
-            by_len.setdefault(len(node.state), []).append(node)
-    for length, group in by_len.items():
-        full, _ = generate(model, np.stack([n.state for n in group]), "sample",
-                           max_len, rng)
-        for node, row, end in zip(group, full,
-                                  _ends(full, length, model.eos_token_id)):
-            node.sim_tokens = row[length:end]
-
-
 def _score(node: MctsNode, score: _Scorer) -> float:
     """Score the node's stored playout, as sequential MCTS would simulate
     it, when selection first reaches the node."""
@@ -152,41 +126,43 @@ def _score(node: MctsNode, score: _Scorer) -> float:
 
 
 def _expand(model, node: MctsNode, cfg: SearchConfig, rng) -> None:
-    """Create up to expand_width children from as many sampled k-step
-    segments, drawn as the rows of one batch, each cut at its first eos;
-    keys are deduplicated in row order. A non-terminal node gets at least
-    one child."""
+    """Create up to expand_width children from as many rows sampled to the
+    end in one batch. A row's first k actions, cut at its first eos, are a
+    child's key and state, and the rest of the row up to its first eos is
+    that child's playout. Keys are deduplicated in row order. A
+    non-terminal node gets at least one child."""
     p = len(node.state)
     rows = np.repeat(node.state[None], cfg.expand_width, axis=0)
-    states, actions = generate(model, rows, "sample", cfg.max_len, rng,
-                               cfg.action_steps)
-    for row, acts, end in zip(states, actions,
-                              _ends(states, p, model.eos_token_id)):
-        key = tuple(acts[:end - p].tolist())  # Python ints: keys go into the trace
-        if key in node.children:
-            continue
-        child = MctsNode(state=row[:end], prev_context=row[:end - 1].copy(),
-                         last_action=key[-1], expansion_tokens=len(key))
-        node.children[key] = child
+    full, actions = generate(model, rows, "sample", cfg.max_len, rng)
+    for row, acts, end in zip(full, actions,
+                              row_ends(full, p, model.eos_token_id)):
+        cut = min(end, p + cfg.action_steps)
+        key = tuple(acts[:cut - p].tolist())  # Python ints: keys go into the trace
+        if key not in node.children:
+            node.children[key] = MctsNode(
+                state=row[:cut], sim_tokens=row[cut:end], last_action=key[-1],
+                expansion_tokens=len(key))
 
 
 def _extend_low_uncertainty(model, node: MctsNode, cfg: SearchConfig,
                             q_fn, gamma: float) -> None:
     """Q-pruned extension: while the node's incoming transition has Bellman
     error below the threshold, append k more greedy steps to the node (one
-    merged node per search, growing in passes) instead of simulating."""
+    merged node per search, growing in passes). The playout drawn at
+    expansion no longer continues an extended node and is dropped."""
     while not _is_terminal(model, node.state, cfg.max_len):
-        tr = Transition(context=node.prev_context, action=int(node.last_action),
+        tr = Transition(context=node.state[:-1], action=int(node.last_action),
                         next_context=node.state, reward=0.0, terminal=False)
         if not bellman_error(tr, q_fn, gamma) < cfg.bellman_threshold:
             break
-        states, actions = generate(model, node.state[None], "greedy",
-                                   cfg.max_len, steps=cfg.action_steps)
+        states, actions = generate(
+            model, node.state[None], "greedy",
+            min(cfg.max_len, len(node.state) + cfg.action_steps))
         node.state = states[0]
-        node.prev_context = states[0, :-1].copy()
         node.last_action = int(actions[0, -1])
         node.expansion_tokens += actions.shape[1]
         node.extension_passes += 1
+        node.sim_tokens = None
 
 
 def mcts_search(model, prompt, cfg: SearchConfig, reward_fn,
@@ -196,52 +172,44 @@ def mcts_search(model, prompt, cfg: SearchConfig, reward_fn,
 
     Returns the state of the best-simulation node concatenated with its
     stored simulation. A reward_fn that raises scores the simulation 0; the
-    result and each trace record count such failures. Playouts are drawn
-    at expansion but scored when selection first reaches their child, so
-    scoring, the trace and the tree's sim_values follow sequential MCTS; a
-    child never reached keeps sim_tokens and sim_value None."""
+    result and each trace record count such failures. An expansion decodes
+    its children's segments and playouts in one batch, and each playout is
+    scored when selection first reaches its child, so scoring, the trace
+    and the tree's sim_values follow sequential MCTS; a child never reached
+    keeps sim_tokens and sim_value None. Only a terminal root and a child
+    changed by Q-pruned extension draw a playout of their own."""
     rng = np.random.default_rng(cfg.seed)
     root = MctsNode(state=np.asarray(prompt))
     score = _Scorer(reward_fn)
     trace = []
-    iterations = 0
     for it in range(cfg.iterations):
-        iterations = it + 1
         failures_before = score.failures
-        node, path_keys = root, []
-        path = [root]
+        node, path, path_keys = root, [root], []
         while node.children:
-            nxt = _select_child(node, cfg.c_uct)
-            key = next(k for k, v in node.children.items() if v is nxt)
-            path_keys.append(list(key))
-            node = nxt
+            key = _select_child(node, cfg.c_uct)
+            node = node.children[key]
             path.append(node)
-        if node.visits == 0 and node is not root:
-            # a child first reached by selection: its playout was drawn at
-            # expansion, and is scored now
-            value = _score(node, score)
-            expanded_terminal = _is_terminal(model, node.state, cfg.max_len)
-        elif _is_terminal(model, node.state, cfg.max_len):
-            _simulate(model, [node], cfg.max_len, rng)
-            value = _score(node, score)
-            expanded_terminal = True
-        else:
-            _expand(model, node, cfg, rng)  # node had no children
-            key, child = next(iter(node.children.items()))
-            path.append(child)
+            path_keys.append(list(key))
+        # a child reached for the first time is scored as it is
+        if (node.visits or node is root) and \
+                not _is_terminal(model, node.state, cfg.max_len):
+            _expand(model, node, cfg, rng)
+            key, node = next(iter(node.children.items()))
+            path.append(node)
             path_keys.append(list(key))
             if q_fn is not None:
-                _extend_low_uncertainty(model, child, cfg, q_fn, gamma)
-            _simulate(model, list(node.children.values()), cfg.max_len, rng)
-            value = _score(child, score)
-            expanded_terminal = _is_terminal(model, child.state, cfg.max_len)
+                _extend_low_uncertainty(model, node, cfg, q_fn, gamma)
+        if node.sim_tokens is None:  # a terminal root, or an extended child
+            tokens, _ = rollout(model, node.state, "sample", cfg.max_len, rng)
+            node.sim_tokens = tokens[len(node.state):]
+        value = _score(node, score)
         for n in path:
             n.visits += 1
             n.q_sum += value
         trace.append({"iteration": it, "selected_path": path_keys,
                       "sim_value": value,
                       "scorer_failures": score.failures - failures_before})
-        if expanded_terminal:
+        if _is_terminal(model, node.state, cfg.max_len):
             break
     if trace_path is not None:
         with open(trace_path, "w") as f:
@@ -261,7 +229,7 @@ def mcts_search(model, prompt, cfg: SearchConfig, reward_fn,
         stack.extend(n.children[k] for k in sorted(n.children, reverse=True))
     tokens = np.concatenate([best.state, best.sim_tokens]) if best is not None \
         else np.asarray(prompt)
-    return SearchResult(tokens=tokens, root=root, iterations=iterations,
+    return SearchResult(tokens=tokens, root=root, iterations=len(trace),
                         n_nodes=n_nodes, scorer_failures=score.failures)
 
 

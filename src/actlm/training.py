@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .actions import (Decoder, assign_direct, assign_vq, check_prompts,
                       generate, inverse_encode, one_hot, policy_forward,
-                      policy_log_probs, q_forward, world_logits)
+                      policy_log_probs, q_forward, row_ends, world_logits)
 from .config import TrainConfig
 from .data import SftSplit
 from .model import ModelState, base_forward, base_logits
@@ -239,8 +239,8 @@ def decision_mask(tokens: np.ndarray, prompt_len: int, n_steps: int,
     Step s decides from the context ending at position prompt_len-1+s; once
     that context ends in eos, or passed one after the prompt, the step is
     padding. So a row whose prompt ends in eos has no decisions at all."""
-    contexts = tokens[:, prompt_len - 1:prompt_len - 1 + n_steps]
-    return ~(np.cumsum(contexts == eos, axis=1) > 0)
+    ends = row_ends(tokens, prompt_len, eos)
+    return np.arange(n_steps) < (ends - prompt_len)[:, None]
 
 
 def rl_batch(state: ModelState, prompts: np.ndarray, reward_fn,

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from actlm import autodiff as ad
+
+# Property tests draw the same examples on every run, and no example
+# database carries failures from one run into the next.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(autouse=True)

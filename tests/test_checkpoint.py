@@ -174,14 +174,14 @@ def _load_or_refuse(tmp_path_factory, body: bytes) -> None:
         pass
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=150, deadline=None)
 @given(st.binary(max_size=200))
 def test_any_sealed_bytes_load_or_raise_checkpoint_error(tmp_path_factory, data):
     _load_or_refuse(tmp_path_factory, data)
     _load_or_refuse(tmp_path_factory, MAGIC + struct.pack("<I", FORMAT_VERSION) + data)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, len(VALID) - 1), st.integers(0, 255)),
                 min_size=1, max_size=4),
        st.integers(0, len(VALID)))

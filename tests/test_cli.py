@@ -239,3 +239,38 @@ def test_cli_corpus_vocab_beyond_checkpoint_fails_by_name(tmp_path, capsys):
                "--out_dir", str(out)] + TINY)
     assert rc == 1
     assert "vocab_size" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny")
+    assert main(["pretrain-base", "--out_dir", str(out)] + TINY) == 0
+    return out / "base.ckpt"
+
+
+def run_beyond_max_seq_len(checkpoint, subcommand, key, capsys) -> str:
+    rc = main([subcommand, "--init_checkpoint", str(checkpoint),
+               "--out_dir", str(checkpoint.parent), f"--{key}", "32"] + TINY)
+    assert rc == 1
+    return capsys.readouterr().err
+
+
+def test_cli_search_max_len_beyond_checkpoint_fails_by_name(tiny_checkpoint,
+                                                            capsys):
+    """Every subcommand that decodes to search_max_len refuses one the
+    checkpoint's max_seq_len (16) cannot hold, naming the key, before it
+    starts decoding."""
+    for subcommand in ("rollout", "search", "search-q", "eval"):
+        err = run_beyond_max_seq_len(tiny_checkpoint, subcommand,
+                                     "search_max_len", capsys)
+        assert err.startswith("error: search_max_len 32 exceeds the "
+                              "checkpoint's max_seq_len 16"), subcommand
+
+
+def test_cli_rl_max_len_beyond_checkpoint_fails_by_name(tiny_checkpoint,
+                                                        capsys):
+    for subcommand in ("rl", "train-q"):
+        err = run_beyond_max_seq_len(tiny_checkpoint, subcommand,
+                                     "rl_max_len", capsys)
+        assert err.startswith("error: rl_max_len 32 exceeds the "
+                              "checkpoint's max_seq_len 16"), subcommand

@@ -12,7 +12,8 @@ import pytest
 
 import actlm
 from actlm import autodiff as ad
-from actlm.actions import Decoder, generate, policy_forward, world_logits
+from actlm.actions import (Decoder, generate, policy_forward, row_ends,
+                           world_logits)
 from actlm.autodiff import Tensor
 from actlm.config import ArchConfig, SearchConfig
 from actlm.model import base_forward, block_forward, init_model
@@ -166,6 +167,58 @@ def test_mcts_q_infinite_threshold_extends_to_terminal_in_one_pass():
     assert child.extension_passes >= 1
 
 
+def test_mcts_decodes_once_per_expansion(monkeypatch):
+    """Plain MCTS calls generate once per expanded node, on expand_width
+    rows of that node's state: the one call decodes the new children's
+    segments and their playouts together."""
+    from actlm import search
+    real, calls = search.generate, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(search, "generate", counting)
+    cfg = SearchConfig(action_steps=2, iterations=12, expand_width=3,
+                       max_len=8, seed=0)
+    result = mcts_search(StickyLM(), [4], cfg, junction_switch)
+    expanded, stack = [], [result.root]
+    while stack:
+        node = stack.pop()
+        if node.children:
+            expanded.append((cfg.expand_width, len(node.state)))
+        stack.extend(node.children.values())
+    assert len(expanded) >= 3
+    assert sorted(calls) == sorted(expanded)
+
+
+def test_extension_pass_adds_k_tokens_up_to_max_len(monkeypatch):
+    """Each Q-pruned extension pass decodes greedily to
+    min(max_len, len + k), so it adds exactly min(k, max_len - len)
+    tokens; the extended child then draws a playout of its own."""
+    from actlm import search
+    real, passes = search.generate, []
+
+    def recording(model, tokens, mode, max_len, rng=None):
+        out, actions = real(model, tokens, mode, max_len, rng)
+        if mode == "greedy":
+            passes.append((tokens.shape[1], out.shape[1] - tokens.shape[1]))
+        return out, actions
+
+    monkeypatch.setattr(search, "generate", recording)
+    cfg = SearchConfig(action_steps=3, iterations=4, expand_width=2,
+                       max_len=9, seed=0, bellman_threshold=math.inf)
+    result = mcts_search(ChainLM(episode_len=50), [1], cfg, chain_reward,
+                         q_fn=lambda ctx: np.zeros(2), gamma=0.9)
+    assert passes == [(4, 3), (7, 2)]
+    assert all(added == min(cfg.action_steps, cfg.max_len - length)
+               for length, added in passes)
+    child = next(iter(result.root.children.values()))
+    assert child.extension_passes == 2 and len(child.state) == cfg.max_len
+    assert child.expansion_tokens == cfg.max_len - 1
+    assert child.sim_tokens.size == 0 and result.iterations == 1
+
+
 def segment_probability(key) -> float:
     """Probability that one k-step segment drawn from StickyLM's prompt [4]
     has this key."""
@@ -197,14 +250,15 @@ def reference_mcts_search(model, prompt, cfg: SearchConfig, reward_fn):
     for _ in range(cfg.iterations):
         node, path = root, [root]
         while node.children:
-            node = _select_child(node, cfg.c_uct)
+            node = node.children[_select_child(node, cfg.c_uct)]
             path.append(node)
         if node.visits == 0 and node is not root or terminal(node.state):
             done = terminal(node.state)
         else:
             for _ in range(cfg.expand_width):
-                states, actions = generate(model, node.state[None], "sample",
-                                           cfg.max_len, rng, cfg.action_steps)
+                states, actions = generate(
+                    model, node.state[None], "sample",
+                    min(cfg.max_len, len(node.state) + cfg.action_steps), rng)
                 key = tuple(actions[0].tolist())
                 if key not in node.children:
                     node.children[key] = MctsNode(state=states[0])
@@ -578,6 +632,16 @@ def test_forked_greedy_decoding_matches_uncached_reference(seed):
         ends = np.flatnonzero(row[len(prompt):] == DCFG.eos_token_id)
         length = len(row) if not ends.size else len(prompt) + ends[0] + 1
         np.testing.assert_array_equal(tokens, row[:length])
+
+
+def test_row_ends():
+    """A row ends after its first eos at or after the prompt's last column:
+    at p when the prompt ends in eos, at j + 1 for an eos generated at
+    column j, and at the last column without one."""
+    tokens = np.array([[3, 0, 0, 0, 0],    # prompt ends in eos
+                       [3, 5, 7, 0, 0],    # eos generated at column 3
+                       [0, 5, 7, 8, 6]])   # an eos before p - 1 does not count
+    np.testing.assert_array_equal(row_ends(tokens, 2, 0), [2, 4, 5])
 
 
 def test_rollout_returns_eos_terminated_prompt_unchanged():

@@ -199,6 +199,18 @@ def test_frozen_base_forward_stays_off_the_tape():
     assert tape.nodes == [] and e_l._backward is None
 
 
+def test_gradients_keep_only_leaf_gradients():
+    """A node's gradient is dropped once its backward has run, so after a
+    pretrain-base loss the result holds the parameters' gradients and no
+    node's."""
+    state = small_state()
+    with Tape() as tape:
+        loss, _ = loss_base_ar(state, small_tokens())
+        grads = tape.gradients(loss)
+    assert not set(grads) & {id(node) for node in tape.nodes}
+    assert set(grads) == {id(p) for p in state.params("base").values()}
+
+
 def test_inverse_encoder_gets_the_embeddings_as_a_leaf(monkeypatch):
     """Inverse labels are indices and carry no gradient, so the base
     forward's graph is not kept alive while the inverse encoder runs, and
