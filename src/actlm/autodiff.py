@@ -111,7 +111,10 @@ class Tape:
         return grads
 
     def grad(self, grads: dict[int, np.ndarray], t: Tensor) -> np.ndarray:
-        """Gradient of a leaf from a `gradients()` result; zeros if unused."""
+        """Gradient of a leaf from a `gradients()` result; zeros if unused.
+        Raises for an op output, whose gradient `gradients` does not keep."""
+        if t._backward is not None:
+            raise ValueError("only a leaf's gradient is kept; got an op output")
         g = grads.get(id(t))
         return np.zeros_like(t.data) if g is None else g
 

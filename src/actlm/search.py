@@ -129,8 +129,9 @@ def _expand(model, node: MctsNode, cfg: SearchConfig, rng) -> None:
     """Create up to expand_width children from as many rows sampled to the
     end in one batch. A row's first k actions, cut at its first eos, are a
     child's key and state, and the rest of the row up to its first eos is
-    that child's playout. Keys are deduplicated in row order. A
-    non-terminal node gets at least one child."""
+    that child's playout. Keys are deduplicated in row order; a row whose
+    key repeats an earlier one still decodes to the end, and its playout is
+    dropped. A non-terminal node gets at least one child."""
     p = len(node.state)
     rows = np.repeat(node.state[None], cfg.expand_width, axis=0)
     full, actions = generate(model, rows, "sample", cfg.max_len, rng)

@@ -232,15 +232,15 @@ def rollout_batch(state: ModelState, prompts: np.ndarray, mode: str,
     return generate(Decoder(state, len(prompts)), prompts, mode, max_len, rng)
 
 
-def decision_mask(tokens: np.ndarray, prompt_len: int, n_steps: int,
-                  eos: int) -> np.ndarray:
-    """(B, n_steps) bool: True where generation step s was a real decision.
+def decision_mask(tokens: np.ndarray, prompt_len: int, eos: int) -> np.ndarray:
+    """(B, T - prompt_len) bool for a `generate` output tokens (B, T): True
+    where generation step s was a real decision.
 
     Step s decides from the context ending at position prompt_len-1+s; once
     that context ends in eos, or passed one after the prompt, the step is
     padding. So a row whose prompt ends in eos has no decisions at all."""
     ends = row_ends(tokens, prompt_len, eos)
-    return np.arange(n_steps) < (ends - prompt_len)[:, None]
+    return np.arange(tokens.shape[1] - prompt_len) < (ends - prompt_len)[:, None]
 
 
 def rl_batch(state: ModelState, prompts: np.ndarray, reward_fn,
@@ -266,7 +266,7 @@ def rl_batch(state: ModelState, prompts: np.ndarray, reward_fn,
             failures += 1
     groups = rewards.reshape(n_prompts, g)
     adv = (groups - (groups.sum(axis=1, keepdims=True) - groups) / (g - 1)).reshape(-1)
-    valid = decision_mask(tokens, p_len, actions.shape[1], state.cfg.eos_token_id)
+    valid = decision_mask(tokens, p_len, state.cfg.eos_token_id)
     return {"tokens": tokens, "actions": actions, "advantages": adv,
             "valid": valid.astype(ad.active_dtype()), "rewards": rewards,
             "scorer_failures": failures}

@@ -211,6 +211,18 @@ def test_gradients_keep_only_leaf_gradients():
     assert set(grads) == {id(p) for p in state.params("base").values()}
 
 
+def test_grad_of_an_op_output_raises():
+    """Reading a node's gradient, which `gradients` dropped, fails loudly
+    rather than reading zeros."""
+    x = Tensor(np.ones(3))
+    with Tape() as tape:
+        y = ad.scale(x, 2.0)
+        grads = tape.gradients(ad.sum_(y))
+    np.testing.assert_array_equal(tape.grad(grads, x), [2.0, 2.0, 2.0])
+    with pytest.raises(ValueError, match="leaf"):
+        tape.grad(grads, y)
+
+
 def test_inverse_encoder_gets_the_embeddings_as_a_leaf(monkeypatch):
     """Inverse labels are indices and carry no gradient, so the base
     forward's graph is not kept alive while the inverse encoder runs, and
@@ -461,7 +473,7 @@ def test_decision_mask_excludes_steps_after_eos():
     tokens = np.array([[5, 0, 0, 0, 0],    # prompt ends in eos
                        [5, 6, 7, 0, 0],    # eos generated at step 1
                        [5, 6, 7, 8, 1]])   # no eos
-    mask = decision_mask(tokens, prompt_len=2, n_steps=3, eos=0)
+    mask = decision_mask(tokens, prompt_len=2, eos=0)
     np.testing.assert_array_equal(mask, [[False, False, False],
                                          [True, True, False],
                                          [True, True, True]])
