@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .config import ArchConfig
 from .data import gen_hmm_corpus, make_sft_split, marker_reward, open_prefixes
 from .diagnostics import (action_token_table, alive_actions, marginal_kl,
                           normalized_mutual_information, semantic_diversity,
@@ -72,10 +73,24 @@ def _prompts(cfg: RunConfig, val: np.ndarray, eos: int) -> np.ndarray:
     return open_prefixes(val, cfg.rl_prompt_count, cfg.prompt_len, eos)
 
 
-def _prompt_tokens(cfg: RunConfig, val: np.ndarray, eos: int) -> np.ndarray:
-    if cfg.prompt:
-        return np.asarray([int(x) for x in cfg.prompt.split(",")], dtype=np.int64)
-    return open_prefixes(val, 1, cfg.prompt_len, eos)[0]
+def _prompt_tokens(cfg: RunConfig, val: np.ndarray, arch: ArchConfig) -> np.ndarray:
+    """The --prompt token ids, checked against the loaded checkpoint's
+    architecture `arch`, or else the first open prefix of val."""
+    if not cfg.prompt:
+        return open_prefixes(val, 1, cfg.prompt_len, arch.eos_token_id)[0]
+    try:
+        ids = [int(x) for x in cfg.prompt.split(",")]
+    except ValueError:
+        raise ConfigError(f"prompt {cfg.prompt!r} is not comma-separated "
+                          "integer token ids") from None
+    out = [i for i in ids if not 0 <= i < arch.vocab_size]
+    if out:
+        raise ConfigError(f"prompt token {out[0]} is outside the checkpoint's "
+                          f"vocabulary [0, {arch.vocab_size})")
+    if len(ids) > arch.max_seq_len:
+        raise ConfigError(f"prompt length {len(ids)} exceeds the checkpoint's "
+                          f"max_seq_len {arch.max_seq_len}")
+    return np.asarray(ids, dtype=np.int64)
 
 
 def _marker(cfg: RunConfig, model: LatentActionLM, prompt) -> int:
@@ -188,7 +203,7 @@ def cmd_rollout(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
     state, _ = _load_input(cfg)
     _check_max_len(cfg, state, "search_max_len")
     _, val, _ = _corpora(cfg)
-    prompt = _prompt_tokens(cfg, val, state.cfg.eos_token_id)
+    prompt = _prompt_tokens(cfg, val, state.cfg)
     rng = np.random.default_rng(cfg.seed)
     tokens, actions = rollout(LatentActionLM(state), prompt, cfg.rollout_mode,
                               cfg.search_max_len, rng)
@@ -204,7 +219,7 @@ def _run_search(cfg: RunConfig, out: str, metrics: MetricsWriter,
     state, _ = _load_input(cfg)
     _check_max_len(cfg, state, "search_max_len")
     _, val, _ = _corpora(cfg)
-    prompt = _prompt_tokens(cfg, val, state.cfg.eos_token_id)
+    prompt = _prompt_tokens(cfg, val, state.cfg)
     model = LatentActionLM(state)
     marker = _marker(cfg, model, prompt)
     reward_fn = _marker_reward_fn(marker)

@@ -13,8 +13,7 @@ from .actions import policy_forward, row_ends, world_logits
 from .autodiff import Tensor
 from .config import DiversityConfig
 from .model import ModelState, base_forward, base_logits
-from .training import (eval_base_ce, inverse_action_labels, inverse_labels,
-                       rollout_batch)
+from .training import eval_base_ce, rollout_batch, val_sweep
 
 log = logging.getLogger(__name__)
 
@@ -89,20 +88,18 @@ def marginal_kl(state: ModelState, contexts) -> float:
     return float(kl.mean())
 
 
-def val_loss(state: ModelState, corpus, mode: str, batch_size: int = 64,
-             gumbel_temp: float = 1.0) -> float:
+def val_loss(state: ModelState, corpus, mode: str, gumbel_temp: float = 1.0) -> float:
     """Mean next-token CE: world model under eval-mode inverse actions
-    ('with_actions') or the plain base lm-head ('base_ar')."""
-    corpus = np.asarray(corpus)
+    ('with_actions') or the plain base lm-head ('base_ar'). Both read the
+    corpus's memoised `training.val_sweep` (keyed by the corpus bytes, the
+    active dtype and the base and inverse hashes; the slot holds one
+    corpus), so the two modes share one base forward per chunk."""
     if mode == "base_ar":
-        return eval_base_ce(state, corpus, batch_size)
+        return eval_base_ce(state, corpus)
     if mode != "with_actions":
         raise ValueError(f"unknown val_loss mode: {mode!r}")
     total, count = 0.0, 0
-    for i in range(0, len(corpus), batch_size):
-        chunk = corpus[i:i + batch_size]
-        e_l = base_forward(state.groups["base"], state.cfg, chunk)
-        labels = inverse_labels(state, e_l, gumbel_temp)
+    for chunk, e_l, labels in val_sweep(state, corpus, gumbel_temp):
         action = ad.embedding(state.groups["codebook"]["codes"], labels)
         logits = world_logits(state.groups["merge"], state.cfg,
                               ad.slice_time(e_l, 0, -1), action)
@@ -112,15 +109,13 @@ def val_loss(state: ModelState, corpus, mode: str, batch_size: int = 64,
     return total / count
 
 
-def action_token_table(state: ModelState, corpus, batch_size: int = 64,
+def action_token_table(state: ModelState, corpus,
                        gumbel_temp: float = 1.0) -> np.ndarray:
     """(N, V) counts of next tokens grouped by the eval-mode inverse action
-    assigned to their position."""
-    corpus = np.asarray(corpus)
+    assigned to their position, from the corpus's memoised
+    `training.val_sweep` (see `val_loss`)."""
     table = np.zeros((state.cfg.codebook_size, state.cfg.vocab_size), dtype=np.int64)
-    for i in range(0, len(corpus), batch_size):
-        chunk = corpus[i:i + batch_size]
-        labels = inverse_action_labels(state, chunk, gumbel_temp)
+    for chunk, _, labels in val_sweep(state, corpus, gumbel_temp):
         np.add.at(table, (labels.reshape(-1), chunk[:, 1:].reshape(-1)), 1)
     return table
 

@@ -231,6 +231,8 @@ class ModelState:
 
     cfg: ArchConfig
     groups: dict[str, dict[str, Tensor]] = field(default_factory=dict)
+    # the one memoised `training.val_sweep`; it checks its own key on use
+    sweep: object = field(default=None, compare=False, repr=False)
 
     def params(self, *group_names: str) -> dict[str, Tensor]:
         """Flattened 'group/name' -> Tensor view over the named groups."""

@@ -10,6 +10,7 @@ groups are excluded from the optimizer, and hashed before/after.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,20 +145,75 @@ def loss_pre1(state: ModelState, tokens, cfg: TrainConfig, rng=None,
     raise ValueError(f"unknown assignment mode: {assignment!r}")
 
 
-def inverse_action_labels(state: ModelState, tokens, gumbel_temp: float) -> np.ndarray:
-    """Eval-mode inverse assignment indices (B, T-1); no gradients, so
-    nothing is recorded even inside a tape."""
-    with ad.untaped():
-        e_l = base_forward(state.groups["base"], state.cfg, np.asarray(tokens))
-        return inverse_labels(state, e_l, gumbel_temp)
-
-
 def inverse_labels(state: ModelState, e_l: Tensor, gumbel_temp: float) -> np.ndarray:
-    """inverse_action_labels from the base embeddings of the tokens."""
+    """Eval-mode inverse assignment indices (B, T-1) from the base
+    embeddings of the tokens."""
     e_i = inverse_encode(state.groups["inverse"], state.cfg, e_l)
     assign = assign_direct(state.groups["inverse"], state.groups["codebook"],
                            e_i, gumbel_temp, mode="eval")
     return assign.index
+
+
+# ---------------------------------------------------------------------------
+# The validation sweep: one frozen base forward per eval report
+# ---------------------------------------------------------------------------
+
+SWEEP_ROWS = 64
+
+
+@dataclass
+class ValSweep:
+    """The base embeddings of one corpus, one array per SWEEP_ROWS-row chunk,
+    and their eval-mode inverse labels once asked for; all read-only."""
+    key: tuple
+    e_l: list[np.ndarray]
+    labels: list[np.ndarray] | None = None
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def val_sweep(state: ModelState, corpus, gumbel_temp: float | None = None):
+    """[(chunk, e_l, labels)] over the SWEEP_ROWS-row chunks of corpus, in
+    order: the chunk's base embeddings and, when gumbel_temp is given, its
+    eval-mode inverse labels (rows, T-1), else None. Nothing is taped.
+
+    The sweep is memoised in `state.sweep`, which holds one corpus. It is
+    keyed by the corpus's shape, dtype and sha256, the active dtype, and the
+    base and inverse group hashes, so another corpus, `set_precision` or a
+    changed base or inverse weight recomputes it. Labels are computed from
+    the held embeddings on first request; the eval-mode argmax does not
+    depend on gumbel_temp, which is only checked."""
+    corpus = np.asarray(corpus)
+    if gumbel_temp is not None and gumbel_temp <= 0:
+        raise ValueError("gumbel_temp must be > 0")
+    key = (corpus.shape, corpus.dtype.str,
+           hashlib.sha256(corpus.tobytes()).hexdigest(), ad.active_dtype(),
+           state.group_hash("base"), state.group_hash("inverse"))
+    sweep = state.sweep
+    with ad.untaped():
+        if sweep is None or sweep.key != key:
+            base = state.groups["base"]
+            sweep = state.sweep = ValSweep(key, [
+                _read_only(base_forward(base, state.cfg, corpus[i:i + SWEEP_ROWS]).data)
+                for i in range(0, len(corpus), SWEEP_ROWS)])
+        if gumbel_temp is not None and sweep.labels is None:
+            sweep.labels = [_read_only(inverse_labels(state, Tensor(e_l), gumbel_temp))
+                            for e_l in sweep.e_l]
+    labels = sweep.labels if gumbel_temp is not None else [None] * len(sweep.e_l)
+    starts = range(0, len(corpus), SWEEP_ROWS)
+    return [(corpus[i:i + SWEEP_ROWS], Tensor(e_l), chunk_labels)
+            for i, e_l, chunk_labels in zip(starts, sweep.e_l, labels)]
+
+
+def inverse_action_labels(state: ModelState, tokens, gumbel_temp: float) -> np.ndarray:
+    """Eval-mode inverse assignment indices (B, T-1) of a corpus, joined
+    from its memoised `val_sweep` (see there for the key; the slot holds
+    one corpus). Nothing is recorded even inside a tape."""
+    sweep = val_sweep(state, tokens, gumbel_temp)
+    return np.concatenate([labels for _, _, labels in sweep])
 
 
 def loss_pre2(state: ModelState, tokens, labels=None, start: int = 0,
@@ -169,9 +225,10 @@ def loss_pre2(state: ModelState, tokens, labels=None, start: int = 0,
 
     Returns (loss, parts)."""
     tokens = np.asarray(tokens)
-    if labels is None:
-        labels = inverse_action_labels(state, tokens, gumbel_temp)
     e_l = _frozen_base_embeddings(state, tokens) if e_l is None else ad.stop_grad(e_l)
+    if labels is None:
+        with ad.untaped():
+            labels = inverse_labels(state, e_l, gumbel_temp)
     logp = policy_log_probs(state.groups["policy"], state.cfg, e_l)
     # label row j is a_{j+1}, chosen from context e_l[:, j]
     logp_ctx = ad.slice_time(logp, start, -1)
@@ -185,14 +242,14 @@ def loss_pre2(state: ModelState, tokens, labels=None, start: int = 0,
 def fta_actions(state: ModelState, tokens, mode: str, gumbel_temp: float) -> np.ndarray:
     """Action indices for fine-tuning: frozen inverse (FTA-I) or greedy
     frozen policy (FTA-P). Forward-only."""
-    tokens = np.asarray(tokens)
-    if mode == "FTA-I":
-        return inverse_action_labels(state, tokens, gumbel_temp)
-    if mode == "FTA-P":
-        e_l = base_forward(state.groups["base"], state.cfg, tokens)
+    if mode not in ("FTA-I", "FTA-P"):
+        raise ValueError(f"unknown FTA mode: {mode!r}")
+    with ad.untaped():
+        e_l = base_forward(state.groups["base"], state.cfg, np.asarray(tokens))
+        if mode == "FTA-I":
+            return inverse_labels(state, e_l, gumbel_temp)
         probs = policy_forward(state.groups["policy"], state.cfg, e_l)
-        return probs.data[:, :-1, :].argmax(axis=-1)
-    raise ValueError(f"unknown FTA mode: {mode!r}")
+    return probs.data[:, :-1, :].argmax(axis=-1)
 
 
 def loss_fta(state: ModelState, tokens, prompt_len: int, action_indices=None,
@@ -431,12 +488,14 @@ def pretrain_base_ar(state: ModelState, corpus, val_corpus, cfg: TrainConfig,
     return eval_base_ce(state, val_corpus)
 
 
-def eval_base_ce(state: ModelState, corpus, batch_size: int = 64) -> float:
+def eval_base_ce(state: ModelState, corpus) -> float:
+    """Mean next-token CE of the base lm-head over corpus, from its
+    memoised `val_sweep` (see there for the key; the slot holds one
+    corpus). Needs no inverse labels, so it runs no inverse encoder."""
     base = state.groups["base"]
     total, count = 0.0, 0
-    for i in range(0, len(corpus), batch_size):
-        chunk = corpus[i:i + batch_size]
-        logits = base_logits(base, base_forward(base, state.cfg, chunk))
+    for chunk, e_l, _ in val_sweep(state, corpus):
+        logits = base_logits(base, e_l)
         ce = ad.cross_entropy(ad.slice_time(logits, 0, -1), chunk[:, 1:])
         total += float(ce.data.sum())
         count += ce.data.size

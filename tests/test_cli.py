@@ -127,7 +127,7 @@ def test_default_prompts_skip_prefixes_ending_in_eos():
     prompts = cli._prompts(cfg, val, eos)
     assert prompts.shape == (cfg.rl_prompt_count, cfg.prompt_len)
     assert not (prompts[:, -1] == eos).any()
-    assert cli._prompt_tokens(cfg, val, eos)[-1] != eos
+    assert cli._prompt_tokens(cfg, val, cfg.arch())[-1] != eos
     with pytest.raises(ConfigError, match="prompts needed"):
         cli._prompts(RunConfig(rl_prompt_count=16), val, eos)
 
@@ -274,3 +274,23 @@ def test_cli_rl_max_len_beyond_checkpoint_fails_by_name(tiny_checkpoint,
                                      "rl_max_len", capsys)
         assert err.startswith("error: rl_max_len 32 exceeds the "
                               "checkpoint's max_seq_len 16"), subcommand
+
+
+@pytest.mark.parametrize("prompt, message", [
+    ("3,x", "prompt '3,x' is not comma-separated integer token ids"),
+    ("3,,4", "prompt '3,,4' is not comma-separated integer token ids"),
+    ("3,16", "prompt token 16 is outside the checkpoint's vocabulary [0, 16)"),
+    ("3,-1", "prompt token -1 is outside the checkpoint's vocabulary [0, 16)"),
+    (",".join(["3"] * 17), "prompt length 17 exceeds the checkpoint's "
+                           "max_seq_len 16"),
+], ids=["non-integer", "empty-entry", "beyond-vocab", "negative", "too-long"])
+def test_cli_bad_prompt_fails_by_name(tiny_checkpoint, capsys, prompt, message):
+    """--prompt is checked against the loaded checkpoint before any decode:
+    a non-integer or empty entry, an id outside its vocabulary or a prompt
+    longer than its max_seq_len exits 1 naming the key."""
+    for subcommand in ("rollout", "search"):
+        rc = main([subcommand, "--init_checkpoint", str(tiny_checkpoint),
+                   "--out_dir", str(tiny_checkpoint.parent), "--prompt", prompt,
+                   "--search_max_len", "16"] + TINY)
+        assert rc == 1
+        assert capsys.readouterr().err.strip() == f"error: {message}", subcommand

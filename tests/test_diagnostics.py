@@ -7,8 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from actlm import actions, cli, diagnostics, model, training
 from actlm import autodiff as ad
-from actlm import diagnostics
 from actlm.actions import generate
 from actlm.actions import policy_forward, world_logits
 from actlm.autodiff import Tensor
@@ -17,8 +17,10 @@ from actlm.diagnostics import (action_token_table, alive_actions, marginal_kl,
                                normalized_mutual_information,
                                semantic_diversity, token_bags, val_loss,
                                write_action_token_tsv)
+from actlm.metrics import MetricsWriter
 from actlm.model import base_forward, base_logits, init_model
-from actlm.training import inverse_action_labels
+from actlm.runconfig import load_run_config
+from actlm.training import SWEEP_ROWS, inverse_action_labels, inverse_labels
 from conftest import StickyLM
 
 
@@ -182,20 +184,96 @@ def test_val_loss_with_actions_matches_separate_label_forward():
     """The labels come from the embeddings val_loss already has; the figure
     equals that of labels from a second base forward, bit for bit."""
     state = init_model(CFG, 3)
-    corpus = np.random.default_rng(3).integers(0, 9, size=(5, 7))
-    total = count = 0
-    for i in range(0, len(corpus), 2):
-        chunk = corpus[i:i + 2]
-        e_l = base_forward(state.groups["base"], CFG, chunk)
-        action = ad.embedding(state.groups["codebook"]["codes"],
-                              inverse_action_labels(state, chunk, 0.5))
-        logits = world_logits(state.groups["merge"], CFG,
+    corpus = np.random.default_rng(3).integers(0, 9, size=(SWEEP_ROWS, 7))
+    e_l = base_forward(state.groups["base"], CFG, corpus)
+    action = ad.embedding(state.groups["codebook"]["codes"],
+                          inverse_action_labels(state, corpus, 0.5))
+    logits = world_logits(state.groups["merge"], CFG,
+                          ad.slice_time(e_l, 0, -1), action)
+    ce = ad.cross_entropy(logits, corpus[:, 1:])
+    state.sweep = None
+    assert val_loss(state, corpus, "with_actions",
+                    gumbel_temp=0.5) == float(ce.data.sum()) / ce.data.size
+
+
+def per_chunk_reference(state, corpus, gumbel_temp):
+    """Every sweep reader recomputed the way the readers did before they
+    shared a sweep: each SWEEP_ROWS-row chunk gets a base forward of its
+    own for the CEs, and another one for its labels."""
+    cfg, base = state.cfg, state.groups["base"]
+    table = np.zeros((cfg.codebook_size, cfg.vocab_size), dtype=np.int64)
+    labels, act, plain, count = [], 0.0, 0.0, 0
+    for i in range(0, len(corpus), SWEEP_ROWS):
+        chunk = corpus[i:i + SWEEP_ROWS]
+        e_l = base_forward(base, cfg, chunk)
+        chunk_labels = inverse_labels(state, base_forward(base, cfg, chunk),
+                                      gumbel_temp)
+        labels.append(chunk_labels)
+        np.add.at(table, (chunk_labels.reshape(-1), chunk[:, 1:].reshape(-1)), 1)
+        action = ad.embedding(state.groups["codebook"]["codes"], chunk_labels)
+        logits = world_logits(state.groups["merge"], cfg,
                               ad.slice_time(e_l, 0, -1), action)
-        ce = ad.cross_entropy(logits, chunk[:, 1:])
-        total += float(ce.data.sum())
+        act += float(ad.cross_entropy(logits, chunk[:, 1:]).data.sum())
+        ce = ad.cross_entropy(ad.slice_time(base_logits(base, e_l), 0, -1),
+                              chunk[:, 1:])
+        plain += float(ce.data.sum())
         count += ce.data.size
-    assert val_loss(state, corpus, "with_actions", batch_size=2,
-                    gumbel_temp=0.5) == total / count
+    return {"with_actions": act / count, "base_ar": plain / count,
+            "table": table, "labels": np.concatenate(labels)}
+
+
+SWEEP_READERS = {
+    "with_actions": lambda state, corpus: val_loss(state, corpus, "with_actions",
+                                                   gumbel_temp=0.5),
+    "base_ar": lambda state, corpus: val_loss(state, corpus, "base_ar"),
+    "table": lambda state, corpus: action_token_table(state, corpus,
+                                                      gumbel_temp=0.5),
+    "labels": lambda state, corpus: inverse_action_labels(state, corpus, 0.5),
+}
+
+
+@pytest.mark.parametrize("first", SWEEP_READERS)
+def test_sweep_readers_match_per_chunk_recompute(first):
+    """On a corpus of two chunks, the last one ragged, each reader of the
+    shared sweep equals the per-chunk recompute bit for bit: first on a
+    cold slot, then every reader on the slot the first one filled."""
+    state = init_model(CFG, 5)
+    corpus = np.random.default_rng(5).integers(0, 9, size=(SWEEP_ROWS + 6, 7))
+    want = per_chunk_reference(state, corpus, 0.5)
+    assert state.sweep is None
+    assert np.array_equal(SWEEP_READERS[first](state, corpus), want[first])
+    warm = state.sweep
+    for name, read in SWEEP_READERS.items():
+        assert np.array_equal(read(state, corpus), want[name]), name
+    assert state.sweep is warm
+
+
+def test_eval_report_encodes_each_val_chunk_once(tmp_path, monkeypatch):
+    """Over cmd_eval's calls, the base forward sees each SWEEP_ROWS-row
+    chunk of the val corpus once (the table, the labels and both CEs share
+    one sweep); only shorter contexts and decode steps come on top."""
+    cfg = load_run_config(None, [
+        "--hmm_train_count", "16", "--hmm_val_count", str(SWEEP_ROWS + 6),
+        "--hmm_seq_len", "12", "--max_seq_len", "16", "--search_max_len", "16",
+        "--eval_contexts", "4", "--prompt_len", "5", "--prefix_len", "5",
+        "--rl_max_len", "8", "--n_samples", "2"])
+    _, val, _ = cli._corpora(cfg)
+    monkeypatch.setattr(cli, "_load_input",
+                        lambda cfg: (init_model(cfg.arch(), 0), {}))
+    encoded = []
+    for module in (model, training, diagnostics, actions):
+        real = module.base_forward
+
+        def counting(p, arch, tokens, *args, real=real, **kwargs):
+            encoded.append(np.array(tokens))
+            return real(p, arch, tokens, *args, **kwargs)
+
+        monkeypatch.setattr(module, "base_forward", counting)
+    with MetricsWriter(str(tmp_path / "metrics.jsonl"), "w") as metrics:
+        assert cli.cmd_eval(cfg, str(tmp_path), metrics) == 0
+    full_width = [t for t in encoded if t.shape[1] == val.shape[1]]
+    assert [len(t) for t in full_width] == [SWEEP_ROWS, 6]
+    assert np.array_equal(np.concatenate(full_width), val)
 
 
 def test_action_token_table_counts(tmp_path):

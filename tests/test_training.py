@@ -2,26 +2,31 @@
 non-finite guard, per-step records), loss wiring, leave-one-out policy
 gradients, and the Double-DQN update."""
 
+import ast
 import gc
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import actlm
 from actlm import autodiff as ad
 from actlm.autodiff import Tape, Tensor
 from actlm.config import ArchConfig, TrainConfig
 from actlm.data import make_sft_split
-from actlm.model import base_forward, base_logits, init_model
-from actlm.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamW,
+from actlm.model import base_forward, base_logits, block_forward, init_model
+from actlm.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, SWEEP_ROWS, AdamW,
                             Transition, decision_mask,
                             dqn_batch, dqn_target, eval_base_ce, fta_actions,
-                            inverse_action_labels, loss_base_ar, loss_dqn,
+                            inverse_action_labels, inverse_labels,
+                            loss_base_ar, loss_dqn,
                             loss_fta, loss_pre1, loss_pre2, loss_rl,
                             pretrain_base_ar, q_values_fn, rl_batch,
                             rollout_batch, run_stage, sync_target, train_bc,
                             train_fta, train_q, train_rl, train_stage1)
+from conftest import accumulation_length, matmul_error_bound
 
 
 CFG = ArchConfig(vocab_size=9, d_model=8, n_heads=2, max_seq_len=16,
@@ -245,7 +250,143 @@ def test_inverse_encoder_gets_the_embeddings_as_a_leaf(monkeypatch):
         loss_pre2(state, tokens)
     assert len(derived.nodes) == len(given.nodes)
     diagnostics.val_loss(state, tokens, "with_actions")
-    assert backwards == [None] * 3
+    # the first labeling fills the sweep, BC derives its own from its
+    # frozen embeddings, and val_loss reads the warm sweep
+    assert backwards == [None] * 2
+
+
+def test_chunked_labels_match_one_batch_labels_beyond_rounding():
+    """inverse_action_labels runs the corpus in SWEEP_ROWS-row chunks; the
+    labels equal those of one batch over all rows wherever the top-two
+    action-logit margin exceeds what rounding can move. Each action logit
+    of either evaluation errs by at most the accumulated dot-product bound
+    through the base and inverse blocks; two evaluations of two logits can
+    therefore swap an argmax only within 4 times that bound."""
+    state = small_state(4)
+    corpus = small_tokens(seed=4, b=2 * SWEEP_ROWS + 22, t=12)
+    e_l = base_forward(state.groups["base"], CFG, corpus)
+    h = e_l
+    for i in range(CFG.n_layers_inverse):
+        h = block_forward(state.groups["inverse"], f"blk{i}", h, CFG)
+    h = h.data[:, 1:]
+    head = state.groups["inverse"]["action_head"].data
+    logits = h @ head
+    one_batch = inverse_labels(state, e_l, 1.0)
+    assert np.array_equal(one_batch, logits.argmax(axis=-1))
+    top2 = np.sort(logits, axis=-1)[..., -2:]
+    n = accumulation_length(CFG, corpus.shape[1],
+                            CFG.n_layers_base + CFG.n_layers_inverse)
+    bound = matmul_error_bound(h, head, np.float32, n=n).max(axis=-1)
+    decided = top2[..., 1] - top2[..., 0] > 4 * bound
+    chunked = inverse_action_labels(state, corpus, 1.0)
+    assert decided.mean() > 0.9  # so the comparison below is not vacuous
+    assert np.array_equal(chunked[decided], one_batch[decided])
+
+
+def _mutate_base(state, corpus):
+    p = state.groups["base"]["tok_emb"]
+    p.data -= 0.5 * p.data
+    return corpus
+
+
+def _mutate_inverse(state, corpus):
+    # negating the action head turns every eval-mode argmax into an argmin
+    p = state.groups["inverse"]["action_head"]
+    p.data -= 2 * p.data
+    return corpus
+
+
+def _other_corpus(state, corpus):
+    return (corpus + 1) % CFG.vocab_size
+
+
+def _verify_precision(state, corpus):
+    ad.set_precision("verify")
+    return corpus
+
+
+@pytest.mark.parametrize("mutate", [_mutate_base, _mutate_inverse,
+                                    _other_corpus, _verify_precision])
+def test_sweep_recomputes_when_its_key_changes(mutate, monkeypatch):
+    """A warm sweep is reused as long as the corpus, the precision and the
+    base and inverse weights are what it was computed from; changing any of
+    them (in place, as AdamW does) recomputes it, and the figures change."""
+    from actlm import diagnostics, training
+    encoded, real = [], training.base_forward
+
+    def counting(*args, **kwargs):
+        encoded.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "base_forward", counting)
+    state, corpus = small_state(), small_tokens(b=SWEEP_ROWS + 6)
+
+    def report(corpus):
+        return (diagnostics.val_loss(state, corpus, "with_actions"),
+                diagnostics.val_loss(state, corpus, "base_ar"),
+                inverse_action_labels(state, corpus, 1.0))
+
+    before = report(corpus)
+    assert len(encoded) == 2  # one base forward per chunk
+    assert all(np.array_equal(a, b) for a, b in zip(report(corpus), before))
+    assert len(encoded) == 2  # served warm
+    corpus = mutate(state, corpus)
+    after = report(corpus)
+    assert len(encoded) == 4
+    assert after[0] != before[0]
+    if mutate is _mutate_inverse:
+        assert after[1] == before[1]
+        assert not np.array_equal(after[2], before[2])
+    else:
+        assert after[1] != before[1]
+
+
+def test_held_sweep_is_read_only_and_checks_gumbel_temp():
+    """What the slot holds cannot be written through what the readers get,
+    and a non-positive temperature is still refused on a warm slot."""
+    from actlm import diagnostics
+    from actlm.training import val_sweep
+    state, corpus = small_state(), small_tokens(b=SWEEP_ROWS + 6)
+    inverse_action_labels(state, corpus, 1.0)
+    for _, e_l, labels in val_sweep(state, corpus, 1.0):
+        for held in (e_l.data, labels):
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 0
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match="gumbel_temp"):
+            inverse_action_labels(state, corpus, bad)
+        with pytest.raises(ValueError, match="gumbel_temp"):
+            diagnostics.val_loss(state, corpus, "with_actions", gumbel_temp=bad)
+        with pytest.raises(ValueError, match="gumbel_temp"):
+            diagnostics.action_token_table(state, corpus, gumbel_temp=bad)
+
+
+def test_one_chunked_corpus_loop():
+    """Exactly one function in the package loops over a corpus in row
+    chunks (a loop over a stepped `range`), and it is the one that runs the
+    base forward on them, so a second per-chunk encoding of a corpus
+    cannot come back unnoticed."""
+    found = set()
+    for path in sorted(pathlib.Path(actlm.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.For, ast.AsyncFor)):
+                    iters = [node.iter]
+                elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                                       ast.GeneratorExp)):
+                    iters = [g.iter for g in node.generators]
+                else:
+                    continue
+                if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                       and n.func.id == "range" and len(n.args) == 3
+                       for it in iters for n in ast.walk(it)):
+                    calls = {n.func.id for n in ast.walk(node)
+                             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+                    found.add((path.name, fn.name, "base_forward" in calls))
+    assert {(f, name) for f, name, _ in found} == {("training.py", "val_sweep")}, found
+    assert ("training.py", "val_sweep", True) in found
 
 
 def test_shared_base_forward_gives_the_same_losses_and_gradients():
