@@ -75,8 +75,12 @@ def _prompts(cfg: RunConfig, val: np.ndarray, eos: int) -> np.ndarray:
 
 def _prompt_tokens(cfg: RunConfig, val: np.ndarray, arch: ArchConfig) -> np.ndarray:
     """The --prompt token ids, checked against the loaded checkpoint's
-    architecture `arch`, or else the first open prefix of val."""
+    architecture `arch`, or else the first open prefix of val. Either must
+    leave room to generate within search_max_len."""
     if not cfg.prompt:
+        if cfg.prompt_len >= cfg.search_max_len:
+            raise ConfigError(f"prompt_len {cfg.prompt_len} leaves nothing to "
+                              f"generate within search_max_len {cfg.search_max_len}")
         return open_prefixes(val, 1, cfg.prompt_len, arch.eos_token_id)[0]
     try:
         ids = [int(x) for x in cfg.prompt.split(",")]
@@ -90,6 +94,9 @@ def _prompt_tokens(cfg: RunConfig, val: np.ndarray, arch: ArchConfig) -> np.ndar
     if len(ids) > arch.max_seq_len:
         raise ConfigError(f"prompt length {len(ids)} exceeds the checkpoint's "
                           f"max_seq_len {arch.max_seq_len}")
+    if len(ids) >= cfg.search_max_len:
+        raise ConfigError(f"prompt length {len(ids)} leaves nothing to generate "
+                          f"within search_max_len {cfg.search_max_len}")
     return np.asarray(ids, dtype=np.int64)
 
 

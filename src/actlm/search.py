@@ -89,8 +89,9 @@ def _select_child(node: MctsNode, c_uct: float) -> tuple:
 def bellman_error(transition: Transition, q_fn, gamma: float) -> float:
     """Squared residual against the Double-DQN target with the target network
     equal to the online network."""
-    y = dqn_target(transition, q_fn, q_fn, gamma)
-    return float((y - q_fn(transition.context)[transition.action]) ** 2)
+    q_next = q_fn(transition.next_context)[None]
+    y = dqn_target([transition.reward], [transition.terminal], q_next, q_next, gamma)
+    return float((float(y[0]) - q_fn(transition.context)[transition.action]) ** 2)
 
 
 @dataclass

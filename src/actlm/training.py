@@ -27,7 +27,8 @@ from .model import ModelState, base_forward, base_logits
 
 @dataclass
 class Transition:
-    """One step of the latent-action MDP; reward only at terminal."""
+    """One step of the latent-action MDP: the action appends one token to a
+    non-empty context; reward only at terminal."""
     context: np.ndarray
     action: int
     next_context: np.ndarray
@@ -35,6 +36,11 @@ class Transition:
     terminal: bool
 
     def __post_init__(self):
+        if len(self.context) == 0:
+            raise ValueError("context must not be empty")
+        if len(self.next_context) != len(self.context) + 1 or \
+                not np.array_equal(self.next_context[:-1], self.context):
+            raise ValueError("next_context must be context plus one token")
         if not self.terminal and self.reward != 0.0:
             raise ValueError("reward must be zero on non-terminal transitions")
 
@@ -239,15 +245,11 @@ def loss_pre2(state: ModelState, tokens, labels=None, start: int = 0,
     return loss, {"bc": loss.item()}
 
 
-def fta_actions(state: ModelState, tokens, mode: str, gumbel_temp: float) -> np.ndarray:
-    """Action indices for fine-tuning: frozen inverse (FTA-I) or greedy
-    frozen policy (FTA-P). Forward-only."""
-    if mode not in ("FTA-I", "FTA-P"):
-        raise ValueError(f"unknown FTA mode: {mode!r}")
+def fta_actions(state: ModelState, tokens) -> np.ndarray:
+    """FTA-P action indices (B, T-1): the greedy frozen policy's argmax.
+    Forward-only."""
     with ad.untaped():
         e_l = base_forward(state.groups["base"], state.cfg, np.asarray(tokens))
-        if mode == "FTA-I":
-            return inverse_labels(state, e_l, gumbel_temp)
         probs = policy_forward(state.groups["policy"], state.cfg, e_l)
     return probs.data[:, :-1, :].argmax(axis=-1)
 
@@ -375,54 +377,49 @@ def q_values_fn(state: ModelState, group: str):
     return q
 
 
-def dqn_target(transition: Transition, q_online, q_target, gamma: float) -> float:
-    """Double-DQN target: r at terminal, else gamma * Q_target(s', argmax_a
-    Q_online(s', a)). A target net that is the online net is evaluated
-    once."""
-    if transition.terminal:
-        return float(transition.reward)
-    if gamma == 0.0:
-        return 0.0
-    online = q_online(transition.next_context)
-    target = online if q_target is q_online else q_target(transition.next_context)
-    return float(gamma * target[int(np.argmax(online))])
+def dqn_target(rewards, terminal, q_online_next, q_target_next,
+               gamma: float) -> np.ndarray:
+    """Double-DQN targets (b,) from the rewards (b,), terminal flags (b,)
+    and both networks' action values (b, N) at the next contexts: r at a
+    terminal row, else gamma * Q_target(s', argmax_a Q_online(s', a))."""
+    best = np.argmax(q_online_next, axis=-1)
+    bootstrap = np.take_along_axis(np.asarray(q_target_next), best[:, None], axis=-1)[:, 0]
+    return np.where(terminal, rewards, gamma * bootstrap)
 
 
-def dqn_batch(state: ModelState, transitions: list[Transition],
-              cfg: TrainConfig) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Double-DQN targets from the current online and target networks;
-    forward-only. One (contexts (b, L), actions (b, 1), targets (b,)) per
-    context length L, shortest first, so each length is one forward."""
+def dqn_batch(state: ModelState, transitions: list[Transition], cfg: TrainConfig):
+    """One Double-DQN batch, forward-only: (e_l, mask, targets). e_l (b, L)
+    embeds the next contexts, right-padded with eos, in one base forward;
+    both Q heads read each next context's last position for the targets
+    (b,). mask (b, L, N) is one at each row's action at position
+    len(next_context) - 2, under causal attention the context's last."""
     if not transitions:
         raise ValueError("empty transition batch")
-    q_online = q_values_fn(state, "q_online")
-    q_target = q_values_fn(state, "q_target")
-    targets = [dqn_target(tr, q_online, q_target, cfg.gamma) for tr in transitions]
-    by_len: dict[int, list[int]] = {}
-    for i, tr in enumerate(transitions):
-        by_len.setdefault(len(tr.context), []).append(i)
-    return [(np.stack([np.asarray(transitions[i].context) for i in idxs]),
-             np.asarray([[transitions[i].action] for i in idxs]),
-             np.asarray([targets[i] for i in idxs], dtype=ad.active_dtype()))
-            for _, idxs in sorted(by_len.items())]
+    arch, dtype = state.cfg, ad.active_dtype()
+    rows = np.arange(len(transitions))
+    lengths = np.array([len(tr.next_context) for tr in transitions])
+    tokens = np.full((len(transitions), lengths.max()), arch.eos_token_id)
+    for row, tr in zip(tokens, transitions):
+        row[:len(tr.next_context)] = tr.next_context
+    e_l = base_forward(state.groups["base"], arch, tokens)
+    q_online, q_target = (q_forward(state.groups[g], arch, e_l).data[rows, lengths - 1]
+                          for g in ("q_online", "q_target"))
+    targets = dqn_target(np.array([tr.reward for tr in transitions], dtype),
+                         np.array([tr.terminal for tr in transitions]),
+                         q_online, q_target, cfg.gamma)
+    mask = np.zeros((len(transitions), lengths.max(), arch.codebook_size), dtype)
+    mask[rows, lengths - 2, [tr.action for tr in transitions]] = 1.0
+    return e_l, mask, targets
 
 
 def loss_dqn(state: ModelState, batch):
-    """Mean squared Bellman residual of the online Q at the last position
-    of each context in a dqn_batch. Returns (loss, parts)."""
-    sq_terms = []
-    for contexts, actions, targets in batch:
-        e_l = _frozen_base_embeddings(state, contexts)
-        vals = q_forward(state.groups["q_online"], state.cfg, e_l)
-        last = ad.slice_time(vals, contexts.shape[1] - 1, None)  # (b, 1, N)
-        onehot = one_hot(actions, state.cfg.codebook_size)
-        picked = ad.sum_(ad.sum_(ad.mul(last, Tensor(onehot)), axis=2), axis=1)
-        resid = ad.sub(picked, targets)
-        sq_terms.append(ad.sum_(ad.mul(resid, resid)))
-    total_sq = sq_terms[0]
-    for term in sq_terms[1:]:
-        total_sq = ad.add(total_sq, term)
-    loss = ad.scale(total_sq, 1.0 / sum(len(targets) for _, _, targets in batch))
+    """Mean squared Bellman residual of the online Q at the context's last
+    position of each row of a dqn_batch; its e_l is used as a constant.
+    Returns (loss, parts)."""
+    e_l, mask, targets = batch
+    vals = q_forward(state.groups["q_online"], state.cfg, ad.stop_grad(e_l))
+    resid = ad.sub(ad.sum_(ad.mul(vals, Tensor(mask)), axis=(1, 2)), targets)
+    loss = ad.mean_(ad.mul(resid, resid))
     return loss, {"q_loss": loss.item()}
 
 
@@ -544,13 +541,14 @@ def train_fta(state: ModelState, split: SftSplit, cfg: TrainConfig, mode: str,
     """Fine-tune the base under fixed actions (FTA-I or FTA-P) on an SFT
     split; the merge module stays frozen. FTA-I is followed by a policy
     refresh restricted to response positions."""
+    if mode not in ("FTA-I", "FTA-P"):
+        raise ValueError(f"unknown FTA mode: {mode!r}")
     corpus, prompt_len = split.tokens, split.prompt_len
 
     def batch_fn(rng):
         tokens = corpus[rng.integers(0, len(corpus), size=cfg.batch_size)]
         # FTA-I labels come from loss_fta's own base forward
-        return tokens, (None if mode == "FTA-I"
-                        else fta_actions(state, tokens, mode, cfg.gumbel_temp))
+        return tokens, None if mode == "FTA-I" else fta_actions(state, tokens)
 
     run_stage(state, f"fta-{mode}", ("base",), ("merge", "inverse", "codebook"),
               cfg.steps, cfg, batch_fn,

@@ -30,7 +30,7 @@ from actlm.diagnostics import alive_actions, marginal_kl, val_loss
 from actlm.model import base_forward, base_logits, block_forward, init_model, \
     param_shapes
 from actlm.search import LatentActionLM, audit_tree, mcts_search, uct_score
-from actlm.training import Transition, fta_actions, inverse_action_labels, \
+from actlm.training import Transition, inverse_action_labels, inverse_labels, \
     loss_fta, loss_pre1, loss_pre2, pretrain_base_ar, q_values_fn, \
     sync_target, train_bc, train_q, train_rl, train_stage1
 from actlm.actions import policy_forward
@@ -229,7 +229,8 @@ def test_gradient_fidelity_of_full_losses(verify_mode):
         list(state.params("policy").values()))
     assert err2 < 1e-6, f"cloning loss: {err2:.3e}"
 
-    idx = fta_actions(state, tokens, "FTA-I", 1.0)
+    idx = inverse_labels(state, base_forward(state.groups["base"], state.cfg, tokens),
+                         1.0)
     err3 = finite_diff_check(
         lambda: loss_fta(state, tokens, 2, idx)[0],
         list(state.params("base").values()))

@@ -294,3 +294,21 @@ def test_cli_bad_prompt_fails_by_name(tiny_checkpoint, capsys, prompt, message):
                    "--search_max_len", "16"] + TINY)
         assert rc == 1
         assert capsys.readouterr().err.strip() == f"error: {message}", subcommand
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--prompt", ",".join(["3"] * 8), "--search_max_len", "8"],
+     "prompt length 8 leaves nothing to generate within search_max_len 8"),
+    (["--prompt_len", "9", "--search_max_len", "9", "--rl_max_len", "10"],
+     "prompt_len 9 leaves nothing to generate within search_max_len 9"),
+], ids=["prompt", "prompt_len"])
+def test_cli_prompt_filling_search_max_len_fails_by_name(tiny_checkpoint, capsys,
+                                                         flags, message):
+    """A prompt, given or the default val prefix, as long as search_max_len
+    would generate nothing: every subcommand that decodes from it exits 1
+    naming both keys."""
+    for subcommand in ("rollout", "search", "search-q"):
+        rc = main([subcommand, "--init_checkpoint", str(tiny_checkpoint),
+                   "--out_dir", str(tiny_checkpoint.parent)] + TINY + flags)
+        assert rc == 1
+        assert capsys.readouterr().err.strip() == f"error: {message}", subcommand

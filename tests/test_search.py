@@ -19,7 +19,7 @@ from actlm.config import ArchConfig, SearchConfig
 from actlm.model import base_forward, block_forward, init_model
 from actlm.search import (LatentActionLM, MctsNode, _select_child, audit_tree,
                           bellman_error, mcts_search, rollout, uct_score)
-from actlm.training import (Transition, dqn_target, q_values_fn,
+from actlm.training import (Transition, q_values_fn,
                             rollout_batch)
 from conftest import (ChainLM, StickyLM, accumulation_length, chain_reward,
                       gamma, matmul_error_bound, tree_snapshot)
@@ -71,7 +71,7 @@ def test_bellman_error_oracle():
 def test_bellman_check_runs_one_next_context_forward():
     """With the target net equal to the online net, a Bellman check asks
     q_fn once per context, not once more for the target net, and its value
-    is bitwise that of a target net given as a second function."""
+    is bitwise that of the per-transition Double-DQN rule on q_fn's values."""
     state = init_model(DCFG, 0)
     q, calls = q_values_fn(state, "q_online"), []
 
@@ -82,7 +82,8 @@ def test_bellman_check_runs_one_next_context_forward():
     tr = Transition(np.array([3, 5, 7]), 2, np.array([3, 5, 7, 4]), 0.0, False)
     error = bellman_error(tr, counting, 0.9)
     assert sorted(calls) == [3, 4]
-    y = dqn_target(tr, q, lambda context: q(context), 0.9)
+    q_next = q(tr.next_context)
+    y = float(0.9 * q_next[int(np.argmax(q_next))])
     assert error == float((y - q(tr.context)[tr.action]) ** 2)
 
 

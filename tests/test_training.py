@@ -154,6 +154,21 @@ def test_transition_rejects_nonterminal_reward():
         Transition(np.array([1]), 0, np.array([1, 2]), 1.0, False)
 
 
+@pytest.mark.parametrize("context, next_context, message", [
+    ([], [1], "context must not be empty"),
+    ([1, 2], [1, 2], "next_context must be context plus one token"),
+    ([1, 2], [1, 2, 3, 4], "next_context must be context plus one token"),
+    ([1, 2], [1, 5, 3], "next_context must be context plus one token"),
+], ids=["empty-context", "no-step", "two-steps", "other-prefix"])
+def test_transition_rejects_anything_but_one_token_step(context, next_context,
+                                                         message):
+    """A transition appends exactly one token to a non-empty context, the
+    step the batched Double-DQN read positions rely on."""
+    with pytest.raises(ValueError, match=message):
+        Transition(np.array(context, dtype=np.int64), 0,
+                   np.array(next_context, dtype=np.int64), 0.0, False)
+
+
 def test_loss_pre1_freezes_base():
     state = small_state()
     tokens = small_tokens()
@@ -426,10 +441,15 @@ def test_loss_pre2_only_moves_policy():
                for p in state.params("policy").values())
 
 
+def fta_i_labels(state, tokens):
+    """FTA-I's action labels: the frozen inverse's eval-mode assignment."""
+    return inverse_labels(state, base_forward(state.groups["base"], CFG, tokens), 1.0)
+
+
 def test_loss_fta_only_moves_base():
     state = small_state()
     tokens = small_tokens()
-    aidx = fta_actions(state, tokens, "FTA-I", 1.0)
+    aidx = fta_i_labels(state, tokens)
     with Tape() as tape:
         loss, _ = loss_fta(state, tokens, 3, aidx)
         grads = tape.gradients(loss)
@@ -444,7 +464,7 @@ def test_loss_fta_only_moves_base():
 def test_loss_fta_rejects_empty_response():
     state = small_state()
     tokens = small_tokens(t=4)
-    aidx = fta_actions(state, tokens, "FTA-I", 1.0)
+    aidx = fta_i_labels(state, tokens)
     with pytest.raises(ValueError):
         loss_fta(state, tokens, 4, aidx)
 
@@ -452,11 +472,20 @@ def test_loss_fta_rejects_empty_response():
 def test_fta_actions_modes_differ():
     state = small_state()
     tokens = small_tokens()
-    i = fta_actions(state, tokens, "FTA-I", 1.0)
-    p = fta_actions(state, tokens, "FTA-P", 1.0)
+    i = fta_i_labels(state, tokens)
+    p = fta_actions(state, tokens)
     assert i.shape == p.shape == (3, 6)
-    with pytest.raises(ValueError):
-        fta_actions(state, tokens, "FTA-X", 1.0)
+
+
+def test_train_fta_rejects_unknown_mode_before_any_step():
+    state = small_state()
+    before = state.hashes()
+    split = make_sft_split(small_tokens(b=8), 3)
+    records = []
+    with pytest.raises(ValueError, match="unknown FTA mode: 'FTA-X'"):
+        train_fta(state, split, TrainConfig(steps=2, batch_size=4), "FTA-X",
+                  records.append)
+    assert records == [] and state.hashes() == before
 
 
 # Every stage driver on a tiny corpus: (run(state, metrics_cb, steps), a
@@ -547,7 +576,7 @@ STAGE_TAPE_NODES = {
     "pretrain-base": {"pretrain-base": 11},
     "rl": {"rl": 19},
     "stage1": {"stage1": 32},
-    "train-q": {"train-q": 10},
+    "train-q": {"train-q": 7},
 }
 
 
@@ -691,14 +720,94 @@ def test_rl_updates_leave_no_reference_cycles():
 # Double-DQN
 # ---------------------------------------------------------------------------
 
+def reference_target(tr, q_online, q_target, gamma):
+    """The per-transition Double-DQN target, one call per net on the next
+    context: the rule the batched dqn_target replaces."""
+    if tr.terminal:
+        return tr.reward
+    online = q_online(tr.next_context)
+    return gamma * q_target(tr.next_context)[int(np.argmax(online))]
+
+
 def test_dqn_target_oracle():
-    q_online = lambda ctx: np.array([0.1, 0.9, 0.3])
-    q_target = lambda ctx: np.array([10.0, 20.0, 30.0])
-    terminal = Transition(np.array([1]), 0, np.array([1, 2]), 0.5, True)
-    assert dqn_target(terminal, q_online, q_target, 0.9) == 0.5
-    step = Transition(np.array([1]), 0, np.array([1, 2]), 0.0, False)
-    # online argmax is action 1; target evaluates it: 0.9 * 20
-    assert dqn_target(step, q_online, q_target, 0.9) == pytest.approx(18.0)
+    q_online = np.array([[0.1, 0.9, 0.3]] * 2)
+    q_target = np.array([[10.0, 20.0, 30.0]] * 2)
+    y = dqn_target(np.array([0.5, 0.0]), np.array([True, False]),
+                   q_online, q_target, 0.9)
+    # the terminal row is its reward; in the other the online argmax is
+    # action 1 and the target evaluates it: 0.9 * 20
+    assert y[0] == 0.5
+    assert y[1] == pytest.approx(18.0)
+
+
+def _q_value_bound(state, group, context, n):
+    """matmul_error_bound of the Q head's values at the context's last
+    position, over an accumulation of length n."""
+    h = base_forward(state.groups["base"], CFG, np.asarray(context)[None])
+    for i in range(CFG.n_layers_policy):
+        h = block_forward(state.groups[group], f"blk{i}", h, CFG)
+    return matmul_error_bound(h.data[0, -1], state.groups[group]["head"].data,
+                              np.float32, n=n)
+
+
+def test_batched_dqn_targets_match_per_transition_reference(monkeypatch):
+    """In float32 the targets of one padded batch match the per-transition
+    rule, one single-row forward per net, within rounding. Each Q value of
+    either evaluation errs by at most the accumulated dot-product bound
+    through the base and Q blocks at the padded length, so the two
+    evaluations differ by at most twice it, and an online argmax can swap
+    only within 4 times it; where the margin is wider the argmax agrees.
+    Terminal rows are their rewards exactly."""
+    from actlm import training
+    state = small_state(2)
+    other = init_model(CFG, 3).groups["q_online"]
+    for k, t in state.groups["q_target"].items():
+        t.data = other[k].data.copy()
+    rng = np.random.default_rng(5)
+    transitions = []
+    for i in range(32):
+        n = int(rng.integers(1, 12))
+        tokens = rng.integers(0, CFG.vocab_size, size=n + 1)
+        terminal = i % 4 == 0
+        transitions.append(Transition(tokens[:n], int(rng.integers(CFG.codebook_size)),
+                                      tokens, float(rng.random()) if terminal else 0.0,
+                                      terminal))
+    seen = []
+
+    def recording(*args):
+        seen.append(args)
+        return dqn_target(*args)
+
+    monkeypatch.setattr(training, "dqn_target", recording)
+    gamma = 0.9
+    _, _, targets = dqn_batch(state, transitions, TrainConfig(gamma=gamma))
+    (_, _, q_online_next, q_target_next, _), = seen
+    assert targets.dtype == np.float32
+    n = accumulation_length(CFG, max(len(tr.next_context) for tr in transitions),
+                            CFG.n_layers_base + CFG.n_layers_policy)
+    u = np.finfo(np.float32).eps / 2
+    q_on, q_t = q_values_fn(state, "q_online"), q_values_fn(state, "q_target")
+    decided = 0
+    for tr, y, online_b, target_b in zip(transitions, targets, q_online_next,
+                                         q_target_next):
+        if tr.terminal:
+            assert y == np.float32(tr.reward)
+            continue
+        online, target = q_on(tr.next_context), q_t(tr.next_context)
+        bound_on = _q_value_bound(state, "q_online", tr.next_context, n)
+        bound_t = _q_value_bound(state, "q_target", tr.next_context, n)
+        assert (np.abs(online_b - online) <= 2 * bound_on).all()
+        assert (np.abs(target_b - target) <= 2 * bound_t).all()
+        top2 = np.sort(online)[-2:]
+        if top2[1] - top2[0] <= 4 * bound_on.max():
+            continue
+        decided += 1
+        best = int(np.argmax(online))
+        assert int(np.argmax(online_b)) == best
+        y_ref = reference_target(tr, q_on, q_t, gamma)
+        assert abs(float(y) - float(y_ref)) <= \
+            gamma * 2 * bound_t[best] + 2 * u * abs(float(y_ref))
+    assert decided >= 20  # of the 24 non-terminal rows: the check is not vacuous
 
 
 def test_sync_target_mixes_with_tau():
@@ -741,6 +850,25 @@ def test_train_q_syncs_target_after_every_interval_step():
     assert synced == [False, True, False, True, False]
 
 
+def test_train_q_runs_one_base_forward_per_step(monkeypatch):
+    """A train-q step encodes the next contexts of its whole batch, of mixed
+    lengths, in one base forward, and computes all its targets in one
+    dqn_target call; the loss reuses those embeddings."""
+    from actlm import training
+    calls = dict.fromkeys(("base_forward", "dqn_target"), 0)
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(training, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(training, name, counting)
+    transitions = [
+        Transition(np.array([4]), 1, np.array([4, 5]), 0.0, False),
+        Transition(np.array([1, 2]), 2, np.array([1, 2, 3]), 0.0, False),
+        Transition(np.array([1, 2, 3]), 1, np.array([1, 2, 3, 4]), 1.0, True)]
+    train_q(small_state(), transitions, TrainConfig(steps=3, batch_size=4))
+    assert calls == {"base_forward": 3, "dqn_target": 3}
+
+
 def test_dqn_step_rejects_empty_batch():
     with pytest.raises(ValueError):
         dqn_batch(small_state(), [], TrainConfig())
@@ -757,10 +885,11 @@ def test_loss_dqn_matches_squared_residual(verify_mode):
              Transition(np.array([3, 1]), 0, np.array([3, 1, 6]), 1.0, True)]
     q = q_values_fn(state, "q_online")
     q_t = q_values_fn(state, "q_target")
-    manual = np.mean([(q(tr.context)[tr.action] - dqn_target(tr, q, q_t, 0.9)) ** 2
+    manual = np.mean([(q(tr.context)[tr.action] - reference_target(tr, q, q_t, 0.9)) ** 2
                       for tr in batch])
+    dqn = dqn_batch(state, batch, TrainConfig(gamma=0.9))
     with Tape():
-        loss, parts = loss_dqn(state, dqn_batch(state, batch, TrainConfig(gamma=0.9)))
+        loss, parts = loss_dqn(state, dqn)
     assert parts["q_loss"] == pytest.approx(manual, rel=1e-10)
 
 
