@@ -76,7 +76,8 @@ def _prompts(cfg: RunConfig, val: np.ndarray, eos: int) -> np.ndarray:
 def _prompt_tokens(cfg: RunConfig, val: np.ndarray, arch: ArchConfig) -> np.ndarray:
     """The --prompt token ids, checked against the loaded checkpoint's
     architecture `arch`, or else the first open prefix of val. Either must
-    leave room to generate within search_max_len."""
+    leave room to generate within search_max_len, and a --prompt must not
+    end in eos."""
     if not cfg.prompt:
         if cfg.prompt_len >= cfg.search_max_len:
             raise ConfigError(f"prompt_len {cfg.prompt_len} leaves nothing to "
@@ -97,6 +98,9 @@ def _prompt_tokens(cfg: RunConfig, val: np.ndarray, arch: ArchConfig) -> np.ndar
     if len(ids) >= cfg.search_max_len:
         raise ConfigError(f"prompt length {len(ids)} leaves nothing to generate "
                           f"within search_max_len {cfg.search_max_len}")
+    if ids[-1] == arch.eos_token_id:
+        raise ConfigError(f"prompt ends in the eos token {arch.eos_token_id}, "
+                          "so nothing would be generated")
     return np.asarray(ids, dtype=np.int64)
 
 

@@ -5,10 +5,11 @@ Every path decodes through `actions.generate`, the one decode loop, and so
 talks to the generator only through the Decoder contract: `sync(tokens)`,
 `policy_probs()`, `next_tokens(actions)`, `eos_token_id` and `n_actions`.
 A trained model (`LatentActionLM`) and hand-built test generators plug in
-alike. MCTS decodes once per expansion: the expand_width rows of one
-`generate` call each run to the end, and each row carries both a new
-child's k-step segment and that child's playout. A decoder's `sync`
-re-batches, so these rows fork from the one node they leave.
+alike. MCTS expands the leaves that wait in one batch together: the
+expand_width rows per leaf of all leaves of one state length decode in
+one `generate` call, each row runs to the end, and each carries both a
+new child's k-step segment and that child's playout. A decoder's `sync`
+re-batches, so these rows fork from the prefix the leaves share.
 """
 
 from __future__ import annotations
@@ -54,10 +55,15 @@ def rollout(model, prompt, mode: str, max_len: int, rng=None):
 
 @dataclass
 class MctsNode:
+    """A search node. `pending` counts the leaves at or below this node that
+    wait in the current expansion batch, WU-UCT's unobserved samples (Liu
+    et al., "Watch the Unobserved", ICLR 2020): selection reads
+    visits + pending, and every flush of the batch returns it to 0."""
     state: np.ndarray
     children: dict[tuple, "MctsNode"] = field(default_factory=dict)
     q_sum: float = 0.0
     visits: int = 0
+    pending: int = 0
     sim_tokens: np.ndarray | None = None
     sim_value: float | None = None
     # incoming action (for Q pruning) and instrumentation
@@ -67,13 +73,16 @@ class MctsNode:
 
 
 def uct_score(child: MctsNode, parent: MctsNode, c_uct: float) -> float:
-    """Q/N + c*sqrt(ln N_parent / N); unvisited children score +inf."""
-    if parent.visits < 1:
+    """Q/N + c*sqrt(ln N_parent / N), each N counting visits plus pending
+    leaves and Q/N the mean of the observed values; unvisited children
+    score +inf."""
+    parent_n = parent.visits + parent.pending
+    if parent_n < 1:
         raise ValueError("parent must have been visited")
     if child.visits == 0:
         return math.inf
     return child.q_sum / child.visits + c_uct * math.sqrt(
-        math.log(parent.visits) / child.visits)
+        math.log(parent_n) / (child.visits + child.pending))
 
 
 def _select_child(node: MctsNode, c_uct: float) -> tuple:
@@ -84,6 +93,17 @@ def _select_child(node: MctsNode, c_uct: float) -> tuple:
         if score > best_score:
             best_key, best_score = key, score
     return best_key
+
+
+def _select(root: MctsNode, c_uct: float) -> tuple[list, list]:
+    """The path from root down to a leaf by UCT, and its keys."""
+    node, path, path_keys = root, [root], []
+    while node.children:
+        key = _select_child(node, c_uct)
+        node = node.children[key]
+        path.append(node)
+        path_keys.append(list(key))
+    return path, path_keys
 
 
 def bellman_error(transition: Transition, q_fn, gamma: float) -> float:
@@ -126,24 +146,31 @@ def _score(node: MctsNode, score: _Scorer) -> float:
     return node.sim_value
 
 
-def _expand(model, node: MctsNode, cfg: SearchConfig, rng) -> None:
-    """Create up to expand_width children from as many rows sampled to the
-    end in one batch. A row's first k actions, cut at its first eos, are a
-    child's key and state, and the rest of the row up to its first eos is
-    that child's playout. Keys are deduplicated in row order; a row whose
-    key repeats an earlier one still decodes to the end, and its playout is
-    dropped. A non-terminal node gets at least one child."""
-    p = len(node.state)
-    rows = np.repeat(node.state[None], cfg.expand_width, axis=0)
-    full, actions = generate(model, rows, "sample", cfg.max_len, rng)
-    for row, acts, end in zip(full, actions,
-                              row_ends(full, p, model.eos_token_id)):
-        cut = min(end, p + cfg.action_steps)
-        key = tuple(acts[:cut - p].tolist())  # Python ints: keys go into the trace
-        if key not in node.children:
-            node.children[key] = MctsNode(
-                state=row[:cut], sim_tokens=row[cut:end], last_action=key[-1],
-                expansion_tokens=len(key))
+def _expand(model, nodes: list[MctsNode], cfg: SearchConfig, rng) -> list[int]:
+    """Give every node up to expand_width children, from as many rows per
+    node sampled to the end. Nodes of one state length share one `generate`
+    call, in order of their first node; returns each node's call's row
+    count. A row's first k actions, cut at its first eos, are a child's key
+    and state, and the rest of the row up to its first eos is that child's
+    playout. Keys are deduplicated in row order; a row whose key repeats an
+    earlier one still decodes to the end, and its playout is dropped. A
+    non-terminal node gets at least one child."""
+    w, groups = cfg.expand_width, {}
+    for node in nodes:
+        groups.setdefault(len(node.state), []).append(node)
+    for p, group in groups.items():
+        rows = np.repeat(np.stack([node.state for node in group]), w, axis=0)
+        full, actions = generate(model, rows, "sample", cfg.max_len, rng)
+        ends = row_ends(full, p, model.eos_token_id)
+        for i, (row, acts, end) in enumerate(zip(full, actions, ends)):
+            node = group[i // w]
+            cut = min(end, p + cfg.action_steps)
+            key = tuple(acts[:cut - p].tolist())  # Python ints: keys go into the trace
+            if key not in node.children:
+                node.children[key] = MctsNode(
+                    state=row[:cut], sim_tokens=row[cut:end], last_action=key[-1],
+                    expansion_tokens=len(key))
+    return [len(groups[len(node.state)]) * w for node in nodes]
 
 
 def _extend_low_uncertainty(model, node: MctsNode, cfg: SearchConfig,
@@ -174,28 +201,39 @@ def mcts_search(model, prompt, cfg: SearchConfig, reward_fn,
 
     Returns the state of the best-simulation node concatenated with its
     stored simulation. A reward_fn that raises scores the simulation 0; the
-    result and each trace record count such failures. An expansion decodes
-    its children's segments and playouts in one batch, and each playout is
-    scored when selection first reaches its child, so scoring, the trace
-    and the tree's sim_values follow sequential MCTS; a child never reached
-    keeps sim_tokens and sim_value None. Only a terminal root and a child
-    changed by Q-pruned extension draw a playout of their own."""
+    result and each trace record count such failures.
+
+    Leaves that need an expansion are expanded in batches. A selected leaf
+    that needs none (an unvisited child with its stored playout, or a
+    terminal leaf while no leaf waits) is scored and backed up at once. A
+    leaf that needs one waits in the batch and adds 1 to `pending` along
+    its path, which steers later selections elsewhere. The batch is flushed
+    when selection reaches a waiting leaf or a terminal leaf (that
+    selection is then made again on the updated tree), or when the waiting
+    leaves take up every remaining iteration. A flush expands all waiting
+    leaves (`_expand`: one `generate` call per state length), returns every
+    `pending` to 0 and finishes the leaves in selection order: take the
+    first child, apply Q-pruned extension, score, back up. The search
+    stops after it scores a terminal node; leaves expanded but not yet
+    finished then keep their children unscored.
+
+    An expansion decodes its children's segments and playouts together,
+    and each playout is scored when selection first reaches its child; a
+    child never reached keeps sim_tokens and sim_value None. Only a terminal
+    root and a child changed by Q-pruned extension draw a playout of their
+    own. Each trace record's expand_rows is the row count of the `generate`
+    call that expanded its leaf, or 0."""
     rng = np.random.default_rng(cfg.seed)
     root = MctsNode(state=np.asarray(prompt))
     score = _Scorer(reward_fn)
     trace = []
-    for it in range(cfg.iterations):
+
+    def finish(path, path_keys, rows: int) -> bool:
+        """Score and back up one selected leaf, or the first child of an
+        expanded one; True if the scored node is terminal."""
         failures_before = score.failures
-        node, path, path_keys = root, [root], []
-        while node.children:
-            key = _select_child(node, cfg.c_uct)
-            node = node.children[key]
-            path.append(node)
-            path_keys.append(list(key))
-        # a child reached for the first time is scored as it is
-        if (node.visits or node is root) and \
-                not _is_terminal(model, node.state, cfg.max_len):
-            _expand(model, node, cfg, rng)
+        node = path[-1]
+        if rows:
             key, node = next(iter(node.children.items()))
             path.append(node)
             path_keys.append(list(key))
@@ -208,11 +246,36 @@ def mcts_search(model, prompt, cfg: SearchConfig, reward_fn,
         for n in path:
             n.visits += 1
             n.q_sum += value
-        trace.append({"iteration": it, "selected_path": path_keys,
-                      "sim_value": value,
+        trace.append({"iteration": len(trace), "selected_path": path_keys,
+                      "sim_value": value, "expand_rows": rows,
                       "scorer_failures": score.failures - failures_before})
-        if _is_terminal(model, node.state, cfg.max_len):
-            break
+        return _is_terminal(model, node.state, cfg.max_len)
+
+    batch, done = [], False  # batch: (path, path_keys) of each waiting leaf
+    while not done and len(trace) < cfg.iterations:
+        path, path_keys = _select(root, cfg.c_uct)
+        leaf = path[-1]
+        terminal = _is_terminal(model, leaf.state, cfg.max_len)
+        if not (leaf.pending or terminal and batch):
+            if terminal or not (leaf.visits or leaf is root):  # no decode
+                done = finish(path, path_keys, 0)
+            else:
+                batch.append((path, path_keys))
+                for n in path:
+                    n.pending += 1
+            if not batch or len(batch) < cfg.iterations - len(trace):
+                continue
+        # flush; a selection that reached a waiting or terminal leaf is
+        # made again afterwards
+        rows = _expand(model, [path[-1] for path, _ in batch], cfg, rng)
+        for path, _ in batch:
+            for n in path:
+                n.pending = 0
+        for (path, path_keys), n_rows in zip(batch, rows):
+            done = finish(path, path_keys, n_rows)
+            if done:
+                break
+        batch = []
     if trace_path is not None:
         with open(trace_path, "w") as f:
             for record in trace:
@@ -251,4 +314,6 @@ def audit_tree(root: MctsNode, max_reward: float = 1.0) -> None:
             raise AssertionError("value sum exceeds visits * max reward")
         if node.sim_value is not None and not -1e-9 <= node.sim_value <= max_reward + 1e-9:
             raise AssertionError("simulation value outside reward range")
+        if node.pending:
+            raise AssertionError("pending leaf count left after the search")
         stack.extend(node.children.values())

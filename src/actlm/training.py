@@ -387,37 +387,39 @@ def dqn_target(rewards, terminal, q_online_next, q_target_next,
     return np.where(terminal, rewards, gamma * bootstrap)
 
 
-def dqn_batch(state: ModelState, transitions: list[Transition], cfg: TrainConfig):
-    """One Double-DQN batch, forward-only: (e_l, mask, targets). e_l (b, L)
-    embeds the next contexts, right-padded with eos, in one base forward;
-    both Q heads read each next context's last position for the targets
-    (b,). mask (b, L, N) is one at each row's action at position
-    len(next_context) - 2, under causal attention the context's last."""
+def dqn_batch(state: ModelState, transitions: list[Transition]):
+    """One Double-DQN batch, forward-only: (e_l, mask, last, rewards,
+    terminal, q_target_next). e_l (b, L) embeds the next contexts,
+    right-padded with eos, in one base forward; last (b,) is each next
+    context's last position, where the target net's values q_target_next
+    (b, N) are read. mask (b, L, N) is one at each row's action at position
+    last - 1, under causal attention the context's last."""
     if not transitions:
         raise ValueError("empty transition batch")
     arch, dtype = state.cfg, ad.active_dtype()
     rows = np.arange(len(transitions))
-    lengths = np.array([len(tr.next_context) for tr in transitions])
-    tokens = np.full((len(transitions), lengths.max()), arch.eos_token_id)
+    last = np.array([len(tr.next_context) for tr in transitions]) - 1
+    tokens = np.full((len(transitions), last.max() + 1), arch.eos_token_id)
     for row, tr in zip(tokens, transitions):
         row[:len(tr.next_context)] = tr.next_context
     e_l = base_forward(state.groups["base"], arch, tokens)
-    q_online, q_target = (q_forward(state.groups[g], arch, e_l).data[rows, lengths - 1]
-                          for g in ("q_online", "q_target"))
-    targets = dqn_target(np.array([tr.reward for tr in transitions], dtype),
-                         np.array([tr.terminal for tr in transitions]),
-                         q_online, q_target, cfg.gamma)
-    mask = np.zeros((len(transitions), lengths.max(), arch.codebook_size), dtype)
-    mask[rows, lengths - 2, [tr.action for tr in transitions]] = 1.0
-    return e_l, mask, targets
+    q_target = q_forward(state.groups["q_target"], arch, e_l).data[rows, last]
+    mask = np.zeros(tokens.shape + (arch.codebook_size,), dtype)
+    mask[rows, last - 1, [tr.action for tr in transitions]] = 1.0
+    return (e_l, mask, last, np.array([tr.reward for tr in transitions], dtype),
+            np.array([tr.terminal for tr in transitions]), q_target)
 
 
-def loss_dqn(state: ModelState, batch):
+def loss_dqn(state: ModelState, batch, gamma: float):
     """Mean squared Bellman residual of the online Q at the context's last
     position of each row of a dqn_batch; its e_l is used as a constant.
-    Returns (loss, parts)."""
-    e_l, mask, targets = batch
+    The same online forward, read at each next context's last position as
+    a constant, gives the online half of the Double-DQN targets. Returns
+    (loss, parts)."""
+    e_l, mask, last, rewards, terminal, q_target_next = batch
     vals = q_forward(state.groups["q_online"], state.cfg, ad.stop_grad(e_l))
+    targets = dqn_target(rewards, terminal, vals.data[np.arange(len(last)), last],
+                         q_target_next, gamma)
     resid = ad.sub(ad.sum_(ad.mul(vals, Tensor(mask)), axis=(1, 2)), targets)
     loss = ad.mean_(ad.mul(resid, resid))
     return loss, {"q_loss": loss.item()}
@@ -581,7 +583,7 @@ def train_q(state: ModelState, transitions: list[Transition], cfg: TrainConfig,
     def batch_fn(rng):
         idx = rng.integers(0, len(transitions),
                            size=min(cfg.batch_size, len(transitions)))
-        return dqn_batch(state, [transitions[i] for i in idx], cfg)
+        return dqn_batch(state, [transitions[i] for i in idx])
 
     def sync(step):
         if (step + 1) % cfg.sync_interval == 0:
@@ -589,5 +591,5 @@ def train_q(state: ModelState, transitions: list[Transition], cfg: TrainConfig,
 
     run_stage(state, "train-q", ("q_online",),
               ("base", "merge", "inverse", "codebook", "policy"), cfg.steps, cfg,
-              batch_fn, lambda batch: loss_dqn(state, batch), metrics_cb,
-              after_step=sync)
+              batch_fn, lambda batch: loss_dqn(state, batch, cfg.gamma),
+              metrics_cb, after_step=sync)

@@ -312,3 +312,17 @@ def test_cli_prompt_filling_search_max_len_fails_by_name(tiny_checkpoint, capsys
                    "--out_dir", str(tiny_checkpoint.parent)] + TINY + flags)
         assert rc == 1
         assert capsys.readouterr().err.strip() == f"error: {message}", subcommand
+
+
+def test_cli_prompt_ending_in_eos_fails_by_name(tiny_checkpoint, capsys):
+    """A --prompt that ends in eos is finished before it starts: every
+    subcommand that decodes from it exits 1 naming prompt and eos, instead
+    of exiting 0 with nothing generated."""
+    for subcommand in ("rollout", "search", "search-q"):
+        rc = main([subcommand, "--init_checkpoint", str(tiny_checkpoint),
+                   "--out_dir", str(tiny_checkpoint.parent), "--prompt", "3,0",
+                   "--search_max_len", "16"] + TINY)
+        assert rc == 1
+        assert capsys.readouterr().err.strip() == (
+            "error: prompt ends in the eos token 0, so nothing would be "
+            "generated"), subcommand

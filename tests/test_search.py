@@ -96,14 +96,28 @@ def test_mcts_finds_good_branch_and_audits():
     assert result.root.visits == result.iterations
 
 
-def test_mcts_writes_trace(tmp_path):
-    cfg = SearchConfig(action_steps=2, iterations=5, max_len=10, seed=0)
+def test_mcts_writes_trace(tmp_path, monkeypatch):
+    """One record per iteration. expand_rows is the row count of the
+    generate call that expanded the iteration's leaf, or 0 for a leaf
+    scored without one, so a call on r rows shows in r / expand_width
+    records, and a batch of several leaves shows as more rows than
+    expand_width."""
+    flushes = record_flushes(monkeypatch)
+    cfg = SearchConfig(action_steps=1, iterations=16, expand_width=2,
+                       max_len=8, seed=0)
     trace = tmp_path / "trace.jsonl"
-    result = mcts_search(ChainLM(), [1], cfg, chain_reward, trace_path=trace)
+    result = mcts_search(StickyLM(), [4], cfg, junction_switch,
+                         trace_path=trace)
     records = [json.loads(l) for l in trace.read_text().splitlines()]
     assert len(records) == result.iterations
-    assert all({"iteration", "selected_path", "sim_value", "scorer_failures"}
-               <= set(r) for r in records)
+    assert all({"iteration", "selected_path", "sim_value", "expand_rows",
+                "scorer_failures"} <= set(r) for r in records)
+    rows = sorted(r["expand_rows"] for r in records if r["expand_rows"])
+    assert rows == sorted(len(call) for _, calls in flushes for call in calls
+                          for _ in range(len(call) // cfg.expand_width))
+    assert records[0]["expand_rows"] == cfg.expand_width  # the root alone
+    assert any(r["expand_rows"] == 0 for r in records)
+    assert max(rows) >= 2 * cfg.expand_width
 
 
 def test_mcts_failing_reward_fn_scores_zero():
@@ -168,29 +182,106 @@ def test_mcts_q_infinite_threshold_extends_to_terminal_in_one_pass():
     assert child.extension_passes >= 1
 
 
-def test_mcts_decodes_once_per_expansion(monkeypatch):
-    """Plain MCTS calls generate once per expanded node, on expand_width
-    rows of that node's state: the one call decodes the new children's
-    segments and their playouts together."""
+def record_flushes(monkeypatch) -> list:
+    """Per `_expand` call, the states of the leaves it expands and the
+    prompt rows of each `generate` call it makes."""
     from actlm import search
-    real, calls = search.generate, []
+    real_expand, real_generate, flushes = search._expand, search.generate, []
 
-    def counting(*args, **kwargs):
-        calls.append(args[1].shape)
-        return real(*args, **kwargs)
+    def expanding(model, nodes, cfg, rng):
+        flushes.append(([node.state.copy() for node in nodes], []))
+        return real_expand(model, nodes, cfg, rng)
 
-    monkeypatch.setattr(search, "generate", counting)
-    cfg = SearchConfig(action_steps=2, iterations=12, expand_width=3,
-                       max_len=8, seed=0)
-    result = mcts_search(StickyLM(), [4], cfg, junction_switch)
-    expanded, stack = [], [result.root]
-    while stack:
-        node = stack.pop()
-        if node.children:
-            expanded.append((cfg.expand_width, len(node.state)))
-        stack.extend(node.children.values())
-    assert len(expanded) >= 3
-    assert sorted(calls) == sorted(expanded)
+    def generating(model, tokens, *args):
+        flushes[-1][1].append(tokens.copy())
+        return real_generate(model, tokens, *args)
+
+    monkeypatch.setattr(search, "_expand", expanding)
+    monkeypatch.setattr(search, "generate", generating)
+    return flushes
+
+
+def test_mcts_decodes_once_per_expansion(monkeypatch):
+    """Plain MCTS expands the leaves waiting in a batch with one generate
+    call per state length among them, in order of each length's first
+    leaf, on expand_width rows of each leaf of that length: the one call
+    decodes the new children's segments and their playouts together.
+    Every expanded node is expanded once, and across these searches a
+    batch holds two leaves of one length and a batch holds two lengths."""
+    flushes = record_flushes(monkeypatch)
+    expanded = []
+    for seed in range(10):
+        cfg = SearchConfig(action_steps=1, iterations=16, expand_width=2,
+                           max_len=8, seed=seed)
+        result = mcts_search(StickyLM(), [4], cfg, junction_switch)
+        stack = [result.root]
+        while stack:
+            node = stack.pop()
+            if node.children:
+                expanded.append(tuple(node.state.tolist()))
+            stack.extend(node.children.values())
+    for states, calls in flushes:
+        lengths = list(dict.fromkeys(len(s) for s in states))
+        assert [call.shape[1] for call in calls] == lengths
+        for call in calls:
+            group = [s for s in states if len(s) == call.shape[1]]
+            np.testing.assert_array_equal(
+                call, np.repeat(group, cfg.expand_width, axis=0))
+    assert sorted(tuple(s.tolist()) for states, _ in flushes
+                  for s in states) == sorted(expanded)
+    assert max(len(call) for _, calls in flushes for call in calls) \
+        >= 2 * cfg.expand_width
+    assert max(len(calls) for _, calls in flushes) >= 2
+
+
+def test_mcts_runs_its_whole_iteration_budget_without_a_terminal():
+    """Leaves scored at once while others wait count against the budget
+    too: with no terminal node in reach, a search runs exactly its
+    iterations, and the root is visited once per iteration."""
+    for iterations in range(1, 25):
+        cfg = SearchConfig(action_steps=1, iterations=iterations,
+                           expand_width=3, max_len=40, seed=iterations)
+        result = mcts_search(ChainLM(episode_len=50), [1], cfg, chain_reward)
+        audit_tree(result.root)
+        assert result.iterations == result.root.visits == iterations
+
+
+def test_terminal_leaf_flushes_the_waiting_leaves(monkeypatch):
+    """When selection reaches a terminal leaf while leaves wait, the batch
+    is flushed before the search goes on: every leaf that waited is
+    expanded, and finished too unless the search stopped at a terminal
+    node, and no pending count is left behind."""
+    from actlm import search
+    real, waiting = search._select, []
+
+    def selecting(root, c_uct):
+        path, keys = real(root, c_uct)
+        leaf = path[-1]
+        if root.pending and (leaf.state[-1] == StickyLM.eos_token_id
+                             or len(leaf.state) >= cfg.max_len):
+            stack, leaves = [root], []
+            while stack:
+                node = stack.pop()
+                if node.pending and not node.children:
+                    leaves.append(node)
+                stack.extend(node.children.values())
+            waiting.append(leaves)
+        return path, keys
+
+    monkeypatch.setattr(search, "_select", selecting)
+    hits = 0
+    for seed in range(10):
+        cfg = SearchConfig(action_steps=1, iterations=16, expand_width=2,
+                           max_len=8, seed=seed)
+        waiting.clear()
+        result = mcts_search(StickyLM(), [4], cfg, junction_switch)
+        audit_tree(result.root)
+        stopped = result.iterations < cfg.iterations
+        for leaves in waiting:
+            assert leaves and all(leaf.children for leaf in leaves)
+            assert stopped or all(leaf.visits >= 2 for leaf in leaves)
+        hits += bool(waiting)
+    assert hits >= 1
 
 
 def test_extension_pass_adds_k_tokens_up_to_max_len(monkeypatch):
@@ -287,14 +378,16 @@ def junction_switch(tokens) -> float:
     return float(len(tokens) > 3 and tokens[3] != tokens[2])
 
 
-def test_batched_search_matches_sequential_reference_in_distribution():
-    """Over 600 seeds at each of two search shapes, batched MCTS and the
+def test_batched_search_matches_sequential_reference_in_distribution(
+        monkeypatch):
+    """Over 600 seeds at each of three search shapes, batched MCTS and the
     sequential reference agree in distribution on StickyLM: the frequency
     of every possible root-child key matches its exact probability
     1 - (1 - q)^W under both, q the segment's probability and W the expand
     width, and the frequencies of each best reward agree between the two.
-    The short search leaves most root children unvisited; the long one
-    expands below them.
+    The short search leaves most root children unvisited; the longer ones
+    expand below them, and at (8, 2) at least a quarter of the seeds
+    expand two or more waiting leaves in one batch (318 of the 600 do).
 
     Per cell the bound is Bernstein's inequality, as in the HMM sampler
     test: for a key, a mean of N Bernoulli draws of known p; for a best
@@ -302,14 +395,17 @@ def test_batched_search_matches_sequential_reference_in_distribution():
     differences in [-1, 1] with variance at most 1/2. z comes from a
     false-failure probability of 1e-3 for the whole test, split evenly
     (Bonferroni) over all cells."""
-    n_seeds, shapes = 600, ((2, 8), (6, 4))  # (iterations, expand_width)
+    n_seeds, shapes = 600, ((2, 8), (6, 4), (8, 2))  # (iterations, expand_width)
     keys = [(3,)] + [(a, b) for a in range(3) for b in range(4)]
-    runs = {}
+    flushes, runs, batched_seeds = record_flushes(monkeypatch), {}, 0
     for iterations, width in shapes:
         for seed in range(n_seeds):
             cfg = SearchConfig(action_steps=2, iterations=iterations,
                                expand_width=width, max_len=8, seed=seed)
+            flushes.clear()
             result = mcts_search(StickyLM(), [4], cfg, junction_switch)
+            if (iterations, width) == shapes[-1]:
+                batched_seeds += max(len(states) for states, _ in flushes) >= 2
             runs.setdefault((width, "batched"), []).append(
                 (set(result.root.children), junction_switch(result.tokens)))
             root, best = reference_mcts_search(StickyLM(), [4], cfg,
@@ -332,6 +428,7 @@ def test_batched_search_matches_sequential_reference_in_distribution():
                      for name in ("batched", "sequential")]
             assert abs(freqs[0] - freqs[1]) <= z * math.sqrt(0.5 / n_seeds) \
                 + z * z / (3 * n_seeds), (width, value, freqs)
+    assert batched_seeds >= n_seeds / 4, batched_seeds
 
 
 def test_audit_tree_catches_violations():
@@ -342,6 +439,9 @@ def test_audit_tree_catches_violations():
     parent.children[(0,)] = MctsNode(state=np.array([1, 2]), visits=3)
     with pytest.raises(AssertionError):
         audit_tree(parent)
+    waiting = MctsNode(state=np.array([1]), visits=1, pending=1)
+    with pytest.raises(AssertionError, match="pending"):
+        audit_tree(waiting)
 
 
 def test_latent_action_lm_adapter_contract():

@@ -775,13 +775,14 @@ def test_batched_dqn_targets_match_per_transition_reference(monkeypatch):
     seen = []
 
     def recording(*args):
-        seen.append(args)
-        return dqn_target(*args)
+        seen.append((args, dqn_target(*args)))
+        return seen[-1][1]
 
     monkeypatch.setattr(training, "dqn_target", recording)
     gamma = 0.9
-    _, _, targets = dqn_batch(state, transitions, TrainConfig(gamma=gamma))
-    (_, _, q_online_next, q_target_next, _), = seen
+    with Tape():
+        loss_dqn(state, dqn_batch(state, transitions), gamma)
+    ((_, _, q_online_next, q_target_next, _), targets), = seen
     assert targets.dtype == np.float32
     n = accumulation_length(CFG, max(len(tr.next_context) for tr in transitions),
                             CFG.n_layers_base + CFG.n_layers_policy)
@@ -853,9 +854,11 @@ def test_train_q_syncs_target_after_every_interval_step():
 def test_train_q_runs_one_base_forward_per_step(monkeypatch):
     """A train-q step encodes the next contexts of its whole batch, of mixed
     lengths, in one base forward, and computes all its targets in one
-    dqn_target call; the loss reuses those embeddings."""
+    dqn_target call; the loss reuses those embeddings. It runs two Q-head
+    forwards: the target net's, untaped, and the online net's, taped, which
+    also gives the online half of the targets."""
     from actlm import training
-    calls = dict.fromkeys(("base_forward", "dqn_target"), 0)
+    calls = dict.fromkeys(("base_forward", "dqn_target", "q_forward"), 0)
     for name in calls:
         def counting(*args, _name=name, _fn=getattr(training, name), **kwargs):
             calls[_name] += 1
@@ -866,12 +869,12 @@ def test_train_q_runs_one_base_forward_per_step(monkeypatch):
         Transition(np.array([1, 2]), 2, np.array([1, 2, 3]), 0.0, False),
         Transition(np.array([1, 2, 3]), 1, np.array([1, 2, 3, 4]), 1.0, True)]
     train_q(small_state(), transitions, TrainConfig(steps=3, batch_size=4))
-    assert calls == {"base_forward": 3, "dqn_target": 3}
+    assert calls == {"base_forward": 3, "dqn_target": 3, "q_forward": 6}
 
 
 def test_dqn_step_rejects_empty_batch():
     with pytest.raises(ValueError):
-        dqn_batch(small_state(), [], TrainConfig())
+        dqn_batch(small_state(), [])
 
 
 def test_loss_dqn_matches_squared_residual(verify_mode):
@@ -887,9 +890,9 @@ def test_loss_dqn_matches_squared_residual(verify_mode):
     q_t = q_values_fn(state, "q_target")
     manual = np.mean([(q(tr.context)[tr.action] - reference_target(tr, q, q_t, 0.9)) ** 2
                       for tr in batch])
-    dqn = dqn_batch(state, batch, TrainConfig(gamma=0.9))
+    dqn = dqn_batch(state, batch)
     with Tape():
-        loss, parts = loss_dqn(state, dqn)
+        loss, parts = loss_dqn(state, dqn, 0.9)
     assert parts["q_loss"] == pytest.approx(manual, rel=1e-10)
 
 
