@@ -169,25 +169,26 @@ class Decoder:
     appending a token or going back to a prefix re-encodes nothing else.
     A sync may change the number of rows: the decoder then forks one held
     row into all new rows (or keeps one of many), so n rows that leave one
-    sequence encode only what follows it. The caches are valid only while
-    the state's weights stay unchanged.
+    sequence encode only what follows it. A new decoder holds one empty
+    row, which its first sync forks into however many rows it is given.
+    The caches are valid only while the state's weights stay unchanged.
 
     `sync`, `policy_probs`, `next_tokens`, `eos_token_id` and `n_actions`
     are the generator contract that `generate` and search decode through,
     so hand-built test generators plug in alike."""
 
-    def __init__(self, state: ModelState, batch: int = 1):
+    def __init__(self, state: ModelState):
         cfg = state.cfg
         self.state = state
         self.eos_token_id = cfg.eos_token_id
         self.n_actions = cfg.codebook_size
-        self.tokens = np.zeros((batch, 0), dtype=np.int64)
+        self.tokens = np.zeros((1, 0), dtype=np.int64)
         self.base_cache = [KVCache(cfg.max_seq_len) for _ in range(cfg.n_layers_base)]
         self.policy_cache = [KVCache(cfg.max_seq_len)
                              for _ in range(cfg.n_layers_policy)]
         dtype = ad.active_dtype()
-        self.e_l = np.zeros((batch, cfg.max_seq_len, cfg.d_model), dtype)
-        self.probs = np.zeros((batch, cfg.max_seq_len, cfg.codebook_size), dtype)
+        self.e_l = np.zeros((1, cfg.max_seq_len, cfg.d_model), dtype)
+        self.probs = np.zeros((1, cfg.max_seq_len, cfg.codebook_size), dtype)
 
     def sync(self, tokens) -> None:
         """Make the held sequences equal to tokens (B, T), B any batch size.

@@ -117,10 +117,6 @@ def _marker(cfg: RunConfig, model: LatentActionLM, prompt) -> int:
     return model.next_token(prompt, 0)
 
 
-def _marker_reward_fn(marker: int):
-    return lambda response: marker_reward(response, marker)
-
-
 def cmd_pretrain_base(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
     state = init_model(cfg.arch(), cfg.seed)
     train, val, _ = _corpora(cfg)
@@ -174,8 +170,8 @@ def cmd_rl(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
     _, val, _ = _corpora(cfg)
     prompts = _prompts(cfg, val, state.cfg.eos_token_id)
     marker = _marker(cfg, LatentActionLM(state), prompts[0])
-    trace = train_rl(state, prompts, _marker_reward_fn(marker), cfg.train(),
-                     cfg.rl_max_len, cfg.rl_updates, metrics.append)
+    trace = train_rl(state, prompts, lambda response: marker_reward(response, marker),
+                     cfg.train(), cfg.rl_max_len, cfg.rl_updates, metrics.append)
     metrics.append({"stage": "rl", "event": "final", "marker_token": marker,
                     "final_reward": trace[-1]})
     save_checkpoint(state, os.path.join(out, "rl.ckpt"), "rl", cfg.rl_updates)
@@ -233,7 +229,10 @@ def _run_search(cfg: RunConfig, out: str, metrics: MetricsWriter,
     prompt = _prompt_tokens(cfg, val, state.cfg)
     model = LatentActionLM(state)
     marker = _marker(cfg, model, prompt)
-    reward_fn = _marker_reward_fn(marker)
+
+    def reward_fn(seq):  # the response only, as rl and train-q score it
+        return marker_reward(seq[len(prompt):], marker)
+
     trace = os.path.join(out, "search_trace.jsonl")
     q_fn = q_values_fn(state, "q_online") if use_q else None
     result = mcts_search(model, prompt, cfg.search(), reward_fn, q_fn=q_fn,

@@ -1,10 +1,8 @@
-"""Synthetic corpora, SFT formatting, and programmatic reward environments."""
+"""Synthetic corpora, SFT formatting, prompt prefixes, and reward scoring."""
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -101,114 +99,17 @@ def marker_reward(response, marker_token: int) -> float:
     return 1.0 if marker_token in np.asarray(response) else 0.0
 
 
-# ---------------------------------------------------------------------------
-# Countdown arithmetic game
-# ---------------------------------------------------------------------------
+class Scorer:
+    """reward_fn made total: a call on which reward_fn raises scores 0 and
+    is counted in `failures`."""
 
-@dataclass
-class CountdownTask:
-    numbers: list[int]
-    target: int
+    def __init__(self, reward_fn):
+        self.reward_fn = reward_fn
+        self.failures = 0
 
-    def __post_init__(self):
-        if any(n <= 0 for n in self.numbers):
-            raise ValueError("numbers must be positive integers")
-
-
-_FORMAT_RE = re.compile(r"<think>(.*?)</think><answer>(.*?)</answer>", re.DOTALL)
-
-
-class _ExprError(Exception):
-    pass
-
-
-class _Parser:
-    """Recursive-descent evaluator over digits, + - * / (and their unicode
-    aliases), and parentheses. Exact rational arithmetic; never executes
-    input."""
-
-    def __init__(self, text: str):
-        self.text = text.replace("×", "*").replace("÷", "/")
-        self.pos = 0
-        self.literals: list[int] = []
-
-    def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse(self) -> Fraction:
-        value = self.expr()
-        if self.peek() != "":
-            raise _ExprError(f"trailing input at {self.pos}")
-        return value
-
-    def expr(self) -> Fraction:
-        value = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.text[self.pos]
-            self.pos += 1
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def term(self) -> Fraction:
-        value = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.text[self.pos]
-            self.pos += 1
-            rhs = self.factor()
-            if op == "*":
-                value = value * rhs
-            else:
-                if rhs == 0:
-                    raise _ExprError("division by zero")
-                value = value / rhs
-        return value
-
-    def factor(self) -> Fraction:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            value = self.expr()
-            if self.peek() != ")":
-                raise _ExprError("unbalanced parenthesis")
-            self.pos += 1
-            return value
-        if not ch.isdigit():
-            raise _ExprError(f"unexpected character {ch!r}")
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        n = int(self.text[start:self.pos])
-        self.literals.append(n)
-        return Fraction(n)
-
-
-def evaluate_expression(text: str):
-    """(value, literals) of an arithmetic expression, or (None, []) if
-    malformed."""
-    try:
-        parser = _Parser(text)
-        return parser.parse(), parser.literals
-    except _ExprError:
-        return None, []
-
-
-def countdown_reward(task: CountdownTask, response_text: str) -> tuple[float, float]:
-    """(format_reward, correctness_reward), each in {0, 1}.
-
-    Format: the response is exactly <think>...</think><answer>EXPR</answer>
-    with nothing outside the tags. Correctness: EXPR uses each task number
-    exactly once and evaluates, exactly, to the target.
-    """
-    format_reward = 1.0 if _FORMAT_RE.fullmatch(response_text) else 0.0
-    match = _FORMAT_RE.search(response_text)
-    correctness = 0.0
-    if match:
-        value, literals = evaluate_expression(match.group(2))
-        if value is not None and sorted(literals) == sorted(task.numbers) \
-                and value == Fraction(task.target):
-            correctness = 1.0
-    return format_reward, correctness
-
+    def __call__(self, tokens) -> float:
+        try:
+            return float(self.reward_fn(np.asarray(tokens)))
+        except Exception:
+            self.failures += 1
+            return 0.0

@@ -22,6 +22,7 @@ import numpy as np
 
 from .actions import Decoder, check_prompts, generate, row_ends
 from .config import SearchConfig
+from .data import Scorer
 from .training import Transition, dqn_target
 
 
@@ -123,23 +124,7 @@ class SearchResult:
     scorer_failures: int
 
 
-class _Scorer:
-    """reward_fn as a simulation value: a scorer that raises scores 0, and
-    each such failure is counted."""
-
-    def __init__(self, reward_fn):
-        self.reward_fn = reward_fn
-        self.failures = 0
-
-    def __call__(self, tokens) -> float:
-        try:
-            return float(self.reward_fn(np.asarray(tokens)))
-        except Exception:
-            self.failures += 1
-            return 0.0
-
-
-def _score(node: MctsNode, score: _Scorer) -> float:
+def _score(node: MctsNode, score: Scorer) -> float:
     """Score the node's stored playout, as sequential MCTS would simulate
     it, when selection first reaches the node."""
     node.sim_value = score(np.concatenate([node.state, node.sim_tokens]))
@@ -225,7 +210,7 @@ def mcts_search(model, prompt, cfg: SearchConfig, reward_fn,
     call that expanded its leaf, or 0."""
     rng = np.random.default_rng(cfg.seed)
     root = MctsNode(state=np.asarray(prompt))
-    score = _Scorer(reward_fn)
+    score = Scorer(reward_fn)
     trace = []
 
     def finish(path, path_keys, rows: int) -> bool:

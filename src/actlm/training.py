@@ -21,7 +21,7 @@ from .actions import (Decoder, assign_direct, assign_vq, check_prompts,
                       generate, inverse_encode, one_hot, policy_forward,
                       policy_log_probs, q_forward, row_ends, world_logits)
 from .config import TrainConfig
-from .data import SftSplit
+from .data import Scorer, SftSplit
 from .model import ModelState, base_forward, base_logits
 
 
@@ -288,7 +288,7 @@ def rollout_batch(state: ModelState, prompts: np.ndarray, mode: str,
     otherwise), world-model argmax tokens, rows padded with eos and action
     0 once done. Returns (tokens (B, <=max_len), actions (B, steps))."""
     prompts = check_prompts(prompts, mode, rng)
-    return generate(Decoder(state, len(prompts)), prompts, mode, max_len, rng)
+    return generate(Decoder(state), prompts, mode, max_len, rng)
 
 
 def decision_mask(tokens: np.ndarray, prompt_len: int, eos: int) -> np.ndarray:
@@ -316,19 +316,14 @@ def rl_batch(state: ModelState, prompts: np.ndarray, reward_fn,
     g = cfg.rl_group_size
     tokens, actions = rollout_batch(state, np.repeat(prompts, g, axis=0),
                                     "sample", max_len, rng)
-    rewards = np.zeros(len(tokens))
-    failures = 0
-    for i, row in enumerate(tokens):
-        try:
-            rewards[i] = float(reward_fn(row[p_len:]))
-        except Exception:
-            failures += 1
+    score = Scorer(reward_fn)
+    rewards = np.array([score(row[p_len:]) for row in tokens])
     groups = rewards.reshape(n_prompts, g)
     adv = (groups - (groups.sum(axis=1, keepdims=True) - groups) / (g - 1)).reshape(-1)
     valid = decision_mask(tokens, p_len, state.cfg.eos_token_id)
     return {"tokens": tokens, "actions": actions, "advantages": adv,
             "valid": valid.astype(ad.active_dtype()), "rewards": rewards,
-            "scorer_failures": failures}
+            "scorer_failures": score.failures}
 
 
 def loss_rl(state: ModelState, batch: dict, ref_policy: dict[str, Tensor],

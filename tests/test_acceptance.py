@@ -3,17 +3,14 @@
 Each test is one externally checkable property of the system: gradient
 fidelity of the tape engine, the straight-through estimator contract, the
 efficacy of the latent-action training stages on a hidden-Markov corpus,
-RL and Q-learning correctness on small oracles, search soundness, the
-arithmetic-game reward against an exact-rational oracle, and bitwise
-reproducibility of the command-line driver.
+RL and Q-learning correctness on small oracles, search soundness, and
+bitwise reproducibility of the command-line driver.
 
 Expensive training pipelines are shared through module-scoped fixtures.
 """
 
-import ast
 import copy
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,8 +21,8 @@ from actlm.autodiff import Tape, Tensor, finite_diff_check, \
     finite_diff_report, set_precision
 from actlm.cli import main as cli_main
 from actlm.config import ArchConfig, SearchConfig, TrainConfig
-from actlm.data import CountdownTask, HmmCorpusConfig, countdown_reward, \
-    gen_hmm_corpus, hmm_matrices, open_prefixes
+from actlm.data import HmmCorpusConfig, gen_hmm_corpus, hmm_matrices, \
+    open_prefixes
 from actlm.diagnostics import alive_actions, marginal_kl, val_loss
 from actlm.model import base_forward, base_logits, block_forward, init_model, \
     param_shapes
@@ -546,135 +543,6 @@ def test_q_pruning_extends_only_the_consistent_branch():
     assert max(good_tokens) > max(bad_tokens)
     assert max(good_passes) >= 1
     assert max(bad_passes) == 0
-
-
-# ---------------------------------------------------------------------------
-# Arithmetic-game reward vs an exact-rational oracle
-# ---------------------------------------------------------------------------
-
-def _oracle_expr(text):
-    """Independent evaluator: Python's own parser plus Fraction arithmetic.
-    Returns (value, literals) or (None, [])."""
-    try:
-        tree = ast.parse(text.replace("×", "*").replace("÷", "/").strip(),
-                         mode="eval")
-    except (SyntaxError, ValueError):
-        return None, []
-    literals = []
-
-    def ev(node):
-        if isinstance(node, ast.Expression):
-            return ev(node.body)
-        if isinstance(node, ast.BinOp):
-            ops = {ast.Add: lambda a, b: a + b, ast.Sub: lambda a, b: a - b,
-                   ast.Mult: lambda a, b: a * b, ast.Div: lambda a, b: a / b}
-            fn = ops.get(type(node.op))
-            if fn is None:
-                raise ValueError("operator outside the game grammar")
-            return fn(ev(node.left), ev(node.right))
-        if isinstance(node, ast.Constant) and isinstance(node.value, int):
-            literals.append(node.value)
-            return Fraction(node.value)
-        raise ValueError("node outside the game grammar")
-
-    try:
-        return ev(tree), literals
-    except (ValueError, ZeroDivisionError):
-        return None, []
-
-
-def _oracle_reward(task, response):
-    head, sep, rest = response.partition("</think><answer>")
-    fmt = 1.0 if (sep and head.startswith("<think>")
-                  and rest.endswith("</answer>")
-                  and "</answer>" not in rest[:-len("</answer>")]
-                  and head.count("<think>") == 1) else 0.0
-    corr = 0.0
-    start = response.find("<think>")
-    if start >= 0:
-        tail = response[start:]
-        a0 = tail.find("</think><answer>")
-        a1 = tail.find("</answer>", a0)
-        if a0 >= 0 and a1 >= 0:
-            value, lits = _oracle_expr(tail[a0 + len("</think><answer>"):a1])
-            if value is not None and sorted(lits) == sorted(task.numbers) \
-                    and value == Fraction(task.target):
-                corr = 1.0
-    return fmt, corr
-
-
-def _r(think, answer):
-    return f"<think>{think}</think><answer>{answer}</answer>"
-
-
-COUNTDOWN_CASES = [
-    # --- solvable, well-formed: (1, 1)
-    (CountdownTask([2, 3], 6), _r("x", "2*3"), (1, 1)),
-    (CountdownTask([2, 3], 5), _r("", "2+3"), (1, 1)),
-    (CountdownTask([8, 2], 4), _r("halve", "8/2"), (1, 1)),
-    (CountdownTask([7, 3], 4), _r("", "7-3"), (1, 1)),
-    (CountdownTask([10, 3, 5], 6), _r("", "(10*3)/5"), (1, 1)),
-    (CountdownTask([1, 2, 3, 4], 10), _r("sum", "1+2+3+4"), (1, 1)),
-    (CountdownTask([6, 2, 3], 1), _r("", "6/(2*3)"), (1, 1)),
-    (CountdownTask([5, 5], 25), _r("square", "5*5"), (1, 1)),
-    (CountdownTask([9, 3, 2], 8), _r("", "9-3+2"), (1, 1)),
-    (CountdownTask([4, 4, 2], 6), _r("", "4+4-2"), (1, 1)),
-    (CountdownTask([12, 4, 2], 6), _r("", "12/4*2"), (1, 1)),
-    (CountdownTask([2, 3], 6), _r("alias ops", "2×3"), (1, 1)),
-    (CountdownTask([8, 2], 4), _r("alias ops", "8÷2"), (1, 1)),
-    (CountdownTask([2, 3], 6), _r("spaces", " 2 * 3 "), (1, 1)),
-    (CountdownTask([7, 2, 14], 1), _r("", "14/(7*2)"), (1, 1)),
-    (CountdownTask([3, 3, 3], 3), _r("", "3*3/3"), (1, 1)),
-    (CountdownTask([100, 25, 5], 80), _r("", "100-25+5"), (1, 1)),
-    (CountdownTask([6, 3], 2), _r("newline\nin think", "6/3"), (1, 1)),
-    # --- well-formed but wrong value: (1, 0)
-    (CountdownTask([2, 3], 7), _r("", "2*3"), (1, 0)),
-    (CountdownTask([2, 3], 6), _r("", "2+3"), (1, 0)),
-    (CountdownTask([10, 3], 3), _r("floor?", "10/3"), (1, 0)),  # 10/3 != 3
-    (CountdownTask([9, 2], 5), _r("", "9-2"), (1, 0)),
-    (CountdownTask([5, 4, 2], 11), _r("", "5*4/2"), (1, 0)),
-    (CountdownTask([8, 8], 2), _r("", "8/8"), (1, 0)),
-    (CountdownTask([7, 7, 7], 9), _r("", "7+7/7"), (1, 0)),  # value is 8
-    (CountdownTask([6, 2], 3), _r("", "6-2"), (1, 0)),
-    # --- wrong number usage: (1, 0)
-    (CountdownTask([2, 3], 4), _r("reuse", "2*2"), (1, 0)),
-    (CountdownTask([2, 3, 4], 6), _r("dropped 4", "2*3"), (1, 0)),
-    (CountdownTask([2, 3], 24), _r("invented 4", "2*3*4"), (1, 0)),
-    (CountdownTask([2, 3], 12), _r("doubled", "2*3+2*3"), (1, 0)),
-    (CountdownTask([5, 2], 10), _r("split 10", "5*2*1"), (1, 0)),
-    (CountdownTask([4, 2], 8), _r("", "4*2*1/1"), (1, 0)),
-    (CountdownTask([11, 2], 22), _r("digits split", "1*1*2*2"), (1, 0)),
-    (CountdownTask([3, 4], 12), _r("", "12"), (1, 0)),
-    # --- malformed expression inside valid tags: (1, 0)
-    (CountdownTask([2, 3], 6), _r("", "2**3"), (1, 0)),
-    (CountdownTask([2, 3], 6), _r("", "2++3"), (1, 0)),
-    (CountdownTask([2, 3], 6), _r("", "2,3"), (1, 0)),
-    (CountdownTask([2, 3], 6), _r("", "two*three"), (1, 0)),
-    (CountdownTask([2, 3], 6), _r("", ""), (1, 0)),
-    (CountdownTask([2, 3], 6), _r("", "2*3="), (1, 0)),
-    (CountdownTask([2, 3], 6), _r("", "(2*3"), (1, 0)),
-    (CountdownTask([4, 2], 2), _r("", "4/(2-2)"), (1, 0)),  # div by zero
-    (CountdownTask([5, 5], 1), _r("", "5/(5-5)"), (1, 0)),  # div by zero
-    # --- malformed format: (0, *)
-    (CountdownTask([2, 3], 6), "<answer>2*3</answer>", (0, 0)),
-    (CountdownTask([2, 3], 6), "<think>x</think>", (0, 0)),
-    (CountdownTask([2, 3], 6), "2*3", (0, 0)),
-    (CountdownTask([2, 3], 6), "oops" + _r("x", "2*3"), (0, 1)),
-    (CountdownTask([2, 3], 6), _r("x", "2*3") + " trailing", (0, 1)),
-    (CountdownTask([2, 3], 6),
-     "<answer>2*3</answer><think>x</think>", (0, 0)),
-    (CountdownTask([2, 3], 6), "<THINK>x</THINK><ANSWER>2*3</ANSWER>", (0, 0)),
-    (CountdownTask([2, 3], 6), "<think>x</think><answer>2*3", (0, 0)),
-    (CountdownTask([2, 3], 6), "", (0, 0)),
-]
-
-
-def test_countdown_reward_matches_exact_rational_oracle():
-    assert len(COUNTDOWN_CASES) >= 50
-    for i, (task, response, expected) in enumerate(COUNTDOWN_CASES):
-        got = countdown_reward(task, response)
-        oracle = _oracle_reward(task, response)
-        assert got == oracle == expected, (i, response, got, oracle, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -326,3 +326,24 @@ def test_cli_prompt_ending_in_eos_fails_by_name(tiny_checkpoint, capsys):
         assert capsys.readouterr().err.strip() == (
             "error: prompt ends in the eos token 0, so nothing would be "
             "generated"), subcommand
+
+
+def test_cli_search_scores_the_response_only(tiny_checkpoint, monkeypatch):
+    """search's reward sees only what follows the prompt, as rl and
+    train-q score it: a prompt that already holds the marker scores 0
+    until the response holds it too."""
+    rewards = []
+
+    def capture(model, prompt, cfg, reward_fn, **kwargs):
+        rewards.append(reward_fn)
+        return real(model, prompt, cfg, reward_fn, **kwargs)
+
+    real = cli.mcts_search
+    monkeypatch.setattr(cli, "mcts_search", capture)
+    assert main(["search", "--init_checkpoint", str(tiny_checkpoint),
+                 "--out_dir", str(tiny_checkpoint.parent), "--prompt", "3,5",
+                 "--rl_marker_token", "5", "--search_max_len", "16",
+                 "--iterations", "2"] + TINY) == 0
+    (reward,) = rewards
+    assert reward(np.array([3, 5])) == 0.0
+    assert reward(np.array([3, 5, 5])) == 1.0

@@ -1,17 +1,12 @@
 """Data layer: hidden-Markov corpus generation, inverse-CDF sampling,
-reward functions, and the exact-rational expression evaluator."""
+prompts and the marker reward."""
 
-import ast
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from actlm.data import (CountdownTask, HmmCorpusConfig, SftSplit, cdf,
-                        countdown_reward, evaluate_expression, gen_hmm_corpus,
+from actlm.data import (HmmCorpusConfig, SftSplit, cdf, gen_hmm_corpus,
                         hmm_matrices, inverse_cdf, make_sft_split,
                         marker_reward, open_prefixes)
 from actlm.runconfig import ConfigError
@@ -169,106 +164,3 @@ def test_marker_reward():
     assert marker_reward([1, 2, 3], 2) == 1.0
     assert marker_reward([1, 2, 3], 9) == 0.0
     assert marker_reward([], 0) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# Expression evaluation
-# ---------------------------------------------------------------------------
-
-def oracle_eval(expr: str):
-    """Independent evaluator: python ast over Fractions."""
-    expr = expr.replace("×", "*").replace("÷", "/")
-    try:
-        tree = ast.parse(expr, mode="eval")
-    except SyntaxError:
-        return None
-
-    def walk(node):
-        if isinstance(node, ast.Expression):
-            return walk(node.body)
-        if isinstance(node, ast.Constant) and isinstance(node.value, int):
-            return Fraction(node.value)
-        if isinstance(node, ast.BinOp):
-            left, right = walk(node.left), walk(node.right)
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
-            if isinstance(node.op, ast.Mult):
-                return left * right
-            if isinstance(node.op, ast.Div):
-                if right == 0:
-                    raise ZeroDivisionError
-                return left / right
-        raise ValueError("unsupported node")
-
-    try:
-        return walk(tree)
-    except (ValueError, ZeroDivisionError):
-        return None
-
-
-@pytest.mark.parametrize("expr", [
-    "1+2*3", "(1+2)*3", "10/4", "7-2-3", "100/(3-3+1)", "2*3*4", "(5)",
-    "12/5/2", "1+2+3+4", "(2+3)*(4-1)", "9×3÷2",
-])
-def test_evaluate_expression_matches_ast_oracle(expr):
-    value, _ = evaluate_expression(expr)
-    assert value == oracle_eval(expr)
-
-
-@pytest.mark.parametrize("expr", [
-    "", "1+", "(1+2", "1//2", "abc", "1 2", "2**3", "-3", "1/0", "1/(2-2)",
-])
-def test_evaluate_expression_rejects_malformed(expr):
-    value, literals = evaluate_expression(expr)
-    assert value is None and literals == []
-
-
-def test_evaluate_expression_collects_literals():
-    _, literals = evaluate_expression("(12+3)*12")
-    assert literals == [12, 3, 12]
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(1, 99), min_size=2, max_size=4),
-       st.sampled_from(["+", "-", "*"]))
-def test_expression_property_matches_oracle(nums, op):
-    expr = op.join(str(n) for n in nums)
-    value, literals = evaluate_expression(expr)
-    assert value == oracle_eval(expr)
-    assert literals == nums
-
-
-# ---------------------------------------------------------------------------
-# Countdown reward
-# ---------------------------------------------------------------------------
-
-def test_countdown_reward_cases():
-    task = CountdownTask([3, 5, 2], 13)
-    fmt, corr = countdown_reward(task, "<think>x</think><answer>3*5-2</answer>")
-    assert (fmt, corr) == (1.0, 1.0)
-    # correct but with extra text outside the tags: format fails, answer counts
-    fmt, corr = countdown_reward(task, "ok <think></think><answer>3*5-2</answer>")
-    assert (fmt, corr) == (0.0, 1.0)
-    # well-formed but wrong value
-    fmt, corr = countdown_reward(task, "<think></think><answer>3+5+2</answer>")
-    assert (fmt, corr) == (1.0, 0.0)
-    # wrong arity: a number used twice
-    fmt, corr = countdown_reward(task, "<think></think><answer>3*5-2*2/2</answer>")
-    assert (fmt, corr) == (1.0, 0.0)
-    # missing tags entirely
-    assert countdown_reward(task, "3*5-2") == (0.0, 0.0)
-
-
-def test_countdown_requires_exact_rational_value():
-    task = CountdownTask([10, 3], 3)
-    # 10/3 is not 3 even though it rounds to 3
-    fmt, corr = countdown_reward(task, "<think></think><answer>10/3</answer>")
-    assert (fmt, corr) == (1.0, 0.0)
-
-
-def test_countdown_rejects_nonpositive_numbers():
-    with pytest.raises(ValueError):
-        CountdownTask([0, 3], 3)
-

@@ -499,13 +499,15 @@ def test_decoder_matches_full_prefix(mode, seed):
     """Policy probabilities from token-by-token syncs, and after a branch
     switch (truncate to a prefix, then re-extend with other tokens in
     chunks), stay within the rounding-error bound of full-prefix forwards;
-    the switched decoder agrees with a fresh one on every greedy token."""
+    the switched decoder agrees with a fresh one on every greedy token.
+    Both decoders start from one empty row, which their first sync forks
+    into two."""
     ad.set_precision(mode)
     state = init_model(DCFG, seed)
     rng = np.random.default_rng(seed)
     t = DCFG.max_seq_len
     tokens = rng.integers(0, DCFG.vocab_size, size=(2, t))
-    dec = Decoder(state, batch=2)
+    dec = Decoder(state)
     steps = []
     for i in range(1, t + 1):
         dec.sync(tokens[:, :i])
@@ -520,7 +522,7 @@ def test_decoder_matches_full_prefix(mode, seed):
     for end in sorted(rng.choice(np.arange(keep + 1, t), 2, replace=False)):
         dec.sync(branch[:, :end])
     dec.sync(branch)
-    fresh = Decoder(state, batch=2)
+    fresh = Decoder(state)
     fresh.sync(branch)
     probs, bound = probs_bound(state, branch)
     for d in (dec, fresh):
@@ -597,7 +599,7 @@ def test_one_decode_loop():
 
 
 def test_decoder_rejects_bad_shapes():
-    dec = Decoder(init_model(DCFG, 0), batch=2)
+    dec = Decoder(init_model(DCFG, 0))
     for bad in (np.zeros((2, 0), int), np.zeros(3, int)):
         with pytest.raises(ValueError):
             dec.sync(bad)
