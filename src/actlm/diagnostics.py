@@ -13,7 +13,7 @@ from .actions import policy_forward, row_ends, world_logits
 from .autodiff import Tensor
 from .config import DiversityConfig
 from .model import ModelState, base_forward, base_logits
-from .training import eval_base_ce, rollout_batch, val_sweep
+from .training import eval_base_ce, rollout_batch, sweep_mean_ce, val_sweep
 
 log = logging.getLogger(__name__)
 
@@ -93,20 +93,21 @@ def val_loss(state: ModelState, corpus, mode: str, gumbel_temp: float = 1.0) -> 
     ('with_actions') or the plain base lm-head ('base_ar'). Both read the
     corpus's memoised `training.val_sweep` (keyed by the corpus bytes, the
     active dtype and the base and inverse hashes; the slot holds one
-    corpus), so the two modes share one base forward per chunk."""
+    corpus), so the two modes share one base forward per chunk. Each mode
+    runs one `training.chunk_map` task per chunk and adds up the chunks'
+    float32 CE sums in chunk order (`training.sweep_mean_ce`)."""
     if mode == "base_ar":
         return eval_base_ce(state, corpus)
     if mode != "with_actions":
         raise ValueError(f"unknown val_loss mode: {mode!r}")
-    total, count = 0.0, 0
-    for chunk, e_l, labels in val_sweep(state, corpus, gumbel_temp):
-        action = ad.embedding(state.groups["codebook"]["codes"], labels)
-        logits = world_logits(state.groups["merge"], state.cfg,
-                              ad.slice_time(e_l, 0, -1), action)
-        ce = ad.cross_entropy(logits, chunk[:, 1:])
-        total += float(ce.data.sum())
-        count += ce.data.size
-    return total / count
+    codes, merge = state.groups["codebook"]["codes"], state.groups["merge"]
+
+    def chunk_ce(chunk, e_l, labels):
+        logits = world_logits(merge, state.cfg, ad.slice_time(e_l, 0, -1),
+                              ad.embedding(codes, labels))
+        return ad.cross_entropy(logits, chunk[:, 1:]).data
+
+    return sweep_mean_ce(state, corpus, chunk_ce, gumbel_temp)
 
 
 def action_token_table(state: ModelState, corpus,

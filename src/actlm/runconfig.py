@@ -76,10 +76,12 @@ class RunConfig(make_dataclass("ComponentKeys", _component_fields())):
     init_checkpoint: str = ""
 
     def __post_init__(self):
-        """Check the corpus split, then build every component once, so a
-        value that one of them rejects fails here, whichever subcommand
-        reads it, naming the flat key; then the bounds between keys."""
-        for key in ("hmm_train_count", "hmm_val_count"):
+        """Check the corpus split and the run-level counts, then build
+        every component once, so a value that one of them rejects fails
+        here, whichever subcommand reads it, naming the flat key; then the
+        bounds between keys."""
+        for key in ("hmm_train_count", "hmm_val_count", "eval_contexts",
+                    "rl_prompt_count", "rl_updates", "q_responses_per_prompt"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
         for cls in _COMPONENTS:

@@ -11,6 +11,8 @@ groups are excluded from the optimizer, and hashed before/after.
 from __future__ import annotations
 
 import hashlib
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,12 +166,66 @@ def inverse_labels(state: ModelState, e_l: Tensor, gumbel_temp: float) -> np.nda
 # The validation sweep: one frozen base forward per eval report
 # ---------------------------------------------------------------------------
 
-SWEEP_ROWS = 64
+SWEEP_TOKENS = 1024
+
+
+def sweep_rows(seq_len: int) -> int:
+    """Rows per validation-sweep chunk: SWEEP_TOKENS tokens, at least one
+    row. At the CLI defaults (T=64, 2 heads) one block's float32 attention
+    scores then take 512 KB; 64-row chunks made them 2 MB, a whole per-core
+    L2 on common x86-64 parts."""
+    return max(1, SWEEP_TOKENS // seq_len)
+
+
+def chunk_map(fn, chunks: list) -> list:
+    """[fn(chunk) for chunk in chunks], in chunk order, computed by the
+    calling thread plus up to n - 1 worker threads, where n is the number of
+    CPUs in this process's affinity set, capped at the number of chunks.
+    Numpy releases the GIL inside its kernels, so the chunks' forwards run
+    side by side. Every worker has ended when this returns. A task that
+    raises stops the threads from taking further chunks, and the first
+    exception is re-raised here.
+
+    The tasks run under an `ad.untaped()` opened on the calling thread
+    before any worker starts and closed after every worker has ended, so no
+    op they run is recorded, whatever tape the caller has open. The tape
+    stack and the `StopGradCapture` stack are global, shared by all
+    threads: workers only read the tape stack. A task must never push to it
+    or pop from it (no `Tape`, no `untaped()`) and never open a
+    `StopGradCapture`."""
+    n = min(len(chunks), len(os.sched_getaffinity(0)))
+    results = [None] * len(chunks)
+    errors = []
+    jobs, lock = iter(enumerate(chunks)), threading.Lock()
+
+    def work():
+        while not errors:
+            with lock:
+                job = next(jobs, None)
+            if job is None:
+                return
+            try:
+                results[job[0]] = fn(job[1])
+            except BaseException as e:  # re-raised on the calling thread
+                errors.append(e)
+
+    with ad.untaped():
+        workers = [threading.Thread(target=work) for _ in range(n - 1)]
+        for w in workers:
+            w.start()
+        try:
+            work()
+        finally:
+            for w in workers:
+                w.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 @dataclass
 class ValSweep:
-    """The base embeddings of one corpus, one array per SWEEP_ROWS-row chunk,
+    """The base embeddings of one corpus, one array per `sweep_rows` chunk,
     and their eval-mode inverse labels once asked for; all read-only."""
     key: tuple
     e_l: list[np.ndarray]
@@ -181,10 +237,27 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _sweep_chunk(state: ModelState, chunk, e_l, gumbel_temp):
+    """One sweep task: the chunk's base embeddings unless e_l holds them,
+    and its eval-mode inverse labels when gumbel_temp is given, else None."""
+    if e_l is None:
+        e_l = _read_only(base_forward(state.groups["base"], state.cfg, chunk).data)
+    labels = None if gumbel_temp is None else \
+        _read_only(inverse_labels(state, Tensor(e_l), gumbel_temp))
+    return e_l, labels
+
+
 def val_sweep(state: ModelState, corpus, gumbel_temp: float | None = None):
-    """[(chunk, e_l, labels)] over the SWEEP_ROWS-row chunks of corpus, in
-    order: the chunk's base embeddings and, when gumbel_temp is given, its
-    eval-mode inverse labels (rows, T-1), else None. Nothing is taped.
+    """[(chunk, e_l, labels)] over the corpus in chunks of
+    `sweep_rows(T)` rows, in order: the chunk's base embeddings and, when
+    gumbel_temp is given, its eval-mode inverse labels (rows, T-1), else
+    None. Nothing is taped.
+
+    What the slot lacks is computed by one `chunk_map` task per chunk: the
+    base forward unless held, and the labels when asked for. A row's
+    embeddings and labels depend neither on the rows it shares a chunk with
+    nor on the thread that ran it, so they are the same bit for bit at any
+    CPU count.
 
     The sweep is memoised in `state.sweep`, which holds one corpus. It is
     keyed by the corpus's shape, dtype and sha256, the active dtype, and the
@@ -198,20 +271,40 @@ def val_sweep(state: ModelState, corpus, gumbel_temp: float | None = None):
     key = (corpus.shape, corpus.dtype.str,
            hashlib.sha256(corpus.tobytes()).hexdigest(), ad.active_dtype(),
            state.group_hash("base"), state.group_hash("inverse"))
+    rows = sweep_rows(corpus.shape[1])
+    chunks = [corpus[i:i + rows] for i in range(0, len(corpus), rows)]
     sweep = state.sweep
-    with ad.untaped():
-        if sweep is None or sweep.key != key:
-            base = state.groups["base"]
-            sweep = state.sweep = ValSweep(key, [
-                _read_only(base_forward(base, state.cfg, corpus[i:i + SWEEP_ROWS]).data)
-                for i in range(0, len(corpus), SWEEP_ROWS)])
-        if gumbel_temp is not None and sweep.labels is None:
-            sweep.labels = [_read_only(inverse_labels(state, Tensor(e_l), gumbel_temp))
-                            for e_l in sweep.e_l]
-    labels = sweep.labels if gumbel_temp is not None else [None] * len(sweep.e_l)
-    starts = range(0, len(corpus), SWEEP_ROWS)
-    return [(corpus[i:i + SWEEP_ROWS], Tensor(e_l), chunk_labels)
-            for i, e_l, chunk_labels in zip(starts, sweep.e_l, labels)]
+    cold = sweep is None or sweep.key != key
+    if cold or (gumbel_temp is not None and sweep.labels is None):
+        held = [None] * len(chunks) if cold else sweep.e_l
+        done = chunk_map(lambda job: _sweep_chunk(state, *job, gumbel_temp),
+                         list(zip(chunks, held)))
+        if cold:
+            sweep = state.sweep = ValSweep(key, [e_l for e_l, _ in done])
+        if gumbel_temp is not None:
+            sweep.labels = [labels for _, labels in done]
+    labels = sweep.labels if gumbel_temp is not None else [None] * len(chunks)
+    return [(chunk, Tensor(e_l), chunk_labels)
+            for chunk, e_l, chunk_labels in zip(chunks, sweep.e_l, labels)]
+
+
+def sweep_mean_ce(state: ModelState, corpus, chunk_ce,
+                  gumbel_temp: float | None = None) -> float:
+    """Mean per-position CE over the corpus's memoised `val_sweep`.
+    chunk_ce(chunk, e_l, labels) gives one chunk's CE array; one
+    `chunk_map` task per chunk returns its float32 sum and its size, and
+    the sums are added up in float64 in chunk order. So the figure depends
+    on how the corpus is chunked, by float32 rounding only, and not on the
+    number of threads."""
+    def task(job):
+        ce = chunk_ce(*job)
+        return float(ce.sum()), ce.size
+
+    total, count = 0.0, 0
+    for chunk_sum, size in chunk_map(task, val_sweep(state, corpus, gumbel_temp)):
+        total += chunk_sum
+        count += size
+    return total / count
 
 
 def inverse_action_labels(state: ModelState, tokens, gumbel_temp: float) -> np.ndarray:
@@ -483,17 +576,13 @@ def pretrain_base_ar(state: ModelState, corpus, val_corpus, cfg: TrainConfig,
 
 
 def eval_base_ce(state: ModelState, corpus) -> float:
-    """Mean next-token CE of the base lm-head over corpus, from its
-    memoised `val_sweep` (see there for the key; the slot holds one
-    corpus). Needs no inverse labels, so it runs no inverse encoder."""
+    """Mean next-token CE of the base lm-head over corpus, one `chunk_map`
+    task per chunk of its memoised `val_sweep` (see there for the key and
+    the chunks; the slot holds one corpus, and see `sweep_mean_ce` for the
+    sums). Needs no inverse labels, so it runs no inverse encoder."""
     base = state.groups["base"]
-    total, count = 0.0, 0
-    for chunk, e_l, _ in val_sweep(state, corpus):
-        logits = base_logits(base, e_l)
-        ce = ad.cross_entropy(ad.slice_time(logits, 0, -1), chunk[:, 1:])
-        total += float(ce.data.sum())
-        count += ce.data.size
-    return total / count
+    return sweep_mean_ce(state, corpus, lambda chunk, e_l, _: ad.cross_entropy(
+        ad.slice_time(base_logits(base, e_l), 0, -1), chunk[:, 1:]).data)
 
 
 def train_stage1(state: ModelState, corpus, cfg: TrainConfig,

@@ -255,6 +255,24 @@ def run_beyond_max_seq_len(checkpoint, subcommand, key, capsys) -> str:
     return capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand,key,value", [
+    ("eval", "eval_contexts", "0"), ("eval", "eval_contexts", "-3"),
+    ("rl", "rl_prompt_count", "0"), ("rl", "rl_prompt_count", "-1"),
+    ("rl", "rl_updates", "0"), ("train-q", "q_responses_per_prompt", "0")])
+def test_cli_count_below_one_fails_by_name(tiny_checkpoint, tmp_path, capsys,
+                                           subcommand, key, value):
+    """A run-level count below 1 exits 1 naming its key before any work:
+    eval would report a NaN marginal_kl over no contexts (or drop the last
+    three contexts at -3), and rl would die on an IndexError at 0 or
+    silently drop prompts at -1."""
+    rc = main([subcommand, "--init_checkpoint", str(tiny_checkpoint),
+               "--out_dir", str(tmp_path), "--search_max_len", "12",
+               "--prompt_len", "4", f"--{key}", value] + TINY)
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must be >= 1")
+    assert not (tmp_path / "eval.json").exists()
+
+
 def test_cli_search_max_len_beyond_checkpoint_fails_by_name(tiny_checkpoint,
                                                             capsys):
     """Every subcommand that decodes to search_max_len refuses one the

@@ -20,7 +20,7 @@ from actlm.diagnostics import (action_token_table, alive_actions, marginal_kl,
 from actlm.metrics import MetricsWriter
 from actlm.model import base_forward, base_logits, init_model
 from actlm.runconfig import load_run_config
-from actlm.training import SWEEP_ROWS, inverse_action_labels, inverse_labels
+from actlm.training import inverse_action_labels, inverse_labels, sweep_rows
 from conftest import StickyLM
 
 
@@ -184,7 +184,7 @@ def test_val_loss_with_actions_matches_separate_label_forward():
     """The labels come from the embeddings val_loss already has; the figure
     equals that of labels from a second base forward, bit for bit."""
     state = init_model(CFG, 3)
-    corpus = np.random.default_rng(3).integers(0, 9, size=(SWEEP_ROWS, 7))
+    corpus = np.random.default_rng(3).integers(0, 9, size=(sweep_rows(7), 7))
     e_l = base_forward(state.groups["base"], CFG, corpus)
     action = ad.embedding(state.groups["codebook"]["codes"],
                           inverse_action_labels(state, corpus, 0.5))
@@ -198,13 +198,14 @@ def test_val_loss_with_actions_matches_separate_label_forward():
 
 def per_chunk_reference(state, corpus, gumbel_temp):
     """Every sweep reader recomputed the way the readers did before they
-    shared a sweep: each SWEEP_ROWS-row chunk gets a base forward of its
+    shared a sweep: each sweep_rows(T)-row chunk gets a base forward of its
     own for the CEs, and another one for its labels."""
     cfg, base = state.cfg, state.groups["base"]
     table = np.zeros((cfg.codebook_size, cfg.vocab_size), dtype=np.int64)
     labels, act, plain, count = [], 0.0, 0.0, 0
-    for i in range(0, len(corpus), SWEEP_ROWS):
-        chunk = corpus[i:i + SWEEP_ROWS]
+    rows = sweep_rows(corpus.shape[1])
+    for i in range(0, len(corpus), rows):
+        chunk = corpus[i:i + rows]
         e_l = base_forward(base, cfg, chunk)
         chunk_labels = inverse_labels(state, base_forward(base, cfg, chunk),
                                       gumbel_temp)
@@ -238,7 +239,7 @@ def test_sweep_readers_match_per_chunk_recompute(first):
     shared sweep equals the per-chunk recompute bit for bit: first on a
     cold slot, then every reader on the slot the first one filled."""
     state = init_model(CFG, 5)
-    corpus = np.random.default_rng(5).integers(0, 9, size=(SWEEP_ROWS + 6, 7))
+    corpus = np.random.default_rng(5).integers(0, 9, size=(sweep_rows(7) + 6, 7))
     want = per_chunk_reference(state, corpus, 0.5)
     assert state.sweep is None
     assert np.array_equal(SWEEP_READERS[first](state, corpus), want[first])
@@ -249,11 +250,14 @@ def test_sweep_readers_match_per_chunk_recompute(first):
 
 
 def test_eval_report_encodes_each_val_chunk_once(tmp_path, monkeypatch):
-    """Over cmd_eval's calls, the base forward sees each SWEEP_ROWS-row
+    """Over cmd_eval's calls, the base forward sees each sweep_rows(T)-row
     chunk of the val corpus once (the table, the labels and both CEs share
-    one sweep); only shorter contexts and decode steps come on top."""
+    one sweep); only shorter contexts and decode steps come on top. The
+    chunks may be encoded in any order, so the full-width calls are
+    compared with them as a multiset of row blocks."""
+    rows = sweep_rows(12)
     cfg = load_run_config(None, [
-        "--hmm_train_count", "16", "--hmm_val_count", str(SWEEP_ROWS + 6),
+        "--hmm_train_count", "16", "--hmm_val_count", str(rows + 6),
         "--hmm_seq_len", "12", "--max_seq_len", "16", "--search_max_len", "16",
         "--eval_contexts", "4", "--prompt_len", "5", "--prefix_len", "5",
         "--rl_max_len", "8", "--n_samples", "2"])
@@ -272,8 +276,14 @@ def test_eval_report_encodes_each_val_chunk_once(tmp_path, monkeypatch):
     with MetricsWriter(str(tmp_path / "metrics.jsonl"), "w") as metrics:
         assert cli.cmd_eval(cfg, str(tmp_path), metrics) == 0
     full_width = [t for t in encoded if t.shape[1] == val.shape[1]]
-    assert [len(t) for t in full_width] == [SWEEP_ROWS, 6]
-    assert np.array_equal(np.concatenate(full_width), val)
+    chunks = [val[:rows], val[rows:]]
+    assert [len(c) for c in chunks] == [rows, 6]
+    assert np.array_equal(np.concatenate(chunks), val)
+
+    def blocks(arrays):
+        return sorted((a.shape, a.dtype.str, a.tobytes()) for a in arrays)
+
+    assert blocks(full_width) == blocks(chunks)
 
 
 def test_action_token_table_counts(tmp_path):

@@ -4,7 +4,10 @@ gradients, and the Double-DQN update."""
 
 import ast
 import gc
+import os
 import pathlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,20 +16,23 @@ from hypothesis import strategies as st
 
 import actlm
 from actlm import autodiff as ad
+from actlm import cli, diagnostics, training
 from actlm.autodiff import Tape, Tensor
+from actlm.actions import world_logits
 from actlm.config import ArchConfig, TrainConfig
 from actlm.data import make_sft_split
 from actlm.model import base_forward, base_logits, block_forward, init_model
-from actlm.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, SWEEP_ROWS, AdamW,
-                            Transition, decision_mask,
+from actlm.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamW,
+                            Transition, chunk_map, decision_mask,
                             dqn_batch, dqn_target, eval_base_ce, fta_actions,
                             inverse_action_labels, inverse_labels,
                             loss_base_ar, loss_dqn,
                             loss_fta, loss_pre1, loss_pre2, loss_rl,
                             pretrain_base_ar, q_values_fn, rl_batch,
-                            rollout_batch, run_stage, sync_target, train_bc,
-                            train_fta, train_q, train_rl, train_stage1)
-from conftest import accumulation_length, matmul_error_bound
+                            rollout_batch, run_stage, sweep_rows, sync_target,
+                            train_bc, train_fta, train_q, train_rl,
+                            train_stage1, val_sweep)
+from conftest import accumulation_length, gamma, matmul_error_bound
 
 
 CFG = ArchConfig(vocab_size=9, d_model=8, n_heads=2, max_seq_len=16,
@@ -271,14 +277,14 @@ def test_inverse_encoder_gets_the_embeddings_as_a_leaf(monkeypatch):
 
 
 def test_chunked_labels_match_one_batch_labels_beyond_rounding():
-    """inverse_action_labels runs the corpus in SWEEP_ROWS-row chunks; the
+    """inverse_action_labels runs the corpus in sweep_rows(T)-row chunks; the
     labels equal those of one batch over all rows wherever the top-two
     action-logit margin exceeds what rounding can move. Each action logit
     of either evaluation errs by at most the accumulated dot-product bound
     through the base and inverse blocks; two evaluations of two logits can
     therefore swap an argmax only within 4 times that bound."""
     state = small_state(4)
-    corpus = small_tokens(seed=4, b=2 * SWEEP_ROWS + 22, t=12)
+    corpus = small_tokens(seed=4, b=2 * sweep_rows(12) + 22, t=12)
     e_l = base_forward(state.groups["base"], CFG, corpus)
     h = e_l
     for i in range(CFG.n_layers_inverse):
@@ -334,7 +340,7 @@ def test_sweep_recomputes_when_its_key_changes(mutate, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(training, "base_forward", counting)
-    state, corpus = small_state(), small_tokens(b=SWEEP_ROWS + 6)
+    state, corpus = small_state(), small_tokens(b=sweep_rows(7) + 6)
 
     def report(corpus):
         return (diagnostics.val_loss(state, corpus, "with_actions"),
@@ -361,7 +367,7 @@ def test_held_sweep_is_read_only_and_checks_gumbel_temp():
     and a non-positive temperature is still refused on a warm slot."""
     from actlm import diagnostics
     from actlm.training import val_sweep
-    state, corpus = small_state(), small_tokens(b=SWEEP_ROWS + 6)
+    state, corpus = small_state(), small_tokens(b=sweep_rows(7) + 6)
     inverse_action_labels(state, corpus, 1.0)
     for _, e_l, labels in val_sweep(state, corpus, 1.0):
         for held in (e_l.data, labels):
@@ -378,12 +384,17 @@ def test_held_sweep_is_read_only_and_checks_gumbel_temp():
 
 def test_one_chunked_corpus_loop():
     """Exactly one function in the package loops over a corpus in row
-    chunks (a loop over a stepped `range`), and it is the one that runs the
-    base forward on them, so a second per-chunk encoding of a corpus
-    cannot come back unnoticed."""
-    found = set()
+    chunks (a loop over a stepped `range`), and it is `val_sweep`; the one
+    task it hands `chunk_map` runs the base forward on those chunks. So a
+    second per-chunk encoding of a corpus cannot come back unnoticed."""
+    def called(node):
+        return {n.func.id for n in ast.walk(node)
+                if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+
+    found, trees = set(), {}
     for path in sorted(pathlib.Path(actlm.__file__).parent.glob("*.py")):
-        for fn in ast.walk(ast.parse(path.read_text())):
+        trees[path.name] = ast.parse(path.read_text())
+        for fn in ast.walk(trees[path.name]):
             if not isinstance(fn, ast.FunctionDef):
                 continue
             for node in ast.walk(fn):
@@ -397,11 +408,209 @@ def test_one_chunked_corpus_loop():
                 if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
                        and n.func.id == "range" and len(n.args) == 3
                        for it in iters for n in ast.walk(it)):
-                    calls = {n.func.id for n in ast.walk(node)
-                             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
-                    found.add((path.name, fn.name, "base_forward" in calls))
-    assert {(f, name) for f, name, _ in found} == {("training.py", "val_sweep")}, found
-    assert ("training.py", "val_sweep", True) in found
+                    found.add((path.name, fn.name))
+    assert found == {("training.py", "val_sweep")}, found
+    defs = {f.name: f for f in trees["training.py"].body
+            if isinstance(f, ast.FunctionDef)}
+    tasks = [c.args[0] for c in ast.walk(defs["val_sweep"])
+             if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
+             and c.func.id == "chunk_map"]
+    assert len(tasks) == 1
+    assert any("base_forward" in called(defs[name])
+               for name in called(tasks[0]) & set(defs))
+
+
+@pytest.fixture(params=[1, 4], ids=["1cpu", "4cpus"])
+def cpus(request, monkeypatch):
+    """The CPU count chunk_map reads from the affinity set, forced."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(request.param)))
+    return request.param
+
+
+def per_chunk_ces(state, chunk, e_l, labels):
+    """A chunk's per-position base and with-actions CE arrays, computed
+    sequentially."""
+    base = state.groups["base"]
+    plain = ad.cross_entropy(ad.slice_time(base_logits(base, e_l), 0, -1),
+                             chunk[:, 1:]).data
+    action = ad.embedding(state.groups["codebook"]["codes"], labels)
+    logits = world_logits(state.groups["merge"], state.cfg,
+                          ad.slice_time(e_l, 0, -1), action)
+    return plain, ad.cross_entropy(logits, chunk[:, 1:]).data
+
+
+def test_sweep_and_ce_readers_equal_a_sequential_per_chunk_reference(
+        cpus, monkeypatch):
+    """On a ragged corpus, the sweep's embeddings and labels and both CE
+    readers equal a sequential per-chunk loop bit for bit at any CPU count;
+    inside an open tape they record nothing and leave the tape stack as it
+    was; at most min(chunks, CPUs) threads run the tasks, chunk_map starts
+    exactly one worker fewer per call, and none is alive afterwards."""
+    state, rows = small_state(), sweep_rows(7)
+    corpus = small_tokens(seed=6, b=3 * rows + 5)
+    chunks = [corpus[i:i + rows] for i in range(0, len(corpus), rows)]
+    want_e, want_labels, sums = [], [], np.zeros(2)
+    for chunk in chunks:
+        e_l = base_forward(state.groups["base"], CFG, chunk)
+        labels = inverse_labels(state, e_l, 1.0)
+        want_e.append(e_l.data)
+        want_labels.append(labels)
+        sums += [float(ce.sum()) for ce in per_chunk_ces(state, chunk, e_l, labels)]
+    count = len(corpus) * (corpus.shape[1] - 1)
+
+    ran, started, real = set(), [], training.base_forward
+
+    def recording(*args, **kwargs):
+        ran.add(threading.get_ident())
+        return real(*args, **kwargs)
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(training, "base_forward", recording)
+    monkeypatch.setattr(threading, "Thread", Counted)
+    alive = set(threading.enumerate())
+    with Tape() as tape:
+        sweep = val_sweep(state, corpus, 1.0)
+        base_ce = eval_base_ce(state, corpus)
+        act_ce = diagnostics.val_loss(state, corpus, "with_actions")
+        assert tape.nodes == [] and ad._TAPE_STACK == [tape]
+    assert ad._TAPE_STACK == []
+    assert set(threading.enumerate()) == alive
+    n = min(len(chunks), cpus)
+    assert len(ran) <= n and (n > 1 or ran == {threading.get_ident()})
+    # the cold sweep and the two CE readers each ran one chunk_map
+    assert len(started) == 3 * (n - 1)
+    assert [len(c) for c, _, _ in sweep] == [rows, rows, rows, 5]
+    assert all(np.array_equal(c, want) for (c, _, _), want in zip(sweep, chunks))
+    assert all(np.array_equal(e.data, want) for (_, e, _), want in zip(sweep, want_e))
+    assert all(np.array_equal(l, want) for (_, _, l), want in zip(sweep, want_labels))
+    assert base_ce == sums[0] / count
+    assert act_ce == sums[1] / count
+
+
+def test_chunk_map_reraises_a_worker_error_on_the_caller(monkeypatch):
+    """A task that raises on a worker thread reaches the caller as itself
+    once every worker has ended; the calling thread's own tasks succeed."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    caller, raised = threading.current_thread(), threading.Event()
+
+    def task(i):
+        if threading.current_thread() is caller:
+            raised.wait(timeout=10)
+            return i
+        raised.set()
+        raise FloatingPointError("non-finite action logits")
+
+    alive = set(threading.enumerate())
+    with pytest.raises(FloatingPointError, match="non-finite action logits"):
+        chunk_map(task, list(range(8)))
+    assert raised.is_set()
+    assert set(threading.enumerate()) == alive
+
+
+def test_chunk_map_stress_hands_out_each_chunk_once(monkeypatch):
+    """More workers than cores, switching threads as often as the
+    interpreter allows: every chunk runs exactly once and its result lands
+    at its own index."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    calls, interval = [], sys.getswitchinterval()
+
+    def task(i):
+        calls.append(i)
+        return np.full(3, i) * 2
+
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            calls.clear()
+            out = chunk_map(task, list(range(50)))
+            assert sorted(calls) == list(range(50))
+            assert [int(o[0]) for o in out] == [2 * i for i in range(50)]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_cmd_eval_names_a_sweep_error_and_exits_1(tmp_path, monkeypatch,
+                                                  capsys):
+    """NaN action logits raise in the sweep's tasks, on workers and the
+    calling thread alike; the eval subcommand exits 1 naming the error."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    argv = ["--hmm_train_count", "16", "--hmm_seq_len", "12",
+            "--hmm_val_count", str(3 * sweep_rows(12)), "--max_seq_len", "16",
+            "--search_max_len", "16", "--eval_contexts", "4",
+            "--prompt_len", "5", "--prefix_len", "5", "--rl_max_len", "8",
+            "--n_samples", "2", "--out_dir", str(tmp_path)]
+    state = init_model(cli.load_run_config(None, argv).arch(), 0)
+    state.groups["inverse"]["action_head"].data[:] = np.nan
+    monkeypatch.setattr(cli, "_load_input", lambda cfg: (state, {}))
+    alive = set(threading.enumerate())
+    assert cli.main(["eval"] + argv) == 1
+    assert capsys.readouterr().err.startswith("error: non-finite action logits")
+    assert not (tmp_path / "eval.json").exists()
+    assert set(threading.enumerate()) == alive
+
+
+def pairwise_sum_depth(n: int) -> int:
+    """The most roundings any term takes in numpy's float pairwise sum of
+    n contiguous values (`pairwise_sum` in numpy's loops_utils.h.src), plus
+    one for adding the result into the reduction's output: below 8 terms a
+    running sum; up to 128, eight running sums of n // 8 terms, a
+    three-level tree over them and a running sum of the n % 8 left over;
+    beyond that, one more level per halving."""
+    if n < 8:
+        return max(n - 1, 0) + 1
+    if n <= 128:
+        return n // 8 - 1 + 3 + n % 8 + 1
+    half = n // 2 - (n // 2) % 8
+    return 1 + max(pairwise_sum_depth(half), pairwise_sum_depth(n - half))
+
+
+def in_order(ces) -> float:
+    """The chunks' float32 CE sums added up left to right in float64, as
+    the CE readers add them (Python's sum() may compensate)."""
+    total = 0.0
+    for ce in ces:
+        total += float(ce.sum())
+    return total
+
+
+def test_val_ces_move_within_the_pairwise_summation_bound_at_t64():
+    """At T=64 a sweep chunk holds 16 rows (64 before, and still 64 at
+    T=16). Every position's CE is the same bit for bit as with 64-row
+    chunks; only the float32 chunk sums regroup. CE is nonnegative, so a
+    float32 pairwise sum of n terms errs by at most gamma_d(n) of the exact
+    sum, d(n) its rounding depth (Higham, 2nd ed., section 4.2), and the
+    float64 total of k chunk sums by gamma_k more; two groupings of the
+    same terms therefore differ by at most the sum of their bounds."""
+    assert sweep_rows(16) == 64 and sweep_rows(64) == 16
+    cfg = ArchConfig(vocab_size=9, d_model=8, n_heads=2, max_seq_len=64,
+                     intermediate_dim=16, codebook_size=4)
+    state = init_model(cfg, 7)
+    corpus = np.random.default_rng(7).integers(0, 9, size=(150, 64))
+    figures = {"base_ar": eval_base_ce(state, corpus),
+               "with_actions": diagnostics.val_loss(state, corpus, "with_actions")}
+    new = [per_chunk_ces(state, chunk, e_l, labels)
+           for chunk, e_l, labels in val_sweep(state, corpus, 1.0)]
+    old = []
+    for i in range(0, len(corpus), 64):
+        chunk = corpus[i:i + 64]
+        e_l = base_forward(state.groups["base"], cfg, chunk)
+        old.append(per_chunk_ces(state, chunk, e_l, inverse_labels(state, e_l, 1.0)))
+    count = corpus.shape[0] * 63
+    for k, mode in enumerate(figures):
+        assert np.array_equal(np.concatenate([ces[k] for ces in new]),
+                              np.concatenate([ces[k] for ces in old]))
+        assert figures[mode] == in_order([ces[k] for ces in new]) / count
+        before = in_order([ces[k] for ces in old]) / count
+        g_new = gamma(pairwise_sum_depth(16 * 63), np.float32) \
+            + gamma(len(new), np.float64)
+        g_old = gamma(pairwise_sum_depth(64 * 63), np.float32) \
+            + gamma(len(old), np.float64)
+        assert abs(figures[mode] - before) <= (g_new + g_old) / (1 - g_old) * before
 
 
 def test_shared_base_forward_gives_the_same_losses_and_gradients():
