@@ -58,34 +58,29 @@ def one_hot(index: np.ndarray, n: int) -> np.ndarray:
     return o
 
 
-def assign_direct(inverse: dict[str, Tensor], codebook: dict[str, Tensor],
-                  e_i: Tensor, gumbel_temp: float, rng=None,
-                  mode: str = "eval") -> ActionAssignment:
-    """Direct code assignment from action logits.
-
-    Train mode perturbs the logits with Gumbel noise before the softmax, so
-    the one-hot is a sample of the Gumbel-max distribution over the logits;
-    eval mode is the deterministic argmax of the raw logits. Both modes
-    forward the exact one-hot; gradients flow through the soft probabilities.
-    """
-    if gumbel_temp <= 0:
-        raise ValueError("gumbel_temp must be > 0")
+def action_logits(inverse: dict[str, Tensor], e_i: Tensor) -> Tensor:
+    """The inverse's action logits (..., N) at each position of e_i; raises
+    FloatingPointError if any of them is not finite."""
     logits = ad.matmul(e_i, inverse["action_head"])
     if not np.all(np.isfinite(logits.data)):
         raise FloatingPointError("non-finite action logits")
-    n = logits.shape[-1]
-    if mode == "train":
-        if rng is None:
-            raise ValueError("train-mode assignment needs a seeded rng")
-        noise = sample_gumbel(rng, logits.shape)
-        soft = ad.softmax(ad.scale(ad.add(logits, noise), 1.0 / gumbel_temp))
-        index = soft.data.argmax(axis=-1)
-    elif mode == "eval":
-        soft = ad.softmax(ad.scale(logits, 1.0 / gumbel_temp))
-        index = logits.data.argmax(axis=-1)
-    else:
-        raise ValueError(f"unknown assignment mode: {mode!r}")
-    hard = one_hot(index, n)
+    return logits
+
+
+def assign_direct(inverse: dict[str, Tensor], codebook: dict[str, Tensor],
+                  e_i: Tensor, gumbel_temp: float, rng) -> ActionAssignment:
+    """Direct code assignment from action logits, as stage-1 trains it.
+
+    The logits are perturbed with Gumbel noise drawn from rng before the
+    softmax, so the one-hot is a sample of the Gumbel-max distribution over
+    the logits. The exact one-hot is forwarded; gradients flow through the
+    soft probabilities.
+    """
+    logits = action_logits(inverse, e_i)
+    noise = sample_gumbel(rng, logits.shape)
+    soft = ad.softmax(ad.scale(ad.add(logits, noise), 1.0 / gumbel_temp))
+    index = soft.data.argmax(axis=-1)
+    hard = one_hot(index, logits.shape[-1])
     straight = ad.add(ad.stop_grad(ad.sub(Tensor(hard), soft)), soft)
     action = ad.matmul(straight, codebook["codes"])
     return ActionAssignment(logits, soft, hard, straight, index, action)

@@ -24,6 +24,8 @@ _SCALARS: dict[tuple, np.ndarray] = {}
 
 # Large negative additive mask; -inf would poison backward passes with NaN.
 NEG_MASK = -1e9
+# Added to the mean square under rms_norm's square root.
+RMS_EPS = 1e-5
 
 
 def set_precision(mode: str) -> None:
@@ -216,11 +218,11 @@ def silu_backward(g: np.ndarray, x: np.ndarray, sig: np.ndarray) -> np.ndarray:
     return g * sig * (1.0 + x * (1.0 - sig))
 
 
-def rms_norm_arrays(x: np.ndarray, gain: np.ndarray, eps: float = 1e-5):
+def rms_norm_arrays(x: np.ndarray, gain: np.ndarray):
     """(x / rms(x) * gain, x / rms(x), 1 / rms(x)) over the last axis."""
     # the sum and division ndarray.mean does, without its Python wrapper
     ms = np.add.reduce(x * x, axis=-1, keepdims=True) / _scalar(x.shape[-1])
-    inv = _scalar(1.0) / np.sqrt(ms + _scalar(eps))
+    inv = _scalar(1.0) / np.sqrt(ms + _scalar(RMS_EPS))
     xn = x * inv
     return xn * gain, xn, inv
 
@@ -364,10 +366,10 @@ def silu(x: Tensor) -> Tensor:
     return _emit(y, lambda g: [(x, silu_backward(g, x.data, sig))])
 
 
-def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
+def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     """RMS normalization over the last axis with a learned gain (no mean
     subtraction)."""
-    y, xn, inv = rms_norm_arrays(x.data, gain.data, eps)
+    y, xn, inv = rms_norm_arrays(x.data, gain.data)
 
     def backward(g):
         gx, gg = rms_norm_backward(g, x.data, gain.data, xn, inv)
@@ -427,15 +429,11 @@ def sum_(x: Tensor, axis=None) -> Tensor:
     return _emit(x.data.sum(axis=axis), backward)
 
 
-def mean_(x: Tensor, axis=None) -> Tensor:
-    n = x.data.size if axis is None else x.data.shape[axis]
-
-    def backward(g):
-        if axis is None:
-            return [(x, np.broadcast_to(g / n, x.data.shape).copy())]
-        return [(x, np.broadcast_to(np.expand_dims(g, axis) / n, x.data.shape).copy())]
-
-    return _emit(x.data.mean(axis=axis), backward)
+def mean_(x: Tensor) -> Tensor:
+    """Mean over all elements."""
+    n = x.data.size
+    return _emit(x.data.mean(),
+                 lambda g: [(x, np.broadcast_to(g / n, x.data.shape).copy())])
 
 
 def reshape(x: Tensor, shape) -> Tensor:

@@ -53,11 +53,11 @@ def _load_input(cfg: RunConfig):
     from its architecture (state.cfg), not from the run config."""
     if not cfg.init_checkpoint:
         raise ConfigError("this subcommand needs --init_checkpoint")
-    state, meta = load_checkpoint(cfg.init_checkpoint)
+    state, _ = load_checkpoint(cfg.init_checkpoint)
     if cfg.vocab_size > state.cfg.vocab_size:
         raise ConfigError(f"corpus vocab_size {cfg.vocab_size} exceeds the "
                           f"checkpoint's vocab_size {state.cfg.vocab_size}")
-    return state, meta
+    return state
 
 
 def _check_max_len(cfg: RunConfig, state, key: str) -> None:
@@ -129,7 +129,7 @@ def cmd_pretrain_base(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
 
 
 def cmd_pretrain_actions(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
-    state, _ = _load_input(cfg)
+    state = _load_input(cfg)
     train, val, _ = _corpora(cfg)
     usage = train_stage1(state, train, cfg.train(), cfg.assignment, metrics.append)
     ce_act = val_loss(state, val, "with_actions", gumbel_temp=cfg.gumbel_temp)
@@ -145,7 +145,7 @@ def cmd_pretrain_actions(cfg: RunConfig, out: str, metrics: MetricsWriter) -> in
 
 
 def cmd_bc_policy(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
-    state, _ = _load_input(cfg)
+    state = _load_input(cfg)
     train, _, _ = _corpora(cfg)
     train_bc(state, train, cfg.train(), metrics_cb=metrics.append)
     save_checkpoint(state, os.path.join(out, "bc.ckpt"), "bc-policy", cfg.steps)
@@ -154,7 +154,7 @@ def cmd_bc_policy(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
 
 
 def cmd_fta(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
-    state, _ = _load_input(cfg)
+    state = _load_input(cfg)
     train, _, _ = _corpora(cfg)
     split = make_sft_split(train, cfg.prompt_len)
     train_fta(state, split, cfg.train(), cfg.sft_type, metrics.append)
@@ -165,7 +165,7 @@ def cmd_fta(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
 
 
 def cmd_rl(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
-    state, _ = _load_input(cfg)
+    state = _load_input(cfg)
     _check_max_len(cfg, state, "rl_max_len")
     _, val, _ = _corpora(cfg)
     prompts = _prompts(cfg, val, state.cfg.eos_token_id)
@@ -180,7 +180,7 @@ def cmd_rl(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
 
 
 def cmd_train_q(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
-    state, _ = _load_input(cfg)
+    state = _load_input(cfg)
     _check_max_len(cfg, state, "rl_max_len")
     _, val, _ = _corpora(cfg)
     prompts = _prompts(cfg, val, state.cfg.eos_token_id)
@@ -207,7 +207,7 @@ def cmd_train_q(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
 
 
 def cmd_rollout(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
-    state, _ = _load_input(cfg)
+    state = _load_input(cfg)
     _check_max_len(cfg, state, "search_max_len")
     _, val, _ = _corpora(cfg)
     prompt = _prompt_tokens(cfg, val, state.cfg)
@@ -223,7 +223,7 @@ def cmd_rollout(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
 
 def _run_search(cfg: RunConfig, out: str, metrics: MetricsWriter,
                 use_q: bool) -> int:
-    state, _ = _load_input(cfg)
+    state = _load_input(cfg)
     _check_max_len(cfg, state, "search_max_len")
     _, val, _ = _corpora(cfg)
     prompt = _prompt_tokens(cfg, val, state.cfg)
@@ -248,7 +248,7 @@ def _run_search(cfg: RunConfig, out: str, metrics: MetricsWriter,
 
 
 def cmd_eval(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
-    state, _ = _load_input(cfg)
+    state = _load_input(cfg)
     _check_max_len(cfg, state, "search_max_len")
     _, val, states = _corpora(cfg)
     rng = np.random.default_rng(cfg.seed)

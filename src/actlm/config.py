@@ -74,9 +74,13 @@ class TrainConfig:
 
     def __post_init__(self):
         _require(self, "must be > 0", lambda v: v > 0,
-                 "learning_rate", "grad_clip_norm")
-        _require(self, "must be >= 1", lambda v: v >= 1, "batch_size")
-        _require(self, "must be >= 0", lambda v: v >= 0, "beta")
+                 "learning_rate", "grad_clip_norm", "gumbel_temp")
+        _require(self, "must be >= 1", lambda v: v >= 1,
+                 "batch_size", "sync_interval")
+        # a leave-one-out baseline needs a sibling
+        _require(self, "must be >= 2", lambda v: v >= 2, "rl_group_size")
+        _require(self, "must be >= 0", lambda v: v >= 0,
+                 "beta", "kl_coef", "weight_decay")
         _require(self, "must be in (0, 1]", lambda v: 0 < v <= 1, "gamma", "tau")
 
 

@@ -89,7 +89,7 @@ def marginal_kl(state: ModelState, contexts) -> float:
 
 
 def val_loss(state: ModelState, corpus, mode: str, gumbel_temp: float = 1.0) -> float:
-    """Mean next-token CE: world model under eval-mode inverse actions
+    """Mean next-token CE: world model under the inverse labels' actions
     ('with_actions') or the plain base lm-head ('base_ar'). Both read the
     corpus's memoised `training.val_sweep` (keyed by the corpus bytes, the
     active dtype and the base and inverse hashes; the slot holds one
@@ -112,8 +112,8 @@ def val_loss(state: ModelState, corpus, mode: str, gumbel_temp: float = 1.0) -> 
 
 def action_token_table(state: ModelState, corpus,
                        gumbel_temp: float = 1.0) -> np.ndarray:
-    """(N, V) counts of next tokens grouped by the eval-mode inverse action
-    assigned to their position, from the corpus's memoised
+    """(N, V) counts of next tokens grouped by the inverse label of their
+    position, from the corpus's memoised
     `training.val_sweep` (see `val_loss`)."""
     table = np.zeros((state.cfg.codebook_size, state.cfg.vocab_size), dtype=np.int64)
     for chunk, _, labels in val_sweep(state, corpus, gumbel_temp):

@@ -283,8 +283,9 @@ def mcts_search(model, prompt, cfg: SearchConfig, reward_fn,
                         n_nodes=n_nodes, scorer_failures=score.failures)
 
 
-def audit_tree(root: MctsNode, max_reward: float = 1.0) -> None:
-    """Raise if any structural invariant is violated anywhere in the tree."""
+def audit_tree(root: MctsNode) -> None:
+    """Raise if any structural invariant is violated anywhere in the tree,
+    whose rewards lie in [0, 1]."""
     stack = [root]
     while stack:
         node = stack.pop()
@@ -293,11 +294,11 @@ def audit_tree(root: MctsNode, max_reward: float = 1.0) -> None:
             raise AssertionError("parent visit count below children's sum")
         if node.visits > 0:
             mean = node.q_sum / node.visits
-            if not -1e-9 <= mean <= max_reward + 1e-9:
+            if not -1e-9 <= mean <= 1.0 + 1e-9:
                 raise AssertionError("mean node value outside reward range")
-        if node.q_sum > node.visits * max_reward + 1e-9:
+        if node.q_sum > node.visits + 1e-9:
             raise AssertionError("value sum exceeds visits * max reward")
-        if node.sim_value is not None and not -1e-9 <= node.sim_value <= max_reward + 1e-9:
+        if node.sim_value is not None and not -1e-9 <= node.sim_value <= 1.0 + 1e-9:
             raise AssertionError("simulation value outside reward range")
         if node.pending:
             raise AssertionError("pending leaf count left after the search")

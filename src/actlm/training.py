@@ -19,9 +19,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .actions import (Decoder, assign_direct, assign_vq, check_prompts,
-                      generate, inverse_encode, one_hot, policy_forward,
-                      policy_log_probs, q_forward, row_ends, world_logits)
+from .actions import (Decoder, action_logits, assign_direct, assign_vq,
+                      check_prompts, generate, inverse_encode, one_hot,
+                      policy_forward, policy_log_probs, q_forward, row_ends,
+                      world_logits)
 from .config import TrainConfig
 from .data import Scorer, SftSplit
 from .model import ModelState, base_forward, base_logits
@@ -98,17 +99,10 @@ class AdamW:
         return {"grad_norm": norm, "skipped_nonfinite": 0.0}
 
 
-def _frozen_base_embeddings(state: ModelState, tokens):
-    """Base embeddings with the gradient path into the base severed. The
-    base forward stays off the tape: no gradient reaches it, and its graph
-    would otherwise live through the step's backward pass."""
-    with ad.untaped():
-        e_l = base_forward(state.groups["base"], state.cfg, tokens)
-    return ad.stop_grad(e_l)
-
-
 # ---------------------------------------------------------------------------
-# Loss builders (graph constructors; no tape management here)
+# Loss builders (graph constructors; no tape management here). A loss whose
+# stage freezes the base takes e_l, the base embeddings of its tokens, from
+# the stage's batch_fn, which runs outside the tape: e_l is a constant.
 # ---------------------------------------------------------------------------
 
 def loss_base_ar(state: ModelState, tokens):
@@ -119,20 +113,20 @@ def loss_base_ar(state: ModelState, tokens):
     return loss, {"loss": loss.item()}
 
 
-def loss_pre1(state: ModelState, tokens, cfg: TrainConfig, rng=None,
-              mode: str = "train", assignment: str = "direct"):
+def loss_pre1(state: ModelState, tokens, e_l: Tensor, cfg: TrainConfig, rng,
+              assignment: str):
     """Joint inverse/world objective: action-conditioned prediction CE plus
-    beta times the per-position sum of g*log(g). Base is frozen.
+    beta times the per-position sum of g*log(g) under direct assignment,
+    whose Gumbel noise rng draws, or the pull terms under nearest-code
+    ("vq") assignment. Base is frozen.
 
     Returns (total, parts, assignment_indices)."""
-    tokens = np.asarray(tokens)
-    e_l = _frozen_base_embeddings(state, tokens)
     e_i = inverse_encode(state.groups["inverse"], state.cfg, e_l)
     e_ctx = ad.slice_time(e_l, 0, -1)
     targets = tokens[:, 1:]
     if assignment == "direct":
         assign = assign_direct(state.groups["inverse"], state.groups["codebook"],
-                               e_i, cfg.gumbel_temp, rng=rng, mode=mode)
+                               e_i, cfg.gumbel_temp, rng)
         logits = world_logits(state.groups["merge"], state.cfg, e_ctx, assign.action)
         predict = ad.mean_(ad.cross_entropy(logits, targets))
         # sum_k g log g per position, averaged; 0*log(0) -> 0 via clamping
@@ -153,13 +147,11 @@ def loss_pre1(state: ModelState, tokens, cfg: TrainConfig, rng=None,
     raise ValueError(f"unknown assignment mode: {assignment!r}")
 
 
-def inverse_labels(state: ModelState, e_l: Tensor, gumbel_temp: float) -> np.ndarray:
-    """Eval-mode inverse assignment indices (B, T-1) from the base
-    embeddings of the tokens."""
+def inverse_labels(state: ModelState, e_l: Tensor) -> np.ndarray:
+    """Inverse action labels (B, T-1) from the base embeddings of the
+    tokens: the argmax of the inverse's action logits."""
     e_i = inverse_encode(state.groups["inverse"], state.cfg, e_l)
-    assign = assign_direct(state.groups["inverse"], state.groups["codebook"],
-                           e_i, gumbel_temp, mode="eval")
-    return assign.index
+    return action_logits(state.groups["inverse"], e_i).data.argmax(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +218,7 @@ def chunk_map(fn, chunks: list) -> list:
 @dataclass
 class ValSweep:
     """The base embeddings of one corpus, one array per `sweep_rows` chunk,
-    and their eval-mode inverse labels once asked for; all read-only."""
+    and their inverse labels once asked for; all read-only."""
     key: tuple
     e_l: list[np.ndarray]
     labels: list[np.ndarray] | None = None
@@ -239,19 +231,19 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def _sweep_chunk(state: ModelState, chunk, e_l, gumbel_temp):
     """One sweep task: the chunk's base embeddings unless e_l holds them,
-    and its eval-mode inverse labels when gumbel_temp is given, else None."""
+    and its inverse labels when gumbel_temp is given, else None."""
     if e_l is None:
         e_l = _read_only(base_forward(state.groups["base"], state.cfg, chunk).data)
     labels = None if gumbel_temp is None else \
-        _read_only(inverse_labels(state, Tensor(e_l), gumbel_temp))
+        _read_only(inverse_labels(state, Tensor(e_l)))
     return e_l, labels
 
 
 def val_sweep(state: ModelState, corpus, gumbel_temp: float | None = None):
     """[(chunk, e_l, labels)] over the corpus in chunks of
     `sweep_rows(T)` rows, in order: the chunk's base embeddings and, when
-    gumbel_temp is given, its eval-mode inverse labels (rows, T-1), else
-    None. Nothing is taped.
+    gumbel_temp is given, its inverse labels (rows, T-1), else None.
+    Nothing is taped.
 
     What the slot lacks is computed by one `chunk_map` task per chunk: the
     base forward unless held, and the labels when asked for. A row's
@@ -263,8 +255,8 @@ def val_sweep(state: ModelState, corpus, gumbel_temp: float | None = None):
     keyed by the corpus's shape, dtype and sha256, the active dtype, and the
     base and inverse group hashes, so another corpus, `set_precision` or a
     changed base or inverse weight recomputes it. Labels are computed from
-    the held embeddings on first request; the eval-mode argmax does not
-    depend on gumbel_temp, which is only checked."""
+    the held embeddings on first request; the labels, an argmax of the
+    action logits, do not depend on gumbel_temp, which is only checked."""
     corpus = np.asarray(corpus)
     if gumbel_temp is not None and gumbel_temp <= 0:
         raise ValueError("gumbel_temp must be > 0")
@@ -308,26 +300,18 @@ def sweep_mean_ce(state: ModelState, corpus, chunk_ce,
 
 
 def inverse_action_labels(state: ModelState, tokens, gumbel_temp: float) -> np.ndarray:
-    """Eval-mode inverse assignment indices (B, T-1) of a corpus, joined
-    from its memoised `val_sweep` (see there for the key; the slot holds
-    one corpus). Nothing is recorded even inside a tape."""
+    """Inverse action labels (B, T-1) of a corpus, joined from its memoised
+    `val_sweep` (see there for the key; the slot holds one corpus). Nothing
+    is recorded even inside a tape."""
     sweep = val_sweep(state, tokens, gumbel_temp)
     return np.concatenate([labels for _, _, labels in sweep])
 
 
-def loss_pre2(state: ModelState, tokens, labels=None, start: int = 0,
-              gumbel_temp: float = 1.0, e_l: Tensor | None = None):
+def loss_pre2(state: ModelState, e_l: Tensor, labels: np.ndarray, start: int):
     """Behavior cloning: CE of the policy against inverse action labels over
-    positions t in [1+start, T-1]. Inverse and base are frozen; `e_l`, the
-    base embeddings of the tokens if already computed, is used as a
-    constant.
+    positions t in [1+start, T-1]. Inverse and base are frozen.
 
     Returns (loss, parts)."""
-    tokens = np.asarray(tokens)
-    e_l = _frozen_base_embeddings(state, tokens) if e_l is None else ad.stop_grad(e_l)
-    if labels is None:
-        with ad.untaped():
-            labels = inverse_labels(state, e_l, gumbel_temp)
     logp = policy_log_probs(state.groups["policy"], state.cfg, e_l)
     # label row j is a_{j+1}, chosen from context e_l[:, j]
     logp_ctx = ad.slice_time(logp, start, -1)
@@ -338,29 +322,17 @@ def loss_pre2(state: ModelState, tokens, labels=None, start: int = 0,
     return loss, {"bc": loss.item()}
 
 
-def fta_actions(state: ModelState, tokens) -> np.ndarray:
-    """FTA-P action indices (B, T-1): the greedy frozen policy's argmax.
-    Forward-only."""
-    with ad.untaped():
-        e_l = base_forward(state.groups["base"], state.cfg, np.asarray(tokens))
-        probs = policy_forward(state.groups["policy"], state.cfg, e_l)
-    return probs.data[:, :-1, :].argmax(axis=-1)
-
-
-def loss_fta(state: ModelState, tokens, prompt_len: int, action_indices=None,
-             gumbel_temp: float = 1.0):
+def loss_fta(state: ModelState, tokens, prompt_len: int, actions_fn):
     """World-model CE restricted to response positions t in [p, T-1], with
-    actions held fixed; only the base receives the update. Without
-    action_indices the actions are the FTA-I labels, the frozen inverse's
-    eval-mode assignment from this loss's own base forward."""
-    tokens = np.asarray(tokens)
-    t_total = tokens.shape[1]
-    if prompt_len >= t_total:
+    actions held fixed; only the base receives the update. The base trains,
+    so the loss runs its forward on the tape; actions_fn(e_l) reads the
+    action indices (B, T-1) from those embeddings, untaped, and they enter
+    as constants."""
+    if prompt_len >= tokens.shape[1]:
         raise ValueError("empty response: prompt_len >= sequence length")
     e_l = base_forward(state.groups["base"], state.cfg, tokens)
-    if action_indices is None:
-        with ad.untaped():
-            action_indices = inverse_labels(state, e_l, gumbel_temp)
+    with ad.untaped():
+        action_indices = actions_fn(e_l)
     action = ad.stop_grad(ad.embedding(state.groups["codebook"]["codes"],
                                        action_indices[:, prompt_len - 1:]))
     e_ctx = ad.slice_time(e_l, prompt_len - 1, -1)
@@ -396,15 +368,16 @@ def decision_mask(tokens: np.ndarray, prompt_len: int, eos: int) -> np.ndarray:
 
 
 def rl_batch(state: ModelState, prompts: np.ndarray, reward_fn,
-             cfg: TrainConfig, rng, max_len: int) -> dict:
+             cfg: TrainConfig, rng, max_len: int,
+             ref_policy: dict[str, Tensor]) -> dict:
     """Rollouts and advantages for one leave-one-out update; forward-only.
 
     For each prompt, rl_group_size rollouts are drawn (sampled actions,
     greedy tokens); each rollout's advantage is its reward minus the mean of
     its group siblings. A reward_fn that raises scores its rollout 0 and is
-    counted in scorer_failures."""
-    if cfg.rl_group_size < 2:
-        raise ValueError("rl_group_size must be >= 2")
+    counted in scorer_failures. The batch also holds the frozen base's
+    embeddings e_l of the rollouts and the reference policy's log-probs
+    ref_logp (B, steps, N) at the context each step decided from."""
     n_prompts, p_len = np.shape(prompts)
     g = cfg.rl_group_size
     tokens, actions = rollout_batch(state, np.repeat(prompts, g, axis=0),
@@ -414,21 +387,21 @@ def rl_batch(state: ModelState, prompts: np.ndarray, reward_fn,
     groups = rewards.reshape(n_prompts, g)
     adv = (groups - (groups.sum(axis=1, keepdims=True) - groups) / (g - 1)).reshape(-1)
     valid = decision_mask(tokens, p_len, state.cfg.eos_token_id)
+    e_l = base_forward(state.groups["base"], state.cfg, tokens)
+    ref_logp = policy_log_probs(ref_policy, state.cfg, e_l).data[:, p_len - 1:-1]
     return {"tokens": tokens, "actions": actions, "advantages": adv,
             "valid": valid.astype(ad.active_dtype()), "rewards": rewards,
-            "scorer_failures": score.failures}
+            "scorer_failures": score.failures, "e_l": e_l, "ref_logp": ref_logp}
 
 
-def loss_rl(state: ModelState, batch: dict, ref_policy: dict[str, Tensor],
-            cfg: TrainConfig):
+def loss_rl(state: ModelState, batch: dict, cfg: TrainConfig):
     """Policy-gradient loss on an rl_batch, plus kl_coef times the KL of the
     latent-action distributions from the frozen reference policy. Steps
     after eos count in neither term. Returns (total, parts)."""
     tokens, actions, valid = batch["tokens"], batch["actions"], batch["valid"]
     n_steps = actions.shape[1]
     p_len = tokens.shape[1] - n_steps
-    e_l = _frozen_base_embeddings(state, tokens)
-    logp = policy_log_probs(state.groups["policy"], state.cfg, e_l)
+    logp = policy_log_probs(state.groups["policy"], state.cfg, batch["e_l"])
     # action at generation step s was chosen from context position p_len-1+s
     logp_steps = ad.slice_time(logp, p_len - 1, p_len - 1 + n_steps)
     onehot = one_hot(actions, state.cfg.codebook_size) * valid[..., None]
@@ -438,11 +411,7 @@ def loss_rl(state: ModelState, batch: dict, ref_policy: dict[str, Tensor],
                   -1.0 / len(tokens))
 
     probs = ad.exp(logp_steps)
-    with ad.untaped():
-        ref_logp = policy_log_probs(ref_policy, state.cfg, e_l)
-        ref_logp = ad.slice_time(ref_logp, p_len - 1, p_len - 1 + n_steps)
-    ref_logp = ad.stop_grad(ref_logp)
-    kl_pos = ad.sum_(ad.mul(probs, ad.sub(logp_steps, ref_logp)), axis=2)
+    kl_pos = ad.sum_(ad.mul(probs, ad.sub(logp_steps, batch["ref_logp"])), axis=2)
     kl = ad.scale(ad.sum_(ad.mul(kl_pos, Tensor(valid))), 1.0 / len(tokens))
 
     total = ad.add(pg, ad.scale(kl, cfg.kl_coef)) if cfg.kl_coef else pg
@@ -529,7 +498,8 @@ def run_stage(state: ModelState, stage: str, trainable: tuple[str, ...],
     """The training loop of every stage; returns the per-step records.
 
     Each step draws batch = batch_fn(rng) outside the tape (forward-only
-    work: sampling, labels, rollouts, targets), builds (loss, parts) =
+    work: sampling, a frozen base's embeddings, labels, rollouts,
+    targets), builds (loss, parts) =
     loss_fn(batch) inside it, aborts on a non-finite loss, steps AdamW on
     the trainable groups, runs after_step(step) and hands the record
     {stage, step, **parts, grad_norm, skipped_nonfinite} to metrics_cb.
@@ -564,13 +534,24 @@ def _check_frozen(state: ModelState, before: dict[str, str], stage: str) -> None
         raise RuntimeError(f"frozen groups drifted during {stage}: {drifted}")
 
 
+def _draw_rows(corpus, cfg: TrainConfig, rng):
+    return corpus[rng.integers(0, len(corpus), size=cfg.batch_size)]
+
+
+def _frozen_batch(state: ModelState, corpus, cfg: TrainConfig, rng):
+    """(tokens, e_l) for a stage that freezes the base: rows drawn for one
+    step and the base's embeddings of them, computed in the stage's
+    batch_fn, outside the tape."""
+    tokens = _draw_rows(corpus, cfg, rng)
+    return tokens, base_forward(state.groups["base"], state.cfg, tokens)
+
+
 def pretrain_base_ar(state: ModelState, corpus, val_corpus, cfg: TrainConfig,
                      metrics_cb=None) -> float:
     """AR-pretrain the base; returns final held-out CE."""
     run_stage(state, "pretrain-base", ("base",),
               ("merge", "inverse", "policy", "codebook", "q_online", "q_target"),
-              cfg.steps, cfg,
-              lambda rng: corpus[rng.integers(0, len(corpus), size=cfg.batch_size)],
+              cfg.steps, cfg, lambda rng: _draw_rows(corpus, cfg, rng),
               lambda tokens: loss_base_ar(state, tokens), metrics_cb)
     return eval_base_ce(state, val_corpus)
 
@@ -594,52 +575,49 @@ def train_stage1(state: ModelState, corpus, cfg: TrainConfig,
     noise_rng = np.random.default_rng(cfg.seed + 1)
     usage = np.zeros(state.cfg.codebook_size, dtype=np.int64)
 
-    def loss_fn(tokens):
-        total, parts, index = loss_pre1(state, tokens, cfg, rng=noise_rng,
-                                        mode="train", assignment=assignment)
+    def loss_fn(batch):
+        total, parts, index = loss_pre1(state, *batch, cfg, noise_rng, assignment)
         usage[:] += np.bincount(index.reshape(-1), minlength=len(usage))
         return total, {**parts, "alive_actions": int((usage > 0).sum())}
 
     run_stage(state, "stage1", ("inverse", "codebook", "merge"), ("base", "policy"),
-              cfg.steps, cfg,
-              lambda rng: corpus[rng.integers(0, len(corpus), size=cfg.batch_size)],
+              cfg.steps, cfg, lambda rng: _frozen_batch(state, corpus, cfg, rng),
               loss_fn, metrics_cb)
     return usage
 
 
 def train_bc(state: ModelState, corpus, cfg: TrainConfig, start: int = 0,
              stage: str = "bc-policy", metrics_cb=None) -> None:
-    """Behavior-clone the policy onto eval-mode inverse labels."""
+    """Behavior-clone the policy onto the inverse labels."""
     def batch_fn(rng):
-        tokens = corpus[rng.integers(0, len(corpus), size=cfg.batch_size)]
+        _, e_l = _frozen_batch(state, corpus, cfg, rng)
         # one base forward serves the labels and the loss
-        e_l = base_forward(state.groups["base"], state.cfg, tokens)
-        return tokens, inverse_labels(state, e_l, cfg.gumbel_temp), e_l
+        return e_l, inverse_labels(state, e_l)
 
     run_stage(state, stage, ("policy",), ("base", "merge", "inverse", "codebook"),
               cfg.steps, cfg, batch_fn,
-              lambda batch: loss_pre2(state, batch[0], batch[1], start=start,
-                                      e_l=batch[2]), metrics_cb)
+              lambda batch: loss_pre2(state, *batch, start), metrics_cb)
 
 
 def train_fta(state: ModelState, split: SftSplit, cfg: TrainConfig, mode: str,
               metrics_cb=None) -> None:
     """Fine-tune the base under fixed actions (FTA-I or FTA-P) on an SFT
     split; the merge module stays frozen. FTA-I is followed by a policy
-    refresh restricted to response positions."""
-    if mode not in ("FTA-I", "FTA-P"):
+    refresh restricted to response positions. The actions are read from
+    the loss's own base forward: the inverse labels for FTA-I, the frozen
+    policy's argmax for FTA-P."""
+    def policy_argmax(e_l):
+        probs = policy_forward(state.groups["policy"], state.cfg, e_l)
+        return probs.data[:, :-1].argmax(axis=-1)
+
+    actions_fn = {"FTA-I": lambda e_l: inverse_labels(state, e_l),
+                  "FTA-P": policy_argmax}.get(mode)
+    if actions_fn is None:
         raise ValueError(f"unknown FTA mode: {mode!r}")
     corpus, prompt_len = split.tokens, split.prompt_len
-
-    def batch_fn(rng):
-        tokens = corpus[rng.integers(0, len(corpus), size=cfg.batch_size)]
-        # FTA-I labels come from loss_fta's own base forward
-        return tokens, None if mode == "FTA-I" else fta_actions(state, tokens)
-
     run_stage(state, f"fta-{mode}", ("base",), ("merge", "inverse", "codebook"),
-              cfg.steps, cfg, batch_fn,
-              lambda batch: loss_fta(state, batch[0], prompt_len, batch[1],
-                                     cfg.gumbel_temp),
+              cfg.steps, cfg, lambda rng: _draw_rows(corpus, cfg, rng),
+              lambda tokens: loss_fta(state, tokens, prompt_len, actions_fn),
               metrics_cb)
     if mode == "FTA-I":
         train_bc(state, corpus, cfg, start=prompt_len - 1,
@@ -654,8 +632,8 @@ def train_rl(state: ModelState, prompts, reward_fn, cfg: TrainConfig,
     records = run_stage(
         state, "rl", ("policy",), ("base", "merge", "inverse", "codebook"),
         updates, cfg,
-        lambda rng: rl_batch(state, prompts, reward_fn, cfg, rng, max_len),
-        lambda batch: loss_rl(state, batch, ref_policy, cfg), metrics_cb)
+        lambda rng: rl_batch(state, prompts, reward_fn, cfg, rng, max_len, ref_policy),
+        lambda batch: loss_rl(state, batch, cfg), metrics_cb)
     return [r["rl_reward_mean"] for r in records]
 
 

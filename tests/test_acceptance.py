@@ -210,26 +210,26 @@ def test_gradient_fidelity_of_primitives(verify_mode):
 def test_gradient_fidelity_of_full_losses(verify_mode):
     state, tokens = _well_conditioned_toy()
     tcfg = TrainConfig()
+    e_l = base_forward(state.groups["base"], state.cfg, tokens)
 
     def build_pre1():
         # fresh rng per evaluation: identical noise at every probe point
-        return loss_pre1(state, tokens, tcfg, rng=np.random.default_rng(7),
-                         mode="train")[0]
+        return loss_pre1(state, tokens, e_l, tcfg, np.random.default_rng(7),
+                         "direct")[0]
 
     err1 = finite_diff_check(
         build_pre1, list(state.params("inverse", "codebook", "merge").values()))
     assert err1 < 1e-6, f"stage-1 loss: {err1:.3e}"
 
-    labels = inverse_action_labels(state, tokens, 1.0)
+    labels = inverse_labels(state, e_l)
     err2 = finite_diff_check(
-        lambda: loss_pre2(state, tokens, labels=labels)[0],
+        lambda: loss_pre2(state, e_l, labels, 0)[0],
         list(state.params("policy").values()))
     assert err2 < 1e-6, f"cloning loss: {err2:.3e}"
 
-    idx = inverse_labels(state, base_forward(state.groups["base"], state.cfg, tokens),
-                         1.0)
+    # actions held fixed while the base is perturbed
     err3 = finite_diff_check(
-        lambda: loss_fta(state, tokens, 2, idx)[0],
+        lambda: loss_fta(state, tokens, 2, lambda _: labels)[0],
         list(state.params("base").values()))
     assert err3 < 1e-6, f"action-conditioned tuning loss: {err3:.3e}"
 
@@ -248,8 +248,7 @@ def test_straight_through_forward_is_exact_one_hot():
         e_l = base_forward(state.groups["base"], arch, tokens)
         e_i = inverse_encode(state.groups["inverse"], arch, e_l)
         assign = assign_direct(state.groups["inverse"],
-                               state.groups["codebook"], e_i, 1.0,
-                               rng=rng, mode="train")
+                               state.groups["codebook"], e_i, 1.0, rng)
         expected = np.zeros_like(assign.soft.data)
         np.put_along_axis(expected, assign.soft.data.argmax(-1)[..., None],
                           1.0, -1)

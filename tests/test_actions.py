@@ -6,10 +6,11 @@ import pytest
 
 from actlm import autodiff as ad
 from actlm.autodiff import Tape, Tensor, set_precision
-from actlm.actions import (assign_direct, assign_vq, inverse_encode,
-                           policy_forward, world_logits)
+from actlm.actions import (action_logits, assign_direct, assign_vq,
+                           inverse_encode, policy_forward, world_logits)
 from actlm.config import ArchConfig
 from actlm.model import init_model
+from actlm.training import inverse_labels
 
 
 CFG = ArchConfig(vocab_size=9, d_model=8, n_heads=2, max_seq_len=12,
@@ -28,7 +29,7 @@ def test_straight_through_forwards_exact_one_hot():
     state, e_l = make_inputs()
     e_i = inverse_encode(state.groups["inverse"], CFG, e_l)
     a = assign_direct(state.groups["inverse"], state.groups["codebook"], e_i,
-                      1.0, rng=np.random.default_rng(0), mode="train")
+                      1.0, np.random.default_rng(0))
     np.testing.assert_array_equal(a.straight.data, a.hard)
     assert ((a.hard == 1).sum(axis=-1) == 1).all()
     np.testing.assert_allclose(a.soft.data.sum(axis=-1), 1.0, atol=1e-6)
@@ -80,26 +81,29 @@ def test_gumbel_max_frequencies_match_softmax():
     np.testing.assert_allclose(freq, target, atol=0.015)
 
 
-def test_assign_direct_eval_is_deterministic_argmax():
+def test_inverse_labels_are_the_deterministic_argmax_of_the_logits():
     state, e_l = make_inputs()
     e_i = inverse_encode(state.groups["inverse"], CFG, e_l)
-    a = assign_direct(state.groups["inverse"], state.groups["codebook"], e_i,
-                      1.0, mode="eval")
-    b = assign_direct(state.groups["inverse"], state.groups["codebook"], e_i,
-                      1.0, mode="eval")
-    np.testing.assert_array_equal(a.index, b.index)
-    np.testing.assert_array_equal(a.index, a.logits.data.argmax(-1))
+    logits = action_logits(state.groups["inverse"], e_i).data
+    np.testing.assert_array_equal(
+        logits, e_i.data @ state.groups["inverse"]["action_head"].data)
+    labels = inverse_labels(state, e_l)
+    np.testing.assert_array_equal(labels, logits.argmax(-1))
+    np.testing.assert_array_equal(labels, inverse_labels(state, e_l))
 
 
-def test_assign_direct_requires_rng_in_train_mode():
+def test_a_nan_action_head_raises_by_name():
+    """A non-finite action logit fails labeling and the stage-1 assignment
+    alike, naming the logits."""
     state, e_l = make_inputs()
     e_i = inverse_encode(state.groups["inverse"], CFG, e_l)
-    with pytest.raises(ValueError):
-        assign_direct(state.groups["inverse"], state.groups["codebook"], e_i,
-                      1.0, mode="train")
-    with pytest.raises(ValueError):
-        assign_direct(state.groups["inverse"], state.groups["codebook"], e_i,
-                      0.0, mode="eval")
+    state.groups["inverse"]["action_head"].data[0, 1] = np.nan
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="non-finite action logits"):
+            inverse_labels(state, e_l)
+        with pytest.raises(FloatingPointError, match="non-finite action logits"):
+            assign_direct(state.groups["inverse"], state.groups["codebook"], e_i,
+                          1.0, np.random.default_rng(0))
 
 
 def test_assign_vq_picks_nearest_with_lowest_index_ties():
@@ -167,8 +171,7 @@ def test_inverse_encode_sees_one_step_of_future():
     def labels(tok):
         e_l = base_forward(state.groups["base"], CFG, tok)
         e_i = inverse_encode(state.groups["inverse"], CFG, e_l)
-        return assign_direct(state.groups["inverse"], state.groups["codebook"],
-                             e_i, 1.0, mode="eval").logits.data
+        return action_logits(state.groups["inverse"], e_i).data
 
     base = labels(tokens)
     mutated = tokens.copy()

@@ -170,11 +170,14 @@ def test_every_default_has_one_source():
     ("gamma", "2"), ("n_heads", "3"), ("c_uct", "-1"), ("n_samples", "1"),
     ("batch_size", "0"), ("learning_rate", "0"), ("expand_width", "0"),
     ("hmm_train_count", "0"), ("hmm_val_count", "0"), ("hmm_seq_len", "1"),
-    ("rl_max_len", "8")])
+    ("rl_max_len", "8"), ("gumbel_temp", "0"), ("sync_interval", "0"),
+    ("rl_group_size", "1"), ("kl_coef", "-1"), ("weight_decay", "-5")])
 def test_component_rejections_fail_at_load(key, value):
     """Every component is built when the config is, so a value one rejects
     fails whichever subcommand would read it; so do a one-token corpus row
-    and an rl_max_len that leaves the default prompt_len no decision."""
+    and an rl_max_len that leaves the default prompt_len no decision. A
+    leave-one-out group needs two rollouts, a target sync a positive
+    interval, and the Gumbel softmax a positive temperature."""
     with pytest.raises(ConfigError, match=key):
         load_run_config(None, [f"--{key}", value])
     with pytest.raises(ConfigError, match=key):

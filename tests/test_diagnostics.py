@@ -196,7 +196,7 @@ def test_val_loss_with_actions_matches_separate_label_forward():
                     gumbel_temp=0.5) == float(ce.data.sum()) / ce.data.size
 
 
-def per_chunk_reference(state, corpus, gumbel_temp):
+def per_chunk_reference(state, corpus):
     """Every sweep reader recomputed the way the readers did before they
     shared a sweep: each sweep_rows(T)-row chunk gets a base forward of its
     own for the CEs, and another one for its labels."""
@@ -207,8 +207,7 @@ def per_chunk_reference(state, corpus, gumbel_temp):
     for i in range(0, len(corpus), rows):
         chunk = corpus[i:i + rows]
         e_l = base_forward(base, cfg, chunk)
-        chunk_labels = inverse_labels(state, base_forward(base, cfg, chunk),
-                                      gumbel_temp)
+        chunk_labels = inverse_labels(state, base_forward(base, cfg, chunk))
         labels.append(chunk_labels)
         np.add.at(table, (chunk_labels.reshape(-1), chunk[:, 1:].reshape(-1)), 1)
         action = ad.embedding(state.groups["codebook"]["codes"], chunk_labels)
@@ -240,7 +239,7 @@ def test_sweep_readers_match_per_chunk_recompute(first):
     cold slot, then every reader on the slot the first one filled."""
     state = init_model(CFG, 5)
     corpus = np.random.default_rng(5).integers(0, 9, size=(sweep_rows(7) + 6, 7))
-    want = per_chunk_reference(state, corpus, 0.5)
+    want = per_chunk_reference(state, corpus)
     assert state.sweep is None
     assert np.array_equal(SWEEP_READERS[first](state, corpus), want[first])
     warm = state.sweep
@@ -262,8 +261,7 @@ def test_eval_report_encodes_each_val_chunk_once(tmp_path, monkeypatch):
         "--eval_contexts", "4", "--prompt_len", "5", "--prefix_len", "5",
         "--rl_max_len", "8", "--n_samples", "2"])
     _, val, _ = cli._corpora(cfg)
-    monkeypatch.setattr(cli, "_load_input",
-                        lambda cfg: (init_model(cfg.arch(), 0), {}))
+    monkeypatch.setattr(cli, "_load_input", lambda cfg: init_model(cfg.arch(), 0))
     encoded = []
     for module in (model, training, diagnostics, actions):
         real = module.base_forward

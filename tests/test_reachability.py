@@ -1,6 +1,8 @@
 """Reachability: every top-level function and class in src/actlm is
 referenced somewhere other than its own definition, in src or in the
-benchmark, or is a named test oracle."""
+benchmark, or is a named test oracle; and every defaulted parameter of a
+src function is passed by some src or benchmark call, or is named with
+its reason."""
 
 import ast
 import pathlib
@@ -21,6 +23,18 @@ ALLOWED = {
                          "the Bayes-optimal cross-entropy are checked against",
     "metrics.read_metrics": "reads metrics.jsonl back in the CLI and "
                             "reproducibility tests",
+}
+
+
+# Defaulted parameters that no src or benchmark call passes, each kept for
+# the reason given.
+ALLOWED_DEFAULTS = {
+    "main.argv": "the CLI tests drive the command line through it",
+    "Tape.gradients.seed": "the test oracle for a non-scalar output's "
+                           "backward pass",
+    "finite_diff_check.eps": "the step of the finite-difference test oracle",
+    "save_checkpoint.rng_state": "resuming a killed stage bitwise (ROADMAP "
+                                 "item 5) will save the stage's rng state",
 }
 
 
@@ -62,3 +76,69 @@ def unreached() -> set[str]:
 
 def test_every_top_level_definition_is_reached():
     assert unreached() == set(ALLOWED)
+
+
+def defaulted_parameters(tree: ast.Module) -> dict[str, tuple]:
+    """{"func.param" or "Class.method.param": (the name a call uses, the
+    parameter name, its index among a call's positional arguments, None
+    for a keyword-only one)} over the module's top-level functions and the
+    methods of its top-level classes. A method's call drops self; an
+    __init__ is called by its class's name."""
+    out = {}
+
+    def visit(fn, qual, called, method):
+        args = fn.args
+        pos = args.posonlyargs + args.args
+        first = len(pos) - len(args.defaults)
+        for i, arg in enumerate(pos[first:], first):
+            out[f"{qual}.{arg.arg}"] = (called, arg.arg, i - method)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                out[f"{qual}.{arg.arg}"] = (called, arg.arg, None)
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            visit(node, node.name, node.name, 0)
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):  # src has no static methods
+                    visit(fn, f"{node.name}.{fn.name}",
+                          node.name if fn.name == "__init__" else fn.name, 1)
+    return out
+
+
+def calls(tree: ast.AST):
+    """(called name, positional count, keyword names) of every call in a
+    tree; a *args or **kwargs argument counts as passing every parameter,
+    by position or by keyword, respectively."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else \
+            func.attr if isinstance(func, ast.Attribute) else None
+        n_pos = float("inf") if any(isinstance(a, ast.Starred) for a in node.args) \
+            else len(node.args)
+        keywords = {k.arg for k in node.keywords}
+        yield name, n_pos, keywords
+
+
+def unpassed_defaults() -> set[str]:
+    """Every defaulted parameter of a src function that no call in src or
+    in a benchmark file except the benchmark's own tests passes, by
+    keyword or by position. Calls are matched by the called name alone, so
+    a call to another function of the same name counts too."""
+    src = [ast.parse(p.read_text()) for p in SRC.glob("*.py")]
+    bench = [ast.parse(p.read_text()) for p in BENCH.glob("*.py")
+             if p.name != "test_bench.py"]
+    params = {key: spec for tree in src
+              for key, spec in defaulted_parameters(tree).items()}
+    seen = [c for tree in src + bench for c in calls(tree)]
+    return {key for key, (called, name, index) in params.items()
+            if not any(c == called and (name in kw or None in kw or
+                                        (index is not None and n > index))
+                       for c, n, kw in seen)}
+
+
+def test_every_defaulted_parameter_is_passed():
+    assert unpassed_defaults() == set(ALLOWED_DEFAULTS)

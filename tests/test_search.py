@@ -434,7 +434,7 @@ def test_batched_search_matches_sequential_reference_in_distribution(
 def test_audit_tree_catches_violations():
     root = MctsNode(state=np.array([1]), visits=1, q_sum=5.0)  # mean 5 > 1
     with pytest.raises(AssertionError):
-        audit_tree(root, max_reward=1.0)
+        audit_tree(root)
     parent = MctsNode(state=np.array([1]), visits=1)
     parent.children[(0,)] = MctsNode(state=np.array([1, 2]), visits=3)
     with pytest.raises(AssertionError):

@@ -18,13 +18,13 @@ import actlm
 from actlm import autodiff as ad
 from actlm import cli, diagnostics, training
 from actlm.autodiff import Tape, Tensor
-from actlm.actions import world_logits
+from actlm.actions import policy_forward, policy_log_probs, world_logits
 from actlm.config import ArchConfig, TrainConfig
 from actlm.data import make_sft_split
 from actlm.model import base_forward, base_logits, block_forward, init_model
 from actlm.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamW,
                             Transition, chunk_map, decision_mask,
-                            dqn_batch, dqn_target, eval_base_ce, fta_actions,
+                            dqn_batch, dqn_target, eval_base_ce,
                             inverse_action_labels, inverse_labels,
                             loss_base_ar, loss_dqn,
                             loss_fta, loss_pre1, loss_pre2, loss_rl,
@@ -45,6 +45,11 @@ def small_state(seed=0):
 
 def small_tokens(seed=0, b=3, t=7):
     return np.random.default_rng(seed).integers(0, 9, size=(b, t))
+
+
+def frozen_e_l(state, tokens):
+    """The base embeddings a frozen-base stage's batch_fn hands its loss."""
+    return base_forward(state.groups["base"], state.cfg, tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +183,10 @@ def test_transition_rejects_anything_but_one_token_step(context, next_context,
 def test_loss_pre1_freezes_base():
     state = small_state()
     tokens = small_tokens()
+    e_l = frozen_e_l(state, tokens)
     with Tape() as tape:
-        total, _, _ = loss_pre1(state, tokens, TrainConfig(),
-                                rng=np.random.default_rng(0), mode="train")
+        total, _, _ = loss_pre1(state, tokens, e_l, TrainConfig(),
+                                np.random.default_rng(0), "direct")
         grads = tape.gradients(total)
     for name, p in state.params("base").items():
         np.testing.assert_array_equal(tape.grad(grads, p), np.zeros_like(p.data))
@@ -191,18 +197,19 @@ def test_loss_pre1_freezes_base():
 def test_loss_pre1_regularizer_bounds():
     """mean sum g log g lies in [-ln N, 0]."""
     for seed in range(5):
-        state = small_state(seed)
+        state, tokens = small_state(seed), small_tokens(seed)
         with Tape():
-            _, parts, _ = loss_pre1(state, small_tokens(seed), TrainConfig(),
-                                    rng=np.random.default_rng(seed), mode="train")
+            _, parts, _ = loss_pre1(state, tokens, frozen_e_l(state, tokens),
+                                    TrainConfig(), np.random.default_rng(seed),
+                                    "direct")
         assert -np.log(CFG.codebook_size) - 1e-5 <= parts["L_reg"] <= 1e-6
 
 
 def test_loss_pre1_vq_parts():
-    state = small_state()
+    state, tokens = small_state(), small_tokens()
     with Tape():
-        total, parts, index = loss_pre1(state, small_tokens(), TrainConfig(),
-                                        assignment="vq")
+        total, parts, index = loss_pre1(state, tokens, frozen_e_l(state, tokens),
+                                        TrainConfig(), None, "vq")
     assert set(parts) == {"L_predict", "L_commit", "L_codebook", "total"}
     assert index.shape == (3, 6)
     np.testing.assert_allclose(
@@ -216,13 +223,6 @@ def test_inverse_action_labels_shape_and_range():
     labels = inverse_action_labels(state, small_tokens(), 1.0)
     assert labels.shape == (3, 6)
     assert labels.min() >= 0 and labels.max() < CFG.codebook_size
-
-
-def test_frozen_base_forward_stays_off_the_tape():
-    from actlm.training import _frozen_base_embeddings
-    with Tape() as tape:
-        e_l = _frozen_base_embeddings(small_state(), small_tokens())
-    assert tape.nodes == [] and e_l._backward is None
 
 
 def test_gradients_keep_only_leaf_gradients():
@@ -250,9 +250,9 @@ def test_grad_of_an_op_output_raises():
 
 
 def test_inverse_encoder_gets_the_embeddings_as_a_leaf(monkeypatch):
-    """Inverse labels are indices and carry no gradient, so the base
-    forward's graph is not kept alive while the inverse encoder runs, and
-    nothing is recorded even inside an open tape."""
+    """Inverse labels are indices and carry no gradient, so where the base
+    is frozen its forward's graph is not kept alive while the inverse
+    encoder runs, and nothing is recorded even inside an open tape."""
     from actlm import diagnostics, training
     real, backwards = training.inverse_encode, []
 
@@ -263,17 +263,13 @@ def test_inverse_encoder_gets_the_embeddings_as_a_leaf(monkeypatch):
     monkeypatch.setattr(training, "inverse_encode", recording)
     state, tokens = small_state(), small_tokens()
     with Tape() as tape:
-        labels = inverse_action_labels(state, tokens, 1.0)
+        inverse_action_labels(state, tokens, 1.0)
     assert tape.nodes == []
-    with Tape() as given:
-        loss_pre2(state, tokens, labels=labels)
-    with Tape() as derived:
-        loss_pre2(state, tokens)
-    assert len(derived.nodes) == len(given.nodes)
     diagnostics.val_loss(state, tokens, "with_actions")
-    # the first labeling fills the sweep, BC derives its own from its
-    # frozen embeddings, and val_loss reads the warm sweep
-    assert backwards == [None] * 2
+    train_bc(state, tokens, TrainConfig(steps=2, batch_size=2))
+    # the first labeling fills the sweep, val_loss reads the warm sweep,
+    # and each BC step labels the embeddings its batch_fn encoded
+    assert backwards == [None] * 3
 
 
 def test_chunked_labels_match_one_batch_labels_beyond_rounding():
@@ -292,7 +288,7 @@ def test_chunked_labels_match_one_batch_labels_beyond_rounding():
     h = h.data[:, 1:]
     head = state.groups["inverse"]["action_head"].data
     logits = h @ head
-    one_batch = inverse_labels(state, e_l, 1.0)
+    one_batch = inverse_labels(state, e_l)
     assert np.array_equal(one_batch, logits.argmax(axis=-1))
     top2 = np.sort(logits, axis=-1)[..., -2:]
     n = accumulation_length(CFG, corpus.shape[1],
@@ -453,7 +449,7 @@ def test_sweep_and_ce_readers_equal_a_sequential_per_chunk_reference(
     want_e, want_labels, sums = [], [], np.zeros(2)
     for chunk in chunks:
         e_l = base_forward(state.groups["base"], CFG, chunk)
-        labels = inverse_labels(state, e_l, 1.0)
+        labels = inverse_labels(state, e_l)
         want_e.append(e_l.data)
         want_labels.append(labels)
         sums += [float(ce.sum()) for ce in per_chunk_ces(state, chunk, e_l, labels)]
@@ -546,7 +542,7 @@ def test_cmd_eval_names_a_sweep_error_and_exits_1(tmp_path, monkeypatch,
             "--n_samples", "2", "--out_dir", str(tmp_path)]
     state = init_model(cli.load_run_config(None, argv).arch(), 0)
     state.groups["inverse"]["action_head"].data[:] = np.nan
-    monkeypatch.setattr(cli, "_load_input", lambda cfg: (state, {}))
+    monkeypatch.setattr(cli, "_load_input", lambda cfg: state)
     alive = set(threading.enumerate())
     assert cli.main(["eval"] + argv) == 1
     assert capsys.readouterr().err.startswith("error: non-finite action logits")
@@ -599,7 +595,7 @@ def test_val_ces_move_within_the_pairwise_summation_bound_at_t64():
     for i in range(0, len(corpus), 64):
         chunk = corpus[i:i + 64]
         e_l = base_forward(state.groups["base"], cfg, chunk)
-        old.append(per_chunk_ces(state, chunk, e_l, inverse_labels(state, e_l, 1.0)))
+        old.append(per_chunk_ces(state, chunk, e_l, inverse_labels(state, e_l)))
     count = corpus.shape[0] * 63
     for k, mode in enumerate(figures):
         assert np.array_equal(np.concatenate([ces[k] for ces in new]),
@@ -613,36 +609,40 @@ def test_val_ces_move_within_the_pairwise_summation_bound_at_t64():
         assert abs(figures[mode] - before) <= (g_new + g_old) / (1 - g_old) * before
 
 
+def policy_argmax(state, e_l):
+    """FTA-P's actions: the frozen policy's argmax."""
+    probs = policy_forward(state.groups["policy"], state.cfg, e_l)
+    return probs.data[:, :-1].argmax(axis=-1)
+
+
 def test_shared_base_forward_gives_the_same_losses_and_gradients():
-    """BC given the base embeddings its labels came from, and FTA-I taking
-    its labels from its own base forward, give the losses and gradients of
-    recomputing the forward, bit for bit."""
-    state, tokens = small_state(), small_tokens()
-    base = state.groups["base"]
-    e_l = base_forward(base, CFG, tokens)
-    labels = inverse_action_labels(state, tokens, 0.7)
+    """FTA reads its actions (FTA-I the inverse labels, FTA-P the frozen
+    policy's argmax) from its loss's own taped base forward. Its steps move
+    the base exactly as steps whose batch_fn labels the batch from a
+    separate untaped forward, bit for bit."""
+    split = make_sft_split(small_tokens(b=8), 3)
+    cfg = TrainConfig(steps=3, batch_size=4)
+    for mode, label in (("FTA-I", inverse_labels), ("FTA-P", policy_argmax)):
+        shared, separate = small_state(), small_state()
+        train_fta(shared, split, cfg, mode)
 
-    def run(loss_fn, params):
-        with Tape() as tape:
-            loss, _ = loss_fn()
-            grads = tape.gradients(loss)
-        return [loss.data] + [tape.grad(grads, p) for p in params]
+        def batch_fn(rng):
+            rows = rng.integers(0, len(split.tokens), size=cfg.batch_size)
+            tokens = split.tokens[rows]
+            return tokens, label(separate, frozen_e_l(separate, tokens))
 
-    policy = state.params("policy").values()
-    pairs = [(run(lambda: loss_pre2(state, tokens, labels, start=2, e_l=e_l), policy),
-              run(lambda: loss_pre2(state, tokens, labels, start=2), policy))]
-    base_params = state.params("base").values()
-    pairs.append((run(lambda: loss_fta(state, tokens, 3, gumbel_temp=0.7), base_params),
-                  run(lambda: loss_fta(state, tokens, 3, labels), base_params)))
-    for got, want in pairs:
-        for a, r in zip(got, want):
-            assert np.array_equal(a, r)
+        run_stage(separate, "separate", ("base",), (), cfg.steps, cfg, batch_fn,
+                  lambda batch: loss_fta(separate, batch[0], 3,
+                                         lambda e_l: batch[1]))
+        assert shared.group_hash("base") == separate.group_hash("base")
+        assert shared.group_hash("base") != small_state().group_hash("base")
 
 
 def test_loss_pre2_only_moves_policy():
-    state = small_state()
+    state, tokens = small_state(), small_tokens()
+    e_l = frozen_e_l(state, tokens)
     with Tape() as tape:
-        loss, _ = loss_pre2(state, small_tokens())
+        loss, _ = loss_pre2(state, e_l, inverse_labels(state, e_l), 0)
         grads = tape.gradients(loss)
     for p in state.params("base", "inverse", "merge", "codebook").values():
         np.testing.assert_array_equal(tape.grad(grads, p), np.zeros_like(p.data))
@@ -650,17 +650,12 @@ def test_loss_pre2_only_moves_policy():
                for p in state.params("policy").values())
 
 
-def fta_i_labels(state, tokens):
-    """FTA-I's action labels: the frozen inverse's eval-mode assignment."""
-    return inverse_labels(state, base_forward(state.groups["base"], CFG, tokens), 1.0)
-
-
 def test_loss_fta_only_moves_base():
     state = small_state()
     tokens = small_tokens()
-    aidx = fta_i_labels(state, tokens)
+    aidx = inverse_labels(state, frozen_e_l(state, tokens))
     with Tape() as tape:
-        loss, _ = loss_fta(state, tokens, 3, aidx)
+        loss, _ = loss_fta(state, tokens, 3, lambda e_l: aidx)
         grads = tape.gradients(loss)
     # actions are held fixed: no gradient into the selector or the codes
     # (the merge still receives gradients; its freeze is optimizer exclusion)
@@ -673,17 +668,8 @@ def test_loss_fta_only_moves_base():
 def test_loss_fta_rejects_empty_response():
     state = small_state()
     tokens = small_tokens(t=4)
-    aidx = fta_i_labels(state, tokens)
     with pytest.raises(ValueError):
-        loss_fta(state, tokens, 4, aidx)
-
-
-def test_fta_actions_modes_differ():
-    state = small_state()
-    tokens = small_tokens()
-    i = fta_i_labels(state, tokens)
-    p = fta_actions(state, tokens)
-    assert i.shape == p.shape == (3, 6)
+        loss_fta(state, tokens, 4, lambda e_l: inverse_labels(state, e_l))
 
 
 def test_train_fta_rejects_unknown_mode_before_any_step():
@@ -811,6 +797,54 @@ def test_stage_losses_record_only_under_a_tape(stage, monkeypatch):
     assert nodes == STAGE_TAPE_NODES[stage]
 
 
+@pytest.mark.parametrize("stage", DRIVERS)
+def test_each_stage_step_runs_one_base_forward(stage, monkeypatch):
+    """Every step of every stage calls `training.base_forward` exactly
+    once: a frozen base's batch_fn encodes the batch once for labels and
+    loss alike, a trained base's loss runs the forward its actions are read
+    from, rl encodes its rollouts once for the policy and the reference
+    policy, and train-q encodes the next contexts of its whole batch, of
+    mixed lengths, in one forward. (rl's decoding runs its own cached
+    forwards through `actions`.)"""
+    from actlm import training
+    calls, per_step = [0], []
+    real = training.base_forward
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    def record(r):
+        per_step.append(calls[0])
+        calls[0] = 0
+
+    monkeypatch.setattr(training, "base_forward", counting)
+    _drivers()[stage][0](small_state(), record, 3)
+    # FTA-I's policy refresh runs three steps of a stage of its own
+    assert per_step == [1] * (6 if stage == "fta-FTA-I" else 3)
+
+
+def test_train_q_runs_one_base_forward_per_step(monkeypatch):
+    """A train-q step encodes the next contexts of its whole batch, of mixed
+    lengths, in one base forward, and computes all its targets in one
+    dqn_target call; the loss reuses those embeddings. It runs two Q-head
+    forwards: the target net's, untaped, and the online net's, taped, which
+    also gives the online half of the targets."""
+    from actlm import training
+    calls = dict.fromkeys(("base_forward", "dqn_target", "q_forward"), 0)
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(training, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(training, name, counting)
+    transitions = [
+        Transition(np.array([4]), 1, np.array([4, 5]), 0.0, False),
+        Transition(np.array([1, 2]), 2, np.array([1, 2, 3]), 0.0, False),
+        Transition(np.array([1, 2, 3]), 1, np.array([1, 2, 3, 4]), 1.0, True)]
+    train_q(small_state(), transitions, TrainConfig(steps=3, batch_size=4))
+    assert calls == {"base_forward": 3, "dqn_target": 3, "q_forward": 6}
+
+
 def test_train_stage1_returns_usage_counts():
     state = small_state()
     corpus = small_tokens(b=8)
@@ -868,20 +902,35 @@ def test_rl_update_constant_reward_has_vanishing_gradient():
     [record] = run_stage(
         state, "rl", ("policy",), (), 1, cfg,
         lambda rng: rl_batch(state, small_tokens(b=2, t=3), lambda r: 0.7, cfg,
-                             rng, max_len=8),
-        lambda batch: loss_rl(state, batch, ref, cfg))
+                             rng, 8, ref),
+        lambda batch: loss_rl(state, batch, cfg))
     assert record["rl_reward_mean"] == pytest.approx(0.7)
     assert abs(record["pg_loss"]) < 1e-6
     assert abs(record["rl_kl"]) < 1e-6
     assert record["grad_norm"] < 1e-4
 
 
+def test_rl_batch_holds_the_reference_policy_log_probs():
+    """rl_batch encodes its rollouts once, and reads the reference
+    policy's log-probs, not the trained policy's, from those embeddings at
+    the context each generation step decided from."""
+    state, ref = small_state(), small_state(1).groups["policy"]
+    batch = rl_batch(state, small_tokens(b=2, t=3), lambda r: 0.0,
+                     TrainConfig(rl_group_size=2), np.random.default_rng(0), 8, ref)
+    e_l = frozen_e_l(state, batch["tokens"])
+    assert np.array_equal(batch["e_l"].data, e_l.data)
+    want = policy_log_probs(ref, CFG, e_l).data[:, 2:-1]
+    assert want.shape == batch["actions"].shape + (CFG.codebook_size,)
+    assert np.array_equal(batch["ref_logp"], want)
+    assert not np.array_equal(
+        want, policy_log_probs(state.groups["policy"], CFG, e_l).data[:, 2:-1])
+
+
 def test_rl_update_rejects_tiny_groups():
-    state = small_state()
-    cfg = TrainConfig(rl_group_size=1)
-    with pytest.raises(ValueError):
-        rl_batch(state, small_tokens(b=2, t=3), lambda r: 0.0, cfg,
-                 np.random.default_rng(0), 8)
+    """A leave-one-out baseline needs a sibling: the config refuses a group
+    of one, so no RL update is built from it."""
+    with pytest.raises(ValueError, match="rl_group_size must be >= 2"):
+        TrainConfig(rl_group_size=1)
 
 
 def test_rl_counts_scorer_failures():
@@ -1058,27 +1107,6 @@ def test_train_q_syncs_target_after_every_interval_step():
     train_q(state, [tr], TrainConfig(steps=5, sync_interval=2, tau=1.0,
                                      learning_rate=1e-2), record)
     assert synced == [False, True, False, True, False]
-
-
-def test_train_q_runs_one_base_forward_per_step(monkeypatch):
-    """A train-q step encodes the next contexts of its whole batch, of mixed
-    lengths, in one base forward, and computes all its targets in one
-    dqn_target call; the loss reuses those embeddings. It runs two Q-head
-    forwards: the target net's, untaped, and the online net's, taped, which
-    also gives the online half of the targets."""
-    from actlm import training
-    calls = dict.fromkeys(("base_forward", "dqn_target", "q_forward"), 0)
-    for name in calls:
-        def counting(*args, _name=name, _fn=getattr(training, name), **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(training, name, counting)
-    transitions = [
-        Transition(np.array([4]), 1, np.array([4, 5]), 0.0, False),
-        Transition(np.array([1, 2]), 2, np.array([1, 2, 3]), 0.0, False),
-        Transition(np.array([1, 2, 3]), 1, np.array([1, 2, 3, 4]), 1.0, True)]
-    train_q(small_state(), transitions, TrainConfig(steps=3, batch_size=4))
-    assert calls == {"base_forward": 3, "dqn_target": 3, "q_forward": 6}
 
 
 def test_dqn_step_rejects_empty_batch():
