@@ -261,39 +261,60 @@ def check_prompts(prompts, mode: str, rng) -> np.ndarray:
     return prompts
 
 
-def generate(dec, tokens, mode: str, max_len: int, rng=None):
-    """The one decode loop: continue every row of tokens (B, p) through a
-    generator speaking the Decoder contract.
+def generate(dec, rows, mode: str, max_len: int, rng=None):
+    """The one decode loop: continue every row of rows, B token sequences of
+    any lengths, through a generator speaking the Decoder contract.
 
-    Each step syncs the generator once, picks one action per row from the
-    policy (argmax in greedy mode, an inverse-CDF draw otherwise) and
-    appends the world-model argmax token. A row is done at eos, including
-    an eos that ends its prompt, and is padded with eos and action 0 while
-    others run on; all stop at max_len. Returns (tokens (B, <=max_len),
-    actions (B, n)), actions[:, s] producing tokens[:, p + s]; `row_ends`
+    The shortest rows start, and a longer row joins the batch when the
+    batch reaches its length: a sync with more rows, which the generator
+    forks from the prefix they share. Each step syncs once, picks one
+    action per row in the batch (argmax in greedy mode, else an inverse-CDF
+    draw of one `rng.random(b)` over the batch's b rows, ordered by length)
+    and appends the world-model argmax token. A row is done at eos, also
+    one it joins with, and is padded with eos and action 0; the batch stops
+    at max_len, and once all its rows are done jumps to the next waiting
+    length. Returns (tokens (B, T), actions (B, T - p)) in the order of
+    rows, p the shortest length: tokens[i] starts with rows[i], and
+    actions[i, s] produced tokens[i, p + s] (0 within rows[i]); `row_ends`
     says where each row ends."""
     eos = dec.eos_token_id
-    b = tokens.shape[0]
-    actions = np.zeros((b, 0), dtype=np.int64)
-    done = tokens[:, -1] == eos
-    while tokens.shape[1] < max_len and not done.all():
-        dec.sync(tokens)
-        probs = dec.policy_probs()
-        if mode == "greedy":
-            act = probs.argmax(axis=-1)
+    lengths = np.array([len(row) for row in rows])
+    order = np.argsort(lengths, kind="stable")
+    lengths = lengths[order]
+    p, n = int(lengths[0]), len(order)
+    tokens = np.full((n, max(max_len, int(lengths[-1]))), eos, dtype=np.int64)
+    for j, i in enumerate(order):
+        tokens[j, :lengths[j]] = rows[i]
+    actions = np.zeros((n, tokens.shape[1] - p), dtype=np.int64)
+    done = tokens[np.arange(n), lengths - 1] == eos
+    t = p
+    while True:
+        b = int(np.searchsorted(lengths, t, side="right"))  # rows joined
+        if t < max_len and not done[:b].all():
+            dec.sync(tokens[:b, :t])
+            probs = dec.policy_probs()
+            if mode == "greedy":
+                act = probs.argmax(axis=-1)
+            else:
+                act = inverse_cdf(cdf(probs), rng.random(b))
+            nxt = np.where(done[:b], eos, dec.next_tokens(act))
+            tokens[:b, t] = nxt
+            actions[:b, t - p] = np.where(done[:b], 0, act)
+            done[:b] |= nxt == eos
+            t += 1
+        elif b < n:
+            t = int(lengths[b])
         else:
-            act = inverse_cdf(cdf(probs), rng.random(b))
-        nxt = np.where(done, eos, dec.next_tokens(act))
-        act = np.where(done, 0, act)
-        tokens = np.concatenate([tokens, nxt[:, None]], axis=1)
-        actions = np.concatenate([actions, act[:, None]], axis=1)
-        done |= nxt == eos
-    return tokens, actions
+            break
+    back = np.argsort(order)
+    return tokens[back, :t], actions[back, :t - p]
 
 
-def row_ends(tokens: np.ndarray, p: int, eos: int) -> np.ndarray:
+def row_ends(tokens: np.ndarray, p, eos: int) -> np.ndarray:
     """(B,) end of each row of a `generate` output that continued
-    tokens[:, :p]: after its first eos at or after column p-1 (so a prompt
-    ending in eos ends at p), else at the last column."""
-    hit = tokens[:, p - 1:] == eos
-    return np.where(hit.any(axis=1), p + hit.argmax(axis=1), tokens.shape[1])
+    tokens[:, :p], p one length or one per row: after its first eos at or
+    after column p-1 (so a row continued from one ending in eos ends at p),
+    else at the last column."""
+    hit = (tokens == eos) & (np.arange(tokens.shape[1])
+                             >= np.reshape(p, (-1, 1)) - 1)
+    return np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, tokens.shape[1])

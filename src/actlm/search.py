@@ -5,11 +5,12 @@ Every path decodes through `actions.generate`, the one decode loop, and so
 talks to the generator only through the Decoder contract: `sync(tokens)`,
 `policy_probs()`, `next_tokens(actions)`, `eos_token_id` and `n_actions`.
 A trained model (`LatentActionLM`) and hand-built test generators plug in
-alike. MCTS expands the leaves that wait in one batch together: the
-expand_width rows per leaf of all leaves of one state length decode in
-one `generate` call, each row runs to the end, and each carries both a
-new child's k-step segment and that child's playout. A decoder's `sync`
-re-batches, so these rows fork from the prefix the leaves share.
+alike. MCTS decodes only where it expands the leaves that wait in one
+batch: one `generate` call per state length for the new children's k-step
+segments, Q-pruned extension of each leaf's first child, and one call for
+all the children's playouts, in which rows of other lengths join the
+running batch. A decoder's `sync` re-batches, so rows fork from the
+prefix they share.
 """
 
 from __future__ import annotations
@@ -131,30 +132,56 @@ def _score(node: MctsNode, score: Scorer) -> float:
     return node.sim_value
 
 
-def _expand(model, nodes: list[MctsNode], cfg: SearchConfig, rng) -> list[int]:
-    """Give every node up to expand_width children, from as many rows per
-    node sampled to the end. Nodes of one state length share one `generate`
-    call, in order of their first node; returns each node's call's row
-    count. A row's first k actions, cut at its first eos, are a child's key
-    and state, and the rest of the row up to its first eos is that child's
-    playout. Keys are deduplicated in row order; a row whose key repeats an
-    earlier one still decodes to the end, and its playout is dropped. A
-    non-terminal node gets at least one child."""
-    w, groups = cfg.expand_width, {}
+def _expand(model, nodes: list[MctsNode], cfg: SearchConfig, rng,
+            q_fn, gamma: float) -> list[int]:
+    """Give every node up to expand_width children, each with a playout;
+    the only place MCTS decodes. Returns each node's segment call's row
+    count.
+
+    1. Nodes of one state length share one sampled `generate` call of up
+       to k steps on expand_width rows per node, in order of their first
+       node.
+       A row's actions, cut at its first eos, are a child's key and its
+       tokens the child's state. Keys are deduplicated in row order. A
+       non-terminal node gets at least one child.
+    2. With q_fn not None, Q-pruned extension runs on each node's first
+       child in order, up to the first child that is then terminal: the
+       search stops once it scores that child, so no later one is scored.
+    3. One sampled call decodes every row to the end, the longer rows
+       joining as the batch reaches them: a row continues its segment, or
+       the new state of its child if extension changed it, and the rest up
+       to its first eos is that child's playout. A row whose key repeats an
+       earlier one decodes too, and its playout is dropped."""
+    w, groups, rows, children = cfg.expand_width, {}, [], []
     for node in nodes:
         groups.setdefault(len(node.state), []).append(node)
     for p, group in groups.items():
-        rows = np.repeat(np.stack([node.state for node in group]), w, axis=0)
-        full, actions = generate(model, rows, "sample", cfg.max_len, rng)
-        ends = row_ends(full, p, model.eos_token_id)
-        for i, (row, acts, end) in enumerate(zip(full, actions, ends)):
-            node = group[i // w]
-            cut = min(end, p + cfg.action_steps)
-            key = tuple(acts[:cut - p].tolist())  # Python ints: keys go into the trace
+        states = np.repeat(np.stack([node.state for node in group]), w, axis=0)
+        segments, actions = generate(model, states, "sample",
+                                     min(cfg.max_len, p + cfg.action_steps), rng)
+        ends = row_ends(segments, p, model.eos_token_id)
+        for i, (row, acts, end) in enumerate(zip(segments, actions, ends)):
+            node, child = group[i // w], None
+            key = tuple(acts[:end - p].tolist())  # Python ints: keys go into the trace
             if key not in node.children:
-                node.children[key] = MctsNode(
-                    state=row[:cut], sim_tokens=row[cut:end], last_action=key[-1],
-                    expansion_tokens=len(key))
+                child = node.children[key] = MctsNode(
+                    state=row[:end], last_action=key[-1], expansion_tokens=len(key))
+            rows.append(row)
+            children.append(child)
+    if q_fn is not None:
+        for node in nodes:
+            child = next(iter(node.children.values()))
+            _extend_low_uncertainty(model, child, cfg, q_fn, gamma)
+            if _is_terminal(model, child.state, cfg.max_len):
+                break  # the search stops once it scores this child
+    rows = [child.state if child is not None and child.extension_passes else row
+            for row, child in zip(rows, children)]
+    full, _ = generate(model, rows, "sample", cfg.max_len, rng)
+    starts = np.array([len(row) for row in rows])
+    for child, row, start, end in zip(children, full, starts,
+                                      row_ends(full, starts, model.eos_token_id)):
+        if child is not None:
+            child.sim_tokens = row[start:end]
     return [len(groups[len(node.state)]) * w for node in nodes]
 
 
@@ -162,8 +189,7 @@ def _extend_low_uncertainty(model, node: MctsNode, cfg: SearchConfig,
                             q_fn, gamma: float) -> None:
     """Q-pruned extension: while the node's incoming transition has Bellman
     error below the threshold, append k more greedy steps to the node (one
-    merged node per search, growing in passes). The playout drawn at
-    expansion no longer continues an extended node and is dropped."""
+    merged node per search, growing in passes)."""
     while not _is_terminal(model, node.state, cfg.max_len):
         tr = Transition(context=node.state[:-1], action=int(node.last_action),
                         next_context=node.state, reward=0.0, terminal=False)
@@ -176,7 +202,6 @@ def _extend_low_uncertainty(model, node: MctsNode, cfg: SearchConfig,
         node.last_action = int(actions[0, -1])
         node.expansion_tokens += actions.shape[1]
         node.extension_passes += 1
-        node.sim_tokens = None
 
 
 def mcts_search(model, prompt, cfg: SearchConfig, reward_fn,
@@ -196,20 +221,20 @@ def mcts_search(model, prompt, cfg: SearchConfig, reward_fn,
     when selection reaches a waiting leaf or a terminal leaf (that
     selection is then made again on the updated tree), or when the waiting
     leaves take up every remaining iteration. A flush expands all waiting
-    leaves (`_expand`: one `generate` call per state length), returns every
-    `pending` to 0 and finishes the leaves in selection order: take the
-    first child, apply Q-pruned extension, score, back up. The search
-    stops after it scores a terminal node; leaves expanded but not yet
-    finished then keep their children unscored.
+    leaves (`_expand`), returns every `pending` to 0 and finishes the
+    leaves in selection order: take the first child, score its playout,
+    back up. The search stops after it scores a terminal node; leaves
+    expanded but not yet finished then keep their children unscored.
 
-    An expansion decodes its children's segments and playouts together,
-    and each playout is scored when selection first reaches its child; a
-    child never reached keeps sim_tokens and sim_value None. Only a terminal
-    root and a child changed by Q-pruned extension draw a playout of their
-    own. Each trace record's expand_rows is the row count of the `generate`
-    call that expanded its leaf, or 0."""
+    Only `_expand` decodes: per flush one segment call per state length,
+    the Q-pruned extension of each expanded leaf's first child, and one
+    playout call for all new children, so no node draws a playout of its
+    own; a terminal root gets an empty one. Each playout is scored when
+    selection first reaches its child; a child never reached keeps
+    sim_tokens and sim_value None. Each trace record's expand_rows is the
+    row count of the segment call that expanded its leaf, or 0."""
     rng = np.random.default_rng(cfg.seed)
-    root = MctsNode(state=np.asarray(prompt))
+    root = MctsNode(state=np.asarray(prompt), sim_tokens=np.asarray(prompt)[:0])
     score = Scorer(reward_fn)
     trace = []
 
@@ -222,11 +247,6 @@ def mcts_search(model, prompt, cfg: SearchConfig, reward_fn,
             key, node = next(iter(node.children.items()))
             path.append(node)
             path_keys.append(list(key))
-            if q_fn is not None:
-                _extend_low_uncertainty(model, node, cfg, q_fn, gamma)
-        if node.sim_tokens is None:  # a terminal root, or an extended child
-            tokens, _ = rollout(model, node.state, "sample", cfg.max_len, rng)
-            node.sim_tokens = tokens[len(node.state):]
         value = _score(node, score)
         for n in path:
             n.visits += 1
@@ -252,7 +272,8 @@ def mcts_search(model, prompt, cfg: SearchConfig, reward_fn,
                 continue
         # flush; a selection that reached a waiting or terminal leaf is
         # made again afterwards
-        rows = _expand(model, [path[-1] for path, _ in batch], cfg, rng)
+        rows = _expand(model, [path[-1] for path, _ in batch], cfg, rng,
+                       q_fn, gamma)
         for path, _ in batch:
             for n in path:
                 n.pending = 0

@@ -326,15 +326,14 @@ def loss_fta(state: ModelState, tokens, prompt_len: int, actions_fn):
     """World-model CE restricted to response positions t in [p, T-1], with
     actions held fixed; only the base receives the update. The base trains,
     so the loss runs its forward on the tape; actions_fn(e_l) reads the
-    action indices (B, T-1) from those embeddings, untaped, and they enter
-    as constants."""
+    action indices (B, T-1) from those embeddings, and their codebook rows
+    are looked up untaped, so they enter as constants."""
     if prompt_len >= tokens.shape[1]:
         raise ValueError("empty response: prompt_len >= sequence length")
     e_l = base_forward(state.groups["base"], state.cfg, tokens)
     with ad.untaped():
-        action_indices = actions_fn(e_l)
-    action = ad.stop_grad(ad.embedding(state.groups["codebook"]["codes"],
-                                       action_indices[:, prompt_len - 1:]))
+        action = ad.embedding(state.groups["codebook"]["codes"],
+                              actions_fn(e_l)[:, prompt_len - 1:])
     e_ctx = ad.slice_time(e_l, prompt_len - 1, -1)
     logits = world_logits(state.groups["merge"], state.cfg, e_ctx, action)
     ce = ad.cross_entropy(logits, tokens[:, prompt_len:])

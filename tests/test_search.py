@@ -3,6 +3,7 @@ Q-pruned variant's boundary behavior against hand-built deterministic
 generator stubs; the cached decoder against full-prefix forwards."""
 
 import ast
+import itertools
 import json
 import math
 import pathlib
@@ -16,6 +17,7 @@ from actlm.actions import (Decoder, generate, policy_forward, row_ends,
                            world_logits)
 from actlm.autodiff import Tensor
 from actlm.config import ArchConfig, SearchConfig
+from actlm.data import cdf, inverse_cdf
 from actlm.model import base_forward, block_forward, init_model
 from actlm.search import (LatentActionLM, MctsNode, _select_child, audit_tree,
                           bellman_error, mcts_search, rollout, uct_score)
@@ -98,7 +100,7 @@ def test_mcts_finds_good_branch_and_audits():
 
 def test_mcts_writes_trace(tmp_path, monkeypatch):
     """One record per iteration. expand_rows is the row count of the
-    generate call that expanded the iteration's leaf, or 0 for a leaf
+    segment call that expanded the iteration's leaf, or 0 for a leaf
     scored without one, so a call on r rows shows in r / expand_width
     records, and a batch of several leaves shows as more rows than
     expand_width."""
@@ -113,8 +115,9 @@ def test_mcts_writes_trace(tmp_path, monkeypatch):
     assert all({"iteration", "selected_path", "sim_value", "expand_rows",
                 "scorer_failures"} <= set(r) for r in records)
     rows = sorted(r["expand_rows"] for r in records if r["expand_rows"])
-    assert rows == sorted(len(call) for _, calls in flushes for call in calls
-                          for _ in range(len(call) // cfg.expand_width))
+    assert rows == sorted(len(rows) for _, calls in flushes
+                          for _, rows, _ in calls[:-1]
+                          for _ in range(len(rows) // cfg.expand_width))
     assert records[0]["expand_rows"] == cfg.expand_width  # the root alone
     assert any(r["expand_rows"] == 0 for r in records)
     assert max(rows) >= 2 * cfg.expand_width
@@ -183,31 +186,59 @@ def test_mcts_q_infinite_threshold_extends_to_terminal_in_one_pass():
 
 
 def record_flushes(monkeypatch) -> list:
-    """Per `_expand` call, the states of the leaves it expands and the
-    prompt rows of each `generate` call it makes."""
+    """Per `_expand` call, the states of the leaves it expands and, for each
+    `generate` call it makes, its mode, its rows and the tokens it returns."""
     from actlm import search
     real_expand, real_generate, flushes = search._expand, search.generate, []
 
-    def expanding(model, nodes, cfg, rng):
+    def expanding(model, nodes, *args):
         flushes.append(([node.state.copy() for node in nodes], []))
-        return real_expand(model, nodes, cfg, rng)
+        return real_expand(model, nodes, *args)
 
-    def generating(model, tokens, *args):
-        flushes[-1][1].append(tokens.copy())
-        return real_generate(model, tokens, *args)
+    def generating(model, rows, mode, *args):
+        rows = [np.array(row) for row in rows]
+        tokens, actions = real_generate(model, rows, mode, *args)
+        flushes[-1][1].append((mode, rows, tokens))
+        return tokens, actions
 
     monkeypatch.setattr(search, "_expand", expanding)
     monkeypatch.setattr(search, "generate", generating)
     return flushes
 
 
+def check_flush(states, calls, cfg):
+    """A flush makes one sampled segment call per state length among its
+    leaves, in order of each length's first leaf, on expand_width rows of
+    each leaf of that length; greedy B=1 extension calls; and one sampled
+    playout call last, whose rows continue the segment rows in order, each
+    either as it is or extended by greedy steps. Returns the segment calls'
+    rows."""
+    lengths = list(dict.fromkeys(len(s) for s in states))
+    modes = [mode for mode, _, _ in calls]
+    assert modes[:len(lengths)] == ["sample"] * len(lengths)
+    assert modes[len(lengths):] == ["greedy"] * (len(modes) - len(lengths) - 1) \
+        + ["sample"]
+    segments = calls[:len(lengths)]
+    for (_, rows, _), p in zip(segments, lengths):
+        group = [s for s in states if len(s) == p]
+        np.testing.assert_array_equal(rows, np.repeat(group, cfg.expand_width,
+                                                      axis=0))
+    ends = [row for _, _, tokens in segments for row in tokens]
+    _, playout, _ = calls[-1]
+    assert len(playout) == len(ends)
+    for row, end in zip(playout, ends):
+        np.testing.assert_array_equal(row[:len(end)], end)
+    assert all(len(rows) == 1 for mode, rows, _ in calls if mode == "greedy")
+    return [rows for _, rows, _ in segments]
+
+
 def test_mcts_decodes_once_per_expansion(monkeypatch):
     """Plain MCTS expands the leaves waiting in a batch with one generate
-    call per state length among them, in order of each length's first
-    leaf, on expand_width rows of each leaf of that length: the one call
-    decodes the new children's segments and their playouts together.
-    Every expanded node is expanded once, and across these searches a
-    batch holds two leaves of one length and a batch holds two lengths."""
+    call per state length among them for the new children's segments, and
+    one more call that continues every segment row unchanged to the end for
+    the playouts. Every expanded node is expanded once, and across these
+    searches a batch holds two leaves of one length and a batch holds two
+    lengths."""
     flushes = record_flushes(monkeypatch)
     expanded = []
     for seed in range(10):
@@ -220,18 +251,64 @@ def test_mcts_decodes_once_per_expansion(monkeypatch):
             if node.children:
                 expanded.append(tuple(node.state.tolist()))
             stack.extend(node.children.values())
+    segments = []
     for states, calls in flushes:
-        lengths = list(dict.fromkeys(len(s) for s in states))
-        assert [call.shape[1] for call in calls] == lengths
-        for call in calls:
-            group = [s for s in states if len(s) == call.shape[1]]
-            np.testing.assert_array_equal(
-                call, np.repeat(group, cfg.expand_width, axis=0))
+        segments.append(check_flush(states, calls, cfg))
+        ends = [row for _, _, tokens in calls[:-1] for row in tokens]
+        for row, end in zip(calls[-1][1], ends):
+            np.testing.assert_array_equal(row, end)
     assert sorted(tuple(s.tolist()) for states, _ in flushes
                   for s in states) == sorted(expanded)
-    assert max(len(call) for _, calls in flushes for call in calls) \
+    assert max(len(rows) for calls in segments for rows in calls) \
         >= 2 * cfg.expand_width
-    assert max(len(calls) for _, calls in flushes) >= 2
+    assert max(len(calls) for calls in segments) >= 2
+
+
+def test_mcts_decodes_only_in_expand(monkeypatch):
+    """No node draws a playout of its own: with search.rollout raising,
+    plain and Q-pruned searches run, on a terminal root too, which scores
+    its empty playout. Every flush is one segment call per state length,
+    greedy extension calls, and one playout call; across these Q-pruned
+    searches some flush extends a child and some flush holds two
+    lengths, and every extended child is scored: extension stops at the
+    first terminal first child, where the search stops."""
+    from actlm import search
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("search.rollout called")
+
+    monkeypatch.setattr(search, "rollout", refuse)
+    flushes = record_flushes(monkeypatch)
+    # Bellman error (0.9 c(L+1) - c(L))^2 for c(L) = L % 2: 0.81 from an
+    # even context length, 1 from an odd one, so some children extend
+    q_fn = lambda ctx: np.full(StickyLM.n_actions, float(len(ctx) % 2))
+    extended = two_lengths = 0
+    for seed, max_len, q in itertools.product(range(10), (6, 8), (None, q_fn)):
+        cfg = SearchConfig(action_steps=1, iterations=16, expand_width=2,
+                           max_len=max_len, seed=seed, bellman_threshold=0.9)
+        flushes.clear()
+        result = mcts_search(StickyLM(), [4], cfg, junction_switch,
+                             q_fn=q, gamma=0.9)
+        audit_tree(result.root)
+        stack = [result.root]
+        while stack:
+            node = stack.pop()
+            assert node.sim_value is not None or not node.extension_passes
+            stack.extend(node.children.values())
+        for states, calls in flushes:
+            segments = check_flush(states, calls, cfg)
+            greedy = sum(mode == "greedy" for mode, _, _ in calls)
+            assert q is not None or not greedy
+            extended += bool(greedy)
+            two_lengths += q is not None and len(segments) >= 2
+    assert extended and two_lengths
+    for prompt in ([4, 0], [4, 1, 1]):
+        cfg = SearchConfig(action_steps=1, iterations=4, max_len=3, seed=0)
+        for q in (None, q_fn):
+            result = mcts_search(StickyLM(), prompt, cfg, lambda tokens: 0.5,
+                                 q_fn=q, gamma=0.9)
+            assert result.tokens.tolist() == prompt and result.iterations == 1
+            assert result.root.sim_value == 0.5
 
 
 def test_mcts_runs_its_whole_iteration_budget_without_a_terminal():
@@ -287,27 +364,25 @@ def test_terminal_leaf_flushes_the_waiting_leaves(monkeypatch):
 def test_extension_pass_adds_k_tokens_up_to_max_len(monkeypatch):
     """Each Q-pruned extension pass decodes greedily to
     min(max_len, len + k), so it adds exactly min(k, max_len - len)
-    tokens; the extended child then draws a playout of its own."""
-    from actlm import search
-    real, passes = search.generate, []
-
-    def recording(model, tokens, mode, max_len, rng=None):
-        out, actions = real(model, tokens, mode, max_len, rng)
-        if mode == "greedy":
-            passes.append((tokens.shape[1], out.shape[1] - tokens.shape[1]))
-        return out, actions
-
-    monkeypatch.setattr(search, "generate", recording)
+    tokens; the flush's one playout call then continues the extended child
+    from its new state, here already at max_len, so its playout is
+    empty."""
+    flushes = record_flushes(monkeypatch)
     cfg = SearchConfig(action_steps=3, iterations=4, expand_width=2,
                        max_len=9, seed=0, bellman_threshold=math.inf)
     result = mcts_search(ChainLM(episode_len=50), [1], cfg, chain_reward,
                          q_fn=lambda ctx: np.zeros(2), gamma=0.9)
+    (_, calls), = flushes
+    passes = [(rows[0].size, tokens.shape[1] - rows[0].size)
+              for mode, rows, tokens in calls if mode == "greedy"]
     assert passes == [(4, 3), (7, 2)]
     assert all(added == min(cfg.action_steps, cfg.max_len - length)
                for length, added in passes)
     child = next(iter(result.root.children.values()))
     assert child.extension_passes == 2 and len(child.state) == cfg.max_len
     assert child.expansion_tokens == cfg.max_len - 1
+    mode, playout, _ = calls[-1]
+    assert mode == "sample" and playout[0].tolist() == child.state.tolist()
     assert child.sim_tokens.size == 0 and result.iterations == 1
 
 
@@ -766,3 +841,141 @@ def test_rollout_returns_eos_terminated_prompt_unchanged():
     both_done, none = rollout_batch(state, prompts[:1].repeat(2, 0), "greedy", 10)
     np.testing.assert_array_equal(both_done, prompts[:1].repeat(2, 0))
     assert none.shape == (2, 0)
+
+
+# ---------------------------------------------------------------------------
+# The decode loop on rows of different lengths
+# ---------------------------------------------------------------------------
+
+def reference_generate(dec, tokens, mode, max_len, rng=None):
+    """The decode loop as it was before rows of different lengths could
+    join: every row of tokens (B, p) starts at once, and each step appends
+    one column. Kept as the reference equal-length calls are checked
+    against."""
+    eos = dec.eos_token_id
+    b = tokens.shape[0]
+    actions = np.zeros((b, 0), dtype=np.int64)
+    done = tokens[:, -1] == eos
+    while tokens.shape[1] < max_len and not done.all():
+        dec.sync(tokens)
+        probs = dec.policy_probs()
+        if mode == "greedy":
+            act = probs.argmax(axis=-1)
+        else:
+            act = inverse_cdf(cdf(probs), rng.random(b))
+        nxt = np.where(done, eos, dec.next_tokens(act))
+        act = np.where(done, 0, act)
+        tokens = np.concatenate([tokens, nxt[:, None]], axis=1)
+        actions = np.concatenate([actions, act[:, None]], axis=1)
+        done |= nxt == eos
+    return tokens, actions
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_equal_length_generate_matches_the_reference_loop(seed):
+    """On rows of one length, generate returns bitwise the tokens and
+    actions of the reference loop and leaves the rng in the same state,
+    greedy and sampled, for the cached Decoder and for StickyLM, with one
+    row ending in eos."""
+    r = np.random.default_rng(seed)
+    prompts = r.integers(1, 5, size=(int(r.integers(1, 6)), int(r.integers(1, 6))))
+    prompts[0, -1] = 0
+    state = init_model(DCFG, seed)
+    max_len = int(r.integers(prompts.shape[1], DCFG.max_seq_len + 1))
+    for mode in ("greedy", "sample"):
+        for make in (lambda: Decoder(state), StickyLM):
+            rngs = [np.random.default_rng(seed) for _ in range(2)]
+            got = generate(make(), prompts, mode, max_len, rngs[0])
+            want = reference_generate(make(), prompts.copy(), mode, max_len,
+                                      rngs[1])
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert rngs[0].random() == rngs[1].random()
+
+
+class HistoryLM:
+    """Deterministic generator speaking the Decoder contract whose greedy
+    action depends on each row's whole history: the policy favours action
+    (sum of the row's tokens) % 3, and action a after token t emits
+    (t + a + 1) % 6, 0 being eos."""
+
+    eos_token_id, n_actions = 0, 3
+
+    def sync(self, tokens):
+        self.tokens = np.asarray(tokens)
+
+    def policy_probs(self):
+        probs = np.full((len(self.tokens), self.n_actions), 0.2)
+        probs[np.arange(len(self.tokens)), self.tokens.sum(axis=1) % 3] = 0.6
+        return probs
+
+    def next_tokens(self, actions):
+        return (self.tokens[:, -1] + np.asarray(actions) + 1) % 6
+
+
+def test_mixed_length_greedy_rows_decode_as_if_alone():
+    """Rows of different lengths decoded in one greedy call get what each
+    gets alone, in the order given, with eos and action 0 after their end;
+    a row ending in eos or already at max_len joins as done and comes back
+    unchanged."""
+    max_len = 9
+    rows = [[1, 2, 3], [4], [2, 2], [5, 1, 1, 1], [3, 0], [1] * max_len,
+            [4, 4, 4, 4, 4, 4, 4, 4]]
+    tokens, actions = generate(HistoryLM(), rows, "greedy", max_len)
+    assert tokens.shape == (len(rows), max_len)
+    assert actions.shape == (len(rows), max_len - 1)
+    p = min(map(len, rows))
+    for row, got, acts in zip(rows, tokens, actions):
+        alone, alone_actions = generate(HistoryLM(), [row], "greedy", max_len)
+        end = alone.shape[1]
+        np.testing.assert_array_equal(got[:end], alone[0])
+        assert (got[end:] == 0).all()
+        start = len(row) - p
+        np.testing.assert_array_equal(acts[start:end - p], alone_actions[0])
+        assert not acts[:start].any() and not acts[end - p:].any()
+    for i in (4, 5):
+        assert tokens[i, :len(rows[i])].tolist() == rows[i]
+        assert not actions[i].any()
+    assert row_ends(tokens, [len(row) for row in rows], 0)[4:6].tolist() \
+        == [2, max_len]
+
+
+class CountingRng:
+    """A numpy Generator's `random` that records the size of each draw."""
+
+    def __init__(self, seed):
+        self.rng, self.sizes = np.random.default_rng(seed), []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+def test_generate_draws_once_per_step_and_jumps_past_finished_rows(
+        monkeypatch):
+    """Each step syncs the rows in the batch once and draws one
+    rng.random(b) over them; a longer row joins when the batch reaches its
+    length, and once every row in the batch is done the batch jumps to the
+    next waiting length without a step."""
+    syncs, real = [], ChainLM.sync
+
+    def recording(self, tokens):
+        syncs.append(np.shape(tokens))
+        return real(self, tokens)
+
+    monkeypatch.setattr(ChainLM, "sync", recording)
+    cases = [  # rows, episode_len, max_len, syncs
+        ([[1, 2], [1, 3], [1, 2, 4, 4]], 50, 6, [(2, 2), (2, 3), (3, 4), (3, 5)]),
+        ([[1, 0], [1, 2, 4, 4, 4]], 50, 8, [(2, 5), (2, 6), (2, 7)]),
+        ([[1], [1, 2, 4, 4, 4, 4, 4]], 4, 10, [(1, 1), (1, 2), (1, 3), (2, 7)]),
+        ([[1, 0], [2, 0, 0]], 50, 8, []),
+    ]
+    for rows, episode_len, max_len, expected in cases:
+        syncs.clear()
+        rng = CountingRng(0)
+        tokens, _ = generate(ChainLM(episode_len=episode_len), rows, "sample",
+                             max_len, rng)
+        assert syncs == expected
+        assert rng.sizes == [b for b, _ in expected]
+        for row, got in zip(rows, tokens):
+            assert got[:len(row)].tolist() == row

@@ -766,8 +766,8 @@ def test_stage_drivers_record_every_step(stage):
 # A transformer block is one node; rl runs its reference policy untaped.
 STAGE_TAPE_NODES = {
     "bc-policy": {"bc-policy": 6},
-    "fta-FTA-I": {"fta-FTA-I": 24, "fta-policy-refresh": 6},
-    "fta-FTA-P": {"fta-FTA-P": 24},
+    "fta-FTA-I": {"fta-FTA-I": 23, "fta-policy-refresh": 6},
+    "fta-FTA-P": {"fta-FTA-P": 23},
     "pretrain-base": {"pretrain-base": 11},
     "rl": {"rl": 19},
     "stage1": {"stage1": 32},
