@@ -19,14 +19,12 @@ from .model import KVCache, ModelState, base_forward, block_forward
 class ActionAssignment:
     """One code selection per predictable position.
 
-    `soft` sums to 1 per row; `hard` is the exact one-hot; `straight` carries
-    the hard values forward but the soft gradients backward; `action` is the
+    `soft` sums to 1 per row; `straight` carries the exact one-hot of
+    `index` forward but the soft gradients backward; `action` is the
     selected codebook rows.
     """
 
-    logits: Tensor       # (..., N)
     soft: Tensor         # (..., N) softmax probabilities g
-    hard: np.ndarray     # (..., N) one-hot, constant
     straight: Tensor     # (..., N) straight-through one-hot
     index: np.ndarray    # (...,) argmax indices
     action: Tensor       # (..., d) codebook rows
@@ -83,7 +81,7 @@ def assign_direct(inverse: dict[str, Tensor], codebook: dict[str, Tensor],
     hard = one_hot(index, logits.shape[-1])
     straight = ad.add(ad.stop_grad(ad.sub(Tensor(hard), soft)), soft)
     action = ad.matmul(straight, codebook["codes"])
-    return ActionAssignment(logits, soft, hard, straight, index, action)
+    return ActionAssignment(soft, straight, index, action)
 
 
 def assign_vq(codebook: dict[str, Tensor], e_i: Tensor):

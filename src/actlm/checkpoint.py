@@ -1,78 +1,58 @@
-"""Binary checkpoint container: little-endian, length-prefixed named-tensor
-records with a whole-file checksum. Round trips are bitwise exact."""
+"""Binary checkpoint container: little-endian, a JSON header and then each
+parameter group as one flat array in param_specs order, with a whole-file
+checksum. Round trips are bitwise exact."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import asdict
 
 import numpy as np
 
-from .autodiff import Tensor
 from .config import ArchConfig
-from .model import ModelState, param_shapes
+from .model import GROUP_NAMES, ModelState, group_layout, unflatten
 
 MAGIC = b"ALMC"
-FORMAT_VERSION = 1
-_DTYPE_CODES = {np.dtype("<f4"): 0, np.dtype("<f8"): 1}
-_CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
+FORMAT_VERSION = 2
+_DTYPES = ("<f4", "<f8")
 
 
 class CheckpointError(Exception):
     pass
 
 
-def save_checkpoint(state: ModelState, path, stage: str = "", step: int = 0,
-                    rng_state=None) -> None:
+def save_checkpoint(state: ModelState, path, stage: str = "", step: int = 0) -> None:
     """Atomic write (temp file + rename) of every parameter group."""
-    header = {
-        "arch": asdict(state.cfg),
-        "stage": stage,
-        "step": int(step),
-        "rng_state": rng_state,
-        "groups": sorted(state.groups),
-    }
-    chunks = [MAGIC, struct.pack("<I", FORMAT_VERSION)]
-    hbytes = json.dumps(header, sort_keys=True).encode()
-    chunks.append(struct.pack("<I", len(hbytes)))
-    chunks.append(hbytes)
-    records = []
-    for group in sorted(state.groups):
-        for name in sorted(state.groups[group]):
-            records.append((f"{group}/{name}", state.groups[group][name].data))
-    chunks.append(struct.pack("<I", len(records)))
-    for name, data in records:
-        nb = name.encode()
-        le_dtype = np.dtype("<f4") if data.dtype == np.float32 else np.dtype("<f8")
-        arr = np.ascontiguousarray(data).astype(le_dtype, copy=False)
-        chunks.append(struct.pack("<H", len(nb)))
-        chunks.append(nb)
-        chunks.append(struct.pack("<B", _DTYPE_CODES[le_dtype]))
-        chunks.append(struct.pack("<B", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.tobytes())
-    body = b"".join(chunks)
-    digest = hashlib.sha256(body).digest()
+    flats = [state.flat(g) for g in GROUP_NAMES]
+    dtype = np.result_type(*flats).newbyteorder("<")
+    header = json.dumps({"arch": asdict(state.cfg), "dtype": dtype.str,
+                         "stage": stage, "step": int(step)}, sort_keys=True).encode()
+    chunks = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(header)), header,
+              *(f.astype(dtype, copy=False) for f in flats)]
+    digest = hashlib.sha256()
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as f:
-        f.write(body + digest)
+        for chunk in chunks:
+            digest.update(chunk)
+            f.write(chunk)
+        f.write(digest.digest())
     os.replace(tmp, path)
 
 
 def load_checkpoint(path):
-    """Returns (ModelState, meta dict with stage/step/rng_state). Raises
-    CheckpointError on a failed checksum, magic or version check, on any
-    parse failure, on trailing bytes, and on groups, tensor names or shapes
-    other than init_model builds for the header's architecture (compared
-    without building it)."""
+    """Returns (ModelState, meta dict with stage/step). Raises
+    CheckpointError on a failed checksum, magic or version check, on a
+    malformed header or an unsupported dtype, and on a body whose size is
+    not what the header's architecture and dtype give."""
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < 32 + 12:
         raise CheckpointError("truncated checkpoint file")
-    body, digest = blob[:-32], blob[-32:]
+    body, digest = memoryview(blob)[:-32], blob[-32:]
     if hashlib.sha256(body).digest() != digest:
         raise CheckpointError("checksum mismatch: corrupt or truncated checkpoint")
     if body[:4] != MAGIC:
@@ -82,47 +62,26 @@ def load_checkpoint(path):
         raise CheckpointError(
             f"checkpoint format version {version} != supported {FORMAT_VERSION}")
     try:
-        header, groups, end = _parse_body(body)
+        (hlen,) = struct.unpack_from("<I", body, 8)
+        start = 12 + hlen
+        header = json.loads(bytes(body[12:start]))
         cfg = ArchConfig(**header["arch"])
         if any(type(v) is not int for v in asdict(cfg).values()):
             raise ValueError(f"non-integer architecture field in {header['arch']}")
-        expected = param_shapes(cfg)
-        meta = {"stage": header["stage"], "step": header["step"],
-                "rng_state": header["rng_state"]}
+        dtype = header["dtype"]
+        meta = {"stage": header["stage"], "step": header["step"]}
+        sizes = [sum(math.prod(shape) for _, shape in group_layout(cfg, g))
+                 for g in GROUP_NAMES]
     except (struct.error, ValueError, TypeError, KeyError, RecursionError) as e:
         raise CheckpointError(f"malformed checkpoint: {e!r}") from None
-    if end != len(body):
-        raise CheckpointError(f"{len(body) - end} trailing bytes after the last record")
-    shapes = {g: {k: t.data.shape for k, t in ts.items()} for g, ts in groups.items()}
-    if shapes != expected:
-        raise CheckpointError("checkpoint groups, tensor names or shapes do not "
-                              "match its architecture")
+    if dtype not in _DTYPES:
+        raise CheckpointError(f"unsupported checkpoint dtype {dtype!r}")
+    expected = sum(sizes) * np.dtype(dtype).itemsize
+    if len(body) - start != expected:
+        raise CheckpointError(
+            f"checkpoint holds {len(body) - start} bytes of parameters; its "
+            f"architecture and dtype {dtype} give {expected}")
+    values = np.frombuffer(body, dtype, offset=start).copy()
+    parts = np.split(values, np.cumsum(sizes)[:-1])
+    groups = {g: unflatten(cfg, g, part) for g, part in zip(GROUP_NAMES, parts)}
     return ModelState(cfg, groups), meta
-
-
-def _parse_body(body: bytes):
-    """(header, groups, end offset); struct, JSON and numpy errors propagate."""
-    (hlen,) = struct.unpack_from("<I", body, 8)
-    off = 12 + hlen
-    header = json.loads(body[12:off])
-    (n_records,) = struct.unpack_from("<I", body, off)
-    off += 4
-    groups: dict[str, dict[str, Tensor]] = {g: {} for g in header["groups"]}
-    for _ in range(n_records):
-        (nlen,) = struct.unpack_from("<H", body, off)
-        name = body[off + 2:off + 2 + nlen].decode()
-        off += 2 + nlen
-        code, ndim = struct.unpack_from("<BB", body, off)
-        shape = struct.unpack_from(f"<{ndim}I", body, off + 2)
-        off += 2 + 4 * ndim
-        dtype = _CODE_DTYPES[code]
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        group, _, tname = name.partition("/")
-        if tname in groups[group]:
-            raise ValueError(f"repeated tensor {name!r}")
-        t = Tensor.__new__(Tensor)
-        t.data = np.frombuffer(body[off:off + nbytes], dtype=dtype).reshape(shape).copy()
-        t._backward = None
-        groups[group][tname] = t
-        off += nbytes
-    return header, groups, off

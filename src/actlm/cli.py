@@ -306,7 +306,7 @@ def main(argv=None) -> int:
         # truncate so a rerun of the same config reproduces the file exactly
         with MetricsWriter(os.path.join(out, "metrics.jsonl"), "w") as metrics:
             return _HANDLERS[args.subcommand](cfg, out, metrics)
-    except (ConfigError, CheckpointError, FileNotFoundError,
+    except (ConfigError, CheckpointError, OSError,
             FloatingPointError, RuntimeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -8,6 +8,7 @@ freezing, hashing, and checkpointing can treat each group atomically.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,13 +185,24 @@ def param_specs(cfg: ArchConfig) -> list[tuple[str, str, tuple, float | None]]:
     return specs
 
 
-def param_shapes(cfg: ArchConfig) -> dict[str, dict[str, tuple]]:
-    """{group: {name: shape}} of init_model(cfg), without building it."""
-    shapes: dict[str, dict[str, tuple]] = {}
-    for group, name, shape, _ in param_specs(cfg):
-        shapes.setdefault(group, {})[name] = shape
-    shapes["q_target"] = dict(shapes["q_online"])
-    return shapes
+def group_layout(cfg: ArchConfig, group: str) -> list[tuple[str, tuple]]:
+    """(name, shape) of each tensor of `group`, in param_specs order: the
+    layout of the group's flat array. q_target takes q_online's layout."""
+    own = "q_online" if group == "q_target" else group
+    return [(name, shape) for g, name, shape, _ in param_specs(cfg) if g == own]
+
+
+def unflatten(cfg: ArchConfig, group: str, values: np.ndarray) -> dict[str, Tensor]:
+    """The inverse of ModelState.flat: {name: Tensor} of `group`, each a view
+    into the 1-d `values` that keeps its dtype."""
+    out, off = {}, 0
+    for name, shape in group_layout(cfg, group):
+        t = Tensor.__new__(Tensor)
+        t.data = values[off:off + math.prod(shape)].reshape(shape)
+        t._backward = None
+        out[name] = t
+        off += t.data.size
+    return out
 
 
 def base_forward(p: dict[str, Tensor], cfg: ArchConfig, tokens,
@@ -242,15 +254,17 @@ class ModelState:
                 flat[f"{g}/{k}"] = t
         return flat
 
+    def flat(self, group: str) -> np.ndarray:
+        """The group's tensors joined into one 1-d array, in param_specs
+        order; `unflatten` inverts it. Both init_model and unflatten insert
+        each group's tensors in that order, so it is the dict's order."""
+        return np.concatenate([t.data.ravel() for t in self.groups[group].values()])
+
     def group_hash(self, group: str) -> str:
-        h = hashlib.sha256()
-        for name in sorted(self.groups[group]):
-            h.update(name.encode())
-            h.update(np.ascontiguousarray(self.groups[group][name].data).tobytes())
-        return h.hexdigest()
+        return hashlib.sha256(self.flat(group)).hexdigest()
 
     def hashes(self, groups=GROUP_NAMES) -> dict[str, str]:
-        return {g: self.group_hash(g) for g in groups if g in self.groups}
+        return {g: self.group_hash(g) for g in groups}
 
 
 def init_model(cfg: ArchConfig, seed: int = 0) -> ModelState:

@@ -1,8 +1,13 @@
+import json
+import struct
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from actlm import autodiff as ad
+from actlm.checkpoint import MAGIC
 
 # Property tests draw the same examples on every run, and no example
 # database carries failures from one run into the next.
@@ -114,3 +119,22 @@ def tree_snapshot(node):
     the snapshots of the children in key order."""
     return (tuple(node.state.tolist()), node.visits, round(node.q_sum, 12),
             sorted((k, tree_snapshot(v)) for k, v in node.children.items()))
+
+
+def v1_checkpoint_body(state) -> bytes:
+    """A format-1 checkpoint body of a float32 state, without its checksum:
+    a header naming the groups, then one record per tensor (name, dtype
+    code, rank, shape, data), groups and names sorted."""
+    header = {"arch": asdict(state.cfg), "stage": "", "step": 0,
+              "rng_state": None, "groups": sorted(state.groups)}
+    h = json.dumps(header, sort_keys=True).encode()
+    records = [(f"{g}/{k}", t.data) for g in sorted(state.groups)
+               for k, t in sorted(state.groups[g].items())]
+    chunks = [MAGIC, struct.pack("<II", 1, len(h)), h,
+              struct.pack("<I", len(records))]
+    for name, data in records:
+        chunks += [struct.pack("<H", len(name)), name.encode(),
+                   struct.pack("<BB", 0, data.ndim),
+                   struct.pack(f"<{data.ndim}I", *data.shape),
+                   data.astype("<f4").tobytes()]
+    return b"".join(chunks)

@@ -24,8 +24,8 @@ from actlm.config import ArchConfig, SearchConfig, TrainConfig
 from actlm.data import HmmCorpusConfig, gen_hmm_corpus, hmm_matrices, \
     open_prefixes
 from actlm.diagnostics import alive_actions, marginal_kl, val_loss
-from actlm.model import base_forward, base_logits, block_forward, init_model, \
-    param_shapes
+from actlm.model import base_forward, base_logits, block_forward, group_layout, \
+    init_model
 from actlm.search import LatentActionLM, audit_tree, mcts_search, uct_score
 from actlm.training import Transition, inverse_action_labels, inverse_labels, \
     loss_fta, loss_pre1, loss_pre2, pretrain_base_ar, q_values_fn, \
@@ -183,7 +183,7 @@ def _block_case(seed):
     rng = np.random.default_rng(seed)
     x = Tensor(rng.normal(size=(2, 3, 4)))
     blk = {name: Tensor(rng.normal(0.0, 0.5, size=shape))
-           for name, shape in param_shapes(BLOCK_ARCH)["base"].items()
+           for name, shape in group_layout(BLOCK_ARCH, "base")
            if name.startswith("blk0.")}
     w = Tensor(rng.normal(size=(2, 3, 4)))
     return (lambda: ad.sum_(ad.mul(block_forward(blk, "blk0", x, BLOCK_ARCH), w)),

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from actlm.checkpoint import (CheckpointError, FORMAT_VERSION, MAGIC,
                               load_checkpoint, save_checkpoint)
 from actlm.config import ArchConfig
-from actlm.model import init_model
+from actlm.model import GROUP_NAMES, init_model
+
+from conftest import v1_checkpoint_body
 
 
 CFG = ArchConfig(vocab_size=9, d_model=8, n_heads=2, max_seq_len=12,
@@ -24,18 +26,39 @@ CFG = ArchConfig(vocab_size=9, d_model=8, n_heads=2, max_seq_len=12,
 
 
 def test_round_trip_is_bitwise(tmp_path):
-    state = init_model(CFG, 7)
+    """In float32 and float64 alike: the file's dtype is kept on load."""
+    for dtype in (np.float32, np.float64):
+        state = init_model(CFG, 7)
+        for ts in state.groups.values():
+            for t in ts.values():
+                t.data = t.data.astype(dtype)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(state, path, stage="stage1", step=42)
+        loaded, meta = load_checkpoint(path)
+        assert meta == {"stage": "stage1", "step": 42}
+        assert loaded.cfg == CFG
+        assert list(loaded.groups) == list(GROUP_NAMES)
+        for g in state.groups:
+            assert list(loaded.groups[g]) == list(state.groups[g])
+            for k in state.groups[g]:
+                a, b = state.groups[g][k].data, loaded.groups[g][k].data
+                assert a.dtype == b.dtype == dtype
+                assert a.tobytes() == b.tobytes()
+
+
+def test_body_is_header_then_each_flat_group(tmp_path):
+    """The body after the header is flat(g) for g in GROUP_NAMES, and
+    nothing else."""
+    state = init_model(CFG, 5)
     path = tmp_path / "model.ckpt"
-    save_checkpoint(state, path, stage="stage1", step=42, rng_state=[1, 2])
-    loaded, meta = load_checkpoint(path)
-    assert meta == {"stage": "stage1", "step": 42, "rng_state": [1, 2]}
-    assert loaded.cfg == CFG
-    assert set(loaded.groups) == set(state.groups)
-    for g in state.groups:
-        for k in state.groups[g]:
-            a, b = state.groups[g][k].data, loaded.groups[g][k].data
-            assert a.dtype == b.dtype
-            assert a.tobytes() == b.tobytes()
+    save_checkpoint(state, path, stage="s", step=3)
+    body = path.read_bytes()[:-32]
+    assert body[:4] == MAGIC
+    version, hlen = struct.unpack_from("<II", body, 4)
+    assert version == FORMAT_VERSION == 2
+    header = json.loads(body[12:12 + hlen])
+    assert header == {"arch": asdict(CFG), "dtype": "<f4", "stage": "s", "step": 3}
+    assert body[12 + hlen:] == b"".join(state.flat(g).tobytes() for g in GROUP_NAMES)
 
 
 def test_save_is_deterministic(tmp_path):
@@ -97,11 +120,10 @@ def _sealed(body: bytes) -> bytes:
     return body + hashlib.sha256(body).digest()
 
 
-def _forge(header, records=b"", n_records=0) -> bytes:
-    """A body with the given JSON header and raw record bytes."""
+def _forge(header, params=b"") -> bytes:
+    """A body with the given JSON header and raw parameter bytes."""
     h = json.dumps(header).encode()
-    return (MAGIC + struct.pack("<II", FORMAT_VERSION, len(h)) + h
-            + struct.pack("<I", n_records) + records)
+    return MAGIC + struct.pack("<II", FORMAT_VERSION, len(h)) + h + params
 
 
 def _valid_body() -> bytes:
@@ -114,28 +136,34 @@ def _valid_body() -> bytes:
 
 
 VALID = _valid_body()
-HEADER = {"arch": asdict(CFG), "stage": "", "step": 0, "rng_state": None,
-          "groups": sorted(init_model(CFG).groups)}
+HEADER = {"arch": asdict(CFG), "dtype": "<f4", "stage": "", "step": 0}
+PARAMS = VALID[12 + struct.unpack_from("<I", VALID, 8)[0]:]
 
 
+# A header without its parameters, or parameters cut, extended or sized for
+# another architecture, fails the size check.
 FORGED = {
     "empty-header": (_forge({}), "KeyError"),
     "unknown-arch-field": (
-        _forge({**HEADER, "arch": {**asdict(CFG), "future_context": 1}}),
+        _forge({**HEADER, "arch": {**asdict(CFG), "future_context": 1}}, PARAMS),
         "future_context"),
-    "truncated-record": (VALID[:-5], "malformed"),
-    "no-groups": (_forge({**HEADER, "groups": []}), "do not match"),
-    "no-records": (_forge(HEADER), "do not match"),
-    "trailing-bytes": (VALID + b"\x00", "trailing"),
-    "zero-heads": (_forge({**HEADER, "arch": {**asdict(CFG), "n_heads": 0}}),
+    "truncated-record": (VALID[:-5], "bytes of parameters"),
+    "no-groups": (_forge(HEADER), "bytes of parameters"),
+    "no-records": (_forge(HEADER, PARAMS[:4]), "bytes of parameters"),
+    "trailing-bytes": (VALID + b"\x00", "bytes of parameters"),
+    "zero-heads": (_forge({**HEADER, "arch": {**asdict(CFG), "n_heads": 0}}, PARAMS),
                    "n_heads"),
     "list-header": (_forge([1, 2]), "malformed"),
-    "float-width": (_forge({**HEADER, "arch": {**asdict(CFG), "d_model": 8.0}}),
-                    "non-integer"),
-    "huge-vocab": (_forge({**HEADER, "arch": {**asdict(CFG), "vocab_size": 10**6}}),
-                   "do not match"),
+    "float-width": (_forge({**HEADER, "arch": {**asdict(CFG), "d_model": 8.0}},
+                           PARAMS), "non-integer"),
+    "huge-vocab": (_forge({**HEADER, "arch": {**asdict(CFG), "vocab_size": 10**6}},
+                          PARAMS), "bytes of parameters"),
     "undecodable-header": (
         MAGIC + struct.pack("<II", FORMAT_VERSION, 2) + b"\xff\xfe", "malformed"),
+    "unsupported-dtype": (_forge({**HEADER, "dtype": "<f2"}, PARAMS),
+                          "unsupported checkpoint dtype"),
+    "wide-dtype-narrow-body": (_forge({**HEADER, "dtype": "<f8"}, PARAMS),
+                               "bytes of parameters"),
 }
 
 
@@ -157,11 +185,15 @@ def test_wrong_tensor_shape_rejected(tmp_path):
     save_checkpoint(other, path)
     body = path.read_bytes()[:-32]
     (hlen,) = struct.unpack_from("<I", body, 8)
-    header = json.loads(body[12:12 + hlen])
-    header["arch"] = asdict(CFG)
-    path.write_bytes(_sealed(_forge(header, body[16 + hlen:],
-                                    struct.unpack_from("<I", body, 12 + hlen)[0])))
-    with pytest.raises(CheckpointError, match="do not match"):
+    path.write_bytes(_sealed(_forge(HEADER, body[12 + hlen:])))
+    with pytest.raises(CheckpointError, match="bytes of parameters"):
+        load_checkpoint(path)
+
+
+def test_v1_checkpoint_refused_by_version(tmp_path):
+    path = tmp_path / "v1.ckpt"
+    path.write_bytes(_sealed(v1_checkpoint_body(init_model(CFG, 3))))
+    with pytest.raises(CheckpointError, match="version 1 != supported 2"):
         load_checkpoint(path)
 
 

@@ -15,7 +15,10 @@ from actlm.cli import main
 from actlm.config import (ArchConfig, DiversityConfig, HmmCorpusConfig,
                           SearchConfig, TrainConfig)
 from actlm.metrics import MetricsWriter, read_metrics
+from actlm.model import init_model
 from actlm.runconfig import ConfigError, RunConfig, load_run_config
+
+from conftest import v1_checkpoint_body
 
 
 TINY = ["--steps", "3", "--batch_size", "4", "--hmm_train_count", "16",
@@ -142,6 +145,34 @@ def test_cli_forged_checkpoint_fails_by_name(tmp_path, capsys):
                "--init_checkpoint", str(forged)] + TINY)
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: malformed checkpoint")
+
+
+def test_cli_v1_checkpoint_fails_by_version(tmp_path, capsys):
+    body = v1_checkpoint_body(init_model(ArchConfig(), 0))
+    old = tmp_path / "v1.ckpt"
+    old.write_bytes(body + hashlib.sha256(body).digest())
+    rc = main(["bc-policy", "--out_dir", str(tmp_path / "run"),
+               "--init_checkpoint", str(old)] + TINY)
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: checkpoint format version 1")
+
+
+@pytest.mark.parametrize("case", ["checkpoint-is-dir", "config-is-dir",
+                                  "out-dir-under-file"])
+def test_cli_os_errors_fail_by_name(tmp_path, capsys, case):
+    """A path that names the wrong kind of file fails with exit code 1 and
+    an error line naming it, not a traceback."""
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    args, path = {
+        "checkpoint-is-dir": (["--out_dir", str(tmp_path / "run"),
+                               "--init_checkpoint", str(tmp_path)], tmp_path),
+        "config-is-dir": (["--config", str(tmp_path)], tmp_path),
+        "out-dir-under-file": (["--out_dir", str(plain / "run")], plain / "run"),
+    }[case]
+    assert main(["bc-policy"] + args + TINY) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
 
 
 def test_every_default_has_one_source():

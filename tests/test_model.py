@@ -8,7 +8,7 @@ from actlm import autodiff as ad
 from actlm.autodiff import Tape, Tensor
 from actlm.config import ArchConfig
 from actlm.model import (GROUP_NAMES, KVCache, base_forward, base_logits,
-                         block_forward, init_model, param_shapes)
+                         block_forward, init_model, unflatten)
 from conftest import accumulation_length, matmul_error_bound
 
 
@@ -173,14 +173,18 @@ def test_all_groups_present():
     vocab_size=5, d_model=6, n_heads=3, n_layers_base=3, n_layers_inverse=2,
     n_merge_mlps=1, n_layers_policy=2, codebook_size=3, max_seq_len=7,
     intermediate_dim=4)])
-def test_param_shapes_match_init_model(cfg):
-    """The checkpoint loader checks shapes against param_shapes, so it must
-    describe exactly what init_model builds, in the same order."""
-    built = {g: {k: t.data.shape for k, t in ts.items()}
-             for g, ts in init_model(cfg, 0).groups.items()}
-    shapes = param_shapes(cfg)
-    assert shapes == built
-    assert [list(g) for g in shapes.values()] == [list(g) for g in built.values()]
+def test_flat_layout_round_trips_init_model(cfg):
+    """unflatten inverts flat on every group: the same names, in the same
+    order, with bitwise the same tensors init_model builds."""
+    state = init_model(cfg, 0)
+    assert set(state.groups) == set(GROUP_NAMES)
+    for g, tensors in state.groups.items():
+        back = unflatten(cfg, g, state.flat(g))
+        assert list(back) == list(tensors)
+        for name, t in tensors.items():
+            assert back[name].data.dtype == t.data.dtype
+            assert back[name].data.shape == t.data.shape
+            assert back[name].data.tobytes() == t.data.tobytes()
 
 
 def test_group_hash_tracks_content():

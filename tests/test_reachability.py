@@ -1,7 +1,8 @@
 """Reachability: every top-level function and class in src/actlm is
 referenced somewhere other than its own definition, in src or in the
-benchmark, or is a named test oracle; and every defaulted parameter of a
-src function is passed by some src or benchmark call, or is named with
+benchmark, or is a named test oracle; every defaulted parameter of a
+src function is passed by some src or benchmark call, and every field of
+a src dataclass is read by some src or benchmark code, or is named with
 its reason."""
 
 import ast
@@ -33,8 +34,6 @@ ALLOWED_DEFAULTS = {
     "Tape.gradients.seed": "the test oracle for a non-scalar output's "
                            "backward pass",
     "finite_diff_check.eps": "the step of the finite-difference test oracle",
-    "save_checkpoint.rng_state": "resuming a killed stage bitwise (ROADMAP "
-                                 "item 5) will save the stage's rng state",
 }
 
 
@@ -142,3 +141,39 @@ def unpassed_defaults() -> set[str]:
 
 def test_every_defaulted_parameter_is_passed():
     assert unpassed_defaults() == set(ALLOWED_DEFAULTS)
+
+
+# Dataclass fields that no src or benchmark code reads, each kept for the
+# reason given.
+ALLOWED_FIELDS = {
+    "ActionAssignment.straight": "the straight-through tensor whose forward "
+                                 "values the tests check are the exact "
+                                 "one-hot of the selected codes",
+}
+
+
+def unread_fields() -> set[str]:
+    """Class.field of every field of a src dataclass whose name no src or
+    benchmark file except the benchmark's own tests reads as an attribute.
+    Reads are matched by attribute name alone, so reading a field of the
+    same name of another class counts too."""
+    src = [ast.parse(p.read_text()) for p in SRC.glob("*.py")]
+    bench = [ast.parse(p.read_text()) for p in BENCH.glob("*.py")
+             if p.name != "test_bench.py"]
+    read = {node.attr for tree in src + bench for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    found = set()
+    for tree in src:
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and any(
+                    getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+                    == "dataclass"
+                    for d in cls.decorator_list):
+                found |= {f"{cls.name}.{stmt.target.id}" for stmt in cls.body
+                          if isinstance(stmt, ast.AnnAssign)
+                          and stmt.target.id not in read}
+    return found
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_fields() == set(ALLOWED_FIELDS)
