@@ -12,7 +12,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ArchConfig
 from .data import cdf, inverse_cdf
-from .model import KVCache, ModelState, base_forward, block_forward
+from .model import (BLOCK_WEIGHTS, KVCache, ModelState, block_arrays,
+                    block_forward, weight_grad)
 
 
 @dataclass
@@ -105,42 +106,100 @@ def assign_vq(codebook: dict[str, Tensor], e_i: Tensor):
     return index, action, commitment, codebook_loss
 
 
+def world_arrays(e_l: np.ndarray, action: np.ndarray, mlps, lm_head: np.ndarray,
+                 keep: bool = False):
+    """The world-head kernel on arrays: mlps holds each merge MLP's (w1, w2,
+    w3). Returns (logits, saved): saved is None, or with `keep` each MLP's
+    (x, a1, s, sig, a2, gate) and then the final embedding.
+
+    The numpy calls are those, in that order, of the head composed of
+    concat_last, matmul, silu and mul, so the logits are bitwise equal to
+    it. Without `keep`, each intermediate is dropped as soon as the next
+    step has read it."""
+    saved = [] if keep else None
+    h = e_l
+    for w1, w2, w3 in mlps:
+        x = np.concatenate([h, action], axis=-1)
+        a1 = np.matmul(x, w1)
+        s, sig = ad.silu_arrays(a1)
+        if not keep:
+            del a1, sig
+        a2 = np.matmul(x, w2)
+        gate = s * a2
+        if keep:
+            saved.append((x, a1, s, sig, a2, gate))
+        del x, s, a2
+        h = np.matmul(gate, w3)
+    if keep:
+        saved.append(h)
+    return np.matmul(h, lm_head), saved
+
+
 def world_logits(merge: dict[str, Tensor], cfg: ArchConfig,
                  e_l: Tensor, action: Tensor) -> Tensor:
-    """Next-token logits from base embeddings plus an action embedding.
+    """Next-token logits from base embeddings plus an action embedding, as
+    one tape op.
 
     Each merge MLP re-concatenates the running embedding with the action,
     gates two up-projections (SiLU(e1) * e2), and projects back down; the
     final embedding goes through the world lm-head. No biases, so an all-zero
     input yields all-zero logits.
-    """
+
+    The backward replays the composed head's backward steps in its tape's
+    reverse order, one (tensor, gradient) pair per use of an input, so the
+    tape sums the action's gradients, one per MLP, in the composed order,
+    and outputs and gradients are bitwise equal to it."""
     if e_l.shape[-1] != action.shape[-1]:
         raise ValueError("embedding and action dimension mismatch")
-    h = e_l
-    for i in range(cfg.n_merge_mlps):
-        x = ad.concat_last(h, action)
-        gate = ad.mul(ad.silu(ad.matmul(x, merge[f"mlp{i}.w1"])),
-                      ad.matmul(x, merge[f"mlp{i}.w2"]))
-        h = ad.matmul(gate, merge[f"mlp{i}.w3"])
-    return ad.matmul(h, merge["lm_head"])
+    weights = [tuple(merge[f"mlp{i}.{w}"] for w in ("w1", "w2", "w3"))
+               for i in range(cfg.n_merge_mlps)]
+    lm_head = merge["lm_head"]
+    mlps = [tuple(w.data for w in ws) for ws in weights]
+    logits, saved = world_arrays(e_l.data, action.data, mlps, lm_head.data,
+                                 keep=ad.recording())
+    if saved is None:
+        return Tensor(logits)
+    d = e_l.shape[-1]
+
+    def backward(g):
+        pairs = [(lm_head, weight_grad(saved[-1], g, lm_head.shape))]
+        g_h = np.matmul(g, lm_head.data.swapaxes(-1, -2))
+        for i in reversed(range(len(mlps))):
+            (t1, t2, t3), (w1, w2, w3) = weights[i], mlps[i]
+            x, a1, s, sig, a2, gate = saved[i]
+            g_gate = np.matmul(g_h, w3.swapaxes(-1, -2))
+            pairs.append((t3, weight_grad(gate, g_h, w3.shape)))
+            g_s, g_a2 = g_gate * a2, g_gate * s
+            del g_gate
+            g_x = np.matmul(g_a2, w2.swapaxes(-1, -2))
+            pairs.append((t2, weight_grad(x, g_a2, w2.shape)))
+            g_a1 = ad.silu_backward(g_s, a1, sig)
+            del g_s, g_a2
+            g_x = g_x + np.matmul(g_a1, w1.swapaxes(-1, -2))
+            pairs.append((t1, weight_grad(x, g_a1, w1.shape)))
+            del g_a1
+            # the concat hands back the running embedding's gradient, which
+            # is e_l's at MLP 0, then the action's
+            g_h = g_x[..., :d]
+            if not i:
+                pairs.append((e_l, g_h))
+            pairs.append((action, g_x[..., d:]))
+        return pairs
+
+    return ad._emit(logits, backward)
 
 
 def _head_stack_forward(params: dict[str, Tensor], cfg: ArchConfig,
-                        depth: int, e_l: Tensor,
-                        cache: list[KVCache] | None = None) -> Tensor:
+                        depth: int, e_l: Tensor) -> Tensor:
     h = e_l
     for i in range(depth):
-        h = block_forward(params, f"blk{i}", h, cfg,
-                          None if cache is None else cache[i])
+        h = block_forward(params, f"blk{i}", h, cfg)
     return ad.matmul(h, params["head"])
 
 
-def policy_forward(policy: dict[str, Tensor], cfg: ArchConfig, e_l: Tensor,
-                   cache: list[KVCache] | None = None) -> Tensor:
-    """Per-position action distribution (B, T, N), causal in T. With one
-    KVCache per block, e_l continues the cached positions."""
-    return ad.softmax(_head_stack_forward(policy, cfg, cfg.n_layers_policy,
-                                          e_l, cache))
+def policy_forward(policy: dict[str, Tensor], cfg: ArchConfig, e_l: Tensor) -> Tensor:
+    """Per-position action distribution (B, T, N), causal in T."""
+    return ad.softmax(_head_stack_forward(policy, cfg, cfg.n_layers_policy, e_l))
 
 
 def policy_log_probs(policy: dict[str, Tensor], cfg: ArchConfig, e_l: Tensor) -> Tensor:
@@ -164,37 +223,72 @@ class Decoder:
     row into all new rows (or keeps one of many), so n rows that leave one
     sequence encode only what follows it. A new decoder holds one empty
     row, which its first sync forks into however many rows it is given.
-    The caches are valid only while the state's weights stay unchanged.
+
+    Decoding runs the array kernels (`model.block_arrays`, `world_arrays`)
+    and records no tape. The decoder resolves the state's weight arrays
+    once, at construction, in the dtype then active: it holds references to
+    them, so the caches are valid only while the state's weights stay
+    unchanged in place, and a sync under another precision mode raises.
+    The kernels are the ones block_forward and world_logits run, so
+    decoding and training share one forward per layer.
 
     `sync`, `policy_probs`, `next_tokens`, `eos_token_id` and `n_actions`
     are the generator contract that `generate` and search decode through,
     so hand-built test generators plug in alike."""
 
     def __init__(self, state: ModelState):
-        cfg = state.cfg
-        self.state = state
+        cfg, groups = state.cfg, state.groups
+        self.cfg, self.dtype = cfg, ad.active_dtype()
         self.eos_token_id = cfg.eos_token_id
         self.n_actions = cfg.codebook_size
+
+        def arrays(group, *names):
+            return [np.asarray(groups[group][n].data, self.dtype) for n in names]
+
+        def blocks(group, depth):
+            return [arrays(group, *(f"blk{i}.{w}" for w in BLOCK_WEIGHTS))
+                    for i in range(depth)]
+
+        self.tok_emb, self.pos_emb, self.ln_out = arrays(
+            "base", "tok_emb", "pos_emb", "ln_out")
+        self.base_blocks = blocks("base", cfg.n_layers_base)
+        self.policy_blocks = blocks("policy", cfg.n_layers_policy)
+        (self.policy_head,) = arrays("policy", "head")
+        self.mlps = [arrays("merge", *(f"mlp{i}.{w}" for w in ("w1", "w2", "w3")))
+                     for i in range(cfg.n_merge_mlps)]
+        (self.lm_head,) = arrays("merge", "lm_head")
+        (self.codes,) = arrays("codebook", "codes")
         self.tokens = np.zeros((1, 0), dtype=np.int64)
         self.base_cache = [KVCache(cfg.max_seq_len) for _ in range(cfg.n_layers_base)]
         self.policy_cache = [KVCache(cfg.max_seq_len)
                              for _ in range(cfg.n_layers_policy)]
-        dtype = ad.active_dtype()
-        self.e_l = np.zeros((1, cfg.max_seq_len, cfg.d_model), dtype)
-        self.probs = np.zeros((1, cfg.max_seq_len, cfg.codebook_size), dtype)
+        self.e_l = np.zeros((1, cfg.max_seq_len, cfg.d_model), self.dtype)
+        self.probs = np.zeros((1, cfg.max_seq_len, cfg.codebook_size), self.dtype)
 
     def sync(self, tokens) -> None:
         """Make the held sequences equal to tokens (B, T), B any batch size.
 
         With B unchanged, row i keeps what it shares with held row i. With
         B changed, every row continues the one held row with which all of
-        them share the longest prefix. Raises FloatingPointError, naming
-        the first position, if the policy probabilities of a newly encoded
-        position are not finite."""
+        them share the longest prefix. Raises ValueError, before it changes
+        what it holds, under a precision mode other than the one it was
+        built in, past max_seq_len and on a token id outside the
+        vocabulary; and FloatingPointError, naming the first position, if
+        the policy probabilities of a newly encoded position are not
+        finite."""
+        if ad.active_dtype() != self.dtype:
+            raise ValueError(f"decoder built for {self.dtype} synced under "
+                             f"{ad.active_dtype()}")
         tokens = np.asarray(tokens)
         if tokens.ndim != 2 or tokens.shape[1] < 1:
             raise ValueError(f"expected (B, T>=1) tokens, got shape {tokens.shape}")
-        n = min(self.tokens.shape[1], tokens.shape[1])
+        t = tokens.shape[1]
+        if t > self.cfg.max_seq_len:
+            raise ValueError(f"sequence length {t} exceeds max_seq_len "
+                             f"{self.cfg.max_seq_len}")
+        if tokens.min() < 0 or tokens.max() >= len(self.tok_emb):
+            raise ValueError("embedding id out of range")
+        n = min(self.tokens.shape[1], t)
         if len(tokens) == len(self.tokens):
             differ = np.flatnonzero((self.tokens[:, :n] != tokens[:, :n]).any(axis=0))
             if differ.size:
@@ -203,19 +297,29 @@ class Decoder:
             n = self._fork(tokens[:, :n])
         for c in self.base_cache + self.policy_cache:
             c.length = n
-        t = tokens.shape[1]
         if t > n:
-            groups, cfg = self.state.groups, self.state.cfg
-            e_l = base_forward(groups["base"], cfg, tokens[:, n:], self.base_cache)
-            probs = policy_forward(groups["policy"], cfg, e_l, self.policy_cache)
-            if not np.isfinite(probs.data).all():
-                bad = np.flatnonzero(~np.isfinite(probs.data).all(axis=(0, 2)))
+            e_l, probs = self.encode(tokens[:, n:], n)
+            if not np.isfinite(probs).all():
+                bad = np.flatnonzero(~np.isfinite(probs).all(axis=(0, 2)))
                 self.tokens = tokens[:, :n].copy()  # positions n.. are overwritten
                 raise FloatingPointError("non-finite policy probabilities at "
                                          f"position {n + int(bad[0])}")
-            self.e_l[:, n:t] = e_l.data
-            self.probs[:, n:t] = probs.data
+            self.e_l[:, n:t] = e_l
+            self.probs[:, n:t] = probs
         self.tokens = tokens.copy()
+
+    def encode(self, tokens: np.ndarray, start: int):
+        """(e_l, policy probabilities) at positions start.. of the held
+        rows, for tokens (B, t) that continue the cached positions, which
+        they join."""
+        x = self.tok_emb[tokens] + self.pos_emb[start:start + tokens.shape[1]]
+        heads = self.cfg.n_heads
+        for ws, cache in zip(self.base_blocks, self.base_cache):
+            x = block_arrays(x, ws, heads, cache)[0]
+        e_l = h = ad.rms_norm_arrays(x, self.ln_out)[0]
+        for ws, cache in zip(self.policy_blocks, self.policy_cache):
+            h = block_arrays(h, ws, heads, cache)[0]
+        return e_l, ad.softmax_rows(np.matmul(h, self.policy_head))
 
     def _fork(self, prefixes: np.ndarray) -> int:
         """Hold len(prefixes) copies of the held row whose prefix all rows
@@ -239,11 +343,10 @@ class Decoder:
         """(B,) world-model argmax token after the held tokens, one action
         per row."""
         t = self.tokens.shape[1]
-        codes = self.state.groups["codebook"]["codes"].data
-        logits = world_logits(self.state.groups["merge"], self.state.cfg,
-                              Tensor(self.e_l[:, t - 1:t]),
-                              Tensor(codes[np.asarray(actions)][:, None, :]))
-        return logits.data[:, -1, :].argmax(axis=-1)
+        logits = world_arrays(self.e_l[:, t - 1:t],
+                              self.codes[np.asarray(actions)][:, None, :],
+                              self.mlps, self.lm_head)[0]
+        return logits[:, -1, :].argmax(axis=-1)
 
 
 def check_prompts(prompts, mode: str, rng) -> np.ndarray:

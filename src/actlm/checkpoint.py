@@ -46,8 +46,9 @@ def save_checkpoint(state: ModelState, path, stage: str = "", step: int = 0) -> 
 def load_checkpoint(path):
     """Returns (ModelState, meta dict with stage/step). Raises
     CheckpointError on a failed checksum, magic or version check, on a
-    malformed header or an unsupported dtype, and on a body whose size is
-    not what the header's architecture and dtype give."""
+    malformed header or an unsupported dtype, on an architecture field
+    larger than the number of parameters the body holds, and on a body
+    whose size is not what the header's architecture and dtype give."""
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < 32 + 12:
@@ -70,12 +71,20 @@ def load_checkpoint(path):
             raise ValueError(f"non-integer architecture field in {header['arch']}")
         dtype = header["dtype"]
         meta = {"stage": header["stage"], "step": header["step"]}
-        sizes = [sum(math.prod(shape) for _, shape in group_layout(cfg, g))
-                 for g in GROUP_NAMES]
     except (struct.error, ValueError, TypeError, KeyError, RecursionError) as e:
         raise CheckpointError(f"malformed checkpoint: {e!r}") from None
     if dtype not in _DTYPES:
         raise CheckpointError(f"unsupported checkpoint dtype {dtype!r}")
+    # no architecture field exceeds the parameter count, so a field the body
+    # cannot hold is refused before its layout is built
+    held = (len(body) - start) // np.dtype(dtype).itemsize
+    for name, value in asdict(cfg).items():
+        if value > held:
+            raise CheckpointError(
+                f"checkpoint holds {len(body) - start} bytes of parameters, too "
+                f"few for its architecture field {name} = {value}")
+    sizes = [sum(math.prod(shape) for _, shape in group_layout(cfg, g))
+             for g in GROUP_NAMES]
     expected = sum(sizes) * np.dtype(dtype).itemsize
     if len(body) - start != expected:
         raise CheckpointError(

@@ -22,11 +22,12 @@ INIT_STD = 0.02
 
 class KVCache:
     """Keys and values of one attention block over the first `length`
-    positions of a batch of sequences, for incremental decoding.
+    positions of a batch of sequences, for incremental decoding by
+    `actions.Decoder` through `block_arrays`.
 
-    Valid only for the weights that produced it. Forward-only: cached keys
-    and values are constants, so no gradient reaches the positions they
-    came from. Setting `length` lower truncates."""
+    Valid only for the weights that produced it. Decoder-only: no tape op
+    takes a cache, so no gradient ever reaches cached keys and values.
+    Setting `length` lower truncates."""
 
     def __init__(self, max_len: int):
         self.max_len = max_len
@@ -49,36 +50,33 @@ class KVCache:
 BLOCK_WEIGHTS = ("ln1", "wq", "wk", "wv", "wo", "ln2", "w1", "w2", "w3")
 
 
-def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient of w in (B, T, .) a @ w from the gradient g of the product,
-    as ad.matmul's backward computes it."""
-    return np.matmul(a.swapaxes(-1, -2), g).sum(axis=0)
+def weight_grad(a: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Gradient of the weight w, of `shape`, in a @ w from the gradient g of
+    the product, as ad.matmul's backward computes it."""
+    return ad._unbroadcast(np.matmul(a.swapaxes(-1, -2), g), shape)
 
 
-def block_forward(p: dict[str, Tensor], prefix: str, x: Tensor, cfg: ArchConfig,
-                  cache: KVCache | None = None) -> Tensor:
-    """Pre-norm causal attention block + gated MLP, residual throughout, as
-    one tape op.
+def block_arrays(x: np.ndarray, ws, n_heads: int, cache: KVCache | None = None,
+                 keep: bool = False):
+    """The block kernel: pre-norm causal attention block + gated MLP,
+    residual throughout, on arrays; ws are the BLOCK_WEIGHTS arrays.
+    Returns (out, saved): saved is None, or with `keep` every intermediate
+    block_forward's backward reads.
 
     With a cache, x holds only the positions after the cached ones; they
     attend to the cached keys and values too, and are appended to them.
 
-    The forward makes the same numpy calls, in the same order, as the block
-    composed of rms_norm, matmul, reshape, swapaxes, causal_attention_scores,
-    softmax, add, silu and mul, and the backward replays that composition's
-    backward steps in its tape's reverse order, so outputs and gradients
-    are bitwise equal to it. The scores are scaled, masked and softmaxed in
-    place. Off a recording tape, each intermediate is dropped as soon as
-    the next step has read it."""
+    The numpy calls are those, in that order, of the block composed of
+    rms_norm, matmul, reshape, swapaxes, causal_attention_scores, softmax,
+    add, silu and mul, so the output is bitwise equal to it. The scores
+    are scaled, masked and softmaxed in place. Without `keep`, each
+    intermediate is dropped as soon as the next step has read it."""
     b, t, d = x.shape
-    h, dh = cfg.n_heads, d // cfg.n_heads
-    weights = [p[f"{prefix}.{name}"] for name in BLOCK_WEIGHTS]
-    ln1, wq, wk, wv, wo, ln2, w1, w2, w3 = (w.data for w in weights)
-    keep = ad.recording()
-    xd = x.data
+    dh = d // n_heads
+    ln1, wq, wk, wv, wo, ln2, w1, w2, w3 = ws
 
-    hn, xn1, inv1 = ad.rms_norm_arrays(xd, ln1)
-    q, k, v = (np.matmul(hn, w).reshape(b, t, h, dh).swapaxes(1, 2)
+    hn, xn1, inv1 = ad.rms_norm_arrays(x, ln1)
+    q, k, v = (np.matmul(hn, w).reshape(b, t, n_heads, dh).swapaxes(1, 2)
                for w in (wq, wk, wv))
     if cache is not None:
         k, v = cache.extend(k, v)
@@ -88,7 +86,7 @@ def block_forward(p: dict[str, Tensor], prefix: str, x: Tensor, cfg: ArchConfig,
     if not keep:
         del hn, xn1, inv1, q, k, v, att
     x1 = np.matmul(ctx, wo)
-    np.add(xd, x1, out=x1)
+    np.add(x, x1, out=x1)
 
     hn2, xn2, inv2 = ad.rms_norm_arrays(x1, ln2)
     a1 = np.matmul(hn2, w1)
@@ -102,25 +100,46 @@ def block_forward(p: dict[str, Tensor], prefix: str, x: Tensor, cfg: ArchConfig,
     out = np.matmul(gate, w3)
     np.add(x1, out, out=out)
     if not keep:
+        return out, None
+    return out, (hn, xn1, inv1, q, k, v, att, mask, ctx, x1,
+                 hn2, xn2, inv2, a1, s1, sig, a2, gate)
+
+
+def block_forward(p: dict[str, Tensor], prefix: str, x: Tensor, cfg: ArchConfig) -> Tensor:
+    """The block of `block_arrays` as one tape op.
+
+    The backward replays the composed block's backward steps in its tape's
+    reverse order, so outputs and gradients are bitwise equal to it. Off a
+    recording tape, no intermediate is kept."""
+    weights = [p[f"{prefix}.{name}"] for name in BLOCK_WEIGHTS]
+    ws = [w.data for w in weights]
+    ln1, wq, wk, wv, wo, ln2, w1, w2, w3 = ws
+    xd = x.data
+    out, saved = block_arrays(xd, ws, cfg.n_heads, keep=ad.recording())
+    if saved is None:
         return Tensor(out)
+    (hn, xn1, inv1, q, k, v, att, mask, ctx, x1,
+     hn2, xn2, inv2, a1, s1, sig, a2, gate) = saved
+    b, t, d = xd.shape
+    h, dh = cfg.n_heads, d // cfg.n_heads
 
     def backward(g):
         # residual: g reaches x1 directly and through the MLP
         g_gate = np.matmul(g, w3.swapaxes(-1, -2))
-        grads = {"w3": _weight_grad(gate, g)}
+        grads = {"w3": weight_grad(gate, g, w3.shape)}
         g_a2 = g_gate * s1
         g_a1 = ad.silu_backward(g_gate * a2, a1, sig)
         del g_gate
         g_hn2 = np.matmul(g_a2, w2.swapaxes(-1, -2))
-        grads["w2"] = _weight_grad(hn2, g_a2)
+        grads["w2"] = weight_grad(hn2, g_a2, w2.shape)
         g_hn2 = g_hn2 + np.matmul(g_a1, w1.swapaxes(-1, -2))
-        grads["w1"] = _weight_grad(hn2, g_a1)
+        grads["w1"] = weight_grad(hn2, g_a1, w1.shape)
         del g_a1, g_a2
         g_x1, grads["ln2"] = ad.rms_norm_backward(g_hn2, x1, ln2, xn2, inv2)
         g_x1 = g + g_x1
 
         g_ctx = np.matmul(g_x1, wo.swapaxes(-1, -2))
-        grads["wo"] = _weight_grad(ctx, g_x1)
+        grads["wo"] = weight_grad(ctx, g_x1, wo.shape)
         g_ctx = g_ctx.reshape(b, t, h, dh).swapaxes(1, 2)
         g_att = np.matmul(g_ctx, v.swapaxes(-1, -2))
         g_v = np.matmul(att.swapaxes(-1, -2), g_ctx)
@@ -128,20 +147,16 @@ def block_forward(p: dict[str, Tensor], prefix: str, x: Tensor, cfg: ArchConfig,
         del g_att
         g_q, g_k = ad.causal_scores_backward(g_s, q, k, mask)
         del g_s
-        # hn fans out to v, k and q; the tape sums them in that order.
-        # Cached keys and values are constants: only q carries a gradient.
+        # hn fans out to v, k and q; the tape sums them in that order
         g_hn = None
         for name, w, gy in (("wv", wv, g_v), ("wk", wk, g_k), ("wq", wq, g_q)):
-            if cache is not None and name != "wq":
-                continue
             gy = gy.swapaxes(1, 2).reshape(b, t, d)
             gh = np.matmul(gy, w.swapaxes(-1, -2))
             g_hn = gh if g_hn is None else g_hn + gh
-            grads[name] = _weight_grad(hn, gy)
+            grads[name] = weight_grad(hn, gy, w.shape)
         g_x, grads["ln1"] = ad.rms_norm_backward(g_hn, xd, ln1, xn1, inv1)
         return [(x, g_x1), (x, g_x)] + [(w, grads[name]) for name, w
-                                        in zip(BLOCK_WEIGHTS, weights)
-                                        if name in grads]
+                                        in zip(BLOCK_WEIGHTS, weights)]
 
     return ad._emit(out, backward)
 
@@ -205,26 +220,21 @@ def unflatten(cfg: ArchConfig, group: str, values: np.ndarray) -> dict[str, Tens
     return out
 
 
-def base_forward(p: dict[str, Tensor], cfg: ArchConfig, tokens,
-                 cache: list[KVCache] | None = None) -> Tensor:
+def base_forward(p: dict[str, Tensor], cfg: ArchConfig, tokens) -> Tensor:
     """tokens (B, T) int -> embeddings (B, T, d); `base_logits` turns them
-    into next-token logits.
-
-    With one KVCache per block, tokens continue the cached positions and
-    the output covers only them."""
+    into next-token logits."""
     tokens = np.asarray(tokens)
     if tokens.ndim != 2:
         raise ValueError("tokens must be (batch, time)")
-    b, t = tokens.shape
-    start = 0 if cache is None else cache[0].length
-    if start + t > cfg.max_seq_len:
-        raise ValueError(f"sequence length {start + t} exceeds max_seq_len {cfg.max_seq_len}")
+    t = tokens.shape[1]
+    if t > cfg.max_seq_len:
+        raise ValueError(f"sequence length {t} exceeds max_seq_len {cfg.max_seq_len}")
     # ad.embedding rejects token ids outside the table's vocab_size rows
     x = ad.add(ad.embedding(p["tok_emb"], tokens),
                ad.slice_time(ad.reshape(p["pos_emb"], (1, cfg.max_seq_len, cfg.d_model)),
-                             start, start + t))
+                             0, t))
     for i in range(cfg.n_layers_base):
-        x = block_forward(p, f"blk{i}", x, cfg, None if cache is None else cache[i])
+        x = block_forward(p, f"blk{i}", x, cfg)
     return ad.rms_norm(x, p["ln_out"])
 
 

@@ -424,11 +424,13 @@ def loss_rl(state: ModelState, batch: dict, cfg: TrainConfig):
 # ---------------------------------------------------------------------------
 
 def q_values_fn(state: ModelState, group: str):
-    """Q(x_{1:t}, .) as a callable on a 1-d token context."""
+    """Q(x_{1:t}, .) as a callable on a 1-d token context; it records no
+    tape."""
     def q(context) -> np.ndarray:
         tokens = np.asarray(context).reshape(1, -1)
-        e_l = base_forward(state.groups["base"], state.cfg, tokens)
-        vals = q_forward(state.groups[group], state.cfg, e_l)
+        with ad.untaped():
+            e_l = base_forward(state.groups["base"], state.cfg, tokens)
+            vals = q_forward(state.groups[group], state.cfg, e_l)
         return vals.data[0, -1, :]
     return q
 

@@ -141,7 +141,8 @@ PARAMS = VALID[12 + struct.unpack_from("<I", VALID, 8)[0]:]
 
 
 # A header without its parameters, or parameters cut, extended or sized for
-# another architecture, fails the size check.
+# another architecture, fails the size check, or, with an architecture field
+# larger than the parameter count, the field check before it.
 FORGED = {
     "empty-header": (_forge({}), "KeyError"),
     "unknown-arch-field": (
@@ -173,6 +174,23 @@ def test_forged_bodies_with_valid_digest_rejected(tmp_path, case):
     path = tmp_path / "forged.ckpt"
     path.write_bytes(_sealed(body))
     with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
+def test_oversized_architecture_refused_before_any_layout(tmp_path, monkeypatch):
+    """A sealed header naming 10^6 base layers over a small body is refused
+    by the field's name without building a parameter layout."""
+    from actlm import checkpoint
+
+    def no_layout(*args):
+        raise AssertionError("group_layout called")
+
+    monkeypatch.setattr(checkpoint, "group_layout", no_layout)
+    path = tmp_path / "forged.ckpt"
+    path.write_bytes(_sealed(_forge(
+        {**HEADER, "arch": {**asdict(CFG), "n_layers_base": 10**6}}, PARAMS)))
+    with pytest.raises(CheckpointError,
+                       match="architecture field n_layers_base = 1000000"):
         load_checkpoint(path)
 
 

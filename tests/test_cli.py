@@ -4,7 +4,7 @@ import hashlib
 import json
 import os
 import struct
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -145,6 +145,29 @@ def test_cli_forged_checkpoint_fails_by_name(tmp_path, capsys):
                "--init_checkpoint", str(forged)] + TINY)
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: malformed checkpoint")
+
+
+def test_cli_oversized_architecture_fails_by_name(tmp_path, capsys, monkeypatch):
+    """A sealed checkpoint whose header names 10^6 base layers over the body
+    of a small model exits 1 by the field's name, building no layout."""
+    from actlm import checkpoint
+
+    def no_layout(*args):
+        raise AssertionError("group_layout called")
+
+    monkeypatch.setattr(checkpoint, "group_layout", no_layout)
+    header = json.dumps({"arch": {**asdict(ArchConfig()), "n_layers_base": 10**6},
+                         "dtype": "<f4", "stage": "", "step": 0}).encode()
+    body = (MAGIC + struct.pack("<II", FORMAT_VERSION, len(header)) + header
+            + bytes(4 * 1000))
+    forged = tmp_path / "forged.ckpt"
+    forged.write_bytes(body + hashlib.sha256(body).digest())
+    rc = main(["bc-policy", "--out_dir", str(tmp_path / "run"),
+               "--init_checkpoint", str(forged)] + TINY)
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: checkpoint holds 4000 bytes of parameters, too few for its "
+        "architecture field n_layers_base = 1000000")
 
 
 def test_cli_v1_checkpoint_fails_by_version(tmp_path, capsys):

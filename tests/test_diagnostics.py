@@ -249,11 +249,12 @@ def test_sweep_readers_match_per_chunk_recompute(first):
 
 
 def test_eval_report_encodes_each_val_chunk_once(tmp_path, monkeypatch):
-    """Over cmd_eval's calls, the base forward sees each sweep_rows(T)-row
-    chunk of the val corpus once (the table, the labels and both CEs share
-    one sweep); only shorter contexts and decode steps come on top. The
-    chunks may be encoded in any order, so the full-width calls are
-    compared with them as a multiset of row blocks."""
+    """Over cmd_eval's calls, the base forward and the Decoder's encode
+    step see each sweep_rows(T)-row chunk of the val corpus once (the
+    table, the labels and both CEs share one sweep); only shorter contexts
+    and decode steps come on top. The chunks may be encoded in any order,
+    so the full-width calls are compared with them as a multiset of row
+    blocks."""
     rows = sweep_rows(12)
     cfg = load_run_config(None, [
         "--hmm_train_count", "16", "--hmm_val_count", str(rows + 6),
@@ -263,7 +264,7 @@ def test_eval_report_encodes_each_val_chunk_once(tmp_path, monkeypatch):
     _, val, _ = cli._corpora(cfg)
     monkeypatch.setattr(cli, "_load_input", lambda cfg: init_model(cfg.arch(), 0))
     encoded = []
-    for module in (model, training, diagnostics, actions):
+    for module in (model, training, diagnostics):
         real = module.base_forward
 
         def counting(p, arch, tokens, *args, real=real, **kwargs):
@@ -271,6 +272,13 @@ def test_eval_report_encodes_each_val_chunk_once(tmp_path, monkeypatch):
             return real(p, arch, tokens, *args, **kwargs)
 
         monkeypatch.setattr(module, "base_forward", counting)
+    encode = actions.Decoder.encode
+
+    def decoding(self, tokens, start):
+        encoded.append(np.array(tokens))
+        return encode(self, tokens, start)
+
+    monkeypatch.setattr(actions.Decoder, "encode", decoding)
     with MetricsWriter(str(tmp_path / "metrics.jsonl"), "w") as metrics:
         assert cli.cmd_eval(cfg, str(tmp_path), metrics) == 0
     full_width = [t for t in encoded if t.shape[1] == val.shape[1]]

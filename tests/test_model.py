@@ -1,5 +1,6 @@
 """Model structure tests: shapes, causality, deterministic init, group
-hashing, and key/value-cached forwards against the full-prefix forward."""
+hashing, and the block kernel under a key/value cache against the
+full-prefix forward."""
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from actlm import autodiff as ad
 from actlm.autodiff import Tape, Tensor
 from actlm.config import ArchConfig
-from actlm.model import (GROUP_NAMES, KVCache, base_forward, base_logits,
-                         block_forward, init_model, unflatten)
+from actlm.model import (BLOCK_WEIGHTS, GROUP_NAMES, KVCache, base_forward,
+                         base_logits, block_arrays, block_forward, init_model,
+                         unflatten)
 from conftest import accumulation_length, matmul_error_bound
 
 
@@ -39,12 +41,30 @@ def test_base_forward_is_causal():
         assert not np.array_equal(logits.data[:, t], logits2.data[:, t])
 
 
+def kernel_block(p, prefix, x, cfg, cache):
+    """block_arrays under a KVCache, on a Tensor's array: the block the
+    decoder runs."""
+    ws = [p[f"{prefix}.{w}"].data for w in BLOCK_WEIGHTS]
+    return Tensor(block_arrays(x.data, ws, cfg.n_heads, cache)[0])
+
+
+def cached_base_logits(p, cfg, tokens, caches):
+    """Base logits of tokens (B, t) that continue the cached positions,
+    through the block kernel under one KVCache per block."""
+    start, t = caches[0].length, tokens.shape[1]
+    x = Tensor(p["tok_emb"].data[tokens] + p["pos_emb"].data[start:start + t])
+    for i, cache in enumerate(caches):
+        x = kernel_block(p, f"blk{i}", x, cfg, cache)
+    return ad.rms_norm_arrays(x.data, p["ln_out"].data)[0] @ p["lm_head"].data
+
+
 @pytest.mark.parametrize("mode", ["verify", "train"])
 @pytest.mark.parametrize("seed", range(6))
 def test_cached_base_forward_matches_full_prefix(mode, seed):
-    """One token at a time, then a truncation and a re-extension with other
-    tokens in chunks: every logit stays within the rounding-error bound of
-    the full-prefix forward (a few ulp of the operands in verify mode)."""
+    """The block kernel under a cache, one token at a time, then after a
+    truncation and a re-extension with other tokens in chunks: every logit
+    stays within the rounding-error bound of the full-prefix forward (a few
+    ulp of the operands in verify mode)."""
     ad.set_precision(mode)
     cfg = ArchConfig(max_seq_len=24)
     p = init_model(cfg, seed).groups["base"]
@@ -62,7 +82,7 @@ def test_cached_base_forward_matches_full_prefix(mode, seed):
 
     tokens = rng.integers(0, cfg.vocab_size, size=(2, t))
     cache = [KVCache(t) for _ in range(cfg.n_layers_base)]
-    steps = [base_logits(p, base_forward(p, cfg, tokens[:, i:i + 1], cache)).data
+    steps = [cached_base_logits(p, cfg, tokens[:, i:i + 1], cache)
              for i in range(t)]
     check(tokens, np.concatenate(steps, axis=1), 0)
 
@@ -72,11 +92,9 @@ def test_cached_base_forward_matches_full_prefix(mode, seed):
     for c in cache:
         c.length = keep
     cuts = [keep, *sorted(rng.choice(np.arange(keep + 1, t), 2, replace=False)), t]
-    chunks = [base_logits(p, base_forward(p, cfg, branch[:, a:b], cache)).data
+    chunks = [cached_base_logits(p, cfg, branch[:, a:b], cache)
               for a, b in zip(cuts, cuts[1:])]
     check(branch, np.concatenate(chunks, axis=1), keep)
-    with pytest.raises(ValueError):
-        base_forward(p, cfg, branch[:, :1], cache)  # past max_seq_len
 
 
 def reference_block_forward(p, prefix, x, cfg, cache=None):
@@ -110,24 +128,28 @@ def _block_run(block, b, t, past, n_blocks, seed):
     """Output and gradients (input's first, then every weight's) of
     n_blocks stacked blocks plus a skip from their input, so that the
     input's gradient also sums with one reaching it from outside the
-    blocks. With past > 0 each block first caches `past` positions off the
-    tape."""
+    blocks. With past > 0 each block first caches `past` positions and
+    then runs under the cache off the tape, so only the output is
+    returned: decoding records no tape."""
     cfg = ArchConfig(n_layers_base=n_blocks)
     p = init_model(cfg, seed).groups["base"]
     rng = np.random.default_rng(seed)
     for w in p.values():  # well away from the tiny init scale
         w.data = w.data + rng.normal(0.0, 0.3, size=w.shape).astype(w.data.dtype)
     x = Tensor(rng.normal(size=(b, t, cfg.d_model)))
-    caches = None
     if past:
         caches = [KVCache(cfg.max_seq_len) for _ in range(n_blocks)]
         h = Tensor(rng.normal(size=(b, past, cfg.d_model)))
         for i, cache in enumerate(caches):
             h = block(p, f"blk{i}", h, cfg, cache)
+        h = x
+        for i, cache in enumerate(caches):
+            h = block(p, f"blk{i}", h, cfg, cache)
+        return [ad.add(h, x).data]
     with Tape() as tape:
         h = x
         for i in range(n_blocks):
-            h = block(p, f"blk{i}", h, cfg, None if caches is None else caches[i])
+            h = block(p, f"blk{i}", h, cfg)
         out = ad.add(h, x)
     g = rng.normal(size=out.shape).astype(out.data.dtype)
     grads = tape.gradients(out, seed=g)
@@ -143,12 +165,14 @@ def _block_run(block, b, t, past, n_blocks, seed):
 ])
 def test_fused_block_matches_composed_reference_bitwise(mode, b, t, past, n_blocks):
     """The fused block gives the composed block's output and every gradient,
-    the input's included, to the bit. Against a cache, keys and values
-    are constants in both, so wk and wv get no gradient."""
+    the input's included, to the bit. Against a cache, the block kernel
+    the decoder runs gives the composed block's output to the bit."""
     ad.set_precision(mode)
+    fused = kernel_block if past else block_forward
     for seed in range(3):
-        got = _block_run(block_forward, b, t, past, n_blocks, seed)
+        got = _block_run(fused, b, t, past, n_blocks, seed)
         want = _block_run(reference_block_forward, b, t, past, n_blocks, seed)
+        assert len(got) == len(want)
         for i, (a, r) in enumerate(zip(got, want)):
             assert a.dtype == r.dtype and np.array_equal(a, r), (seed, i)
 

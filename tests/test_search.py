@@ -15,7 +15,7 @@ import actlm
 from actlm import autodiff as ad
 from actlm.actions import (Decoder, generate, policy_forward, row_ends,
                            world_logits)
-from actlm.autodiff import Tensor
+from actlm.autodiff import Tape, Tensor
 from actlm.config import ArchConfig, SearchConfig
 from actlm.data import cdf, inverse_cdf
 from actlm.model import base_forward, block_forward, init_model
@@ -610,14 +610,13 @@ def test_decoder_matches_full_prefix(mode, seed):
 def test_latent_action_lm_encodes_each_token_once(monkeypatch):
     """next_token after a sync to the same tokens, or to a prefix of them,
     runs no forward; a new token costs one forward over it alone."""
-    from actlm import actions
-    real, widths = actions.base_forward, []
+    real, widths = Decoder.encode, []
 
-    def counting(p, cfg, tokens, cache=None):
-        widths.append(np.asarray(tokens).shape[1])
-        return real(p, cfg, tokens, cache)
+    def counting(self, tokens, start):
+        widths.append(tokens.shape[1])
+        return real(self, tokens, start)
 
-    monkeypatch.setattr(actions, "base_forward", counting)
+    monkeypatch.setattr(Decoder, "encode", counting)
     lm = LatentActionLM(init_model(DCFG, 0))
     lm.sync([[1, 2, 3]])
     lm.next_token([1, 2, 3], 0)
@@ -655,6 +654,47 @@ def test_generation_syncs_once_per_token(monkeypatch):
         assert actions_.shape == (2, 10)
 
 
+def test_decoder_refuses_a_sync_under_another_precision():
+    """A decoder built in train mode refuses a sync in verify mode, naming
+    both dtypes, and holds what it held: back in train mode it goes on as
+    one that never saw the refused sync."""
+    state = init_model(DCFG, 0)
+    dec = Decoder(state)
+    dec.sync([[3, 5, 7]])
+    ad.set_precision("verify")
+    with pytest.raises(ValueError, match="float32.*float64"):
+        dec.sync([[3, 5, 7, 4]])
+    ad.set_precision("train")
+    dec.sync([[3, 5, 7, 4]])
+    fresh = Decoder(state)
+    fresh.sync([[3, 5, 7]])
+    fresh.sync([[3, 5, 7, 4]])
+    np.testing.assert_array_equal(dec.probs, fresh.probs)
+    np.testing.assert_array_equal(dec.next_tokens([1]), fresh.next_tokens([1]))
+
+
+def test_decoding_records_nothing():
+    """rollout_batch, search.rollout and a Q-pruned mcts_search on the
+    model's own Q head, run inside an open tape, record no node on it."""
+    state = init_model(DCFG, 0)
+    rng = np.random.default_rng(0)
+    cfg = SearchConfig(action_steps=2, iterations=6, expand_width=2,
+                       max_len=12, seed=0, bellman_threshold=1.0)
+    with Tape() as tape:
+        rollout_batch(state, np.array([[3, 5], [4, 6]]), "sample", 12, rng)
+        rollout(LatentActionLM(state), [3, 5], "greedy", 12)
+        result = mcts_search(LatentActionLM(state), [3, 5], cfg,
+                             lambda tokens: float(len(tokens)),
+                             q_fn=q_values_fn(state, "q_online"), gamma=0.9)
+    assert tape.nodes == []
+    stack, extended = [result.root], 0
+    while stack:
+        node = stack.pop()
+        extended += node.extension_passes
+        stack.extend(node.children.values())
+    assert extended  # the Q head was asked
+
+
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
          ast.DictComp, ast.GeneratorExp)
 
@@ -678,6 +718,10 @@ def test_decoder_rejects_bad_shapes():
     for bad in (np.zeros((2, 0), int), np.zeros(3, int)):
         with pytest.raises(ValueError):
             dec.sync(bad)
+    with pytest.raises(ValueError, match="exceeds max_seq_len"):
+        dec.sync(np.ones((1, DCFG.max_seq_len + 1), int))
+    with pytest.raises(ValueError, match="id out of range"):
+        dec.sync([[1, DCFG.vocab_size]])
 
 
 @pytest.mark.parametrize("mode", ["greedy", "sample"])
@@ -751,15 +795,14 @@ def test_greedy_decoding_matches_uncached_reference(seed):
 
 
 def count_base_tokens(monkeypatch) -> list[int]:
-    """Record the batch size times width of every cached base forward."""
-    from actlm import actions
-    real, counts = actions.base_forward, []
+    """Record the batch size times width of every Decoder encode step."""
+    real, counts = Decoder.encode, []
 
-    def counting(p, cfg, tokens, cache=None):
-        counts.append(np.asarray(tokens).size)
-        return real(p, cfg, tokens, cache)
+    def counting(self, tokens, start):
+        counts.append(tokens.size)
+        return real(self, tokens, start)
 
-    monkeypatch.setattr(actions, "base_forward", counting)
+    monkeypatch.setattr(Decoder, "encode", counting)
     return counts
 
 
