@@ -216,13 +216,14 @@ class Decoder:
 
     Holds the keys and values of the base and policy blocks for the tokens
     it was last synced to, plus the base embedding and policy probabilities
-    at every held position. `sync` keeps the longest prefix the new tokens
-    share with the held ones and encodes the rest in one forward, so
-    appending a token or going back to a prefix re-encodes nothing else.
-    A sync may change the number of rows: the decoder then forks one held
-    row into all new rows (or keeps one of many), so n rows that leave one
-    sequence encode only what follows it. A new decoder holds one empty
-    row, which its first sync forks into however many rows it is given.
+    at every held position. `sync` has one match rule: each new row
+    continues the held row it shares the longest prefix with, and the rows
+    encode the rest in one forward, so appending a token or going back to
+    a prefix re-encodes nothing else. The number of rows may change, so n
+    rows that leave one sequence encode only what follows it, rows that
+    join a batch encode only past what they share with a held row, and
+    reordered rows encode nothing. A new decoder holds one empty row,
+    which every row of its first sync continues.
 
     Decoding runs the array kernels (`model.block_arrays`, `world_arrays`)
     and records no tape. The decoder resolves the state's weight arrays
@@ -268,14 +269,16 @@ class Decoder:
     def sync(self, tokens) -> None:
         """Make the held sequences equal to tokens (B, T), B any batch size.
 
-        With B unchanged, row i keeps what it shares with held row i. With
-        B changed, every row continues the one held row with which all of
-        them share the longest prefix. Raises ValueError, before it changes
-        what it holds, under a precision mode other than the one it was
-        built in, past max_seq_len and on a token id outside the
-        vocabulary; and FloatingPointError, naming the first position, if
-        the policy probabilities of a newly encoded position are not
-        finite."""
+        Each row continues the held row with which it shares the longest
+        prefix, its own row (the same index) on a tie: that row's caches,
+        base embeddings and policy probabilities are gathered into it, and
+        every row encodes from the shortest of those shared lengths. When
+        every row extends its own row, nothing is gathered. Raises
+        ValueError, before it changes what it holds, under a precision
+        mode other than the one it was built in, past max_seq_len and on a
+        token id outside the vocabulary; and FloatingPointError, naming the
+        first position, if the policy probabilities of a newly encoded
+        position are not finite."""
         if ad.active_dtype() != self.dtype:
             raise ValueError(f"decoder built for {self.dtype} synced under "
                              f"{ad.active_dtype()}")
@@ -288,13 +291,20 @@ class Decoder:
                              f"{self.cfg.max_seq_len}")
         if tokens.min() < 0 or tokens.max() >= len(self.tok_emb):
             raise ValueError("embedding id out of range")
-        n = min(self.tokens.shape[1], t)
-        if len(tokens) == len(self.tokens):
-            differ = np.flatnonzero((self.tokens[:, :n] != tokens[:, :n]).any(axis=0))
-            if differ.size:
-                n = int(differ[0])
-        else:
-            n = self._fork(tokens[:, :n])
+        n = self.tokens.shape[1]
+        # the decode step, where every row extends its own, skips the compare
+        if len(tokens) != len(self.tokens) or t < n \
+                or (tokens[:, :n] != self.tokens).any():
+            n = min(n, t)
+            same = tokens[:, None, :n] == self.tokens[None, :, :n]
+            shared = np.logical_and.accumulate(same, axis=2).sum(axis=2)
+            # the eye term breaks a tie towards the row's own held row
+            rows = (2 * shared + np.eye(*shared.shape, dtype=int)).argmax(axis=1)
+            n = int(shared.max(axis=1).min())
+            for c in self.base_cache + self.policy_cache:
+                if c.k is not None:
+                    c.k, c.v = c.k[rows], c.v[rows]
+            self.e_l, self.probs = self.e_l[rows], self.probs[rows]
         for c in self.base_cache + self.policy_cache:
             c.length = n
         if t > n:
@@ -320,20 +330,6 @@ class Decoder:
         for ws, cache in zip(self.policy_blocks, self.policy_cache):
             h = block_arrays(h, ws, heads, cache)[0]
         return e_l, ad.softmax_rows(np.matmul(h, self.policy_head))
-
-    def _fork(self, prefixes: np.ndarray) -> int:
-        """Hold len(prefixes) copies of the held row whose prefix all rows
-        of prefixes (B, n) share longest; returns that shared length."""
-        same = prefixes[:, None, :] == self.tokens[None, :, :prefixes.shape[1]]
-        shared = np.logical_and.accumulate(same, axis=2).sum(axis=2).min(axis=0)
-        row, b = int(shared.argmax()), len(prefixes)
-        for c in self.base_cache + self.policy_cache:
-            if c.k is not None:
-                c.k = np.repeat(c.k[row:row + 1], b, axis=0)
-                c.v = np.repeat(c.v[row:row + 1], b, axis=0)
-        self.e_l = np.repeat(self.e_l[row:row + 1], b, axis=0)
-        self.probs = np.repeat(self.probs[row:row + 1], b, axis=0)
-        return int(shared[row])
 
     def policy_probs(self) -> np.ndarray:
         """(B, N) action distribution after the held tokens."""
@@ -367,14 +363,14 @@ def generate(dec, rows, mode: str, max_len: int, rng=None):
     any lengths, through a generator speaking the Decoder contract.
 
     The shortest rows start, and a longer row joins the batch when the
-    batch reaches its length: a sync with more rows, which the generator
-    forks from the prefix they share. Each step syncs once, picks one
-    action per row in the batch (argmax in greedy mode, else an inverse-CDF
-    draw of one `rng.random(b)` over the batch's b rows, ordered by length)
-    and appends the world-model argmax token. A row is done at eos, also
-    one it joins with, and is padded with eos and action 0; the batch stops
-    at max_len, and once all its rows are done jumps to the next waiting
-    length. Returns (tokens (B, T), actions (B, T - p)) in the order of
+    batch reaches its length: a sync with more rows, in which each row
+    continues the held row it shares most with. Each step syncs once,
+    picks one action per row in the batch (argmax in greedy mode, else an
+    inverse-CDF draw of one `rng.random(b)` over the batch's b rows,
+    ordered by length) and appends the world-model argmax token. A row is
+    done at eos, also one it joins with, and is padded with eos and action
+    0; the batch stops at max_len, and once all its rows are done jumps to
+    the next waiting length. Returns (tokens (B, T), actions (B, T - p)) in the order of
     rows, p the shortest length: tokens[i] starts with rows[i], and
     actions[i, s] produced tokens[i, p + s] (0 within rows[i]); `row_ends`
     says where each row ends."""

@@ -9,8 +9,8 @@ alike. MCTS decodes only where it expands the leaves that wait in one
 batch: one `generate` call per state length for the new children's k-step
 segments, Q-pruned extension of each leaf's first child, and one call for
 all the children's playouts, in which rows of other lengths join the
-running batch. A decoder's `sync` re-batches, so rows fork from the
-prefix they share.
+running batch. A decoder's `sync` re-batches: each row continues the
+held row it shares the longest prefix with.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ from .training import Transition, dqn_target
 
 class LatentActionLM(Decoder):
     """Decoder over a trained model state whose cache persists across
-    calls, so consecutive searches and rollouts on growing, branching or
-    forking prefixes re-encode only the tokens that changed."""
+    calls, so consecutive searches and rollouts on growing, branching,
+    joining or reordered rows encode only past the prefixes they share
+    with the held rows."""
 
     def next_token(self, tokens, action: int) -> int:
         """World-model argmax token after tokens (p,) under one action."""

@@ -4,8 +4,9 @@ Double-DQN for the search value function.
 
 Every stage runs the one loop in `run_stage`. Loss builders construct
 graphs inside its tape, so the same code serves training steps and
-finite-difference verification. Stage freezing is enforced twice: frozen
-groups are excluded from the optimizer, and hashed before/after.
+finite-difference verification. Stage freezing is enforced twice: only
+the groups a stage trains reach the optimizer, and every other group
+(but q_target, which moves with q_online) is hashed before and after.
 """
 
 from __future__ import annotations
@@ -475,7 +476,7 @@ def loss_dqn(state: ModelState, batch, gamma: float):
     a constant, gives the online half of the Double-DQN targets. Returns
     (loss, parts)."""
     e_l, mask, last, rewards, terminal, q_target_next = batch
-    vals = q_forward(state.groups["q_online"], state.cfg, ad.stop_grad(e_l))
+    vals = q_forward(state.groups["q_online"], state.cfg, e_l)
     targets = dqn_target(rewards, terminal, vals.data[np.arange(len(last)), last],
                          q_target_next, gamma)
     resid = ad.sub(ad.sum_(ad.mul(vals, Tensor(mask)), axis=(1, 2)), targets)
@@ -494,8 +495,8 @@ def sync_target(state: ModelState, tau: float) -> None:
 # ---------------------------------------------------------------------------
 
 def run_stage(state: ModelState, stage: str, trainable: tuple[str, ...],
-              frozen: tuple[str, ...], steps: int, cfg: TrainConfig,
-              batch_fn, loss_fn, metrics_cb=None, after_step=None) -> list[dict]:
+              steps: int, cfg: TrainConfig, batch_fn, loss_fn,
+              metrics_cb=None, after_step=None) -> list[dict]:
     """The training loop of every stage; returns the per-step records.
 
     Each step draws batch = batch_fn(rng) outside the tape (forward-only
@@ -504,8 +505,13 @@ def run_stage(state: ModelState, stage: str, trainable: tuple[str, ...],
     loss_fn(batch) inside it, aborts on a non-finite loss, steps AdamW on
     the trainable groups, runs after_step(step) and hands the record
     {stage, step, **parts, grad_norm, skipped_nonfinite} to metrics_cb.
-    Frozen groups are hashed before and after; drift raises RuntimeError."""
+    Every group that trainable does not name is frozen, except that
+    q_target moves with q_online (`sync_target` writes it): the frozen
+    groups are hashed before and after, and drift raises RuntimeError."""
     rng = np.random.default_rng(cfg.seed)
+    frozen = [g for g in state.groups if g not in trainable]
+    if "q_online" in trainable:
+        frozen.remove("q_target")
     before = state.hashes(frozen)
     opt = AdamW(state.params(*trainable), cfg)
     records = []
@@ -550,9 +556,8 @@ def _frozen_batch(state: ModelState, corpus, cfg: TrainConfig, rng):
 def pretrain_base_ar(state: ModelState, corpus, val_corpus, cfg: TrainConfig,
                      metrics_cb=None) -> float:
     """AR-pretrain the base; returns final held-out CE."""
-    run_stage(state, "pretrain-base", ("base",),
-              ("merge", "inverse", "policy", "codebook", "q_online", "q_target"),
-              cfg.steps, cfg, lambda rng: _draw_rows(corpus, cfg, rng),
+    run_stage(state, "pretrain-base", ("base",), cfg.steps, cfg,
+              lambda rng: _draw_rows(corpus, cfg, rng),
               lambda tokens: loss_base_ar(state, tokens), metrics_cb)
     return eval_base_ce(state, val_corpus)
 
@@ -581,9 +586,8 @@ def train_stage1(state: ModelState, corpus, cfg: TrainConfig,
         usage[:] += np.bincount(index.reshape(-1), minlength=len(usage))
         return total, {**parts, "alive_actions": int((usage > 0).sum())}
 
-    run_stage(state, "stage1", ("inverse", "codebook", "merge"), ("base", "policy"),
-              cfg.steps, cfg, lambda rng: _frozen_batch(state, corpus, cfg, rng),
-              loss_fn, metrics_cb)
+    run_stage(state, "stage1", ("inverse", "codebook", "merge"), cfg.steps, cfg,
+              lambda rng: _frozen_batch(state, corpus, cfg, rng), loss_fn, metrics_cb)
     return usage
 
 
@@ -595,8 +599,7 @@ def train_bc(state: ModelState, corpus, cfg: TrainConfig, start: int = 0,
         # one base forward serves the labels and the loss
         return e_l, inverse_labels(state, e_l)
 
-    run_stage(state, stage, ("policy",), ("base", "merge", "inverse", "codebook"),
-              cfg.steps, cfg, batch_fn,
+    run_stage(state, stage, ("policy",), cfg.steps, cfg, batch_fn,
               lambda batch: loss_pre2(state, *batch, start), metrics_cb)
 
 
@@ -616,8 +619,8 @@ def train_fta(state: ModelState, split: SftSplit, cfg: TrainConfig, mode: str,
     if actions_fn is None:
         raise ValueError(f"unknown FTA mode: {mode!r}")
     corpus, prompt_len = split.tokens, split.prompt_len
-    run_stage(state, f"fta-{mode}", ("base",), ("merge", "inverse", "codebook"),
-              cfg.steps, cfg, lambda rng: _draw_rows(corpus, cfg, rng),
+    run_stage(state, f"fta-{mode}", ("base",), cfg.steps, cfg,
+              lambda rng: _draw_rows(corpus, cfg, rng),
               lambda tokens: loss_fta(state, tokens, prompt_len, actions_fn),
               metrics_cb)
     if mode == "FTA-I":
@@ -631,8 +634,7 @@ def train_rl(state: ModelState, prompts, reward_fn, cfg: TrainConfig,
     Returns the mean-reward trace."""
     ref_policy = {k: Tensor(t.data.copy()) for k, t in state.groups["policy"].items()}
     records = run_stage(
-        state, "rl", ("policy",), ("base", "merge", "inverse", "codebook"),
-        updates, cfg,
+        state, "rl", ("policy",), updates, cfg,
         lambda rng: rl_batch(state, prompts, reward_fn, cfg, rng, max_len, ref_policy),
         lambda batch: loss_rl(state, batch, cfg), metrics_cb)
     return [r["rl_reward_mean"] for r in records]
@@ -652,7 +654,6 @@ def train_q(state: ModelState, transitions: list[Transition], cfg: TrainConfig,
         if (step + 1) % cfg.sync_interval == 0:
             sync_target(state, cfg.tau)
 
-    run_stage(state, "train-q", ("q_online",),
-              ("base", "merge", "inverse", "codebook", "policy"), cfg.steps, cfg,
-              batch_fn, lambda batch: loss_dqn(state, batch, cfg.gamma),
-              metrics_cb, after_step=sync)
+    run_stage(state, "train-q", ("q_online",), cfg.steps, cfg, batch_fn,
+              lambda batch: loss_dqn(state, batch, cfg.gamma), metrics_cb,
+              after_step=sync)

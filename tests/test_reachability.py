@@ -1,9 +1,9 @@
-"""Reachability: every top-level function and class in src/actlm is
-referenced somewhere other than its own definition, in src or in the
-benchmark, or is a named test oracle; every defaulted parameter of a
-src function is passed by some src or benchmark call, and every field of
-a src dataclass is read by some src or benchmark code, or is named with
-its reason."""
+"""Reachability: every top-level function and class in src/actlm, and
+every method of such a class but the dunder ones, is referenced
+somewhere other than its own definition, in src or in the benchmark, or
+is a named test oracle; every defaulted parameter of a src function is
+passed by some src or benchmark call, and every field of a src dataclass
+is read by some src or benchmark code, or is named with its reason."""
 
 import ast
 import pathlib
@@ -55,12 +55,18 @@ def references(tree: ast.AST) -> set[str]:
     return out
 
 
+def bench_references() -> set[str]:
+    """Identifiers the benchmark files, except the benchmark's own tests,
+    read."""
+    return set().union(*(references(ast.parse(p.read_text()))
+                         for p in BENCH.glob("*.py") if p.name != "test_bench.py"))
+
+
 def unreached() -> set[str]:
     """module.name of every top-level def or class that no other statement
     of its module, no other src module and no benchmark file except the
     benchmark's own tests references."""
-    bench = set().union(*(references(ast.parse(p.read_text()))
-                          for p in BENCH.glob("*.py") if p.name != "test_bench.py"))
+    bench = bench_references()
     modules = {p.stem: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
     found = set()
     for stem, tree in modules.items():
@@ -75,6 +81,37 @@ def unreached() -> set[str]:
 
 def test_every_top_level_definition_is_reached():
     assert unreached() == set(ALLOWED)
+
+
+# Methods that nothing in src or the benchmark calls, each kept for the
+# reason given.
+ALLOWED_METHODS: dict[str, str] = {}
+
+
+def unreached_methods() -> set[str]:
+    """Class.method of every method of a top-level src class, dunder
+    methods aside, whose name nothing in src but its own definition and no
+    benchmark file except the benchmark's own tests references. Names are
+    matched alone, so reading another attribute of the same name counts
+    too."""
+    bench = bench_references()
+    units = []  # (Class.method or None, the references of one statement)
+    for p in SRC.glob("*.py"):
+        for node in ast.parse(p.read_text()).body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for member in members:
+                method = isinstance(node, ast.ClassDef) \
+                    and isinstance(member, ast.FunctionDef) \
+                    and not re.fullmatch(r"__\w+__", member.name)
+                units.append((f"{node.name}.{member.name}" if method else None,
+                              references(member)))
+    return {name for i, (name, _) in enumerate(units) if name is not None
+            and name.split(".")[1] not in bench.union(
+                *(refs for j, (_, refs) in enumerate(units) if j != i))}
+
+
+def test_every_method_is_reached():
+    assert unreached_methods() == set(ALLOWED_METHODS)
 
 
 def defaulted_parameters(tree: ast.Module) -> dict[str, tuple]:

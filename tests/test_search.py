@@ -575,8 +575,8 @@ def test_decoder_matches_full_prefix(mode, seed):
     switch (truncate to a prefix, then re-extend with other tokens in
     chunks), stay within the rounding-error bound of full-prefix forwards;
     the switched decoder agrees with a fresh one on every greedy token.
-    Both decoders start from one empty row, which their first sync forks
-    into two."""
+    Both decoders start from one empty row, which both rows of their first
+    sync continue."""
     ad.set_precision(mode)
     state = init_model(DCFG, seed)
     rng = np.random.default_rng(seed)
@@ -806,9 +806,9 @@ def count_base_tokens(monkeypatch) -> list[int]:
     return counts
 
 
-def test_decoder_fork_encodes_only_the_unshared_suffix(monkeypatch):
+def sync_fork(monkeypatch):
     """Going from 1 row to n and back, a sync encodes only the positions
-    after the longest prefix all new rows share with one held row, and the
+    after the longest prefix the new rows share with a held row, and the
     forked caches give what a fresh decoder gives within the rounding-error
     bound."""
     counts = count_base_tokens(monkeypatch)
@@ -833,11 +833,66 @@ def test_decoder_fork_encodes_only_the_unshared_suffix(monkeypatch):
         assert (np.abs(dec.probs[:, :rows.shape[1]] - probs) <= bound).all()
 
 
+def sync_reverse(monkeypatch):
+    """Reversing the held rows encodes nothing: each row takes its held
+    row's embeddings and probabilities bit for bit."""
+    counts = count_base_tokens(monkeypatch)
+    dec = Decoder(init_model(DCFG, 0))
+    held = np.arange(1, 16).reshape(3, 5)
+    dec.sync(held)
+    e_l, probs = dec.e_l[:, :5].copy(), dec.probs[:, :5].copy()
+    dec.sync(held[::-1])
+    assert counts == [15]
+    assert np.array_equal(dec.e_l[:, :5], e_l[::-1])
+    assert np.array_equal(dec.probs[:, :5], probs[::-1])
+
+
+def sync_join(monkeypatch):
+    """Rows that join held rows continue the ones they share most with:
+    the two held rows extend by one token each, and the joining row
+    shares 4 tokens with held row 1, so 3 rows x 3 tokens are encoded,
+    not everything after the one token all rows share."""
+    counts = count_base_tokens(monkeypatch)
+    dec = Decoder(init_model(DCFG, 0))
+    dec.sync([[1, 2, 3, 4, 5, 6], [1, 7, 8, 9, 10, 11]])
+    dec.sync([[1, 2, 3, 4, 5, 6, 12], [1, 7, 8, 9, 10, 11, 13],
+              [1, 7, 8, 9, 2, 2, 2]])
+    assert counts == [12, 9]
+
+
+def sync_tie(monkeypatch):
+    """A row that shares as much with its own held row as with another
+    keeps its own: at every position it does not encode again, its
+    embeddings are its held row's, bit for bit, also past its new
+    length."""
+    counts = count_base_tokens(monkeypatch)
+    dec = Decoder(init_model(DCFG, 0))
+    dec.sync([[1, 2, 3, 9, 9], [1, 2, 3, 8, 8]])
+    e_l = dec.e_l[:, :5].copy()
+    # row 1 shares [1, 2, 3] with held rows 0 and 1
+    dec.sync([[1, 2, 3, 9], [1, 2, 3, 7], [1, 2, 3, 8]])
+    assert counts == [10, 3]
+    keep = [0, 1, 2, 4]
+    assert np.array_equal(dec.e_l[1, keep], e_l[1, keep])
+    assert not np.array_equal(e_l[0, 4], e_l[1, 4])
+
+
+@pytest.mark.parametrize("case", [sync_fork, sync_reverse, sync_join, sync_tie],
+                         ids=["fork", "reverse", "join", "tie"])
+def test_decoder_sync_continues_the_held_row_sharing_most(case, monkeypatch):
+    """Each new row continues the held row with which it shares the
+    longest prefix, its own row on a tie, and every row encodes from the
+    shortest of those shared lengths."""
+    case(monkeypatch)
+
+
 @pytest.mark.parametrize("seed", range(8))
-def test_forked_greedy_decoding_matches_uncached_reference(seed):
-    """One LatentActionLM that holds a prefix, forks into rows continuing it
-    and then goes back to each row alone decodes the full-prefix loop's
-    greedy tokens throughout."""
+def test_forked_greedy_decoding_matches_uncached_reference(seed, monkeypatch):
+    """One LatentActionLM that holds a prefix, forks into rows continuing
+    it, reorders them, lets a row join that continues one of them, and
+    then goes back to each row alone decodes the full-prefix loop's greedy
+    tokens throughout. The reorder and the join keep the held rows'
+    caches, so each of their steps encodes one token per row."""
     state = init_model(DCFG, seed)
     rng = np.random.default_rng(seed)
     prefix = rng.integers(1, DCFG.vocab_size, size=int(rng.integers(1, 8)))
@@ -848,6 +903,18 @@ def test_forked_greedy_decoding_matches_uncached_reference(seed):
     rollout(lm, prefix, "greedy", len(prefix) + 2)
     batch, _ = generate(lm, prompts, "greedy", DCFG.max_seq_len)
     np.testing.assert_array_equal(batch, expected)
+    counts = count_base_tokens(monkeypatch)
+    batch, _ = generate(lm, prompts[::-1], "greedy", DCFG.max_seq_len)
+    np.testing.assert_array_equal(batch, expected[::-1])
+    # row 2 joins at the step where it shares all but its last token with
+    # the running row 0
+    p = prompts.shape[1]
+    rows = [prompts[0], prompts[1], expected[0, :p + 2]]
+    batch, _ = generate(lm, rows, "greedy", DCFG.max_seq_len)
+    width = batch.shape[1]
+    np.testing.assert_array_equal(batch, expected[[0, 1, 0], :width])
+    assert (expected[:2, width:] == DCFG.eos_token_id).all()
+    assert set(counts) <= {2, 3}, counts
     for prompt, row in zip(prompts, expected):
         tokens, _ = rollout(lm, prompt, "greedy", DCFG.max_seq_len)
         ends = np.flatnonzero(row[len(prompt):] == DCFG.eos_token_id)

@@ -631,7 +631,7 @@ def test_shared_base_forward_gives_the_same_losses_and_gradients():
             tokens = split.tokens[rows]
             return tokens, label(separate, frozen_e_l(separate, tokens))
 
-        run_stage(separate, "separate", ("base",), (), cfg.steps, cfg, batch_fn,
+        run_stage(separate, "separate", ("base",), cfg.steps, cfg, batch_fn,
                   lambda batch: loss_fta(separate, batch[0], 3,
                                          lambda e_l: batch[1]))
         assert shared.group_hash("base") == separate.group_hash("base")
@@ -718,10 +718,17 @@ def _drivers():
 
 DRIVERS = sorted(_drivers())
 
+# Each stage with a group it freezes: the one its _drivers() entry names,
+# plus FTA-P's policy (which it reads) and stage-1's online Q head.
+FROZEN_CASES = [pytest.param(stage, frozen, id=stage)
+                for stage, (_, frozen, _) in sorted(_drivers().items())] + [
+    pytest.param("fta-FTA-P", "policy", id="fta-FTA-P-policy"),
+    pytest.param("stage1", "q_online", id="stage1-q_online")]
 
-@pytest.mark.parametrize("stage", DRIVERS)
-def test_stage_drivers_enforce_freezing(stage):
-    run, frozen, _ = _drivers()[stage]
+
+@pytest.mark.parametrize("stage, frozen", FROZEN_CASES)
+def test_stage_drivers_enforce_freezing(stage, frozen):
+    run = _drivers()[stage][0]
     state = small_state()
     calls = {"n": 0}
 
@@ -783,7 +790,7 @@ def test_stage_losses_record_only_under_a_tape(stage, monkeypatch):
     from actlm import training
     nodes = {}
 
-    def one_step(state, name, trainable, frozen, steps, cfg, batch_fn, loss_fn,
+    def one_step(state, name, trainable, steps, cfg, batch_fn, loss_fn,
                  metrics_cb=None, after_step=None):
         batch = batch_fn(np.random.default_rng(cfg.seed))
         with Tape() as tape:
@@ -901,7 +908,7 @@ def test_rl_update_constant_reward_has_vanishing_gradient():
     cfg = TrainConfig(rl_group_size=4, kl_coef=0.01, learning_rate=0.1)
     ref = {k: Tensor(t.data.copy()) for k, t in state.groups["policy"].items()}
     [record] = run_stage(
-        state, "rl", ("policy",), (), 1, cfg,
+        state, "rl", ("policy",), 1, cfg,
         lambda rng: rl_batch(state, small_tokens(b=2, t=3), lambda r: 0.7, cfg,
                              rng, 8, ref),
         lambda batch: loss_rl(state, batch, cfg))
