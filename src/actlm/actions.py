@@ -393,7 +393,7 @@ def generate(dec, rows, mode: str, max_len: int, rng=None):
             if mode == "greedy":
                 act = probs.argmax(axis=-1)
             else:
-                act = inverse_cdf(cdf(probs), rng.random(b))
+                act = inverse_cdf(cdf(probs).T, rng.random(b))
             nxt = np.where(done[:b], eos, dec.next_tokens(act))
             tokens[:b, t] = nxt
             actions[:b, t - p] = np.where(done[:b], 0, act)

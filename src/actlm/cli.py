@@ -61,8 +61,8 @@ def _load_input(cfg: RunConfig):
 
 
 def _check_max_len(cfg: RunConfig, state, key: str) -> None:
-    """Refuse, by name, a generation length `key` beyond the positions the
-    checkpoint's model holds."""
+    """Refuse, by name, a generation or corpus length `key` beyond the
+    positions the checkpoint's model holds."""
     value = getattr(cfg, key)
     if value > state.cfg.max_seq_len:
         raise ConfigError(f"{key} {value} exceeds the checkpoint's "
@@ -118,6 +118,9 @@ def _marker(cfg: RunConfig, model: LatentActionLM, prompt) -> int:
 
 
 def cmd_pretrain_base(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
+    if cfg.hmm_seq_len > cfg.max_seq_len:
+        raise ConfigError(f"hmm_seq_len {cfg.hmm_seq_len} exceeds "
+                          f"max_seq_len {cfg.max_seq_len}")
     state = init_model(cfg.arch(), cfg.seed)
     train, val, _ = _corpora(cfg)
     ce = pretrain_base_ar(state, train, val, cfg.train(), metrics.append)
@@ -130,6 +133,7 @@ def cmd_pretrain_base(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
 
 def cmd_pretrain_actions(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
     state = _load_input(cfg)
+    _check_max_len(cfg, state, "hmm_seq_len")
     train, val, _ = _corpora(cfg)
     usage = train_stage1(state, train, cfg.train(), cfg.assignment, metrics.append)
     ce_act = val_loss(state, val, "with_actions", gumbel_temp=cfg.gumbel_temp)
@@ -146,6 +150,7 @@ def cmd_pretrain_actions(cfg: RunConfig, out: str, metrics: MetricsWriter) -> in
 
 def cmd_bc_policy(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
     state = _load_input(cfg)
+    _check_max_len(cfg, state, "hmm_seq_len")
     train, _, _ = _corpora(cfg)
     train_bc(state, train, cfg.train(), metrics_cb=metrics.append)
     save_checkpoint(state, os.path.join(out, "bc.ckpt"), "bc-policy", cfg.steps)
@@ -155,6 +160,7 @@ def cmd_bc_policy(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
 
 def cmd_fta(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
     state = _load_input(cfg)
+    _check_max_len(cfg, state, "hmm_seq_len")
     train, _, _ = _corpora(cfg)
     split = make_sft_split(train, cfg.prompt_len)
     train_fta(state, split, cfg.train(), cfg.sft_type, metrics.append)
@@ -250,6 +256,7 @@ def _run_search(cfg: RunConfig, out: str, metrics: MetricsWriter,
 def cmd_eval(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
     state = _load_input(cfg)
     _check_max_len(cfg, state, "search_max_len")
+    _check_max_len(cfg, state, "hmm_seq_len")
     _, val, states = _corpora(cfg)
     rng = np.random.default_rng(cfg.seed)
     contexts = val[:cfg.eval_contexts, :cfg.prompt_len]

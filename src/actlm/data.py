@@ -28,30 +28,36 @@ def cdf(probs) -> np.ndarray:
 
 
 def inverse_cdf(cum: np.ndarray, u) -> np.ndarray:
-    """The category each uniform u (...) in [0, 1) draws from the matching
-    cdf row (..., k): the first whose cumulative value exceeds u. A category
-    of zero probability, a leading or trailing one included, is never
+    """The category each uniform u (...) in [0, 1) draws from its cdf in
+    cum (k, ...), categories first, trailing axes broadcasting against u:
+    the first category whose cumulative value exceeds u. With categories
+    leading, counting cum <= u adds k whole rows of draws instead of a short
+    last axis once per draw. u is compared in its own dtype (a Python float
+    as float64), so a float32 table never rounds it up to 1. A category of
+    zero probability, a leading or trailing one included, is never
     drawn."""
-    return (cum <= np.asarray(u)[..., None]).sum(axis=-1)
+    return np.add.reduce(cum <= np.asarray(u), axis=0)
 
 
 def gen_hmm_corpus(cfg: HmmCorpusConfig):
     """Sample a hidden-Markov corpus; returns (tokens (n, L), states (n, L)).
 
     All sequences advance together, one time step at a time, each draw an
-    inverse-CDF lookup. The state trace is an evaluation oracle only and
-    must never feed training. Pure function of the seed.
+    inverse-CDF lookup. The cdf tables are held categories-first, so each
+    step gathers one column per sequence with np.take and writes its draws
+    straight into column t of the outputs. The state trace is an evaluation
+    oracle only and must never feed training. Pure function of the seed.
     """
     rng = np.random.default_rng(cfg.seed)
-    trans, emit, init = (cdf(p) for p in _hmm_params(cfg, rng))
+    trans, emit, init = (cdf(p).T for p in _hmm_params(cfg, rng))
     n = cfg.n_sequences
     tokens = np.empty((n, cfg.seq_len), dtype=np.int64)
     states = np.empty((n, cfg.seq_len), dtype=np.int64)
-    s = inverse_cdf(init, rng.random(n))
+    s = inverse_cdf(init[:, None], rng.random(n))
     for t in range(cfg.seq_len):
         states[:, t] = s
-        tokens[:, t] = inverse_cdf(emit[s], rng.random(n))
-        s = inverse_cdf(trans[s], rng.random(n))
+        tokens[:, t] = inverse_cdf(np.take(emit, s, axis=1), rng.random(n))
+        s = inverse_cdf(np.take(trans, s, axis=1), rng.random(n))
     return tokens, states
 
 

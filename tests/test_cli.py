@@ -351,6 +351,35 @@ def test_cli_rl_max_len_beyond_checkpoint_fails_by_name(tiny_checkpoint,
                               "checkpoint's max_seq_len 16"), subcommand
 
 
+def test_cli_hmm_seq_len_beyond_max_seq_len_fails_by_name(tiny_checkpoint,
+                                                         tmp_path, capsys,
+                                                         monkeypatch):
+    """A corpus whose whole rows the model cannot hold is refused by name
+    before it is sampled: against the run config's max_seq_len (16) when
+    pretrain-base builds the model, against the checkpoint's by every
+    subcommand that reads whole rows. Subcommands that read only prefixes
+    still accept it."""
+    def refuse(cfg):
+        raise AssertionError("corpus sampled")
+
+    def run(subcommand, *extra):
+        return main([subcommand, "--init_checkpoint", str(tiny_checkpoint),
+                     "--out_dir", str(tmp_path)] + TINY
+                    + ["--hmm_seq_len", "32", *extra])
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "gen_hmm_corpus", refuse)
+        assert run("pretrain-base") == 1
+        assert capsys.readouterr().err.startswith(
+            "error: hmm_seq_len 32 exceeds max_seq_len 16")
+        for subcommand in ("pretrain-actions", "bc-policy", "fta", "eval"):
+            assert run(subcommand, "--search_max_len", "12") == 1
+            assert capsys.readouterr().err.startswith(
+                "error: hmm_seq_len 32 exceeds the checkpoint's "
+                "max_seq_len 16"), subcommand
+    assert run("rollout", "--search_max_len", "12", "--prompt_len", "4") == 0
+
+
 @pytest.mark.parametrize("prompt, message", [
     ("3,x", "prompt '3,x' is not comma-separated integer token ids"),
     ("3,,4", "prompt '3,,4' is not comma-separated integer token ids"),

@@ -2,6 +2,7 @@
 prompts and the marker reward."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from actlm.data import (HmmCorpusConfig, SftSplit, cdf, gen_hmm_corpus,
                         hmm_matrices, inverse_cdf, make_sft_split,
                         marker_reward, open_prefixes)
-from actlm.runconfig import ConfigError
+from actlm.runconfig import ConfigError, RunConfig
 
 
 def test_hmm_corpus_is_deterministic():
@@ -51,15 +52,22 @@ def test_hmm_statistics_match_matrices():
         np.testing.assert_allclose(freq, emit[s], atol=0.03)
 
 
+def reference_hmm_params(cfg: HmmCorpusConfig, rng):
+    """(trans, emit, init) drawn from rng in hmm_matrices' order."""
+    m, v = cfg.n_states, cfg.vocab_size
+    trans = rng.dirichlet(np.full(m, cfg.transition_concentration), size=m)
+    emit = rng.dirichlet(np.full(v, cfg.emission_concentration), size=m)
+    init = rng.dirichlet(np.full(m, 1.0))
+    return trans, emit, init
+
+
 def reference_hmm_corpus(cfg: HmmCorpusConfig):
     """The per-token sampler gen_hmm_corpus replaced: one sequence at a time,
     three rng.choice calls per token, parameters from the same seeded
     stream. Kept as the reference its distribution is checked against."""
     rng = np.random.default_rng(cfg.seed)
     m, v = cfg.n_states, cfg.vocab_size
-    trans = rng.dirichlet(np.full(m, cfg.transition_concentration), size=m)
-    emit = rng.dirichlet(np.full(v, cfg.emission_concentration), size=m)
-    init = rng.dirichlet(np.full(m, 1.0))
+    trans, emit, init = reference_hmm_params(cfg, rng)
     tokens = np.empty((cfg.n_sequences, cfg.seq_len), dtype=np.int64)
     states = np.empty((cfg.n_sequences, cfg.seq_len), dtype=np.int64)
     for i in range(cfg.n_sequences):
@@ -127,11 +135,70 @@ def test_inverse_cdf_never_draws_a_zero_probability_category():
             assert inverse_cdf(cum, 0.0) == positive[0]
             assert inverse_cdf(cum, last_below_one) == positive[-1]
             u = np.random.default_rng(0).random(10_000)
-            assert set(inverse_cdf(cum, u)) == set(positive)
-    # batched: one row per uniform
+            assert set(inverse_cdf(cum[:, None], u)) == set(positive)
+    # batched: one cdf column per uniform
     probs = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.2, 0.8, 0.0]])
-    np.testing.assert_array_equal(inverse_cdf(cdf(probs), [0.0, 0.7, 0.9]),
+    np.testing.assert_array_equal(inverse_cdf(cdf(probs).T, [0.0, 0.7, 0.9]),
                                   [1, 2, 1])
+
+
+def reference_rowwise_hmm_corpus(cfg: HmmCorpusConfig):
+    """gen_hmm_corpus as it was with its cdf tables held one row per state:
+    each step gathers a (n, k) row per sequence and counts cum <= u along
+    its last axis. Kept as the reference the categories-first sampler is
+    checked against bitwise."""
+    rng = np.random.default_rng(cfg.seed)
+    trans, emit, init = (cdf(p) for p in reference_hmm_params(cfg, rng))
+    n = cfg.n_sequences
+    tokens = np.empty((n, cfg.seq_len), dtype=np.int64)
+    states = np.empty((n, cfg.seq_len), dtype=np.int64)
+
+    def draw(cum, u):
+        return (cum <= u[..., None]).sum(axis=-1)
+
+    s = draw(init, rng.random(n))
+    for t in range(cfg.seq_len):
+        states[:, t] = s
+        tokens[:, t] = draw(emit[s], rng.random(n))
+        s = draw(trans[s], rng.random(n))
+    return tokens, states
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("conc", [1e-6, 0.3, 10.0])
+def test_hmm_corpus_matches_the_rowwise_sampler_bitwise(seed, conc):
+    """The categories-first sampler returns the rowwise sampler's tokens and
+    states exactly, as C-contiguous int64 (n, L) arrays, down to one state,
+    one step and one sequence, and at near-degenerate and flat rows."""
+    shapes = [(1, 2, 1, 1), (1, 16, 7, 5), (3, 1, 9, 4), (2, 5, 3, 1),
+              (4, 16, 33, 17), (5, 11, 1, 64)]
+    for m, v, n, length in shapes:
+        cfg = HmmCorpusConfig(n_states=m, vocab_size=v, n_sequences=n,
+                              seq_len=length, seed=seed,
+                              transition_concentration=conc,
+                              emission_concentration=conc)
+        for got, want in zip(gen_hmm_corpus(cfg), reference_rowwise_hmm_corpus(cfg)):
+            assert got.dtype == np.int64 and got.shape == (n, length)
+            assert got.flags.c_contiguous
+            np.testing.assert_array_equal(got, want)
+
+
+def test_hmm_corpus_sampling_peak_memory():
+    """At the CLI-default shape, the sampler's traced peak beyond its two
+    outputs stays within three (vocab_size, n_sequences) float64 tables: one
+    step's gathered cdf columns and what counting them takes. search64's
+    benchmark peak RSS is set during its set-up, which samples this corpus,
+    so a sampler that built its outputs transposed and copied them (about
+    5.3 MB here, against 1.6 MB for the bound) would raise it."""
+    cfg = RunConfig().corpus()
+    tracemalloc.start()
+    try:
+        tokens, states = gen_hmm_corpus(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - tokens.nbytes - states.nbytes \
+        <= 3 * cfg.vocab_size * cfg.n_sequences * 8
 
 
 def test_make_sft_split():

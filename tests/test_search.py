@@ -972,7 +972,7 @@ def reference_generate(dec, tokens, mode, max_len, rng=None):
         if mode == "greedy":
             act = probs.argmax(axis=-1)
         else:
-            act = inverse_cdf(cdf(probs), rng.random(b))
+            act = inverse_cdf(cdf(probs).T, rng.random(b))
         nxt = np.where(done, eos, dec.next_tokens(act))
         act = np.where(done, 0, act)
         tokens = np.concatenate([tokens, nxt[:, None]], axis=1)
