@@ -4,6 +4,7 @@ straight-through gradients, action-conditioned world head, policy and Q heads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,8 +13,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ArchConfig
 from .data import cdf, inverse_cdf
-from .model import (BLOCK_WEIGHTS, KVCache, ModelState, block_arrays,
-                    block_forward, weight_grad)
+from .model import BLOCK_WEIGHTS, ModelState, block_forward, weight_grad
 
 
 @dataclass
@@ -225,13 +225,28 @@ class Decoder:
     reordered rows encode nothing. A new decoder holds one empty row,
     which every row of its first sync continues.
 
-    Decoding runs the array kernels (`model.block_arrays`, `world_arrays`)
-    and records no tape. The decoder resolves the state's weight arrays
-    once, at construction, in the dtype then active: it holds references to
-    them, so the caches are valid only while the state's weights stay
-    unchanged in place, and a sync under another precision mode raises.
-    The kernels are the ones block_forward and world_logits run, so
-    decoding and training share one forward per layer.
+    At construction the decoder compiles the state's weights into copies
+    of its own in the dtype then active, so later changes to the state do
+    not reach it, and a sync under another precision mode raises. Each
+    fold is computed in float64 and rounded once:
+    - per base and policy block, `wqkv = [wq / sqrt(dh) | wk | wv]` and
+      `w12 = [w1 | w2]`, each with the gain of the norm before it and the
+      norm's sqrt(d) folded into its rows, so a norm is one scale of the
+      product by 1 / sqrt(sum x^2 + d eps); `wo` and `w3` as they are;
+    - `ln_out` times sqrt(d);
+    - per merge MLP, the running embedding's rows of `[w1 | w2]`, and a
+      table `codes @ [w1 | w2][d:]` of one row per code, since the action
+      is always a codebook row; each MLP's `w3` is folded into the next
+      MLP's rows, and the last one into the world lm-head;
+    - every `w1` negated, and the `w3` after it, so the gate
+      silu(a) b = a b / (1 + exp(-a)) reads exp of its input as it is.
+    Each cached value ends in a 1, so the context product also sums the
+    softmax weights. Decoding records no tape and never runs the training kernels
+    (`model.block_arrays`, `world_arrays`). Its outputs differ from the
+    full-sequence forward (`base_forward`, `policy_forward`,
+    `world_logits`) only by rounding: the tests hold them within a
+    first-order bound on the dot-product error over each output's
+    accumulation length, in both precision modes.
 
     `sync`, `policy_probs`, `next_tokens`, `eos_token_id` and `n_actions`
     are the generator contract that `generate` and search decode through,
@@ -242,28 +257,49 @@ class Decoder:
         self.cfg, self.dtype = cfg, ad.active_dtype()
         self.eos_token_id = cfg.eos_token_id
         self.n_actions = cfg.codebook_size
+        d, heads = cfg.d_model, cfg.n_heads
+        root_d = math.sqrt(d)
 
-        def arrays(group, *names):
-            return [np.asarray(groups[group][n].data, self.dtype) for n in names]
+        def array(group, name):
+            return np.asarray(groups[group][name].data, np.float64)
 
-        def blocks(group, depth):
-            return [arrays(group, *(f"blk{i}.{w}" for w in BLOCK_WEIGHTS))
-                    for i in range(depth)]
+        def compiled(a):
+            return np.ascontiguousarray(a, self.dtype)
 
-        self.tok_emb, self.pos_emb, self.ln_out = arrays(
-            "base", "tok_emb", "pos_emb", "ln_out")
-        self.base_blocks = blocks("base", cfg.n_layers_base)
-        self.policy_blocks = blocks("policy", cfg.n_layers_policy)
-        (self.policy_head,) = arrays("policy", "head")
-        self.mlps = [arrays("merge", *(f"mlp{i}.{w}" for w in ("w1", "w2", "w3")))
-                     for i in range(cfg.n_merge_mlps)]
-        (self.lm_head,) = arrays("merge", "lm_head")
-        (self.codes,) = arrays("codebook", "codes")
+        def block(group, i):
+            ln1, wq, wk, wv, wo, ln2, w1, w2, w3 = (
+                array(group, f"blk{i}.{w}") for w in BLOCK_WEIGHTS)
+            wqkv = np.concatenate([wq / math.sqrt(d // heads), wk, wv], axis=1)
+            w12 = np.concatenate([-w1, w2], axis=1)
+            return (compiled(root_d * ln1[:, None] * wqkv), compiled(wo),
+                    compiled(root_d * ln2[:, None] * w12), compiled(-w3))
+
+        self.tok_emb = compiled(array("base", "tok_emb"))
+        self.pos_emb = compiled(array("base", "pos_emb"))
+        self.ln_out = compiled(root_d * array("base", "ln_out"))
+        self.eps = np.asarray(d * ad.RMS_EPS, self.dtype)
+        self.n_base = cfg.n_layers_base
+        self.blocks = ([block("base", i) for i in range(cfg.n_layers_base)]
+                       + [block("policy", i) for i in range(cfg.n_layers_policy)])
+        self.policy_head = compiled(array("policy", "head"))
+        # `down` maps the running embedding into an MLP's input: the
+        # identity before the first MLP, then the previous MLP's w3
+        codes, down, self.mlps = array("codebook", "codes"), np.eye(d), []
+        for i in range(cfg.n_merge_mlps):
+            w12 = np.concatenate([-array("merge", f"mlp{i}.w1"),
+                                  array("merge", f"mlp{i}.w2")], axis=1)
+            self.mlps.append((compiled(down @ w12[:d]), compiled(codes @ w12[d:])))
+            down = -array("merge", f"mlp{i}.w3")
+        self.lm_head = compiled(down @ array("merge", "lm_head"))
         self.tokens = np.zeros((1, 0), dtype=np.int64)
-        self.base_cache = [KVCache(cfg.max_seq_len) for _ in range(cfg.n_layers_base)]
-        self.policy_cache = [KVCache(cfg.max_seq_len)
-                             for _ in range(cfg.n_layers_policy)]
-        self.e_l = np.zeros((1, cfg.max_seq_len, cfg.d_model), self.dtype)
+        # per block, keys (row, head, position, dh) and values (row, head,
+        # position, dh + 1) whose last entry is 1
+        dh, self.kv = d // heads, []
+        for _ in self.blocks:
+            v = np.zeros((1, heads, cfg.max_seq_len, dh + 1), self.dtype)
+            v[..., dh] = 1
+            self.kv.append((np.zeros((1, heads, cfg.max_seq_len, dh), self.dtype), v))
+        self.e_l = np.zeros((1, cfg.max_seq_len, d), self.dtype)
         self.probs = np.zeros((1, cfg.max_seq_len, cfg.codebook_size), self.dtype)
 
     def sync(self, tokens) -> None:
@@ -275,23 +311,25 @@ class Decoder:
         every row encodes from the shortest of those shared lengths. When
         every row extends its own row, nothing is gathered. Raises
         ValueError, before it changes what it holds, under a precision
-        mode other than the one it was built in, past max_seq_len and on a
-        token id outside the vocabulary; and FloatingPointError, naming the
-        first position, if the policy probabilities of a newly encoded
-        position are not finite."""
+        mode other than the one it was built in, on ids that are not
+        integers, past max_seq_len and on a token id outside the
+        vocabulary in a column it encodes (the held
+        columns were checked when they were encoded); and
+        FloatingPointError, naming the first position, if the policy
+        probabilities of a newly encoded position are not finite."""
         if ad.active_dtype() != self.dtype:
             raise ValueError(f"decoder built for {self.dtype} synced under "
                              f"{ad.active_dtype()}")
         tokens = np.asarray(tokens)
         if tokens.ndim != 2 or tokens.shape[1] < 1:
             raise ValueError(f"expected (B, T>=1) tokens, got shape {tokens.shape}")
+        if tokens.dtype.kind not in "iu":
+            raise ValueError(f"expected integer token ids, got {tokens.dtype}")
         t = tokens.shape[1]
         if t > self.cfg.max_seq_len:
             raise ValueError(f"sequence length {t} exceeds max_seq_len "
                              f"{self.cfg.max_seq_len}")
-        if tokens.min() < 0 or tokens.max() >= len(self.tok_emb):
-            raise ValueError("embedding id out of range")
-        n = self.tokens.shape[1]
+        n, rows = self.tokens.shape[1], None
         # the decode step, where every row extends its own, skips the compare
         if len(tokens) != len(self.tokens) or t < n \
                 or (tokens[:, :n] != self.tokens).any():
@@ -301,14 +339,16 @@ class Decoder:
             # the eye term breaks a tie towards the row's own held row
             rows = (2 * shared + np.eye(*shared.shape, dtype=int)).argmax(axis=1)
             n = int(shared.max(axis=1).min())
-            for c in self.base_cache + self.policy_cache:
-                if c.k is not None:
-                    c.k, c.v = c.k[rows], c.v[rows]
+        new = tokens[:, n:]
+        if t > n and (new.min() < 0 or new.max() >= len(self.tok_emb)):
+            raise ValueError("embedding id out of range")
+        if rows is not None:
+            # one block at a time, so that one block's copy at most is extra
+            for i, (k, v) in enumerate(self.kv):
+                self.kv[i] = k[rows], v[rows]
             self.e_l, self.probs = self.e_l[rows], self.probs[rows]
-        for c in self.base_cache + self.policy_cache:
-            c.length = n
         if t > n:
-            e_l, probs = self.encode(tokens[:, n:], n)
+            e_l, probs = self.encode(new, n)
             if not np.isfinite(probs).all():
                 bad = np.flatnonzero(~np.isfinite(probs).all(axis=(0, 2)))
                 self.tokens = tokens[:, :n].copy()  # positions n.. are overwritten
@@ -318,31 +358,84 @@ class Decoder:
             self.probs[:, n:t] = probs
         self.tokens = tokens.copy()
 
+    def _scale(self, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """y / sqrt(sum x^2 + d eps) over x's last axis, in place: y is x
+        times weights with the norm's gain and sqrt(d) folded in, so this
+        is the rms norm of x times those weights."""
+        y /= np.sqrt(np.add.reduce(x * x, axis=-1, keepdims=True) + self.eps)
+        return y
+
+    def _block(self, x: np.ndarray, i: int, start: int) -> np.ndarray:
+        """Compiled block i on x (B, t, d) at positions start.. of the held
+        rows: their keys and values join the cache, and each query attends
+        to every cached position up to its own."""
+        wqkv, wo, w12, w3 = self.blocks[i]
+        b, t, d = x.shape
+        end, heads = start + t, self.cfg.n_heads
+        dh = d // heads
+        qkv = self._scale(np.matmul(x, wqkv), x)
+        qkv = qkv.reshape(b, t, 3, heads, dh).transpose(2, 0, 3, 1, 4)
+        k, v = self.kv[i]
+        k[:, :, start:end] = qkv[1]
+        v[:, :, start:end, :dh] = qkv[2]
+        att = np.matmul(qkv[0], k[:, :, :end].swapaxes(-1, -2))
+        if t > 1:
+            np.copyto(att, ad.NEG_MASK,
+                      where=np.arange(end) > np.arange(start, end)[:, None])
+        np.subtract(att, np.maximum.reduce(att, axis=-1, keepdims=True), out=att)
+        np.exp(att, out=att)
+        # the values' trailing 1 makes the last column the weights' sum
+        ctx = np.matmul(att, v[:, :, :end])
+        ctx = (ctx[..., :dh] / ctx[..., dh:]).swapaxes(1, 2).reshape(b, t, d)
+        x1 = np.matmul(ctx, wo)
+        x1 += x
+        out = np.matmul(self._gate(self._scale(np.matmul(x1, w12), x1)), w3)
+        out += x1
+        return out
+
+    @staticmethod
+    def _gate(z: np.ndarray) -> np.ndarray:
+        """-silu(-z1) * z2 for z = [z1 | z2] split in half on the last axis:
+        the compiled w1 and w3 are negated, so this is the gate."""
+        half = z.shape[-1] // 2
+        a1, a2 = z[..., :half], z[..., half:]
+        den = np.exp(a1)
+        den += 1
+        out = a1 * a2
+        out /= den
+        return out
+
     def encode(self, tokens: np.ndarray, start: int):
         """(e_l, policy probabilities) at positions start.. of the held
         rows, for tokens (B, t) that continue the cached positions, which
         they join."""
         x = self.tok_emb[tokens] + self.pos_emb[start:start + tokens.shape[1]]
-        heads = self.cfg.n_heads
-        for ws, cache in zip(self.base_blocks, self.base_cache):
-            x = block_arrays(x, ws, heads, cache)[0]
-        e_l = h = ad.rms_norm_arrays(x, self.ln_out)[0]
-        for ws, cache in zip(self.policy_blocks, self.policy_cache):
-            h = block_arrays(h, ws, heads, cache)[0]
+        for i in range(self.n_base):
+            x = self._block(x, i, start)
+        e_l = h = self._scale(x * self.ln_out, x)
+        for i in range(self.n_base, len(self.blocks)):
+            h = self._block(h, i, start)
         return e_l, ad.softmax_rows(np.matmul(h, self.policy_head))
 
     def policy_probs(self) -> np.ndarray:
         """(B, N) action distribution after the held tokens."""
         return self.probs[:, self.tokens.shape[1] - 1].copy()
 
+    def next_logits(self, actions) -> np.ndarray:
+        """(B, V) world-model logits after the held tokens, one action per
+        row."""
+        actions = np.asarray(actions)
+        h = self.e_l[:, self.tokens.shape[1] - 1]
+        for up, table in self.mlps:
+            z = np.matmul(h, up)
+            z += table[actions]
+            h = self._gate(z)
+        return np.matmul(h, self.lm_head)
+
     def next_tokens(self, actions) -> np.ndarray:
         """(B,) world-model argmax token after the held tokens, one action
         per row."""
-        t = self.tokens.shape[1]
-        logits = world_arrays(self.e_l[:, t - 1:t],
-                              self.codes[np.asarray(actions)][:, None, :],
-                              self.mlps, self.lm_head)[0]
-        return logits[:, -1, :].argmax(axis=-1)
+        return self.next_logits(actions).argmax(axis=-1)
 
 
 def check_prompts(prompts, mode: str, rng) -> np.ndarray:

@@ -20,33 +20,6 @@ from .config import ArchConfig
 INIT_STD = 0.02
 
 
-class KVCache:
-    """Keys and values of one attention block over the first `length`
-    positions of a batch of sequences, for incremental decoding by
-    `actions.Decoder` through `block_arrays`.
-
-    Valid only for the weights that produced it. Decoder-only: no tape op
-    takes a cache, so no gradient ever reaches cached keys and values.
-    Setting `length` lower truncates."""
-
-    def __init__(self, max_len: int):
-        self.max_len = max_len
-        self.length = 0
-        self.k = self.v = None
-
-    def extend(self, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Append (B, H, t, dh) keys and values at position `length`; return
-        the keys and values of all positions so far."""
-        if self.k is None:
-            shape = k.shape[:2] + (self.max_len,) + k.shape[3:]
-            self.k, self.v = np.empty(shape, k.dtype), np.empty(shape, v.dtype)
-        end = self.length + k.shape[2]
-        self.k[:, :, self.length:end] = k
-        self.v[:, :, self.length:end] = v
-        self.length = end
-        return self.k[:, :, :end], self.v[:, :, :end]
-
-
 BLOCK_WEIGHTS = ("ln1", "wq", "wk", "wv", "wo", "ln2", "w1", "w2", "w3")
 
 
@@ -56,15 +29,13 @@ def weight_grad(a: np.ndarray, g: np.ndarray, shape: tuple) -> np.ndarray:
     return ad._unbroadcast(np.matmul(a.swapaxes(-1, -2), g), shape)
 
 
-def block_arrays(x: np.ndarray, ws, n_heads: int, cache: KVCache | None = None,
-                 keep: bool = False):
-    """The block kernel: pre-norm causal attention block + gated MLP,
-    residual throughout, on arrays; ws are the BLOCK_WEIGHTS arrays.
-    Returns (out, saved): saved is None, or with `keep` every intermediate
-    block_forward's backward reads.
-
-    With a cache, x holds only the positions after the cached ones; they
-    attend to the cached keys and values too, and are appended to them.
+def block_arrays(x: np.ndarray, ws, n_heads: int, keep: bool = False):
+    """The training and eval block kernel: pre-norm causal attention block
+    + gated MLP, residual throughout, on arrays over all positions of x;
+    ws are the BLOCK_WEIGHTS arrays. Returns (out, saved): saved is None,
+    or with `keep` every intermediate block_forward's backward reads.
+    Decoding does not run it: `actions.Decoder` steps its own block on
+    weights it compiles from these, with a key/value cache.
 
     The numpy calls are those, in that order, of the block composed of
     rms_norm, matmul, reshape, swapaxes, causal_attention_scores, softmax,
@@ -78,8 +49,6 @@ def block_arrays(x: np.ndarray, ws, n_heads: int, cache: KVCache | None = None,
     hn, xn1, inv1 = ad.rms_norm_arrays(x, ln1)
     q, k, v = (np.matmul(hn, w).reshape(b, t, n_heads, dh).swapaxes(1, 2)
                for w in (wq, wk, wv))
-    if cache is not None:
-        k, v = cache.extend(k, v)
     att, mask = ad.causal_scores(q, k)
     ad.softmax_rows(att, out=att)
     ctx = np.matmul(att, v).swapaxes(1, 2).reshape(b, t, d)

@@ -8,6 +8,7 @@ from hypothesis import settings
 
 from actlm import autodiff as ad
 from actlm.checkpoint import MAGIC
+from actlm.model import base_forward, base_logits
 
 # Property tests draw the same examples on every run, and no example
 # database carries failures from one run into the next.
@@ -61,6 +62,46 @@ def accumulation_length(cfg, t: int, blocks: int) -> int:
     then the final norm and the head."""
     d, dh = cfg.d_model, cfg.d_model // cfg.n_heads
     return blocks * (5 * d + dh + 2 * t + cfg.intermediate_dim) + 2 * d
+
+
+def decoder_accumulation_length(cfg, t: int, blocks: int, mlps: int = 0) -> int:
+    """accumulation_length for an output of the compiled `actions.Decoder`
+    through `blocks` blocks, the final norm and a head, or with `mlps`
+    the merge MLPs and the world lm-head.
+
+    Element for element, the decoder's reductions are those of the full
+    forward: the context product sums the softmax weights in place of the
+    softmax's t-term sum, and a merge MLP's 2d-term product over the
+    concatenation becomes a d-term product plus a row of the code table,
+    itself a d-term product; folding a w3 into the next weight swaps the
+    order of a d-term and an I-term product. A merge MLP adds 2d + I, as
+    a block's reductions do in accumulation_length. Beyond these the
+    decoder rounds each compiled weight entry at most 4 times (a product
+    of a norm gain, sqrt(d), 1/sqrt(dh) or a sign and the weight, then
+    the cast) and adds one division per block (the context by its weight
+    sum) and one addition per MLP (the table row). A block reads two
+    compiled weights, the final norm one, an MLP two and the world
+    lm-head one."""
+    d = cfg.d_model
+    n = accumulation_length(cfg, t, blocks) + blocks * (2 * 4 + 1) + 4
+    if mlps:
+        n += mlps * (2 * d + cfg.intermediate_dim + 2 * 4 + 1) + 4
+    return n
+
+
+def check_base_logits(state, tokens, e_l, start):
+    """Base logits of a Decoder's embeddings e_l (B, t) at positions
+    start.. of tokens stay within the rounding-error bound of the
+    full-prefix forward's: both sides err by at most the dot-product
+    bound over the decoder's accumulation length, hence the factor 2."""
+    cfg, p = state.cfg, state.groups["base"]
+    e_full = base_forward(p, cfg, tokens)
+    full = base_logits(p, e_full).data[:, start:]
+    n = decoder_accumulation_length(cfg, tokens.shape[1], cfg.n_layers_base)
+    bound = 2 * matmul_error_bound(e_full.data[:, start:], p["lm_head"].data,
+                                   full.dtype, n=n)
+    err = np.abs(e_l @ p["lm_head"].data - full)
+    assert (err <= bound).all(), (err / bound).max()
 
 
 class ChainLM:

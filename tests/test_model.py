@@ -1,5 +1,5 @@
 """Model structure tests: shapes, causality, deterministic init, group
-hashing, and the block kernel under a key/value cache against the
+hashing, and the decoder's cached base embeddings against the
 full-prefix forward."""
 
 import numpy as np
@@ -8,10 +8,10 @@ import pytest
 from actlm import autodiff as ad
 from actlm.autodiff import Tape, Tensor
 from actlm.config import ArchConfig
-from actlm.model import (BLOCK_WEIGHTS, GROUP_NAMES, KVCache, base_forward,
-                         base_logits, block_arrays, block_forward, init_model,
-                         unflatten)
-from conftest import accumulation_length, matmul_error_bound
+from actlm.actions import Decoder
+from actlm.model import (GROUP_NAMES, base_forward, base_logits, block_forward,
+                         init_model, unflatten)
+from conftest import check_base_logits
 
 
 CFG = ArchConfig(vocab_size=11, d_model=8, n_heads=2, max_seq_len=12,
@@ -41,63 +41,36 @@ def test_base_forward_is_causal():
         assert not np.array_equal(logits.data[:, t], logits2.data[:, t])
 
 
-def kernel_block(p, prefix, x, cfg, cache):
-    """block_arrays under a KVCache, on a Tensor's array: the block the
-    decoder runs."""
-    ws = [p[f"{prefix}.{w}"].data for w in BLOCK_WEIGHTS]
-    return Tensor(block_arrays(x.data, ws, cfg.n_heads, cache)[0])
-
-
-def cached_base_logits(p, cfg, tokens, caches):
-    """Base logits of tokens (B, t) that continue the cached positions,
-    through the block kernel under one KVCache per block."""
-    start, t = caches[0].length, tokens.shape[1]
-    x = Tensor(p["tok_emb"].data[tokens] + p["pos_emb"].data[start:start + t])
-    for i, cache in enumerate(caches):
-        x = kernel_block(p, f"blk{i}", x, cfg, cache)
-    return ad.rms_norm_arrays(x.data, p["ln_out"].data)[0] @ p["lm_head"].data
-
-
 @pytest.mark.parametrize("mode", ["verify", "train"])
 @pytest.mark.parametrize("seed", range(6))
 def test_cached_base_forward_matches_full_prefix(mode, seed):
-    """The block kernel under a cache, one token at a time, then after a
-    truncation and a re-extension with other tokens in chunks: every logit
-    stays within the rounding-error bound of the full-prefix forward (a few
-    ulp of the operands in verify mode)."""
+    """The decoder's cached base embeddings, synced one token at a time,
+    then after a truncation and a re-extension with other tokens in
+    chunks: every base logit they give stays within the rounding-error
+    bound of the full-prefix forward (a few ulp of the operands in verify
+    mode)."""
     ad.set_precision(mode)
     cfg = ArchConfig(max_seq_len=24)
-    p = init_model(cfg, seed).groups["base"]
+    state = init_model(cfg, seed)
     rng = np.random.default_rng(seed)
     t = cfg.max_seq_len
-    n = accumulation_length(cfg, t, cfg.n_layers_base)
-
-    def check(tokens, logits, start):
-        e_full = base_forward(p, cfg, tokens)
-        full = base_logits(p, e_full)
-        bound = 2 * matmul_error_bound(e_full.data, p["lm_head"].data,
-                                       full.data.dtype, n=n)
-        err = np.abs(logits - full.data[:, start:])
-        assert (err <= bound[:, start:]).all(), (err / bound[:, start:]).max()
-
     tokens = rng.integers(0, cfg.vocab_size, size=(2, t))
-    cache = [KVCache(t) for _ in range(cfg.n_layers_base)]
-    steps = [cached_base_logits(p, cfg, tokens[:, i:i + 1], cache)
-             for i in range(t)]
-    check(tokens, np.concatenate(steps, axis=1), 0)
+    dec = Decoder(state)
+    for i in range(1, t + 1):
+        dec.sync(tokens[:, :i])
+    check_base_logits(state, tokens, dec.e_l[:, :t], 0)
 
     keep = int(rng.integers(1, t - 2))
     branch = tokens.copy()
     branch[:, keep:] = rng.integers(0, cfg.vocab_size, size=(2, t - keep))
-    for c in cache:
-        c.length = keep
-    cuts = [keep, *sorted(rng.choice(np.arange(keep + 1, t), 2, replace=False)), t]
-    chunks = [cached_base_logits(p, cfg, branch[:, a:b], cache)
-              for a, b in zip(cuts, cuts[1:])]
-    check(branch, np.concatenate(chunks, axis=1), keep)
+    dec.sync(branch[:, :keep])
+    for cut in sorted(rng.choice(np.arange(keep + 1, t), 2, replace=False)):
+        dec.sync(branch[:, :cut])
+    dec.sync(branch)
+    check_base_logits(state, branch, dec.e_l[:, keep:t], keep)
 
 
-def reference_block_forward(p, prefix, x, cfg, cache=None):
+def reference_block_forward(p, prefix, x, cfg):
     """The block composed of tape primitives that the fused block_forward
     replaced, one node per primitive. Kept as the reference the fused op is
     checked against bit for bit."""
@@ -111,8 +84,6 @@ def reference_block_forward(p, prefix, x, cfg, cache=None):
         return ad.swapaxes(y, 1, 2)  # (b, h, t, dh)
 
     q, k, v = heads("wq"), heads("wk"), heads("wv")
-    if cache is not None:
-        k, v = (Tensor(a) for a in cache.extend(k.data, v.data))
     att = ad.softmax(ad.causal_attention_scores(q, k))
     ctx = ad.matmul(att, v)
     ctx = ad.reshape(ad.swapaxes(ctx, 1, 2), (b, t, d))
@@ -124,28 +95,25 @@ def reference_block_forward(p, prefix, x, cfg, cache=None):
     return ad.add(x, ad.matmul(gate, p[f"{prefix}.w3"]))
 
 
-def _block_run(block, b, t, past, n_blocks, seed):
+def _weights(n_blocks, seed):
+    """A state with n_blocks base blocks whose base weights sit well away
+    from the tiny init scale, and the rng that moved them."""
+    cfg = ArchConfig(n_layers_base=n_blocks)
+    state = init_model(cfg, seed)
+    rng = np.random.default_rng(seed)
+    for w in state.groups["base"].values():
+        w.data = w.data + rng.normal(0.0, 0.3, size=w.shape).astype(w.data.dtype)
+    return state, rng
+
+
+def _block_run(block, b, t, n_blocks, seed):
     """Output and gradients (input's first, then every weight's) of
     n_blocks stacked blocks plus a skip from their input, so that the
     input's gradient also sums with one reaching it from outside the
-    blocks. With past > 0 each block first caches `past` positions and
-    then runs under the cache off the tape, so only the output is
-    returned: decoding records no tape."""
-    cfg = ArchConfig(n_layers_base=n_blocks)
-    p = init_model(cfg, seed).groups["base"]
-    rng = np.random.default_rng(seed)
-    for w in p.values():  # well away from the tiny init scale
-        w.data = w.data + rng.normal(0.0, 0.3, size=w.shape).astype(w.data.dtype)
+    blocks."""
+    state, rng = _weights(n_blocks, seed)
+    p, cfg = state.groups["base"], state.cfg
     x = Tensor(rng.normal(size=(b, t, cfg.d_model)))
-    if past:
-        caches = [KVCache(cfg.max_seq_len) for _ in range(n_blocks)]
-        h = Tensor(rng.normal(size=(b, past, cfg.d_model)))
-        for i, cache in enumerate(caches):
-            h = block(p, f"blk{i}", h, cfg, cache)
-        h = x
-        for i, cache in enumerate(caches):
-            h = block(p, f"blk{i}", h, cfg, cache)
-        return [ad.add(h, x).data]
     with Tape() as tape:
         h = x
         for i in range(n_blocks):
@@ -156,6 +124,17 @@ def _block_run(block, b, t, past, n_blocks, seed):
     return [out.data] + [tape.grad(grads, t) for t in (x, *p.values())]
 
 
+def _decoder_step(b, t, past, n_blocks, seed):
+    """A decoder holding `past` positions of b rows steps t more through
+    its compiled blocks against its key/value cache."""
+    state, rng = _weights(n_blocks, seed)
+    tokens = rng.integers(0, state.cfg.vocab_size, size=(b, past + t))
+    dec = Decoder(state)
+    dec.sync(tokens[:, :past])
+    dec.sync(tokens)
+    check_base_logits(state, tokens, dec.e_l[:, past:past + t], past)
+
+
 @pytest.mark.parametrize("mode", ["train", "verify"])
 @pytest.mark.parametrize("b,t,past,n_blocks", [
     (16, 16, 0, 1), (3, 64, 0, 1), (2, 33, 0, 1), (1, 5, 0, 1),
@@ -164,14 +143,19 @@ def _block_run(block, b, t, past, n_blocks, seed):
     (3, 9, 0, 2),   # two stacked blocks under one tape
 ])
 def test_fused_block_matches_composed_reference_bitwise(mode, b, t, past, n_blocks):
-    """The fused block gives the composed block's output and every gradient,
-    the input's included, to the bit. Against a cache, the block kernel
-    the decoder runs gives the composed block's output to the bit."""
+    """The fused block gives the composed block's output and every
+    gradient, the input's included, to the bit. With `past` positions
+    cached, the decoder's compiled block step, which folds weights and so
+    rounds otherwise, stays within the rounding-error bound of the
+    full-prefix forward, whose fused blocks the other cases hold to the
+    composed ones."""
     ad.set_precision(mode)
-    fused = kernel_block if past else block_forward
     for seed in range(3):
-        got = _block_run(fused, b, t, past, n_blocks, seed)
-        want = _block_run(reference_block_forward, b, t, past, n_blocks, seed)
+        if past:
+            _decoder_step(b, t, past, n_blocks, seed)
+            continue
+        got = _block_run(block_forward, b, t, n_blocks, seed)
+        want = _block_run(reference_block_forward, b, t, n_blocks, seed)
         assert len(got) == len(want)
         for i, (a, r) in enumerate(zip(got, want)):
             assert a.dtype == r.dtype and np.array_equal(a, r), (seed, i)

@@ -3,10 +3,12 @@ Q-pruned variant's boundary behavior against hand-built deterministic
 generator stubs; the cached decoder against full-prefix forwards."""
 
 import ast
+import importlib
 import itertools
 import json
 import math
 import pathlib
+import pkgutil
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ import pytest
 import actlm
 from actlm import autodiff as ad
 from actlm.actions import (Decoder, generate, policy_forward, row_ends,
-                           world_logits)
+                           world_arrays, world_logits)
 from actlm.autodiff import Tape, Tensor
 from actlm.config import ArchConfig, SearchConfig
 from actlm.data import cdf, inverse_cdf
@@ -23,8 +25,9 @@ from actlm.search import (LatentActionLM, MctsNode, _select_child, audit_tree,
                           bellman_error, mcts_search, rollout, uct_score)
 from actlm.training import (Transition, q_values_fn,
                             rollout_batch)
-from conftest import (ChainLM, StickyLM, accumulation_length, chain_reward,
-                      gamma, matmul_error_bound, tree_snapshot)
+from conftest import (ChainLM, StickyLM, chain_reward, check_base_logits,
+                      decoder_accumulation_length, gamma, matmul_error_bound,
+                      tree_snapshot)
 
 
 def test_rollout_greedy_runs_to_eos():
@@ -560,48 +563,95 @@ def probs_bound(state, tokens):
     gamma_{N+3} relative error. Each side errs, hence the factors of 2."""
     cfg = state.cfg
     h, probs = full_prefix_policy(state, tokens)
-    n = accumulation_length(cfg, tokens.shape[1],
-                            cfg.n_layers_base + cfg.n_layers_policy)
+    n = decoder_accumulation_length(cfg, tokens.shape[1],
+                                    cfg.n_layers_base + cfg.n_layers_policy)
     logit_err = matmul_error_bound(h, state.groups["policy"]["head"].data,
                                    probs.dtype, n=n)
     return probs, (2 * 0.5 * logit_err.max(axis=-1, keepdims=True)
                    + 2 * gamma(cfg.codebook_size + 3, probs.dtype) * probs)
 
 
+def check_decoder(state, dec):
+    """The decoder's base embeddings (through the base lm-head) and policy
+    probabilities at every held position, and its next-token logits under
+    every action, stay within the rounding-error bounds of the uncached
+    base_forward, policy_forward and world_logits. Each side errs by at
+    most the dot-product bound over the decoder's accumulation length on
+    the magnitudes of the last product: the base or policy head's, and
+    for the world logits |gate| |w3| |lm_head| of the last merge MLP,
+    since the decoder folds that w3 into the lm-head."""
+    cfg, groups = state.cfg, state.groups
+    tokens = dec.tokens
+    b, t = tokens.shape
+    check_base_logits(state, tokens, dec.e_l[:, :t], 0)
+
+    e_l = base_forward(groups["base"], cfg, tokens)
+    probs, bound = probs_bound(state, tokens)
+    np.testing.assert_array_equal(
+        policy_forward(groups["policy"], cfg, e_l).data, probs)
+    assert (np.abs(dec.probs[:, :t] - probs) <= bound).all()
+
+    merge, codes = groups["merge"], groups["codebook"]["codes"].data
+    mlps = [tuple(merge[f"mlp{i}.{w}"].data for w in ("w1", "w2", "w3"))
+            for i in range(cfg.n_merge_mlps)]
+    n = decoder_accumulation_length(cfg, t, cfg.n_layers_base, cfg.n_merge_mlps)
+    last = Tensor(e_l.data[:, -1:])
+    for action in range(cfg.codebook_size):
+        code = Tensor(np.repeat(codes[[action]], b, axis=0)[:, None])
+        want = world_logits(merge, cfg, last, code).data[:, 0]
+        gate = world_arrays(last.data, code.data, mlps, merge["lm_head"].data,
+                            keep=True)[1][-2][5][:, 0]
+        bound = 2 * matmul_error_bound(np.abs(gate) @ np.abs(mlps[-1][2]),
+                                       merge["lm_head"].data, want.dtype, n=n)
+        assert (np.abs(dec.next_logits([action] * b) - want) <= bound).all()
+
+
 @pytest.mark.parametrize("mode", ["verify", "train"])
 @pytest.mark.parametrize("seed", range(6))
 def test_decoder_matches_full_prefix(mode, seed):
-    """Policy probabilities from token-by-token syncs, and after a branch
-    switch (truncate to a prefix, then re-extend with other tokens in
-    chunks), stay within the rounding-error bound of full-prefix forwards;
+    """The compiled decoder's base embeddings, policy probabilities and
+    next-token logits stay within the rounding-error bounds of the
+    uncached forward at every position: synced token by token, after a
+    fork into three rows, a reorder, a join, and a branch switch
+    (truncate to a prefix, then re-extend with other tokens in chunks);
     the switched decoder agrees with a fresh one on every greedy token.
-    Both decoders start from one empty row, which both rows of their first
-    sync continue."""
+    The decoder starts from one empty row, which both rows of its first
+    sync continue. The norm gains are drawn away from 1, so that a fold
+    that drops one shows."""
     ad.set_precision(mode)
     state = init_model(DCFG, seed)
     rng = np.random.default_rng(seed)
+    for group in ("base", "policy"):
+        for name, w in state.groups[group].items():
+            if name.rsplit(".", 1)[-1] in ("ln1", "ln2", "ln_out"):
+                w.data = w.data * rng.uniform(0.5, 1.5, w.shape).astype(w.data.dtype)
     t = DCFG.max_seq_len
-    tokens = rng.integers(0, DCFG.vocab_size, size=(2, t))
+    v = DCFG.vocab_size
+    tokens = rng.integers(0, v, size=(2, t))
     dec = Decoder(state)
-    steps = []
     for i in range(1, t + 1):
         dec.sync(tokens[:, :i])
-        steps.append(dec.policy_probs())
-    probs, bound = probs_bound(state, tokens)
-    assert (np.abs(np.stack(steps, axis=1) - probs) <= bound).all()
+        check_decoder(state, dec)
 
     keep = int(rng.integers(1, t - 2))
+    fork = np.repeat(tokens[:1], 3, axis=0)
+    fork[:, keep:] = rng.integers(0, v, size=(3, t - keep))
+    joined = np.concatenate([fork[::-1], fork[1:2]])
+    joined[-1, keep + 1:] = rng.integers(0, v, size=t - keep - 1)
+    for rows in (fork, fork[::-1], joined):
+        dec.sync(rows)
+        check_decoder(state, dec)
+
     branch = tokens.copy()
-    branch[:, keep:] = rng.integers(0, DCFG.vocab_size, size=(2, t - keep))
+    branch[:, keep:] = rng.integers(0, v, size=(2, t - keep))
     dec.sync(branch[:, :keep])
     for end in sorted(rng.choice(np.arange(keep + 1, t), 2, replace=False)):
         dec.sync(branch[:, :end])
+        check_decoder(state, dec)
     dec.sync(branch)
+    check_decoder(state, dec)
     fresh = Decoder(state)
     fresh.sync(branch)
-    probs, bound = probs_bound(state, branch)
-    for d in (dec, fresh):
-        assert (np.abs(d.probs[:, :t] - probs) <= bound).all()
     for action in range(DCFG.codebook_size):
         np.testing.assert_array_equal(dec.next_tokens([action] * 2),
                                       fresh.next_tokens([action] * 2))
@@ -695,6 +745,31 @@ def test_decoding_records_nothing():
     assert extended  # the Q head was asked
 
 
+def test_decoding_runs_no_training_kernel(monkeypatch):
+    """search.rollout, rollout_batch and a plain mcts_search decode on the
+    decoder's compiled step alone: they run with `block_arrays` and
+    `world_arrays` raising in every module that holds them. A Q-pruned
+    search is left out: its Q head reaches base_forward through
+    q_values_fn."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a training kernel ran while decoding")
+
+    for info in pkgutil.iter_modules(actlm.__path__):
+        module = importlib.import_module(f"actlm.{info.name}")
+        for name in ("block_arrays", "world_arrays"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    state = init_model(DCFG, 0)
+    rng = np.random.default_rng(0)
+    rollout_batch(state, np.array([[3, 5], [4, 6]]), "sample", 12, rng)
+    rollout(LatentActionLM(state), [3, 5], "greedy", 12)
+    cfg = SearchConfig(action_steps=2, iterations=6, expand_width=2,
+                       max_len=12, seed=0)
+    result = mcts_search(LatentActionLM(state), [3, 5], cfg,
+                         lambda tokens: float(len(tokens)))
+    assert result.n_nodes > 1
+
+
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
          ast.DictComp, ast.GeneratorExp)
 
@@ -714,6 +789,10 @@ def test_one_decode_loop():
 
 
 def test_decoder_rejects_bad_shapes():
+    """Bad shapes and lengths raise; so do ids that are not integers and
+    a token id outside the vocabulary in a column the sync would encode,
+    an appended one or one of a joining row, and the decoder then holds
+    what it held."""
     dec = Decoder(init_model(DCFG, 0))
     for bad in (np.zeros((2, 0), int), np.zeros(3, int)):
         with pytest.raises(ValueError):
@@ -722,6 +801,15 @@ def test_decoder_rejects_bad_shapes():
         dec.sync(np.ones((1, DCFG.max_seq_len + 1), int))
     with pytest.raises(ValueError, match="id out of range"):
         dec.sync([[1, DCFG.vocab_size]])
+    dec.sync([[1, 2, 3], [1, 2, 4]])
+    held = [a.copy() for a in (dec.tokens, dec.e_l, dec.probs)]
+    v = DCFG.vocab_size
+    for bad in ([[1, 2, 3, 5], [1, 2, 4, v]], [[1, 2, 3], [1, 2, 4], [1, 2, -1]],
+                [[1, 2, 4], [1, -1, 4]], [[1, 2, 4, 5.0], [1, 2, 3, 5.0]]):
+        with pytest.raises(ValueError, match="id out of range|integer token ids"):
+            dec.sync(bad)
+        for was, now in zip(held, (dec.tokens, dec.e_l, dec.probs)):
+            assert was.shape == now.shape and was.tobytes() == now.tobytes()
 
 
 @pytest.mark.parametrize("mode", ["greedy", "sample"])
