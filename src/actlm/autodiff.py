@@ -8,6 +8,10 @@ once, so forward-only work frees each intermediate as soon as nothing reads
 it. Two numeric modes exist: float32 for training and float64 for
 verification; the mode is global and must not be switched while a tape is
 open.
+
+The tests' finite-difference oracle holds `stop_grad`'s outputs fixed by
+swapping this module's `stop_grad` attribute, so src calls it only as
+`ad.stop_grad`, never by a name imported from here.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import numpy as np
 
 _DTYPE = np.dtype(np.float32)
 _TAPE_STACK: list["Tape | None"] = []
-_SG_CAPTURE: list["StopGradCapture"] = []
 _SCALARS: dict[tuple, np.ndarray] = {}
 
 # Large negative additive mask; -inf would poison backward passes with NaN.
@@ -83,23 +86,16 @@ class Tape:
         _TAPE_STACK.pop()
         return False
 
-    def gradients(self, output: Tensor, seed=None) -> dict[int, np.ndarray]:
-        """Backward pass from `output`; returns the gradients of the leaves
-        (tensors no op on this tape produced) keyed by id(tensor).
+    def gradients(self, output: Tensor) -> dict[int, np.ndarray]:
+        """Backward pass from `output`, seeded with ones; returns the
+        gradients of the leaves (tensors no op on this tape produced) keyed
+        by id(tensor).
 
         Gradients accumulate additively across fan-out. A node's gradient
         is dropped once its backward has consumed it, so it is freed while
         the pass runs. Tensors not on any path to `output` have no entry.
         """
-        if seed is None:
-            seed = np.ones_like(output.data)
-        else:
-            seed = np.asarray(seed, dtype=_DTYPE)
-            if seed.shape != output.data.shape:
-                raise ValueError(
-                    f"seed shape {seed.shape} != output shape {output.data.shape}"
-                )
-        grads: dict[int, np.ndarray] = {id(output): seed}
+        grads: dict[int, np.ndarray] = {id(output): np.ones_like(output.data)}
         for node in reversed(self.nodes):
             g = grads.pop(id(node), None)
             if g is None:
@@ -456,104 +452,7 @@ def slice_time(x: Tensor, start, stop) -> Tensor:
     return _emit(x.data[idx], backward)
 
 
-class StopGradCapture:
-    """Freeze stop_grad outputs across re-evaluations of a graph.
-
-    Finite-difference checks of graphs containing stop_grad must hold the
-    stopped values fixed at their base-point forward values; otherwise the
-    numeric derivative measures the (zero or discontinuous) true derivative
-    instead of the estimator the tape implements. Run the reference forward
-    under mode='record', perturbed forwards under mode='replay'.
-    """
-
-    def __init__(self, mode: str):
-        if mode not in ("record", "replay"):
-            raise ValueError(mode)
-        self.mode = mode
-        self.values: list[np.ndarray] = []
-        self._cursor = 0
-
-    def replaying(self) -> "StopGradCapture":
-        replay = StopGradCapture("replay")
-        replay.values = self.values
-        return replay
-
-    def __enter__(self):
-        self._cursor = 0
-        _SG_CAPTURE.append(self)
-        return self
-
-    def __exit__(self, *exc):
-        _SG_CAPTURE.pop()
-        return False
-
-
 def stop_grad(x: Tensor) -> Tensor:
-    """Identity forward, zero backward. Honors an active StopGradCapture."""
-    data = x.data
-    if _SG_CAPTURE:
-        cap = _SG_CAPTURE[-1]
-        if cap.mode == "record":
-            cap.values.append(data.copy())
-        else:
-            data = cap.values[cap._cursor]
-            cap._cursor += 1
-    return Tensor(data.copy())
-
-
-# ---------------------------------------------------------------------------
-# Finite-difference verification
-# ---------------------------------------------------------------------------
-
-def finite_diff_report(build_loss, params: list[Tensor], eps: float = 1e-5):
-    """Analytic vs central-difference gradients of a scalar loss.
-
-    `build_loss()` must construct the loss from the current contents of
-    `params` (mutated in place between evaluations). Returns
-    (max_relative_error, analytic_grads, numeric_grads). Requires the
-    'verify' (float64) precision mode for meaningful tolerances.
-    """
-    capture = StopGradCapture("record")
-    with capture:
-        with Tape() as tape:
-            loss = build_loss()
-        if loss.data.shape != ():
-            raise ValueError("finite_diff_report needs a scalar loss")
-        if not np.isfinite(loss.data):
-            raise FloatingPointError("non-finite loss at base point")
-        grads = tape.gradients(loss)
-        analytic = [tape.grad(grads, p).copy() for p in params]
-
-    def eval_loss():
-        with capture.replaying():
-            value = build_loss().data
-        if not np.isfinite(value):
-            raise FloatingPointError("non-finite loss at perturbed point")
-        return float(value)
-
-    numeric = []
-    for p in params:
-        gn = np.zeros_like(p.data)
-        flat = p.data.reshape(-1)
-        gflat = gn.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            up = eval_loss()
-            flat[i] = orig - eps
-            down = eval_loss()
-            flat[i] = orig
-            gflat[i] = (up - down) / (2.0 * eps)
-        numeric.append(gn)
-
-    max_err = 0.0
-    for ga, gn in zip(analytic, numeric):
-        err = np.abs(ga - gn) / (np.abs(ga) + 1e-12)
-        if err.size:
-            max_err = max(max_err, float(err.max()))
-    return max_err, analytic, numeric
-
-
-def finite_diff_check(build_loss, params: list[Tensor], eps: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients."""
-    return finite_diff_report(build_loss, params, eps)[0]
+    """Identity forward, zero backward: the output is a leaf that shares
+    x's array, so nothing may write into it."""
+    return Tensor(x.data)

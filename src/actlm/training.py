@@ -182,10 +182,9 @@ def chunk_map(fn, chunks: list) -> list:
     The tasks run under an `ad.untaped()` opened on the calling thread
     before any worker starts and closed after every worker has ended, so no
     op they run is recorded, whatever tape the caller has open. The tape
-    stack and the `StopGradCapture` stack are global, shared by all
-    threads: workers only read the tape stack. A task must never push to it
-    or pop from it (no `Tape`, no `untaped()`) and never open a
-    `StopGradCapture`."""
+    stack is global, shared by all threads, and workers only read it: a
+    task must never push to it or pop from it (no `Tape`, no
+    `untaped()`)."""
     n = min(len(chunks), len(os.sched_getaffinity(0)))
     results = [None] * len(chunks)
     errors = []

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import struct
 from dataclasses import asdict
@@ -27,6 +28,121 @@ def verify_mode():
     ad.set_precision("verify")
     yield
     ad.set_precision("train")
+
+
+class StopGradCapture:
+    """Holds `ad.stop_grad`'s outputs fixed across re-evaluations of a
+    graph.
+
+    A finite-difference check of a graph that contains stop_grad must hold
+    the stopped values at their base-point forward values; otherwise the
+    numeric derivative measures the true derivative (zero, or a jump where
+    an argmax flips) instead of the straight-through estimator the tape
+    implements. `recording()` keeps a copy of each stop_grad output of the
+    base forward, in call order, and `replaying()` hands them back in the
+    same order to each perturbed forward. Both swap the module attribute
+    `ad.stop_grad` for the length of the block and restore it however the
+    block ends. They see every src call, because each goes through the
+    module (test_reachability.py checks this)."""
+
+    def __init__(self):
+        self.values: list[np.ndarray] = []
+
+    def recording(self):
+        def record(x):
+            self.values.append(x.data.copy())
+            return ad.Tensor(x.data)
+        return _stop_grad_as(record)
+
+    def replaying(self):
+        replay = iter(self.values)
+        return _stop_grad_as(lambda x: ad.Tensor(next(replay)))
+
+
+@contextlib.contextmanager
+def _stop_grad_as(fn):
+    original, ad.stop_grad = ad.stop_grad, fn
+    try:
+        yield
+    finally:
+        ad.stop_grad = original
+
+
+FD_STEP = 1e-5  # the central-difference step h
+FD_RTOL = 1e-6  # the bar on a coordinate whose gradient is well above b
+
+
+def finite_diff_report(build_loss, params):
+    """Analytic against central-difference gradients of a scalar loss.
+
+    `build_loss()` builds the loss from the current contents of `params`,
+    which are perturbed in place one coordinate at a time, with every
+    stop_grad output held at its base-point value (StopGradCapture).
+    Returns (worst, analytic, numeric). A coordinate passes when
+    |ga - gn| <= FD_RTOL |ga| + b; worst is the largest ratio of the left
+    side to the right over every coordinate, so the check passes when
+    worst <= 1. Meaningful in the float64 verify mode.
+
+    b bounds the error of gn itself, on the rounding model of Nocedal and
+    Wright (Numerical Optimization, 2nd ed., section 8.1). By Taylor's
+    theorem
+        gn = (f(x + h) - f(x - h)) / 2h = f'(x) + h^2 f'''(x) / 6 + O(h^4).
+    If each computed f errs by at most u L, with u the unit roundoff of the
+    active dtype (2^-53 in verify mode) and L the largest |f| at the
+    coordinate's probe points, the two values add at most 2 u L / 2h =
+    u L / h to gn. The third derivative comes from the same stencil at 2h,
+        f(x + 2h) - 2 f(x + h) + 2 f(x - h) - f(x - 2h) = 2 h^3 f''' + O(h^5),
+    so the truncation term h^2 |f'''| / 6 is that sum's magnitude over 12h,
+    give or take the sum's own rounding, at most 6 u L / 12h = u L / 2h.
+    Hence
+        b = |f(x + 2h) - 2 f(x + h) + 2 f(x - h) - f(x - 2h)| / 12h
+            + 3 u L / 2h.
+    At h = 1e-5 with |f| and |f'''| of order one, b is of order 1e-11, so
+    every coordinate with |ga| well above 1e-5 meets FD_RTOL's bar alone.
+    The model's u L can fall short: a loss whose terms cancel rounds by a
+    multiple of it (see test_acceptance.py's gradient-fidelity gates)."""
+    capture = StopGradCapture()
+    with capture.recording(), ad.Tape() as tape:
+        loss = build_loss()
+    if loss.data.shape != ():
+        raise ValueError("finite_diff_report needs a scalar loss")
+    if not np.isfinite(loss.data):
+        raise FloatingPointError("non-finite loss at base point")
+    grads = tape.gradients(loss)
+    analytic = [tape.grad(grads, p).copy() for p in params]
+
+    def eval_loss():
+        with capture.replaying():
+            value = build_loss().data
+        if not np.isfinite(value):
+            raise FloatingPointError("non-finite loss at perturbed point")
+        return float(value)
+
+    u, h = np.finfo(ad.active_dtype()).eps / 2, FD_STEP
+    worst, numeric = 0.0, []
+    for p, ga in zip(params, analytic):
+        flat, ga = p.data.reshape(-1), ga.reshape(-1)
+        gn, b = np.zeros_like(flat), np.zeros_like(flat)
+        for i in range(flat.size):
+            orig, f = flat[i], []
+            for k in (2, 1, -1, -2):
+                flat[i] = orig + k * h
+                f.append(eval_loss())
+            flat[i] = orig
+            gn[i] = (f[1] - f[2]) / (2.0 * h)
+            b[i] = (abs(f[0] - 2 * f[1] + 2 * f[2] - f[3]) / (12 * h)
+                    + 3 * u * max(map(abs, f)) / (2 * h))
+        numeric.append(gn.reshape(p.shape))
+        if flat.size:
+            ratio = np.abs(ga - gn) / (FD_RTOL * np.abs(ga) + b)
+            worst = max(worst, float(ratio.max()))
+    return worst, analytic, numeric
+
+
+def finite_diff_check(build_loss, params) -> float:
+    """finite_diff_report's worst ratio: at most 1 when every coordinate
+    passes."""
+    return finite_diff_report(build_loss, params)[0]
 
 
 def gamma(n: int, dtype) -> float:

@@ -17,8 +17,7 @@ import pytest
 
 from actlm import autodiff as ad
 from actlm.actions import assign_direct, inverse_encode, sample_gumbel
-from actlm.autodiff import Tape, Tensor, finite_diff_check, \
-    finite_diff_report, set_precision
+from actlm.autodiff import Tape, Tensor, set_precision
 from actlm.cli import main as cli_main
 from actlm.config import ArchConfig, SearchConfig, TrainConfig
 from actlm.data import HmmCorpusConfig, gen_hmm_corpus, hmm_matrices, \
@@ -31,7 +30,8 @@ from actlm.training import Transition, inverse_action_labels, inverse_labels, \
     loss_fta, loss_pre1, loss_pre2, pretrain_base_ar, q_values_fn, \
     sync_target, train_bc, train_q, train_rl, train_stage1
 from actlm.actions import policy_forward
-from conftest import ChainLM, chain_reward, tree_snapshot
+from conftest import ChainLM, chain_reward, finite_diff_check, \
+    finite_diff_report, tree_snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +159,17 @@ def _primitive_cases(seed):
 
 
 def _well_conditioned_toy():
-    """Tiny model with unit-scale parameters: every loss gradient coordinate
-    is large enough that the relative finite-difference metric is meaningful
-    (central differences carry an absolute noise floor near 1e-11)."""
+    """Tiny model with unit-scale parameters, so that most loss gradient
+    coordinates sit well above the finite-difference error bound b of
+    `conftest.finite_diff_report`.
+
+    Built at seeds 0-11, the same toy fails that check in 6 of 36 (seed,
+    loss) pairs: stage-1 at seeds 0, 2, 3 and 5 (worst ratio 2.20) and
+    action-conditioned tuning at seeds 7 and 10. Each failing coordinate
+    is a weak one (|g| <= 2e-4) whose central difference at h = 1e-3 or
+    1e-2 agrees with the analytic gradient; at h = 1e-5 its rounding
+    noise runs up to 2.2 times the u |f| / h that b allows. At seed 248
+    the worst ratios are 0.23, 0.02 and 0.42."""
     arch = ArchConfig(vocab_size=5, d_model=2, n_heads=1, n_layers_base=1,
                       codebook_size=3, max_seq_len=4, intermediate_dim=4)
     state = init_model(arch, 248)
@@ -191,16 +199,16 @@ def _block_case(seed):
 
 
 def test_gradient_fidelity_of_primitives(verify_mode):
-    """Every primitive's gradient within 1e-6 elementwise relative error of
-    central differences, and every gradient of one whole block within 1e-6
-    of them relative to that gradient's largest coordinate: through the
-    attention scores some block coordinates are near zero, where the
-    differences' absolute noise (about 1e-11, from rounding and the h^2
-    truncation term) swamps an elementwise ratio."""
+    """Every primitive's gradient passes the elementwise check of
+    `conftest.finite_diff_report`, and every gradient of one whole block is
+    within 1e-6 of central differences relative to that gradient's largest
+    coordinate: the block's probe is a sum whose terms cancel, so its
+    rounding noise exceeds the u |f| / h that the elementwise bound allows
+    (by up to 1.8 times, at seed 9)."""
     for seed in range(100):
         for name, build, params in _primitive_cases(seed):
-            err = finite_diff_check(build, params)
-            assert err < 1e-6, f"{name} (seed {seed}): {err:.3e}"
+            worst = finite_diff_check(build, params)
+            assert worst <= 1, f"{name} (seed {seed}): {worst:.3f}"
         _, analytic, numeric = finite_diff_report(*_block_case(seed))
         for i, (a, n) in enumerate(zip(analytic, numeric)):
             err = np.abs(a - n).max() / np.abs(a).max()
@@ -219,19 +227,19 @@ def test_gradient_fidelity_of_full_losses(verify_mode):
 
     err1 = finite_diff_check(
         build_pre1, list(state.params("inverse", "codebook", "merge").values()))
-    assert err1 < 1e-6, f"stage-1 loss: {err1:.3e}"
+    assert err1 <= 1, f"stage-1 loss: {err1:.3f}"
 
     labels = inverse_labels(state, e_l)
     err2 = finite_diff_check(
         lambda: loss_pre2(state, e_l, labels, 0)[0],
         list(state.params("policy").values()))
-    assert err2 < 1e-6, f"cloning loss: {err2:.3e}"
+    assert err2 <= 1, f"cloning loss: {err2:.3f}"
 
     # actions held fixed while the base is perturbed
     err3 = finite_diff_check(
         lambda: loss_fta(state, tokens, 2, lambda _: labels)[0],
         list(state.params("base").values()))
-    assert err3 < 1e-6, f"action-conditioned tuning loss: {err3:.3e}"
+    assert err3 <= 1, f"action-conditioned tuning loss: {err3:.3f}"
 
 
 # ---------------------------------------------------------------------------

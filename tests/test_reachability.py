@@ -18,8 +18,6 @@ BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 ALLOWED = {
     "autodiff.set_precision": "selects the float64 verify mode the gradient "
                               "and rounding-bound tests run in",
-    "autodiff.finite_diff_check": "the finite-difference oracle of the "
-                                  "gradient-fidelity gates",
     "data.hmm_matrices": "the HMM parameters the sampler's statistics and "
                          "the Bayes-optimal cross-entropy are checked against",
     "metrics.read_metrics": "reads metrics.jsonl back in the CLI and "
@@ -31,9 +29,6 @@ ALLOWED = {
 # the reason given.
 ALLOWED_DEFAULTS = {
     "main.argv": "the CLI tests drive the command line through it",
-    "Tape.gradients.seed": "the test oracle for a non-scalar output's "
-                           "backward pass",
-    "finite_diff_check.eps": "the step of the finite-difference test oracle",
 }
 
 
@@ -214,3 +209,36 @@ def unread_fields() -> set[str]:
 
 def test_every_dataclass_field_is_read():
     assert unread_fields() == set(ALLOWED_FIELDS)
+
+
+def autodiff_aliases(tree: ast.Module) -> set[str]:
+    """The names a module binds to the autodiff module itself."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in (None, "actlm"):
+            out |= {a.asname or a.name for a in node.names if a.name == "autodiff"}
+        elif isinstance(node, ast.Import):
+            out |= {a.asname for a in node.names
+                    if a.name == "actlm.autodiff" and a.asname}
+    return out
+
+
+def test_src_calls_stop_grad_only_through_the_module():
+    """The tests' finite-difference oracle holds stop_grad's outputs fixed
+    by swapping the attribute `ad.stop_grad`. A src reference by a name
+    imported from autodiff, or by the bare name inside it, would escape the
+    swap, and a check would then measure the true zero derivative instead
+    of the straight-through one."""
+    through_module, escaping = 0, []
+    for p in sorted(SRC.glob("*.py")):
+        tree = ast.parse(p.read_text())
+        aliases = autodiff_aliases(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "stop_grad" \
+                    and isinstance(node.value, ast.Name) and node.value.id in aliases:
+                through_module += 1
+            elif isinstance(node, ast.Attribute) and node.attr == "stop_grad" \
+                    or isinstance(node, ast.Name) and node.id == "stop_grad" \
+                    or isinstance(node, ast.alias) and node.name in ("stop_grad", "*"):
+                escaping.append(f"{p.name}:{node.lineno}")
+    assert escaping == [] and through_module > 0, escaping
