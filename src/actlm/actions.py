@@ -13,7 +13,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ArchConfig
 from .data import cdf, inverse_cdf
-from .model import BLOCK_WEIGHTS, ModelState, block_forward, weight_grad
+from .model import BLOCK_WEIGHTS, ModelState, block_forward
 
 
 @dataclass
@@ -106,87 +106,24 @@ def assign_vq(codebook: dict[str, Tensor], e_i: Tensor):
     return index, action, commitment, codebook_loss
 
 
-def world_arrays(e_l: np.ndarray, action: np.ndarray, mlps, lm_head: np.ndarray,
-                 keep: bool = False):
-    """The world-head kernel on arrays: mlps holds each merge MLP's (w1, w2,
-    w3). Returns (logits, saved): saved is None, or with `keep` each MLP's
-    (x, a1, s, sig, a2, gate) and then the final embedding.
-
-    The numpy calls are those, in that order, of the head composed of
-    concat_last, matmul, silu and mul, so the logits are bitwise equal to
-    it. Without `keep`, each intermediate is dropped as soon as the next
-    step has read it."""
-    saved = [] if keep else None
-    h = e_l
-    for w1, w2, w3 in mlps:
-        x = np.concatenate([h, action], axis=-1)
-        a1 = np.matmul(x, w1)
-        s, sig = ad.silu_arrays(a1)
-        if not keep:
-            del a1, sig
-        a2 = np.matmul(x, w2)
-        gate = s * a2
-        if keep:
-            saved.append((x, a1, s, sig, a2, gate))
-        del x, s, a2
-        h = np.matmul(gate, w3)
-    if keep:
-        saved.append(h)
-    return np.matmul(h, lm_head), saved
-
-
 def world_logits(merge: dict[str, Tensor], cfg: ArchConfig,
                  e_l: Tensor, action: Tensor) -> Tensor:
-    """Next-token logits from base embeddings plus an action embedding, as
-    one tape op.
+    """Next-token logits from base embeddings plus an action embedding.
 
     Each merge MLP re-concatenates the running embedding with the action,
     gates two up-projections (SiLU(e1) * e2), and projects back down; the
     final embedding goes through the world lm-head. No biases, so an all-zero
     input yields all-zero logits.
-
-    The backward replays the composed head's backward steps in its tape's
-    reverse order, one (tensor, gradient) pair per use of an input, so the
-    tape sums the action's gradients, one per MLP, in the composed order,
-    and outputs and gradients are bitwise equal to it."""
+    """
     if e_l.shape[-1] != action.shape[-1]:
         raise ValueError("embedding and action dimension mismatch")
-    weights = [tuple(merge[f"mlp{i}.{w}"] for w in ("w1", "w2", "w3"))
-               for i in range(cfg.n_merge_mlps)]
-    lm_head = merge["lm_head"]
-    mlps = [tuple(w.data for w in ws) for ws in weights]
-    logits, saved = world_arrays(e_l.data, action.data, mlps, lm_head.data,
-                                 keep=ad.recording())
-    if saved is None:
-        return Tensor(logits)
-    d = e_l.shape[-1]
-
-    def backward(g):
-        pairs = [(lm_head, weight_grad(saved[-1], g, lm_head.shape))]
-        g_h = np.matmul(g, lm_head.data.swapaxes(-1, -2))
-        for i in reversed(range(len(mlps))):
-            (t1, t2, t3), (w1, w2, w3) = weights[i], mlps[i]
-            x, a1, s, sig, a2, gate = saved[i]
-            g_gate = np.matmul(g_h, w3.swapaxes(-1, -2))
-            pairs.append((t3, weight_grad(gate, g_h, w3.shape)))
-            g_s, g_a2 = g_gate * a2, g_gate * s
-            del g_gate
-            g_x = np.matmul(g_a2, w2.swapaxes(-1, -2))
-            pairs.append((t2, weight_grad(x, g_a2, w2.shape)))
-            g_a1 = ad.silu_backward(g_s, a1, sig)
-            del g_s, g_a2
-            g_x = g_x + np.matmul(g_a1, w1.swapaxes(-1, -2))
-            pairs.append((t1, weight_grad(x, g_a1, w1.shape)))
-            del g_a1
-            # the concat hands back the running embedding's gradient, which
-            # is e_l's at MLP 0, then the action's
-            g_h = g_x[..., :d]
-            if not i:
-                pairs.append((e_l, g_h))
-            pairs.append((action, g_x[..., d:]))
-        return pairs
-
-    return ad._emit(logits, backward)
+    h = e_l
+    for i in range(cfg.n_merge_mlps):
+        x = ad.concat_last(h, action)
+        gate = ad.mul(ad.silu(ad.matmul(x, merge[f"mlp{i}.w1"])),
+                      ad.matmul(x, merge[f"mlp{i}.w2"]))
+        h = ad.matmul(gate, merge[f"mlp{i}.w3"])
+    return ad.matmul(h, merge["lm_head"])
 
 
 def _head_stack_forward(params: dict[str, Tensor], cfg: ArchConfig,
@@ -241,8 +178,8 @@ class Decoder:
     - every `w1` negated, and the `w3` after it, so the gate
       silu(a) b = a b / (1 + exp(-a)) reads exp of its input as it is.
     Each cached value ends in a 1, so the context product also sums the
-    softmax weights. Decoding records no tape and never runs the training kernels
-    (`model.block_arrays`, `world_arrays`). Its outputs differ from the
+    softmax weights. Decoding records no tape and never runs
+    `model.block_arrays` or `world_logits`. Its outputs differ from the
     full-sequence forward (`base_forward`, `policy_forward`,
     `world_logits`) only by rounding: the tests hold them within a
     first-order bound on the dot-product error over each output's
@@ -438,19 +375,6 @@ class Decoder:
         return self.next_logits(actions).argmax(axis=-1)
 
 
-def check_prompts(prompts, mode: str, rng) -> np.ndarray:
-    """A copy of prompts as a (B, p) array, p >= 1, after checking that
-    `generate` can decode from them in this mode."""
-    prompts = np.array(prompts)
-    if prompts.ndim != 2 or prompts.shape[1] < 1:
-        raise ValueError("prompts must be a non-empty (B, p) array")
-    if mode == "sample" and rng is None:
-        raise ValueError("sample mode needs an rng")
-    if mode not in ("greedy", "sample"):
-        raise ValueError(f"unknown rollout mode: {mode!r}")
-    return prompts
-
-
 def generate(dec, rows, mode: str, max_len: int, rng=None):
     """The one decode loop: continue every row of rows, B token sequences of
     any lengths, through a generator speaking the Decoder contract.
@@ -466,7 +390,15 @@ def generate(dec, rows, mode: str, max_len: int, rng=None):
     the next waiting length. Returns (tokens (B, T), actions (B, T - p)) in the order of
     rows, p the shortest length: tokens[i] starts with rows[i], and
     actions[i, s] produced tokens[i, p + s] (0 within rows[i]); `row_ends`
-    says where each row ends."""
+    says where each row ends. Raises ValueError before any sync on an
+    unknown mode, sample mode without an rng, or a row that is empty or
+    not 1-d."""
+    if mode not in ("greedy", "sample"):
+        raise ValueError(f"unknown rollout mode: {mode!r}")
+    if mode == "sample" and rng is None:
+        raise ValueError("sample mode needs an rng")
+    if any(np.ndim(row) != 1 or len(row) == 0 for row in rows):
+        raise ValueError("every row must be a non-empty 1-d token sequence")
     eos = dec.eos_token_id
     lengths = np.array([len(row) for row in rows])
     order = np.argsort(lengths, kind="stable")

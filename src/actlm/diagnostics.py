@@ -30,7 +30,7 @@ def token_bags(sequences, vocab_size: int) -> np.ndarray:
 
 
 def semantic_diversity(state: ModelState, prefixes, cfg: DiversityConfig,
-                       rng, max_len: int | None = None) -> float:
+                       rng, max_len: int) -> float:
     """Reciprocal of mean pairwise cosine similarity among sampled
     continuations.
 
@@ -41,8 +41,6 @@ def semantic_diversity(state: ModelState, prefixes, cfg: DiversityConfig,
     position any of them generated, as if decoded in a batch of their
     own."""
     prefixes = np.asarray(prefixes)
-    if max_len is None:
-        max_len = state.cfg.max_seq_len
     n, p = cfg.n_samples, prefixes.shape[1]
     tokens, _ = rollout_batch(state, np.repeat(prefixes, n, axis=0), "sample",
                               max_len, rng)

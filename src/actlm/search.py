@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import Decoder, check_prompts, generate, row_ends
+from .actions import Decoder, generate, row_ends
 from .config import SearchConfig
 from .data import Scorer
 from .training import Transition, dqn_target
@@ -47,8 +47,8 @@ def rollout(model, prompt, mode: str, max_len: int, rng=None):
     """Generate until eos or max_len; returns (tokens, actions) aligned so
     actions[s] produced tokens[len(prompt)+s]. A prompt that already ends
     in eos is returned unchanged."""
-    prompts = check_prompts(np.asarray(prompt)[None], mode, rng)
-    tokens, actions = generate(model, prompts, mode, max_len, rng)
+    tokens, actions = generate(model, np.asarray(prompt)[None], mode,
+                               max_len, rng)
     return tokens[0], actions[0]
 
 
@@ -299,8 +299,7 @@ def mcts_search(model, prompt, cfg: SearchConfig, reward_fn,
         elif n.sim_value > best_value:
             best, best_value = n, n.sim_value
         stack.extend(n.children[k] for k in sorted(n.children, reverse=True))
-    tokens = np.concatenate([best.state, best.sim_tokens]) if best is not None \
-        else np.asarray(prompt)
+    tokens = np.concatenate([best.state, best.sim_tokens])
     return SearchResult(tokens=tokens, root=root, iterations=len(trace),
                         n_nodes=n_nodes, scorer_failures=score.failures)
 

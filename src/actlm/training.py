@@ -21,9 +21,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .actions import (Decoder, action_logits, assign_direct, assign_vq,
-                      check_prompts, generate, inverse_encode, one_hot,
-                      policy_forward, policy_log_probs, q_forward, row_ends,
-                      world_logits)
+                      generate, inverse_encode, one_hot, policy_forward,
+                      policy_log_probs, q_forward, row_ends, world_logits)
 from .config import TrainConfig
 from .data import Scorer, SftSplit
 from .model import ModelState, base_forward, base_logits
@@ -351,7 +350,6 @@ def rollout_batch(state: ModelState, prompts: np.ndarray, mode: str,
     `actions.generate`: policy actions (argmax in greedy mode, sampled
     otherwise), world-model argmax tokens, rows padded with eos and action
     0 once done. Returns (tokens (B, <=max_len), actions (B, steps))."""
-    prompts = check_prompts(prompts, mode, rng)
     return generate(Decoder(state), prompts, mode, max_len, rng)
 
 

@@ -147,65 +147,6 @@ def test_world_logits_depends_on_action():
     assert not np.allclose(l0.data, l1.data)
 
 
-def reference_world_logits(merge, cfg, e_l, action):
-    """The head composed of tape primitives that the fused world_logits
-    replaced, one node per primitive. Kept as the reference the fused op
-    is checked against bit for bit."""
-    h = e_l
-    for i in range(cfg.n_merge_mlps):
-        x = ad.concat_last(h, action)
-        gate = ad.mul(ad.silu(ad.matmul(x, merge[f"mlp{i}.w1"])),
-                      ad.matmul(x, merge[f"mlp{i}.w2"]))
-        h = ad.matmul(gate, merge[f"mlp{i}.w3"])
-    return ad.matmul(h, merge["lm_head"])
-
-
-def _world_run(head, lead, n_mlps, seed):
-    """Logits, off the tape and on it, and the gradients of every leaf of a
-    loss in which e_l and the action are op outputs that also reach the
-    loss outside the head: the action both before the head on the tape and
-    after it, so its gradient sums across uses."""
-    cfg = ArchConfig(n_merge_mlps=n_mlps)
-    state = init_model(cfg, seed)
-    merge, codes = state.groups["merge"], state.groups["codebook"]["codes"]
-    rng = np.random.default_rng(seed)
-    for w in merge.values():  # well away from the tiny init scale
-        w.data = w.data + rng.normal(0.0, 0.1, size=w.shape).astype(w.data.dtype)
-    src = Tensor(rng.normal(size=lead + (cfg.d_model,)))
-    pick = Tensor(one_hot(rng.integers(0, cfg.codebook_size, lead),
-                          cfg.codebook_size))
-    g = Tensor(rng.normal(size=lead + (cfg.vocab_size,)))
-    e_l = ad.mul(src, src)
-    untaped = head(merge, cfg, e_l, ad.matmul(pick, codes)).data
-    with Tape() as tape:
-        e_l = ad.mul(src, src)
-        action = ad.matmul(pick, codes)
-        before = ad.sum_(ad.mul(action, e_l))
-        logits = head(merge, cfg, e_l, action)
-        loss = ad.add(ad.add(ad.sum_(ad.mul(logits, g)), before),
-                      ad.sum_(ad.mul(action, action)))
-    grads = tape.gradients(loss)
-    return [untaped, logits.data] + [tape.grad(grads, t) for t in
-                                     (src, pick, codes, *merge.values())]
-
-
-@pytest.mark.parametrize("mode", ["train", "verify"])
-@pytest.mark.parametrize("lead,n_mlps", [
-    ((16, 15), 2),  # a stage-1 batch at T=16
-    ((6, 1), 2),    # one decode step
-    ((3, 7), 1), ((2, 5), 3), ((4,), 2),
-])
-def test_fused_world_logits_matches_composed_reference_bitwise(mode, lead, n_mlps):
-    """The fused world head gives the composed head's logits, on the tape
-    and off it, and every gradient, to the bit."""
-    set_precision(mode)
-    for seed in range(3):
-        got = _world_run(world_logits, lead, n_mlps, seed)
-        want = _world_run(reference_world_logits, lead, n_mlps, seed)
-        for i, (a, r) in enumerate(zip(got, want)):
-            assert a.dtype == r.dtype and np.array_equal(a, r), (seed, i)
-
-
 def test_policy_forward_rows_normalized():
     state, e_l = make_inputs()
     probs = policy_forward(state.groups["policy"], CFG, e_l)

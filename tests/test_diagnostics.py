@@ -54,13 +54,11 @@ def test_semantic_diversity_identical_continuations_floor_at_one():
 
 
 def reference_semantic_diversity(state, prefixes, cfg: DiversityConfig, rng,
-                                 max_len=None) -> float:
+                                 max_len: int) -> float:
     """The per-prefix loop semantic_diversity replaced: one rollout batch of
     n_samples rows per prefix. Kept as the reference the one-batch version
     is checked against in distribution."""
     prefixes = np.asarray(prefixes)
-    if max_len is None:
-        max_len = state.cfg.max_seq_len
     sims = []
     for prefix in prefixes:
         batch = np.tile(prefix, (cfg.n_samples, 1))

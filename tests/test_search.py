@@ -16,7 +16,7 @@ import pytest
 import actlm
 from actlm import autodiff as ad
 from actlm.actions import (Decoder, generate, policy_forward, row_ends,
-                           world_arrays, world_logits)
+                           world_logits)
 from actlm.autodiff import Tape, Tensor
 from actlm.config import ArchConfig, SearchConfig
 from actlm.data import cdf, inverse_cdf
@@ -50,6 +50,22 @@ def test_rollout_rejects_bad_args():
         rollout(ChainLM(), [1], "sample", 5)  # no rng
     with pytest.raises(ValueError):
         rollout(ChainLM(), [1], "beam", 5)
+
+
+def test_generate_rejects_bad_args():
+    """generate itself refuses an unknown mode, also given an rng, sample
+    mode without an rng, and a row that is empty or not 1-d, before it
+    syncs."""
+    class Unsynced(ChainLM):
+        def sync(self, tokens):
+            raise AssertionError("synced before checking its arguments")
+
+    rng = np.random.default_rng(0)
+    for rows, mode, r in (([[1]], "beam", rng), ([[1]], "sample", None),
+                          ([[1], []], "greedy", None), ([1], "greedy", None),
+                          ([[[1, 2]]], "sample", rng)):
+        with pytest.raises(ValueError):
+            generate(Unsynced(), rows, mode, 5, r)
 
 
 def test_uct_score_oracle():
@@ -592,17 +608,20 @@ def check_decoder(state, dec):
     assert (np.abs(dec.probs[:, :t] - probs) <= bound).all()
 
     merge, codes = groups["merge"], groups["codebook"]["codes"].data
-    mlps = [tuple(merge[f"mlp{i}.{w}"].data for w in ("w1", "w2", "w3"))
-            for i in range(cfg.n_merge_mlps)]
     n = decoder_accumulation_length(cfg, t, cfg.n_layers_base, cfg.n_merge_mlps)
     last = Tensor(e_l.data[:, -1:])
     for action in range(cfg.codebook_size):
         code = Tensor(np.repeat(codes[[action]], b, axis=0)[:, None])
         want = world_logits(merge, cfg, last, code).data[:, 0]
-        gate = world_arrays(last.data, code.data, mlps, merge["lm_head"].data,
-                            keep=True)[1][-2][5][:, 0]
-        bound = 2 * matmul_error_bound(np.abs(gate) @ np.abs(mlps[-1][2]),
-                                       merge["lm_head"].data, want.dtype, n=n)
+        h = last
+        for i in range(cfg.n_merge_mlps):  # the last MLP's gate, as composed
+            x = ad.concat_last(h, code)
+            gate = ad.mul(ad.silu(ad.matmul(x, merge[f"mlp{i}.w1"])),
+                          ad.matmul(x, merge[f"mlp{i}.w2"]))
+            h = ad.matmul(gate, merge[f"mlp{i}.w3"])
+        folded = np.abs(gate.data[:, 0]) @ np.abs(merge[f"mlp{i}.w3"].data)
+        bound = 2 * matmul_error_bound(folded, merge["lm_head"].data,
+                                       want.dtype, n=n)
         assert (np.abs(dec.next_logits([action] * b) - want) <= bound).all()
 
 
@@ -748,7 +767,7 @@ def test_decoding_records_nothing():
 def test_decoding_runs_no_training_kernel(monkeypatch):
     """search.rollout, rollout_batch and a plain mcts_search decode on the
     decoder's compiled step alone: they run with `block_arrays` and
-    `world_arrays` raising in every module that holds them. A Q-pruned
+    `world_logits` raising in every module that holds them. A Q-pruned
     search is left out: its Q head reaches base_forward through
     q_values_fn."""
     def refuse(*args, **kwargs):
@@ -756,7 +775,7 @@ def test_decoding_runs_no_training_kernel(monkeypatch):
 
     for info in pkgutil.iter_modules(actlm.__path__):
         module = importlib.import_module(f"actlm.{info.name}")
-        for name in ("block_arrays", "world_arrays"):
+        for name in ("block_arrays", "world_logits"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
     state = init_model(DCFG, 0)

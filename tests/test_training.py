@@ -770,15 +770,15 @@ def test_stage_drivers_record_every_step(stage):
 
 # Tape nodes of one step of each stage at the _drivers() shapes: the graph
 # each loss records, which dropping closures outside a tape must not change.
-# A transformer block is one node, and so is the world head; rl runs its
-# reference policy untaped.
+# A transformer block is one node; the world head is 13, six per merge MLP
+# and its lm-head; rl runs its reference policy untaped.
 STAGE_TAPE_NODES = {
     "bc-policy": {"bc-policy": 6},
-    "fta-FTA-I": {"fta-FTA-I": 11, "fta-policy-refresh": 6},
-    "fta-FTA-P": {"fta-FTA-P": 11},
+    "fta-FTA-I": {"fta-FTA-I": 23, "fta-policy-refresh": 6},
+    "fta-FTA-P": {"fta-FTA-P": 23},
     "pretrain-base": {"pretrain-base": 11},
     "rl": {"rl": 19},
-    "stage1": {"stage1": 20},
+    "stage1": {"stage1": 32},
     "train-q": {"train-q": 7},
 }
 
