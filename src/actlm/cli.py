@@ -204,8 +204,6 @@ def cmd_train_q(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
                     context=tokens[:len(prompt) + s].copy(), action=int(action),
                     next_context=tokens[:len(prompt) + s + 1].copy(),
                     reward=reward if last else 0.0, terminal=last))
-    if not transitions:
-        raise ConfigError("no transitions collected; prompts already terminal")
     train_q(state, transitions, cfg.train(), metrics.append)
     save_checkpoint(state, os.path.join(out, "q.ckpt"), "train-q", cfg.steps)
     print(f"trained Q on {len(transitions)} transitions; wrote {out}/q.ckpt")
@@ -310,8 +308,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_run_config(args.config, overrides)
         out = _out_dir(cfg)
-        # truncate so a rerun of the same config reproduces the file exactly
-        with MetricsWriter(os.path.join(out, "metrics.jsonl"), "w") as metrics:
+        with MetricsWriter(os.path.join(out, "metrics.jsonl")) as metrics:
             return _HANDLERS[args.subcommand](cfg, out, metrics)
     except (ConfigError, CheckpointError, OSError,
             FloatingPointError, RuntimeError, ValueError) as e:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,8 +107,9 @@ def marker_reward(response, marker_token: int) -> float:
 
 
 class Scorer:
-    """reward_fn made total: a call on which reward_fn raises scores 0 and
-    is counted in `failures`."""
+    """reward_fn made total: a call on which reward_fn raises or returns a
+    non-finite value (NaN or an infinity) scores 0 and is counted in
+    `failures`."""
 
     def __init__(self, reward_fn):
         self.reward_fn = reward_fn
@@ -115,7 +117,10 @@ class Scorer:
 
     def __call__(self, tokens) -> float:
         try:
-            return float(self.reward_fn(np.asarray(tokens)))
+            reward = float(self.reward_fn(np.asarray(tokens)))
         except Exception:
-            self.failures += 1
-            return 0.0
+            reward = math.nan
+        if math.isfinite(reward):
+            return reward
+        self.failures += 1
+        return 0.0

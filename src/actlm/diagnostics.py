@@ -13,7 +13,7 @@ from .actions import policy_forward, row_ends, world_logits
 from .autodiff import Tensor
 from .config import DiversityConfig
 from .model import ModelState, base_forward, base_logits
-from .training import eval_base_ce, rollout_batch, sweep_mean_ce, val_sweep
+from .training import rollout_batch, val_sweep
 
 log = logging.getLogger(__name__)
 
@@ -88,34 +88,25 @@ def marginal_kl(state: ModelState, contexts) -> float:
 
 def val_loss(state: ModelState, corpus, mode: str, gumbel_temp: float = 1.0) -> float:
     """Mean next-token CE: world model under the inverse labels' actions
-    ('with_actions') or the plain base lm-head ('base_ar'). Both read the
-    corpus's memoised `training.val_sweep` (keyed by the corpus bytes, the
+    ('with_actions') or the plain base lm-head ('base_ar'), as the corpus's
+    memoised `training.val_sweep` holds it (keyed by the corpus bytes, the
     active dtype and the base and inverse hashes; the slot holds one
-    corpus), so the two modes share one base forward per chunk. Each mode
-    runs one `training.chunk_map` task per chunk and adds up the chunks'
-    float32 CE sums in chunk order (`training.sweep_mean_ce`)."""
+    corpus)."""
     if mode == "base_ar":
-        return eval_base_ce(state, corpus)
+        return val_sweep(state, corpus).base_ce
     if mode != "with_actions":
         raise ValueError(f"unknown val_loss mode: {mode!r}")
-    codes, merge = state.groups["codebook"]["codes"], state.groups["merge"]
-
-    def chunk_ce(chunk, e_l, labels):
-        logits = world_logits(merge, state.cfg, ad.slice_time(e_l, 0, -1),
-                              ad.embedding(codes, labels))
-        return ad.cross_entropy(logits, chunk[:, 1:]).data
-
-    return sweep_mean_ce(state, corpus, chunk_ce, gumbel_temp)
+    return val_sweep(state, corpus, gumbel_temp).world_ce
 
 
 def action_token_table(state: ModelState, corpus,
                        gumbel_temp: float = 1.0) -> np.ndarray:
     """(N, V) counts of next tokens grouped by the inverse label of their
-    position, from the corpus's memoised
-    `training.val_sweep` (see `val_loss`)."""
+    position, from the corpus's memoised `training.val_sweep` (see
+    `val_loss`)."""
+    labels = val_sweep(state, corpus, gumbel_temp).labels
     table = np.zeros((state.cfg.codebook_size, state.cfg.vocab_size), dtype=np.int64)
-    for chunk, _, labels in val_sweep(state, corpus, gumbel_temp):
-        np.add.at(table, (labels.reshape(-1), chunk[:, 1:].reshape(-1)), 1)
+    np.add.at(table, (labels.reshape(-1), np.asarray(corpus)[:, 1:].reshape(-1)), 1)
     return table
 
 

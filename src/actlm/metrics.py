@@ -1,4 +1,5 @@
-"""Append-only JSONL metrics log, flushed per record."""
+"""JSONL metrics log, flushed per record. Opening one truncates the file,
+so a rerun of the same config reproduces it exactly."""
 
 from __future__ import annotations
 
@@ -6,11 +7,8 @@ import json
 
 
 class MetricsWriter:
-    def __init__(self, path, mode: str = "a"):
-        if mode not in ("a", "w"):
-            raise ValueError("mode must be 'a' or 'w'")
-        self.path = path
-        self._f = open(path, mode)
+    def __init__(self, path):
+        self._f = open(path, "w")
 
     def append(self, record: dict) -> None:
         if not record:

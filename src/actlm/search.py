@@ -211,8 +211,9 @@ def mcts_search(model, prompt, cfg: SearchConfig, reward_fn,
     pruning (the Q-pruned variant).
 
     Returns the state of the best-simulation node concatenated with its
-    stored simulation. A reward_fn that raises scores the simulation 0; the
-    result and each trace record count such failures.
+    stored simulation. A reward_fn that raises or returns a non-finite value
+    scores the simulation 0; the result and each trace record count such
+    failures.
 
     Leaves that need an expansion are expanded in batches. A selected leaf
     that needs none (an unvisited child with its stored playout, or a

@@ -214,13 +214,16 @@ def chunk_map(fn, chunks: list) -> list:
     return results
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValSweep:
-    """The base embeddings of one corpus, one array per `sweep_rows` chunk,
-    and their inverse labels once asked for; all read-only."""
+    """What the eval readers read of one corpus: the base lm-head's mean
+    next-token CE and, once labels were asked for, the inverse labels
+    (n, T-1), read-only, and the world model's mean CE under them (else
+    None for both)."""
     key: tuple
-    e_l: list[np.ndarray]
-    labels: list[np.ndarray] | None = None
+    base_ce: float
+    labels: np.ndarray | None = None
+    world_ce: float | None = None
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -228,82 +231,75 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _sweep_chunk(state: ModelState, chunk, e_l, gumbel_temp):
-    """One sweep task: the chunk's base embeddings unless e_l holds them,
-    and its inverse labels when gumbel_temp is given, else None."""
-    if e_l is None:
-        e_l = _read_only(base_forward(state.groups["base"], state.cfg, chunk).data)
-    labels = None if gumbel_temp is None else \
-        _read_only(inverse_labels(state, Tensor(e_l)))
-    return e_l, labels
+def _sweep_chunk(state: ModelState, chunk, with_labels: bool):
+    """One sweep task: the chunk's float32 base CE sum and, with_labels,
+    its inverse labels and the world model's float32 CE sum under them,
+    else None for both."""
+    base = state.groups["base"]
+    e_l = base_forward(base, state.cfg, chunk)
+    targets = chunk[:, 1:]
+    base_sum = float(ad.cross_entropy(
+        ad.slice_time(base_logits(base, e_l), 0, -1), targets).data.sum())
+    if not with_labels:
+        return base_sum, None, None
+    chunk_labels = inverse_labels(state, e_l)
+    logits = world_logits(state.groups["merge"], state.cfg, ad.slice_time(e_l, 0, -1),
+                          ad.embedding(state.groups["codebook"]["codes"], chunk_labels))
+    return base_sum, chunk_labels, float(ad.cross_entropy(logits, targets).data.sum())
 
 
-def val_sweep(state: ModelState, corpus, gumbel_temp: float | None = None):
-    """[(chunk, e_l, labels)] over the corpus in chunks of
-    `sweep_rows(T)` rows, in order: the chunk's base embeddings and, when
-    gumbel_temp is given, its inverse labels (rows, T-1), else None.
-    Nothing is taped.
+def _in_order_mean(sums, count: int) -> float:
+    """The chunks' CE sums added up in float64 in chunk order (Python's
+    sum() may compensate), over count positions."""
+    total = 0.0
+    for chunk_sum in sums:
+        total += chunk_sum
+    return total / count
 
-    What the slot lacks is computed by one `chunk_map` task per chunk: the
-    base forward unless held, and the labels when asked for. A row's
-    embeddings and labels depend neither on the rows it shares a chunk with
-    nor on the thread that ran it, so they are the same bit for bit at any
-    CPU count.
+
+def val_sweep(state: ModelState, corpus, gumbel_temp: float | None = None) -> ValSweep:
+    """The corpus's `ValSweep`: its base CE and, when gumbel_temp is given,
+    its inverse labels and world CE. Nothing is taped.
+
+    A fill is one `chunk_map` pass over the corpus in chunks of
+    `sweep_rows(T)` rows, one `_sweep_chunk` task per chunk, and the
+    chunks' float32 CE sums are added up in float64 in chunk order. So the
+    CEs depend on how the corpus is chunked, by float32 rounding only; a
+    row's labels do not depend on the rows it shares a chunk with, and
+    nothing depends on the thread that ran it or on the CPU count.
 
     The sweep is memoised in `state.sweep`, which holds one corpus. It is
     keyed by the corpus's shape, dtype and sha256, the active dtype, and the
     base and inverse group hashes, so another corpus, `set_precision` or a
-    changed base or inverse weight recomputes it. Labels are computed from
-    the held embeddings on first request; the labels, an argmax of the
-    action logits, do not depend on gumbel_temp, which is only checked."""
+    changed base or inverse weight refills it, and so does a labels request
+    on a sweep filled without them. The labels, an argmax of the action
+    logits, do not depend on gumbel_temp, which is only checked."""
     corpus = np.asarray(corpus)
     if gumbel_temp is not None and gumbel_temp <= 0:
         raise ValueError("gumbel_temp must be > 0")
+    with_labels = gumbel_temp is not None
     key = (corpus.shape, corpus.dtype.str,
            hashlib.sha256(corpus.tobytes()).hexdigest(), ad.active_dtype(),
            state.group_hash("base"), state.group_hash("inverse"))
-    rows = sweep_rows(corpus.shape[1])
-    chunks = [corpus[i:i + rows] for i in range(0, len(corpus), rows)]
     sweep = state.sweep
-    cold = sweep is None or sweep.key != key
-    if cold or (gumbel_temp is not None and sweep.labels is None):
-        held = [None] * len(chunks) if cold else sweep.e_l
-        done = chunk_map(lambda job: _sweep_chunk(state, *job, gumbel_temp),
-                         list(zip(chunks, held)))
-        if cold:
-            sweep = state.sweep = ValSweep(key, [e_l for e_l, _ in done])
-        if gumbel_temp is not None:
-            sweep.labels = [labels for _, labels in done]
-    labels = sweep.labels if gumbel_temp is not None else [None] * len(chunks)
-    return [(chunk, Tensor(e_l), chunk_labels)
-            for chunk, e_l, chunk_labels in zip(chunks, sweep.e_l, labels)]
-
-
-def sweep_mean_ce(state: ModelState, corpus, chunk_ce,
-                  gumbel_temp: float | None = None) -> float:
-    """Mean per-position CE over the corpus's memoised `val_sweep`.
-    chunk_ce(chunk, e_l, labels) gives one chunk's CE array; one
-    `chunk_map` task per chunk returns its float32 sum and its size, and
-    the sums are added up in float64 in chunk order. So the figure depends
-    on how the corpus is chunked, by float32 rounding only, and not on the
-    number of threads."""
-    def task(job):
-        ce = chunk_ce(*job)
-        return float(ce.sum()), ce.size
-
-    total, count = 0.0, 0
-    for chunk_sum, size in chunk_map(task, val_sweep(state, corpus, gumbel_temp)):
-        total += chunk_sum
-        count += size
-    return total / count
+    if sweep is None or sweep.key != key or (with_labels and sweep.labels is None):
+        rows = sweep_rows(corpus.shape[1])
+        base_sums, chunk_labels, world_sums = zip(*chunk_map(
+            lambda chunk: _sweep_chunk(state, chunk, with_labels),
+            [corpus[i:i + rows] for i in range(0, len(corpus), rows)]))
+        count = corpus.shape[0] * (corpus.shape[1] - 1)
+        sweep = state.sweep = ValSweep(
+            key, _in_order_mean(base_sums, count),
+            _read_only(np.concatenate(chunk_labels)) if with_labels else None,
+            _in_order_mean(world_sums, count) if with_labels else None)
+    return sweep
 
 
 def inverse_action_labels(state: ModelState, tokens, gumbel_temp: float) -> np.ndarray:
-    """Inverse action labels (B, T-1) of a corpus, joined from its memoised
-    `val_sweep` (see there for the key; the slot holds one corpus). Nothing
-    is recorded even inside a tape."""
-    sweep = val_sweep(state, tokens, gumbel_temp)
-    return np.concatenate([labels for _, _, labels in sweep])
+    """Inverse action labels (B, T-1) of a corpus, read-only, as its
+    memoised `val_sweep` holds them (see there for the key; the slot holds
+    one corpus). Nothing is recorded even inside a tape."""
+    return val_sweep(state, tokens, gumbel_temp).labels
 
 
 def loss_pre2(state: ModelState, e_l: Tensor, labels: np.ndarray, start: int):
@@ -371,10 +367,11 @@ def rl_batch(state: ModelState, prompts: np.ndarray, reward_fn,
 
     For each prompt, rl_group_size rollouts are drawn (sampled actions,
     greedy tokens); each rollout's advantage is its reward minus the mean of
-    its group siblings. A reward_fn that raises scores its rollout 0 and is
-    counted in scorer_failures. The batch also holds the frozen base's
-    embeddings e_l of the rollouts and the reference policy's log-probs
-    ref_logp (B, steps, N) at the context each step decided from."""
+    its group siblings. A reward_fn that raises or returns a non-finite
+    value scores its rollout 0 and is counted in scorer_failures. The
+    batch also holds the frozen base's embeddings e_l of the rollouts and
+    the reference policy's log-probs ref_logp (B, steps, N) at the context
+    each step decided from."""
     n_prompts, p_len = np.shape(prompts)
     g = cfg.rl_group_size
     tokens, actions = rollout_batch(state, np.repeat(prompts, g, axis=0),
@@ -556,17 +553,7 @@ def pretrain_base_ar(state: ModelState, corpus, val_corpus, cfg: TrainConfig,
     run_stage(state, "pretrain-base", ("base",), cfg.steps, cfg,
               lambda rng: _draw_rows(corpus, cfg, rng),
               lambda tokens: loss_base_ar(state, tokens), metrics_cb)
-    return eval_base_ce(state, val_corpus)
-
-
-def eval_base_ce(state: ModelState, corpus) -> float:
-    """Mean next-token CE of the base lm-head over corpus, one `chunk_map`
-    task per chunk of its memoised `val_sweep` (see there for the key and
-    the chunks; the slot holds one corpus, and see `sweep_mean_ce` for the
-    sums). Needs no inverse labels, so it runs no inverse encoder."""
-    base = state.groups["base"]
-    return sweep_mean_ce(state, corpus, lambda chunk, e_l, _: ad.cross_entropy(
-        ad.slice_time(base_logits(base, e_l), 0, -1), chunk[:, 1:]).data)
+    return val_sweep(state, val_corpus).base_ce
 
 
 def train_stage1(state: ModelState, corpus, cfg: TrainConfig,

@@ -1,5 +1,5 @@
 """Data layer: hidden-Markov corpus generation, inverse-CDF sampling,
-prompts and the marker reward."""
+prompts, the marker reward and the reward scorer."""
 
 import math
 import tracemalloc
@@ -7,9 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from actlm.data import (HmmCorpusConfig, SftSplit, cdf, gen_hmm_corpus,
-                        hmm_matrices, inverse_cdf, make_sft_split,
-                        marker_reward, open_prefixes)
+from actlm.data import (HmmCorpusConfig, Scorer, SftSplit, cdf,
+                        gen_hmm_corpus, hmm_matrices, inverse_cdf,
+                        make_sft_split, marker_reward, open_prefixes)
 from actlm.runconfig import ConfigError, RunConfig
 
 
@@ -231,3 +231,18 @@ def test_marker_reward():
     assert marker_reward([1, 2, 3], 2) == 1.0
     assert marker_reward([1, 2, 3], 9) == 0.0
     assert marker_reward([], 0) == 0.0
+
+
+def test_scorer_scores_raising_and_non_finite_rewards_zero():
+    """A reward_fn that raises or returns NaN or an infinity scores 0 and
+    is counted in failures; a finite reward passes through uncounted."""
+    rewards = {1: 0.75, 2: math.nan, 3: -math.inf, 4: math.inf}
+
+    def reward_fn(tokens):
+        if tokens[0] not in rewards:
+            raise RuntimeError("scorer down")
+        return rewards[tokens[0]]
+
+    score = Scorer(reward_fn)
+    assert [score([t]) for t in (1, 2, 3, 4, 9, 1)] == [0.75, 0, 0, 0, 0, 0.75]
+    assert score.failures == 4

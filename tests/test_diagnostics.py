@@ -234,16 +234,20 @@ SWEEP_READERS = {
 def test_sweep_readers_match_per_chunk_recompute(first):
     """On a corpus of two chunks, the last one ragged, each reader of the
     shared sweep equals the per-chunk recompute bit for bit: first on a
-    cold slot, then every reader on the slot the first one filled."""
+    cold slot, then every reader on the slot the first one filled. A
+    base-only fill holds no labels, so the first labels request refills the
+    slot once; every other first reader's fill serves them all."""
     state = init_model(CFG, 5)
     corpus = np.random.default_rng(5).integers(0, 9, size=(sweep_rows(7) + 6, 7))
     want = per_chunk_reference(state, corpus)
     assert state.sweep is None
     assert np.array_equal(SWEEP_READERS[first](state, corpus), want[first])
-    warm = state.sweep
+    filled, slots = state.sweep, []
     for name, read in SWEEP_READERS.items():
         assert np.array_equal(read(state, corpus), want[name]), name
-    assert state.sweep is warm
+        slots.append(state.sweep)
+    assert all(slot is slots[0] for slot in slots)
+    assert (slots[0] is filled) == (first != "base_ar")
 
 
 def test_eval_report_encodes_each_val_chunk_once(tmp_path, monkeypatch):
@@ -277,7 +281,7 @@ def test_eval_report_encodes_each_val_chunk_once(tmp_path, monkeypatch):
         return encode(self, tokens, start)
 
     monkeypatch.setattr(actions.Decoder, "encode", decoding)
-    with MetricsWriter(str(tmp_path / "metrics.jsonl"), "w") as metrics:
+    with MetricsWriter(str(tmp_path / "metrics.jsonl")) as metrics:
         assert cli.cmd_eval(cfg, str(tmp_path), metrics) == 0
     full_width = [t for t in encoded if t.shape[1] == val.shape[1]]
     chunks = [val[:rows], val[rows:]]

@@ -183,6 +183,31 @@ def test_mcts_counts_scorer_failures(tmp_path):
         [int(i % 2 == 1) for i in range(result.iterations)]
 
 
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf],
+                         ids=["nan", "-inf", "+inf"])
+def test_mcts_scores_non_finite_rewards_zero(bad):
+    """A reward_fn that returns NaN or an infinity on every other call
+    fails there as if it had raised: those simulations score 0, so tree and
+    tokens equal a search whose scorer returned 0, and each is counted."""
+    def scorer(value):
+        calls = {"n": 0}
+
+        def score(tokens):
+            calls["n"] += 1
+            return value if calls["n"] % 2 == 0 else chain_reward(tokens)
+        return score, calls
+
+    cfg = SearchConfig(action_steps=2, iterations=4, expand_width=2, max_len=8)
+    flaky, calls = scorer(bad)
+    result = mcts_search(ChainLM(), [1], cfg, flaky)
+    reference = mcts_search(ChainLM(), [1], cfg, scorer(0.0)[0])
+    audit_tree(result.root)
+    assert result.scorer_failures == calls["n"] // 2 >= 1
+    assert reference.scorer_failures == 0
+    assert tree_snapshot(result.root) == tree_snapshot(reference.root)
+    assert result.tokens.tobytes() == reference.tokens.tobytes()
+
+
 def test_mcts_q_zero_threshold_reproduces_plain_search():
     cfg = SearchConfig(action_steps=2, iterations=10, expand_width=2,
                        max_len=12, seed=7, bellman_threshold=0.0)

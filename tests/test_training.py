@@ -24,9 +24,8 @@ from actlm.data import make_sft_split
 from actlm.model import base_forward, base_logits, block_forward, init_model
 from actlm.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamW,
                             Transition, chunk_map, decision_mask,
-                            dqn_batch, dqn_target, eval_base_ce,
-                            inverse_action_labels, inverse_labels,
-                            loss_base_ar, loss_dqn,
+                            dqn_batch, dqn_target, inverse_action_labels,
+                            inverse_labels, loss_base_ar, loss_dqn,
                             loss_fta, loss_pre1, loss_pre2, loss_rl,
                             pretrain_base_ar, q_values_fn, rl_batch,
                             rollout_batch, run_stage, sweep_rows, sync_target,
@@ -359,16 +358,15 @@ def test_sweep_recomputes_when_its_key_changes(mutate, monkeypatch):
 
 
 def test_held_sweep_is_read_only_and_checks_gumbel_temp():
-    """What the slot holds cannot be written through what the readers get,
-    and a non-positive temperature is still refused on a warm slot."""
+    """The labels the slot holds cannot be written through what the
+    readers get, and a non-positive temperature is still refused on a warm
+    slot."""
     from actlm import diagnostics
-    from actlm.training import val_sweep
     state, corpus = small_state(), small_tokens(b=sweep_rows(7) + 6)
-    inverse_action_labels(state, corpus, 1.0)
-    for _, e_l, labels in val_sweep(state, corpus, 1.0):
-        for held in (e_l.data, labels):
-            with pytest.raises(ValueError, match="read-only"):
-                held[0] = 0
+    held = inverse_action_labels(state, corpus, 1.0)
+    assert held is val_sweep(state, corpus, 1.0).labels
+    with pytest.raises(ValueError, match="read-only"):
+        held[0] = 0
     for bad in (0.0, -1.0):
         with pytest.raises(ValueError, match="gumbel_temp"):
             inverse_action_labels(state, corpus, bad)
@@ -424,35 +422,36 @@ def cpus(request, monkeypatch):
     return request.param
 
 
-def per_chunk_ces(state, chunk, e_l, labels):
-    """A chunk's per-position base and with-actions CE arrays, computed
-    sequentially."""
+def per_chunk_ces(state, chunk):
+    """A chunk's inverse labels and its per-position base and with-actions
+    CE arrays, from a base forward of its own, computed sequentially."""
     base = state.groups["base"]
+    e_l = base_forward(base, state.cfg, chunk)
+    labels = inverse_labels(state, e_l)
     plain = ad.cross_entropy(ad.slice_time(base_logits(base, e_l), 0, -1),
                              chunk[:, 1:]).data
     action = ad.embedding(state.groups["codebook"]["codes"], labels)
     logits = world_logits(state.groups["merge"], state.cfg,
                           ad.slice_time(e_l, 0, -1), action)
-    return plain, ad.cross_entropy(logits, chunk[:, 1:]).data
+    return labels, plain, ad.cross_entropy(logits, chunk[:, 1:]).data
 
 
 def test_sweep_and_ce_readers_equal_a_sequential_per_chunk_reference(
         cpus, monkeypatch):
-    """On a ragged corpus, the sweep's embeddings and labels and both CE
-    readers equal a sequential per-chunk loop bit for bit at any CPU count;
-    inside an open tape they record nothing and leave the tape stack as it
-    was; at most min(chunks, CPUs) threads run the tasks, chunk_map starts
-    exactly one worker fewer per call, and none is alive afterwards."""
+    """On a ragged corpus, the sweep's labels and both CEs, and the readers
+    that return them, equal a sequential per-chunk loop bit for bit at any
+    CPU count; inside an open tape they record nothing and leave the tape
+    stack as it was; at most min(chunks, CPUs) threads run the tasks, the
+    one fill's chunk_map starts exactly one worker fewer, the readers on
+    the warm slot start none, and none is alive afterwards."""
     state, rows = small_state(), sweep_rows(7)
     corpus = small_tokens(seed=6, b=3 * rows + 5)
     chunks = [corpus[i:i + rows] for i in range(0, len(corpus), rows)]
-    want_e, want_labels, sums = [], [], np.zeros(2)
+    want_labels, sums = [], np.zeros(2)
     for chunk in chunks:
-        e_l = base_forward(state.groups["base"], CFG, chunk)
-        labels = inverse_labels(state, e_l)
-        want_e.append(e_l.data)
+        labels, *ces = per_chunk_ces(state, chunk)
         want_labels.append(labels)
-        sums += [float(ce.sum()) for ce in per_chunk_ces(state, chunk, e_l, labels)]
+        sums += [float(ce.sum()) for ce in ces]
     count = len(corpus) * (corpus.shape[1] - 1)
 
     ran, started, real = set(), [], training.base_forward
@@ -470,20 +469,21 @@ def test_sweep_and_ce_readers_equal_a_sequential_per_chunk_reference(
     monkeypatch.setattr(threading, "Thread", Counted)
     alive = set(threading.enumerate())
     with Tape() as tape:
-        sweep = val_sweep(state, corpus, 1.0)
-        base_ce = eval_base_ce(state, corpus)
         act_ce = diagnostics.val_loss(state, corpus, "with_actions")
+        base_ce = diagnostics.val_loss(state, corpus, "base_ar")
+        labels = inverse_action_labels(state, corpus, 1.0)
         assert tape.nodes == [] and ad._TAPE_STACK == [tape]
     assert ad._TAPE_STACK == []
     assert set(threading.enumerate()) == alive
     n = min(len(chunks), cpus)
     assert len(ran) <= n and (n > 1 or ran == {threading.get_ident()})
-    # the cold sweep and the two CE readers each ran one chunk_map
-    assert len(started) == 3 * (n - 1)
-    assert [len(c) for c, _, _ in sweep] == [rows, rows, rows, 5]
-    assert all(np.array_equal(c, want) for (c, _, _), want in zip(sweep, chunks))
-    assert all(np.array_equal(e.data, want) for (_, e, _), want in zip(sweep, want_e))
-    assert all(np.array_equal(l, want) for (_, _, l), want in zip(sweep, want_labels))
+    # one chunk_map call filled the slot for all three readers
+    assert len(started) == n - 1
+    assert [len(c) for c in chunks] == [rows, rows, rows, 5]
+    assert np.array_equal(labels, np.concatenate(want_labels))
+    sweep = val_sweep(state, corpus, 1.0)
+    assert sweep.labels is labels
+    assert (sweep.base_ce, sweep.world_ce) == (base_ce, act_ce)
     assert base_ce == sums[0] / count
     assert act_ce == sums[1] / count
 
@@ -587,15 +587,13 @@ def test_val_ces_move_within_the_pairwise_summation_bound_at_t64():
                      intermediate_dim=16, codebook_size=4)
     state = init_model(cfg, 7)
     corpus = np.random.default_rng(7).integers(0, 9, size=(150, 64))
-    figures = {"base_ar": eval_base_ce(state, corpus),
+    figures = {"base_ar": diagnostics.val_loss(state, corpus, "base_ar"),
                "with_actions": diagnostics.val_loss(state, corpus, "with_actions")}
-    new = [per_chunk_ces(state, chunk, e_l, labels)
-           for chunk, e_l, labels in val_sweep(state, corpus, 1.0)]
-    old = []
-    for i in range(0, len(corpus), 64):
-        chunk = corpus[i:i + 64]
-        e_l = base_forward(state.groups["base"], cfg, chunk)
-        old.append(per_chunk_ces(state, chunk, e_l, inverse_labels(state, e_l)))
+    rows = sweep_rows(64)
+    new = [per_chunk_ces(state, corpus[i:i + rows])[1:]
+           for i in range(0, len(corpus), rows)]
+    old = [per_chunk_ces(state, corpus[i:i + 64])[1:]
+           for i in range(0, len(corpus), 64)]
     count = corpus.shape[0] * 63
     for k, mode in enumerate(figures):
         assert np.array_equal(np.concatenate([ces[k] for ces in new]),
@@ -680,6 +678,16 @@ def test_train_fta_rejects_unknown_mode_before_any_step():
     with pytest.raises(ValueError, match="unknown FTA mode: 'FTA-X'"):
         train_fta(state, split, TrainConfig(steps=2, batch_size=4), "FTA-X",
                   records.append)
+    assert records == [] and state.hashes() == before
+
+
+def test_train_stage1_rejects_unknown_assignment_before_any_step():
+    state = small_state()
+    before = state.hashes()
+    records = []
+    with pytest.raises(ValueError, match="unknown assignment mode: 'kmeans'"):
+        train_stage1(state, small_tokens(b=8), TrainConfig(steps=2, batch_size=4),
+                     assignment="kmeans", metrics_cb=records.append)
     assert records == [] and state.hashes() == before
 
 
@@ -959,6 +967,26 @@ def test_rl_counts_scorer_failures():
     assert trace == [0.5, 0.5]
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, np.inf],
+                         ids=["nan", "-inf", "+inf"])
+def test_rl_counts_non_finite_rewards_as_scorer_failures(bad):
+    """A reward_fn that returns NaN or an infinity fails as if it had
+    raised: the rollout scores 0 and is counted, and the loss stays
+    finite."""
+    calls = {"n": 0}
+
+    def flaky(response):
+        calls["n"] += 1
+        return bad if calls["n"] % 2 == 0 else 1.0
+
+    records = []
+    trace = train_rl(small_state(), small_tokens(b=2, t=3), flaky,
+                     TrainConfig(rl_group_size=4), max_len=8, updates=2,
+                     metrics_cb=records.append)
+    assert [r["scorer_failures"] for r in records] == [4, 4]
+    assert trace == [0.5, 0.5]
+
+
 def test_train_rl_freezes_everything_but_policy():
     state = small_state()
     hashes = state.hashes(("base", "merge", "inverse", "codebook"))
@@ -1151,10 +1179,10 @@ def test_q_values_fn_shape():
 # Base pretraining utilities
 # ---------------------------------------------------------------------------
 
-def test_eval_base_ce_matches_manual():
+def test_base_ce_matches_manual():
     state = small_state()
     corpus = small_tokens(b=4)
-    ce = eval_base_ce(state, corpus)
+    ce = val_sweep(state, corpus).base_ce
     logits = base_logits(state.groups["base"],
                          base_forward(state.groups["base"], CFG, corpus))
     z = logits.data[:, :-1] - logits.data[:, :-1].max(axis=-1, keepdims=True)
