@@ -5,9 +5,15 @@ Tape records does an op keep a backward closure over its inputs and append
 its output to the tape, which is later replayed in reverse to accumulate
 gradients; outside a tape (or under `untaped()`) the closure is dropped at
 once, so forward-only work frees each intermediate as soon as nothing reads
-it. Two numeric modes exist: float32 for training and float64 for
-verification; the mode is global and must not be switched while a tape is
-open.
+it.
+
+Tapes are per thread: each thread has its own stack of open tapes and
+`untaped()` blocks, so an op records only on a tape its own thread opened,
+and a worker thread's ops, which start with an empty stack, record nowhere.
+
+Two numeric modes exist: float32 for training and float64 for
+verification. The mode is global, one dtype for every thread, and must not
+be switched while a tape is open or another thread runs ops.
 
 The tests' finite-difference oracle holds `stop_grad`'s outputs fixed by
 swapping this module's `stop_grad` attribute, so src calls it only as
@@ -18,11 +24,22 @@ from __future__ import annotations
 
 import contextlib
 import math
+import threading
 
 import numpy as np
 
 _DTYPE = np.dtype(np.float32)
-_TAPE_STACK: list["Tape | None"] = []
+
+
+class _TapeStack(threading.local):
+    """This thread's open tapes, innermost last; None marks an `untaped()`
+    block."""
+
+    def __init__(self):
+        self.open: list[Tape | None] = []
+
+
+_TAPES = _TapeStack()
 _SCALARS: dict[tuple, np.ndarray] = {}
 
 # Large negative additive mask; -inf would poison backward passes with NaN.
@@ -34,7 +51,7 @@ RMS_EPS = 1e-5
 def set_precision(mode: str) -> None:
     """Select the global numeric mode: 'train' (f32) or 'verify' (f64)."""
     global _DTYPE
-    if _TAPE_STACK:
+    if _TAPES.open:
         raise RuntimeError("cannot switch precision while a tape is active")
     if mode == "train":
         _DTYPE = np.dtype(np.float32)
@@ -79,11 +96,11 @@ class Tape:
         self.nodes: list[Tensor] = []
 
     def __enter__(self):
-        _TAPE_STACK.append(self)
+        _TAPES.open.append(self)
         return self
 
     def __exit__(self, *exc):
-        _TAPE_STACK.pop()
+        _TAPES.open.pop()
         return False
 
     def gradients(self, output: Tensor) -> dict[int, np.ndarray]:
@@ -122,18 +139,20 @@ def untaped():
     """Ops inside the block are not recorded on the active tape, so no
     gradient flows through them and, as outside any tape, each op's inputs
     and intermediates are freed as soon as nothing else reads them. For
-    frozen and forward-only work inside a training step."""
-    _TAPE_STACK.append(None)
+    frozen and forward-only work inside a training step. Like a tape, the
+    block belongs to the thread that opened it."""
+    _TAPES.open.append(None)
     try:
         yield
     finally:
-        _TAPE_STACK.pop()
+        _TAPES.open.pop()
 
 
 def recording() -> bool:
-    """Whether an op run now would be recorded: a tape is open and no
-    `untaped()` block sits inside it."""
-    return bool(_TAPE_STACK) and _TAPE_STACK[-1] is not None
+    """Whether an op run now on this thread would be recorded: the thread
+    has a tape open and no `untaped()` block sits inside it."""
+    stack = _TAPES.open
+    return bool(stack) and stack[-1] is not None
 
 
 def _emit(data, backward) -> Tensor:
@@ -142,7 +161,7 @@ def _emit(data, backward) -> Tensor:
     out = Tensor(data)
     if recording():
         out._backward = backward
-        _TAPE_STACK[-1].nodes.append(out)
+        _TAPES.open[-1].nodes.append(out)
     return out
 
 

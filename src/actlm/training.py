@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,37 +179,33 @@ def chunk_map(fn, chunks: list) -> list:
     raises stops the threads from taking further chunks, and the first
     exception is re-raised here.
 
-    The tasks run under an `ad.untaped()` opened on the calling thread
-    before any worker starts and closed after every worker has ended, so no
-    op they run is recorded, whatever tape the caller has open. The tape
-    stack is global, shared by all threads, and workers only read it: a
-    task must never push to it or pop from it (no `Tape`, no
-    `untaped()`)."""
+    Each thread runs its tasks under an `ad.untaped()` of its own, so no op
+    they run is recorded, whatever tape the caller has open."""
     n = min(len(chunks), len(os.sched_getaffinity(0)))
     results = [None] * len(chunks)
     errors = []
     jobs, lock = iter(enumerate(chunks)), threading.Lock()
 
     def work():
-        while not errors:
-            with lock:
-                job = next(jobs, None)
-            if job is None:
-                return
-            try:
-                results[job[0]] = fn(job[1])
-            except BaseException as e:  # re-raised on the calling thread
-                errors.append(e)
+        with ad.untaped():
+            while not errors:
+                with lock:
+                    job = next(jobs, None)
+                if job is None:
+                    return
+                try:
+                    results[job[0]] = fn(job[1])
+                except BaseException as e:  # re-raised on the calling thread
+                    errors.append(e)
 
-    with ad.untaped():
-        workers = [threading.Thread(target=work) for _ in range(n - 1)]
+    workers = [threading.Thread(target=work) for _ in range(n - 1)]
+    for w in workers:
+        w.start()
+    try:
+        work()
+    finally:
         for w in workers:
-            w.start()
-        try:
-            work()
-        finally:
-            for w in workers:
-                w.join()
+            w.join()
     if errors:
         raise errors[0]
     return results
@@ -501,7 +498,12 @@ def run_stage(state: ModelState, stage: str, trainable: tuple[str, ...],
     {stage, step, **parts, grad_norm, skipped_nonfinite} to metrics_cb.
     Every group that trainable does not name is frozen, except that
     q_target moves with q_online (`sync_target` writes it): the frozen
-    groups are hashed before and after, and drift raises RuntimeError."""
+    groups are hashed before and after, and drift raises RuntimeError.
+
+    A batch_fn may encode ahead on a worker thread while a step trains, as
+    `FrozenBatches` does for stage-1 and BC; `train_stage1` and `train_bc`
+    open it as a context around this call, so the worker ends with the
+    stage, whether the stage returns or raises."""
     rng = np.random.default_rng(cfg.seed)
     frozen = [g for g in state.groups if g not in trainable]
     if "q_online" in trainable:
@@ -539,12 +541,75 @@ def _draw_rows(corpus, cfg: TrainConfig, rng):
     return corpus[rng.integers(0, len(corpus), size=cfg.batch_size)]
 
 
-def _frozen_batch(state: ModelState, corpus, cfg: TrainConfig, rng):
-    """(tokens, e_l) for a stage that freezes the base: rows drawn for one
-    step and the base's embeddings of them, computed in the stage's
-    batch_fn, outside the tape."""
-    tokens = _draw_rows(corpus, cfg, rng)
-    return tokens, base_forward(state.groups["base"], state.cfg, tokens)
+def _encode_window(state: ModelState, tokens, batch_size: int, labels: bool):
+    """The batches of a window of steps whose rows `tokens` holds, in step
+    order: one (tokens, e_l, labels) per batch_size rows, from one base
+    forward over the window and, when labels is set, the inverse labels of
+    its embeddings (else None). A row's results do not depend on the rows it
+    shares the forward with, so each batch is bitwise that of its own
+    step's forward."""
+    e_l = base_forward(state.groups["base"], state.cfg, tokens)
+    y = inverse_labels(state, e_l) if labels else None
+    return [(tokens[i:i + batch_size], Tensor(e_l.data[i:i + batch_size]),
+             None if y is None else y[i:i + batch_size])
+            for i in range(0, len(tokens), batch_size)]
+
+
+class FrozenBatches:
+    """The batch_fn of a stage that freezes the base (stage-1, BC and
+    FTA-I's policy refresh): each call returns the next step's (tokens, e_l,
+    labels), with labels the inverse labels if asked for, else None.
+
+    The steps come in windows of whole steps, about `sweep_rows(T)` rows
+    together (at least one step, never past cfg.steps), each encoded by
+    `_encode_window`. The rows are drawn on the calling thread from the
+    stage rng, one step's draw at a time and in step order, so the batches
+    equal those of a per-step encode bit for bit. Where the affinity set
+    holds more than one CPU, one worker thread encodes the next window while
+    the steps of the current one train; else each window is encoded when
+    its first step is asked for. A worker's exception is raised by the call
+    that wants its window.
+
+    Use as a context manager around the stage's `run_stage`: leaving it,
+    normally or by an exception, cancels a window not yet started and waits
+    for one being encoded, so no thread outlives the stage."""
+
+    def __init__(self, state: ModelState, corpus, cfg: TrainConfig,
+                 labels: bool = False):
+        self._state, self._corpus, self._cfg, self._labels = state, corpus, cfg, labels
+        self._per_window = max(1, sweep_rows(corpus.shape[1]) // cfg.batch_size)
+        self._left = cfg.steps  # steps whose rows are not drawn yet
+        self._ready = []  # the current window's batches not handed out yet
+        self._next = None  # the worker's encode of the next window
+        self._pool = ThreadPoolExecutor(1) if len(os.sched_getaffinity(0)) > 1 else None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
+        return False
+
+    def _draw(self, rng):
+        steps = min(self._per_window, self._left)
+        self._left -= steps
+        return np.concatenate([_draw_rows(self._corpus, self._cfg, rng)
+                               for _ in range(steps)])
+
+    def _encode(self, tokens):
+        return _encode_window(self._state, tokens, self._cfg.batch_size, self._labels)
+
+    def __call__(self, rng):
+        if not self._ready:
+            if self._pool is None:
+                self._ready = self._encode(self._draw(rng))
+            else:
+                window = self._next or self._pool.submit(self._encode, self._draw(rng))
+                self._next = (self._pool.submit(self._encode, self._draw(rng))
+                              if self._left else None)
+                self._ready = window.result()
+        return self._ready.pop(0)
 
 
 def pretrain_base_ar(state: ModelState, corpus, val_corpus, cfg: TrainConfig,
@@ -560,31 +625,34 @@ def train_stage1(state: ModelState, corpus, cfg: TrainConfig,
                  assignment: str = "direct", metrics_cb=None) -> np.ndarray:
     """Joint inverse/world training; returns cumulative action-usage counts.
 
-    Only inverse, codebook, and merge parameters move; the base stays frozen.
+    Only inverse, codebook, and merge parameters move; the base stays
+    frozen, so `FrozenBatches` encodes the steps' rows, a window ahead where
+    a second CPU is free.
     """
     noise_rng = np.random.default_rng(cfg.seed + 1)
     usage = np.zeros(state.cfg.codebook_size, dtype=np.int64)
 
     def loss_fn(batch):
-        total, parts, index = loss_pre1(state, *batch, cfg, noise_rng, assignment)
+        tokens, e_l, _ = batch
+        total, parts, index = loss_pre1(state, tokens, e_l, cfg, noise_rng, assignment)
         usage[:] += np.bincount(index.reshape(-1), minlength=len(usage))
         return total, {**parts, "alive_actions": int((usage > 0).sum())}
 
-    run_stage(state, "stage1", ("inverse", "codebook", "merge"), cfg.steps, cfg,
-              lambda rng: _frozen_batch(state, corpus, cfg, rng), loss_fn, metrics_cb)
+    with FrozenBatches(state, corpus, cfg) as batches:
+        run_stage(state, "stage1", ("inverse", "codebook", "merge"), cfg.steps,
+                  cfg, batches, loss_fn, metrics_cb)
     return usage
 
 
 def train_bc(state: ModelState, corpus, cfg: TrainConfig, start: int = 0,
              stage: str = "bc-policy", metrics_cb=None) -> None:
-    """Behavior-clone the policy onto the inverse labels."""
-    def batch_fn(rng):
-        _, e_l = _frozen_batch(state, corpus, cfg, rng)
-        # one base forward serves the labels and the loss
-        return e_l, inverse_labels(state, e_l)
-
-    run_stage(state, stage, ("policy",), cfg.steps, cfg, batch_fn,
-              lambda batch: loss_pre2(state, *batch, start), metrics_cb)
+    """Behavior-clone the policy onto the inverse labels. Base and inverse
+    are frozen, so `FrozenBatches` encodes the steps' rows and labels them,
+    a window ahead where a second CPU is free; one base forward serves the
+    labels and the loss."""
+    with FrozenBatches(state, corpus, cfg, labels=True) as batches:
+        run_stage(state, stage, ("policy",), cfg.steps, cfg, batches,
+                  lambda batch: loss_pre2(state, *batch[1:], start), metrics_cb)
 
 
 def train_fta(state: ModelState, split: SftSplit, cfg: TrainConfig, mode: str,

@@ -4,6 +4,7 @@ against central finite differences and structural tape behavior."""
 import contextlib
 import inspect
 import math
+import threading
 import tracemalloc
 import zlib
 
@@ -415,6 +416,58 @@ def test_untaped_ops_stay_off_the_tape():
         grads = tape.gradients(loss)
     assert len(tape.nodes) == 2
     np.testing.assert_allclose(tape.grad(grads, x), y.data, rtol=1e-6)
+
+
+def _on_a_thread(target):
+    """Run target on a thread of its own and wait for it to end."""
+    t = threading.Thread(target=target)
+    t.start()
+    t.join(timeout=10)
+    assert not t.is_alive()
+
+
+def test_tapes_and_untaped_blocks_belong_to_their_thread():
+    """A Tape open on one thread records none of a worker thread's ops, a
+    worker's own Tape records only the worker's, and an `untaped()` opened
+    on a worker leaves the main thread recording."""
+    x = Tensor(np.array([1.0, 2.0]))
+    seen, opened, release = {}, threading.Event(), threading.Event()
+
+    def plain_ops():
+        seen["recording"] = ad.recording()
+        seen["plain"] = ad.scale(x, 2.0)
+
+    def own_tape():
+        with Tape() as tape:
+            seen["own"] = (tape, ad.scale(x, 4.0))
+
+    def untaped_block():
+        with ad.untaped():
+            opened.set()
+            release.wait(timeout=10)
+
+    with Tape() as tape:
+        _on_a_thread(plain_ops)
+        _on_a_thread(own_tape)
+        worker = threading.Thread(target=untaped_block)
+        worker.start()
+        try:
+            assert opened.wait(timeout=10)
+            assert ad.recording()
+            y = ad.scale(x, 3.0)
+        finally:
+            release.set()
+            worker.join(timeout=10)
+        assert not worker.is_alive()
+        assert ad.recording()
+        loss = ad.sum_(y)
+        grads = tape.gradients(loss)
+    assert seen["recording"] is False and seen["plain"]._backward is None
+    worker_tape, z = seen["own"]
+    assert worker_tape.nodes == [z] and z._backward is not None
+    assert tape.nodes == [y, loss]
+    np.testing.assert_array_equal(tape.grad(grads, x), [3.0, 3.0])
+    assert not ad.recording()
 
 
 def test_stop_grad_capture_replays_recorded_values():

@@ -267,8 +267,9 @@ def test_inverse_encoder_gets_the_embeddings_as_a_leaf(monkeypatch):
     diagnostics.val_loss(state, tokens, "with_actions")
     train_bc(state, tokens, TrainConfig(steps=2, batch_size=2))
     # the first labeling fills the sweep, val_loss reads the warm sweep,
-    # and each BC step labels the embeddings its batch_fn encoded
-    assert backwards == [None] * 3
+    # and BC's two steps share one window, labelled from the embeddings
+    # its one encode made
+    assert backwards == [None] * 2
 
 
 def test_chunked_labels_match_one_batch_labels_beyond_rounding():
@@ -377,10 +378,12 @@ def test_held_sweep_is_read_only_and_checks_gumbel_temp():
 
 
 def test_one_chunked_corpus_loop():
-    """Exactly one function in the package loops over a corpus in row
-    chunks (a loop over a stepped `range`), and it is `val_sweep`; the one
-    task it hands `chunk_map` runs the base forward on those chunks. So a
-    second per-chunk encoding of a corpus cannot come back unnoticed."""
+    """Exactly two functions in the package loop over rows in chunks (a loop
+    over a stepped `range`). One is `val_sweep`; the one task it hands
+    `chunk_map` runs the base forward on those chunks. The other is
+    `_encode_window`, which runs one base forward over a window of steps
+    and only slices it per step in its loop. So a second per-chunk encoding
+    of a corpus cannot come back unnoticed."""
     def called(node):
         return {n.func.id for n in ast.walk(node)
                 if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
@@ -403,9 +406,16 @@ def test_one_chunked_corpus_loop():
                        and n.func.id == "range" and len(n.args) == 3
                        for it in iters for n in ast.walk(it)):
                     found.add((path.name, fn.name))
-    assert found == {("training.py", "val_sweep")}, found
+    assert found == {("training.py", "val_sweep"),
+                     ("training.py", "_encode_window")}, found
     defs = {f.name: f for f in trees["training.py"].body
             if isinstance(f, ast.FunctionDef)}
+    window = defs["_encode_window"]
+    assert [n.func.id for n in ast.walk(window) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Name)].count("base_forward") == 1
+    loops = [n for n in ast.walk(window) if isinstance(n, ast.ListComp)]
+    assert loops and not any(called(loop) & {"base_forward", "inverse_labels"}
+                             for loop in loops)
     tasks = [c.args[0] for c in ast.walk(defs["val_sweep"])
              if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)
              and c.func.id == "chunk_map"]
@@ -416,7 +426,8 @@ def test_one_chunked_corpus_loop():
 
 @pytest.fixture(params=[1, 4], ids=["1cpu", "4cpus"])
 def cpus(request, monkeypatch):
-    """The CPU count chunk_map reads from the affinity set, forced."""
+    """The CPU count that chunk_map and FrozenBatches read from the
+    affinity set, forced."""
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(request.param)))
     return request.param
@@ -440,8 +451,8 @@ def test_sweep_and_ce_readers_equal_a_sequential_per_chunk_reference(
         cpus, monkeypatch):
     """On a ragged corpus, the sweep's labels and both CEs, and the readers
     that return them, equal a sequential per-chunk loop bit for bit at any
-    CPU count; inside an open tape they record nothing and leave the tape
-    stack as it was; at most min(chunks, CPUs) threads run the tasks, the
+    CPU count; inside an open tape they record nothing and leave that tape
+    recording; at most min(chunks, CPUs) threads run the tasks, the
     one fill's chunk_map starts exactly one worker fewer, the readers on
     the warm slot start none, and none is alive afterwards."""
     state, rows = small_state(), sweep_rows(7)
@@ -472,8 +483,10 @@ def test_sweep_and_ce_readers_equal_a_sequential_per_chunk_reference(
         act_ce = diagnostics.val_loss(state, corpus, "with_actions")
         base_ce = diagnostics.val_loss(state, corpus, "base_ar")
         labels = inverse_action_labels(state, corpus, 1.0)
-        assert tape.nodes == [] and ad._TAPE_STACK == [tape]
-    assert ad._TAPE_STACK == []
+        assert tape.nodes == [] and ad.recording()
+        after = ad.scale(Tensor(1.0), 2.0)
+        assert tape.nodes == [after]
+    assert not ad.recording()
     assert set(threading.enumerate()) == alive
     n = min(len(chunks), cpus)
     assert len(ran) <= n and (n > 1 or ran == {threading.get_ident()})
@@ -813,31 +826,150 @@ def test_stage_losses_record_only_under_a_tape(stage, monkeypatch):
     assert nodes == STAGE_TAPE_NODES[stage]
 
 
+# The stage parts that take a frozen base's embeddings from FrozenBatches.
+WINDOWED = {"stage1", "bc-policy", "fta-policy-refresh"}
+
+
 @pytest.mark.parametrize("stage", DRIVERS)
 def test_each_stage_step_runs_one_base_forward(stage, monkeypatch):
-    """Every step of every stage calls `training.base_forward` exactly
-    once: a frozen base's batch_fn encodes the batch once for labels and
-    loss alike, a trained base's loss runs the forward its actions are read
-    from, rl encodes its rollouts once for the policy and the reference
-    policy, and train-q encodes the next contexts of its whole batch, of
-    mixed lengths, in one forward. (rl's decoding runs its own cached
-    forwards through `actions`.)"""
+    """Every step of a stage part that encodes per step calls
+    `training.base_forward` exactly once: a trained base's loss runs the
+    forward its actions are read from, rl encodes its rollouts once for the
+    policy and the reference policy, and train-q encodes the next contexts
+    of its whole batch, of mixed lengths, in one forward. (rl's decoding
+    runs its own cached forwards through `actions`.) A part that freezes
+    the base (stage-1, BC, FTA-I's policy refresh) encodes windows of whole
+    steps, inline on one CPU and on a worker thread on more: every row it
+    draws is encoded exactly once, in step order, by one forward for labels
+    and loss alike, and no row past its last step is drawn. Two-step
+    windows make the third step a window of its own."""
     from actlm import training
-    calls, per_step = [0], []
-    real = training.base_forward
+    real, real_draw = training.base_forward, training._draw_rows
+    monkeypatch.setattr(training, "SWEEP_TOKENS", 2 * 4 * 7)
 
-    def counting(*args, **kwargs):
-        calls[0] += 1
+    def encoding(*args, **kwargs):
+        encoded.append(args[2])
         return real(*args, **kwargs)
 
-    def record(r):
-        per_step.append(calls[0])
-        calls[0] = 0
+    def drawing(*args):
+        drawn.append(real_draw(*args))
+        return drawn[-1]
 
-    monkeypatch.setattr(training, "base_forward", counting)
-    _drivers()[stage][0](small_state(), record, 3)
-    # FTA-I's policy refresh runs three steps of a stage of its own
-    assert per_step == [1] * (6 if stage == "fta-FTA-I" else 3)
+    def record(r):
+        parts.append((r["stage"], len(encoded), len(drawn)))
+
+    monkeypatch.setattr(training, "base_forward", encoding)
+    monkeypatch.setattr(training, "_draw_rows", drawing)
+    for n_cpus in (1, 4):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, n=n_cpus: set(range(n)))
+        encoded, drawn, parts = [], [], []
+        _drivers()[stage][0](small_state(), record, 3)
+        # FTA-I's policy refresh runs three steps of a stage of its own
+        assert len(parts) == (6 if stage == "fta-FTA-I" else 3)
+        per_step = [(part, n - m) for (part, n, _), (_, m, _)
+                    in zip(parts, [(None, 0, 0)] + parts)]
+        assert all(n == 1 for part, n in per_step if part not in WINDOWED)
+        windowed = [i for i, (part, _, _) in enumerate(parts) if part in WINDOWED]
+        if windowed:
+            # the windowed part comes last; count from where the one before
+            # it ended
+            assert windowed == list(range(len(parts) - 3, len(parts)))
+            _, encodes, draws = parts[windowed[0] - 1] if windowed[0] else (None, 0, 0)
+            assert len(drawn) - draws == 3
+            assert [len(e) for e in encoded[encodes:]] == [8, 4]
+            assert np.array_equal(np.concatenate(encoded[encodes:]),
+                                  np.concatenate(drawn[draws:]))
+
+
+def frozen_stage_inputs():
+    """A corpus and config whose 6 steps of 32 rows at T=8 make a 4-step
+    window and a 2-step one."""
+    cfg = TrainConfig(steps=6, batch_size=32)
+    assert sweep_rows(8) // cfg.batch_size == 4
+    return small_tokens(seed=3, b=40, t=8), cfg
+
+
+@pytest.mark.parametrize("mode", ["train", "verify"])
+def test_prefetched_windows_train_as_per_step_encodes(mode, cpus, monkeypatch):
+    """Stage-1 and BC give the same records and weights, bit for bit,
+    whether their windows are encoded inline (1 CPU) or on a worker (4
+    CPUs), and the same as one-step windows encoded inline, which is the
+    per-step encode. Under prefetch, each stage's windows are encoded by
+    one worker thread of its own, which is gone when the stage returns."""
+    from actlm import training
+    ad.set_precision(mode)
+    corpus, cfg = frozen_stage_inputs()
+
+    def run():
+        state, records = small_state(), []
+        train_stage1(state, corpus, cfg, metrics_cb=records.append)
+        train_bc(state, corpus, cfg, metrics_cb=records.append)
+        return records, state.hashes()
+
+    threads, real = set(), training.base_forward
+
+    def tracking(*args, **kwargs):
+        threads.add(threading.current_thread())
+        return real(*args, **kwargs)
+
+    alive = threading.active_count()
+    with monkeypatch.context() as m:
+        m.setattr(training, "base_forward", tracking)
+        got = run()
+    assert threading.active_count() == alive
+    main = threading.current_thread()
+    assert threads == {main} if cpus == 1 else \
+        (len(threads) == 2 and main not in threads)
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        m.setattr(training, "SWEEP_TOKENS", 1)
+        want = run()
+    assert len(got[0]) == 12 and got == want
+
+
+def test_a_non_finite_window_raises_from_train_bc(cpus, monkeypatch):
+    """An action logit made non-finite in BC's second window, which the
+    worker encodes under 4 CPUs while the first window's steps train,
+    raises FloatingPointError from train_bc when that window is wanted,
+    after the first window's four steps; no thread outlives the stage."""
+    from actlm import training
+    real, threads = training.inverse_encode, []
+
+    def poisoned(inverse, cfg, e_l):
+        threads.append(threading.current_thread())
+        e_i = real(inverse, cfg, e_l)
+        if len(threads) == 2:
+            e_i.data[0, 0, 0] = np.nan
+        return e_i
+
+    monkeypatch.setattr(training, "inverse_encode", poisoned)
+    records, alive = [], threading.active_count()
+    with pytest.raises(FloatingPointError, match="non-finite action logits"):
+        train_bc(small_state(), *frozen_stage_inputs(), metrics_cb=records.append)
+    assert threading.active_count() == alive
+    assert [r["step"] for r in records] == [0, 1, 2, 3]
+    assert (threads[1] is threading.current_thread()) == (cpus == 1)
+
+
+@pytest.mark.parametrize("train", [train_stage1, train_bc])
+def test_a_raising_metrics_cb_aborts_a_prefetching_stage(train, cpus):
+    """A metrics_cb that raises at the first step, while the next window
+    may be encoding, ends the stage: the exception reaches the caller, no
+    later step runs, and no thread outlives the stage."""
+    class Stop(Exception):
+        pass
+
+    records = []
+
+    def stop(record):
+        records.append(record)
+        raise Stop
+
+    alive = threading.active_count()
+    with pytest.raises(Stop):
+        train(small_state(), *frozen_stage_inputs(), metrics_cb=stop)
+    assert len(records) == 1 and threading.active_count() == alive
 
 
 def test_train_q_runs_one_base_forward_per_step(monkeypatch):
