@@ -319,7 +319,7 @@ class Decoder:
         if t > 1:
             np.copyto(att, ad.NEG_MASK,
                       where=np.arange(end) > np.arange(start, end)[:, None])
-        np.subtract(att, np.maximum.reduce(att, axis=-1, keepdims=True), out=att)
+        np.subtract(att, ad.row_max(att), out=att)
         np.exp(att, out=att)
         # the values' trailing 1 makes the last column the weights' sum
         ctx = np.matmul(att, v[:, :, :end])

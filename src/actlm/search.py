@@ -111,10 +111,14 @@ def _select(root: MctsNode, c_uct: float) -> tuple[list, list]:
 
 def bellman_error(transition: Transition, q_fn, gamma: float) -> float:
     """Squared residual against the Double-DQN target with the target network
-    equal to the online network."""
-    q_next = q_fn(transition.next_context)[None]
-    y = dqn_target([transition.reward], [transition.terminal], q_next, q_next, gamma)
-    return float((float(y[0]) - q_fn(transition.context)[transition.action]) ** 2)
+    equal to the online network. q_fn maps a context to its action values
+    at every position, (T, N); one call on the next context, which a
+    Transition holds to be the context plus one token, gives the next
+    context's values at position -1 and, the Q head being causal, the
+    context's at -2."""
+    q = q_fn(transition.next_context)
+    y = dqn_target([transition.reward], [transition.terminal], q[-1:], q[-1:], gamma)
+    return float((float(y[0]) - q[-2][transition.action]) ** 2)
 
 
 @dataclass

@@ -416,14 +416,16 @@ def loss_rl(state: ModelState, batch: dict, cfg: TrainConfig):
 # ---------------------------------------------------------------------------
 
 def q_values_fn(state: ModelState, group: str):
-    """Q(x_{1:t}, .) as a callable on a 1-d token context; it records no
-    tape."""
+    """A callable mapping a 1-d token context x (T tokens) to the action
+    values at each of its positions, (T, N): row t is Q(x_{1:t+1}, .),
+    since the base and the Q head are causal. One untaped base and Q
+    forward over the whole context gives every row."""
     def q(context) -> np.ndarray:
         tokens = np.asarray(context).reshape(1, -1)
         with ad.untaped():
             e_l = base_forward(state.groups["base"], state.cfg, tokens)
             vals = q_forward(state.groups[group], state.cfg, e_l)
-        return vals.data[0, -1, :]
+        return vals.data[0]
     return q
 
 

@@ -267,6 +267,17 @@ class StickyLM:
         return np.where(np.asarray(actions) == 3, 0, np.asarray(actions) + 1)
 
 
+def per_prefix(q):
+    """A q_fn of the search contract from a per-context value function q:
+    the values (T, N) at every position of a context, row t being q of the
+    prefix that ends there, as the causal Q head gives them."""
+    def q_fn(context):
+        context = np.asarray(context)
+        return np.stack([np.asarray(q(context[:t + 1]), float)
+                         for t in range(len(context))])
+    return q_fn
+
+
 def chain_reward(tokens):
     return 1.0 if 2 in np.asarray(tokens) else 0.0
 

@@ -31,7 +31,7 @@ from actlm.training import Transition, inverse_action_labels, inverse_labels, \
     sync_target, train_bc, train_q, train_rl, train_stage1
 from actlm.actions import policy_forward
 from conftest import ChainLM, chain_reward, finite_diff_check, \
-    finite_diff_report, tree_snapshot
+    finite_diff_report, per_prefix, tree_snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +449,7 @@ def test_double_dqn_recovers_chain_values():
 
     q = q_values_fn(state, "q_online")
     optimal = [0.99 ** 2, 0.99, 1.0]  # value iteration on the chain
-    worst = max(float(np.abs(q(ctx) - v).max())
+    worst = max(float(np.abs(q(ctx)[-1] - v).max())
                 for ctx, v in zip(contexts, optimal))
     assert worst < 0.05, worst
 
@@ -503,7 +503,8 @@ def test_q_pruning_boundary_behavior():
                         max_len=12, seed=7, bellman_threshold=0.0)
     plain = mcts_search(toy, [1], cfg0, chain_reward)
     pruned = mcts_search(toy, [1], cfg0, chain_reward,
-                         q_fn=lambda ctx: np.zeros(2), gamma=0.9)
+                         q_fn=per_prefix(lambda ctx: np.zeros(2)),
+                         gamma=0.9)
     assert tree_snapshot(plain.root) == tree_snapshot(pruned.root)
     np.testing.assert_array_equal(plain.tokens, pruned.tokens)
 
@@ -512,7 +513,8 @@ def test_q_pruning_boundary_behavior():
                            max_len=12, seed=1,
                            bellman_threshold=math.inf)
     result = mcts_search(toy, [1], cfg_inf, chain_reward,
-                         q_fn=lambda ctx: np.zeros(2), gamma=0.9)
+                         q_fn=per_prefix(lambda ctx: np.zeros(2)),
+                         gamma=0.9)
     assert result.iterations == 1
     child = next(iter(result.root.children.values()))
     assert child.state[-1] == toy.eos_token_id
@@ -524,8 +526,8 @@ def test_q_pruning_extends_only_the_consistent_branch():
     a large residual elsewhere: only rewarded-branch nodes get extended."""
     episode_len, gamma = 12, 0.9
 
+    @per_prefix
     def q_fn(ctx):
-        ctx = np.asarray(ctx)
         if 2 in ctx:  # exact discounted-return values: residual is zero
             return np.full(2, gamma ** (episode_len - 1 - len(ctx)))
         return np.full(2, 0.5)  # residual (0.45 - 0.5)^2 >> threshold

@@ -1,9 +1,11 @@
 """Unit tests for the reverse-mode engine: per-primitive gradient checks
 against central finite differences and structural tape behavior."""
 
+import ast
 import contextlib
 import inspect
 import math
+import pathlib
 import threading
 import tracemalloc
 import zlib
@@ -13,10 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import actlm
 from actlm import autodiff as ad
 from actlm.autodiff import Tape, Tensor, set_precision
 from actlm.config import ArchConfig
 from actlm.model import base_forward, init_model
+from actlm.training import loss_base_ar
 from conftest import StopGradCapture, finite_diff_check, \
     finite_diff_report, matmul_error_bound
 
@@ -164,6 +168,23 @@ def softmax_reference(x, g):
     return y, (g - (g * y).sum(axis=-1, keepdims=True)) * y
 
 
+def log_softmax_reference(x, g):
+    """(output, grad x) with the ndarray.max and .sum methods."""
+    z = x - x.max(axis=-1, keepdims=True)
+    y = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return y, g - np.exp(y) * g.sum(axis=-1, keepdims=True)
+
+
+def cross_entropy_reference(x, targets, g):
+    """(losses, grad x) with the ndarray.max and .sum methods."""
+    lsm, _ = log_softmax_reference(x, x)
+    losses = -np.take_along_axis(lsm, targets[..., None], axis=-1)[..., 0]
+    gx = np.exp(lsm) * g[..., None]
+    np.subtract.at(gx.reshape(-1, gx.shape[-1]),
+                   (np.arange(targets.size), targets.reshape(-1)), g.reshape(-1))
+    return losses, gx
+
+
 def forward_and_grads(op, inputs, rng):
     """op's output and the gradients of sum(g * output) for a random g."""
     with Tape() as tape:
@@ -219,6 +240,153 @@ def test_softmax_matches_method_reductions(mode):
         out, (gx,), g = forward_and_grads(ad.softmax, [x], rng)
         for got, want in zip((out, gx), softmax_reference(x.data, g)):
             assert_same_bits(got, want)
+
+
+def plain_row_max(x):
+    """The reference for `ad.row_max`: numpy's reduction without `initial`,
+    seeded with each row's first entry."""
+    return np.maximum.reduce(x, axis=-1, keepdims=True)
+
+
+def same_bytes(got, want) -> bool:
+    """Equal dtype, shape and bytes: NaNs and the signs of zeros included."""
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+# Row shapes of training (16, 2, 16, 16), eval (16, 2, 64, 64) and the
+# lm-head (16, 63, 16), the codebook-sized rows of 8, and decode (B, 2, 1, t).
+ROW_SHAPES = [(16, 2, 16, 16), (16, 2, 64, 64), (16, 63, 16), (16, 63, 8),
+              (1, 2, 1, 40), (16, 2, 1, 64)]
+
+
+def row_cases(shape, dtype, rng):
+    """Rows of each kind a row max can meet, by name: random; masked with
+    NEG_MASK as causal_scores masks shape[-2] queries against shape[-1]
+    keys; holding +-inf; holding NaN; and holding zeros of both signs
+    among negative entries."""
+    x = rng.normal(0.0, 5.0, size=shape)
+    t, tq = shape[-1], shape[-2]
+    masked = x.copy()
+    np.copyto(masked, ad.NEG_MASK,
+              where=np.arange(t) > np.arange(t - tq, t)[:, None])
+    pick = lambda values, p: np.where(rng.random(shape) < p,
+                                      rng.choice(values, size=shape), x)
+    zeros = np.where(rng.random(shape) < 0.5,
+                     rng.choice([0.0, -0.0], size=shape), -np.abs(x))
+    cases = {"random": x, "masked": masked,
+             "inf": pick([np.inf, -np.inf], 0.1), "nan": pick([np.nan], 0.05),
+             "zeros": zeros}
+    return {name: a.astype(dtype) for name, a in cases.items()}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", ROW_SHAPES)
+def test_row_max_matches_the_plain_reduction(shape, dtype):
+    """row_max gives the bits of np.maximum.reduce, NaNs and signs of zeros
+    included, on every kind of row but one: where a row's max is a zero it
+    holds with both signs, the two reductions may pick different signs.
+    The values still agree there, and the softmax family never sees the
+    sign (see the next test)."""
+    rng = np.random.default_rng(len(shape) * 1000 + shape[-1])
+    for name, x in row_cases(shape, dtype, rng).items():
+        got, want = ad.row_max(x), plain_row_max(x)
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True), name
+        rows, bits = x.reshape(-1, shape[-1]), f"u{x.itemsize}"
+        both_zeros = ((rows == 0) & np.signbit(rows)).any(axis=1) \
+            & ((rows == 0) & ~np.signbit(rows)).any(axis=1) \
+            & (want.reshape(-1) == 0)
+        differs = got.reshape(-1).view(bits) != want.reshape(-1).view(bits)
+        assert not (differs & ~both_zeros).any(), name
+    assert same_bytes(ad.row_max(np.zeros((3, 0), dtype)), np.full((3, 1), -np.inf, dtype))
+
+
+@pytest.mark.parametrize("mode", ["train", "verify"])
+@pytest.mark.parametrize("shape", ROW_SHAPES)
+def test_softmax_family_matches_the_plain_reduction(mode, shape):
+    """softmax, log_softmax and cross_entropy, forward and backward, give the
+    bits of references that take the row max with the ndarray method, on
+    random, causally masked and signed-zero rows: exp(+0) = exp(-0) = 1, so
+    the sign of a zero max reaches no output."""
+    ad.set_precision(mode)
+    dtype = ad.active_dtype()
+    rng = np.random.default_rng(shape[-1])
+    for name, x in row_cases(shape, dtype, rng).items():
+        if name in ("inf", "nan"):
+            continue  # rows no softmax in the package is given
+        x = Tensor(x)
+        targets = rng.integers(0, shape[-1], size=shape[:-1])
+        for op, reference in (
+                (ad.softmax, softmax_reference),
+                (ad.log_softmax, log_softmax_reference),
+                (lambda x: ad.cross_entropy(x, targets),
+                 lambda x, g: cross_entropy_reference(x, targets, g))):
+            out, (gx,), g = forward_and_grads(op, [x], rng)
+            want_out, want_gx = reference(x.data, g)
+            assert same_bytes(out, want_out) and same_bytes(gx, want_gx), name
+
+
+@pytest.mark.parametrize("mode", ["train", "verify"])
+def test_base_loss_matches_the_plain_reduction(mode, monkeypatch):
+    """A base forward, its blocks' attention softmaxes included, and the
+    next-token cross-entropy give, forward and in every gradient, the bits
+    they give with the row max taken by the plain reduction."""
+    ad.set_precision(mode)
+    cfg = ArchConfig(max_seq_len=16)
+    state = init_model(cfg, 0)
+    tokens = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(4, 16))
+
+    def loss_and_grads():
+        params = list(state.groups["base"].values())
+        with Tape() as tape:
+            loss, _ = loss_base_ar(state, tokens)
+        grads = tape.gradients(loss)
+        return [loss.data] + [tape.grad(grads, p) for p in params]
+
+    def counted_row_max(x):
+        calls.append(x.shape)
+        return plain_row_max(x)
+
+    got, calls = loss_and_grads(), []
+    monkeypatch.setattr(ad, "row_max", counted_row_max)
+    want = loss_and_grads()
+    # every block's attention and the cross-entropy
+    assert len(calls) == cfg.n_layers_base + 1
+    assert all(same_bytes(a, b) for a, b in zip(got, want))
+
+
+def test_every_row_max_goes_through_row_max():
+    """No module of the package reduces a max over the last axis but
+    `autodiff.row_max`: no `np.maximum.reduce` elsewhere, and no `.max`
+    or `.amax` call given axis -1, so a new softmax cannot fall back onto
+    numpy's slow per-row reduction unnoticed."""
+    def is_minus_one(node):
+        return (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+                and isinstance(node.operand, ast.Constant) and node.operand.value == 1)
+
+    def offending(call):
+        f = call.func
+        if not isinstance(f, ast.Attribute):
+            return False
+        if f.attr == "reduce":
+            return isinstance(f.value, ast.Attribute) and f.value.attr == "maximum"
+        return f.attr in ("max", "amax") and any(
+            is_minus_one(a) for a in call.args + [k.value for k in call.keywords
+                                                  if k.arg == "axis"])
+
+    found = []
+    for path in sorted(pathlib.Path(actlm.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and offending(node):
+                scope = node
+                while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                    scope = parents[scope]
+                found.append((path.name, getattr(scope, "name", None)))
+    assert found == [("autodiff.py", "row_max")], found
 
 
 @pytest.mark.parametrize("mode", ["train", "verify"])

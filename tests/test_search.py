@@ -27,7 +27,7 @@ from actlm.training import (Transition, q_values_fn,
                             rollout_batch)
 from conftest import (ChainLM, StickyLM, chain_reward, check_base_logits,
                       decoder_accumulation_length, gamma, matmul_error_bound,
-                      tree_snapshot)
+                      per_prefix, tree_snapshot)
 
 
 def test_rollout_greedy_runs_to_eos():
@@ -80,32 +80,42 @@ def test_uct_score_oracle():
 
 
 def test_bellman_error_oracle():
-    q = lambda ctx: np.array([0.2, 0.8])
+    """The context's values are those of the next context one position
+    before its last."""
+    q = per_prefix(lambda ctx: np.array([0.2, 0.8]) if len(ctx) == 1
+                   else np.array([0.6, 0.9]))
     terminal = Transition(np.array([1]), 0, np.array([1, 2]), 1.0, True)
     # residual = 1.0 - 0.2
     assert bellman_error(terminal, q, 0.9) == pytest.approx(0.64)
     step = Transition(np.array([1]), 1, np.array([1, 2]), 0.0, False)
-    # target = 0.9 * 0.8 (argmax is action 1); residual = 0.72 - 0.8
-    assert bellman_error(step, q, 0.9) == pytest.approx(0.08 ** 2)
+    # target = 0.9 * 0.9 (argmax is action 1); residual = 0.81 - 0.8
+    assert bellman_error(step, q, 0.9) == pytest.approx(0.01 ** 2)
 
 
-def test_bellman_check_runs_one_next_context_forward():
+def test_bellman_check_runs_one_next_context_forward(monkeypatch):
     """With the target net equal to the online net, a Bellman check asks
-    q_fn once per context, not once more for the target net, and its value
-    is bitwise that of the per-transition Double-DQN rule on q_fn's values."""
+    q_fn once, on the next context, which runs one base forward; its value
+    is bitwise that of the per-transition Double-DQN rule on that call's
+    values, the context's read one position before the last."""
+    from actlm import training
     state = init_model(DCFG, 0)
-    q, calls = q_values_fn(state, "q_online"), []
+    q, calls, forwards = q_values_fn(state, "q_online"), [], []
 
     def counting(context):
         calls.append(len(context))
         return q(context)
 
+    def counting_forward(*args):
+        forwards.append(args[2].shape)
+        return base_forward(*args)
+
     tr = Transition(np.array([3, 5, 7]), 2, np.array([3, 5, 7, 4]), 0.0, False)
+    monkeypatch.setattr(training, "base_forward", counting_forward)
     error = bellman_error(tr, counting, 0.9)
-    assert sorted(calls) == [3, 4]
-    q_next = q(tr.next_context)
-    y = float(0.9 * q_next[int(np.argmax(q_next))])
-    assert error == float((y - q(tr.context)[tr.action]) ** 2)
+    assert calls == [4] and forwards == [(1, 4)]
+    values = q(tr.next_context)
+    y = float(0.9 * values[-1][int(np.argmax(values[-1]))])
+    assert error == float((y - values[-2][tr.action]) ** 2)
 
 
 def test_mcts_finds_good_branch_and_audits():
@@ -213,7 +223,8 @@ def test_mcts_q_zero_threshold_reproduces_plain_search():
                        max_len=12, seed=7, bellman_threshold=0.0)
     plain = mcts_search(ChainLM(episode_len=12), [1], cfg, chain_reward)
     pruned = mcts_search(ChainLM(episode_len=12), [1], cfg, chain_reward,
-                         q_fn=lambda ctx: np.zeros(2), gamma=0.9)
+                         q_fn=per_prefix(lambda ctx: np.zeros(2)),
+                         gamma=0.9)
     assert tree_snapshot(plain.root) == tree_snapshot(pruned.root)
     np.testing.assert_array_equal(plain.tokens, pruned.tokens)
 
@@ -222,7 +233,8 @@ def test_mcts_q_infinite_threshold_extends_to_terminal_in_one_pass():
     cfg = SearchConfig(action_steps=2, iterations=10, expand_width=2,
                        max_len=12, seed=1, bellman_threshold=math.inf)
     result = mcts_search(ChainLM(episode_len=12), [1], cfg, chain_reward,
-                         q_fn=lambda ctx: np.zeros(2), gamma=0.9)
+                         q_fn=per_prefix(lambda ctx: np.zeros(2)),
+                         gamma=0.9)
     assert result.iterations == 1
     child = next(iter(result.root.children.values()))
     assert child.state[-1] == 0  # extended all the way to eos
@@ -325,7 +337,8 @@ def test_mcts_decodes_only_in_expand(monkeypatch):
     flushes = record_flushes(monkeypatch)
     # Bellman error (0.9 c(L+1) - c(L))^2 for c(L) = L % 2: 0.81 from an
     # even context length, 1 from an odd one, so some children extend
-    q_fn = lambda ctx: np.full(StickyLM.n_actions, float(len(ctx) % 2))
+    q_fn = per_prefix(lambda ctx: np.full(StickyLM.n_actions,
+                                          float(len(ctx) % 2)))
     extended = two_lengths = 0
     for seed, max_len, q in itertools.product(range(10), (6, 8), (None, q_fn)):
         cfg = SearchConfig(action_steps=1, iterations=16, expand_width=2,
@@ -415,7 +428,8 @@ def test_extension_pass_adds_k_tokens_up_to_max_len(monkeypatch):
     cfg = SearchConfig(action_steps=3, iterations=4, expand_width=2,
                        max_len=9, seed=0, bellman_threshold=math.inf)
     result = mcts_search(ChainLM(episode_len=50), [1], cfg, chain_reward,
-                         q_fn=lambda ctx: np.zeros(2), gamma=0.9)
+                         q_fn=per_prefix(lambda ctx: np.zeros(2)),
+                         gamma=0.9)
     (_, calls), = flushes
     passes = [(rows[0].size, tokens.shape[1] - rows[0].size)
               for mode, rows, tokens in calls if mode == "greedy"]
@@ -765,6 +779,36 @@ def test_decoder_refuses_a_sync_under_another_precision():
     fresh.sync([[3, 5, 7, 4]])
     np.testing.assert_array_equal(dec.probs, fresh.probs)
     np.testing.assert_array_equal(dec.next_tokens([1]), fresh.next_tokens([1]))
+
+
+@pytest.mark.parametrize("mode", ["train", "verify"])
+def test_decoder_sync_matches_the_plain_row_max(mode, monkeypatch):
+    """A prompt sync of several rows, then a one-token step, give the bits
+    they give with the attention and policy row max taken by the plain
+    np.maximum.reduce: held embeddings, policy probabilities, caches and
+    next-token logits."""
+    ad.set_precision(mode)
+    state = init_model(DCFG, 0)
+    tokens = np.random.default_rng(0).integers(1, DCFG.vocab_size, size=(4, 13))
+
+    def held():
+        dec = Decoder(state)
+        dec.sync(tokens[:, :12])
+        dec.sync(tokens)
+        return [dec.e_l, dec.probs, dec.next_logits([0, 1, 2, 3])] \
+            + [a for kv in dec.kv for a in kv]
+
+    def plain_row_max(x):
+        calls.append(x.shape)
+        return np.maximum.reduce(x, axis=-1, keepdims=True)
+
+    got, calls = held(), []
+    monkeypatch.setattr(ad, "row_max", plain_row_max)
+    want = held()
+    # per sync, every block's attention and the policy softmax
+    assert len(calls) == 2 * (DCFG.n_layers_base + DCFG.n_layers_policy + 1)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_decoding_records_nothing():

@@ -1151,8 +1151,8 @@ def reference_target(tr, q_online, q_target, gamma):
     context: the rule the batched dqn_target replaces."""
     if tr.terminal:
         return tr.reward
-    online = q_online(tr.next_context)
-    return gamma * q_target(tr.next_context)[int(np.argmax(online))]
+    online = q_online(tr.next_context)[-1]
+    return gamma * q_target(tr.next_context)[-1][int(np.argmax(online))]
 
 
 def test_dqn_target_oracle():
@@ -1220,7 +1220,7 @@ def test_batched_dqn_targets_match_per_transition_reference(monkeypatch):
         if tr.terminal:
             assert y == np.float32(tr.reward)
             continue
-        online, target = q_on(tr.next_context), q_t(tr.next_context)
+        online, target = q_on(tr.next_context)[-1], q_t(tr.next_context)[-1]
         bound_on = _q_value_bound(state, "q_online", tr.next_context, n)
         bound_t = _q_value_bound(state, "q_target", tr.next_context, n)
         assert (np.abs(online_b - online) <= 2 * bound_on).all()
@@ -1293,8 +1293,8 @@ def test_loss_dqn_matches_squared_residual(verify_mode):
              Transition(np.array([3, 1]), 0, np.array([3, 1, 6]), 1.0, True)]
     q = q_values_fn(state, "q_online")
     q_t = q_values_fn(state, "q_target")
-    manual = np.mean([(q(tr.context)[tr.action] - reference_target(tr, q, q_t, 0.9)) ** 2
-                      for tr in batch])
+    manual = np.mean([(q(tr.context)[-1, tr.action]
+                       - reference_target(tr, q, q_t, 0.9)) ** 2 for tr in batch])
     dqn = dqn_batch(state, batch)
     with Tape():
         loss, parts = loss_dqn(state, dqn, 0.9)
@@ -1302,9 +1302,19 @@ def test_loss_dqn_matches_squared_residual(verify_mode):
 
 
 def test_q_values_fn_shape():
+    """One call gives the values at every position of the context; row t
+    is that of the prefix ending there. Each of the two evaluations errs
+    by at most the accumulated dot-product bound through the base and Q
+    blocks, so they differ by at most twice it."""
     state = small_state()
     q = q_values_fn(state, "q_online")
-    assert q([1, 2, 3]).shape == (CFG.codebook_size,)
+    context = [1, 2, 3]
+    values = q(context)
+    assert values.shape == (3, CFG.codebook_size)
+    n = accumulation_length(CFG, len(context), CFG.n_layers_base + CFG.n_layers_policy)
+    for t in range(3):
+        bound = _q_value_bound(state, "q_online", context[:t + 1], n)
+        assert (np.abs(values[t] - q(context[:t + 1])[-1]) <= 2 * bound).all()
 
 
 # ---------------------------------------------------------------------------
