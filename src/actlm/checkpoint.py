@@ -14,7 +14,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .config import ArchConfig
-from .model import GROUP_NAMES, ModelState, group_layout, unflatten
+from .model import GROUP_NAMES, ModelState, group_layout
 
 MAGIC = b"ALMC"
 FORMAT_VERSION = 2
@@ -26,7 +26,9 @@ class CheckpointError(Exception):
 
 
 def save_checkpoint(state: ModelState, path, stage: str = "", step: int = 0) -> None:
-    """Atomic write (temp file + rename) of every parameter group."""
+    """Atomic write (temp file + rename) of every parameter group's buffer,
+    in GROUP_NAMES order. A buffer of the file's dtype is written as it is,
+    with no copy."""
     flats = [state.flat(g) for g in GROUP_NAMES]
     dtype = np.result_type(*flats).newbyteorder("<")
     header = json.dumps({"arch": asdict(state.cfg), "dtype": dtype.str,
@@ -48,7 +50,10 @@ def load_checkpoint(path):
     CheckpointError on a failed checksum, magic or version check, on a
     malformed header or an unsupported dtype, on an architecture field
     larger than the number of parameters the body holds, and on a body
-    whose size is not what the header's architecture and dtype give."""
+    whose size is not what the header's architecture and dtype give.
+
+    Each group's buffer is a copy of its array in the file, so it keeps
+    the file's dtype."""
     with open(path, "rb") as f:
         blob = f.read()
     if len(blob) < 32 + 12:
@@ -83,14 +88,12 @@ def load_checkpoint(path):
             raise CheckpointError(
                 f"checkpoint holds {len(body) - start} bytes of parameters, too "
                 f"few for its architecture field {name} = {value}")
-    sizes = [sum(math.prod(shape) for _, shape in group_layout(cfg, g))
-             for g in GROUP_NAMES]
+    layout = group_layout(cfg)
+    sizes = [sum(math.prod(shape) for _, shape in layout[g]) for g in GROUP_NAMES]
     expected = sum(sizes) * np.dtype(dtype).itemsize
     if len(body) - start != expected:
         raise CheckpointError(
             f"checkpoint holds {len(body) - start} bytes of parameters; its "
             f"architecture and dtype {dtype} give {expected}")
-    values = np.frombuffer(body, dtype, offset=start).copy()
-    parts = np.split(values, np.cumsum(sizes)[:-1])
-    groups = {g: unflatten(cfg, g, part) for g, part in zip(GROUP_NAMES, parts)}
-    return ModelState(cfg, groups), meta
+    parts = np.split(np.frombuffer(body, dtype, offset=start), np.cumsum(sizes)[:-1])
+    return ModelState(cfg, {g: part.copy() for g, part in zip(GROUP_NAMES, parts)}), meta

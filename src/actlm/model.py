@@ -1,8 +1,9 @@
 """Tiny causal transformer base model and shared block machinery.
 
-All parameters live in flat name->Tensor dicts, grouped by training role
-(base / inverse / merge / policy / codebook / q_online / q_target) so stage
-freezing, hashing, and checkpointing can treat each group atomically.
+Parameters come in groups by training role (base / inverse / merge /
+policy / codebook / q_online / q_target). Each group is one flat buffer,
+and its name->Tensor dict holds views into it, so stage freezing, hashing,
+checkpointing and the optimizer treat each group as one array.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .autodiff import Tensor
 from .config import ArchConfig
 
 INIT_STD = 0.02
+GROUP_NAMES = ("base", "merge", "inverse", "policy", "codebook", "q_online", "q_target")
 
 
 BLOCK_WEIGHTS = ("ln1", "wq", "wk", "wv", "wo", "ln2", "w1", "w2", "w3")
@@ -169,23 +171,30 @@ def param_specs(cfg: ArchConfig) -> list[tuple[str, str, tuple, float | None]]:
     return specs
 
 
-def group_layout(cfg: ArchConfig, group: str) -> list[tuple[str, tuple]]:
-    """(name, shape) of each tensor of `group`, in param_specs order: the
-    layout of the group's flat array. q_target takes q_online's layout."""
-    own = "q_online" if group == "q_target" else group
-    return [(name, shape) for g, name, shape, _ in param_specs(cfg) if g == own]
+def group_layout(cfg: ArchConfig) -> dict[str, list[tuple[str, tuple]]]:
+    """(name, shape) of each tensor of every group, in param_specs order:
+    the layout of each group's flat buffer. q_target takes q_online's
+    layout."""
+    layout = {g: [] for g in GROUP_NAMES}
+    for g, name, shape, _ in param_specs(cfg):
+        layout[g].append((name, shape))
+    layout["q_target"] = layout["q_online"]
+    return layout
 
 
-def unflatten(cfg: ArchConfig, group: str, values: np.ndarray) -> dict[str, Tensor]:
-    """The inverse of ModelState.flat: {name: Tensor} of `group`, each a view
-    into the 1-d `values` that keeps its dtype."""
+def unflatten(layout: list[tuple[str, tuple]], values: np.ndarray) -> dict[str, Tensor]:
+    """{name: Tensor} of a group's `layout` entries, each a view into the
+    1-d `values` that keeps its dtype; raises ValueError unless values
+    holds exactly the layout's elements."""
     out, off = {}, 0
-    for name, shape in group_layout(cfg, group):
+    for name, shape in layout:
         t = Tensor.__new__(Tensor)
         t.data = values[off:off + math.prod(shape)].reshape(shape)
         t._backward = None
         out[name] = t
         off += t.data.size
+    if off != values.size:
+        raise ValueError(f"buffer of {values.size} elements for a layout of {off}")
     return out
 
 
@@ -213,17 +222,30 @@ def base_logits(p: dict[str, Tensor], e_l: Tensor) -> Tensor:
     return ad.matmul(e_l, p["lm_head"])
 
 
-GROUP_NAMES = ("base", "merge", "inverse", "policy", "codebook", "q_online", "q_target")
-
-
-@dataclass
+@dataclass(eq=False)
 class ModelState:
-    """Every parameter group plus the architecture that shaped them."""
+    """Every parameter group plus the architecture that shaped them.
+
+    Each group is one 1-d buffer that owns its memory, `buffers[g]`, laid
+    out as `group_layout` gives; `groups[g]` holds the group's tensors as
+    views into it, which `unflatten` builds here. AdamW and `sync_target`
+    write the buffers in place, so the tensors see every update, and
+    hashing and saving read the tensors' values through the buffer.
+    Rebinding a tensor's `.data`, or replacing a group dict, detaches it
+    from the buffer, and `flat` then raises."""
 
     cfg: ArchConfig
-    groups: dict[str, dict[str, Tensor]] = field(default_factory=dict)
+    buffers: dict[str, np.ndarray]
+    groups: dict[str, dict[str, Tensor]] = field(init=False, repr=False)
     # the one memoised `training.val_sweep`; it checks its own key on use
-    sweep: object = field(default=None, compare=False, repr=False)
+    sweep: object = field(default=None, repr=False)
+
+    def __post_init__(self):
+        layout = group_layout(self.cfg)
+        for g, buf in self.buffers.items():
+            if buf.ndim != 1 or buf.base is not None:
+                raise ValueError(f"the {g} buffer must be 1-d and own its memory")
+        self.groups = {g: unflatten(layout[g], buf) for g, buf in self.buffers.items()}
 
     def params(self, *group_names: str) -> dict[str, Tensor]:
         """Flattened 'group/name' -> Tensor view over the named groups."""
@@ -234,10 +256,15 @@ class ModelState:
         return flat
 
     def flat(self, group: str) -> np.ndarray:
-        """The group's tensors joined into one 1-d array, in param_specs
-        order; `unflatten` inverts it. Both init_model and unflatten insert
-        each group's tensors in that order, so it is the dict's order."""
-        return np.concatenate([t.data.ravel() for t in self.groups[group].values()])
+        """The group's buffer itself, not a copy: its tensors in
+        param_specs order. Raises ValueError naming the first tensor of the
+        group that is no longer a view into it."""
+        buf = self.buffers[group]
+        for name, t in self.groups[group].items():
+            if t.data.base is not buf:
+                raise ValueError(f"{group}/{name} no longer lives in the {group} "
+                                 "buffer: write its .data in place instead")
+        return buf
 
     def group_hash(self, group: str) -> str:
         return hashlib.sha256(self.flat(group)).hexdigest()
@@ -247,11 +274,27 @@ class ModelState:
 
 
 def init_model(cfg: ArchConfig, seed: int = 0) -> ModelState:
-    """Deterministically initialize every parameter group from one seed."""
+    """Deterministically initialize every parameter group from one seed.
+    One rng draws the tensors in param_specs order, in float64, into
+    buffers of the active dtype; adjacent tensors of one group and one std
+    share a draw, which gives the same numbers as a draw each. q_target's
+    buffer is a copy of q_online's."""
+    sizes: dict[str, int] = {}
+    runs: list[list] = []  # [group, start, size, std] of each draw
+    for group, _, shape, std in param_specs(cfg):
+        start, n = sizes.get(group, 0), math.prod(shape)
+        sizes[group] = start + n
+        if std is None:
+            continue
+        last = runs[-1] if runs else None
+        if last and last[0] == group and last[3] == std and last[1] + last[2] == start:
+            last[2] += n
+        else:
+            runs.append([group, start, n, std])
+    # std None means ones
+    buffers = {g: np.ones(n, ad.active_dtype()) for g, n in sizes.items()}
     rng = np.random.default_rng(seed)
-    groups: dict[str, dict[str, Tensor]] = {}
-    for group, name, shape, std in param_specs(cfg):
-        data = np.ones(shape) if std is None else rng.normal(0.0, std, size=shape)
-        groups.setdefault(group, {})[name] = Tensor(data)
-    groups["q_target"] = {k: Tensor(t.data.copy()) for k, t in groups["q_online"].items()}
-    return ModelState(cfg, groups)
+    for group, start, n, std in runs:
+        buffers[group][start:start + n] = rng.normal(0.0, std, size=n)
+    buffers["q_target"] = buffers["q_online"].copy()
+    return ModelState(cfg, buffers)

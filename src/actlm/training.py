@@ -26,7 +26,7 @@ from .actions import (Decoder, action_logits, assign_direct, assign_vq,
                       policy_log_probs, q_forward, row_ends, world_logits)
 from .config import TrainConfig
 from .data import Scorer, SftSplit
-from .model import ModelState, base_forward, base_logits
+from .model import ModelState, base_forward, base_logits, group_layout, unflatten
 
 
 @dataclass
@@ -56,20 +56,24 @@ ADAM_EPS = 1e-8
 
 class AdamW:
     """Decoupled-weight-decay adaptive-moment optimizer with global-norm
-    clipping. Only the params handed to the constructor are ever updated.
+    clipping. Only the groups handed to the constructor are ever updated.
 
-    The moments of all params live in one flat buffer each, in the params'
-    order; each param's update is applied through its slice."""
+    The moments of all params live in one flat buffer each, in the order of
+    `state.params(*groups)`, which is that of the groups' buffers laid end
+    to end. Each step applies the elementwise update and the weight decay
+    once per group buffer, in place, so every tensor view moves with it.
+    The constructor reads each buffer through `ModelState.flat`, so it
+    raises ValueError on a tensor that no longer lives in its buffer."""
 
-    def __init__(self, params: dict[str, Tensor], cfg: TrainConfig):
-        self.params = params
+    def __init__(self, state: ModelState, groups: tuple[str, ...], cfg: TrainConfig):
+        self.buffers = [state.flat(g) for g in groups]
+        self.params = state.params(*groups)
         self.cfg = cfg
         self.t = 0
-        ends = np.cumsum([p.data.size for p in params.values()])
+        ends = np.cumsum([p.data.size for p in self.params.values()])
         self._slices = [slice(end - p.data.size, end)
-                        for end, p in zip(ends, params.values())]
-        dtype = np.result_type(*(p.data.dtype for p in params.values()))
-        self.m = np.zeros(int(ends[-1]), dtype)
+                        for end, p in zip(ends, self.params.values())]
+        self.m = np.zeros(int(ends[-1]), np.result_type(*self.buffers))
         self.v = np.zeros_like(self.m)
 
     def step(self, grads: dict[str, np.ndarray]) -> dict[str, float]:
@@ -93,10 +97,12 @@ class AdamW:
         self.m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * g
         self.v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * g * g
         update = c.learning_rate * ((self.m / bc1) / (np.sqrt(self.v / bc2) + ADAM_EPS))
-        for sl, p in zip(self._slices, self.params.values()):
+        start = 0
+        for buf in self.buffers:
             if c.weight_decay:
-                p.data -= c.learning_rate * c.weight_decay * p.data
-            p.data -= update[sl].reshape(p.data.shape).astype(p.data.dtype, copy=False)
+                buf -= c.learning_rate * c.weight_decay * buf
+            buf -= update[start:start + buf.size].astype(buf.dtype, copy=False)
+            start += buf.size
         return {"grad_norm": norm, "skipped_nonfinite": 0.0}
 
 
@@ -478,9 +484,10 @@ def loss_dqn(state: ModelState, batch, gamma: float):
 
 
 def sync_target(state: ModelState, tau: float) -> None:
-    online, target = state.groups["q_online"], state.groups["q_target"]
-    for k in online:
-        target[k].data = tau * online[k].data + (1.0 - tau) * target[k].data
+    """theta- <- tau * theta + (1 - tau) * theta-, written into the q_target
+    buffer in place."""
+    target = state.flat("q_target")
+    target[...] = tau * state.flat("q_online") + (1.0 - tau) * target
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +518,7 @@ def run_stage(state: ModelState, stage: str, trainable: tuple[str, ...],
     if "q_online" in trainable:
         frozen.remove("q_target")
     before = state.hashes(frozen)
-    opt = AdamW(state.params(*trainable), cfg)
+    opt = AdamW(state, trainable, cfg)
     records = []
     for step in range(steps):
         batch = batch_fn(rng)
@@ -686,7 +693,7 @@ def train_rl(state: ModelState, prompts, reward_fn, cfg: TrainConfig,
              max_len: int, updates: int, metrics_cb=None) -> list[float]:
     """Latent-action RL loop; everything but the policy stays frozen.
     Returns the mean-reward trace."""
-    ref_policy = {k: Tensor(t.data.copy()) for k, t in state.groups["policy"].items()}
+    ref_policy = unflatten(group_layout(state.cfg)["policy"], state.flat("policy").copy())
     records = run_stage(
         state, "rl", ("policy",), updates, cfg,
         lambda rng: rl_batch(state, prompts, reward_fn, cfg, rng, max_len, ref_policy),

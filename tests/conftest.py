@@ -23,6 +23,16 @@ def _restore_precision():
     ad.set_precision("train")
 
 
+def assert_one_storage(state) -> None:
+    """Every group's tensors are views into its buffer, and flat(g) hands
+    out that buffer itself, not a copy."""
+    for g, tensors in state.groups.items():
+        buf = state.flat(g)
+        assert buf is state.flat(g) is state.buffers[g], g
+        assert all(t.data.base is buf for t in tensors.values()), g
+        assert sum(t.data.size for t in tensors.values()) == buf.size, g
+
+
 @pytest.fixture
 def verify_mode():
     ad.set_precision("verify")

@@ -9,7 +9,6 @@ bitwise reproducibility of the command-line driver.
 Expensive training pipelines are shared through module-scoped fixtures.
 """
 
-import copy
 import math
 
 import numpy as np
@@ -23,8 +22,8 @@ from actlm.config import ArchConfig, SearchConfig, TrainConfig
 from actlm.data import HmmCorpusConfig, gen_hmm_corpus, hmm_matrices, \
     open_prefixes
 from actlm.diagnostics import alive_actions, marginal_kl, val_loss
-from actlm.model import base_forward, base_logits, block_forward, group_layout, \
-    init_model
+from actlm.model import ModelState, base_forward, base_logits, block_forward, \
+    group_layout, init_model
 from actlm.search import LatentActionLM, audit_tree, mcts_search, uct_score
 from actlm.training import Transition, inverse_action_labels, inverse_labels, \
     loss_fta, loss_pre1, loss_pre2, pretrain_base_ar, q_values_fn, \
@@ -39,10 +38,7 @@ from conftest import ChainLM, chain_reward, finite_diff_check, \
 # ---------------------------------------------------------------------------
 
 def clone_state(state):
-    out = copy.copy(state)
-    out.groups = {g: {k: Tensor(t.data.copy()) for k, t in group.items()}
-                  for g, group in state.groups.items()}
-    return out
+    return ModelState(state.cfg, {g: state.flat(g).copy() for g in state.buffers})
 
 
 HMM_ARCH = ArchConfig(vocab_size=16, d_model=32, n_heads=2, codebook_size=8,
@@ -176,7 +172,7 @@ def _well_conditioned_toy():
     prng = np.random.default_rng(10_000 + 248)
     for group in state.groups.values():
         for t in group.values():
-            t.data = prng.normal(0.0, 1.0, size=t.data.shape)
+            t.data[...] = prng.normal(0.0, 1.0, size=t.data.shape)
     tokens = np.random.default_rng(248).integers(0, 5, size=(2, 3))
     return state, tokens
 
@@ -191,7 +187,7 @@ def _block_case(seed):
     rng = np.random.default_rng(seed)
     x = Tensor(rng.normal(size=(2, 3, 4)))
     blk = {name: Tensor(rng.normal(0.0, 0.5, size=shape))
-           for name, shape in group_layout(BLOCK_ARCH, "base")
+           for name, shape in group_layout(BLOCK_ARCH)["base"]
            if name.startswith("blk0.")}
     w = Tensor(rng.normal(size=(2, 3, 4)))
     return (lambda: ad.sum_(ad.mul(block_forward(blk, "blk0", x, BLOCK_ARCH), w)),

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from actlm.checkpoint import (CheckpointError, FORMAT_VERSION, MAGIC,
                               load_checkpoint, save_checkpoint)
 from actlm.config import ArchConfig
-from actlm.model import GROUP_NAMES, init_model
+from actlm.model import GROUP_NAMES, ModelState, init_model
 
-from conftest import v1_checkpoint_body
+from conftest import assert_one_storage, v1_checkpoint_body
 
 
 CFG = ArchConfig(vocab_size=9, d_model=8, n_heads=2, max_seq_len=12,
@@ -28,16 +28,15 @@ CFG = ArchConfig(vocab_size=9, d_model=8, n_heads=2, max_seq_len=12,
 def test_round_trip_is_bitwise(tmp_path):
     """In float32 and float64 alike: the file's dtype is kept on load."""
     for dtype in (np.float32, np.float64):
-        state = init_model(CFG, 7)
-        for ts in state.groups.values():
-            for t in ts.values():
-                t.data = t.data.astype(dtype)
+        init = init_model(CFG, 7)
+        state = ModelState(CFG, {g: init.flat(g).astype(dtype) for g in GROUP_NAMES})
         path = tmp_path / "model.ckpt"
         save_checkpoint(state, path, stage="stage1", step=42)
         loaded, meta = load_checkpoint(path)
         assert meta == {"stage": "stage1", "step": 42}
         assert loaded.cfg == CFG
         assert list(loaded.groups) == list(GROUP_NAMES)
+        assert_one_storage(loaded)
         for g in state.groups:
             assert list(loaded.groups[g]) == list(state.groups[g])
             for k in state.groups[g]:

@@ -2,16 +2,20 @@
 hashing, and the decoder's cached base embeddings against the
 full-prefix forward."""
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
+import actlm
 from actlm import autodiff as ad
 from actlm.autodiff import Tape, Tensor
 from actlm.config import ArchConfig
 from actlm.actions import Decoder
 from actlm.model import (GROUP_NAMES, base_forward, base_logits, block_forward,
-                         init_model, unflatten)
-from conftest import check_base_logits
+                         group_layout, init_model, param_specs, unflatten)
+from conftest import assert_one_storage, check_base_logits
 
 
 CFG = ArchConfig(vocab_size=11, d_model=8, n_heads=2, max_seq_len=12,
@@ -102,7 +106,7 @@ def _weights(n_blocks, seed):
     state = init_model(cfg, seed)
     rng = np.random.default_rng(seed)
     for w in state.groups["base"].values():
-        w.data = w.data + rng.normal(0.0, 0.3, size=w.shape).astype(w.data.dtype)
+        w.data += rng.normal(0.0, 0.3, size=w.shape).astype(w.data.dtype)
     return state, rng
 
 
@@ -184,17 +188,55 @@ def test_all_groups_present():
     n_merge_mlps=1, n_layers_policy=2, codebook_size=3, max_seq_len=7,
     intermediate_dim=4)])
 def test_flat_layout_round_trips_init_model(cfg):
-    """unflatten inverts flat on every group: the same names, in the same
-    order, with bitwise the same tensors init_model builds."""
+    """init_model's tensors are views of their group's buffer, named and
+    ordered as param_specs gives, and bitwise the per-tensor init: one rng
+    drawing each tensor in param_specs order, each cast on its own.
+    q_target equals q_online in a buffer of its own."""
     state = init_model(cfg, 0)
     assert set(state.groups) == set(GROUP_NAMES)
-    for g, tensors in state.groups.items():
-        back = unflatten(cfg, g, state.flat(g))
-        assert list(back) == list(tensors)
-        for name, t in tensors.items():
-            assert back[name].data.dtype == t.data.dtype
-            assert back[name].data.shape == t.data.shape
-            assert back[name].data.tobytes() == t.data.tobytes()
+    assert_one_storage(state)
+    rng = np.random.default_rng(0)
+    for g, name, shape, std in param_specs(cfg):
+        ref = Tensor(np.ones(shape) if std is None else rng.normal(0.0, std, size=shape))
+        t = state.groups[g][name]
+        assert t.data.dtype == ref.data.dtype == ad.active_dtype()
+        assert t.data.shape == shape and t.data.tobytes() == ref.data.tobytes()
+    for g in GROUP_NAMES:
+        assert list(state.groups[g]) == [name for name, _ in group_layout(cfg)[g]]
+        back = unflatten(group_layout(cfg)[g], state.flat(g))
+        assert [t.data.tobytes() for t in back.values()] == \
+            [t.data.tobytes() for t in state.groups[g].values()]
+    assert state.flat("q_target").tobytes() == state.flat("q_online").tobytes()
+    assert not np.shares_memory(state.flat("q_target"), state.flat("q_online"))
+
+
+# (module, qualified name) of the only functions that may bind a `.data`
+DATA_BINDERS = {("autodiff.py", "Tensor.__init__"), ("model.py", "unflatten")}
+
+
+def test_parameter_data_is_bound_only_where_tensors_are_made():
+    """No src function but these two assigns to a `.data` attribute, so a
+    parameter cannot be silently detached from its group's buffer: every
+    other write goes through the array in place."""
+    found = []
+
+    def visit(node, path, qualname):
+        for child in ast.iter_child_nodes(node):
+            name = qualname
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{qualname}.{child.name}" if qualname else child.name
+            targets = (child.targets if isinstance(child, ast.Assign)
+                       else [child.target] if isinstance(child, ast.AnnAssign) else [])
+            for target in targets:
+                for t in ast.walk(target):
+                    if isinstance(t, ast.Attribute) and t.attr == "data" \
+                            and isinstance(t.ctx, ast.Store):
+                        found.append((path.name, name))
+            visit(child, path, name)
+
+    for path in sorted(pathlib.Path(actlm.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, "")
+    assert found and set(found) <= DATA_BINDERS, found
 
 
 def test_group_hash_tracks_content():

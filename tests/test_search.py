@@ -682,7 +682,7 @@ def test_decoder_matches_full_prefix(mode, seed):
     for group in ("base", "policy"):
         for name, w in state.groups[group].items():
             if name.rsplit(".", 1)[-1] in ("ln1", "ln2", "ln_out"):
-                w.data = w.data * rng.uniform(0.5, 1.5, w.shape).astype(w.data.dtype)
+                w.data *= rng.uniform(0.5, 1.5, w.shape).astype(w.data.dtype)
     t = DCFG.max_seq_len
     v = DCFG.vocab_size
     tokens = rng.integers(0, v, size=(2, t))

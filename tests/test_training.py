@@ -21,7 +21,8 @@ from actlm.autodiff import Tape, Tensor
 from actlm.actions import policy_forward, policy_log_probs, world_logits
 from actlm.config import ArchConfig, TrainConfig
 from actlm.data import make_sft_split
-from actlm.model import base_forward, base_logits, block_forward, init_model
+from actlm.model import (GROUP_NAMES, ModelState, base_forward, base_logits,
+                         block_forward, init_model)
 from actlm.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamW,
                             Transition, chunk_map, decision_mask,
                             dqn_batch, dqn_target, inverse_action_labels,
@@ -31,7 +32,7 @@ from actlm.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamW,
                             rollout_batch, run_stage, sweep_rows, sync_target,
                             train_bc, train_fta, train_q, train_rl,
                             train_stage1, val_sweep)
-from conftest import accumulation_length, gamma, matmul_error_bound
+from conftest import accumulation_length, assert_one_storage, gamma, matmul_error_bound
 
 
 CFG = ArchConfig(vocab_size=9, d_model=8, n_heads=2, max_seq_len=16,
@@ -55,44 +56,52 @@ def frozen_e_l(state, tokens):
 # Optimizer
 # ---------------------------------------------------------------------------
 
+def codes_state(values):
+    """A state whose codebook buffer holds `values`, (codebook_size, 1)
+    codes of one dimension; AdamW names the codes "codebook/codes"."""
+    state = init_model(ArchConfig(d_model=1, n_heads=1, codebook_size=len(values)))
+    state.flat("codebook")[...] = np.ravel(values)
+    return state
+
+
 def test_adamw_first_step_matches_manual_update():
-    p = Tensor(np.array([1.0, -2.0]))
+    state = codes_state([1.0, -2.0])
     cfg = TrainConfig(learning_rate=0.1, grad_clip_norm=1e9)
-    opt = AdamW({"p": p}, cfg)
-    g = np.array([0.5, -0.25])
-    opt.step({"p": g.copy()})
+    opt = AdamW(state, ("codebook",), cfg)
+    g = np.array([[0.5], [-0.25]])
+    opt.step({"codebook/codes": g.copy()})
     # bias-corrected first Adam step: update = g / (|g| + eps)
-    expected = np.array([1.0, -2.0]) - 0.1 * g / (np.abs(g) + ADAM_EPS)
-    np.testing.assert_allclose(p.data, expected, rtol=1e-5)
+    expected = np.array([[1.0], [-2.0]]) - 0.1 * g / (np.abs(g) + ADAM_EPS)
+    np.testing.assert_allclose(state.groups["codebook"]["codes"].data, expected, rtol=1e-5)
 
 
 def test_adamw_clips_by_global_norm():
-    p = Tensor(np.zeros(4))
+    state = codes_state(np.zeros(4))
     cfg = TrainConfig(learning_rate=1.0, grad_clip_norm=1.0)
-    opt = AdamW({"p": p}, cfg)
-    g = np.full(4, 5.0)  # norm 10 -> scaled by 0.1
-    report = opt.step({"p": g.copy()})
+    opt = AdamW(state, ("codebook",), cfg)
+    g = np.full((4, 1), 5.0)  # norm 10 -> scaled by 0.1
+    report = opt.step({"codebook/codes": g.copy()})
     np.testing.assert_allclose(report["grad_norm"], 10.0, rtol=1e-6)
     # effective gradient 0.5 per coordinate; direction must be preserved
-    assert (p.data < 0).all()
+    assert (state.groups["codebook"]["codes"].data < 0).all()
 
 
 def test_adamw_skips_nonfinite_gradients():
-    p = Tensor(np.ones(2))
-    opt = AdamW({"p": p}, TrainConfig())
-    report = opt.step({"p": np.array([1.0, np.nan])})
+    state = codes_state(np.ones(2))
+    opt = AdamW(state, ("codebook",), TrainConfig())
+    report = opt.step({"codebook/codes": np.array([[1.0], [np.nan]])})
     assert report == {"skipped_nonfinite": 1.0}
-    np.testing.assert_array_equal(p.data, np.ones(2))
+    np.testing.assert_array_equal(state.flat("codebook"), np.ones(2))
     assert opt.t == 0
 
 
 def test_adamw_decoupled_weight_decay():
-    p = Tensor(np.array([2.0]))
+    state = codes_state([2.0, 2.0])
     cfg = TrainConfig(learning_rate=0.1, weight_decay=0.5, grad_clip_norm=1e9)
-    opt = AdamW({"p": p}, cfg)
-    opt.step({"p": np.zeros(1)})
+    opt = AdamW(state, ("codebook",), cfg)
+    opt.step({"codebook/codes": np.zeros((2, 1))})
     # zero gradient: only the decay term moves the weight
-    np.testing.assert_allclose(p.data, [2.0 * (1 - 0.1 * 0.5)], rtol=1e-6)
+    np.testing.assert_allclose(state.flat("codebook"), [2.0 * (1 - 0.1 * 0.5)] * 2, rtol=1e-6)
 
 
 class ReferenceAdamW:
@@ -132,27 +141,62 @@ class ReferenceAdamW:
 def test_adamw_flat_moments_match_per_parameter_reference(mode):
     """Params, moments and grad norms equal the per-parameter optimizer's
     bit for bit over steps with and without clipping, a zero gradient, a
-    skipped non-finite step and weight decay."""
+    skipped non-finite step and weight decay, with three group buffers of
+    vectors and matrices trained at once."""
     ad.set_precision(mode)
-    shapes = [(9, 8), (8,), (8, 16), (16, 8), (3, 5, 7)]
+    groups = ("inverse", "codebook", "merge")
     rng = np.random.default_rng(0)
-    init = [rng.normal(size=s) for s in shapes]
+    state = init_model(CFG, 0)
+    for g in groups:
+        state.flat(g)[...] = rng.normal(size=state.flat(g).size)
+    ref_state = ModelState(CFG, {g: state.flat(g).copy() for g in GROUP_NAMES})
     cfg = TrainConfig(learning_rate=3e-3, weight_decay=0.01, grad_clip_norm=5.0)
-    opts = [cls({f"p{i}": Tensor(a) for i, a in enumerate(init)}, cfg)
-            for cls in (AdamW, ReferenceAdamW)]
+    opts = [AdamW(state, groups, cfg), ReferenceAdamW(ref_state.params(*groups), cfg)]
+    keys = list(opts[0].params)
     dtype = ad.active_dtype()
     for step in range(6):
-        grads = {f"p{i}": (rng.normal(size=s) * 10.0 ** (step - 2)).astype(dtype)
-                 for i, s in enumerate(shapes)}
-        grads["p1"][...] = 0.0
+        grads = {k: (rng.normal(size=p.shape) * 10.0 ** (step - 2)).astype(dtype)
+                 for k, p in opts[0].params.items()}
+        grads[keys[1]][...] = 0.0
         if step == 4:
-            grads["p3"][0, 0] = np.inf
+            grads[keys[3]].flat[0] = np.inf
         reports = [opt.step({k: g.copy() for k, g in grads.items()}) for opt in opts]
         assert reports[0] == reports[1]
     assert reports[0]["skipped_nonfinite"] == 0.0 and opts[0].t == 5
-    for k in opts[0].params:
+    for k in keys:
         a, r = opts[0].params[k].data, opts[1].params[k].data
         assert a.dtype == r.dtype and np.array_equal(a, r), k
+    assert_one_storage(state)
+
+
+def test_a_tensor_detached_from_its_buffer_fails_by_name(tmp_path):
+    """Hashing, saving and AdamW read a group's buffer, so a tensor whose
+    .data was rebound, or a group dict replaced by fresh tensors, would be
+    left out of all three. flat, run_stage (through AdamW's constructor or
+    the frozen groups' hashes) and save_checkpoint raise ValueError naming
+    the group and tensor instead, and nothing is written."""
+    from actlm.checkpoint import save_checkpoint
+
+    def never(*args):
+        raise AssertionError("a step ran on a detached tensor")
+
+    def calls(group):
+        return (lambda: state.flat(group),
+                lambda: run_stage(state, "bc", ("policy",), 1, TrainConfig(), never, never),
+                lambda: save_checkpoint(state, tmp_path / "x.ckpt"))
+
+    state = small_state()
+    head = state.groups["policy"]["head"]
+    head.data = head.data.copy()
+    for call in calls("policy"):
+        with pytest.raises(ValueError, match="policy/head no longer lives in the policy buffer"):
+            call()
+    # the frozen base is hashed, and saved, before the policy is reached
+    state.groups["base"] = {k: Tensor(t.data.copy()) for k, t in state.groups["base"].items()}
+    for call in calls("base"):
+        with pytest.raises(ValueError, match="base/tok_emb no longer lives in the base buffer"):
+            call()
+    assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -789,6 +833,15 @@ def test_stage_drivers_record_every_step(stage):
     assert all(steps == [0, 1, 2] for steps in by_stage.values())
 
 
+@pytest.mark.parametrize("stage", DRIVERS)
+def test_stage_drivers_keep_each_group_in_one_buffer(stage):
+    """After a stage, every group's tensors are still views into its
+    buffer, and flat hands out that buffer, not a copy."""
+    state = small_state()
+    _drivers()[stage][0](state, None, 2)
+    assert_one_storage(state)
+
+
 # Tape nodes of one step of each stage at the _drivers() shapes: the graph
 # each loss records, which dropping closures outside a tape must not change.
 # A transformer block is one node; the world head is 13, six per merge MLP
@@ -1186,9 +1239,7 @@ def test_batched_dqn_targets_match_per_transition_reference(monkeypatch):
     Terminal rows are their rewards exactly."""
     from actlm import training
     state = small_state(2)
-    other = init_model(CFG, 3).groups["q_online"]
-    for k, t in state.groups["q_target"].items():
-        t.data = other[k].data.copy()
+    state.flat("q_target")[...] = init_model(CFG, 3).flat("q_online")
     rng = np.random.default_rng(5)
     transitions = []
     for i in range(32):
@@ -1249,6 +1300,7 @@ def test_sync_target_mixes_with_tau():
     sync_target(state, 1.0)  # hard copy
     for k, t in state.groups["q_target"].items():
         np.testing.assert_array_equal(t.data, state.groups["q_online"][k].data)
+    assert_one_storage(state)
 
 
 def test_dqn_step_reduces_error_on_single_transition():
