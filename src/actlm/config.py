@@ -125,5 +125,8 @@ class HmmCorpusConfig:
 
     def __post_init__(self):
         _require(self, "must be >= 1", lambda v: v >= 1, "n_states", "seq_len")
+        # gen_hmm_corpus writes ids into int16
+        _require(self, "must be <= 32768", lambda v: v <= 32768,
+                 "n_states", "vocab_size")
         _require(self, "must be > 0", lambda v: v > 0,
                  "transition_concentration", "emission_concentration")

@@ -41,7 +41,9 @@ def inverse_cdf(cum: np.ndarray, u) -> np.ndarray:
 
 
 def gen_hmm_corpus(cfg: HmmCorpusConfig):
-    """Sample a hidden-Markov corpus; returns (tokens (n, L), states (n, L)).
+    """Sample a hidden-Markov corpus; returns (tokens (n, L), states (n, L)),
+    both int16 (`HmmCorpusConfig` keeps every id below 2**15), a quarter of
+    int64's bytes: 1.06 MiB in all for the 4352x64 CLI default.
 
     All sequences advance together, one time step at a time, each draw an
     inverse-CDF lookup. The cdf tables are held categories-first, so each
@@ -52,8 +54,8 @@ def gen_hmm_corpus(cfg: HmmCorpusConfig):
     rng = np.random.default_rng(cfg.seed)
     trans, emit, init = (cdf(p).T for p in _hmm_params(cfg, rng))
     n = cfg.n_sequences
-    tokens = np.empty((n, cfg.seq_len), dtype=np.int64)
-    states = np.empty((n, cfg.seq_len), dtype=np.int64)
+    tokens = np.empty((n, cfg.seq_len), dtype=np.int16)
+    states = np.empty((n, cfg.seq_len), dtype=np.int16)
     s = inverse_cdf(init[:, None], rng.random(n))
     for t in range(cfg.seq_len):
         states[:, t] = s

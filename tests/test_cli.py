@@ -264,6 +264,17 @@ def test_cli_empty_corpus_split_fails_by_name(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: {key} must be >= 1")
 
 
+@pytest.mark.parametrize("key", ["hmm_states", "vocab_size"])
+def test_cli_ids_beyond_int16_fail_by_name(tmp_path, capsys, key):
+    """The corpus is sampled into int16, so more than 32768 states or
+    tokens exit 1 naming the key, before anything is written."""
+    rc = main(["pretrain-base", "--out_dir", str(tmp_path)] + TINY
+              + [f"--{key}", "32769"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must be <= 32768")
+    assert not (tmp_path / "base.ckpt").exists()
+
+
 def test_cli_out_of_range_value_fails_by_name(tmp_path, capsys):
     assert main(["search-q", "--gamma", "2", "--out_dir", str(tmp_path)]) == 1
     assert capsys.readouterr().err.startswith("error: gamma")

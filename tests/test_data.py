@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from actlm.config import FieldError
 from actlm.data import (HmmCorpusConfig, Scorer, SftSplit, cdf,
                         gen_hmm_corpus, hmm_matrices, inverse_cdf,
                         make_sft_split, marker_reward, open_prefixes)
@@ -168,8 +169,9 @@ def reference_rowwise_hmm_corpus(cfg: HmmCorpusConfig):
 @pytest.mark.parametrize("conc", [1e-6, 0.3, 10.0])
 def test_hmm_corpus_matches_the_rowwise_sampler_bitwise(seed, conc):
     """The categories-first sampler returns the rowwise sampler's tokens and
-    states exactly, as C-contiguous int64 (n, L) arrays, down to one state,
-    one step and one sequence, and at near-degenerate and flat rows."""
+    states exactly, as C-contiguous int16 (n, L) arrays (the reference keeps
+    int64), down to one state, one step and one sequence, and at
+    near-degenerate and flat rows."""
     shapes = [(1, 2, 1, 1), (1, 16, 7, 5), (3, 1, 9, 4), (2, 5, 3, 1),
               (4, 16, 33, 17), (5, 11, 1, 64)]
     for m, v, n, length in shapes:
@@ -178,9 +180,19 @@ def test_hmm_corpus_matches_the_rowwise_sampler_bitwise(seed, conc):
                               transition_concentration=conc,
                               emission_concentration=conc)
         for got, want in zip(gen_hmm_corpus(cfg), reference_rowwise_hmm_corpus(cfg)):
-            assert got.dtype == np.int64 and got.shape == (n, length)
+            assert got.dtype == np.int16 and got.shape == (n, length)
             assert got.flags.c_contiguous
             np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("field", ["n_states", "vocab_size"])
+def test_hmm_corpus_refuses_ids_beyond_int16(field):
+    """The corpus holds its ids as int16, so 32768 ids are the most a
+    config may ask for; one more is refused by the field's name."""
+    HmmCorpusConfig(**{field: 32768})
+    with pytest.raises(FieldError) as e:
+        HmmCorpusConfig(**{field: 32769})
+    assert e.value.field == field and str(e.value) == f"{field} must be <= 32768"
 
 
 def test_hmm_corpus_sampling_peak_memory():

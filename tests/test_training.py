@@ -3,9 +3,11 @@ non-finite guard, per-step records), loss wiring, leave-one-out policy
 gradients, and the Double-DQN update."""
 
 import ast
+import ctypes
 import gc
 import os
 import pathlib
+import subprocess
 import sys
 import threading
 
@@ -419,6 +421,38 @@ def test_held_sweep_is_read_only_and_checks_gumbel_temp():
             diagnostics.val_loss(state, corpus, "with_actions", gumbel_temp=bad)
         with pytest.raises(ValueError, match="gumbel_temp"):
             diagnostics.action_token_table(state, corpus, gumbel_temp=bad)
+
+
+SWEEP_CHURN = """
+import resource
+from actlm import model, training
+from actlm.config import ArchConfig, HmmCorpusConfig
+from actlm.data import gen_hmm_corpus
+
+state = model.init_model(ArchConfig(), 0)
+corpus, _ = gen_hmm_corpus(HmmCorpusConfig(n_sequences=256, seq_len=64))
+for fill in range(5):
+    if fill == 2:  # after two warm-up fills
+        start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    state.sweep = None
+    training.val_sweep(state, corpus, 1.0)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / 3)
+"""
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"),
+                    reason="no glibc mallopt: malloc thresholds are not pinned")
+def test_warm_val_sweep_refills_without_page_faults():
+    """Importing actlm pins glibc's malloc thresholds, so a warm process
+    refills a 256x64 validation sweep from pages it already holds. With
+    glibc's dynamic thresholds each fill re-faulted about 17,800 pages.
+    The fills run in a fresh interpreter: in this one, whatever earlier
+    tests freed would decide the dynamic thresholds."""
+    src = os.path.dirname(os.path.dirname(actlm.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", SWEEP_CHURN], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert float(out) < 200
 
 
 def test_one_chunked_corpus_loop():
