@@ -77,7 +77,7 @@ def assign_direct(inverse: dict[str, Tensor], codebook: dict[str, Tensor],
     """
     logits = action_logits(inverse, e_i)
     noise = sample_gumbel(rng, logits.shape)
-    soft = ad.softmax(ad.scale(ad.add(logits, noise), 1.0 / gumbel_temp))
+    soft = ad.softmax(ad.mul(ad.add(logits, noise), 1.0 / gumbel_temp))
     index = soft.data.argmax(axis=-1)
     hard = one_hot(index, logits.shape[-1])
     straight = ad.add(ad.stop_grad(ad.sub(Tensor(hard), soft)), soft)
@@ -373,6 +373,12 @@ class Decoder:
         """(B,) world-model argmax token after the held tokens, one action
         per row."""
         return self.next_logits(actions).argmax(axis=-1)
+
+    def next_token(self, tokens, action: int) -> int:
+        """World-model argmax token after tokens (p,) under one action; the
+        decoder is left holding tokens as its one row."""
+        self.sync(np.asarray(tokens)[None])
+        return int(self.next_tokens([action])[0])
 
 
 def generate(dec, rows, mode: str, max_len: int, rng=None):

@@ -336,11 +336,6 @@ def mul(a: Tensor, b) -> Tensor:
     return _emit(a.data * bd, backward)
 
 
-def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-    return _emit(a.data * s, lambda g: [(a, g * s)])
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with numpy batching semantics on leading dims; numpy
     raises ValueError on mismatched inner dimensions."""

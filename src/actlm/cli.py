@@ -16,6 +16,7 @@ import sys
 
 import numpy as np
 
+from .actions import Decoder
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .config import ArchConfig
 from .data import gen_hmm_corpus, make_sft_split, marker_reward, open_prefixes
@@ -25,12 +26,9 @@ from .diagnostics import (action_token_table, alive_actions, marginal_kl,
 from .metrics import MetricsWriter
 from .model import init_model
 from .runconfig import ConfigError, RunConfig, load_run_config
-from .search import LatentActionLM, mcts_search, rollout
+from .search import mcts_search, rollout
 from .training import Transition, inverse_action_labels, q_values_fn, \
     train_bc, train_fta, train_q, train_rl, train_stage1, pretrain_base_ar
-
-SUBCOMMANDS = ("pretrain-base", "pretrain-actions", "bc-policy", "fta", "rl",
-               "train-q", "rollout", "search", "search-q", "eval")
 
 
 def _out_dir(cfg: RunConfig) -> str:
@@ -104,7 +102,7 @@ def _prompt_tokens(cfg: RunConfig, val: np.ndarray, arch: ArchConfig) -> np.ndar
     return np.asarray(ids, dtype=np.int64)
 
 
-def _marker(cfg: RunConfig, model: LatentActionLM, prompt) -> int:
+def _marker(cfg: RunConfig, model: Decoder, prompt) -> int:
     """Reward token: configured, or the first non-eos token some action
     greedily produces from the prompt (guaranteed reachable, so the reward
     signal is live)."""
@@ -175,7 +173,7 @@ def cmd_rl(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
     _check_max_len(cfg, state, "rl_max_len")
     _, val, _ = _corpora(cfg)
     prompts = _prompts(cfg, val, state.cfg.eos_token_id)
-    marker = _marker(cfg, LatentActionLM(state), prompts[0])
+    marker = _marker(cfg, Decoder(state), prompts[0])
     trace = train_rl(state, prompts, lambda response: marker_reward(response, marker),
                      cfg.train(), cfg.rl_max_len, cfg.rl_updates, metrics.append)
     metrics.append({"stage": "rl", "event": "final", "marker_token": marker,
@@ -190,7 +188,7 @@ def cmd_train_q(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
     _check_max_len(cfg, state, "rl_max_len")
     _, val, _ = _corpora(cfg)
     prompts = _prompts(cfg, val, state.cfg.eos_token_id)
-    model = LatentActionLM(state)
+    model = Decoder(state)
     marker = _marker(cfg, model, prompts[0])
     rng = np.random.default_rng(cfg.seed)
     transitions = []
@@ -216,7 +214,7 @@ def cmd_rollout(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
     _, val, _ = _corpora(cfg)
     prompt = _prompt_tokens(cfg, val, state.cfg)
     rng = np.random.default_rng(cfg.seed)
-    tokens, actions = rollout(LatentActionLM(state), prompt, cfg.rollout_mode,
+    tokens, actions = rollout(Decoder(state), prompt, cfg.rollout_mode,
                               cfg.search_max_len, rng)
     metrics.append({"stage": "rollout", "tokens": tokens.tolist(),
                     "actions": actions.tolist()})
@@ -231,7 +229,7 @@ def _run_search(cfg: RunConfig, out: str, metrics: MetricsWriter,
     _check_max_len(cfg, state, "search_max_len")
     _, val, _ = _corpora(cfg)
     prompt = _prompt_tokens(cfg, val, state.cfg)
-    model = LatentActionLM(state)
+    model = Decoder(state)
     marker = _marker(cfg, model, prompt)
 
     def reward_fn(seq):  # the response only, as rl and train-q score it
@@ -255,6 +253,9 @@ def cmd_eval(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
     state = _load_input(cfg)
     _check_max_len(cfg, state, "search_max_len")
     _check_max_len(cfg, state, "hmm_seq_len")
+    if cfg.eval_contexts > cfg.hmm_val_count:
+        raise ConfigError(f"eval_contexts {cfg.eval_contexts} exceeds "
+                          f"hmm_val_count {cfg.hmm_val_count}")
     _, val, states = _corpora(cfg)
     rng = np.random.default_rng(cfg.seed)
     contexts = val[:cfg.eval_contexts, :cfg.prompt_len]
@@ -301,7 +302,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="actlm",
         description="Latent-action language model training and search.")
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=_HANDLERS)
     parser.add_argument("--config", default=None,
                         help="key=value config file (all keys optional)")
     args, overrides = parser.parse_known_args(argv)

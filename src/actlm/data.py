@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import HmmCorpusConfig
-from .runconfig import ConfigError
 
 
 def _hmm_params(cfg: HmmCorpusConfig, rng):
@@ -93,13 +92,14 @@ def make_sft_split(corpus: np.ndarray, prompt_len: int) -> SftSplit:
 def open_prefixes(corpus: np.ndarray, n: int, length: int, eos: int) -> np.ndarray:
     """The first n length-`length` prefixes of corpus rows that do not end
     in eos. A prefix ending in eos is a finished sequence that generation
-    leaves unchanged, so it makes no prompt."""
+    leaves unchanged, so it makes no prompt. Raises ValueError on a length
+    outside the rows or on fewer than n such prefixes."""
     if not 0 < length <= corpus.shape[1]:
-        raise ConfigError(f"prefix length {length} outside 1..{corpus.shape[1]}")
+        raise ValueError(f"prefix length {length} outside 1..{corpus.shape[1]}")
     rows = corpus[corpus[:, length - 1] != eos][:n, :length]
     if len(rows) < n:
-        raise ConfigError(f"{n} prompts needed, but only {len(rows)} length-{length} "
-                          f"val prefixes do not end in eos")
+        raise ValueError(f"{n} prompts needed, but only {len(rows)} length-{length} "
+                         f"val prefixes do not end in eos")
     return rows
 
 

@@ -275,26 +275,20 @@ class ModelState:
 
 def init_model(cfg: ArchConfig, seed: int = 0) -> ModelState:
     """Deterministically initialize every parameter group from one seed.
-    One rng draws the tensors in param_specs order, in float64, into
-    buffers of the active dtype; adjacent tensors of one group and one std
-    share a draw, which gives the same numbers as a draw each. q_target's
-    buffer is a copy of q_online's."""
-    sizes: dict[str, int] = {}
-    runs: list[list] = []  # [group, start, size, std] of each draw
-    for group, _, shape, std in param_specs(cfg):
-        start, n = sizes.get(group, 0), math.prod(shape)
-        sizes[group] = start + n
-        if std is None:
-            continue
-        last = runs[-1] if runs else None
-        if last and last[0] == group and last[3] == std and last[1] + last[2] == start:
-            last[2] += n
-        else:
-            runs.append([group, start, n, std])
-    # std None means ones
-    buffers = {g: np.ones(n, ad.active_dtype()) for g, n in sizes.items()}
+    One rng draws each tensor of param_specs in turn, in float64, into its
+    place in its group's buffer of the active dtype; a std of None leaves
+    the ones the buffer starts as. q_target's buffer is a copy of
+    q_online's."""
+    specs, layout = param_specs(cfg), group_layout(cfg)
+    # keyed in param_specs order, which state.groups keeps
+    buffers = {g: np.ones(sum(math.prod(s) for _, s in layout[g]), ad.active_dtype())
+               for g in dict.fromkeys(g for g, *_ in specs)}
+    offsets = dict.fromkeys(buffers, 0)
     rng = np.random.default_rng(seed)
-    for group, start, n, std in runs:
-        buffers[group][start:start + n] = rng.normal(0.0, std, size=n)
+    for group, _, shape, std in specs:
+        start = offsets[group]
+        offsets[group] = end = start + math.prod(shape)
+        if std is not None:
+            buffers[group][start:end] = rng.normal(0.0, std, size=end - start)
     buffers["q_target"] = buffers["q_online"].copy()
     return ModelState(cfg, buffers)

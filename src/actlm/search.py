@@ -4,13 +4,14 @@ with multi-step action nodes, and Q-pruned MCTS.
 Every path decodes through `actions.generate`, the one decode loop, and so
 talks to the generator only through the Decoder contract: `sync(tokens)`,
 `policy_probs()`, `next_tokens(actions)`, `eos_token_id` and `n_actions`.
-A trained model (`LatentActionLM`) and hand-built test generators plug in
-alike. MCTS decodes only where it expands the leaves that wait in one
-batch: one `generate` call per state length for the new children's k-step
-segments, Q-pruned extension of each leaf's first child, and one call for
-all the children's playouts, in which rows of other lengths join the
-running batch. A decoder's `sync` re-batches: each row continues the
-held row it shares the longest prefix with.
+A trained model's `Decoder`, whose cache persists across calls, and
+hand-built test generators plug in alike. MCTS decodes only where it
+expands the leaves that wait in one batch: one `generate` call per state
+length for the new children's k-step segments, Q-pruned extension of each
+leaf's first child, and one call for all the children's playouts, in which
+rows of other lengths join the running batch. A decoder's `sync`
+re-batches: each row continues the held row it shares the longest prefix
+with.
 """
 
 from __future__ import annotations
@@ -27,16 +28,8 @@ from .data import Scorer
 from .training import Transition, dqn_target
 
 
-class LatentActionLM(Decoder):
-    """Decoder over a trained model state whose cache persists across
-    calls, so consecutive searches and rollouts on growing, branching,
-    joining or reordered rows encode only past the prefixes they share
-    with the held rows."""
-
-    def next_token(self, tokens, action: int) -> int:
-        """World-model argmax token after tokens (p,) under one action."""
-        self.sync(np.asarray(tokens)[None])
-        return int(self.next_tokens([action])[0])
+# The benchmark scripts build a trained model's decoder by this name.
+LatentActionLM = Decoder
 
 
 def _is_terminal(model, tokens, max_len: int) -> bool:

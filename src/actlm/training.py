@@ -139,7 +139,7 @@ def loss_pre1(state: ModelState, tokens, e_l: Tensor, cfg: TrainConfig, rng,
         # sum_k g log g per position, averaged; 0*log(0) -> 0 via clamping
         g = assign.soft
         reg = ad.mean_(ad.sum_(ad.mul(g, ad.log(ad.add(g, 1e-12))), axis=2))
-        total = ad.add(predict, ad.scale(reg, cfg.beta))
+        total = ad.add(predict, ad.mul(reg, cfg.beta))
         parts = {"L_predict": predict.item(), "L_reg": reg.item(),
                  "total": total.item()}
         return total, parts, assign.index
@@ -147,7 +147,7 @@ def loss_pre1(state: ModelState, tokens, e_l: Tensor, cfg: TrainConfig, rng,
         index, action, commitment, codebook_loss = assign_vq(state.groups["codebook"], e_i)
         logits = world_logits(state.groups["merge"], state.cfg, e_ctx, action)
         predict = ad.mean_(ad.cross_entropy(logits, targets))
-        total = ad.add(ad.add(predict, codebook_loss), ad.scale(commitment, 0.25))
+        total = ad.add(ad.add(predict, codebook_loss), ad.mul(commitment, 0.25))
         parts = {"L_predict": predict.item(), "L_commit": commitment.item(),
                  "L_codebook": codebook_loss.item(), "total": total.item()}
         return total, parts, index
@@ -185,30 +185,31 @@ def chunk_map(fn, chunks: list) -> list:
     raises stops the threads from taking further chunks, and the first
     exception is re-raised here.
 
-    Each thread runs its tasks under an `ad.untaped()` of its own, so no op
-    they run is recorded, whatever tape the caller has open."""
+    No op the tasks run is recorded, whatever tape the caller has open: the
+    calling thread runs its share under `ad.untaped()`, and a worker starts
+    with an empty tape stack, so its ops record nowhere."""
     n = min(len(chunks), len(os.sched_getaffinity(0)))
     results = [None] * len(chunks)
     errors = []
     jobs, lock = iter(enumerate(chunks)), threading.Lock()
 
     def work():
-        with ad.untaped():
-            while not errors:
-                with lock:
-                    job = next(jobs, None)
-                if job is None:
-                    return
-                try:
-                    results[job[0]] = fn(job[1])
-                except BaseException as e:  # re-raised on the calling thread
-                    errors.append(e)
+        while not errors:
+            with lock:
+                job = next(jobs, None)
+            if job is None:
+                return
+            try:
+                results[job[0]] = fn(job[1])
+            except BaseException as e:  # re-raised on the calling thread
+                errors.append(e)
 
     workers = [threading.Thread(target=work) for _ in range(n - 1)]
     for w in workers:
         w.start()
     try:
-        work()
+        with ad.untaped():
+            work()
     finally:
         for w in workers:
             w.join()
@@ -404,14 +405,14 @@ def loss_rl(state: ModelState, batch: dict, cfg: TrainConfig):
     onehot = one_hot(actions, state.cfg.codebook_size) * valid[..., None]
     picked = ad.mul(logp_steps, Tensor(onehot))
     logp_taken = ad.sum_(ad.sum_(picked, axis=2), axis=1)  # (B,)
-    pg = ad.scale(ad.sum_(ad.mul(logp_taken, Tensor(batch["advantages"]))),
-                  -1.0 / len(tokens))
+    pg = ad.mul(ad.sum_(ad.mul(logp_taken, Tensor(batch["advantages"]))),
+                -1.0 / len(tokens))
 
     probs = ad.exp(logp_steps)
     kl_pos = ad.sum_(ad.mul(probs, ad.sub(logp_steps, batch["ref_logp"])), axis=2)
-    kl = ad.scale(ad.sum_(ad.mul(kl_pos, Tensor(valid))), 1.0 / len(tokens))
+    kl = ad.mul(ad.sum_(ad.mul(kl_pos, Tensor(valid))), 1.0 / len(tokens))
 
-    total = ad.add(pg, ad.scale(kl, cfg.kl_coef)) if cfg.kl_coef else pg
+    total = ad.add(pg, ad.mul(kl, cfg.kl_coef)) if cfg.kl_coef else pg
     return total, {"rl_reward_mean": float(batch["rewards"].mean()),
                    "scorer_failures": batch["scorer_failures"],
                    "rl_kl": kl.item(), "pg_loss": pg.item(), "total": total.item()}

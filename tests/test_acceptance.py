@@ -134,7 +134,7 @@ def _primitive_cases(seed):
         ("add", lambda: probe(ad.add(x, y), w23), [x, y]),
         ("sub", lambda: probe(ad.sub(x, y), w23), [x, y]),
         ("mul", lambda: probe(ad.mul(x, y), w23), [x, y]),
-        ("scale", lambda: probe(ad.scale(x, 1.7), w23), [x]),
+        ("mul_const", lambda: probe(ad.mul(x, 1.7), w23), [x]),
         ("matmul", lambda: probe(ad.matmul(x, m), w24), [x, m]),
         ("embedding", lambda: probe(ad.embedding(table, ids), w243), [table]),
         ("concat_last", lambda: probe(ad.concat_last(x, y), w26), [x, y]),

@@ -40,7 +40,7 @@ PRIMITIVE_CASES = {
     "add_broadcast": lambda rng, x, y: ad.add(x, Tensor(rng.normal(size=(x.shape[-1],)))),
     "sub": lambda rng, x, y: ad.sub(x, y),
     "mul": lambda rng, x, y: ad.mul(x, y),
-    "scale": lambda rng, x, y: ad.scale(x, 1.7),
+    "mul_const": lambda rng, x, y: ad.mul(x, 1.7),
     "softmax": lambda rng, x, y: ad.softmax(x),
     "log_softmax": lambda rng, x, y: ad.log_softmax(x),
     "silu": lambda rng, x, y: ad.silu(x),
@@ -417,7 +417,6 @@ EVERY_PRIMITIVE = {
     "add": lambda i: ad.add(i["x"], i["y"]),
     "sub": lambda i: ad.sub(i["x"], i["y"]),
     "mul": lambda i: ad.mul(i["x"], i["y"]),
-    "scale": lambda i: ad.scale(i["x"], 1.7),
     "matmul": lambda i: ad.matmul(i["x"], i["w"]),
     "embedding": lambda i: ad.embedding(i["table"], i["ids"]),
     "concat_last": lambda i: ad.concat_last(i["x"], i["y"]),
@@ -579,7 +578,7 @@ def test_untaped_ops_stay_off_the_tape():
     x = Tensor(np.array([1.0, 2.0]))
     with Tape() as tape:
         with ad.untaped():
-            y = ad.scale(x, 3.0)
+            y = ad.mul(x, 3.0)
         loss = ad.sum_(ad.mul(y, x))
         grads = tape.gradients(loss)
     assert len(tape.nodes) == 2
@@ -603,11 +602,11 @@ def test_tapes_and_untaped_blocks_belong_to_their_thread():
 
     def plain_ops():
         seen["recording"] = ad.recording()
-        seen["plain"] = ad.scale(x, 2.0)
+        seen["plain"] = ad.mul(x, 2.0)
 
     def own_tape():
         with Tape() as tape:
-            seen["own"] = (tape, ad.scale(x, 4.0))
+            seen["own"] = (tape, ad.mul(x, 4.0))
 
     def untaped_block():
         with ad.untaped():
@@ -622,7 +621,7 @@ def test_tapes_and_untaped_blocks_belong_to_their_thread():
         try:
             assert opened.wait(timeout=10)
             assert ad.recording()
-            y = ad.scale(x, 3.0)
+            y = ad.mul(x, 3.0)
         finally:
             release.set()
             worker.join(timeout=10)
@@ -690,4 +689,4 @@ def test_matmul_forward_matches_numpy(seed):
 def test_finite_diff_report_rejects_nonscalar(verify_mode):
     x = Tensor(np.ones(3))
     with pytest.raises(ValueError):
-        finite_diff_report(lambda: ad.scale(x, 1.0), [x])
+        finite_diff_report(lambda: ad.mul(x, 1.0), [x])

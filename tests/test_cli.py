@@ -131,7 +131,7 @@ def test_default_prompts_skip_prefixes_ending_in_eos():
     assert prompts.shape == (cfg.rl_prompt_count, cfg.prompt_len)
     assert not (prompts[:, -1] == eos).any()
     assert cli._prompt_tokens(cfg, val, cfg.arch())[-1] != eos
-    with pytest.raises(ConfigError, match="prompts needed"):
+    with pytest.raises(ValueError, match="prompts needed"):
         cli._prompts(RunConfig(rl_prompt_count=16), val, eos)
 
 
@@ -339,6 +339,23 @@ def test_cli_count_below_one_fails_by_name(tiny_checkpoint, tmp_path, capsys,
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"error: {key} must be >= 1")
     assert not (tmp_path / "eval.json").exists()
+
+
+def test_cli_eval_contexts_beyond_val_rows_fails_by_name(tiny_checkpoint, tmp_path,
+                                                         capsys, monkeypatch):
+    """eval scores marginal_kl on the first eval_contexts val rows, so more
+    than hmm_val_count (4) exits 1 naming the key before the corpus is
+    sampled, rather than scoring the rows that exist."""
+    sampled, real = [], cli.gen_hmm_corpus
+    monkeypatch.setattr(cli, "gen_hmm_corpus",
+                        lambda cfg: sampled.append(cfg) or real(cfg))
+    rc = main(["eval", "--init_checkpoint", str(tiny_checkpoint),
+               "--out_dir", str(tmp_path), "--search_max_len", "12",
+               "--prompt_len", "4", "--eval_contexts", "5"] + TINY)
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: eval_contexts 5 exceeds hmm_val_count 4")
+    assert sampled == [] and not (tmp_path / "eval.json").exists()
 
 
 def test_cli_search_max_len_beyond_checkpoint_fails_by_name(tiny_checkpoint,

@@ -11,7 +11,7 @@ from actlm.config import FieldError
 from actlm.data import (HmmCorpusConfig, Scorer, SftSplit, cdf,
                         gen_hmm_corpus, hmm_matrices, inverse_cdf,
                         make_sft_split, marker_reward, open_prefixes)
-from actlm.runconfig import ConfigError, RunConfig
+from actlm.runconfig import RunConfig
 
 
 def test_hmm_corpus_is_deterministic():
@@ -233,9 +233,9 @@ def test_open_prefixes_skip_rows_ending_in_eos():
     corpus = np.array([[3, 0, 5], [4, 5, 0], [0, 6, 7], [1, 0, 0]])
     np.testing.assert_array_equal(open_prefixes(corpus, 2, 2, eos=0),
                                   [[4, 5], [0, 6]])
-    with pytest.raises(ConfigError, match="only 2 length-2"):
+    with pytest.raises(ValueError, match="only 2 length-2"):
         open_prefixes(corpus, 3, 2, eos=0)
-    with pytest.raises(ConfigError, match="prefix length 4"):
+    with pytest.raises(ValueError, match="prefix length 4"):
         open_prefixes(corpus, 1, 4, eos=0)
 
 

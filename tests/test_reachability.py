@@ -242,3 +242,31 @@ def test_src_calls_stop_grad_only_through_the_module():
                     or isinstance(node, ast.alias) and node.name in ("stop_grad", "*"):
                 escaping.append(f"{p.name}:{node.lineno}")
     assert escaping == [] and through_module > 0, escaping
+
+
+def actlm_imports(tree: ast.Module) -> set[str]:
+    """The stems of the actlm modules a module imports, relatively or by
+    the package's name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = f"actlm.{base}" if base else "actlm"
+            names = [base] + [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        out |= {n.split(".")[1] for n in names if n.startswith("actlm.")}
+    return out
+
+
+def test_only_the_cli_imports_the_run_config_or_the_cli():
+    """The layers below the command line take their settings as arguments
+    and raise plain ValueErrors, so no src module but `cli` imports
+    `runconfig` or `cli`."""
+    importers = {p.stem for p in SRC.glob("*.py") if p.stem != "cli"
+                 and actlm_imports(ast.parse(p.read_text())) & {"runconfig", "cli"}}
+    assert importers == set()
+    assert "runconfig" in actlm_imports(ast.parse((SRC / "cli.py").read_text()))

@@ -287,7 +287,7 @@ def test_grad_of_an_op_output_raises():
     rather than reading zeros."""
     x = Tensor(np.ones(3))
     with Tape() as tape:
-        y = ad.scale(x, 2.0)
+        y = ad.mul(x, 2.0)
         grads = tape.gradients(ad.sum_(y))
     np.testing.assert_array_equal(tape.grad(grads, x), [2.0, 2.0, 2.0])
     with pytest.raises(ValueError, match="leaf"):
@@ -562,7 +562,7 @@ def test_sweep_and_ce_readers_equal_a_sequential_per_chunk_reference(
         base_ce = diagnostics.val_loss(state, corpus, "base_ar")
         labels = inverse_action_labels(state, corpus, 1.0)
         assert tape.nodes == [] and ad.recording()
-        after = ad.scale(Tensor(1.0), 2.0)
+        after = ad.mul(Tensor(1.0), 2.0)
         assert tape.nodes == [after]
     assert not ad.recording()
     assert set(threading.enumerate()) == alive
