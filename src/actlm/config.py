@@ -80,7 +80,7 @@ class TrainConfig:
         # a leave-one-out baseline needs a sibling
         _require(self, "must be >= 2", lambda v: v >= 2, "rl_group_size")
         _require(self, "must be >= 0", lambda v: v >= 0,
-                 "beta", "kl_coef", "weight_decay")
+                 "steps", "seed", "beta", "kl_coef", "weight_decay")
         _require(self, "must be in (0, 1]", lambda v: 0 < v <= 1, "gamma", "tau")
 
 
@@ -98,7 +98,7 @@ class SearchConfig:
         _require(self, "must be >= 1", lambda v: v >= 1,
                  "action_steps", "iterations", "expand_width")
         _require(self, "must be >= 0", lambda v: v >= 0,
-                 "c_uct", "bellman_threshold")
+                 "c_uct", "bellman_threshold", "seed")
 
 
 @dataclass
@@ -130,3 +130,4 @@ class HmmCorpusConfig:
                  "n_states", "vocab_size")
         _require(self, "must be > 0", lambda v: v > 0,
                  "transition_concentration", "emission_concentration")
+        _require(self, "must be >= 0", lambda v: v >= 0, "seed")

@@ -15,7 +15,9 @@ import hashlib
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -109,7 +111,7 @@ class AdamW:
 # ---------------------------------------------------------------------------
 # Loss builders (graph constructors; no tape management here). A loss whose
 # stage freezes the base takes e_l, the base embeddings of its tokens, from
-# the stage's batch_fn, which runs outside the tape: e_l is a constant.
+# the stage's batches, which run outside the tape: e_l is a constant.
 # ---------------------------------------------------------------------------
 
 def loss_base_ar(state: ModelState, tokens):
@@ -496,24 +498,23 @@ def sync_target(state: ModelState, tau: float) -> None:
 # ---------------------------------------------------------------------------
 
 def run_stage(state: ModelState, stage: str, trainable: tuple[str, ...],
-              steps: int, cfg: TrainConfig, batch_fn, loss_fn,
-              metrics_cb=None, after_step=None) -> list[dict]:
+              cfg: TrainConfig, batches, loss_fn, metrics_cb=None) -> list[dict]:
     """The training loop of every stage; returns the per-step records.
 
-    Each step draws batch = batch_fn(rng) outside the tape (forward-only
-    work: sampling, a frozen base's embeddings, labels, rollouts,
-    targets), builds (loss, parts) =
-    loss_fn(batch) inside it, aborts on a non-finite loss, steps AdamW on
-    the trainable groups, runs after_step(step) and hands the record
-    {stage, step, **parts, grad_norm, skipped_nonfinite} to metrics_cb.
+    batches(rng) is called once, with the stage rng, and gives the stage's
+    batches as a generator; each batch it yields is one step. The generator
+    runs outside the tape (forward-only work: sampling, a frozen base's
+    embeddings, labels, rollouts, targets), and its code after a yield runs
+    once that step's record has gone to metrics_cb. Each step builds (loss,
+    parts) = loss_fn(batch) inside the tape, aborts on a non-finite loss,
+    steps AdamW on the trainable groups and hands the record {stage, step,
+    **parts, grad_norm, skipped_nonfinite} to metrics_cb. The generator is
+    closed when the stage returns or raises, so one that encodes ahead on a
+    worker thread, as `frozen_batches` does, ends its worker with the stage.
+
     Every group that trainable does not name is frozen, except that
     q_target moves with q_online (`sync_target` writes it): the frozen
-    groups are hashed before and after, and drift raises RuntimeError.
-
-    A batch_fn may encode ahead on a worker thread while a step trains, as
-    `FrozenBatches` does for stage-1 and BC; `train_stage1` and `train_bc`
-    open it as a context around this call, so the worker ends with the
-    stage, whether the stage returns or raises."""
+    groups are hashed before and after, and drift raises RuntimeError."""
     rng = np.random.default_rng(cfg.seed)
     frozen = [g for g in state.groups if g not in trainable]
     if "q_online" in trainable:
@@ -521,21 +522,19 @@ def run_stage(state: ModelState, stage: str, trainable: tuple[str, ...],
     before = state.hashes(frozen)
     opt = AdamW(state, trainable, cfg)
     records = []
-    for step in range(steps):
-        batch = batch_fn(rng)
-        with Tape() as tape:
-            loss, parts = loss_fn(batch)
-            if not np.isfinite(loss.data):
-                raise FloatingPointError(f"non-finite {stage} loss at step {step}")
-            grads_by_id = tape.gradients(loss)
-        norms = opt.step({k: tape.grad(grads_by_id, p) for k, p in opt.params.items()})
-        # free this step's graph before the next batch_fn runs
-        del batch, loss, tape, grads_by_id
-        if after_step:
-            after_step(step)
-        records.append({"stage": stage, "step": step, **parts, **norms})
-        if metrics_cb:
-            metrics_cb(records[-1])
+    with closing(batches(rng)) as source:
+        for step, batch in enumerate(source):
+            with Tape() as tape:
+                loss, parts = loss_fn(batch)
+                if not np.isfinite(loss.data):
+                    raise FloatingPointError(f"non-finite {stage} loss at step {step}")
+                grads_by_id = tape.gradients(loss)
+            norms = opt.step({k: tape.grad(grads_by_id, p) for k, p in opt.params.items()})
+            # free this step's graph before the next batch is drawn
+            del batch, loss, tape, grads_by_id
+            records.append({"stage": stage, "step": step, **parts, **norms})
+            if metrics_cb:
+                metrics_cb(records[-1])
     _check_frozen(state, before, stage)
     return records
 
@@ -547,8 +546,11 @@ def _check_frozen(state: ModelState, before: dict[str, str], stage: str) -> None
         raise RuntimeError(f"frozen groups drifted during {stage}: {drifted}")
 
 
-def _draw_rows(corpus, cfg: TrainConfig, rng):
-    return corpus[rng.integers(0, len(corpus), size=cfg.batch_size)]
+def _drawn_rows(corpus, cfg: TrainConfig, rng):
+    """cfg.steps batches of cfg.batch_size corpus rows, drawn uniformly
+    with replacement from rng, one step's draw at a time."""
+    for _ in range(cfg.steps):
+        yield corpus[rng.integers(0, len(corpus), size=cfg.batch_size)]
 
 
 def _encode_window(state: ModelState, tokens, batch_size: int, labels: bool):
@@ -565,68 +567,56 @@ def _encode_window(state: ModelState, tokens, batch_size: int, labels: bool):
             for i in range(0, len(tokens), batch_size)]
 
 
-class FrozenBatches:
-    """The batch_fn of a stage that freezes the base (stage-1, BC and
-    FTA-I's policy refresh): each call returns the next step's (tokens, e_l,
-    labels), with labels the inverse labels if asked for, else None.
+def frozen_batches(state: ModelState, corpus, cfg: TrainConfig, rng,
+                   labels: bool = False):
+    """The batches of a stage that freezes the base (stage-1, BC and FTA-I's
+    policy refresh): cfg.steps of (tokens, e_l, labels), with labels the
+    inverse labels if asked for, else None.
 
     The steps come in windows of whole steps, about `sweep_rows(T)` rows
     together (at least one step, never past cfg.steps), each encoded by
-    `_encode_window`. The rows are drawn on the calling thread from the
-    stage rng, one step's draw at a time and in step order, so the batches
-    equal those of a per-step encode bit for bit. Where the affinity set
-    holds more than one CPU, one worker thread encodes the next window while
-    the steps of the current one train; else each window is encoded when
-    its first step is asked for. A worker's exception is raised by the call
-    that wants its window.
+    `_encode_window`. The rows are `_drawn_rows`, drawn on the calling
+    thread in step order, so the batches equal those of a per-step encode
+    bit for bit. Where the affinity set holds more than one CPU, one worker
+    thread encodes the next window while the steps of the current one
+    train; else each window is encoded when its first step is asked for. A
+    worker's exception is raised where its window is wanted. Closing the
+    generator, as `run_stage` does whether the stage returns or raises,
+    cancels a window not yet started and waits for one being encoded, so no
+    thread outlives the stage."""
+    rows = _drawn_rows(corpus, cfg, rng)
+    per_window = max(1, sweep_rows(corpus.shape[1]) // cfg.batch_size)
+    # the rows of the next per_window steps, until the steps run out
+    windows = map(np.concatenate, iter(lambda: list(islice(rows, per_window)), []))
 
-    Use as a context manager around the stage's `run_stage`: leaving it,
-    normally or by an exception, cancels a window not yet started and waits
-    for one being encoded, so no thread outlives the stage."""
+    def encode(tokens):
+        return _encode_window(state, tokens, cfg.batch_size, labels)
 
-    def __init__(self, state: ModelState, corpus, cfg: TrainConfig,
-                 labels: bool = False):
-        self._state, self._corpus, self._cfg, self._labels = state, corpus, cfg, labels
-        self._per_window = max(1, sweep_rows(corpus.shape[1]) // cfg.batch_size)
-        self._left = cfg.steps  # steps whose rows are not drawn yet
-        self._ready = []  # the current window's batches not handed out yet
-        self._next = None  # the worker's encode of the next window
-        self._pool = ThreadPoolExecutor(1) if len(os.sched_getaffinity(0)) > 1 else None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        if self._pool is not None:
-            self._pool.shutdown(cancel_futures=True)
-        return False
-
-    def _draw(self, rng):
-        steps = min(self._per_window, self._left)
-        self._left -= steps
-        return np.concatenate([_draw_rows(self._corpus, self._cfg, rng)
-                               for _ in range(steps)])
-
-    def _encode(self, tokens):
-        return _encode_window(self._state, tokens, self._cfg.batch_size, self._labels)
-
-    def __call__(self, rng):
-        if not self._ready:
-            if self._pool is None:
-                self._ready = self._encode(self._draw(rng))
-            else:
-                window = self._next or self._pool.submit(self._encode, self._draw(rng))
-                self._next = (self._pool.submit(self._encode, self._draw(rng))
-                              if self._left else None)
-                self._ready = window.result()
-        return self._ready.pop(0)
+    if len(os.sched_getaffinity(0)) == 1:
+        for ready in map(encode, windows):
+            while ready:
+                yield ready.pop(0)
+        return
+    pool = ThreadPoolExecutor(1)
+    try:
+        encodes = (pool.submit(encode, tokens) for tokens in windows)
+        # the current window's encode and, submitted before that one is
+        # waited for, the next window's
+        pending = list(islice(encodes, 1))
+        while pending:
+            pending += islice(encodes, 1)
+            ready = pending.pop(0).result()
+            while ready:
+                yield ready.pop(0)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def pretrain_base_ar(state: ModelState, corpus, val_corpus, cfg: TrainConfig,
                      metrics_cb=None) -> float:
-    """AR-pretrain the base; returns final held-out CE."""
-    run_stage(state, "pretrain-base", ("base",), cfg.steps, cfg,
-              lambda rng: _draw_rows(corpus, cfg, rng),
+    """AR-pretrain the base on `_drawn_rows`; returns final held-out CE."""
+    run_stage(state, "pretrain-base", ("base",), cfg,
+              lambda rng: _drawn_rows(corpus, cfg, rng),
               lambda tokens: loss_base_ar(state, tokens), metrics_cb)
     return val_sweep(state, val_corpus).base_ce
 
@@ -636,8 +626,8 @@ def train_stage1(state: ModelState, corpus, cfg: TrainConfig,
     """Joint inverse/world training; returns cumulative action-usage counts.
 
     Only inverse, codebook, and merge parameters move; the base stays
-    frozen, so `FrozenBatches` encodes the steps' rows, a window ahead where
-    a second CPU is free.
+    frozen, so `frozen_batches` encodes the steps' rows, a window ahead
+    where a second CPU is free.
     """
     noise_rng = np.random.default_rng(cfg.seed + 1)
     usage = np.zeros(state.cfg.codebook_size, dtype=np.int64)
@@ -648,30 +638,29 @@ def train_stage1(state: ModelState, corpus, cfg: TrainConfig,
         usage[:] += np.bincount(index.reshape(-1), minlength=len(usage))
         return total, {**parts, "alive_actions": int((usage > 0).sum())}
 
-    with FrozenBatches(state, corpus, cfg) as batches:
-        run_stage(state, "stage1", ("inverse", "codebook", "merge"), cfg.steps,
-                  cfg, batches, loss_fn, metrics_cb)
+    run_stage(state, "stage1", ("inverse", "codebook", "merge"), cfg,
+              lambda rng: frozen_batches(state, corpus, cfg, rng), loss_fn, metrics_cb)
     return usage
 
 
 def train_bc(state: ModelState, corpus, cfg: TrainConfig, start: int = 0,
              stage: str = "bc-policy", metrics_cb=None) -> None:
     """Behavior-clone the policy onto the inverse labels. Base and inverse
-    are frozen, so `FrozenBatches` encodes the steps' rows and labels them,
+    are frozen, so `frozen_batches` encodes the steps' rows and labels them,
     a window ahead where a second CPU is free; one base forward serves the
     labels and the loss."""
-    with FrozenBatches(state, corpus, cfg, labels=True) as batches:
-        run_stage(state, stage, ("policy",), cfg.steps, cfg, batches,
-                  lambda batch: loss_pre2(state, *batch[1:], start), metrics_cb)
+    run_stage(state, stage, ("policy",), cfg,
+              lambda rng: frozen_batches(state, corpus, cfg, rng, labels=True),
+              lambda batch: loss_pre2(state, *batch[1:], start), metrics_cb)
 
 
 def train_fta(state: ModelState, split: SftSplit, cfg: TrainConfig, mode: str,
               metrics_cb=None) -> None:
     """Fine-tune the base under fixed actions (FTA-I or FTA-P) on an SFT
-    split; the merge module stays frozen. FTA-I is followed by a policy
-    refresh restricted to response positions. The actions are read from
-    the loss's own base forward: the inverse labels for FTA-I, the frozen
-    policy's argmax for FTA-P."""
+    split's `_drawn_rows`; the merge module stays frozen. FTA-I is followed
+    by a policy refresh restricted to response positions. The actions are
+    read from the loss's own base forward: the inverse labels for FTA-I,
+    the frozen policy's argmax for FTA-P."""
     def policy_argmax(e_l):
         probs = policy_forward(state.groups["policy"], state.cfg, e_l)
         return probs.data[:, :-1].argmax(axis=-1)
@@ -681,8 +670,8 @@ def train_fta(state: ModelState, split: SftSplit, cfg: TrainConfig, mode: str,
     if actions_fn is None:
         raise ValueError(f"unknown FTA mode: {mode!r}")
     corpus, prompt_len = split.tokens, split.prompt_len
-    run_stage(state, f"fta-{mode}", ("base",), cfg.steps, cfg,
-              lambda rng: _draw_rows(corpus, cfg, rng),
+    run_stage(state, f"fta-{mode}", ("base",), cfg,
+              lambda rng: _drawn_rows(corpus, cfg, rng),
               lambda tokens: loss_fta(state, tokens, prompt_len, actions_fn),
               metrics_cb)
     if mode == "FTA-I":
@@ -692,30 +681,31 @@ def train_fta(state: ModelState, split: SftSplit, cfg: TrainConfig, mode: str,
 
 def train_rl(state: ModelState, prompts, reward_fn, cfg: TrainConfig,
              max_len: int, updates: int, metrics_cb=None) -> list[float]:
-    """Latent-action RL loop; everything but the policy stays frozen.
-    Returns the mean-reward trace."""
+    """Latent-action RL loop of `updates` steps, one `rl_batch` each;
+    everything but the policy stays frozen. Returns the mean-reward trace."""
     ref_policy = unflatten(group_layout(state.cfg)["policy"], state.flat("policy").copy())
-    records = run_stage(
-        state, "rl", ("policy",), updates, cfg,
-        lambda rng: rl_batch(state, prompts, reward_fn, cfg, rng, max_len, ref_policy),
-        lambda batch: loss_rl(state, batch, cfg), metrics_cb)
+
+    def batches(rng):
+        for _ in range(updates):
+            yield rl_batch(state, prompts, reward_fn, cfg, rng, max_len, ref_policy)
+
+    records = run_stage(state, "rl", ("policy",), cfg, batches,
+                        lambda batch: loss_rl(state, batch, cfg), metrics_cb)
     return [r["rl_reward_mean"] for r in records]
 
 
 def train_q(state: ModelState, transitions: list[Transition], cfg: TrainConfig,
             metrics_cb=None) -> None:
     """Double-DQN over an in-memory replay set with uniform sampling. After
-    every sync_interval-th step the target network is synced via
-    theta- <- tau*theta + (1-tau)*theta-."""
-    def batch_fn(rng):
-        idx = rng.integers(0, len(transitions),
-                           size=min(cfg.batch_size, len(transitions)))
-        return dqn_batch(state, [transitions[i] for i in idx])
+    every sync_interval-th step's record, before the next draw, the target
+    network is synced via theta- <- tau*theta + (1-tau)*theta-."""
+    def batches(rng):
+        for step in range(1, cfg.steps + 1):
+            idx = rng.integers(0, len(transitions),
+                               size=min(cfg.batch_size, len(transitions)))
+            yield dqn_batch(state, [transitions[i] for i in idx])
+            if step % cfg.sync_interval == 0:
+                sync_target(state, cfg.tau)
 
-    def sync(step):
-        if (step + 1) % cfg.sync_interval == 0:
-            sync_target(state, cfg.tau)
-
-    run_stage(state, "train-q", ("q_online",), cfg.steps, cfg, batch_fn,
-              lambda batch: loss_dqn(state, batch, cfg.gamma), metrics_cb,
-              after_step=sync)
+    run_stage(state, "train-q", ("q_online",), cfg, batches,
+              lambda batch: loss_dqn(state, batch, cfg.gamma), metrics_cb)

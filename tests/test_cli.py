@@ -225,13 +225,15 @@ def test_every_default_has_one_source():
     ("batch_size", "0"), ("learning_rate", "0"), ("expand_width", "0"),
     ("hmm_train_count", "0"), ("hmm_val_count", "0"), ("hmm_seq_len", "1"),
     ("rl_max_len", "8"), ("gumbel_temp", "0"), ("sync_interval", "0"),
-    ("rl_group_size", "1"), ("kl_coef", "-1"), ("weight_decay", "-5")])
+    ("rl_group_size", "1"), ("kl_coef", "-1"), ("weight_decay", "-5"),
+    ("steps", "-1"), ("seed", "-1")])
 def test_component_rejections_fail_at_load(key, value):
     """Every component is built when the config is, so a value one rejects
     fails whichever subcommand would read it; so do a one-token corpus row
     and an rl_max_len that leaves the default prompt_len no decision. A
     leave-one-out group needs two rollouts, a target sync a positive
-    interval, and the Gumbel softmax a positive temperature."""
+    interval, the Gumbel softmax a positive temperature, and a step count
+    and a seed must not be negative."""
     with pytest.raises(ConfigError, match=key):
         load_run_config(None, [f"--{key}", value])
     with pytest.raises(ConfigError, match=key):
@@ -240,8 +242,8 @@ def test_component_rejections_fail_at_load(key, value):
 
 # an out-of-range value for each renamed key that has a bound
 RENAMED_BAD = {"hmm_states": "0", "hmm_transition_conc": "0",
-               "hmm_emission_conc": "-1", "hmm_seq_len": "0"}
-UNBOUNDED = {"search_max_len", "hmm_seed"}
+               "hmm_emission_conc": "-1", "hmm_seq_len": "0", "hmm_seed": "-1"}
+UNBOUNDED = {"search_max_len"}
 
 
 def test_renamed_field_errors_name_the_flat_key():

@@ -10,6 +10,7 @@ import pathlib
 import subprocess
 import sys
 import threading
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ def small_tokens(seed=0, b=3, t=7):
 
 
 def frozen_e_l(state, tokens):
-    """The base embeddings a frozen-base stage's batch_fn hands its loss."""
+    """The base embeddings a frozen-base stage's batches hand its loss."""
     return base_forward(state.groups["base"], state.cfg, tokens)
 
 
@@ -184,7 +185,7 @@ def test_a_tensor_detached_from_its_buffer_fails_by_name(tmp_path):
 
     def calls(group):
         return (lambda: state.flat(group),
-                lambda: run_stage(state, "bc", ("policy",), 1, TrainConfig(), never, never),
+                lambda: run_stage(state, "bc", ("policy",), TrainConfig(), never, never),
                 lambda: save_checkpoint(state, tmp_path / "x.ckpt"))
 
     state = small_state()
@@ -502,9 +503,36 @@ def test_one_chunked_corpus_loop():
                for name in called(tasks[0]) & set(defs))
 
 
+STAGE_DRIVERS = ("pretrain_base_ar", "train_stage1", "train_bc", "train_fta",
+                 "train_rl", "train_q")
+
+
+def test_one_stage_loop():
+    """Exactly one function in the package opens a `Tape(` and builds an
+    `AdamW(`: `run_stage`. Each of the six stage drivers calls it, so a
+    second training loop cannot come back unnoticed."""
+    def called(node):
+        return {n.func.id if isinstance(n.func, ast.Name) else n.func.attr
+                for n in ast.walk(node) if isinstance(n, ast.Call)
+                and isinstance(n.func, (ast.Name, ast.Attribute))}
+
+    builders, drivers = {"Tape": set(), "AdamW": set()}, {}
+    for path in sorted(pathlib.Path(actlm.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for built in called(fn) & set(builders):
+                builders[built].add((path.name, fn.name))
+            if fn.name in STAGE_DRIVERS:
+                drivers[(path.name, fn.name)] = "run_stage" in called(fn)
+    assert builders == {"Tape": {("training.py", "run_stage")},
+                        "AdamW": {("training.py", "run_stage")}}, builders
+    assert drivers == {("training.py", name): True for name in STAGE_DRIVERS}
+
+
 @pytest.fixture(params=[1, 4], ids=["1cpu", "4cpus"])
 def cpus(request, monkeypatch):
-    """The CPU count that chunk_map and FrozenBatches read from the
+    """The CPU count that chunk_map and frozen_batches read from the
     affinity set, forced."""
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(request.param)))
@@ -707,20 +735,21 @@ def policy_argmax(state, e_l):
 def test_shared_base_forward_gives_the_same_losses_and_gradients():
     """FTA reads its actions (FTA-I the inverse labels, FTA-P the frozen
     policy's argmax) from its loss's own taped base forward. Its steps move
-    the base exactly as steps whose batch_fn labels the batch from a
-    separate untaped forward, bit for bit."""
+    the base exactly as steps whose batches are labelled from a separate
+    untaped forward, bit for bit."""
     split = make_sft_split(small_tokens(b=8), 3)
     cfg = TrainConfig(steps=3, batch_size=4)
     for mode, label in (("FTA-I", inverse_labels), ("FTA-P", policy_argmax)):
         shared, separate = small_state(), small_state()
         train_fta(shared, split, cfg, mode)
 
-        def batch_fn(rng):
-            rows = rng.integers(0, len(split.tokens), size=cfg.batch_size)
-            tokens = split.tokens[rows]
-            return tokens, label(separate, frozen_e_l(separate, tokens))
+        def batches(rng):
+            for _ in range(cfg.steps):
+                rows = rng.integers(0, len(split.tokens), size=cfg.batch_size)
+                tokens = split.tokens[rows]
+                yield tokens, label(separate, frozen_e_l(separate, tokens))
 
-        run_stage(separate, "separate", ("base",), cfg.steps, cfg, batch_fn,
+        run_stage(separate, "separate", ("base",), cfg, batches,
                   lambda batch: loss_fta(separate, batch[0], 3,
                                          lambda e_l: batch[1]))
         assert shared.group_hash("base") == separate.group_hash("base")
@@ -898,9 +927,9 @@ def test_stage_losses_record_only_under_a_tape(stage, monkeypatch):
     from actlm import training
     nodes = {}
 
-    def one_step(state, name, trainable, steps, cfg, batch_fn, loss_fn,
-                 metrics_cb=None, after_step=None):
-        batch = batch_fn(np.random.default_rng(cfg.seed))
+    def one_step(state, name, trainable, cfg, batches, loss_fn, metrics_cb=None):
+        with closing(batches(np.random.default_rng(cfg.seed))) as source:
+            batch = next(source)
         with Tape() as tape:
             loss_fn(batch)
         assert all(node._backward is not None for node in tape.nodes)
@@ -913,7 +942,7 @@ def test_stage_losses_record_only_under_a_tape(stage, monkeypatch):
     assert nodes == STAGE_TAPE_NODES[stage]
 
 
-# The stage parts that take a frozen base's embeddings from FrozenBatches.
+# The stage parts that take a frozen base's embeddings from frozen_batches.
 WINDOWED = {"stage1", "bc-policy", "fta-policy-refresh"}
 
 
@@ -929,9 +958,11 @@ def test_each_stage_step_runs_one_base_forward(stage, monkeypatch):
     steps, inline on one CPU and on a worker thread on more: every row it
     draws is encoded exactly once, in step order, by one forward for labels
     and loss alike, and no row past its last step is drawn. Two-step
-    windows make the third step a window of its own."""
+    windows make the third step a window of its own. An empty source (0
+    steps) records nothing, draws no row, leaves no thread and moves no
+    group."""
     from actlm import training
-    real, real_draw = training.base_forward, training._draw_rows
+    real, real_draw = training.base_forward, training._drawn_rows
     monkeypatch.setattr(training, "SWEEP_TOKENS", 2 * 4 * 7)
 
     def encoding(*args, **kwargs):
@@ -939,18 +970,25 @@ def test_each_stage_step_runs_one_base_forward(stage, monkeypatch):
         return real(*args, **kwargs)
 
     def drawing(*args):
-        drawn.append(real_draw(*args))
-        return drawn[-1]
+        for rows in real_draw(*args):
+            drawn.append(rows)
+            yield rows
 
     def record(r):
         parts.append((r["stage"], len(encoded), len(drawn)))
 
     monkeypatch.setattr(training, "base_forward", encoding)
-    monkeypatch.setattr(training, "_draw_rows", drawing)
+    monkeypatch.setattr(training, "_drawn_rows", drawing)
     for n_cpus in (1, 4):
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid, n=n_cpus: set(range(n)))
         encoded, drawn, parts = [], [], []
+        state, alive = small_state(), threading.active_count()
+        before = state.hashes()
+        _drivers()[stage][0](state, record, 0)
+        assert parts == [] and drawn == [] and state.hashes() == before
+        assert threading.active_count() == alive
+        encoded = []
         _drivers()[stage][0](small_state(), record, 3)
         # FTA-I's policy refresh runs three steps of a stage of its own
         assert len(parts) == (6 if stage == "fta-FTA-I" else 3)
@@ -1059,6 +1097,38 @@ def test_a_raising_metrics_cb_aborts_a_prefetching_stage(train, cpus):
     assert len(records) == 1 and threading.active_count() == alive
 
 
+def test_run_stage_closes_its_batches():
+    """run_stage closes the generator that batches(rng) gives when the
+    stage drains it, and when a step raises before it is drained, already
+    while the exception is held (not only once the frames are freed)."""
+    class Stop(Exception):
+        pass
+
+    def stop(record):
+        raise Stop
+
+    closed = []
+
+    def batches(rng):
+        try:
+            for _ in range(3):
+                yield small_tokens()
+        finally:
+            closed.append(True)
+
+    def run(metrics_cb):
+        state = small_state()
+        return run_stage(state, "pretrain-base", ("base",), TrainConfig(),
+                         batches, lambda tokens: loss_base_ar(state, tokens),
+                         metrics_cb)
+
+    assert len(run(None)) == 3 and closed == [True]
+    with pytest.raises(Stop) as raised:
+        run(stop)
+    # raised holds the traceback, and with it run_stage's frame
+    assert closed == [True, True] and raised.tb is not None
+
+
 def test_train_q_runs_one_base_forward_per_step(monkeypatch):
     """A train-q step encodes the next contexts of its whole batch, of mixed
     lengths, in one base forward, and computes all its targets in one
@@ -1135,9 +1205,9 @@ def test_rl_update_constant_reward_has_vanishing_gradient():
     cfg = TrainConfig(rl_group_size=4, kl_coef=0.01, learning_rate=0.1)
     ref = {k: Tensor(t.data.copy()) for k, t in state.groups["policy"].items()}
     [record] = run_stage(
-        state, "rl", ("policy",), 1, cfg,
-        lambda rng: rl_batch(state, small_tokens(b=2, t=3), lambda r: 0.7, cfg,
-                             rng, 8, ref),
+        state, "rl", ("policy",), cfg,
+        lambda rng: (rl_batch(state, small_tokens(b=2, t=3), lambda r: 0.7, cfg,
+                              rng, 8, ref) for _ in range(1)),
         lambda batch: loss_rl(state, batch, cfg))
     assert record["rl_reward_mean"] == pytest.approx(0.7)
     assert abs(record["pg_loss"]) < 1e-6
@@ -1347,20 +1417,30 @@ def test_dqn_step_reduces_error_on_single_transition():
     assert records[-1]["q_loss"] < records[0]["q_loss"] * 0.1
 
 
-def test_train_q_syncs_target_after_every_interval_step():
-    """Order within a step is optimizer step, target sync, record: the
-    record of every sync_interval-th step (1-based) sees a target equal to
-    the online network, the others see it differ."""
-    state = small_state()
+def test_train_q_syncs_target_after_every_interval_step(monkeypatch):
+    """The target is synced after every sync_interval-th step (1-based),
+    before the next batch is drawn: the first draw (q_target starts as a
+    copy) and the draw after each sync read a target equal to the online
+    network, the others read it differ. The sync after a stage's last step
+    still runs, so a 4-step stage ends synced and a 5-step one does not."""
+    from actlm import training
+    real = training.dqn_batch
     tr = Transition(np.array([1, 2]), 2, np.array([1, 2, 3]), 0.0, False)
-    synced = []
 
-    def record(r):
-        synced.append(state.group_hash("q_target") == state.group_hash("q_online"))
+    def run(steps):
+        state, synced = small_state(), []
 
-    train_q(state, [tr], TrainConfig(steps=5, sync_interval=2, tau=1.0,
-                                     learning_rate=1e-2), record)
-    assert synced == [False, True, False, True, False]
+        def drawing(*args):
+            synced.append(state.group_hash("q_target") == state.group_hash("q_online"))
+            return real(*args)
+
+        monkeypatch.setattr(training, "dqn_batch", drawing)
+        train_q(state, [tr], TrainConfig(steps=steps, sync_interval=2, tau=1.0,
+                                         learning_rate=1e-2))
+        return synced, state.group_hash("q_target") == state.group_hash("q_online")
+
+    assert run(5) == ([True, False, True, False, True], False)
+    assert run(4) == ([True, False, True, False], True)
 
 
 def test_dqn_step_rejects_empty_batch():
