@@ -51,8 +51,8 @@ def sample_gumbel(rng, shape) -> np.ndarray:
     return -np.log(-np.log(u + 1e-12) + 1e-12)
 
 
-def one_hot(index: np.ndarray, n: int) -> np.ndarray:
-    o = np.zeros(index.shape + (n,), dtype=ad.active_dtype())
+def one_hot(index: np.ndarray, n: int, dtype) -> np.ndarray:
+    o = np.zeros(index.shape + (n,), dtype)
     np.put_along_axis(o, index[..., None], 1.0, axis=-1)
     return o
 
@@ -79,7 +79,7 @@ def assign_direct(inverse: dict[str, Tensor], codebook: dict[str, Tensor],
     noise = sample_gumbel(rng, logits.shape)
     soft = ad.softmax(ad.mul(ad.add(logits, noise), 1.0 / gumbel_temp))
     index = soft.data.argmax(axis=-1)
-    hard = one_hot(index, logits.shape[-1])
+    hard = one_hot(index, logits.shape[-1], logits.data.dtype)
     straight = ad.add(ad.stop_grad(ad.sub(Tensor(hard), soft)), soft)
     action = ad.matmul(straight, codebook["codes"])
     return ActionAssignment(soft, straight, index, action)
@@ -163,9 +163,8 @@ class Decoder:
     which every row of its first sync continues.
 
     At construction the decoder compiles the state's weights into copies
-    of its own in the dtype then active, so later changes to the state do
-    not reach it, and a sync under another precision mode raises. Each
-    fold is computed in float64 and rounded once:
+    of its own in the state's dtype, so later changes to the state do not
+    reach it. Each fold is computed in float64 and rounded once:
     - per base and policy block, `wqkv = [wq / sqrt(dh) | wk | wv]` and
       `w12 = [w1 | w2]`, each with the gain of the norm before it and the
       norm's sqrt(d) folded into its rows, so a norm is one scale of the
@@ -183,7 +182,7 @@ class Decoder:
     full-sequence forward (`base_forward`, `policy_forward`,
     `world_logits`) only by rounding: the tests hold them within a
     first-order bound on the dot-product error over each output's
-    accumulation length, in both precision modes.
+    accumulation length, in float32 and float64 alike.
 
     `sync`, `policy_probs`, `next_tokens`, `eos_token_id` and `n_actions`
     are the generator contract that `generate` and search decode through,
@@ -191,7 +190,7 @@ class Decoder:
 
     def __init__(self, state: ModelState):
         cfg, groups = state.cfg, state.groups
-        self.cfg, self.dtype = cfg, ad.active_dtype()
+        self.cfg, self.dtype = cfg, state.dtype
         self.eos_token_id = cfg.eos_token_id
         self.n_actions = cfg.codebook_size
         d, heads = cfg.d_model, cfg.n_heads
@@ -247,16 +246,12 @@ class Decoder:
         base embeddings and policy probabilities are gathered into it, and
         every row encodes from the shortest of those shared lengths. When
         every row extends its own row, nothing is gathered. Raises
-        ValueError, before it changes what it holds, under a precision
-        mode other than the one it was built in, on ids that are not
+        ValueError, before it changes what it holds, on ids that are not
         integers, past max_seq_len and on a token id outside the
-        vocabulary in a column it encodes (the held
-        columns were checked when they were encoded); and
+        vocabulary in a column it encodes (the held columns were checked
+        when they were encoded); and
         FloatingPointError, naming the first position, if the policy
         probabilities of a newly encoded position are not finite."""
-        if ad.active_dtype() != self.dtype:
-            raise ValueError(f"decoder built for {self.dtype} synced under "
-                             f"{ad.active_dtype()}")
         tokens = np.asarray(tokens)
         if tokens.ndim != 2 or tokens.shape[1] < 1:
             raise ValueError(f"expected (B, T>=1) tokens, got shape {tokens.shape}")

@@ -11,9 +11,11 @@ Tapes are per thread: each thread has its own stack of open tapes and
 `untaped()` blocks, so an op records only on a tape its own thread opened,
 and a worker thread's ops, which start with an empty stack, record nowhere.
 
-Two numeric modes exist: float32 for training and float64 for
-verification. The mode is global, one dtype for every thread, and must not
-be switched while a tape is open or another thread runs ops.
+Tensors hold float32 (training) or float64 (verification) arrays, and
+every op computes in the dtype of the arrays it is given: a constant
+operand is cast to its Tensor operand's dtype. No module state selects a
+precision: a model's is the dtype of its parameter buffers
+(`model.ModelState.dtype`).
 
 The tests' finite-difference oracle holds `stop_grad`'s outputs fixed by
 swapping this module's `stop_grad` attribute, so src calls it only as
@@ -28,7 +30,8 @@ import threading
 
 import numpy as np
 
-_DTYPE = np.dtype(np.float32)
+# The dtypes a Tensor holds: float32 trains, float64 verifies.
+FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class _TapeStack(threading.local):
@@ -48,23 +51,6 @@ NEG_MASK = -1e9
 RMS_EPS = 1e-5
 
 
-def set_precision(mode: str) -> None:
-    """Select the global numeric mode: 'train' (f32) or 'verify' (f64)."""
-    global _DTYPE
-    if _TAPES.open:
-        raise RuntimeError("cannot switch precision while a tape is active")
-    if mode == "train":
-        _DTYPE = np.dtype(np.float32)
-    elif mode == "verify":
-        _DTYPE = np.dtype(np.float64)
-    else:
-        raise ValueError(f"unknown precision mode: {mode!r}")
-
-
-def active_dtype():
-    return _DTYPE
-
-
 class Tensor:
     """A dense float array plus, for an op output a tape recorded, the
     closure that maps its gradient to its inputs' gradients."""
@@ -72,9 +58,13 @@ class Tensor:
     __slots__ = ("data", "_backward")
 
     def __init__(self, data):
-        # an ndarray of the active dtype is stored as is, as np.asarray would
-        if type(data) is not np.ndarray or data.dtype is not _DTYPE:
-            data = np.asarray(data, dtype=_DTYPE)
+        # a float32 or float64 ndarray is kept as it is, and a numpy scalar
+        # of those (a full reduction's) made 0-d; all else raises, uncast
+        if type(data) is not np.ndarray or data.dtype not in FLOAT_DTYPES:
+            if not isinstance(data, np.generic) or data.dtype not in FLOAT_DTYPES:
+                raise TypeError("a Tensor holds a float32 or float64 ndarray, not "
+                                f"{getattr(data, 'dtype', type(data).__name__)}")
+            data = np.asarray(data)
         self.data = data
         self._backward = None
 
@@ -165,14 +155,14 @@ def _emit(data, backward) -> Tensor:
     return out
 
 
-def _scalar(v) -> np.ndarray:
-    """`v` as a 0-d array of the active dtype, made once per dtype: a ufunc
-    takes it with less overhead than a Python scalar, and with the same
-    result."""
-    key = (_DTYPE, v)
+def _scalar(v, dtype) -> np.ndarray:
+    """`v` as a 0-d array of `dtype`, the dtype of the array it meets, made
+    once per dtype: a ufunc takes it with less overhead than a Python
+    scalar, and with the same result."""
+    key = (dtype, v)
     s = _SCALARS.get(key)
     if s is None:
-        s = _SCALARS[key] = np.asarray(v, dtype=_DTYPE)
+        s = _SCALARS[key] = np.asarray(v, dtype=dtype)
     return s
 
 
@@ -189,10 +179,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def _as_array(x):
-    if isinstance(x, Tensor):
-        return x.data
-    return np.asarray(x, dtype=_DTYPE)
+def _as_array(b, a: Tensor) -> np.ndarray:
+    # a constant operand takes the dtype of the Tensor operand a
+    if isinstance(b, Tensor):
+        return b.data
+    return np.asarray(b, dtype=a.data.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +234,7 @@ def softmax_rows_backward(g: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def silu_arrays(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(x * sigmoid(x), sigmoid(x))."""
-    one = _scalar(1.0)
+    one = _scalar(1.0, x.dtype)
     sig = np.negative(x)
     np.exp(sig, out=sig)
     np.add(one, sig, out=sig)
@@ -258,8 +249,8 @@ def silu_backward(g: np.ndarray, x: np.ndarray, sig: np.ndarray) -> np.ndarray:
 def rms_norm_arrays(x: np.ndarray, gain: np.ndarray):
     """(x / rms(x) * gain, x / rms(x), 1 / rms(x)) over the last axis."""
     # the sum and division ndarray.mean does, without its Python wrapper
-    ms = np.add.reduce(x * x, axis=-1, keepdims=True) / _scalar(x.shape[-1])
-    inv = _scalar(1.0) / np.sqrt(ms + _scalar(RMS_EPS))
+    ms = np.add.reduce(x * x, axis=-1, keepdims=True) / _scalar(x.shape[-1], x.dtype)
+    inv = _scalar(1.0, x.dtype) / np.sqrt(ms + _scalar(RMS_EPS, x.dtype))
     xn = x * inv
     return xn * gain, xn, inv
 
@@ -283,7 +274,7 @@ def causal_scores(q: np.ndarray, k: np.ndarray):
     tq, tk = s.shape[-2:]
     mask = None if tq == 1 else np.arange(tk) > np.arange(tk - tq, tk)[:, None]
     if mask is not None:
-        np.copyto(s, _scalar(NEG_MASK), where=mask)
+        np.copyto(s, _scalar(NEG_MASK, s.dtype), where=mask)
     return s, mask
 
 
@@ -301,7 +292,7 @@ def causal_scores_backward(g, q, k, mask) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b) -> Tensor:
-    bd = _as_array(b)
+    bd = _as_array(b, a)
 
     def backward(g):
         pairs = [(a, _unbroadcast(g, a.data.shape))]
@@ -313,7 +304,7 @@ def add(a: Tensor, b) -> Tensor:
 
 
 def sub(a: Tensor, b) -> Tensor:
-    bd = _as_array(b)
+    bd = _as_array(b, a)
 
     def backward(g):
         pairs = [(a, _unbroadcast(g, a.data.shape))]
@@ -325,7 +316,7 @@ def sub(a: Tensor, b) -> Tensor:
 
 
 def mul(a: Tensor, b) -> Tensor:
-    bd = _as_array(b)
+    bd = _as_array(b, a)
 
     def backward(g):
         pairs = [(a, _unbroadcast(g * bd, a.data.shape))]

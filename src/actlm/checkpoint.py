@@ -27,10 +27,10 @@ class CheckpointError(Exception):
 
 def save_checkpoint(state: ModelState, path, stage: str = "", step: int = 0) -> None:
     """Atomic write (temp file + rename) of every parameter group's buffer,
-    in GROUP_NAMES order. A buffer of the file's dtype is written as it is,
-    with no copy."""
+    in GROUP_NAMES order and the state's dtype, little-endian. On a
+    little-endian host each buffer is written as it is, with no copy."""
     flats = [state.flat(g) for g in GROUP_NAMES]
-    dtype = np.result_type(*flats).newbyteorder("<")
+    dtype = state.dtype.newbyteorder("<")
     header = json.dumps({"arch": asdict(state.cfg), "dtype": dtype.str,
                          "stage": stage, "step": int(step)}, sort_keys=True).encode()
     chunks = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(header)), header,

@@ -90,7 +90,7 @@ def val_loss(state: ModelState, corpus, mode: str, gumbel_temp: float = 1.0) -> 
     """Mean next-token CE: world model under the inverse labels' actions
     ('with_actions') or the plain base lm-head ('base_ar'), as the corpus's
     memoised `training.val_sweep` holds it (keyed by the corpus bytes, the
-    active dtype and the base and inverse hashes; the slot holds one
+    state's dtype and the base and inverse hashes; the slot holds one
     corpus)."""
     if mode == "base_ar":
         return val_sweep(state, corpus).base_ce

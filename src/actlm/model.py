@@ -232,7 +232,8 @@ class ModelState:
     write the buffers in place, so the tensors see every update, and
     hashing and saving read the tensors' values through the buffer.
     Rebinding a tensor's `.data`, or replacing a group dict, detaches it
-    from the buffer, and `flat` then raises."""
+    from the buffer, and `flat` then raises. Every buffer has the one
+    dtype, float32 or float64, that the state computes in."""
 
     cfg: ArchConfig
     buffers: dict[str, np.ndarray]
@@ -245,7 +246,16 @@ class ModelState:
         for g, buf in self.buffers.items():
             if buf.ndim != 1 or buf.base is not None:
                 raise ValueError(f"the {g} buffer must be 1-d and own its memory")
+        dtypes = {buf.dtype for buf in self.buffers.values()}
+        if len(dtypes) != 1 or dtypes.isdisjoint(ad.FLOAT_DTYPES):
+            named = ", ".join(f"{g} {buf.dtype}" for g, buf in self.buffers.items())
+            raise ValueError(f"the buffers must share one dtype, float32 or float64: {named}")
         self.groups = {g: unflatten(layout[g], buf) for g, buf in self.buffers.items()}
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The buffers' one dtype, which all this state computes in."""
+        return next(iter(self.buffers.values())).dtype
 
     def params(self, *group_names: str) -> dict[str, Tensor]:
         """Flattened 'group/name' -> Tensor view over the named groups."""
@@ -273,15 +283,15 @@ class ModelState:
         return {g: self.group_hash(g) for g in groups}
 
 
-def init_model(cfg: ArchConfig, seed: int = 0) -> ModelState:
-    """Deterministically initialize every parameter group from one seed.
-    One rng draws each tensor of param_specs in turn, in float64, into its
-    place in its group's buffer of the active dtype; a std of None leaves
-    the ones the buffer starts as. q_target's buffer is a copy of
-    q_online's."""
+def init_model(cfg: ArchConfig, seed: int = 0, dtype=np.float32) -> ModelState:
+    """Deterministically initialize every parameter group from one seed, in
+    buffers of `dtype`: float32 trains, float64 verifies. One rng draws
+    each tensor of param_specs in turn, in float64, straight into its place
+    in its group's buffer; a std of None leaves the ones the buffer starts
+    as. q_target's buffer is a copy of q_online's."""
     specs, layout = param_specs(cfg), group_layout(cfg)
     # keyed in param_specs order, which state.groups keeps
-    buffers = {g: np.ones(sum(math.prod(s) for _, s in layout[g]), ad.active_dtype())
+    buffers = {g: np.ones(sum(math.prod(s) for _, s in layout[g]), dtype)
                for g in dict.fromkeys(g for g, *_ in specs)}
     offsets = dict.fromkeys(buffers, 0)
     rng = np.random.default_rng(seed)

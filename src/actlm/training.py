@@ -75,7 +75,7 @@ class AdamW:
         ends = np.cumsum([p.data.size for p in self.params.values()])
         self._slices = [slice(end - p.data.size, end)
                         for end, p in zip(ends, self.params.values())]
-        self.m = np.zeros(int(ends[-1]), np.result_type(*self.buffers))
+        self.m = np.zeros(int(ends[-1]), state.dtype)
         self.v = np.zeros_like(self.m)
 
     def step(self, grads: dict[str, np.ndarray]) -> dict[str, float]:
@@ -238,9 +238,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _sweep_chunk(state: ModelState, chunk, with_labels: bool):
-    """One sweep task: the chunk's float32 base CE sum and, with_labels,
-    its inverse labels and the world model's float32 CE sum under them,
-    else None for both."""
+    """One sweep task: the chunk's base CE sum and, with_labels, its
+    inverse labels and the world model's CE sum under them, else None for
+    both; the sums are in the state's dtype."""
     base = state.groups["base"]
     e_l = base_forward(base, state.cfg, chunk)
     targets = chunk[:, 1:]
@@ -275,17 +275,18 @@ def val_sweep(state: ModelState, corpus, gumbel_temp: float | None = None) -> Va
     nothing depends on the thread that ran it or on the CPU count.
 
     The sweep is memoised in `state.sweep`, which holds one corpus. It is
-    keyed by the corpus's shape, dtype and sha256, the active dtype, and the
-    base and inverse group hashes, so another corpus, `set_precision` or a
-    changed base or inverse weight refills it, and so does a labels request
-    on a sweep filled without them. The labels, an argmax of the action
-    logits, do not depend on gumbel_temp, which is only checked."""
+    keyed by the corpus's shape, dtype and sha256, the state's dtype, and
+    the base and inverse group hashes, so another corpus, buffers of
+    another dtype or a changed base or inverse weight refills it, and so
+    does a labels request on a sweep filled without them. The labels, an
+    argmax of the action logits, do not depend on gumbel_temp, which is
+    only checked."""
     corpus = np.asarray(corpus)
     if gumbel_temp is not None and gumbel_temp <= 0:
         raise ValueError("gumbel_temp must be > 0")
     with_labels = gumbel_temp is not None
     key = (corpus.shape, corpus.dtype.str,
-           hashlib.sha256(corpus.tobytes()).hexdigest(), ad.active_dtype(),
+           hashlib.sha256(corpus.tobytes()).hexdigest(), state.dtype,
            state.group_hash("base"), state.group_hash("inverse"))
     sweep = state.sweep
     if sweep is None or sweep.key != key or (with_labels and sweep.labels is None):
@@ -390,7 +391,7 @@ def rl_batch(state: ModelState, prompts: np.ndarray, reward_fn,
     e_l = base_forward(state.groups["base"], state.cfg, tokens)
     ref_logp = policy_log_probs(ref_policy, state.cfg, e_l).data[:, p_len - 1:-1]
     return {"tokens": tokens, "actions": actions, "advantages": adv,
-            "valid": valid.astype(ad.active_dtype()), "rewards": rewards,
+            "valid": valid.astype(state.dtype), "rewards": rewards,
             "scorer_failures": score.failures, "e_l": e_l, "ref_logp": ref_logp}
 
 
@@ -404,15 +405,15 @@ def loss_rl(state: ModelState, batch: dict, cfg: TrainConfig):
     logp = policy_log_probs(state.groups["policy"], state.cfg, batch["e_l"])
     # action at generation step s was chosen from context position p_len-1+s
     logp_steps = ad.slice_time(logp, p_len - 1, p_len - 1 + n_steps)
-    onehot = one_hot(actions, state.cfg.codebook_size) * valid[..., None]
-    picked = ad.mul(logp_steps, Tensor(onehot))
+    onehot = one_hot(actions, state.cfg.codebook_size, state.dtype) * valid[..., None]
+    picked = ad.mul(logp_steps, onehot)
     logp_taken = ad.sum_(ad.sum_(picked, axis=2), axis=1)  # (B,)
-    pg = ad.mul(ad.sum_(ad.mul(logp_taken, Tensor(batch["advantages"]))),
-                -1.0 / len(tokens))
+    # the float64 advantages are cast to logp's dtype as constants
+    pg = ad.mul(ad.sum_(ad.mul(logp_taken, batch["advantages"])), -1.0 / len(tokens))
 
     probs = ad.exp(logp_steps)
     kl_pos = ad.sum_(ad.mul(probs, ad.sub(logp_steps, batch["ref_logp"])), axis=2)
-    kl = ad.mul(ad.sum_(ad.mul(kl_pos, Tensor(valid))), 1.0 / len(tokens))
+    kl = ad.mul(ad.sum_(ad.mul(kl_pos, valid)), 1.0 / len(tokens))
 
     total = ad.add(pg, ad.mul(kl, cfg.kl_coef)) if cfg.kl_coef else pg
     return total, {"rl_reward_mean": float(batch["rewards"].mean()),
@@ -457,7 +458,7 @@ def dqn_batch(state: ModelState, transitions: list[Transition]):
     last - 1, under causal attention the context's last."""
     if not transitions:
         raise ValueError("empty transition batch")
-    arch, dtype = state.cfg, ad.active_dtype()
+    arch, dtype = state.cfg, state.dtype
     rows = np.arange(len(transitions))
     last = np.array([len(tr.next_context) for tr in transitions]) - 1
     tokens = np.full((len(transitions), last.max() + 1), arch.eos_token_id)
@@ -481,7 +482,7 @@ def loss_dqn(state: ModelState, batch, gamma: float):
     vals = q_forward(state.groups["q_online"], state.cfg, e_l)
     targets = dqn_target(rewards, terminal, vals.data[np.arange(len(last)), last],
                          q_target_next, gamma)
-    resid = ad.sub(ad.sum_(ad.mul(vals, Tensor(mask)), axis=(1, 2)), targets)
+    resid = ad.sub(ad.sum_(ad.mul(vals, mask), axis=(1, 2)), targets)
     loss = ad.mean_(ad.mul(resid, resid))
     return loss, {"q_loss": loss.item()}
 

@@ -17,12 +17,6 @@ settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
 
 
-@pytest.fixture(autouse=True)
-def _restore_precision():
-    yield
-    ad.set_precision("train")
-
-
 def assert_one_storage(state) -> None:
     """Every group's tensors are views into its buffer, and flat(g) hands
     out that buffer itself, not a copy."""
@@ -33,11 +27,11 @@ def assert_one_storage(state) -> None:
         assert sum(t.data.size for t in tensors.values()) == buf.size, g
 
 
-@pytest.fixture
-def verify_mode():
-    ad.set_precision("verify")
-    yield
-    ad.set_precision("train")
+# A test that runs in both precisions takes `dtype` from this: float32, the
+# training dtype, as "train", and float64, the verification dtype, as
+# "verify".
+BOTH_DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                                      ids=["train", "verify"])
 
 
 class StopGradCapture:
@@ -91,14 +85,14 @@ def finite_diff_report(build_loss, params):
     Returns (worst, analytic, numeric). A coordinate passes when
     |ga - gn| <= FD_RTOL |ga| + b; worst is the largest ratio of the left
     side to the right over every coordinate, so the check passes when
-    worst <= 1. Meaningful in the float64 verify mode.
+    worst <= 1. Meaningful on float64 params.
 
     b bounds the error of gn itself, on the rounding model of Nocedal and
     Wright (Numerical Optimization, 2nd ed., section 8.1). By Taylor's
     theorem
         gn = (f(x + h) - f(x - h)) / 2h = f'(x) + h^2 f'''(x) / 6 + O(h^4).
     If each computed f errs by at most u L, with u the unit roundoff of the
-    active dtype (2^-53 in verify mode) and L the largest |f| at the
+    params' dtype (2^-53 in float64) and L the largest |f| at the
     coordinate's probe points, the two values add at most 2 u L / 2h =
     u L / h to gn. The third derivative comes from the same stencil at 2h,
         f(x + 2h) - 2 f(x + h) + 2 f(x - h) - f(x - 2h) = 2 h^3 f''' + O(h^5),
@@ -110,7 +104,11 @@ def finite_diff_report(build_loss, params):
     At h = 1e-5 with |f| and |f'''| of order one, b is of order 1e-11, so
     every coordinate with |ga| well above 1e-5 meets FD_RTOL's bar alone.
     The model's u L can fall short: a loss whose terms cancel rounds by a
-    multiple of it (see test_acceptance.py's gradient-fidelity gates)."""
+    multiple of it (see test_acceptance.py's gradient-fidelity gates).
+    Raises ValueError on params of more than one dtype."""
+    dtypes = {p.data.dtype for p in params}
+    if len(dtypes) != 1:
+        raise ValueError(f"finite_diff_report needs params of one dtype, got {dtypes}")
     capture = StopGradCapture()
     with capture.recording(), ad.Tape() as tape:
         loss = build_loss()
@@ -128,7 +126,7 @@ def finite_diff_report(build_loss, params):
             raise FloatingPointError("non-finite loss at perturbed point")
         return float(value)
 
-    u, h = np.finfo(ad.active_dtype()).eps / 2, FD_STEP
+    u, h = np.finfo(dtypes.pop()).eps / 2, FD_STEP
     worst, numeric = 0.0, []
     for p, ga in zip(params, analytic):
         flat, ga = p.data.reshape(-1), ga.reshape(-1)

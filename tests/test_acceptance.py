@@ -16,7 +16,7 @@ import pytest
 
 from actlm import autodiff as ad
 from actlm.actions import assign_direct, inverse_encode, sample_gumbel
-from actlm.autodiff import Tape, Tensor, set_precision
+from actlm.autodiff import Tape, Tensor
 from actlm.cli import main as cli_main
 from actlm.config import ArchConfig, SearchConfig, TrainConfig
 from actlm.data import HmmCorpusConfig, gen_hmm_corpus, hmm_matrices, \
@@ -168,7 +168,7 @@ def _well_conditioned_toy():
     the worst ratios are 0.23, 0.02 and 0.42."""
     arch = ArchConfig(vocab_size=5, d_model=2, n_heads=1, n_layers_base=1,
                       codebook_size=3, max_seq_len=4, intermediate_dim=4)
-    state = init_model(arch, 248)
+    state = init_model(arch, 248, np.float64)
     prng = np.random.default_rng(10_000 + 248)
     for group in state.groups.values():
         for t in group.values():
@@ -194,7 +194,7 @@ def _block_case(seed):
             [x, *blk.values()])
 
 
-def test_gradient_fidelity_of_primitives(verify_mode):
+def test_gradient_fidelity_of_primitives():
     """Every primitive's gradient passes the elementwise check of
     `conftest.finite_diff_report`, and every gradient of one whole block is
     within 1e-6 of central differences relative to that gradient's largest
@@ -211,7 +211,7 @@ def test_gradient_fidelity_of_primitives(verify_mode):
             assert err < 1e-6, f"block param {i} (seed {seed}): {err:.3e}"
 
 
-def test_gradient_fidelity_of_full_losses(verify_mode):
+def test_gradient_fidelity_of_full_losses():
     state, tokens = _well_conditioned_toy()
     tcfg = TrainConfig()
     e_l = base_forward(state.groups["base"], state.cfg, tokens)
@@ -262,7 +262,7 @@ def test_straight_through_forward_is_exact_one_hot():
         assert np.array_equal(assign.action.data, codes[assign.index])
 
 
-def test_straight_through_gradient_matches_soft_path(verify_mode):
+def test_straight_through_gradient_matches_soft_path():
     """d(w . hard)/dlogits from the tape equals the central-difference
     gradient of the smooth readout w . soft, on 100 seeds."""
     eps = 1e-5
@@ -370,13 +370,13 @@ def test_marginal_kl_matches_brute_force_oracle():
     assert got == pytest.approx(total / len(contexts), abs=1e-9)
 
 
-def test_marginal_kl_constructed_identity_is_zero(verify_mode):
+def test_marginal_kl_constructed_identity_is_zero():
     """Uniform base head, zero merge stack, and a delta policy make both
     sides of the decomposition uniform: the divergence is zero to 64-bit
     roundoff."""
     arch = ArchConfig(vocab_size=9, d_model=8, n_heads=2, codebook_size=4,
                       max_seq_len=16)
-    state = init_model(arch, 0)
+    state = init_model(arch, 0, np.float64)
     state.groups["base"]["lm_head"].data[...] = 0.0
     for t in state.groups["merge"].values():
         t.data[...] = 0.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from actlm import autodiff as ad
-from actlm.autodiff import Tape, Tensor, set_precision
+from actlm.autodiff import Tape, Tensor
 from actlm.actions import (action_logits, assign_direct, assign_vq,
                            inverse_encode, one_hot, policy_forward, world_logits)
 from actlm.config import ArchConfig
@@ -31,12 +31,12 @@ def test_straight_through_forwards_exact_one_hot():
     a = assign_direct(state.groups["inverse"], state.groups["codebook"], e_i,
                       1.0, np.random.default_rng(0))
     np.testing.assert_array_equal(a.straight.data,
-                                  one_hot(a.index, CFG.codebook_size))
+                                  one_hot(a.index, CFG.codebook_size, np.float32))
     np.testing.assert_allclose(a.soft.data.sum(axis=-1), 1.0, atol=1e-6)
     assert (a.soft.data > 0).all()
 
 
-def test_straight_through_gradient_equals_soft_gradient(verify_mode):
+def test_straight_through_gradient_equals_soft_gradient():
     """d(w . straight)/d logits must equal d(w . soft)/d logits."""
     rng = np.random.default_rng(2)
     logits = Tensor(rng.normal(size=(3, 4)))
@@ -65,7 +65,6 @@ def test_straight_through_gradient_equals_soft_gradient(verify_mode):
 
 def test_gumbel_max_frequencies_match_softmax():
     """Sampled indices follow softmax(logits) (Gumbel-max property)."""
-    set_precision("verify")
     logits_row = np.array([1.0, 0.0, -1.0, 0.5])
     target = np.exp(logits_row) / np.exp(logits_row).sum()
     state = init_model(CFG, 0)
@@ -107,8 +106,8 @@ def test_a_nan_action_head_raises_by_name():
 
 
 def test_assign_vq_picks_nearest_with_lowest_index_ties():
-    codes = Tensor(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]))
-    e = Tensor(np.array([[[0.9, 0.1], [0.0, 0.9], [1.0, 0.0]]]))
+    codes = Tensor(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]], np.float32))
+    e = Tensor(np.array([[[0.9, 0.1], [0.0, 0.9], [1.0, 0.0]]], np.float32))
     index, action, commit, cb = assign_vq({"codes": codes}, e)
     np.testing.assert_array_equal(index, [[0, 1, 0]])  # tie row 2 -> index 0
     np.testing.assert_array_equal(action.data, codes.data[index])
@@ -119,7 +118,7 @@ def test_assign_vq_picks_nearest_with_lowest_index_ties():
     np.testing.assert_allclose(cb.item(), commit.item(), rtol=1e-6)
 
 
-def test_assign_vq_gradient_passes_through_to_encoder(verify_mode):
+def test_assign_vq_gradient_passes_through_to_encoder():
     codes = Tensor(np.random.default_rng(0).normal(size=(3, 2)))
     e = Tensor(np.random.default_rng(1).normal(size=(1, 2, 2)))
     with Tape() as tape:
@@ -131,8 +130,8 @@ def test_assign_vq_gradient_passes_through_to_encoder(verify_mode):
 
 def test_world_logits_zero_input_zero_output():
     state = init_model(CFG, 0)
-    e = Tensor(np.zeros((1, 3, 8)))
-    a = Tensor(np.zeros((1, 3, 8)))
+    e = Tensor(np.zeros((1, 3, 8), np.float32))
+    a = Tensor(np.zeros((1, 3, 8), np.float32))
     out = world_logits(state.groups["merge"], CFG, e, a)
     np.testing.assert_array_equal(out.data, np.zeros((1, 3, 9)))
 
@@ -157,7 +156,7 @@ def test_policy_forward_rows_normalized():
 def test_inverse_encode_needs_two_positions():
     state, _ = make_inputs()
     with pytest.raises(ValueError):
-        inverse_encode(state.groups["inverse"], CFG, Tensor(np.zeros((1, 1, 8))))
+        inverse_encode(state.groups["inverse"], CFG, Tensor(np.zeros((1, 1, 8), np.float32)))
 
 
 def test_inverse_encode_sees_one_step_of_future():

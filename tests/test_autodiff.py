@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 
 import actlm
 from actlm import autodiff as ad
-from actlm.autodiff import Tape, Tensor, set_precision
+from actlm.autodiff import Tape, Tensor
 from actlm.config import ArchConfig
 from actlm.model import base_forward, init_model
 from actlm.training import loss_base_ar
-from conftest import StopGradCapture, finite_diff_check, \
+from conftest import BOTH_DTYPES, StopGradCapture, finite_diff_check, \
     finite_diff_report, matmul_error_bound
 
 
@@ -55,7 +55,7 @@ PRIMITIVE_CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
-def test_primitive_matches_finite_differences(name, verify_mode):
+def test_primitive_matches_finite_differences(name):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     x = rand(rng, 2, 3)
     y = rand(rng, 2, 3)
@@ -67,28 +67,28 @@ def test_primitive_matches_finite_differences(name, verify_mode):
     assert finite_diff_check(build, [x, y]) <= 1
 
 
-def test_matmul_gradients(verify_mode):
+def test_matmul_gradients():
     rng = np.random.default_rng(0)
     a, b = rand(rng, 3, 4), rand(rng, 4, 2)
     assert finite_diff_check(
         lambda: probe(np.random.default_rng(1), ad.matmul(a, b)), [a, b]) <= 1
 
 
-def test_batched_matmul_gradients(verify_mode):
+def test_batched_matmul_gradients():
     rng = np.random.default_rng(0)
     a, b = rand(rng, 2, 3, 4), rand(rng, 4, 2)
     assert finite_diff_check(
         lambda: probe(np.random.default_rng(1), ad.matmul(a, b)), [a, b]) <= 1
 
 
-def test_log_gradients(verify_mode):
+def test_log_gradients():
     rng = np.random.default_rng(0)
     x = Tensor(rng.uniform(0.5, 2.0, size=(2, 3)))
     assert finite_diff_check(
         lambda: probe(np.random.default_rng(1), ad.log(x)), [x]) <= 1
 
 
-def test_rms_norm_gradients(verify_mode):
+def test_rms_norm_gradients():
     rng = np.random.default_rng(0)
     x, gain = rand(rng, 2, 3, 4), rand(rng, 4)
     assert finite_diff_check(
@@ -96,7 +96,7 @@ def test_rms_norm_gradients(verify_mode):
         [x, gain]) <= 1
 
 
-def test_causal_attention_scores_gradients(verify_mode):
+def test_causal_attention_scores_gradients():
     rng = np.random.default_rng(0)
     q, k = rand(rng, 1, 3, 4), rand(rng, 1, 3, 4)
 
@@ -109,7 +109,7 @@ def test_causal_attention_scores_gradients(verify_mode):
     assert finite_diff_check(build, [q, k]) <= 1
 
 
-def test_causal_attention_scores_query_offset(verify_mode):
+def test_causal_attention_scores_query_offset():
     """Tq < Tk queries are the last Tq positions: query i sees keys up to
     Tk - Tq + i, exactly the rows of the full square mask."""
     rng = np.random.default_rng(0)
@@ -201,15 +201,13 @@ def assert_same_bits(got, want):
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("mode", ["train", "verify"])
+@BOTH_DTYPES
 @pytest.mark.parametrize("shape", [(1, 1, 32), (2, 5, 32), (3, 7, 8), (4, 9)])
-def test_rms_norm_matches_mean_formula(mode, shape):
-    ad.set_precision(mode)
-    dtype = ad.active_dtype()
+def test_rms_norm_matches_mean_formula(dtype, shape):
     for seed in range(25):
         rng = np.random.default_rng(seed)
-        x = Tensor(rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), size=shape))
-        gain = Tensor(rng.normal(size=shape[-1:]))
+        x = Tensor(rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), size=shape).astype(dtype))
+        gain = Tensor(rng.normal(size=shape[-1:]).astype(dtype))
         out, (gx, gg), g = forward_and_grads(ad.rms_norm, [x, gain], rng)
         ref, ref_gx, ref_gg = rms_norm_reference(x.data, gain.data, g)
         assert out.dtype == dtype
@@ -217,26 +215,24 @@ def test_rms_norm_matches_mean_formula(mode, shape):
             assert_same_bits(got, want)
 
 
-@pytest.mark.parametrize("mode", ["train", "verify"])
+@BOTH_DTYPES
 @pytest.mark.parametrize("tq", [1, 2, 5, 6])  # Tq == 1, 1 < Tq < Tk, Tq == Tk
-def test_causal_attention_scores_match_triu_mask(mode, tq):
-    ad.set_precision(mode)
+def test_causal_attention_scores_match_triu_mask(dtype, tq):
     for seed in range(25):
         rng = np.random.default_rng(seed)
-        q = Tensor(rng.normal(size=(2, 3, tq, 4)))
-        k = Tensor(rng.normal(size=(2, 3, 6, 4)))
+        q = Tensor(rng.normal(size=(2, 3, tq, 4)).astype(dtype))
+        k = Tensor(rng.normal(size=(2, 3, 6, 4)).astype(dtype))
         out, (gq, gk), g = forward_and_grads(ad.causal_attention_scores,
                                              [q, k], rng)
         for got, want in zip((out, gq, gk), scores_reference(q.data, k.data, g)):
             assert_same_bits(got, want)
 
 
-@pytest.mark.parametrize("mode", ["train", "verify"])
-def test_softmax_matches_method_reductions(mode):
-    ad.set_precision(mode)
+@BOTH_DTYPES
+def test_softmax_matches_method_reductions(dtype):
     for seed in range(25):
         rng = np.random.default_rng(seed)
-        x = Tensor(rng.normal(0.0, 5.0, size=(2, 3, 1 + seed % 9)))
+        x = Tensor(rng.normal(0.0, 5.0, size=(2, 3, 1 + seed % 9)).astype(dtype))
         out, (gx,), g = forward_and_grads(ad.softmax, [x], rng)
         for got, want in zip((out, gx), softmax_reference(x.data, g)):
             assert_same_bits(got, want)
@@ -302,15 +298,13 @@ def test_row_max_matches_the_plain_reduction(shape, dtype):
     assert same_bytes(ad.row_max(np.zeros((3, 0), dtype)), np.full((3, 1), -np.inf, dtype))
 
 
-@pytest.mark.parametrize("mode", ["train", "verify"])
+@BOTH_DTYPES
 @pytest.mark.parametrize("shape", ROW_SHAPES)
-def test_softmax_family_matches_the_plain_reduction(mode, shape):
+def test_softmax_family_matches_the_plain_reduction(dtype, shape):
     """softmax, log_softmax and cross_entropy, forward and backward, give the
     bits of references that take the row max with the ndarray method, on
     random, causally masked and signed-zero rows: exp(+0) = exp(-0) = 1, so
     the sign of a zero max reaches no output."""
-    ad.set_precision(mode)
-    dtype = ad.active_dtype()
     rng = np.random.default_rng(shape[-1])
     for name, x in row_cases(shape, dtype, rng).items():
         if name in ("inf", "nan"):
@@ -327,14 +321,13 @@ def test_softmax_family_matches_the_plain_reduction(mode, shape):
             assert same_bytes(out, want_out) and same_bytes(gx, want_gx), name
 
 
-@pytest.mark.parametrize("mode", ["train", "verify"])
-def test_base_loss_matches_the_plain_reduction(mode, monkeypatch):
+@BOTH_DTYPES
+def test_base_loss_matches_the_plain_reduction(dtype, monkeypatch):
     """A base forward, its blocks' attention softmaxes included, and the
     next-token cross-entropy give, forward and in every gradient, the bits
     they give with the row max taken by the plain reduction."""
-    ad.set_precision(mode)
     cfg = ArchConfig(max_seq_len=16)
-    state = init_model(cfg, 0)
+    state = init_model(cfg, 0, dtype)
     tokens = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(4, 16))
 
     def loss_and_grads():
@@ -389,23 +382,22 @@ def test_every_row_max_goes_through_row_max():
     assert found == [("autodiff.py", "row_max")], found
 
 
-@pytest.mark.parametrize("mode", ["train", "verify"])
-def test_silu_matches_scalar_formula(mode):
-    ad.set_precision(mode)
+@BOTH_DTYPES
+def test_silu_matches_scalar_formula(dtype):
     for seed in range(25):
         rng = np.random.default_rng(seed)
-        x = Tensor(rng.normal(0.0, 10.0 ** rng.uniform(-2, 1.5), size=(2, 3, 8)))
+        x = Tensor(rng.normal(0.0, 10.0 ** rng.uniform(-2, 1.5), size=(2, 3, 8)).astype(dtype))
         out, (gx,), g = forward_and_grads(ad.silu, [x], rng)
-        assert out.dtype == ad.active_dtype()
+        assert out.dtype == dtype
         for got, want in zip((out, gx), silu_reference(x.data, g)):
             assert_same_bits(got, want)
 
 
-def _primitive_inputs():
+def _primitive_inputs(dtype):
     rng = np.random.default_rng(0)
 
     def t(*shape):
-        return Tensor(rng.normal(size=shape))
+        return Tensor(rng.normal(size=shape).astype(dtype))
 
     return {"x": t(2, 3, 4), "y": t(2, 3, 4), "w": t(4, 5), "gain": t(4),
             "table": t(9, 4), "ids": rng.integers(0, 9, size=(2, 3)),
@@ -442,14 +434,13 @@ def test_every_primitive_is_covered():
     assert emitting == set(EVERY_PRIMITIVE)
 
 
-@pytest.mark.parametrize("mode", ["train", "verify"])
+@BOTH_DTYPES
 @pytest.mark.parametrize("name", sorted(EVERY_PRIMITIVE))
-def test_untaped_primitive_keeps_no_closure(name, mode):
+def test_untaped_primitive_keeps_no_closure(name, dtype):
     """Outside a tape and under `untaped()` an op gives the same bits as on a
     tape but holds no backward closure, so nothing keeps its inputs or
     intermediates alive."""
-    ad.set_precision(mode)
-    op, inputs = EVERY_PRIMITIVE[name], _primitive_inputs()
+    op, inputs = EVERY_PRIMITIVE[name], _primitive_inputs(dtype)
     with Tape() as tape:
         taped = op(inputs)
     assert tape.nodes[-1] is taped and taped._backward is not None
@@ -474,7 +465,7 @@ def test_untaped_base_forward_frees_its_intermediates():
     base = init_model(cfg, 0).groups["base"]
     b = t = 64
     tokens = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(b, t))
-    itemsize = ad.active_dtype().itemsize
+    itemsize = base["tok_emb"].data.itemsize
     scores = b * cfg.n_heads * t * t * itemsize
     bound = 2 * scores + 4 * b * t * cfg.intermediate_dim * itemsize
 
@@ -494,19 +485,23 @@ def test_untaped_base_forward_frees_its_intermediates():
     assert peak(record=False) < bound < peak(record=True)
 
 
-def test_tensor_keeps_arrays_of_the_active_dtype():
-    """An ndarray of the active dtype is stored as is (np.asarray aliases it
-    too); anything else is converted to that dtype."""
-    a = np.ones(3, dtype=ad.active_dtype())
-    assert Tensor(a).data is a
-    for other in (np.ones(3), np.ones(3, dtype=int), [1.0, 2.0], 2.0,
-                  np.float32(2.0), np.ones(3, dtype=">f4")):
-        t = Tensor(other)
-        assert type(t.data) is np.ndarray and t.data.dtype == ad.active_dtype()
-        np.testing.assert_array_equal(t.data, np.asarray(other, dtype=np.float64))
+def test_tensor_holds_float_arrays_and_refuses_other_dtypes():
+    """A float32 or float64 ndarray is stored as is, and a numpy scalar as a
+    0-d array of its own dtype; anything else raises TypeError naming its
+    dtype or type, so that nothing is cast silently."""
+    for dtype in (np.float32, np.float64):
+        a = np.ones(3, dtype)
+        assert Tensor(a).data is a
+        s = Tensor(dtype(2.0)).data
+        assert type(s) is np.ndarray and s.shape == () and s.dtype == dtype
+    for other, name in ((np.ones(3, np.int64), "int64"), (np.ones(3, ">f4"), ">f4"),
+                        (np.ones(3, np.float16), "float16"), (np.int64(2), "int64"),
+                        ([1.0, 2.0], "list"), (2.0, "float")):
+        with pytest.raises(TypeError, match=name):
+            Tensor(other)
 
 
-def test_embedding_gradients_accumulate_repeated_ids(verify_mode):
+def test_embedding_gradients_accumulate_repeated_ids():
     table = Tensor(np.random.default_rng(0).normal(size=(4, 3)))
     ids = np.array([1, 1, 2])
     with Tape() as tape:
@@ -521,12 +516,12 @@ def test_embedding_gradients_accumulate_repeated_ids(verify_mode):
 
 
 def test_embedding_rejects_out_of_range():
-    table = Tensor(np.zeros((4, 3)))
+    table = Tensor(np.zeros((4, 3), np.float32))
     with pytest.raises(ValueError):
         ad.embedding(table, np.array([4]))
 
 
-def test_cross_entropy_matches_manual_log_softmax(verify_mode):
+def test_cross_entropy_matches_manual_log_softmax():
     rng = np.random.default_rng(3)
     logits = Tensor(rng.normal(size=(2, 5)))
     targets = np.array([1, 4])
@@ -537,7 +532,7 @@ def test_cross_entropy_matches_manual_log_softmax(verify_mode):
         ce.data, manual[np.arange(2), targets], rtol=1e-12)
 
 
-def test_cross_entropy_gradients(verify_mode):
+def test_cross_entropy_gradients():
     rng = np.random.default_rng(3)
     logits = Tensor(rng.normal(size=(2, 3, 5)))
     targets = rng.integers(0, 5, size=(2, 3))
@@ -545,7 +540,7 @@ def test_cross_entropy_gradients(verify_mode):
         lambda: ad.mean_(ad.cross_entropy(logits, targets)), [logits]) <= 1
 
 
-def test_slice_time_backward_scatters(verify_mode):
+def test_slice_time_backward_scatters():
     x = Tensor(np.arange(12, dtype=np.float64).reshape(1, 4, 3))
     with Tape() as tape:
         loss = ad.sum_(ad.slice_time(x, 1, 3))
@@ -557,7 +552,7 @@ def test_slice_time_backward_scatters(verify_mode):
 
 
 def test_fanout_accumulates():
-    x = Tensor(np.array(3.0))
+    x = Tensor(np.array(3.0, np.float32))
     with Tape() as tape:
         y = ad.add(ad.mul(x, x), x)  # x^2 + x
         grads = tape.gradients(y)
@@ -565,7 +560,7 @@ def test_fanout_accumulates():
 
 
 def test_stop_grad_blocks_gradient():
-    x = Tensor(np.array([1.0, 2.0]))
+    x = Tensor(np.array([1.0, 2.0], np.float32))
     with Tape() as tape:
         loss = ad.sum_(ad.mul(ad.stop_grad(x), x))
         grads = tape.gradients(loss)
@@ -575,7 +570,7 @@ def test_stop_grad_blocks_gradient():
 def test_untaped_ops_stay_off_the_tape():
     """Ops inside `untaped` are not recorded, so their output is a constant
     to the tape: d/dx sum(3x * x) is read as 3x, not 6x."""
-    x = Tensor(np.array([1.0, 2.0]))
+    x = Tensor(np.array([1.0, 2.0], np.float32))
     with Tape() as tape:
         with ad.untaped():
             y = ad.mul(x, 3.0)
@@ -597,7 +592,7 @@ def test_tapes_and_untaped_blocks_belong_to_their_thread():
     """A Tape open on one thread records none of a worker thread's ops, a
     worker's own Tape records only the worker's, and an `untaped()` opened
     on a worker leaves the main thread recording."""
-    x = Tensor(np.array([1.0, 2.0]))
+    x = Tensor(np.array([1.0, 2.0], np.float32))
     seen, opened, release = {}, threading.Event(), threading.Event()
 
     def plain_ops():
@@ -641,7 +636,7 @@ def test_stop_grad_capture_replays_recorded_values():
     """A replay hands back the recorded values, and each block puts the
     src stop_grad back, even when the build inside it raises."""
     plain = ad.stop_grad
-    x = Tensor(np.array([1.0, 2.0]))
+    x = Tensor(np.array([1.0, 2.0], np.float32))
     cap = StopGradCapture()
     with cap.recording():
         frozen = ad.stop_grad(x)
@@ -656,21 +651,10 @@ def test_stop_grad_capture_replays_recorded_values():
         assert ad.stop_grad is plain
 
 
-def test_precision_switch_guarded_inside_tape():
-    with Tape():
-        with pytest.raises(RuntimeError):
-            set_precision("verify")
-
-
-def test_unknown_precision_mode_rejected():
-    with pytest.raises(ValueError):
-        set_precision("half")
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-30, 30), min_size=2, max_size=8))
 def test_softmax_rows_sum_to_one(logits):
-    out = ad.softmax(Tensor(np.array(logits)))
+    out = ad.softmax(Tensor(np.array(logits, np.float32)))
     assert abs(out.data.sum() - 1.0) < 1e-6
     assert (out.data > 0).all()
 
@@ -680,13 +664,21 @@ def test_softmax_rows_sum_to_one(logits):
 def test_matmul_forward_matches_numpy(seed):
     rng = np.random.default_rng(seed)
     a, b = rng.normal(size=(2, 3)), rng.normal(size=(3, 4))
-    out = ad.matmul(Tensor(a), Tensor(b))
+    out = ad.matmul(Tensor(a.astype(np.float32)), Tensor(b.astype(np.float32)))
     ref = (a @ b).astype(out.data.dtype)
     err = np.abs(out.data.astype(np.float64) - ref)
     assert (err <= matmul_error_bound(a, b, out.data.dtype)).all()
 
 
-def test_finite_diff_report_rejects_nonscalar(verify_mode):
+def test_finite_diff_report_rejects_nonscalar():
     x = Tensor(np.ones(3))
     with pytest.raises(ValueError):
         finite_diff_report(lambda: ad.mul(x, 1.0), [x])
+
+
+def test_finite_diff_report_rejects_params_of_two_dtypes():
+    """u is the unit roundoff of the params' one dtype, so params of two
+    dtypes have none and are refused."""
+    x, y = Tensor(np.ones(3)), Tensor(np.ones(3, np.float32))
+    with pytest.raises(ValueError, match="one dtype"):
+        finite_diff_report(lambda: ad.sum_(ad.mul(x, y)), [x, y])

@@ -15,8 +15,11 @@ from hypothesis import strategies as st
 
 from actlm.checkpoint import (CheckpointError, FORMAT_VERSION, MAGIC,
                               load_checkpoint, save_checkpoint)
-from actlm.config import ArchConfig
-from actlm.model import GROUP_NAMES, ModelState, init_model
+from actlm.actions import Decoder
+from actlm.autodiff import Tape
+from actlm.config import ArchConfig, TrainConfig
+from actlm.model import GROUP_NAMES, ModelState, base_forward, init_model
+from actlm.training import loss_pre1
 
 from conftest import assert_one_storage, v1_checkpoint_body
 
@@ -43,6 +46,30 @@ def test_round_trip_is_bitwise(tmp_path):
                 a, b = state.groups[g][k].data, loaded.groups[g][k].data
                 assert a.dtype == b.dtype == dtype
                 assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("code", ["<f4", "<f8"])
+def test_a_loaded_state_computes_in_its_file_dtype(tmp_path, code):
+    """A checkpoint's dtype is the precision of all the loaded state
+    computes: base_forward's embeddings, the loss and every gradient of a
+    stage-1 step, and a Decoder's held embeddings, policy probabilities
+    and next-token logits."""
+    init = init_model(CFG, 7)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(ModelState(CFG, {g: init.flat(g).astype(code) for g in GROUP_NAMES}),
+                    path)
+    state, _ = load_checkpoint(path)
+    assert state.dtype == np.dtype(code)
+    tokens = np.random.default_rng(0).integers(0, CFG.vocab_size, size=(2, 6))
+    e_l = base_forward(state.groups["base"], CFG, tokens)
+    with Tape() as tape:
+        loss, _, _ = loss_pre1(state, tokens, e_l, TrainConfig(),
+                               np.random.default_rng(0), "direct")
+    grads = tape.gradients(loss)
+    dec = Decoder(state)
+    dec.sync(tokens)
+    got = [e_l.data, loss.data, *grads.values(), dec.e_l, dec.probs, dec.next_logits([0, 1])]
+    assert len(grads) > 1 and {a.dtype for a in got} == {state.dtype}
 
 
 def test_body_is_header_then_each_flat_group(tmp_path):

@@ -13,9 +13,10 @@ from actlm import autodiff as ad
 from actlm.autodiff import Tape, Tensor
 from actlm.config import ArchConfig
 from actlm.actions import Decoder
-from actlm.model import (GROUP_NAMES, base_forward, base_logits, block_forward,
-                         group_layout, init_model, param_specs, unflatten)
-from conftest import assert_one_storage, check_base_logits
+from actlm.model import (GROUP_NAMES, ModelState, base_forward, base_logits,
+                         block_forward, group_layout, init_model, param_specs,
+                         unflatten)
+from conftest import BOTH_DTYPES, assert_one_storage, check_base_logits
 
 
 CFG = ArchConfig(vocab_size=11, d_model=8, n_heads=2, max_seq_len=12,
@@ -45,17 +46,16 @@ def test_base_forward_is_causal():
         assert not np.array_equal(logits.data[:, t], logits2.data[:, t])
 
 
-@pytest.mark.parametrize("mode", ["verify", "train"])
+@BOTH_DTYPES
 @pytest.mark.parametrize("seed", range(6))
-def test_cached_base_forward_matches_full_prefix(mode, seed):
+def test_cached_base_forward_matches_full_prefix(dtype, seed):
     """The decoder's cached base embeddings, synced one token at a time,
     then after a truncation and a re-extension with other tokens in
     chunks: every base logit they give stays within the rounding-error
-    bound of the full-prefix forward (a few ulp of the operands in verify
-    mode)."""
-    ad.set_precision(mode)
+    bound of the full-prefix forward (a few ulp of the operands in
+    float64)."""
     cfg = ArchConfig(max_seq_len=24)
-    state = init_model(cfg, seed)
+    state = init_model(cfg, seed, dtype)
     rng = np.random.default_rng(seed)
     t = cfg.max_seq_len
     tokens = rng.integers(0, cfg.vocab_size, size=(2, t))
@@ -99,25 +99,25 @@ def reference_block_forward(p, prefix, x, cfg):
     return ad.add(x, ad.matmul(gate, p[f"{prefix}.w3"]))
 
 
-def _weights(n_blocks, seed):
-    """A state with n_blocks base blocks whose base weights sit well away
-    from the tiny init scale, and the rng that moved them."""
+def _weights(n_blocks, seed, dtype):
+    """A state of dtype with n_blocks base blocks whose base weights sit
+    well away from the tiny init scale, and the rng that moved them."""
     cfg = ArchConfig(n_layers_base=n_blocks)
-    state = init_model(cfg, seed)
+    state = init_model(cfg, seed, dtype)
     rng = np.random.default_rng(seed)
     for w in state.groups["base"].values():
         w.data += rng.normal(0.0, 0.3, size=w.shape).astype(w.data.dtype)
     return state, rng
 
 
-def _block_run(block, b, t, n_blocks, seed):
+def _block_run(block, b, t, n_blocks, seed, dtype):
     """Output and gradients (input's first, then every weight's) of
     n_blocks stacked blocks plus a skip from their input, so that the
     input's gradient also sums with one reaching it from outside the
     blocks."""
-    state, rng = _weights(n_blocks, seed)
+    state, rng = _weights(n_blocks, seed, dtype)
     p, cfg = state.groups["base"], state.cfg
-    x = Tensor(rng.normal(size=(b, t, cfg.d_model)))
+    x = Tensor(rng.normal(size=(b, t, cfg.d_model)).astype(dtype))
     with Tape() as tape:
         h = x
         for i in range(n_blocks):
@@ -130,10 +130,10 @@ def _block_run(block, b, t, n_blocks, seed):
     return [out.data] + [tape.grad(grads, t) for t in (x, *p.values())]
 
 
-def _decoder_step(b, t, past, n_blocks, seed):
+def _decoder_step(b, t, past, n_blocks, seed, dtype):
     """A decoder holding `past` positions of b rows steps t more through
     its compiled blocks against its key/value cache."""
-    state, rng = _weights(n_blocks, seed)
+    state, rng = _weights(n_blocks, seed, dtype)
     tokens = rng.integers(0, state.cfg.vocab_size, size=(b, past + t))
     dec = Decoder(state)
     dec.sync(tokens[:, :past])
@@ -141,27 +141,26 @@ def _decoder_step(b, t, past, n_blocks, seed):
     check_base_logits(state, tokens, dec.e_l[:, past:past + t], past)
 
 
-@pytest.mark.parametrize("mode", ["train", "verify"])
+@BOTH_DTYPES
 @pytest.mark.parametrize("b,t,past,n_blocks", [
     (16, 16, 0, 1), (3, 64, 0, 1), (2, 33, 0, 1), (1, 5, 0, 1),
     (4, 1, 9, 1),   # one decode step against a KV cache
     (2, 3, 5, 1),   # a chunk of queries against a KV cache
     (3, 9, 0, 2),   # two stacked blocks under one tape
 ])
-def test_fused_block_matches_composed_reference_bitwise(mode, b, t, past, n_blocks):
+def test_fused_block_matches_composed_reference_bitwise(dtype, b, t, past, n_blocks):
     """The fused block gives the composed block's output and every
     gradient, the input's included, to the bit. With `past` positions
     cached, the decoder's compiled block step, which folds weights and so
     rounds otherwise, stays within the rounding-error bound of the
     full-prefix forward, whose fused blocks the other cases hold to the
     composed ones."""
-    ad.set_precision(mode)
     for seed in range(3):
         if past:
-            _decoder_step(b, t, past, n_blocks, seed)
+            _decoder_step(b, t, past, n_blocks, seed, dtype)
             continue
-        got = _block_run(block_forward, b, t, n_blocks, seed)
-        want = _block_run(reference_block_forward, b, t, n_blocks, seed)
+        got = _block_run(block_forward, b, t, n_blocks, seed, dtype)
+        want = _block_run(reference_block_forward, b, t, n_blocks, seed, dtype)
         assert len(got) == len(want)
         for i, (a, r) in enumerate(zip(got, want)):
             assert a.dtype == r.dtype and np.array_equal(a, r), (seed, i)
@@ -190,17 +189,20 @@ def test_all_groups_present():
 def test_flat_layout_round_trips_init_model(cfg):
     """init_model's tensors are views of their group's buffer, named and
     ordered as param_specs gives, and bitwise the per-tensor init: one rng
-    drawing each tensor in param_specs order, each cast on its own.
+    drawing each tensor in param_specs order in float64, each cast on its
+    own to the buffers' dtype (so float64 buffers hold the draws exactly).
     q_target equals q_online in a buffer of its own."""
-    state = init_model(cfg, 0)
+    for dtype in (np.float64, np.float32):
+        state = init_model(cfg, 0, dtype)
+        assert state.dtype == dtype
+        rng = np.random.default_rng(0)
+        for g, name, shape, std in param_specs(cfg):
+            ref = np.ones(shape) if std is None else rng.normal(0.0, std, size=shape)
+            t = state.groups[g][name]
+            assert t.data.dtype == dtype
+            assert t.data.shape == shape and t.data.tobytes() == ref.astype(dtype).tobytes()
     assert set(state.groups) == set(GROUP_NAMES)
     assert_one_storage(state)
-    rng = np.random.default_rng(0)
-    for g, name, shape, std in param_specs(cfg):
-        ref = Tensor(np.ones(shape) if std is None else rng.normal(0.0, std, size=shape))
-        t = state.groups[g][name]
-        assert t.data.dtype == ref.data.dtype == ad.active_dtype()
-        assert t.data.shape == shape and t.data.tobytes() == ref.data.tobytes()
     for g in GROUP_NAMES:
         assert list(state.groups[g]) == [name for name, _ in group_layout(cfg)[g]]
         back = unflatten(group_layout(cfg)[g], state.flat(g))
@@ -237,6 +239,21 @@ def test_parameter_data_is_bound_only_where_tensors_are_made():
     for path in sorted(pathlib.Path(actlm.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), path, "")
     assert found and set(found) <= DATA_BINDERS, found
+
+
+def test_model_state_refuses_buffers_of_mixed_or_other_dtypes():
+    """A state computes in the one dtype of its buffers, so buffers of two
+    dtypes, or of one other than float32 and float64, are refused by
+    ValueError naming each group's dtype."""
+    buffers = init_model(CFG, 0).buffers
+    mixed = {**buffers, "policy": buffers["policy"].astype(np.float64)}
+    with pytest.raises(ValueError, match="one dtype.*policy float64"):
+        ModelState(CFG, mixed)
+    half = {g: buf.astype(np.float16) for g, buf in buffers.items()}
+    with pytest.raises(ValueError, match="one dtype.*base float16"):
+        ModelState(CFG, half)
+    assert ModelState(CFG, {g: buf.astype(np.float64) for g, buf in buffers.items()}
+                      ).dtype == np.float64
 
 
 def test_group_hash_tracks_content():

@@ -14,10 +14,8 @@ import actlm
 SRC = pathlib.Path(actlm.__file__).parent
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
-# Reached only from tests/, where each is an oracle or a test switch.
+# Reached only from tests/, where each is an oracle.
 ALLOWED = {
-    "autodiff.set_precision": "selects the float64 verify mode the gradient "
-                              "and rounding-bound tests run in",
     "data.hmm_matrices": "the HMM parameters the sampler's statistics and "
                          "the Bayes-optimal cross-entropy are checked against",
     "metrics.read_metrics": "reads metrics.jsonl back in the CLI and "
@@ -28,6 +26,8 @@ ALLOWED = {
 # Defaulted parameters that no src or benchmark call passes, each kept for
 # the reason given.
 ALLOWED_DEFAULTS = {
+    "init_model.dtype": "float32 trains; the gradient and rounding-bound "
+                        "tests build float64 states with it",
     "main.argv": "the CLI tests drive the command line through it",
 }
 
@@ -270,3 +270,25 @@ def test_only_the_cli_imports_the_run_config_or_the_cli():
                  and actlm_imports(ast.parse(p.read_text())) & {"runconfig", "cli"}}
     assert importers == set()
     assert "runconfig" in actlm_imports(ast.parse((SRC / "cli.py").read_text()))
+
+
+def test_src_names_float32_only_as_the_default_dtype():
+    """A state computes in the dtype of its buffers, so src names float32
+    (`np.float32` or the string "float32") in two places only:
+    `init_model`'s default dtype and `autodiff.FLOAT_DTYPES`, the dtypes a
+    Tensor holds. No array is then made in a fixed training dtype."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "init_model":
+                allowed.update(id(n) for d in node.args.defaults for n in ast.walk(d))
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "FLOAT_DTYPES" for t in node.targets):
+                allowed.update(id(n) for n in ast.walk(node.value))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if id(node) not in allowed
+                  and (isinstance(node, ast.Attribute) and node.attr == "float32"
+                       or isinstance(node, ast.Constant) and node.value == "float32")]
+    assert found == []

@@ -25,7 +25,7 @@ from actlm.search import (LatentActionLM, MctsNode, _select_child, audit_tree,
                           bellman_error, mcts_search, rollout, uct_score)
 from actlm.training import (Transition, q_values_fn,
                             rollout_batch)
-from conftest import (ChainLM, StickyLM, chain_reward, check_base_logits,
+from conftest import (BOTH_DTYPES, ChainLM, StickyLM, chain_reward, check_base_logits,
                       decoder_accumulation_length, gamma, matmul_error_bound,
                       per_prefix, tree_snapshot)
 
@@ -664,9 +664,9 @@ def check_decoder(state, dec):
         assert (np.abs(dec.next_logits([action] * b) - want) <= bound).all()
 
 
-@pytest.mark.parametrize("mode", ["verify", "train"])
+@BOTH_DTYPES
 @pytest.mark.parametrize("seed", range(6))
-def test_decoder_matches_full_prefix(mode, seed):
+def test_decoder_matches_full_prefix(dtype, seed):
     """The compiled decoder's base embeddings, policy probabilities and
     next-token logits stay within the rounding-error bounds of the
     uncached forward at every position: synced token by token, after a
@@ -676,8 +676,7 @@ def test_decoder_matches_full_prefix(mode, seed):
     The decoder starts from one empty row, which both rows of its first
     sync continue. The norm gains are drawn away from 1, so that a fold
     that drops one shows."""
-    ad.set_precision(mode)
-    state = init_model(DCFG, seed)
+    state = init_model(DCFG, seed, dtype)
     rng = np.random.default_rng(seed)
     for group in ("base", "policy"):
         for name, w in state.groups[group].items():
@@ -762,33 +761,13 @@ def test_generation_syncs_once_per_token(monkeypatch):
         assert actions_.shape == (2, 10)
 
 
-def test_decoder_refuses_a_sync_under_another_precision():
-    """A decoder built in train mode refuses a sync in verify mode, naming
-    both dtypes, and holds what it held: back in train mode it goes on as
-    one that never saw the refused sync."""
-    state = init_model(DCFG, 0)
-    dec = Decoder(state)
-    dec.sync([[3, 5, 7]])
-    ad.set_precision("verify")
-    with pytest.raises(ValueError, match="float32.*float64"):
-        dec.sync([[3, 5, 7, 4]])
-    ad.set_precision("train")
-    dec.sync([[3, 5, 7, 4]])
-    fresh = Decoder(state)
-    fresh.sync([[3, 5, 7]])
-    fresh.sync([[3, 5, 7, 4]])
-    np.testing.assert_array_equal(dec.probs, fresh.probs)
-    np.testing.assert_array_equal(dec.next_tokens([1]), fresh.next_tokens([1]))
-
-
-@pytest.mark.parametrize("mode", ["train", "verify"])
-def test_decoder_sync_matches_the_plain_row_max(mode, monkeypatch):
+@BOTH_DTYPES
+def test_decoder_sync_matches_the_plain_row_max(dtype, monkeypatch):
     """A prompt sync of several rows, then a one-token step, give the bits
     they give with the attention and policy row max taken by the plain
     np.maximum.reduce: held embeddings, policy probabilities, caches and
     next-token logits."""
-    ad.set_precision(mode)
-    state = init_model(DCFG, 0)
+    state = init_model(DCFG, 0, dtype)
     tokens = np.random.default_rng(0).integers(1, DCFG.vocab_size, size=(4, 13))
 
     def held():

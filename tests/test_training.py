@@ -35,15 +35,16 @@ from actlm.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamW,
                             rollout_batch, run_stage, sweep_rows, sync_target,
                             train_bc, train_fta, train_q, train_rl,
                             train_stage1, val_sweep)
-from conftest import accumulation_length, assert_one_storage, gamma, matmul_error_bound
+from conftest import BOTH_DTYPES, accumulation_length, assert_one_storage, gamma, \
+    matmul_error_bound
 
 
 CFG = ArchConfig(vocab_size=9, d_model=8, n_heads=2, max_seq_len=16,
                  intermediate_dim=16, codebook_size=4)
 
 
-def small_state(seed=0):
-    return init_model(CFG, seed)
+def small_state(seed=0, dtype=np.float32):
+    return init_model(CFG, seed, dtype)
 
 
 def small_tokens(seed=0, b=3, t=7):
@@ -140,23 +141,21 @@ class ReferenceAdamW:
         return {"grad_norm": norm, "skipped_nonfinite": 0.0}
 
 
-@pytest.mark.parametrize("mode", ["train", "verify"])
-def test_adamw_flat_moments_match_per_parameter_reference(mode):
+@BOTH_DTYPES
+def test_adamw_flat_moments_match_per_parameter_reference(dtype):
     """Params, moments and grad norms equal the per-parameter optimizer's
     bit for bit over steps with and without clipping, a zero gradient, a
     skipped non-finite step and weight decay, with three group buffers of
     vectors and matrices trained at once."""
-    ad.set_precision(mode)
     groups = ("inverse", "codebook", "merge")
     rng = np.random.default_rng(0)
-    state = init_model(CFG, 0)
+    state = init_model(CFG, 0, dtype)
     for g in groups:
         state.flat(g)[...] = rng.normal(size=state.flat(g).size)
     ref_state = ModelState(CFG, {g: state.flat(g).copy() for g in GROUP_NAMES})
     cfg = TrainConfig(learning_rate=3e-3, weight_decay=0.01, grad_clip_norm=5.0)
     opts = [AdamW(state, groups, cfg), ReferenceAdamW(ref_state.params(*groups), cfg)]
     keys = list(opts[0].params)
-    dtype = ad.active_dtype()
     for step in range(6):
         grads = {k: (rng.normal(size=p.shape) * 10.0 ** (step - 2)).astype(dtype)
                  for k, p in opts[0].params.items()}
@@ -286,7 +285,7 @@ def test_gradients_keep_only_leaf_gradients():
 def test_grad_of_an_op_output_raises():
     """Reading a node's gradient, which `gradients` dropped, fails loudly
     rather than reading zeros."""
-    x = Tensor(np.ones(3))
+    x = Tensor(np.ones(3, np.float32))
     with Tape() as tape:
         y = ad.mul(x, 2.0)
         grads = tape.gradients(ad.sum_(y))
@@ -365,7 +364,9 @@ def _other_corpus(state, corpus):
 
 
 def _verify_precision(state, corpus):
-    ad.set_precision("verify")
+    """The same weights in float64 buffers, the warm sweep carried over."""
+    state.__init__(state.cfg, {g: buf.astype(np.float64)
+                               for g, buf in state.buffers.items()}, state.sweep)
     return corpus
 
 
@@ -590,7 +591,7 @@ def test_sweep_and_ce_readers_equal_a_sequential_per_chunk_reference(
         base_ce = diagnostics.val_loss(state, corpus, "base_ar")
         labels = inverse_action_labels(state, corpus, 1.0)
         assert tape.nodes == [] and ad.recording()
-        after = ad.mul(Tensor(1.0), 2.0)
+        after = ad.mul(Tensor(np.float32(1.0)), 2.0)
         assert tape.nodes == [after]
     assert not ad.recording()
     assert set(threading.enumerate()) == alive
@@ -905,6 +906,64 @@ def test_stage_drivers_keep_each_group_in_one_buffer(stage):
     assert_one_storage(state)
 
 
+@BOTH_DTYPES
+@pytest.mark.parametrize("stage", DRIVERS)
+def test_stage_drivers_keep_the_state_dtype(stage, dtype, monkeypatch):
+    """Every node a stage's tapes record, every gradient they give and
+    every buffer the stage leaves has the state's dtype, float32 and
+    float64 alike, so a constant that upcasts a float32 loss fails here
+    by name."""
+    state, steps = small_state(dtype=dtype), []
+
+    class CheckedTape(Tape):
+        def gradients(self, output):
+            grads = super().gradients(output)
+            bad = [f"node {i}: {n.data.dtype}" for i, n in enumerate(self.nodes)
+                   if n.data.dtype != dtype]
+            bad += [f"a gradient: {g.dtype}" for g in grads.values() if g.dtype != dtype]
+            assert not bad, f"{stage} step {len(steps)} left {np.dtype(dtype)} at {bad}"
+            steps.append(len(self.nodes))
+            return grads
+
+    monkeypatch.setattr(training, "Tape", CheckedTape)
+    _drivers()[stage][0](state, None, 2)
+    assert len(steps) == (4 if stage == "fta-FTA-I" else 2) and all(steps)
+    assert all(buf.dtype == dtype for buf in state.buffers.values())
+
+
+def test_constant_factors_get_no_gradient(monkeypatch):
+    """loss_rl and loss_dqn hand ad.mul their constant factors as arrays,
+    so no gradient is computed or held for them. Against the same losses
+    with every array factor of ad.mul wrapped in a Tensor, the gradient
+    dict loses exactly RL's one-hot, advantages and valid mask and DQN's
+    action mask, and the loss and every gradient left are bitwise
+    equal."""
+    state = small_state()
+    cfg = TrainConfig(rl_group_size=2)
+    rl = rl_batch(state, small_tokens(b=2, t=3), lambda r: float(len(r) % 2), cfg,
+                  np.random.default_rng(0), 8, state.groups["policy"])
+    dqn = dqn_batch(state, [
+        Transition(np.array([1, 2]), 2, np.array([1, 2, 3]), 0.0, False),
+        Transition(np.array([4]), 1, np.array([4, 5]), 0.5, True)])
+    real = ad.mul
+
+    def wrapping(a, b):
+        return real(a, Tensor(b.astype(a.data.dtype)) if isinstance(b, np.ndarray) else b)
+
+    for build, lost in ((lambda: loss_rl(state, rl, cfg)[0], 3),
+                        (lambda: loss_dqn(state, dqn, 0.9)[0], 1)):
+        runs = []
+        for mul in (real, wrapping):
+            monkeypatch.setattr(ad, "mul", mul)
+            with Tape() as tape:
+                loss = build()
+            runs.append((loss.data.tobytes(), tape.gradients(loss)))
+        (got, grads), (want, ref) = runs
+        assert got == want
+        assert set(grads) < set(ref) and len(ref) - len(grads) == lost
+        assert all(grads[k].tobytes() == ref[k].tobytes() for k in grads)
+
+
 # Tape nodes of one step of each stage at the _drivers() shapes: the graph
 # each loss records, which dropping closures outside a tape must not change.
 # A transformer block is one node; the world head is 13, six per merge MLP
@@ -1015,19 +1074,18 @@ def frozen_stage_inputs():
     return small_tokens(seed=3, b=40, t=8), cfg
 
 
-@pytest.mark.parametrize("mode", ["train", "verify"])
-def test_prefetched_windows_train_as_per_step_encodes(mode, cpus, monkeypatch):
+@BOTH_DTYPES
+def test_prefetched_windows_train_as_per_step_encodes(dtype, cpus, monkeypatch):
     """Stage-1 and BC give the same records and weights, bit for bit,
     whether their windows are encoded inline (1 CPU) or on a worker (4
     CPUs), and the same as one-step windows encoded inline, which is the
     per-step encode. Under prefetch, each stage's windows are encoded by
     one worker thread of its own, which is gone when the stage returns."""
     from actlm import training
-    ad.set_precision(mode)
     corpus, cfg = frozen_stage_inputs()
 
     def run():
-        state, records = small_state(), []
+        state, records = small_state(dtype=dtype), []
         train_stage1(state, corpus, cfg, metrics_cb=records.append)
         train_bc(state, corpus, cfg, metrics_cb=records.append)
         return records, state.hashes()
@@ -1448,12 +1506,12 @@ def test_dqn_step_rejects_empty_batch():
         dqn_batch(small_state(), [])
 
 
-def test_loss_dqn_matches_squared_residual(verify_mode):
+def test_loss_dqn_matches_squared_residual():
     """The loss is the mean squared gap between Q(context)[action] and the
     Double-DQN target, over transitions of mixed context lengths. In float64
     the batched and per-context forwards differ only in reduction order,
     well below 1e-10 relative at these sizes."""
-    state = small_state()
+    state = small_state(dtype=np.float64)
     batch = [Transition(np.array([1, 2]), 2, np.array([1, 2, 3]), 0.0, False),
              Transition(np.array([4]), 1, np.array([4, 5]), 0.5, True),
              Transition(np.array([3, 1]), 0, np.array([3, 1, 6]), 1.0, True)]
