@@ -32,11 +32,18 @@ def inverse_cdf(cum: np.ndarray, u) -> np.ndarray:
     cum (k, ...), categories first, trailing axes broadcasting against u:
     the first category whose cumulative value exceeds u. With categories
     leading, counting cum <= u adds k whole rows of draws instead of a short
-    last axis once per draw. u is compared in its own dtype (a Python float
-    as float64), so a float32 table never rounds it up to 1. A category of
-    zero probability, a leading or trailing one included, is never
-    drawn."""
-    return np.add.reduce(cum <= np.asarray(u), axis=0)
+    last axis once per draw. The count is kept in the narrowest unsigned
+    dtype that holds k (`np.min_scalar_type`), uint8 up to 255 categories,
+    which reduces several times faster than int64. u is compared in its own
+    dtype (a Python float as float64), so a float32 table never rounds it up
+    to 1. A category of zero probability, a leading or trailing one
+    included, is never drawn."""
+    return np.add.reduce(cum <= np.asarray(u), axis=0,
+                         dtype=np.min_scalar_type(len(cum)))
+
+
+# time steps staged per block before gen_hmm_corpus copies them out
+_STAGED_STEPS = 8
 
 
 def gen_hmm_corpus(cfg: HmmCorpusConfig):
@@ -45,21 +52,32 @@ def gen_hmm_corpus(cfg: HmmCorpusConfig):
     int64's bytes: 1.06 MiB in all for the 4352x64 CLI default.
 
     All sequences advance together, one time step at a time, each draw an
-    inverse-CDF lookup. The cdf tables are held categories-first, so each
-    step gathers one column per sequence with np.take and writes its draws
-    straight into column t of the outputs. The state trace is an evaluation
-    oracle only and must never feed training. Pure function of the seed.
+    inverse-CDF lookup. Each step takes its emission and transition uniforms
+    from one `rng.random(2 * n)`, which PCG64 fills in the order two calls
+    of n would. The cdf tables are held categories-first, so each step
+    gathers one column per sequence with np.take. A step's states and
+    tokens go into one contiguous row each of a (2, 8, n) int16 staging
+    block, copied into the (n, L) outputs every 8 steps and after the
+    last, in place of two strided column writes per step. The state trace
+    is an evaluation oracle only and must never feed training. Pure
+    function of the seed.
     """
     rng = np.random.default_rng(cfg.seed)
     trans, emit, init = (cdf(p).T for p in _hmm_params(cfg, rng))
-    n = cfg.n_sequences
-    tokens = np.empty((n, cfg.seq_len), dtype=np.int16)
-    states = np.empty((n, cfg.seq_len), dtype=np.int16)
+    n, length = cfg.n_sequences, cfg.seq_len
+    tokens = np.empty((n, length), dtype=np.int16)
+    states = np.empty((n, length), dtype=np.int16)
+    staged = np.empty((2, _STAGED_STEPS, n), dtype=np.int16)
     s = inverse_cdf(init[:, None], rng.random(n))
-    for t in range(cfg.seq_len):
-        states[:, t] = s
-        tokens[:, t] = inverse_cdf(np.take(emit, s, axis=1), rng.random(n))
-        s = inverse_cdf(np.take(trans, s, axis=1), rng.random(n))
+    for t in range(length):
+        j = t % _STAGED_STEPS
+        u = rng.random(2 * n)
+        staged[0, j] = s
+        staged[1, j] = inverse_cdf(np.take(emit, s, axis=1), u[:n])
+        s = inverse_cdf(np.take(trans, s, axis=1), u[n:])
+        if j == _STAGED_STEPS - 1 or t == length - 1:
+            states[:, t - j:t + 1] = staged[0, :j + 1].T
+            tokens[:, t - j:t + 1] = staged[1, :j + 1].T
     return tokens, states
 
 

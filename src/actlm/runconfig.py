@@ -79,7 +79,8 @@ class RunConfig(make_dataclass("ComponentKeys", _component_fields())):
         """Check the corpus split and the run-level counts, then build
         every component once, so a value that one of them rejects fails
         here, whichever subcommand reads it, naming the flat key; then the
-        bounds between keys."""
+        bounds between keys. A prompt is a corpus prefix, so prompt_len
+        lies in 1..hmm_seq_len."""
         for key in ("hmm_train_count", "hmm_val_count", "eval_contexts",
                     "rl_prompt_count", "rl_updates", "q_responses_per_prompt"):
             if getattr(self, key) < 1:
@@ -93,6 +94,12 @@ class RunConfig(make_dataclass("ComponentKeys", _component_fields())):
         if self.hmm_seq_len < 2:
             raise ConfigError("hmm_seq_len must be >= 2: a one-token row has "
                               "no next-token target")
+        if self.prompt_len < 1:
+            raise ConfigError("prompt_len must be >= 1")
+        if self.prompt_len > self.hmm_seq_len:
+            raise ConfigError(f"prompt_len {self.prompt_len} exceeds "
+                              f"hmm_seq_len {self.hmm_seq_len}: prompts are "
+                              "corpus prefixes")
         if self.rl_max_len <= self.prompt_len:
             raise ConfigError("rl_max_len must be > prompt_len: rollouts "
                               "would make no decisions")

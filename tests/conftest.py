@@ -1,5 +1,6 @@
 import contextlib
 import json
+import math
 import struct
 from dataclasses import asdict
 
@@ -176,6 +177,20 @@ def matmul_error_bound(a, b, dtype, n=None) -> np.ndarray:
     n = a.shape[-1] if n is None else n
     u = np.finfo(dtype).eps / 2
     return gamma(n + 2, dtype) * (np.abs(a) @ np.abs(b)) + u * np.abs(a @ b)
+
+
+def frequency_tolerance(p, n, cells: int):
+    """The largest |f - p| a test may allow a frequency f of N independent
+    Bernoulli(p) draws, in each of `cells` cells checked together.
+
+    Bernstein's inequality for a mean of N Bernoulli draws gives
+    P(|f - p| >= z*sqrt(p(1-p)/N) + z^2/(3N)) <= 2*exp(-z^2/2), which holds
+    at every p, unlike the normal approximation near p = 0. z is set so
+    that the false-failure probability of the whole check is 1e-3, split
+    evenly (Bonferroni) over its cells, so the bound follows from the
+    sample size and the seed cannot tune it. p and n broadcast."""
+    z = math.sqrt(2 * math.log(2 * cells / 1e-3))
+    return z * np.sqrt(p * (1 - p) / n) + z * z / (3 * n)
 
 
 def accumulation_length(cfg, t: int, blocks: int) -> int:

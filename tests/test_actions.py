@@ -12,6 +12,8 @@ from actlm.config import ArchConfig
 from actlm.model import init_model
 from actlm.training import inverse_labels
 
+from conftest import frequency_tolerance
+
 
 CFG = ArchConfig(vocab_size=9, d_model=8, n_heads=2, max_seq_len=12,
                  intermediate_dim=16, codebook_size=4)
@@ -64,20 +66,25 @@ def test_straight_through_gradient_equals_soft_gradient():
 
 
 def test_gumbel_max_frequencies_match_softmax():
-    """Sampled indices follow softmax(logits) (Gumbel-max property)."""
+    """assign_direct's indices, argmaxes over logits plus
+    actions.sample_gumbel noise (1e-12 terms included), follow
+    softmax(logits) (the Gumbel-max property): each of the 4 cells within
+    conftest.frequency_tolerance at n = 20,000."""
     logits_row = np.array([1.0, 0.0, -1.0, 0.5])
     target = np.exp(logits_row) / np.exp(logits_row).sum()
-    state = init_model(CFG, 0)
-    rng = np.random.default_rng(123)
     n = 20000
+    # a one-hot encoder output picks the test row out of the action head
     e_i = Tensor(np.zeros((n, 1, 8)))
-    # zero encoder output -> zero logits; add the test row via the head
-    inverse = {"action_head": Tensor(np.zeros((8, 4)))}
-    logits = Tensor(np.broadcast_to(logits_row, (n, 1, 4)).copy())
-    soft = ad.softmax(ad.add(logits, Tensor(np.random.default_rng(7).gumbel(size=(n, 1, 4)))))
-    counts = np.bincount(soft.data.argmax(-1).reshape(-1), minlength=4)
-    freq = counts / n
-    np.testing.assert_allclose(freq, target, atol=0.015)
+    e_i.data[..., 0] = 1.0
+    head = np.zeros((8, 4))
+    head[0] = logits_row
+    inverse = {"action_head": Tensor(head)}
+    codebook = {"codes": Tensor(np.zeros((4, 8)))}
+    index = assign_direct(inverse, codebook, e_i, 1.0,
+                          np.random.default_rng(7)).index
+    freq = np.bincount(index.reshape(-1), minlength=4) / n
+    tol = frequency_tolerance(target, n, cells=4)
+    assert np.all(np.abs(freq - target) <= tol), (freq, target, tol)
 
 
 def test_inverse_labels_are_the_deterministic_argmax_of_the_logits():

@@ -226,18 +226,29 @@ def test_every_default_has_one_source():
     ("hmm_train_count", "0"), ("hmm_val_count", "0"), ("hmm_seq_len", "1"),
     ("rl_max_len", "8"), ("gumbel_temp", "0"), ("sync_interval", "0"),
     ("rl_group_size", "1"), ("kl_coef", "-1"), ("weight_decay", "-5"),
-    ("steps", "-1"), ("seed", "-1")])
+    ("steps", "-1"), ("seed", "-1"), ("prompt_len", "0")])
 def test_component_rejections_fail_at_load(key, value):
     """Every component is built when the config is, so a value one rejects
-    fails whichever subcommand would read it; so do a one-token corpus row
-    and an rl_max_len that leaves the default prompt_len no decision. A
-    leave-one-out group needs two rollouts, a target sync a positive
-    interval, the Gumbel softmax a positive temperature, and a step count
-    and a seed must not be negative."""
+    fails whichever subcommand would read it; so do a one-token corpus row,
+    an rl_max_len that leaves the default prompt_len no decision and an
+    empty prompt. A leave-one-out group needs two rollouts, a target sync a
+    positive interval, the Gumbel softmax a positive temperature, and a
+    step count and a seed must not be negative."""
     with pytest.raises(ConfigError, match=key):
         load_run_config(None, [f"--{key}", value])
     with pytest.raises(ConfigError, match=key):
         RunConfig(**{key: type(getattr(RunConfig(), key))(value)})
+
+
+def test_prompt_len_beyond_the_corpus_rows_fails_at_load():
+    """A prompt is a corpus prefix, so a prompt_len longer than hmm_seq_len
+    is refused by name rather than scoring whole rows as contexts. The
+    rl_max_len flag keeps the rl_max_len bound, whose message also names
+    prompt_len, out of the way; a prompt as long as a row is accepted."""
+    with pytest.raises(ConfigError) as e:
+        load_run_config(None, ["--prompt_len", "70", "--rl_max_len", "80"])
+    assert str(e.value).startswith("prompt_len 70 exceeds hmm_seq_len 64")
+    load_run_config(None, ["--prompt_len", "64", "--rl_max_len", "80"])
 
 
 # an out-of-range value for each renamed key that has a bound
@@ -328,16 +339,18 @@ def run_beyond_max_seq_len(checkpoint, subcommand, key, capsys) -> str:
 @pytest.mark.parametrize("subcommand,key,value", [
     ("eval", "eval_contexts", "0"), ("eval", "eval_contexts", "-3"),
     ("rl", "rl_prompt_count", "0"), ("rl", "rl_prompt_count", "-1"),
-    ("rl", "rl_updates", "0"), ("train-q", "q_responses_per_prompt", "0")])
+    ("rl", "rl_updates", "0"), ("train-q", "q_responses_per_prompt", "0"),
+    ("eval", "prompt_len", "0")])
 def test_cli_count_below_one_fails_by_name(tiny_checkpoint, tmp_path, capsys,
                                            subcommand, key, value):
     """A run-level count below 1 exits 1 naming its key before any work:
     eval would report a NaN marginal_kl over no contexts (or drop the last
-    three contexts at -3), and rl would die on an IndexError at 0 or
-    silently drop prompts at -1."""
+    three contexts at -3) and die on an IndexError over empty prompts, and
+    rl would die on an IndexError at 0 or silently drop prompts at -1."""
     rc = main([subcommand, "--init_checkpoint", str(tiny_checkpoint),
                "--out_dir", str(tmp_path), "--search_max_len", "12",
-               "--prompt_len", "4", f"--{key}", value] + TINY)
+               "--prompt_len", "4", "--eval_contexts", "2",
+               f"--{key}", value] + TINY)
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"error: {key} must be >= 1")
     assert not (tmp_path / "eval.json").exists()

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from actlm.config import FieldError
-from actlm.data import (HmmCorpusConfig, Scorer, SftSplit, cdf,
-                        gen_hmm_corpus, hmm_matrices, inverse_cdf,
+from actlm.data import (_STAGED_STEPS, HmmCorpusConfig, Scorer, SftSplit,
+                        cdf, gen_hmm_corpus, hmm_matrices, inverse_cdf,
                         make_sft_split, marker_reward, open_prefixes)
 from actlm.runconfig import RunConfig
+
+from conftest import frequency_tolerance
 
 
 def test_hmm_corpus_is_deterministic():
@@ -41,7 +43,9 @@ def test_hmm_matrices_are_rowwise_distributions():
 
 
 def test_hmm_statistics_match_matrices():
-    """Empirical emission frequencies track the generating matrices."""
+    """Empirical emission frequencies track the generating matrices, each
+    of the 8 cells within conftest.frequency_tolerance: given the state
+    path, emissions are independent draws."""
     cfg = HmmCorpusConfig(n_states=2, vocab_size=4, n_sequences=300,
                           seq_len=40, seed=9, transition_concentration=1.0,
                           emission_concentration=1.0)
@@ -50,7 +54,8 @@ def test_hmm_statistics_match_matrices():
     for s in range(2):
         sel = tokens[states == s]
         freq = np.bincount(sel, minlength=4) / len(sel)
-        np.testing.assert_allclose(freq, emit[s], atol=0.03)
+        tol = frequency_tolerance(emit[s], len(sel), cells=emit.size)
+        assert np.all(np.abs(freq - emit[s]) <= tol), (s, freq, emit[s], tol)
 
 
 def reference_hmm_params(cfg: HmmCorpusConfig, rng):
@@ -101,13 +106,10 @@ def test_hmm_sampler_matches_reference_in_distribution():
     match hmm_matrices, over 10 seeds and shapes at the default
     concentration (0.3, so some cells are near zero).
 
-    Per cell the bound is Bernstein's inequality for a mean of N Bernoulli
-    draws, P(|f - p| >= z*sqrt(p(1-p)/N) + z^2/(3N)) <= 2*exp(-z^2/2), which
-    holds at every p, unlike the normal approximation near p = 0. z comes
-    from a false-failure probability of 1e-3 for the whole test, split
-    evenly (Bonferroni) over every cell of both samplers at every seed.
-    Given the state path, emissions are independent draws, and by the
-    Markov property so are the departures from each state."""
+    Each cell is held to conftest.frequency_tolerance over every cell of
+    both samplers at every seed. Given the state path, emissions are
+    independent draws, and by the Markov property so are the departures
+    from each state."""
     configs = [HmmCorpusConfig(n_states=2 + seed % 3, vocab_size=4 + seed % 4,
                                n_sequences=300, seq_len=40, seed=seed)
                for seed in range(10)]
@@ -116,10 +118,8 @@ def test_hmm_sampler_matches_reference_in_distribution():
     cells = [cell for cfg, (tokens, states) in runs
              for p, freq, n in _empirical_cells(cfg, tokens, states)
              for cell in zip(p, freq, np.broadcast_to(n, p.shape))]
-    z = math.sqrt(2 * math.log(2 * len(cells) / 1e-3))
     for p, freq, n in cells:
-        assert abs(freq - p) <= z * math.sqrt(p * (1 - p) / n) + z * z / (3 * n), \
-            (p, freq, n)
+        assert abs(freq - p) <= frequency_tolerance(p, n, len(cells)), (p, freq, n)
 
 
 def test_inverse_cdf_never_draws_a_zero_probability_category():
@@ -170,10 +170,15 @@ def reference_rowwise_hmm_corpus(cfg: HmmCorpusConfig):
 def test_hmm_corpus_matches_the_rowwise_sampler_bitwise(seed, conc):
     """The categories-first sampler returns the rowwise sampler's tokens and
     states exactly, as C-contiguous int16 (n, L) arrays (the reference keeps
-    int64), down to one state, one step and one sequence, and at
-    near-degenerate and flat rows."""
+    int64), down to one state, one step and one sequence, at near-degenerate
+    and flat rows, at row lengths that fill the staging block once, spill
+    one step past it and fill it twice, and with 32768 tokens, where the
+    counts take uint16."""
+    block = _STAGED_STEPS
     shapes = [(1, 2, 1, 1), (1, 16, 7, 5), (3, 1, 9, 4), (2, 5, 3, 1),
-              (4, 16, 33, 17), (5, 11, 1, 64)]
+              (4, 16, 33, 17), (5, 11, 1, 64), (4, 16, 33, block),
+              (4, 16, 33, block + 1), (4, 16, 33, 2 * block),
+              (2, 32768, 3, block + 1)]
     for m, v, n, length in shapes:
         cfg = HmmCorpusConfig(n_states=m, vocab_size=v, n_sequences=n,
                               seq_len=length, seed=seed,
@@ -183,6 +188,24 @@ def test_hmm_corpus_matches_the_rowwise_sampler_bitwise(seed, conc):
             assert got.dtype == np.int16 and got.shape == (n, length)
             assert got.flags.c_contiguous
             np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("k,dtype", [(255, np.uint8), (256, np.uint16),
+                                     (32768, np.uint16)])
+def test_inverse_cdf_counts_in_the_narrowest_dtype(k, dtype):
+    """Counts over k categories are the int64 counts, held in the
+    narrowest unsigned dtype that holds k, up to the last category."""
+    rng = np.random.default_rng(k)
+    probs = rng.random((64, k))
+    probs[:, ::3] = 0.0
+    probs[:, -1] = probs.sum(axis=1)  # half the mass on the last category
+    cum = cdf(probs).T
+    u = np.append(rng.random(63), 1 - 2.0 ** -53)
+    got = inverse_cdf(cum, u)
+    assert got.dtype == dtype
+    want = (cum <= u).sum(axis=0, dtype=np.int64)
+    np.testing.assert_array_equal(got, want)
+    assert got.max() == k - 1
 
 
 @pytest.mark.parametrize("field", ["n_states", "vocab_size"])
