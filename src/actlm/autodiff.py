@@ -2,10 +2,10 @@
 
 A Tensor wraps a float ndarray. Ops compute forward with numpy. Only while a
 Tape records does an op keep a backward closure over its inputs and append
-its output to the tape, which is later replayed in reverse to accumulate
-gradients; outside a tape (or under `untaped()`) the closure is dropped at
-once, so forward-only work frees each intermediate as soon as nothing reads
-it.
+its output to the tape, which `Tape.gradients` replays in reverse for the
+gradients of the leaves it is asked for; outside a tape (or under
+`untaped()`) the closure is dropped at once, so forward-only work frees
+each intermediate as soon as nothing reads it.
 
 Tapes are per thread: each thread has its own stack of open tapes and
 `untaped()` blocks, so an op records only on a tape its own thread opened,
@@ -93,15 +93,20 @@ class Tape:
         _TAPES.open.pop()
         return False
 
-    def gradients(self, output: Tensor) -> dict[int, np.ndarray]:
+    def gradients(self, output: Tensor, leaves) -> list[np.ndarray]:
         """Backward pass from `output`, seeded with ones; returns the
-        gradients of the leaves (tensors no op on this tape produced) keyed
-        by id(tensor).
+        gradients of `leaves` (tensors no op on this tape produced) in
+        order, zeros of a leaf's shape and dtype if no path leads from it
+        to `output`. Raises ValueError if an op output is asked for.
 
         Gradients accumulate additively across fan-out. A node's gradient
-        is dropped once its backward has consumed it, so it is freed while
-        the pass runs. Tensors not on any path to `output` have no entry.
-        """
+        is dropped once its backward has consumed it, a leaf's not asked
+        for at once, so neither is held while the pass runs."""
+        if any(t._backward is not None for t in leaves):
+            raise ValueError("only a leaf's gradient is kept; got an op output")
+        # the gradients worth holding: the nodes' (until their backward has
+        # run) and the asked-for leaves'
+        keep = {id(t) for t in leaves} | {id(node) for node in self.nodes}
         grads: dict[int, np.ndarray] = {id(output): np.ones_like(output.data)}
         for node in reversed(self.nodes):
             g = grads.pop(id(node), None)
@@ -111,17 +116,10 @@ class Tape:
                 key = id(parent)
                 if key in grads:
                     grads[key] = grads[key] + pg
-                else:
+                elif key in keep:
                     grads[key] = pg
-        return grads
-
-    def grad(self, grads: dict[int, np.ndarray], t: Tensor) -> np.ndarray:
-        """Gradient of a leaf from a `gradients()` result; zeros if unused.
-        Raises for an op output, whose gradient `gradients` does not keep."""
-        if t._backward is not None:
-            raise ValueError("only a leaf's gradient is kept; got an op output")
-        g = grads.get(id(t))
-        return np.zeros_like(t.data) if g is None else g
+        return [grads[id(t)] if id(t) in grads else np.zeros_like(t.data)
+                for t in leaves]
 
 
 @contextlib.contextmanager

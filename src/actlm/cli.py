@@ -71,15 +71,20 @@ def _prompts(cfg: RunConfig, val: np.ndarray, eos: int) -> np.ndarray:
     return open_prefixes(val, cfg.rl_prompt_count, cfg.prompt_len, eos)
 
 
+def _check_room(cfg: RunConfig, what: str, length: int) -> None:
+    """Refuse, naming it `what`, a prefix of `length` that fills search_max_len."""
+    if length >= cfg.search_max_len:
+        raise ConfigError(f"{what} {length} leaves nothing to generate "
+                          f"within search_max_len {cfg.search_max_len}")
+
+
 def _prompt_tokens(cfg: RunConfig, val: np.ndarray, arch: ArchConfig) -> np.ndarray:
     """The --prompt token ids, checked against the loaded checkpoint's
     architecture `arch`, or else the first open prefix of val. Either must
     leave room to generate within search_max_len, and a --prompt must not
     end in eos."""
     if not cfg.prompt:
-        if cfg.prompt_len >= cfg.search_max_len:
-            raise ConfigError(f"prompt_len {cfg.prompt_len} leaves nothing to "
-                              f"generate within search_max_len {cfg.search_max_len}")
+        _check_room(cfg, "prompt_len", cfg.prompt_len)
         return open_prefixes(val, 1, cfg.prompt_len, arch.eos_token_id)[0]
     try:
         ids = [int(x) for x in cfg.prompt.split(",")]
@@ -93,9 +98,7 @@ def _prompt_tokens(cfg: RunConfig, val: np.ndarray, arch: ArchConfig) -> np.ndar
     if len(ids) > arch.max_seq_len:
         raise ConfigError(f"prompt length {len(ids)} exceeds the checkpoint's "
                           f"max_seq_len {arch.max_seq_len}")
-    if len(ids) >= cfg.search_max_len:
-        raise ConfigError(f"prompt length {len(ids)} leaves nothing to generate "
-                          f"within search_max_len {cfg.search_max_len}")
+    _check_room(cfg, "prompt length", len(ids))
     if ids[-1] == arch.eos_token_id:
         raise ConfigError(f"prompt ends in the eos token {arch.eos_token_id}, "
                           "so nothing would be generated")
@@ -256,6 +259,7 @@ def cmd_eval(cfg: RunConfig, out: str, metrics: MetricsWriter) -> int:
     if cfg.eval_contexts > cfg.hmm_val_count:
         raise ConfigError(f"eval_contexts {cfg.eval_contexts} exceeds "
                           f"hmm_val_count {cfg.hmm_val_count}")
+    _check_room(cfg, "prefix_len", cfg.prefix_len)
     _, val, states = _corpora(cfg)
     rng = np.random.default_rng(cfg.seed)
     contexts = val[:cfg.eval_contexts, :cfg.prompt_len]

@@ -7,6 +7,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+# The names the run config's `assignment` and `sft_type` take and the
+# training drivers dispatch on: stage-1's code assignment, and where FTA
+# reads its fixed actions.
+ASSIGNMENTS = ("direct", "vq")
+SFT_TYPES = ("FTA-I", "FTA-P")
+
 
 class FieldError(ValueError):
     """A value a config class rejects, naming the field it was given for."""

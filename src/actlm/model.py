@@ -257,14 +257,6 @@ class ModelState:
         """The buffers' one dtype, which all this state computes in."""
         return next(iter(self.buffers.values())).dtype
 
-    def params(self, *group_names: str) -> dict[str, Tensor]:
-        """Flattened 'group/name' -> Tensor view over the named groups."""
-        flat = {}
-        for g in group_names:
-            for k, t in self.groups[g].items():
-                flat[f"{g}/{k}"] = t
-        return flat
-
     def flat(self, group: str) -> np.ndarray:
         """The group's buffer itself, not a copy: its tensors in
         param_specs order. Raises ValueError naming the first tensor of the

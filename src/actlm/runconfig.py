@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, make_dataclass
 
-from .config import (ArchConfig, DiversityConfig, FieldError,
-                     HmmCorpusConfig, SearchConfig, TrainConfig)
+from .config import (ASSIGNMENTS, SFT_TYPES, ArchConfig, DiversityConfig,
+                     FieldError, HmmCorpusConfig, SearchConfig, TrainConfig)
 
 
 class ConfigError(Exception):
@@ -76,7 +76,7 @@ class RunConfig(make_dataclass("ComponentKeys", _component_fields())):
     init_checkpoint: str = ""
 
     def __post_init__(self):
-        """Check the corpus split and the run-level counts, then build
+        """Check the corpus split, run-level counts and choices, then build
         every component once, so a value that one of them rejects fails
         here, whichever subcommand reads it, naming the flat key; then the
         bounds between keys. A prompt is a corpus prefix, so prompt_len
@@ -85,6 +85,9 @@ class RunConfig(make_dataclass("ComponentKeys", _component_fields())):
                     "rl_prompt_count", "rl_updates", "q_responses_per_prompt"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1")
+        for key, names in (("assignment", ASSIGNMENTS), ("sft_type", SFT_TYPES)):
+            if getattr(self, key) not in names:
+                raise ConfigError(f"{key} must be one of {', '.join(names)}")
         for cls in _COMPONENTS:
             try:
                 self._component(cls)

@@ -26,7 +26,7 @@ from .autodiff import Tape, Tensor
 from .actions import (Decoder, action_logits, assign_direct, assign_vq,
                       generate, inverse_encode, one_hot, policy_forward,
                       policy_log_probs, q_forward, row_ends, world_logits)
-from .config import TrainConfig
+from .config import ASSIGNMENTS, SFT_TYPES, TrainConfig
 from .data import Scorer, SftSplit
 from .model import ModelState, base_forward, base_logits, group_layout, unflatten
 
@@ -60,29 +60,29 @@ class AdamW:
     """Decoupled-weight-decay adaptive-moment optimizer with global-norm
     clipping. Only the groups handed to the constructor are ever updated.
 
-    The moments of all params live in one flat buffer each, in the order of
-    `state.params(*groups)`, which is that of the groups' buffers laid end
-    to end. Each step applies the elementwise update and the weight decay
+    `params` are their tensors in buffer order, whose gradients a step
+    takes as `Tape.gradients(loss, params)` gives them; the moments live in
+    one flat buffer each. Each step applies the update and the weight decay
     once per group buffer, in place, so every tensor view moves with it.
     The constructor reads each buffer through `ModelState.flat`, so it
     raises ValueError on a tensor that no longer lives in its buffer."""
 
     def __init__(self, state: ModelState, groups: tuple[str, ...], cfg: TrainConfig):
         self.buffers = [state.flat(g) for g in groups]
-        self.params = state.params(*groups)
+        self.params = [t for g in groups for t in state.groups[g].values()]
         self.cfg = cfg
         self.t = 0
-        ends = np.cumsum([p.data.size for p in self.params.values()])
+        ends = np.cumsum([p.data.size for p in self.params])
         self._slices = [slice(end - p.data.size, end)
-                        for end, p in zip(ends, self.params.values())]
+                        for end, p in zip(ends, self.params)]
         self.m = np.zeros(int(ends[-1]), state.dtype)
         self.v = np.zeros_like(self.m)
 
-    def step(self, grads: dict[str, np.ndarray]) -> dict[str, float]:
-        """Apply one update from a gradient for every param; skips (and
-        reports) non-finite gradients."""
+    def step(self, grads: list[np.ndarray]) -> dict[str, float]:
+        """Apply one update from a gradient per param, in `params` order;
+        skips (and reports) non-finite gradients."""
         c = self.cfg
-        g = np.concatenate([grads[k].reshape(-1) for k in self.params])
+        g = np.concatenate([a.reshape(-1) for a in grads])
         if not np.isfinite(g).all():
             return {"skipped_nonfinite": 1.0}
         sq = g.astype(np.float64) ** 2
@@ -130,6 +130,8 @@ def loss_pre1(state: ModelState, tokens, e_l: Tensor, cfg: TrainConfig, rng,
     ("vq") assignment. Base is frozen.
 
     Returns (total, parts, assignment_indices)."""
+    if assignment not in ASSIGNMENTS:
+        raise ValueError(f"unknown assignment mode: {assignment!r}")
     e_i = inverse_encode(state.groups["inverse"], state.cfg, e_l)
     e_ctx = ad.slice_time(e_l, 0, -1)
     targets = tokens[:, 1:]
@@ -145,15 +147,13 @@ def loss_pre1(state: ModelState, tokens, e_l: Tensor, cfg: TrainConfig, rng,
         parts = {"L_predict": predict.item(), "L_reg": reg.item(),
                  "total": total.item()}
         return total, parts, assign.index
-    elif assignment == "vq":
-        index, action, commitment, codebook_loss = assign_vq(state.groups["codebook"], e_i)
-        logits = world_logits(state.groups["merge"], state.cfg, e_ctx, action)
-        predict = ad.mean_(ad.cross_entropy(logits, targets))
-        total = ad.add(ad.add(predict, codebook_loss), ad.mul(commitment, 0.25))
-        parts = {"L_predict": predict.item(), "L_commit": commitment.item(),
-                 "L_codebook": codebook_loss.item(), "total": total.item()}
-        return total, parts, index
-    raise ValueError(f"unknown assignment mode: {assignment!r}")
+    index, action, commitment, codebook_loss = assign_vq(state.groups["codebook"], e_i)
+    logits = world_logits(state.groups["merge"], state.cfg, e_ctx, action)
+    predict = ad.mean_(ad.cross_entropy(logits, targets))
+    total = ad.add(ad.add(predict, codebook_loss), ad.mul(commitment, 0.25))
+    parts = {"L_predict": predict.item(), "L_commit": commitment.item(),
+             "L_codebook": codebook_loss.item(), "total": total.item()}
+    return total, parts, index
 
 
 def inverse_labels(state: ModelState, e_l: Tensor) -> np.ndarray:
@@ -508,10 +508,10 @@ def run_stage(state: ModelState, stage: str, trainable: tuple[str, ...],
     embeddings, labels, rollouts, targets), and its code after a yield runs
     once that step's record has gone to metrics_cb. Each step builds (loss,
     parts) = loss_fn(batch) inside the tape, aborts on a non-finite loss,
-    steps AdamW on the trainable groups and hands the record {stage, step,
-    **parts, grad_norm, skipped_nonfinite} to metrics_cb. The generator is
-    closed when the stage returns or raises, so one that encodes ahead on a
-    worker thread, as `frozen_batches` does, ends its worker with the stage.
+    steps AdamW on `tape.gradients(loss, opt.params)` and hands the record
+    {stage, step, **parts, grad_norm, skipped_nonfinite} to metrics_cb. The
+    generator is closed when the stage returns or raises, so a worker
+    thread that `frozen_batches` encodes ahead on ends with the stage.
 
     Every group that trainable does not name is frozen, except that
     q_target moves with q_online (`sync_target` writes it): the frozen
@@ -529,10 +529,10 @@ def run_stage(state: ModelState, stage: str, trainable: tuple[str, ...],
                 loss, parts = loss_fn(batch)
                 if not np.isfinite(loss.data):
                     raise FloatingPointError(f"non-finite {stage} loss at step {step}")
-                grads_by_id = tape.gradients(loss)
-            norms = opt.step({k: tape.grad(grads_by_id, p) for k, p in opt.params.items()})
+                grads = tape.gradients(loss, opt.params)
+            norms = opt.step(grads)
             # free this step's graph before the next batch is drawn
-            del batch, loss, tape, grads_by_id
+            del batch, loss, tape, grads
             records.append({"stage": stage, "step": step, **parts, **norms})
             if metrics_cb:
                 metrics_cb(records[-1])
@@ -662,14 +662,15 @@ def train_fta(state: ModelState, split: SftSplit, cfg: TrainConfig, mode: str,
     by a policy refresh restricted to response positions. The actions are
     read from the loss's own base forward: the inverse labels for FTA-I,
     the frozen policy's argmax for FTA-P."""
-    def policy_argmax(e_l):
+    if mode not in SFT_TYPES:
+        raise ValueError(f"unknown FTA mode: {mode!r}")
+
+    def actions_fn(e_l):
+        if mode == "FTA-I":
+            return inverse_labels(state, e_l)
         probs = policy_forward(state.groups["policy"], state.cfg, e_l)
         return probs.data[:, :-1].argmax(axis=-1)
 
-    actions_fn = {"FTA-I": lambda e_l: inverse_labels(state, e_l),
-                  "FTA-P": policy_argmax}.get(mode)
-    if actions_fn is None:
-        raise ValueError(f"unknown FTA mode: {mode!r}")
     corpus, prompt_len = split.tokens, split.prompt_len
     run_stage(state, f"fta-{mode}", ("base",), cfg,
               lambda rng: _drawn_rows(corpus, cfg, rng),

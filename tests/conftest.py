@@ -1,6 +1,7 @@
 import contextlib
 import json
 import math
+import pathlib
 import struct
 from dataclasses import asdict
 
@@ -16,6 +17,28 @@ from actlm.model import base_forward, base_logits
 # database carries failures from one run into the next.
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+_TESTS = pathlib.Path(__file__).parent
+# A file, socket or thread pool that is never closed warns when it is
+# collected, and a warning or error raised inside a finalizer reaches
+# pytest as an unraisable exception; both fail a test here.
+_LEAKS_FAIL = [pytest.mark.filterwarnings("error::ResourceWarning"),
+               pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")]
+
+
+def pytest_collection_modifyitems(items):
+    """Resource leaks fail every test under tests/. The benchmark's tests
+    under bench/ are left out: its calibration pipe still leaks."""
+    for item in items:
+        if item.path.is_relative_to(_TESTS):
+            for mark in _LEAKS_FAIL:
+                item.add_marker(mark)
+
+
+def group_tensors(state, *groups) -> list:
+    """The tensors of the named groups, in group order and each group's
+    buffer order: the params of an AdamW over those groups."""
+    return [t for g in groups for t in state.groups[g].values()]
 
 
 def assert_one_storage(state) -> None:
@@ -117,8 +140,7 @@ def finite_diff_report(build_loss, params):
         raise ValueError("finite_diff_report needs a scalar loss")
     if not np.isfinite(loss.data):
         raise FloatingPointError("non-finite loss at base point")
-    grads = tape.gradients(loss)
-    analytic = [tape.grad(grads, p).copy() for p in params]
+    analytic = [g.copy() for g in tape.gradients(loss, params)]
 
     def eval_loss():
         with capture.replaying():

@@ -30,7 +30,7 @@ from actlm.training import Transition, inverse_action_labels, inverse_labels, \
     sync_target, train_bc, train_q, train_rl, train_stage1
 from actlm.actions import policy_forward
 from conftest import ChainLM, chain_reward, finite_diff_check, \
-    finite_diff_report, per_prefix, tree_snapshot
+    finite_diff_report, group_tensors, per_prefix, tree_snapshot
 
 
 # ---------------------------------------------------------------------------
@@ -222,19 +222,19 @@ def test_gradient_fidelity_of_full_losses():
                          "direct")[0]
 
     err1 = finite_diff_check(
-        build_pre1, list(state.params("inverse", "codebook", "merge").values()))
+        build_pre1, group_tensors(state, "inverse", "codebook", "merge"))
     assert err1 <= 1, f"stage-1 loss: {err1:.3f}"
 
     labels = inverse_labels(state, e_l)
     err2 = finite_diff_check(
         lambda: loss_pre2(state, e_l, labels, 0)[0],
-        list(state.params("policy").values()))
+        group_tensors(state, "policy"))
     assert err2 <= 1, f"cloning loss: {err2:.3f}"
 
     # actions held fixed while the base is perturbed
     err3 = finite_diff_check(
         lambda: loss_fta(state, tokens, 2, lambda _: labels)[0],
-        list(state.params("base").values()))
+        group_tensors(state, "base"))
     assert err3 <= 1, f"action-conditioned tuning loss: {err3:.3f}"
 
 
@@ -281,8 +281,7 @@ def test_straight_through_gradient_matches_soft_path():
             np.put_along_axis(hard, soft.data.argmax(-1)[..., None], 1.0, -1)
             straight = ad.add(ad.stop_grad(ad.sub(Tensor(hard), soft)), soft)
             out = ad.sum_(ad.mul(straight, Tensor(w)))
-            grads = tape.gradients(out)
-        analytic = tape.grad(grads, logits)
+            analytic, = tape.gradients(out, [logits])
 
         numeric = np.zeros_like(logits.data)
         flat = logits.data.reshape(-1)

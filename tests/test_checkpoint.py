@@ -21,7 +21,7 @@ from actlm.config import ArchConfig, TrainConfig
 from actlm.model import GROUP_NAMES, ModelState, base_forward, init_model
 from actlm.training import loss_pre1
 
-from conftest import assert_one_storage, v1_checkpoint_body
+from conftest import assert_one_storage, group_tensors, v1_checkpoint_body
 
 
 CFG = ArchConfig(vocab_size=9, d_model=8, n_heads=2, max_seq_len=12,
@@ -65,11 +65,11 @@ def test_a_loaded_state_computes_in_its_file_dtype(tmp_path, code):
     with Tape() as tape:
         loss, _, _ = loss_pre1(state, tokens, e_l, TrainConfig(),
                                np.random.default_rng(0), "direct")
-    grads = tape.gradients(loss)
+    grads = tape.gradients(loss, group_tensors(state, "inverse", "codebook", "merge"))
     dec = Decoder(state)
     dec.sync(tokens)
-    got = [e_l.data, loss.data, *grads.values(), dec.e_l, dec.probs, dec.next_logits([0, 1])]
-    assert len(grads) > 1 and {a.dtype for a in got} == {state.dtype}
+    got = [e_l.data, loss.data, *grads, dec.e_l, dec.probs, dec.next_logits([0, 1])]
+    assert any(g.any() for g in grads) and {a.dtype for a in got} == {state.dtype}
 
 
 def test_body_is_header_then_each_flat_group(tmp_path):

@@ -226,14 +226,16 @@ def test_every_default_has_one_source():
     ("hmm_train_count", "0"), ("hmm_val_count", "0"), ("hmm_seq_len", "1"),
     ("rl_max_len", "8"), ("gumbel_temp", "0"), ("sync_interval", "0"),
     ("rl_group_size", "1"), ("kl_coef", "-1"), ("weight_decay", "-5"),
-    ("steps", "-1"), ("seed", "-1"), ("prompt_len", "0")])
+    ("steps", "-1"), ("seed", "-1"), ("prompt_len", "0"),
+    ("assignment", "foo"), ("sft_type", "FTA-X")])
 def test_component_rejections_fail_at_load(key, value):
     """Every component is built when the config is, so a value one rejects
     fails whichever subcommand would read it; so do a one-token corpus row,
-    an rl_max_len that leaves the default prompt_len no decision and an
-    empty prompt. A leave-one-out group needs two rollouts, a target sync a
-    positive interval, the Gumbel softmax a positive temperature, and a
-    step count and a seed must not be negative."""
+    an rl_max_len that leaves the default prompt_len no decision, an
+    empty prompt, and an assignment or sft_type no driver knows. A
+    leave-one-out group needs two rollouts, a target sync a positive
+    interval, the Gumbel softmax a positive temperature, and a step count
+    and a seed must not be negative."""
     with pytest.raises(ConfigError, match=key):
         load_run_config(None, [f"--{key}", value])
     with pytest.raises(ConfigError, match=key):
@@ -371,6 +373,24 @@ def test_cli_eval_contexts_beyond_val_rows_fails_by_name(tiny_checkpoint, tmp_pa
     assert capsys.readouterr().err.startswith(
         "error: eval_contexts 5 exceeds hmm_val_count 4")
     assert sampled == [] and not (tmp_path / "eval.json").exists()
+
+
+@pytest.mark.parametrize("prefix_len", ["8", "9"])
+def test_cli_eval_prefix_len_leaving_nothing_to_generate_fails(tiny_checkpoint, tmp_path,
+                                                              capsys, prefix_len):
+    """eval's semantic diversity generates from prefix_len-token prefixes up
+    to search_max_len tokens, so a prefix_len of search_max_len (8) or more
+    exits 1 naming both keys, rather than scoring rollouts that generated
+    nothing."""
+    rc = main(["eval", "--init_checkpoint", str(tiny_checkpoint),
+               "--out_dir", str(tmp_path), "--search_max_len", "8",
+               "--prompt_len", "4", "--eval_contexts", "2",
+               "--prefix_len", prefix_len] + TINY)
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: prefix_len {prefix_len} leaves nothing to generate within "
+        "search_max_len 8")
+    assert not (tmp_path / "eval.json").exists()
 
 
 def test_cli_search_max_len_beyond_checkpoint_fails_by_name(tiny_checkpoint,

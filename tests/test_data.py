@@ -223,9 +223,14 @@ def test_hmm_corpus_sampling_peak_memory():
     outputs stays within three (vocab_size, n_sequences) float64 tables: one
     step's gathered cdf columns and what counting them takes. search64's
     benchmark peak RSS is set during its set-up, which samples this corpus,
-    so a sampler that built its outputs transposed and copied them (about
-    5.3 MB here, against 1.6 MB for the bound) would raise it."""
+    so a sampler that built its outputs transposed in int64 and copied them
+    (4.5 MB beyond the outputs, against 1.67 MB for the bound and 0.85 MB
+    here) would raise it. numpy imports its random generators lazily, on
+    the first `default_rng`, which traces about 0.78 MB; that import
+    happens before tracing starts, so the peak is the same whether or not
+    an earlier test sampled."""
     cfg = RunConfig().corpus()
+    np.random.default_rng(0)
     tracemalloc.start()
     try:
         tokens, states = gen_hmm_corpus(cfg)

@@ -126,8 +126,7 @@ def _block_run(block, b, t, n_blocks, seed, dtype):
     g = rng.normal(size=out.shape).astype(out.data.dtype)
     with tape:
         loss = ad.sum_(ad.mul(out, Tensor(g)))  # hands `out` exactly g
-    grads = tape.gradients(loss)
-    return [out.data] + [tape.grad(grads, t) for t in (x, *p.values())]
+    return [out.data] + tape.gradients(loss, [x, *p.values()])
 
 
 def _decoder_step(b, t, past, n_blocks, seed, dtype):
@@ -262,13 +261,6 @@ def test_group_hash_tracks_content():
     first = next(iter(state.groups["policy"].values()))
     first.data[...] += 1.0
     assert state.group_hash("policy") != before
-
-
-def test_params_flattening_and_group_selection():
-    state = init_model(CFG, 0)
-    sub = state.params("policy", "codebook")
-    assert all(k.startswith(("policy/", "codebook/")) for k in sub)
-    assert "codebook/codes" in sub
 
 
 def test_rejects_bad_inputs():

@@ -10,6 +10,7 @@ import pathlib
 import subprocess
 import sys
 import threading
+import weakref
 from contextlib import closing
 
 import numpy as np
@@ -36,7 +37,7 @@ from actlm.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamW,
                             train_bc, train_fta, train_q, train_rl,
                             train_stage1, val_sweep)
 from conftest import BOTH_DTYPES, accumulation_length, assert_one_storage, gamma, \
-    matmul_error_bound
+    group_tensors, matmul_error_bound
 
 
 CFG = ArchConfig(vocab_size=9, d_model=8, n_heads=2, max_seq_len=16,
@@ -62,7 +63,7 @@ def frozen_e_l(state, tokens):
 
 def codes_state(values):
     """A state whose codebook buffer holds `values`, (codebook_size, 1)
-    codes of one dimension; AdamW names the codes "codebook/codes"."""
+    codes of one dimension, the one param of an AdamW over the codebook."""
     state = init_model(ArchConfig(d_model=1, n_heads=1, codebook_size=len(values)))
     state.flat("codebook")[...] = np.ravel(values)
     return state
@@ -73,7 +74,7 @@ def test_adamw_first_step_matches_manual_update():
     cfg = TrainConfig(learning_rate=0.1, grad_clip_norm=1e9)
     opt = AdamW(state, ("codebook",), cfg)
     g = np.array([[0.5], [-0.25]])
-    opt.step({"codebook/codes": g.copy()})
+    opt.step([g.copy()])
     # bias-corrected first Adam step: update = g / (|g| + eps)
     expected = np.array([[1.0], [-2.0]]) - 0.1 * g / (np.abs(g) + ADAM_EPS)
     np.testing.assert_allclose(state.groups["codebook"]["codes"].data, expected, rtol=1e-5)
@@ -84,7 +85,7 @@ def test_adamw_clips_by_global_norm():
     cfg = TrainConfig(learning_rate=1.0, grad_clip_norm=1.0)
     opt = AdamW(state, ("codebook",), cfg)
     g = np.full((4, 1), 5.0)  # norm 10 -> scaled by 0.1
-    report = opt.step({"codebook/codes": g.copy()})
+    report = opt.step([g.copy()])
     np.testing.assert_allclose(report["grad_norm"], 10.0, rtol=1e-6)
     # effective gradient 0.5 per coordinate; direction must be preserved
     assert (state.groups["codebook"]["codes"].data < 0).all()
@@ -93,7 +94,7 @@ def test_adamw_clips_by_global_norm():
 def test_adamw_skips_nonfinite_gradients():
     state = codes_state(np.ones(2))
     opt = AdamW(state, ("codebook",), TrainConfig())
-    report = opt.step({"codebook/codes": np.array([[1.0], [np.nan]])})
+    report = opt.step([np.array([[1.0], [np.nan]])])
     assert report == {"skipped_nonfinite": 1.0}
     np.testing.assert_array_equal(state.flat("codebook"), np.ones(2))
     assert opt.t == 0
@@ -103,7 +104,7 @@ def test_adamw_decoupled_weight_decay():
     state = codes_state([2.0, 2.0])
     cfg = TrainConfig(learning_rate=0.1, weight_decay=0.5, grad_clip_norm=1e9)
     opt = AdamW(state, ("codebook",), cfg)
-    opt.step({"codebook/codes": np.zeros((2, 1))})
+    opt.step([np.zeros((2, 1))])
     # zero gradient: only the decay term moves the weight
     np.testing.assert_allclose(state.flat("codebook"), [2.0 * (1 - 0.1 * 0.5)] * 2, rtol=1e-6)
 
@@ -115,22 +116,22 @@ class ReferenceAdamW:
 
     def __init__(self, params, cfg):
         self.params, self.cfg, self.t = params, cfg, 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
 
     def step(self, grads):
         c = self.cfg
         total_sq = 0.0
-        for k in self.params:
-            if not np.all(np.isfinite(grads[k])):
+        for g in grads:
+            if not np.all(np.isfinite(g)):
                 return {"skipped_nonfinite": 1.0}
-            total_sq += float((grads[k].astype(np.float64) ** 2).sum())
+            total_sq += float((g.astype(np.float64) ** 2).sum())
         norm = float(np.sqrt(total_sq))
         scale = min(1.0, c.grad_clip_norm / (norm + 1e-12))
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1 ** self.t
         bc2 = 1.0 - ADAM_BETA2 ** self.t
-        for k, p in self.params.items():
+        for k, p in enumerate(self.params):
             g = grads[k] * scale
             self.m[k] = ADAM_BETA1 * self.m[k] + (1 - ADAM_BETA1) * g
             self.v[k] = ADAM_BETA2 * self.v[k] + (1 - ADAM_BETA2) * g * g
@@ -154,20 +155,19 @@ def test_adamw_flat_moments_match_per_parameter_reference(dtype):
         state.flat(g)[...] = rng.normal(size=state.flat(g).size)
     ref_state = ModelState(CFG, {g: state.flat(g).copy() for g in GROUP_NAMES})
     cfg = TrainConfig(learning_rate=3e-3, weight_decay=0.01, grad_clip_norm=5.0)
-    opts = [AdamW(state, groups, cfg), ReferenceAdamW(ref_state.params(*groups), cfg)]
-    keys = list(opts[0].params)
+    opts = [AdamW(state, groups, cfg),
+            ReferenceAdamW(group_tensors(ref_state, *groups), cfg)]
     for step in range(6):
-        grads = {k: (rng.normal(size=p.shape) * 10.0 ** (step - 2)).astype(dtype)
-                 for k, p in opts[0].params.items()}
-        grads[keys[1]][...] = 0.0
+        grads = [(rng.normal(size=p.shape) * 10.0 ** (step - 2)).astype(dtype)
+                 for p in opts[0].params]
+        grads[1][...] = 0.0
         if step == 4:
-            grads[keys[3]].flat[0] = np.inf
-        reports = [opt.step({k: g.copy() for k, g in grads.items()}) for opt in opts]
+            grads[3].flat[0] = np.inf
+        reports = [opt.step([g.copy() for g in grads]) for opt in opts]
         assert reports[0] == reports[1]
     assert reports[0]["skipped_nonfinite"] == 0.0 and opts[0].t == 5
-    for k in keys:
-        a, r = opts[0].params[k].data, opts[1].params[k].data
-        assert a.dtype == r.dtype and np.array_equal(a, r), k
+    for k, (a, r) in enumerate(zip(opts[0].params, opts[1].params)):
+        assert a.data.dtype == r.data.dtype and np.array_equal(a.data, r.data), k
     assert_one_storage(state)
 
 
@@ -232,11 +232,11 @@ def test_loss_pre1_freezes_base():
     with Tape() as tape:
         total, _, _ = loss_pre1(state, tokens, e_l, TrainConfig(),
                                 np.random.default_rng(0), "direct")
-        grads = tape.gradients(total)
-    for name, p in state.params("base").items():
-        np.testing.assert_array_equal(tape.grad(grads, p), np.zeros_like(p.data))
-    moving = state.params("inverse", "merge", "codebook").values()
-    assert any(np.abs(tape.grad(grads, p)).sum() > 0 for p in moving)
+        frozen = tape.gradients(total, group_tensors(state, "base"))
+        moving = tape.gradients(total, group_tensors(state, "inverse", "merge",
+                                                     "codebook"))
+    assert not any(g.any() for g in frozen)
+    assert any(g.any() for g in moving)
 
 
 def test_loss_pre1_regularizer_bounds():
@@ -271,27 +271,45 @@ def test_inverse_action_labels_shape_and_range():
 
 
 def test_gradients_keep_only_leaf_gradients():
-    """A node's gradient is dropped once its backward has run, so after a
-    pretrain-base loss the result holds the parameters' gradients and no
-    node's."""
+    """A leaf's gradient that was not asked for is dropped as soon as a
+    backward hands it out, never accumulated. Asked for the lm-head alone
+    after a pretrain-base loss, no other parameter's gradient outlives the
+    backward after the one that made it (the pass's loop still holds that
+    backward's last pair), and only the lm-head's outlives the pass."""
     state = small_state()
+    base = state.groups["base"]
+    unasked = {id(p) for name, p in base.items() if name != "lm_head"}
+    handed, stale_alive = [], []
+
+    def watched(backward):
+        def run(g):
+            stale_alive.append(sum(r() is not None for refs in handed[:-1] for r in refs))
+            pairs = backward(g)
+            handed.append([weakref.ref(pg) for parent, pg in pairs
+                           if id(parent) in unasked])
+            return pairs
+        return run
+
     with Tape() as tape:
         loss, _ = loss_base_ar(state, small_tokens())
-        grads = tape.gradients(loss)
-    assert not set(grads) & {id(node) for node in tape.nodes}
-    assert set(grads) == {id(p) for p in state.params("base").values()}
+    for node in tape.nodes:
+        node._backward = watched(node._backward)
+    grad, = tape.gradients(loss, [base["lm_head"]])
+    assert sum(map(len, handed)) == len(unasked) and not any(stale_alive)
+    assert all(r() is None for refs in handed for r in refs)
+    assert grad.shape == base["lm_head"].shape and grad.any()
 
 
 def test_grad_of_an_op_output_raises():
-    """Reading a node's gradient, which `gradients` dropped, fails loudly
-    rather than reading zeros."""
+    """Asking for a node's gradient, which `gradients` drops once the
+    node's backward has run, fails loudly rather than reading zeros."""
     x = Tensor(np.ones(3, np.float32))
     with Tape() as tape:
         y = ad.mul(x, 2.0)
-        grads = tape.gradients(ad.sum_(y))
-    np.testing.assert_array_equal(tape.grad(grads, x), [2.0, 2.0, 2.0])
+        loss = ad.sum_(y)
+    np.testing.assert_array_equal(tape.gradients(loss, [x])[0], [2.0, 2.0, 2.0])
     with pytest.raises(ValueError, match="leaf"):
-        tape.grad(grads, y)
+        tape.gradients(loss, [x, y])
 
 
 def test_inverse_encoder_gets_the_embeddings_as_a_leaf(monkeypatch):
@@ -509,15 +527,16 @@ STAGE_DRIVERS = ("pretrain_base_ar", "train_stage1", "train_bc", "train_fta",
 
 
 def test_one_stage_loop():
-    """Exactly one function in the package opens a `Tape(` and builds an
-    `AdamW(`: `run_stage`. Each of the six stage drivers calls it, so a
-    second training loop cannot come back unnoticed."""
+    """Exactly one function in the package opens a `Tape(`, builds an
+    `AdamW(` and asks a tape for `gradients(`: `run_stage`. Each of the six
+    stage drivers calls it, so a second training loop cannot come back
+    unnoticed."""
     def called(node):
         return {n.func.id if isinstance(n.func, ast.Name) else n.func.attr
                 for n in ast.walk(node) if isinstance(n, ast.Call)
                 and isinstance(n.func, (ast.Name, ast.Attribute))}
 
-    builders, drivers = {"Tape": set(), "AdamW": set()}, {}
+    builders, drivers = {"Tape": set(), "AdamW": set(), "gradients": set()}, {}
     for path in sorted(pathlib.Path(actlm.__file__).parent.glob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text())):
             if not isinstance(fn, ast.FunctionDef):
@@ -526,8 +545,7 @@ def test_one_stage_loop():
                 builders[built].add((path.name, fn.name))
             if fn.name in STAGE_DRIVERS:
                 drivers[(path.name, fn.name)] = "run_stage" in called(fn)
-    assert builders == {"Tape": {("training.py", "run_stage")},
-                        "AdamW": {("training.py", "run_stage")}}, builders
+    assert builders == dict.fromkeys(builders, {("training.py", "run_stage")}), builders
     assert drivers == {("training.py", name): True for name in STAGE_DRIVERS}
 
 
@@ -762,11 +780,11 @@ def test_loss_pre2_only_moves_policy():
     e_l = frozen_e_l(state, tokens)
     with Tape() as tape:
         loss, _ = loss_pre2(state, e_l, inverse_labels(state, e_l), 0)
-        grads = tape.gradients(loss)
-    for p in state.params("base", "inverse", "merge", "codebook").values():
-        np.testing.assert_array_equal(tape.grad(grads, p), np.zeros_like(p.data))
-    assert any(np.abs(tape.grad(grads, p)).sum() > 0
-               for p in state.params("policy").values())
+        frozen = tape.gradients(loss, group_tensors(state, "base", "inverse",
+                                                    "merge", "codebook"))
+        moving = tape.gradients(loss, group_tensors(state, "policy"))
+    assert not any(g.any() for g in frozen)
+    assert any(g.any() for g in moving)
 
 
 def test_loss_fta_only_moves_base():
@@ -775,13 +793,14 @@ def test_loss_fta_only_moves_base():
     aidx = inverse_labels(state, frozen_e_l(state, tokens))
     with Tape() as tape:
         loss, _ = loss_fta(state, tokens, 3, lambda e_l: aidx)
-        grads = tape.gradients(loss)
-    # actions are held fixed: no gradient into the selector or the codes
-    # (the merge still receives gradients; its freeze is optimizer exclusion)
-    for p in state.params("inverse", "codebook", "policy").values():
-        np.testing.assert_array_equal(tape.grad(grads, p), np.zeros_like(p.data))
-    assert any(np.abs(tape.grad(grads, p)).sum() > 0
-               for p in state.params("base").values())
+        # actions are held fixed: no gradient into the selector or the codes
+        # (the merge still receives gradients; its freeze is optimizer
+        # exclusion)
+        frozen = tape.gradients(loss, group_tensors(state, "inverse", "codebook",
+                                                    "policy"))
+        moving = tape.gradients(loss, group_tensors(state, "base"))
+    assert not any(g.any() for g in frozen)
+    assert any(g.any() for g in moving)
 
 
 def test_loss_fta_rejects_empty_response():
@@ -916,11 +935,11 @@ def test_stage_drivers_keep_the_state_dtype(stage, dtype, monkeypatch):
     state, steps = small_state(dtype=dtype), []
 
     class CheckedTape(Tape):
-        def gradients(self, output):
-            grads = super().gradients(output)
+        def gradients(self, output, leaves):
+            grads = super().gradients(output, leaves)
             bad = [f"node {i}: {n.data.dtype}" for i, n in enumerate(self.nodes)
                    if n.data.dtype != dtype]
-            bad += [f"a gradient: {g.dtype}" for g in grads.values() if g.dtype != dtype]
+            bad += [f"a gradient: {g.dtype}" for g in grads if g.dtype != dtype]
             assert not bad, f"{stage} step {len(steps)} left {np.dtype(dtype)} at {bad}"
             steps.append(len(self.nodes))
             return grads
@@ -933,11 +952,12 @@ def test_stage_drivers_keep_the_state_dtype(stage, dtype, monkeypatch):
 
 def test_constant_factors_get_no_gradient(monkeypatch):
     """loss_rl and loss_dqn hand ad.mul their constant factors as arrays,
-    so no gradient is computed or held for them. Against the same losses
-    with every array factor of ad.mul wrapped in a Tensor, the gradient
-    dict loses exactly RL's one-hot, advantages and valid mask and DQN's
-    action mask, and the loss and every gradient left are bitwise
-    equal."""
+    so no gradient is computed or held for them: the backward of each
+    recorded ad.mul node with an array factor, RL's one-hot, advantages
+    and valid mask and DQN's action mask, returns a pair for its Tensor
+    operand alone. Against the same losses with every array factor of
+    ad.mul wrapped in a Tensor, the loss and every parameter's gradient
+    are bitwise equal."""
     state = small_state()
     cfg = TrainConfig(rl_group_size=2)
     rl = rl_batch(state, small_tokens(b=2, t=3), lambda r: float(len(r) % 2), cfg,
@@ -945,23 +965,30 @@ def test_constant_factors_get_no_gradient(monkeypatch):
     dqn = dqn_batch(state, [
         Transition(np.array([1, 2]), 2, np.array([1, 2, 3]), 0.0, False),
         Transition(np.array([4]), 1, np.array([4, 5]), 0.5, True)])
-    real = ad.mul
+    real, params, products = ad.mul, group_tensors(state, *GROUP_NAMES), []
+
+    def spying(a, b):
+        out = real(a, b)
+        if isinstance(b, np.ndarray):
+            products.append((a, out))
+        return out
 
     def wrapping(a, b):
         return real(a, Tensor(b.astype(a.data.dtype)) if isinstance(b, np.ndarray) else b)
 
-    for build, lost in ((lambda: loss_rl(state, rl, cfg)[0], 3),
-                        (lambda: loss_dqn(state, dqn, 0.9)[0], 1)):
-        runs = []
-        for mul in (real, wrapping):
+    for build, constants in ((lambda: loss_rl(state, rl, cfg)[0], 3),
+                             (lambda: loss_dqn(state, dqn, 0.9)[0], 1)):
+        runs, products[:] = [], []
+        for mul in (spying, wrapping):
             monkeypatch.setattr(ad, "mul", mul)
             with Tape() as tape:
                 loss = build()
-            runs.append((loss.data.tobytes(), tape.gradients(loss)))
-        (got, grads), (want, ref) = runs
-        assert got == want
-        assert set(grads) < set(ref) and len(ref) - len(grads) == lost
-        assert all(grads[k].tobytes() == ref[k].tobytes() for k in grads)
+            runs.append([loss.data, *tape.gradients(loss, params)])
+        assert len(products) == constants
+        for a, out in products:
+            pairs = out._backward(np.ones_like(out.data))
+            assert len(pairs) == 1 and pairs[0][0] is a
+        assert all(g.tobytes() == r.tobytes() for g, r in zip(*runs))
 
 
 # Tape nodes of one step of each stage at the _drivers() shapes: the graph
