@@ -1,15 +1,18 @@
 """Dense-array reverse-mode autodiff on numpy storage.
 
-A Tensor wraps a float ndarray. Ops compute forward with numpy. Only while a
-Tape records does an op keep a backward closure over its inputs and append
-its output to the tape, which `Tape.gradients` replays in reverse for the
-gradients of the leaves it is asked for; outside a tape (or under
-`untaped()`) the closure is dropped at once, so forward-only work frees
-each intermediate as soon as nothing reads it.
+A Tensor wraps a float ndarray. Ops compute forward with numpy. A Tape is
+opened on the leaves it differentiates, and while it is the innermost open
+tape an op is recorded iff one of its Tensor inputs needs a gradient
+(`needs_grad`): is one of those leaves or an op output the tape
+recorded. A recorded op keeps a backward closure over its inputs and
+joins the tape, which `Tape.gradients` replays in reverse for the leaves'
+gradients. Any other op, outside a tape or on constants and frozen
+weights inside one, drops its closure at once, so its inputs and
+intermediates are freed as soon as nothing else reads them.
 
-Tapes are per thread: each thread has its own stack of open tapes and
-`untaped()` blocks, so an op records only on a tape its own thread opened,
-and a worker thread's ops, which start with an empty stack, record nowhere.
+Tapes are per thread: each thread has its own stack of open tapes, so an
+op records only on a tape its own thread opened, and a worker thread's
+ops, which start with an empty stack, record nowhere.
 
 Tensors hold float32 (training) or float64 (verification) arrays, and
 every op computes in the dtype of the arrays it is given: a constant
@@ -24,7 +27,6 @@ swapping this module's `stop_grad` attribute, so src calls it only as
 
 from __future__ import annotations
 
-import contextlib
 import math
 import threading
 
@@ -35,11 +37,10 @@ FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class _TapeStack(threading.local):
-    """This thread's open tapes, innermost last; None marks an `untaped()`
-    block."""
+    """This thread's open tapes, innermost last."""
 
     def __init__(self):
-        self.open: list[Tape | None] = []
+        self.open: list[Tape] = []
 
 
 _TAPES = _TapeStack()
@@ -80,10 +81,19 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of op outputs; replayed in reverse for gradients."""
+    """Opened on the leaves it differentiates: while it is the innermost
+    tape on its thread it records, in order, every op that `needs_grad`,
+    and it replays them in reverse for the leaves' gradients. Raises
+    ValueError if a leaf is an op output."""
 
-    def __init__(self):
+    def __init__(self, leaves):
+        self.leaves = list(leaves)
+        if any(t._backward is not None for t in self.leaves):
+            raise ValueError("a tape differentiates leaves; got an op output")
         self.nodes: list[Tensor] = []
+        # ids of the leaves and nodes: the tensors that need a gradient.
+        # The tape holds each of them, so no id here is reused while it is.
+        self.needed = {id(t) for t in self.leaves}
 
     def __enter__(self):
         _TAPES.open.append(self)
@@ -93,20 +103,15 @@ class Tape:
         _TAPES.open.pop()
         return False
 
-    def gradients(self, output: Tensor, leaves) -> list[np.ndarray]:
+    def gradients(self, output: Tensor) -> list[np.ndarray]:
         """Backward pass from `output`, seeded with ones; returns the
-        gradients of `leaves` (tensors no op on this tape produced) in
-        order, zeros of a leaf's shape and dtype if no path leads from it
-        to `output`. Raises ValueError if an op output is asked for.
+        gradients of the leaves in order, zeros of a leaf's shape and dtype
+        if no path leads from it to `output`.
 
         Gradients accumulate additively across fan-out. A node's gradient
-        is dropped once its backward has consumed it, a leaf's not asked
-        for at once, so neither is held while the pass runs."""
-        if any(t._backward is not None for t in leaves):
-            raise ValueError("only a leaf's gradient is kept; got an op output")
-        # the gradients worth holding: the nodes' (until their backward has
-        # run) and the asked-for leaves'
-        keep = {id(t) for t in leaves} | {id(node) for node in self.nodes}
+        is dropped once its backward has consumed it, and a gradient handed
+        to a tensor that needs none (a constant input of a recorded op) at
+        once, so neither is held while the pass runs."""
         grads: dict[int, np.ndarray] = {id(output): np.ones_like(output.data)}
         for node in reversed(self.nodes):
             g = grads.pop(id(node), None)
@@ -116,40 +121,30 @@ class Tape:
                 key = id(parent)
                 if key in grads:
                     grads[key] = grads[key] + pg
-                elif key in keep:
+                elif key in self.needed:
                     grads[key] = pg
         return [grads[id(t)] if id(t) in grads else np.zeros_like(t.data)
-                for t in leaves]
+                for t in self.leaves]
 
 
-@contextlib.contextmanager
-def untaped():
-    """Ops inside the block are not recorded on the active tape, so no
-    gradient flows through them and, as outside any tape, each op's inputs
-    and intermediates are freed as soon as nothing else reads them. For
-    frozen and forward-only work inside a training step. Like a tape, the
-    block belongs to the thread that opened it."""
-    _TAPES.open.append(None)
-    try:
-        yield
-    finally:
-        _TAPES.open.pop()
-
-
-def recording() -> bool:
-    """Whether an op run now on this thread would be recorded: the thread
-    has a tape open and no `untaped()` block sits inside it."""
+def needs_grad(*inputs) -> bool:
+    """Whether an op on `inputs` is recorded: this thread has a tape open,
+    and one of the inputs is a leaf of the innermost one or an op output it
+    recorded. A constant operand may be passed: it is never either."""
     stack = _TAPES.open
-    return bool(stack) and stack[-1] is not None
+    return bool(stack) and not stack[-1].needed.isdisjoint(map(id, inputs))
 
 
-def _emit(data, backward) -> Tensor:
-    """The output Tensor of an op; it keeps `backward` (and through it the
-    op's inputs) only if the innermost tape records."""
+def _emit(data, backward, *inputs) -> Tensor:
+    """The output Tensor of an op on `inputs`; it keeps `backward` (and
+    through it the inputs) and joins the innermost tape iff
+    `needs_grad(*inputs)`."""
     out = Tensor(data)
-    if recording():
+    if needs_grad(*inputs):
+        tape = _TAPES.open[-1]
         out._backward = backward
-        _TAPES.open[-1].nodes.append(out)
+        tape.nodes.append(out)
+        tape.needed.add(id(out))
     return out
 
 
@@ -298,7 +293,7 @@ def add(a: Tensor, b) -> Tensor:
             pairs.append((b, _unbroadcast(g, b.data.shape)))
         return pairs
 
-    return _emit(a.data + bd, backward)
+    return _emit(a.data + bd, backward, a, b)
 
 
 def sub(a: Tensor, b) -> Tensor:
@@ -310,7 +305,7 @@ def sub(a: Tensor, b) -> Tensor:
             pairs.append((b, _unbroadcast(-g, b.data.shape)))
         return pairs
 
-    return _emit(a.data - bd, backward)
+    return _emit(a.data - bd, backward, a, b)
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -322,7 +317,7 @@ def mul(a: Tensor, b) -> Tensor:
             pairs.append((b, _unbroadcast(g * a.data, b.data.shape)))
         return pairs
 
-    return _emit(a.data * bd, backward)
+    return _emit(a.data * bd, backward, a, b)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -336,7 +331,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             (b, _unbroadcast(gb, b.data.shape)),
         ]
 
-    return _emit(np.matmul(a.data, b.data), backward)
+    return _emit(np.matmul(a.data, b.data), backward, a, b)
 
 
 def embedding(table: Tensor, ids) -> Tensor:
@@ -350,7 +345,7 @@ def embedding(table: Tensor, ids) -> Tensor:
         np.add.at(gt, ids, g)
         return [(table, gt)]
 
-    return _emit(table.data[ids], backward)
+    return _emit(table.data[ids], backward, table)
 
 
 def concat_last(a: Tensor, b: Tensor) -> Tensor:
@@ -359,7 +354,7 @@ def concat_last(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         return [(a, g[..., :na]), (b, g[..., na:])]
 
-    return _emit(np.concatenate([a.data, b.data], axis=-1), backward)
+    return _emit(np.concatenate([a.data, b.data], axis=-1), backward, a, b)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -369,7 +364,7 @@ def softmax(x: Tensor) -> Tensor:
     def backward(g):
         return [(x, softmax_rows_backward(g, y))]
 
-    return _emit(y, backward)
+    return _emit(y, backward, x)
 
 
 def log_softmax(x: Tensor) -> Tensor:
@@ -379,12 +374,12 @@ def log_softmax(x: Tensor) -> Tensor:
     def backward(g):
         return [(x, g - np.exp(y) * g.sum(axis=-1, keepdims=True))]
 
-    return _emit(y, backward)
+    return _emit(y, backward, x)
 
 
 def silu(x: Tensor) -> Tensor:
     y, sig = silu_arrays(x.data)
-    return _emit(y, lambda g: [(x, silu_backward(g, x.data, sig))])
+    return _emit(y, lambda g: [(x, silu_backward(g, x.data, sig))], x)
 
 
 def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
@@ -396,7 +391,7 @@ def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
         gx, gg = rms_norm_backward(g, x.data, gain.data, xn, inv)
         return [(x, gx), (gain, gg)]
 
-    return _emit(y, backward)
+    return _emit(y, backward, x, gain)
 
 
 def causal_attention_scores(q: Tensor, k: Tensor) -> Tensor:
@@ -410,7 +405,7 @@ def causal_attention_scores(q: Tensor, k: Tensor) -> Tensor:
         gq, gk = causal_scores_backward(g, q.data, k.data, mask)
         return [(q, gq), (k, gk)]
 
-    return _emit(s, backward)
+    return _emit(s, backward, q, k)
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
@@ -427,17 +422,17 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
                        g.reshape(-1))
         return [(logits, gl)]
 
-    return _emit(-picked, backward)
+    return _emit(-picked, backward, logits)
 
 
 def log(x: Tensor) -> Tensor:
-    return _emit(np.log(x.data), lambda g: [(x, g / x.data)])
+    return _emit(np.log(x.data), lambda g: [(x, g / x.data)], x)
 
 
 def exp(x: Tensor) -> Tensor:
     # the closure holds the output array, not a Tensor: no cycle through it
     y = np.exp(x.data)
-    return _emit(y, lambda g: [(x, g * y)])
+    return _emit(y, lambda g: [(x, g * y)], x)
 
 
 def sum_(x: Tensor, axis=None) -> Tensor:
@@ -446,22 +441,22 @@ def sum_(x: Tensor, axis=None) -> Tensor:
             return [(x, np.broadcast_to(g, x.data.shape).copy())]
         return [(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy())]
 
-    return _emit(x.data.sum(axis=axis), backward)
+    return _emit(x.data.sum(axis=axis), backward, x)
 
 
 def mean_(x: Tensor) -> Tensor:
     """Mean over all elements."""
     n = x.data.size
     return _emit(x.data.mean(),
-                 lambda g: [(x, np.broadcast_to(g / n, x.data.shape).copy())])
+                 lambda g: [(x, np.broadcast_to(g / n, x.data.shape).copy())], x)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    return _emit(x.data.reshape(shape), lambda g: [(x, g.reshape(x.data.shape))])
+    return _emit(x.data.reshape(shape), lambda g: [(x, g.reshape(x.data.shape))], x)
 
 
 def swapaxes(x: Tensor, a: int, b: int) -> Tensor:
-    return _emit(x.data.swapaxes(a, b), lambda g: [(x, g.swapaxes(a, b))])
+    return _emit(x.data.swapaxes(a, b), lambda g: [(x, g.swapaxes(a, b))], x)
 
 
 def slice_time(x: Tensor, start, stop) -> Tensor:
@@ -473,7 +468,7 @@ def slice_time(x: Tensor, start, stop) -> Tensor:
         gx[idx] = g
         return [(x, gx)]
 
-    return _emit(x.data[idx], backward)
+    return _emit(x.data[idx], backward, x)
 
 
 def stop_grad(x: Tensor) -> Tensor:

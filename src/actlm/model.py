@@ -80,13 +80,13 @@ def block_forward(p: dict[str, Tensor], prefix: str, x: Tensor, cfg: ArchConfig)
     """The block of `block_arrays` as one tape op.
 
     The backward replays the composed block's backward steps in its tape's
-    reverse order, so outputs and gradients are bitwise equal to it. Off a
-    recording tape, no intermediate is kept."""
+    reverse order, so outputs and gradients are bitwise equal to it. It
+    keeps its intermediates iff it is recorded: iff `ad.needs_grad`."""
     weights = [p[f"{prefix}.{name}"] for name in BLOCK_WEIGHTS]
     ws = [w.data for w in weights]
     ln1, wq, wk, wv, wo, ln2, w1, w2, w3 = ws
     xd = x.data
-    out, saved = block_arrays(xd, ws, cfg.n_heads, keep=ad.recording())
+    out, saved = block_arrays(xd, ws, cfg.n_heads, keep=ad.needs_grad(x, *weights))
     if saved is None:
         return Tensor(out)
     (hn, xn1, inv1, q, k, v, att, mask, ctx, x1,
@@ -129,7 +129,7 @@ def block_forward(p: dict[str, Tensor], prefix: str, x: Tensor, cfg: ArchConfig)
         return [(x, g_x1), (x, g_x)] + [(w, grads[name]) for name, w
                                         in zip(BLOCK_WEIGHTS, weights)]
 
-    return ad._emit(out, backward)
+    return ad._emit(out, backward, x, *weights)
 
 
 def _block_specs(group: str, prefix: str, cfg: ArchConfig) -> list[tuple]:

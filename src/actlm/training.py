@@ -61,7 +61,7 @@ class AdamW:
     clipping. Only the groups handed to the constructor are ever updated.
 
     `params` are their tensors in buffer order, whose gradients a step
-    takes as `Tape.gradients(loss, params)` gives them; the moments live in
+    takes as `Tape(params).gradients(loss)` gives them; the moments live in
     one flat buffer each. Each step applies the update and the weight decay
     once per group buffer, in place, so every tensor view moves with it.
     The constructor reads each buffer through `ModelState.flat`, so it
@@ -187,9 +187,9 @@ def chunk_map(fn, chunks: list) -> list:
     raises stops the threads from taking further chunks, and the first
     exception is re-raised here.
 
-    No op the tasks run is recorded, whatever tape the caller has open: the
-    calling thread runs its share under `ad.untaped()`, and a worker starts
-    with an empty tape stack, so its ops record nowhere."""
+    The tasks return floats and label arrays, never Tensors. A worker
+    starts with an empty tape stack, so its ops record nowhere, and no
+    caller runs them inside a tape opened on a weight they read."""
     n = min(len(chunks), len(os.sched_getaffinity(0)))
     results = [None] * len(chunks)
     errors = []
@@ -210,8 +210,7 @@ def chunk_map(fn, chunks: list) -> list:
     for w in workers:
         w.start()
     try:
-        with ad.untaped():
-            work()
+        work()
     finally:
         for w in workers:
             w.join()
@@ -276,18 +275,18 @@ def val_sweep(state: ModelState, corpus, gumbel_temp: float | None = None) -> Va
 
     The sweep is memoised in `state.sweep`, which holds one corpus. It is
     keyed by the corpus's shape, dtype and sha256, the state's dtype, and
-    the base and inverse group hashes, so another corpus, buffers of
-    another dtype or a changed base or inverse weight refills it, and so
-    does a labels request on a sweep filled without them. The labels, an
-    argmax of the action logits, do not depend on gumbel_temp, which is
-    only checked."""
+    the base, inverse, merge and codebook hashes, so another corpus, buffers
+    of another dtype or a changed weight it reads refills it, and so does a
+    labels request on a sweep filled without them. The labels, an argmax
+    of the action logits, do not depend on gumbel_temp, which is only
+    checked."""
     corpus = np.asarray(corpus)
     if gumbel_temp is not None and gumbel_temp <= 0:
         raise ValueError("gumbel_temp must be > 0")
     with_labels = gumbel_temp is not None
     key = (corpus.shape, corpus.dtype.str,
            hashlib.sha256(corpus.tobytes()).hexdigest(), state.dtype,
-           state.group_hash("base"), state.group_hash("inverse"))
+           *state.hashes(("base", "inverse", "merge", "codebook")).values())
     sweep = state.sweep
     if sweep is None or sweep.key != key or (with_labels and sweep.labels is None):
         rows = sweep_rows(corpus.shape[1])
@@ -305,7 +304,7 @@ def val_sweep(state: ModelState, corpus, gumbel_temp: float | None = None) -> Va
 def inverse_action_labels(state: ModelState, tokens, gumbel_temp: float) -> np.ndarray:
     """Inverse action labels (B, T-1) of a corpus, read-only, as its
     memoised `val_sweep` holds them (see there for the key; the slot holds
-    one corpus). Nothing is recorded even inside a tape."""
+    one corpus)."""
     return val_sweep(state, tokens, gumbel_temp).labels
 
 
@@ -327,15 +326,14 @@ def loss_pre2(state: ModelState, e_l: Tensor, labels: np.ndarray, start: int):
 def loss_fta(state: ModelState, tokens, prompt_len: int, actions_fn):
     """World-model CE restricted to response positions t in [p, T-1], with
     actions held fixed; only the base receives the update. The base trains,
-    so the loss runs its forward on the tape; actions_fn(e_l) reads the
-    action indices (B, T-1) from those embeddings, and their codebook rows
-    are looked up untaped, so they enter as constants."""
+    so the loss runs its forward on the tape; actions_fn reads the action
+    indices (B, T-1) from `ad.stop_grad(e_l)`, so they and the frozen
+    codebook's rows they select enter as constants, and are not taped."""
     if prompt_len >= tokens.shape[1]:
         raise ValueError("empty response: prompt_len >= sequence length")
     e_l = base_forward(state.groups["base"], state.cfg, tokens)
-    with ad.untaped():
-        action = ad.embedding(state.groups["codebook"]["codes"],
-                              actions_fn(e_l)[:, prompt_len - 1:])
+    action = ad.embedding(state.groups["codebook"]["codes"],
+                          actions_fn(ad.stop_grad(e_l))[:, prompt_len - 1:])
     e_ctx = ad.slice_time(e_l, prompt_len - 1, -1)
     logits = world_logits(state.groups["merge"], state.cfg, e_ctx, action)
     ce = ad.cross_entropy(logits, tokens[:, prompt_len:])
@@ -428,14 +426,12 @@ def loss_rl(state: ModelState, batch: dict, cfg: TrainConfig):
 def q_values_fn(state: ModelState, group: str):
     """A callable mapping a 1-d token context x (T tokens) to the action
     values at each of its positions, (T, N): row t is Q(x_{1:t+1}, .),
-    since the base and the Q head are causal. One untaped base and Q
-    forward over the whole context gives every row."""
+    since the base and the Q head are causal. One base and Q forward over
+    the whole context gives every row."""
     def q(context) -> np.ndarray:
         tokens = np.asarray(context).reshape(1, -1)
-        with ad.untaped():
-            e_l = base_forward(state.groups["base"], state.cfg, tokens)
-            vals = q_forward(state.groups[group], state.cfg, e_l)
-        return vals.data[0]
+        e_l = base_forward(state.groups["base"], state.cfg, tokens)
+        return q_forward(state.groups[group], state.cfg, e_l).data[0]
     return q
 
 
@@ -507,11 +503,11 @@ def run_stage(state: ModelState, stage: str, trainable: tuple[str, ...],
     runs outside the tape (forward-only work: sampling, a frozen base's
     embeddings, labels, rollouts, targets), and its code after a yield runs
     once that step's record has gone to metrics_cb. Each step builds (loss,
-    parts) = loss_fn(batch) inside the tape, aborts on a non-finite loss,
-    steps AdamW on `tape.gradients(loss, opt.params)` and hands the record
-    {stage, step, **parts, grad_norm, skipped_nonfinite} to metrics_cb. The
-    generator is closed when the stage returns or raises, so a worker
-    thread that `frozen_batches` encodes ahead on ends with the stage.
+    parts) = loss_fn(batch) inside a `Tape(opt.params)`, aborts on a
+    non-finite loss, steps AdamW on `tape.gradients(loss)` and hands the
+    record {stage, step, **parts, grad_norm, skipped_nonfinite} to
+    metrics_cb. The generator is closed when the stage returns or raises,
+    so a worker thread that `frozen_batches` encodes ahead on ends with it.
 
     Every group that trainable does not name is frozen, except that
     q_target moves with q_online (`sync_target` writes it): the frozen
@@ -525,11 +521,11 @@ def run_stage(state: ModelState, stage: str, trainable: tuple[str, ...],
     records = []
     with closing(batches(rng)) as source:
         for step, batch in enumerate(source):
-            with Tape() as tape:
+            with Tape(opt.params) as tape:
                 loss, parts = loss_fn(batch)
                 if not np.isfinite(loss.data):
                     raise FloatingPointError(f"non-finite {stage} loss at step {step}")
-                grads = tape.gradients(loss, opt.params)
+                grads = tape.gradients(loss)
             norms = opt.step(grads)
             # free this step's graph before the next batch is drawn
             del batch, loss, tape, grads

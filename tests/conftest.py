@@ -134,13 +134,13 @@ def finite_diff_report(build_loss, params):
     if len(dtypes) != 1:
         raise ValueError(f"finite_diff_report needs params of one dtype, got {dtypes}")
     capture = StopGradCapture()
-    with capture.recording(), ad.Tape() as tape:
+    with capture.recording(), ad.Tape(params) as tape:
         loss = build_loss()
     if loss.data.shape != ():
         raise ValueError("finite_diff_report needs a scalar loss")
     if not np.isfinite(loss.data):
         raise FloatingPointError("non-finite loss at base point")
-    analytic = [g.copy() for g in tape.gradients(loss, params)]
+    analytic = [g.copy() for g in tape.gradients(loss)]
 
     def eval_loss():
         with capture.replaying():

@@ -275,13 +275,13 @@ def test_straight_through_gradient_matches_soft_path():
         def soft_of():
             return ad.softmax(ad.add(logits, noise))
 
-        with Tape() as tape:
+        with Tape([logits]) as tape:
             soft = soft_of()
             hard = np.zeros_like(soft.data)
             np.put_along_axis(hard, soft.data.argmax(-1)[..., None], 1.0, -1)
             straight = ad.add(ad.stop_grad(ad.sub(Tensor(hard), soft)), soft)
             out = ad.sum_(ad.mul(straight, Tensor(w)))
-            analytic, = tape.gradients(out, [logits])
+            analytic, = tape.gradients(out)
 
         numeric = np.zeros_like(logits.data)
         flat = logits.data.reshape(-1)

@@ -58,9 +58,9 @@ def test_straight_through_gradient_equals_soft_gradient():
 
     grads = []
     for build in (straight_readout, soft_readout):
-        with Tape() as tape:
+        with Tape([logits]) as tape:
             out = build()
-            grads += tape.gradients(out, [logits])
+            grads += tape.gradients(out)
     np.testing.assert_allclose(grads[0], grads[1], atol=1e-12)
 
 
@@ -127,10 +127,10 @@ def test_assign_vq_picks_nearest_with_lowest_index_ties():
 def test_assign_vq_gradient_passes_through_to_encoder():
     codes = Tensor(np.random.default_rng(0).normal(size=(3, 2)))
     e = Tensor(np.random.default_rng(1).normal(size=(1, 2, 2)))
-    with Tape() as tape:
+    with Tape([e]) as tape:
         _, action, _, _ = assign_vq({"codes": codes}, e)
         loss = ad.sum_(action)
-        g, = tape.gradients(loss, [e])
+        g, = tape.gradients(loss)
     np.testing.assert_array_equal(g, np.ones((1, 2, 2)))
 
 

@@ -19,7 +19,7 @@ import actlm
 from actlm import autodiff as ad
 from actlm.autodiff import Tape, Tensor
 from actlm.config import ArchConfig
-from actlm.model import base_forward, init_model
+from actlm.model import BLOCK_WEIGHTS, base_forward, block_forward, init_model
 from actlm.training import loss_base_ar
 from conftest import BOTH_DTYPES, StopGradCapture, finite_diff_check, \
     finite_diff_report, matmul_error_bound
@@ -187,13 +187,13 @@ def cross_entropy_reference(x, targets, g):
 
 def forward_and_grads(op, inputs, rng):
     """op's output and the gradients of sum(g * output) for a random g."""
-    with Tape() as tape:
+    with Tape(inputs) as tape:
         out = op(*inputs)
     g = rng.normal(size=out.shape).astype(out.data.dtype)
     with tape:
         # the sum hands `out` exactly g: its backward gives ones, and 1 * g == g
         loss = ad.sum_(ad.mul(out, Tensor(g)))
-    return out.data, tape.gradients(loss, inputs), g
+    return out.data, tape.gradients(loss), g
 
 
 def assert_same_bits(got, want):
@@ -330,10 +330,9 @@ def test_base_loss_matches_the_plain_reduction(dtype, monkeypatch):
     tokens = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(4, 16))
 
     def loss_and_grads():
-        params = list(state.groups["base"].values())
-        with Tape() as tape:
+        with Tape(state.groups["base"].values()) as tape:
             loss, _ = loss_base_ar(state, tokens)
-        return [loss.data] + tape.gradients(loss, params)
+        return [loss.data] + tape.gradients(loss)
 
     def counted_row_max(x):
         calls.append(x.shape)
@@ -426,26 +425,56 @@ EVERY_PRIMITIVE = {
 }
 
 
+# The Tensor operands each call above reads.
+OPERANDS = {
+    "add": ("x", "y"), "sub": ("x", "y"), "mul": ("x", "y"), "matmul": ("x", "w"),
+    "embedding": ("table",), "concat_last": ("x", "y"), "rms_norm": ("x", "gain"),
+    "causal_attention_scores": ("x", "y"),
+    **dict.fromkeys(("softmax", "log_softmax", "silu", "cross_entropy", "log", "exp",
+                     "sum_", "mean_", "reshape", "swapaxes", "slice_time"), ("x",)),
+}
+
+
 def test_every_primitive_is_covered():
     emitting = {name for name, fn in vars(ad).items()
                 if inspect.isfunction(fn) and "_emit" in fn.__code__.co_names}
-    assert emitting == set(EVERY_PRIMITIVE)
+    assert emitting == set(EVERY_PRIMITIVE) == set(OPERANDS)
+
+
+def _op_case(name, dtype):
+    """(call, operands, others) of one primitive of EVERY_PRIMITIVE or of a
+    base block_forward: the call, the Tensors it reads, and Tensors it does
+    not."""
+    if name == "block_forward":
+        cfg = ArchConfig(max_seq_len=8)
+        base = init_model(cfg, 0, dtype).groups["base"]
+        x = Tensor(np.random.default_rng(0).normal(size=(2, 8, cfg.d_model)).astype(dtype))
+        operands = [x] + [base[f"blk0.{w}"] for w in BLOCK_WEIGHTS]
+        others = [t for key, t in base.items() if not key.startswith("blk0.")]
+        return lambda: block_forward(base, "blk0", x, cfg), operands, others
+    inputs = _primitive_inputs(dtype)
+    tensors = {key: t for key, t in inputs.items() if isinstance(t, Tensor)}
+    return (lambda: EVERY_PRIMITIVE[name](inputs),
+            [tensors[key] for key in OPERANDS[name]],
+            [t for key, t in tensors.items() if key not in OPERANDS[name]])
 
 
 @BOTH_DTYPES
-@pytest.mark.parametrize("name", sorted(EVERY_PRIMITIVE))
+@pytest.mark.parametrize("name", sorted(EVERY_PRIMITIVE) + ["block_forward"])
 def test_untaped_primitive_keeps_no_closure(name, dtype):
-    """Outside a tape and under `untaped()` an op gives the same bits as on a
-    tape but holds no backward closure, so nothing keeps its inputs or
-    intermediates alive."""
-    op, inputs = EVERY_PRIMITIVE[name], _primitive_inputs(dtype)
-    with Tape() as tape:
-        taped = op(inputs)
-    assert tape.nodes[-1] is taped and taped._backward is not None
-    free = op(inputs)
-    with Tape() as tape:
-        with ad.untaped():
-            inner = op(inputs)
+    """An op is recorded iff one of its Tensor operands needs a gradient: a
+    tape whose only leaf is any one operand records it, with its closure.
+    Outside a tape, and on a tape opened on every other tensor, it is not
+    recorded: it gives the same bits but holds no backward closure, so
+    nothing keeps its inputs or intermediates alive."""
+    op, operands, others = _op_case(name, dtype)
+    for leaf in operands:
+        with Tape([leaf]) as tape:
+            taped = op()
+        assert tape.nodes[-1:] == [taped] and taped._backward is not None
+    free = op()
+    with Tape(others) as tape:
+        inner = op()
     assert tape.nodes == []
     for out in (free, inner):
         assert out._backward is None
@@ -457,30 +486,34 @@ def test_untaped_base_forward_frees_its_intermediates():
     within the live set of one block: the scores are scaled, masked and
     softmaxed in place in one array the size of the attention scores (two
     are allowed), and the residual, norm, q, k, v and the MLP's
-    intermediates fit in four B x T x d_ff activations. On a tape every
-    block's graph stays alive, well past that bound."""
-    cfg = ArchConfig()
-    base = init_model(cfg, 0).groups["base"]
+    intermediates fit in four B x T x d_ff activations. A tape opened on
+    weights the forward does not read, as stage 1's on the inverse, keeps
+    it within the bound too. On a tape opened on the base every block's
+    graph stays alive, well past that bound."""
+    state = init_model(ArchConfig(), 0)
+    cfg, base = state.cfg, state.groups["base"]
     b = t = 64
     tokens = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(b, t))
     itemsize = base["tok_emb"].data.itemsize
     scores = b * cfg.n_heads * t * t * itemsize
     bound = 2 * scores + 4 * b * t * cfg.intermediate_dim * itemsize
 
-    def peak(record):
+    def peak(tape):
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()
         tracemalloc.reset_peak()
         base_mem = tracemalloc.get_traced_memory()[0]
-        with Tape() if record else contextlib.nullcontext():
+        with tape:
             base_forward(base, cfg, tokens)
         grown = tracemalloc.get_traced_memory()[1] - base_mem
         if not tracing:
             tracemalloc.stop()
         return grown
 
-    assert peak(record=False) < bound < peak(record=True)
+    assert peak(contextlib.nullcontext()) < bound
+    assert peak(Tape(state.groups["inverse"].values())) < bound
+    assert bound < peak(Tape(base.values()))
 
 
 def test_tensor_holds_float_arrays_and_refuses_other_dtypes():
@@ -502,14 +535,14 @@ def test_tensor_holds_float_arrays_and_refuses_other_dtypes():
 def test_embedding_gradients_accumulate_repeated_ids():
     table = Tensor(np.random.default_rng(0).normal(size=(4, 3)))
     ids = np.array([1, 1, 2])
-    with Tape() as tape:
+    with Tape([table]) as tape:
         out = ad.embedding(table, ids)
         loss = ad.sum_(out)
-        g, = tape.gradients(loss, [table])
+        g, = tape.gradients(loss)
     expected = np.zeros((4, 3))
     expected[1] = 2.0
     expected[2] = 1.0
-    np.testing.assert_allclose(g, expected)
+    np.testing.assert_array_equal(g, expected)
 
 
 def test_embedding_rejects_out_of_range():
@@ -539,75 +572,80 @@ def test_cross_entropy_gradients():
 
 def test_slice_time_backward_scatters():
     x = Tensor(np.arange(12, dtype=np.float64).reshape(1, 4, 3))
-    with Tape() as tape:
+    with Tape([x]) as tape:
         loss = ad.sum_(ad.slice_time(x, 1, 3))
-        g, = tape.gradients(loss, [x])
+        g, = tape.gradients(loss)
     expected = np.zeros((1, 4, 3))
     expected[:, 1:3] = 1.0
-    np.testing.assert_allclose(g, expected)
+    np.testing.assert_array_equal(g, expected)
 
 
 def test_fanout_accumulates():
     x = Tensor(np.array(3.0, np.float32))
-    with Tape() as tape:
+    with Tape([x]) as tape:
         y = ad.add(ad.mul(x, x), x)  # x^2 + x
-        g, = tape.gradients(y, [x])
-    np.testing.assert_allclose(g, 7.0, rtol=1e-6)
+        g, = tape.gradients(y)
+    np.testing.assert_array_equal(g, np.float32(7.0))
 
 
 def test_gradients_come_back_for_the_leaves_asked_for():
-    """One gradient per leaf asked for, in the order asked; zeros of its
-    shape and dtype for a leaf no path leads from; and a ValueError for an
-    op output, whose gradient the pass drops."""
+    """One gradient per leaf the tape was opened on, in that order; zeros
+    of its shape and dtype for a leaf no path leads from; and a ValueError
+    for a tape opened on an op output, whose gradient the pass drops."""
     x = Tensor(np.array([1.0, 2.0, 3.0], np.float32))
     w = Tensor(np.array([4.0, 5.0, 6.0], np.float32))
     unreached = Tensor(np.ones((2, 2)))
-    with Tape() as tape:
+    with Tape([w, unreached, x]) as tape:
         y = ad.mul(x, w)
         loss = ad.sum_(y)
-    gw, gu, gx = tape.gradients(loss, [w, unreached, x])
+    gw, gu, gx = tape.gradients(loss)
     np.testing.assert_array_equal(gw, x.data)
     np.testing.assert_array_equal(gx, w.data)
     assert gu.shape == (2, 2) and gu.dtype == np.float64 and not gu.any()
     with pytest.raises(ValueError, match="op output"):
-        tape.gradients(loss, [x, y])
+        Tape([x, y])
 
 
 def test_gradients_of_a_subset_are_those_of_all():
-    """Asking for some of a loss's leaves gives bitwise the arrays that
-    asking for all of them gives: the leaves asked for accumulate as
-    before, and only the others' gradients are no longer kept."""
+    """A tape opened on some of a loss's leaves gives bitwise the arrays
+    that one opened on all of them gives. It records fewer ops (the token
+    embedding lookup here), but every op on a path from its leaves, whose
+    gradients then accumulate in the same order."""
     cfg = ArchConfig(max_seq_len=16)
     state = init_model(cfg, 0)
     tokens = np.random.default_rng(0).integers(0, cfg.vocab_size, size=(4, 16))
     params = list(state.groups["base"].values())
-    with Tape() as tape:
-        loss, _ = loss_base_ar(state, tokens)
-    every = tape.gradients(loss, params)
-    some = tape.gradients(loss, params[1::3])
-    assert len(some) > 1
+
+    def taped(leaves):
+        with Tape(leaves) as tape:
+            loss, _ = loss_base_ar(state, tokens)
+        return len(tape.nodes), tape.gradients(loss)
+
+    (n_every, every), (n_some, some) = taped(params), taped(params[1::3])
+    assert len(some) > 1 and n_some == n_every - 1
     assert [g.tobytes() for g in some] == [g.tobytes() for g in every[1::3]]
 
 
 def test_stop_grad_blocks_gradient():
     x = Tensor(np.array([1.0, 2.0], np.float32))
-    with Tape() as tape:
+    with Tape([x]) as tape:
         loss = ad.sum_(ad.mul(ad.stop_grad(x), x))
-        g, = tape.gradients(loss, [x])
-    np.testing.assert_allclose(g, x.data, rtol=1e-6)
+        g, = tape.gradients(loss)
+    np.testing.assert_array_equal(g, x.data)
 
 
-def test_untaped_ops_stay_off_the_tape():
-    """Ops inside `untaped` are not recorded, so their output is a constant
-    to the tape: d/dx sum(3x * x) is read as 3x, not 6x."""
+def test_ops_on_constants_stay_off_the_tape():
+    """An op none of whose inputs needs a gradient is not recorded, so its
+    output is a constant to the tape: with c holding x's values, d/dx
+    sum(3c * x) is read as 3c, not 6x."""
     x = Tensor(np.array([1.0, 2.0], np.float32))
-    with Tape() as tape:
-        with ad.untaped():
-            y = ad.mul(x, 3.0)
+    c = Tensor(x.data.copy())
+    with Tape([x]) as tape:
+        y = ad.mul(c, 3.0)
         loss = ad.sum_(ad.mul(y, x))
-        g, = tape.gradients(loss, [x])
-    assert len(tape.nodes) == 2
-    np.testing.assert_allclose(g, y.data, rtol=1e-6)
+        g, = tape.gradients(loss)
+    assert len(tape.nodes) == 2 and y._backward is None
+    np.testing.assert_array_equal(g, y.data)
 
 
 def _on_a_thread(target):
@@ -618,48 +656,43 @@ def _on_a_thread(target):
     assert not t.is_alive()
 
 
-def test_tapes_and_untaped_blocks_belong_to_their_thread():
-    """A Tape open on one thread records none of a worker thread's ops, a
-    worker's own Tape records only the worker's, and an `untaped()` opened
-    on a worker leaves the main thread recording."""
+def test_tapes_belong_to_their_thread():
+    """A Tape open on one thread records none of a worker thread's ops on
+    its leaf, and a worker's own Tape on that leaf, open while the main
+    thread records, records only the worker's ops."""
     x = Tensor(np.array([1.0, 2.0], np.float32))
     seen, opened, release = {}, threading.Event(), threading.Event()
 
     def plain_ops():
-        seen["recording"] = ad.recording()
+        seen["needs"] = ad.needs_grad(x)
         seen["plain"] = ad.mul(x, 2.0)
 
     def own_tape():
-        with Tape() as tape:
-            seen["own"] = (tape, ad.mul(x, 4.0))
-
-    def untaped_block():
-        with ad.untaped():
+        with Tape([x]) as tape:
             opened.set()
             release.wait(timeout=10)
+            seen["own"] = (tape, ad.mul(x, 4.0))
 
-    with Tape() as tape:
+    with Tape([x]) as tape:
         _on_a_thread(plain_ops)
-        _on_a_thread(own_tape)
-        worker = threading.Thread(target=untaped_block)
+        worker = threading.Thread(target=own_tape)
         worker.start()
         try:
             assert opened.wait(timeout=10)
-            assert ad.recording()
+            assert ad.needs_grad(x)
             y = ad.mul(x, 3.0)
         finally:
             release.set()
             worker.join(timeout=10)
         assert not worker.is_alive()
-        assert ad.recording()
         loss = ad.sum_(y)
-        g, = tape.gradients(loss, [x])
-    assert seen["recording"] is False and seen["plain"]._backward is None
+        g, = tape.gradients(loss)
+    assert seen["needs"] is False and seen["plain"]._backward is None
     worker_tape, z = seen["own"]
     assert worker_tape.nodes == [z] and z._backward is not None
     assert tape.nodes == [y, loss]
     np.testing.assert_array_equal(g, [3.0, 3.0])
-    assert not ad.recording()
+    assert not ad.needs_grad(x)
 
 
 def test_stop_grad_capture_replays_recorded_values():

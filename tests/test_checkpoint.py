@@ -62,10 +62,10 @@ def test_a_loaded_state_computes_in_its_file_dtype(tmp_path, code):
     assert state.dtype == np.dtype(code)
     tokens = np.random.default_rng(0).integers(0, CFG.vocab_size, size=(2, 6))
     e_l = base_forward(state.groups["base"], CFG, tokens)
-    with Tape() as tape:
+    with Tape(group_tensors(state, "inverse", "codebook", "merge")) as tape:
         loss, _, _ = loss_pre1(state, tokens, e_l, TrainConfig(),
                                np.random.default_rng(0), "direct")
-    grads = tape.gradients(loss, group_tensors(state, "inverse", "codebook", "merge"))
+    grads = tape.gradients(loss)
     dec = Decoder(state)
     dec.sync(tokens)
     got = [e_l.data, loss.data, *grads, dec.e_l, dec.probs, dec.next_logits([0, 1])]

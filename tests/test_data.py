@@ -220,12 +220,12 @@ def test_hmm_corpus_refuses_ids_beyond_int16(field):
 
 def test_hmm_corpus_sampling_peak_memory():
     """At the CLI-default shape, the sampler's traced peak beyond its two
-    outputs stays within three (vocab_size, n_sequences) float64 tables: one
-    step's gathered cdf columns and what counting them takes. search64's
-    benchmark peak RSS is set during its set-up, which samples this corpus,
-    so a sampler that built its outputs transposed in int64 and copied them
-    (4.5 MB beyond the outputs, against 1.67 MB for the bound and 0.85 MB
-    here) would raise it. numpy imports its random generators lazily, on
+    outputs stays within two (vocab_size, n_sequences) float64 tables
+    (1.11 MB): one step's gathered cdf columns and what counting them takes
+    (0.86 MB here). search64's benchmark peak RSS is set during its set-up,
+    which samples this corpus, so a sampler that built its outputs
+    transposed and copied them would raise it: 1.19 MB beyond the outputs
+    in int16, 4.5 MB in int64. numpy imports its random generators lazily, on
     the first `default_rng`, which traces about 0.78 MB; that import
     happens before tracing starts, so the peak is the same whether or not
     an earlier test sampled."""
@@ -238,7 +238,7 @@ def test_hmm_corpus_sampling_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak - tokens.nbytes - states.nbytes \
-        <= 3 * cfg.vocab_size * cfg.n_sequences * 8
+        <= 2 * cfg.vocab_size * cfg.n_sequences * 8
 
 
 def test_make_sft_split():

@@ -118,7 +118,7 @@ def _block_run(block, b, t, n_blocks, seed, dtype):
     state, rng = _weights(n_blocks, seed, dtype)
     p, cfg = state.groups["base"], state.cfg
     x = Tensor(rng.normal(size=(b, t, cfg.d_model)).astype(dtype))
-    with Tape() as tape:
+    with Tape([x, *p.values()]) as tape:
         h = x
         for i in range(n_blocks):
             h = block(p, f"blk{i}", h, cfg)
@@ -126,7 +126,7 @@ def _block_run(block, b, t, n_blocks, seed, dtype):
     g = rng.normal(size=out.shape).astype(out.data.dtype)
     with tape:
         loss = ad.sum_(ad.mul(out, Tensor(g)))  # hands `out` exactly g
-    return [out.data] + tape.gradients(loss, [x, *p.values()])
+    return [out.data] + tape.gradients(loss)
 
 
 def _decoder_step(b, t, past, n_blocks, seed, dtype):

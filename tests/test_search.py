@@ -26,8 +26,8 @@ from actlm.search import (LatentActionLM, MctsNode, _select_child, audit_tree,
 from actlm.training import (Transition, q_values_fn,
                             rollout_batch)
 from conftest import (BOTH_DTYPES, ChainLM, StickyLM, chain_reward, check_base_logits,
-                      decoder_accumulation_length, gamma, matmul_error_bound,
-                      per_prefix, tree_snapshot)
+                      decoder_accumulation_length, gamma, group_tensors,
+                      matmul_error_bound, per_prefix, tree_snapshot)
 
 
 def test_rollout_greedy_runs_to_eos():
@@ -791,15 +791,23 @@ def test_decoder_sync_matches_the_plain_row_max(dtype, monkeypatch):
 
 
 def test_decoding_records_nothing():
-    """rollout_batch, search.rollout and a Q-pruned mcts_search on the
-    model's own Q head, run inside an open tape, record no node on it."""
+    """rollout_batch, search.rollout and a plain mcts_search, run inside a
+    tape opened on every parameter, record no node on it: they decode on
+    arrays. A Q-pruned mcts_search on the model's own Q head records none
+    on a tape opened on every group but the two whose Tensor forward
+    q_values_fn runs (base and q_online)."""
     state = init_model(DCFG, 0)
     rng = np.random.default_rng(0)
     cfg = SearchConfig(action_steps=2, iterations=6, expand_width=2,
                        max_len=12, seed=0, bellman_threshold=1.0)
-    with Tape() as tape:
+    with Tape(group_tensors(state, *state.groups)) as tape:
         rollout_batch(state, np.array([[3, 5], [4, 6]]), "sample", 12, rng)
         rollout(LatentActionLM(state), [3, 5], "greedy", 12)
+        mcts_search(LatentActionLM(state), [3, 5], cfg,
+                    lambda tokens: float(len(tokens)))
+    assert tape.nodes == []
+    unread = [g for g in state.groups if g not in ("base", "q_online")]
+    with Tape(group_tensors(state, *unread)) as tape:
         result = mcts_search(LatentActionLM(state), [3, 5], cfg,
                              lambda tokens: float(len(tokens)),
                              q_fn=q_values_fn(state, "q_online"), gamma=0.9)

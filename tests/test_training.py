@@ -229,21 +229,20 @@ def test_loss_pre1_freezes_base():
     state = small_state()
     tokens = small_tokens()
     e_l = frozen_e_l(state, tokens)
-    with Tape() as tape:
+    frozen = group_tensors(state, "base")
+    with Tape(frozen + group_tensors(state, "inverse", "merge", "codebook")) as tape:
         total, _, _ = loss_pre1(state, tokens, e_l, TrainConfig(),
                                 np.random.default_rng(0), "direct")
-        frozen = tape.gradients(total, group_tensors(state, "base"))
-        moving = tape.gradients(total, group_tensors(state, "inverse", "merge",
-                                                     "codebook"))
-    assert not any(g.any() for g in frozen)
-    assert any(g.any() for g in moving)
+        grads = tape.gradients(total)
+    assert not any(g.any() for g in grads[:len(frozen)])
+    assert any(g.any() for g in grads[len(frozen):])
 
 
 def test_loss_pre1_regularizer_bounds():
     """mean sum g log g lies in [-ln N, 0]."""
     for seed in range(5):
         state, tokens = small_state(seed), small_tokens(seed)
-        with Tape():
+        with Tape(group_tensors(state, "inverse", "codebook", "merge")):
             _, parts, _ = loss_pre1(state, tokens, frozen_e_l(state, tokens),
                                     TrainConfig(), np.random.default_rng(seed),
                                     "direct")
@@ -252,7 +251,7 @@ def test_loss_pre1_regularizer_bounds():
 
 def test_loss_pre1_vq_parts():
     state, tokens = small_state(), small_tokens()
-    with Tape():
+    with Tape(group_tensors(state, "inverse", "codebook", "merge")):
         total, parts, index = loss_pre1(state, tokens, frozen_e_l(state, tokens),
                                         TrainConfig(), None, "vq")
     assert set(parts) == {"L_predict", "L_commit", "L_codebook", "total"}
@@ -271,51 +270,56 @@ def test_inverse_action_labels_shape_and_range():
 
 
 def test_gradients_keep_only_leaf_gradients():
-    """A leaf's gradient that was not asked for is dropped as soon as a
-    backward hands it out, never accumulated. Asked for the lm-head alone
-    after a pretrain-base loss, no other parameter's gradient outlives the
-    backward after the one that made it (the pass's loop still holds that
-    backward's last pair), and only the lm-head's outlives the pass."""
+    """A gradient handed to a tensor that needs none, a constant input of a
+    recorded op, is dropped as soon as a backward hands it out, never
+    accumulated. On a tape opened on the token embeddings and the lm-head
+    of a pretrain-base loss, the recorded ops hand one to every block
+    weight, to ln_out and to the position rows, none of which the tape
+    differentiates or recorded. None of those outlives the backward after
+    the one that made it (the pass's loop still holds that backward's last
+    pair), and only the leaves' gradients outlive the pass."""
     state = small_state()
     base = state.groups["base"]
-    unasked = {id(p) for name, p in base.items() if name != "lm_head"}
+    leaves = [base["tok_emb"], base["lm_head"]]
     handed, stale_alive = [], []
 
-    def watched(backward):
+    def watched(backward, needed):
         def run(g):
             stale_alive.append(sum(r() is not None for refs in handed[:-1] for r in refs))
             pairs = backward(g)
             handed.append([weakref.ref(pg) for parent, pg in pairs
-                           if id(parent) in unasked])
+                           if id(parent) not in needed])
             return pairs
         return run
 
-    with Tape() as tape:
+    with Tape(leaves) as tape:
         loss, _ = loss_base_ar(state, small_tokens())
     for node in tape.nodes:
-        node._backward = watched(node._backward)
-    grad, = tape.gradients(loss, [base["lm_head"]])
-    assert sum(map(len, handed)) == len(unasked) and not any(stale_alive)
+        node._backward = watched(node._backward, tape.needed)
+    grads = tape.gradients(loss)
+    # every base tensor but pos_emb and the leaves, plus the position rows
+    assert sum(map(len, handed)) == len(base) - 3 + 1 and not any(stale_alive)
     assert all(r() is None for refs in handed for r in refs)
-    assert grad.shape == base["lm_head"].shape and grad.any()
+    assert all(g.shape == t.shape and g.any() for g, t in zip(grads, leaves))
 
 
 def test_grad_of_an_op_output_raises():
-    """Asking for a node's gradient, which `gradients` drops once the
+    """Opening a tape on a node, whose gradient `gradients` drops once the
     node's backward has run, fails loudly rather than reading zeros."""
     x = Tensor(np.ones(3, np.float32))
-    with Tape() as tape:
+    with Tape([x]) as tape:
         y = ad.mul(x, 2.0)
         loss = ad.sum_(y)
-    np.testing.assert_array_equal(tape.gradients(loss, [x])[0], [2.0, 2.0, 2.0])
-    with pytest.raises(ValueError, match="leaf"):
-        tape.gradients(loss, [x, y])
+    np.testing.assert_array_equal(tape.gradients(loss)[0], [2.0, 2.0, 2.0])
+    with pytest.raises(ValueError, match="op output"):
+        Tape([x, y])
 
 
 def test_inverse_encoder_gets_the_embeddings_as_a_leaf(monkeypatch):
     """Inverse labels are indices and carry no gradient, so where the base
     is frozen its forward's graph is not kept alive while the inverse
-    encoder runs, and nothing is recorded even inside an open tape."""
+    encoder runs, and nothing is recorded on a tape opened on groups the
+    labels do not read."""
     from actlm import diagnostics, training
     real, backwards = training.inverse_encode, []
 
@@ -325,7 +329,7 @@ def test_inverse_encoder_gets_the_embeddings_as_a_leaf(monkeypatch):
 
     monkeypatch.setattr(training, "inverse_encode", recording)
     state, tokens = small_state(), small_tokens()
-    with Tape() as tape:
+    with Tape(group_tensors(state, "policy", "q_online")) as tape:
         inverse_action_labels(state, tokens, 1.0)
     assert tape.nodes == []
     diagnostics.val_loss(state, tokens, "with_actions")
@@ -377,6 +381,16 @@ def _mutate_inverse(state, corpus):
     return corpus
 
 
+def _mutate_merge(state, corpus):
+    state.flat("merge")[...] *= 3
+    return corpus
+
+
+def _mutate_codebook(state, corpus):
+    state.flat("codebook")[...] *= 3
+    return corpus
+
+
 def _other_corpus(state, corpus):
     return (corpus + 1) % CFG.vocab_size
 
@@ -388,12 +402,15 @@ def _verify_precision(state, corpus):
     return corpus
 
 
-@pytest.mark.parametrize("mutate", [_mutate_base, _mutate_inverse,
-                                    _other_corpus, _verify_precision])
+@pytest.mark.parametrize("mutate", [_mutate_base, _mutate_inverse, _mutate_merge,
+                                    _mutate_codebook, _other_corpus,
+                                    _verify_precision])
 def test_sweep_recomputes_when_its_key_changes(mutate, monkeypatch):
     """A warm sweep is reused as long as the corpus, the precision and the
-    base and inverse weights are what it was computed from; changing any of
-    them (in place, as AdamW does) recomputes it, and the figures change."""
+    weights of every group it reads (base, inverse, merge and codebook)
+    are what it was computed from; changing any of them (in place, as
+    AdamW does) recomputes it, and the figures it depends on change. A
+    world-model group changes the world CE alone."""
     from actlm import diagnostics, training
     encoded, real = [], training.base_forward
 
@@ -420,6 +437,9 @@ def test_sweep_recomputes_when_its_key_changes(mutate, monkeypatch):
     if mutate is _mutate_inverse:
         assert after[1] == before[1]
         assert not np.array_equal(after[2], before[2])
+    elif mutate in (_mutate_merge, _mutate_codebook):
+        assert after[1] == before[1]
+        assert np.array_equal(after[2], before[2])
     else:
         assert after[1] != before[1]
 
@@ -576,10 +596,11 @@ def test_sweep_and_ce_readers_equal_a_sequential_per_chunk_reference(
         cpus, monkeypatch):
     """On a ragged corpus, the sweep's labels and both CEs, and the readers
     that return them, equal a sequential per-chunk loop bit for bit at any
-    CPU count; inside an open tape they record nothing and leave that tape
-    recording; at most min(chunks, CPUs) threads run the tasks, the
-    one fill's chunk_map starts exactly one worker fewer, the readers on
-    the warm slot start none, and none is alive afterwards."""
+    CPU count; inside a tape opened on a leaf they do not read they record
+    nothing and leave that tape recording; at most min(chunks, CPUs)
+    threads run the tasks, the one fill's chunk_map starts exactly one
+    worker fewer, the readers on the warm slot start none, and none is
+    alive afterwards."""
     state, rows = small_state(), sweep_rows(7)
     corpus = small_tokens(seed=6, b=3 * rows + 5)
     chunks = [corpus[i:i + rows] for i in range(0, len(corpus), rows)]
@@ -604,14 +625,15 @@ def test_sweep_and_ce_readers_equal_a_sequential_per_chunk_reference(
     monkeypatch.setattr(training, "base_forward", recording)
     monkeypatch.setattr(threading, "Thread", Counted)
     alive = set(threading.enumerate())
-    with Tape() as tape:
+    one = Tensor(np.float32(1.0))
+    with Tape([one]) as tape:
         act_ce = diagnostics.val_loss(state, corpus, "with_actions")
         base_ce = diagnostics.val_loss(state, corpus, "base_ar")
         labels = inverse_action_labels(state, corpus, 1.0)
-        assert tape.nodes == [] and ad.recording()
-        after = ad.mul(Tensor(np.float32(1.0)), 2.0)
+        assert tape.nodes == [] and ad.needs_grad(one)
+        after = ad.mul(one, 2.0)
         assert tape.nodes == [after]
-    assert not ad.recording()
+    assert not ad.needs_grad(one)
     assert set(threading.enumerate()) == alive
     n = min(len(chunks), cpus)
     assert len(ran) <= n and (n > 1 or ran == {threading.get_ident()})
@@ -755,7 +777,7 @@ def test_shared_base_forward_gives_the_same_losses_and_gradients():
     """FTA reads its actions (FTA-I the inverse labels, FTA-P the frozen
     policy's argmax) from its loss's own taped base forward. Its steps move
     the base exactly as steps whose batches are labelled from a separate
-    untaped forward, bit for bit."""
+    forward outside the tape, bit for bit."""
     split = make_sft_split(small_tokens(b=8), 3)
     cfg = TrainConfig(steps=3, batch_size=4)
     for mode, label in (("FTA-I", inverse_labels), ("FTA-P", policy_argmax)):
@@ -778,29 +800,27 @@ def test_shared_base_forward_gives_the_same_losses_and_gradients():
 def test_loss_pre2_only_moves_policy():
     state, tokens = small_state(), small_tokens()
     e_l = frozen_e_l(state, tokens)
-    with Tape() as tape:
+    frozen = group_tensors(state, "base", "inverse", "merge", "codebook")
+    with Tape(frozen + group_tensors(state, "policy")) as tape:
         loss, _ = loss_pre2(state, e_l, inverse_labels(state, e_l), 0)
-        frozen = tape.gradients(loss, group_tensors(state, "base", "inverse",
-                                                    "merge", "codebook"))
-        moving = tape.gradients(loss, group_tensors(state, "policy"))
-    assert not any(g.any() for g in frozen)
-    assert any(g.any() for g in moving)
+        grads = tape.gradients(loss)
+    assert not any(g.any() for g in grads[:len(frozen)])
+    assert any(g.any() for g in grads[len(frozen):])
 
 
 def test_loss_fta_only_moves_base():
     state = small_state()
     tokens = small_tokens()
     aidx = inverse_labels(state, frozen_e_l(state, tokens))
-    with Tape() as tape:
+    # actions are held fixed: no gradient into the selector (the merge and
+    # the codes the actions select still receive gradients where a tape
+    # differentiates them; FTA freezes both by opening its tape on the base)
+    frozen = group_tensors(state, "inverse", "policy")
+    with Tape(frozen + group_tensors(state, "base")) as tape:
         loss, _ = loss_fta(state, tokens, 3, lambda e_l: aidx)
-        # actions are held fixed: no gradient into the selector or the codes
-        # (the merge still receives gradients; its freeze is optimizer
-        # exclusion)
-        frozen = tape.gradients(loss, group_tensors(state, "inverse", "codebook",
-                                                    "policy"))
-        moving = tape.gradients(loss, group_tensors(state, "base"))
-    assert not any(g.any() for g in frozen)
-    assert any(g.any() for g in moving)
+        grads = tape.gradients(loss)
+    assert not any(g.any() for g in grads[:len(frozen)])
+    assert any(g.any() for g in grads[len(frozen):])
 
 
 def test_loss_fta_rejects_empty_response():
@@ -935,8 +955,8 @@ def test_stage_drivers_keep_the_state_dtype(stage, dtype, monkeypatch):
     state, steps = small_state(dtype=dtype), []
 
     class CheckedTape(Tape):
-        def gradients(self, output, leaves):
-            grads = super().gradients(output, leaves)
+        def gradients(self, output):
+            grads = super().gradients(output)
             bad = [f"node {i}: {n.data.dtype}" for i, n in enumerate(self.nodes)
                    if n.data.dtype != dtype]
             bad += [f"a gradient: {g.dtype}" for g in grads if g.dtype != dtype]
@@ -981,9 +1001,9 @@ def test_constant_factors_get_no_gradient(monkeypatch):
         runs, products[:] = [], []
         for mul in (spying, wrapping):
             monkeypatch.setattr(ad, "mul", mul)
-            with Tape() as tape:
+            with Tape(params) as tape:
                 loss = build()
-            runs.append([loss.data, *tape.gradients(loss, params)])
+            runs.append([loss.data, *tape.gradients(loss)])
         assert len(products) == constants
         for a, out in products:
             pairs = out._backward(np.ones_like(out.data))
@@ -992,31 +1012,35 @@ def test_constant_factors_get_no_gradient(monkeypatch):
 
 
 # Tape nodes of one step of each stage at the _drivers() shapes: the graph
-# each loss records, which dropping closures outside a tape must not change.
-# A transformer block is one node; the world head is 13, six per merge MLP
-# and its lm-head; rl runs its reference policy untaped.
+# each loss records on a tape opened on its trainable groups, which
+# dropping closures elsewhere must not change. A transformer block is one
+# node; the world head is 13, six per merge MLP and its lm-head. An op on
+# constants alone is no node: stage1's slice of its frozen e_l, or the
+# selection of FTA's fixed actions; rl's batch holds its reference
+# policy's log-probs.
 STAGE_TAPE_NODES = {
     "bc-policy": {"bc-policy": 6},
     "fta-FTA-I": {"fta-FTA-I": 23, "fta-policy-refresh": 6},
     "fta-FTA-P": {"fta-FTA-P": 23},
     "pretrain-base": {"pretrain-base": 11},
     "rl": {"rl": 19},
-    "stage1": {"stage1": 32},
+    "stage1": {"stage1": 31},
     "train-q": {"train-q": 7},
 }
 
 
 @pytest.mark.parametrize("stage", DRIVERS)
 def test_stage_losses_record_only_under_a_tape(stage, monkeypatch):
-    """Each stage's loss records its pinned graph on a tape, every node with
-    its closure; built without a tape it keeps no graph."""
+    """Each stage's loss records its pinned graph on a tape opened on the
+    stage's trainable groups, every node with its closure; built without a
+    tape it keeps no graph."""
     from actlm import training
     nodes = {}
 
     def one_step(state, name, trainable, cfg, batches, loss_fn, metrics_cb=None):
         with closing(batches(np.random.default_rng(cfg.seed))) as source:
             batch = next(source)
-        with Tape() as tape:
+        with Tape(group_tensors(state, *trainable)) as tape:
             loss_fn(batch)
         assert all(node._backward is not None for node in tape.nodes)
         assert loss_fn(batch)[0]._backward is None
@@ -1218,8 +1242,8 @@ def test_train_q_runs_one_base_forward_per_step(monkeypatch):
     """A train-q step encodes the next contexts of its whole batch, of mixed
     lengths, in one base forward, and computes all its targets in one
     dqn_target call; the loss reuses those embeddings. It runs two Q-head
-    forwards: the target net's, untaped, and the online net's, taped, which
-    also gives the online half of the targets."""
+    forwards: the target net's, outside the tape, and the online net's,
+    taped, which also gives the online half of the targets."""
     from actlm import training
     calls = dict.fromkeys(("base_forward", "dqn_target", "q_forward"), 0)
     for name in calls:
@@ -1446,7 +1470,7 @@ def test_batched_dqn_targets_match_per_transition_reference(monkeypatch):
 
     monkeypatch.setattr(training, "dqn_target", recording)
     gamma = 0.9
-    with Tape():
+    with Tape(group_tensors(state, "q_online")):
         loss_dqn(state, dqn_batch(state, transitions), gamma)
     ((_, _, q_online_next, q_target_next, _), targets), = seen
     assert targets.dtype == np.float32
@@ -1547,7 +1571,7 @@ def test_loss_dqn_matches_squared_residual():
     manual = np.mean([(q(tr.context)[-1, tr.action]
                        - reference_target(tr, q, q_t, 0.9)) ** 2 for tr in batch])
     dqn = dqn_batch(state, batch)
-    with Tape():
+    with Tape(group_tensors(state, "q_online")):
         loss, parts = loss_dqn(state, dqn, 0.9)
     assert parts["q_loss"] == pytest.approx(manual, rel=1e-10)
 
@@ -1589,6 +1613,6 @@ def test_base_ce_matches_manual():
 def test_loss_base_ar_positive(seed):
     state = small_state(0)
     tokens = np.random.default_rng(seed).integers(0, 9, size=(2, 5))
-    with Tape():
+    with Tape(group_tensors(state, "base")):
         loss, parts = loss_base_ar(state, tokens)
     assert loss.item() > 0 and parts["loss"] == loss.item()
