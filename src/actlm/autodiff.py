@@ -20,9 +20,12 @@ operand is cast to its Tensor operand's dtype. No module state selects a
 precision: a model's is the dtype of its parameter buffers
 (`model.ModelState.dtype`).
 
-The tests' finite-difference oracle holds `stop_grad`'s outputs fixed by
-swapping this module's `stop_grad` attribute, so src calls it only as
-`ad.stop_grad`, never by a name imported from here.
+The tests' complex-step gradient oracle runs src on complex128 Tensors by
+swapping three attributes of this module for the length of a check:
+`FLOAT_DTYPES` admits complex128, `stop_grad` keeps the real part (the
+straight-through estimator) and `Tensor.item` reads it. So src calls
+`ad.stop_grad` and reads `FLOAT_DTYPES` only through this module, never by
+a name imported from here.
 """
 
 from __future__ import annotations

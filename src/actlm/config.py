@@ -110,7 +110,6 @@ class SearchConfig:
 @dataclass
 class DiversityConfig:
     n_samples: int = 8           # stochastic continuations per prefix
-    prefix_len: int = 8
     sim_floor: float = 1e-6
     include_prefix: bool = True  # similarity over the full sequences
 

@@ -62,6 +62,7 @@ class RunConfig(make_dataclass("ComponentKeys", _component_fields())):
     hmm_val_count: int = 256
     # task wiring
     prompt_len: int = 8
+    prefix_len: int = 8           # eval's semantic-diversity prefixes
     rl_updates: int = 200
     rl_marker_token: int = -1     # -1: pick a reachable token automatically
     rl_prompt_count: int = 4

@@ -58,122 +58,98 @@ BOTH_DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64],
                                       ids=["train", "verify"])
 
 
-class StopGradCapture:
-    """Holds `ad.stop_grad`'s outputs fixed across re-evaluations of a
-    graph.
-
-    A finite-difference check of a graph that contains stop_grad must hold
-    the stopped values at their base-point forward values; otherwise the
-    numeric derivative measures the true derivative (zero, or a jump where
-    an argmax flips) instead of the straight-through estimator the tape
-    implements. `recording()` keeps a copy of each stop_grad output of the
-    base forward, in call order, and `replaying()` hands them back in the
-    same order to each perturbed forward. Both swap the module attribute
-    `ad.stop_grad` for the length of the block and restore it however the
-    block ends. They see every src call, because each goes through the
-    module (test_reachability.py checks this)."""
-
-    def __init__(self):
-        self.values: list[np.ndarray] = []
-
-    def recording(self):
-        def record(x):
-            self.values.append(x.data.copy())
-            return ad.Tensor(x.data)
-        return _stop_grad_as(record)
-
-    def replaying(self):
-        replay = iter(self.values)
-        return _stop_grad_as(lambda x: ad.Tensor(next(replay)))
-
-
 @contextlib.contextmanager
-def _stop_grad_as(fn):
-    original, ad.stop_grad = ad.stop_grad, fn
+def complex_step_mode():
+    """For the length of the block `ad.FLOAT_DTYPES` admits complex128, and
+    `ad.stop_grad` and `ad.Tensor.item` keep the real part: the
+    straight-through estimator, since stop_grad(hard - soft) + soft then
+    carries soft's derivative alone. src reads all three through the module
+    (test_reachability.py). A constant that drops an imaginary part raises
+    ComplexWarning, which the suite's error::RuntimeWarning filter fails."""
+    saved = ad.FLOAT_DTYPES, ad.stop_grad, ad.Tensor.item
+    ad.FLOAT_DTYPES = saved[0] + (np.dtype(np.complex128),)
+    ad.stop_grad = lambda x: ad.Tensor(x.data.real)
+    ad.Tensor.item = lambda self: float(self.data.real)
     try:
         yield
     finally:
-        ad.stop_grad = original
+        ad.FLOAT_DTYPES, ad.stop_grad, ad.Tensor.item = saved
 
 
-FD_STEP = 1e-5  # the central-difference step h
-FD_RTOL = 1e-6  # the bar on a coordinate whose gradient is well above b
-
-
-def finite_diff_report(build_loss, params):
-    """Analytic against central-difference gradients of a scalar loss.
+def complex_step_report(build_loss, params):
+    """Analytic against complex-step gradients of a scalar loss.
 
     `build_loss()` builds the loss from the current contents of `params`,
-    which are perturbed in place one coordinate at a time, with every
-    stop_grad output held at its base-point value (StopGradCapture).
-    Returns (worst, analytic, numeric). A coordinate passes when
-    |ga - gn| <= FD_RTOL |ga| + b; worst is the largest ratio of the left
-    side to the right over every coordinate, so the check passes when
-    worst <= 1. Meaningful on float64 params.
+    float64 Tensors. For the length of the check each param's `.data` is a
+    complex128 copy (complex_step_mode), and coordinate i of the numeric
+    gradient gc is Im f(x + ih e_i) / h from one evaluation; the original
+    arrays are put back however the check ends. Returns (worst, analytic,
+    numeric), worst the largest |ga - gc| in units of the bound
+    2 gamma_n ||g||_2 derived below: the check passes when worst <= 1.
+    Raises ValueError for a non-scalar loss or params not float64, and
+    FloatingPointError for a non-finite loss.
 
-    b bounds the error of gn itself, on the rounding model of Nocedal and
-    Wright (Numerical Optimization, 2nd ed., section 8.1). By Taylor's
-    theorem
-        gn = (f(x + h) - f(x - h)) / 2h = f'(x) + h^2 f'''(x) / 6 + O(h^4).
-    If each computed f errs by at most u L, with u the unit roundoff of the
-    params' dtype (2^-53 in float64) and L the largest |f| at the
-    coordinate's probe points, the two values add at most 2 u L / 2h =
-    u L / h to gn. The third derivative comes from the same stencil at 2h,
-        f(x + 2h) - 2 f(x + h) + 2 f(x - h) - f(x - 2h) = 2 h^3 f''' + O(h^5),
-    so the truncation term h^2 |f'''| / 6 is that sum's magnitude over 12h,
-    give or take the sum's own rounding, at most 6 u L / 12h = u L / 2h.
-    Hence
-        b = |f(x + 2h) - 2 f(x + h) + 2 f(x - h) - f(x - 2h)| / 12h
-            + 3 u L / 2h.
-    At h = 1e-5 with |f| and |f'''| of order one, b is of order 1e-11, so
-    every coordinate with |ga| well above 1e-5 meets FD_RTOL's bar alone.
-    The model's u L can fall short: a loss whose terms cancel rounds by a
-    multiple of it (see test_acceptance.py's gradient-fidelity gates).
-    Raises ValueError on params of more than one dtype."""
-    dtypes = {p.data.dtype for p in params}
-    if len(dtypes) != 1:
-        raise ValueError(f"finite_diff_report needs params of one dtype, got {dtypes}")
-    capture = StopGradCapture()
-    with capture.recording(), ad.Tape(params) as tape:
+    The step (Squire and Trapp, SIAM Review 40(1), 1998; Martins, Sturdza
+    and Alonso, ACM TOMS 29(3), 2003). For f real-analytic in x_i,
+    Im f(x + ih e_i) / h = g_i - h^2 f^(3)(x) / 6 + O(h^4), with no
+    difference of nearby values. At h = 1e-30 the truncation term is below
+    u |g_i| unless |f^(3)| exceeds |g_i| by 1e44, and the real parts carry
+    f(x) to working precision. Argmax labels, VQ's argmin and a softmax's
+    row max read the real parts, so they are constants here, as on the tape.
+
+    Rounding. With imaginary parts of order h, a complex operation rounds
+    its real part as the float64 one does and its imaginary part as the
+    forward-mode tangent ((a + ib)(c + id) has imaginary part ad + bc, bd
+    lying h^2 below). So gc is the chain rule's sum over paths of products
+    of local partials, summed in forward order, and ga the same sum in the
+    tape's reverse order. Each errs by at most gamma_n times the sum of the
+    absolute terms, n the most roundings on one path (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sections 3.1 and 3.5, as
+    in matmul_error_bound); hence the factor 2.
+
+    n and the condition measure. Each rounding on a path adds in or writes
+    an entry of an array on it: a param, a recorded node's output, or a
+    fused op's intermediate, which at the gates' shapes has no more entries
+    than the op's params. So n, the entries of the params and the recorded
+    nodes' outputs, overcounts any one path. The sum of absolute terms
+    would need an absolute-valued pass through every op; the norm of the
+    whole analytic gradient, ||g||_2, stands in for it, and a gate's worst
+    ratio shows how much of the bound its cancellation uses."""
+    if any(p.data.dtype != np.float64 for p in params):
+        raise ValueError("complex_step_report needs float64 params")
+    with ad.Tape(params) as tape:
         loss = build_loss()
     if loss.data.shape != ():
-        raise ValueError("finite_diff_report needs a scalar loss")
+        raise ValueError("complex_step_report needs a scalar loss")
     if not np.isfinite(loss.data):
-        raise FloatingPointError("non-finite loss at base point")
+        raise FloatingPointError("non-finite loss")
     analytic = [g.copy() for g in tape.gradients(loss)]
-
-    def eval_loss():
-        with capture.replaying():
-            value = build_loss().data
-        if not np.isfinite(value):
-            raise FloatingPointError("non-finite loss at perturbed point")
-        return float(value)
-
-    u, h = np.finfo(dtypes.pop()).eps / 2, FD_STEP
-    worst, numeric = 0.0, []
-    for p, ga in zip(params, analytic):
-        flat, ga = p.data.reshape(-1), ga.reshape(-1)
-        gn, b = np.zeros_like(flat), np.zeros_like(flat)
-        for i in range(flat.size):
-            orig, f = flat[i], []
-            for k in (2, 1, -1, -2):
-                flat[i] = orig + k * h
-                f.append(eval_loss())
-            flat[i] = orig
-            gn[i] = (f[1] - f[2]) / (2.0 * h)
-            b[i] = (abs(f[0] - 2 * f[1] + 2 * f[2] - f[3]) / (12 * h)
-                    + 3 * u * max(map(abs, f)) / (2 * h))
-        numeric.append(gn.reshape(p.shape))
-        if flat.size:
-            ratio = np.abs(ga - gn) / (FD_RTOL * np.abs(ga) + b)
-            worst = max(worst, float(ratio.max()))
-    return worst, analytic, numeric
+    n = sum(t.data.size for t in (*params, *tape.nodes))
+    h, originals, numeric = 1e-30, [p.data for p in params], []
+    try:
+        with complex_step_mode():
+            for p in params:
+                p.data = p.data.astype(np.complex128)
+            for p in params:
+                flat, gc = p.data.reshape(-1), np.empty(p.data.size)
+                for i in range(flat.size):
+                    flat[i] += 1j * h
+                    gc[i] = build_loss().data.imag / h
+                    flat[i] = flat[i].real
+                numeric.append(gc.reshape(p.data.shape))
+    finally:
+        for p, data in zip(params, originals):
+            p.data = data
+    # np.max propagates a NaN, so a non-finite stepped loss fails the check
+    err = np.max([np.abs(ga - gc).max(initial=0.0) for ga, gc in zip(analytic, numeric)],
+                 initial=0.0)
+    bound = 2 * gamma(n, np.float64) * math.sqrt(sum((g * g).sum() for g in analytic))
+    return float(err / bound if bound else (0.0 if err == 0 else math.inf)), analytic, numeric
 
 
-def finite_diff_check(build_loss, params) -> float:
-    """finite_diff_report's worst ratio: at most 1 when every coordinate
-    passes."""
-    return finite_diff_report(build_loss, params)[0]
+def complex_step_check(build_loss, params) -> float:
+    """complex_step_report's worst ratio: at most 1 when it passes."""
+    return complex_step_report(build_loss, params)[0]
 
 
 def gamma(n: int, dtype) -> float:

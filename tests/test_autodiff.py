@@ -1,5 +1,5 @@
 """Unit tests for the reverse-mode engine: per-primitive gradient checks
-against central finite differences and structural tape behavior."""
+against complex-step derivatives and structural tape behavior."""
 
 import ast
 import contextlib
@@ -21,8 +21,8 @@ from actlm.autodiff import Tape, Tensor
 from actlm.config import ArchConfig
 from actlm.model import BLOCK_WEIGHTS, base_forward, block_forward, init_model
 from actlm.training import loss_base_ar
-from conftest import BOTH_DTYPES, StopGradCapture, finite_diff_check, \
-    finite_diff_report, matmul_error_bound
+from conftest import BOTH_DTYPES, assert_one_storage, complex_step_check, \
+    complex_step_mode, complex_step_report, matmul_error_bound
 
 
 def rand(rng, *shape):
@@ -56,6 +56,7 @@ PRIMITIVE_CASES = {
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
 def test_primitive_matches_finite_differences(name):
+    """The tape's gradient passes conftest.complex_step_report's check."""
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     x = rand(rng, 2, 3)
     y = rand(rng, 2, 3)
@@ -64,34 +65,34 @@ def test_primitive_matches_finite_differences(name):
     def build():
         return probe(np.random.default_rng(5), op(np.random.default_rng(9), x, y))
 
-    assert finite_diff_check(build, [x, y]) <= 1
+    assert complex_step_check(build, [x, y]) <= 1
 
 
 def test_matmul_gradients():
     rng = np.random.default_rng(0)
     a, b = rand(rng, 3, 4), rand(rng, 4, 2)
-    assert finite_diff_check(
+    assert complex_step_check(
         lambda: probe(np.random.default_rng(1), ad.matmul(a, b)), [a, b]) <= 1
 
 
 def test_batched_matmul_gradients():
     rng = np.random.default_rng(0)
     a, b = rand(rng, 2, 3, 4), rand(rng, 4, 2)
-    assert finite_diff_check(
+    assert complex_step_check(
         lambda: probe(np.random.default_rng(1), ad.matmul(a, b)), [a, b]) <= 1
 
 
 def test_log_gradients():
     rng = np.random.default_rng(0)
     x = Tensor(rng.uniform(0.5, 2.0, size=(2, 3)))
-    assert finite_diff_check(
+    assert complex_step_check(
         lambda: probe(np.random.default_rng(1), ad.log(x)), [x]) <= 1
 
 
 def test_rms_norm_gradients():
     rng = np.random.default_rng(0)
     x, gain = rand(rng, 2, 3, 4), rand(rng, 4)
-    assert finite_diff_check(
+    assert complex_step_check(
         lambda: probe(np.random.default_rng(1), ad.rms_norm(x, gain)),
         [x, gain]) <= 1
 
@@ -99,14 +100,9 @@ def test_rms_norm_gradients():
 def test_causal_attention_scores_gradients():
     rng = np.random.default_rng(0)
     q, k = rand(rng, 1, 3, 4), rand(rng, 1, 3, 4)
-
-    def build():
-        s = ad.causal_attention_scores(q, k)
-        # probe only the unmasked triangle; the mask is a constant
-        w = np.tril(np.random.default_rng(1).normal(size=(3, 3)))
-        return ad.sum_(ad.mul(s, Tensor(w[None])))
-
-    assert finite_diff_check(build, [q, k]) <= 1
+    assert complex_step_check(
+        lambda: probe(np.random.default_rng(1), ad.causal_attention_scores(q, k)),
+        [q, k]) <= 1
 
 
 def test_causal_attention_scores_query_offset():
@@ -566,7 +562,7 @@ def test_cross_entropy_gradients():
     rng = np.random.default_rng(3)
     logits = Tensor(rng.normal(size=(2, 3, 5)))
     targets = rng.integers(0, 5, size=(2, 3))
-    assert finite_diff_check(
+    assert complex_step_check(
         lambda: ad.mean_(ad.cross_entropy(logits, targets)), [logits]) <= 1
 
 
@@ -695,23 +691,35 @@ def test_tapes_belong_to_their_thread():
     assert not ad.needs_grad(x)
 
 
-def test_stop_grad_capture_replays_recorded_values():
-    """A replay hands back the recorded values, and each block puts the
-    src stop_grad back, even when the build inside it raises."""
-    plain = ad.stop_grad
-    x = Tensor(np.array([1.0, 2.0], np.float32))
-    cap = StopGradCapture()
-    with cap.recording():
-        frozen = ad.stop_grad(x)
-    assert ad.stop_grad is plain
-    x.data = x.data + 100.0
-    with cap.replaying():
-        replayed = ad.stop_grad(x)
-    np.testing.assert_array_equal(replayed.data, frozen.data)
-    for block in (cap.recording, cap.replaying):
-        with pytest.raises(FloatingPointError), block():
+def test_complex_step_check_restores_what_it_swaps():
+    """Inside a check stop_grad and item keep the real part. After a check
+    on a ModelState, also one whose build raises, the three module
+    attributes are the src ones, every tensor is a view of its buffer
+    again and every buffer is bitwise unchanged. Outside a check a Tensor
+    still refuses complex data."""
+    saved = ad.FLOAT_DTYPES, ad.stop_grad, ad.Tensor.item
+    z = np.array([1.0 + 2.0j, 3.0 - 1.0j])
+    with complex_step_mode():
+        np.testing.assert_array_equal(ad.stop_grad(Tensor(z)).data, z.real)
+        assert Tensor(z[:1].sum()).item() == 1.0
+    state = init_model(ArchConfig(d_model=4, max_seq_len=4, intermediate_dim=4), 0, np.float64)
+    before = {g: state.flat(g).tobytes() for g in state.buffers}
+    tokens, params = np.array([[1, 2, 3, 4]]), list(state.groups["base"].values())
+
+    def build(raises):
+        if raises and params[0].data.dtype == np.complex128:
             raise FloatingPointError("a build that fails")
-        assert ad.stop_grad is plain
+        return loss_base_ar(state, tokens)[0]
+
+    for raises in (False, True):
+        with pytest.raises(FloatingPointError) if raises else contextlib.nullcontext():
+            assert complex_step_check(lambda: build(raises), params) <= 1
+        assert all(a is b for a, b in zip((ad.FLOAT_DTYPES, ad.stop_grad, ad.Tensor.item),
+                                          saved))
+        assert_one_storage(state)
+        assert {g: state.flat(g).tobytes() for g in state.buffers} == before
+    with pytest.raises(TypeError, match="complex128"):
+        Tensor(np.zeros(2, complex))
 
 
 @settings(max_examples=50, deadline=None)
@@ -733,15 +741,14 @@ def test_matmul_forward_matches_numpy(seed):
     assert (err <= matmul_error_bound(a, b, out.data.dtype)).all()
 
 
-def test_finite_diff_report_rejects_nonscalar():
+def test_complex_step_report_rejects_nonscalar():
     x = Tensor(np.ones(3))
-    with pytest.raises(ValueError):
-        finite_diff_report(lambda: ad.mul(x, 1.0), [x])
+    with pytest.raises(ValueError, match="scalar"):
+        complex_step_report(lambda: ad.mul(x, 1.0), [x])
 
 
-def test_finite_diff_report_rejects_params_of_two_dtypes():
-    """u is the unit roundoff of the params' one dtype, so params of two
-    dtypes have none and are refused."""
+def test_complex_step_report_rejects_params_not_float64():
+    """A complex128 step carries a float64 value and its derivative."""
     x, y = Tensor(np.ones(3)), Tensor(np.ones(3, np.float32))
-    with pytest.raises(ValueError, match="one dtype"):
-        finite_diff_report(lambda: ad.sum_(ad.mul(x, y)), [x, y])
+    with pytest.raises(ValueError, match="float64"):
+        complex_step_report(lambda: ad.sum_(ad.mul(x, y)), [x, y])

@@ -47,7 +47,7 @@ def test_semantic_diversity_identical_continuations_floor_at_one():
     # delta policy: one action always wins
     state.groups["policy"]["head"].data[...] = 0.0
     state.groups["policy"]["head"].data[:, 2] = 50.0
-    cfg = DiversityConfig(n_samples=4, prefix_len=3)
+    cfg = DiversityConfig(n_samples=4)
     d = semantic_diversity(state, np.array([[1, 2, 3]]), cfg,
                            np.random.default_rng(0), max_len=8)
     assert d == pytest.approx(1.0, abs=1e-5)

@@ -224,11 +224,14 @@ def autodiff_aliases(tree: ast.Module) -> set[str]:
 
 
 def test_src_calls_stop_grad_only_through_the_module():
-    """The tests' finite-difference oracle holds stop_grad's outputs fixed
-    by swapping the attribute `ad.stop_grad`. A src reference by a name
-    imported from autodiff, or by the bare name inside it, would escape the
-    swap, and a check would then measure the true zero derivative instead
-    of the straight-through one."""
+    """The tests' complex-step oracle (conftest.complex_step_mode) makes
+    stop_grad keep the real part by swapping the attribute `ad.stop_grad`.
+    A src reference by a name imported from autodiff, or by the bare name
+    inside it, would escape the swap, and a check would then measure the
+    stopped path's derivative instead of the straight-through one. The
+    oracle admits complex128 by swapping `ad.FLOAT_DTYPES` too, which
+    autodiff reads as a global at each call, so no module imports that
+    name either."""
     through_module, escaping = 0, []
     for p in sorted(SRC.glob("*.py")):
         tree = ast.parse(p.read_text())
@@ -239,7 +242,8 @@ def test_src_calls_stop_grad_only_through_the_module():
                 through_module += 1
             elif isinstance(node, ast.Attribute) and node.attr == "stop_grad" \
                     or isinstance(node, ast.Name) and node.id == "stop_grad" \
-                    or isinstance(node, ast.alias) and node.name in ("stop_grad", "*"):
+                    or isinstance(node, ast.alias) \
+                    and node.name in ("stop_grad", "FLOAT_DTYPES", "*"):
                 escaping.append(f"{p.name}:{node.lineno}")
     assert escaping == [] and through_module > 0, escaping
 
